@@ -53,21 +53,12 @@ func (o *AdaptOptions) withDefaults() AdaptOptions {
 // candidatesFor returns the deduplicated candidate map restricted to d's
 // support — the form the adaptation solvers consume.
 func (ps *PathSystem) candidatesFor(d *demand.Demand) map[demand.Pair][]graph.Path {
-	out := make(map[demand.Pair][]graph.Path)
-	for _, p := range d.Support() {
+	support := d.Support()
+	out := make(map[demand.Pair][]graph.Path, len(support))
+	for _, p := range support {
 		out[p] = ps.Unique(p.U, p.V)
 	}
 	return out
-}
-
-// variableCount returns the number of candidate-path variables the
-// adaptation LP would have for demand d.
-func (ps *PathSystem) variableCount(d *demand.Demand) int {
-	n := 0
-	for _, p := range d.Support() {
-		n += len(ps.Unique(p.U, p.V))
-	}
-	return n
 }
 
 // Adapt performs Stage 4 of the protocol: given the revealed demand d, it
@@ -91,7 +82,11 @@ func (ps *PathSystem) AdaptCtx(ctx context.Context, d *demand.Demand, opt *Adapt
 		return nil, fmt.Errorf("core: %w", mcf.ErrNoCandidates)
 	}
 	cand := ps.candidatesFor(d)
-	if o.ExactThreshold > 0 && ps.variableCount(d) <= o.ExactThreshold {
+	variables := 0 // candidate-path variables the adaptation LP would have
+	for _, paths := range cand {
+		variables += len(paths)
+	}
+	if o.ExactThreshold > 0 && variables <= o.ExactThreshold {
 		if o.OnSolver != nil {
 			o.OnSolver("exact")
 		}

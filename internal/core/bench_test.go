@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -62,6 +63,31 @@ func BenchmarkAdaptIntegral(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ps.AdaptIntegral(d, nil, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAdaptGrid100 is one cold epoch at the size the bench harness
+// serves (bench/ workload grid100-dense): a Räcke R=4 system over all pairs
+// of grid-10x10 adapting to a 600-pair gravity matrix — candidate assembly
+// plus the MWU solve.
+func BenchmarkAdaptGrid100(b *testing.B) {
+	g := gen.Grid(10, 10)
+	router, err := oblivious.Build("raecke", g, &oblivious.BuildOptions{Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ps, err := RSample(router, AllPairs(g.NumVertices()), 4, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := demand.Gravity(g, 60, 600, rand.New(rand.NewPCG(3, 3)))
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ps.AdaptCtx(ctx, d, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,8 +14,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sparseroute/internal/demand"
 	"sparseroute/internal/graph"
@@ -65,18 +66,43 @@ func (ps *PathSystem) Paths(u, v int) []graph.Path {
 // multiplicity (the |P_uv| of Definition 5.5's special demands).
 func (ps *PathSystem) NumSampled(p demand.Pair) int { return len(ps.paths[p]) }
 
-// Unique returns the deduplicated candidate paths of the pair.
+// Unique returns the deduplicated candidate paths of the pair, in order of
+// first occurrence. Two sampled paths are the same candidate when they
+// traverse the same edge sequence forward or reversed — the equivalence
+// graph.Path.Key encodes, decided here without building keys.
 func (ps *PathSystem) Unique(u, v int) []graph.Path {
-	seen := make(map[string]bool)
-	var out []graph.Path
-	for _, p := range ps.paths[demand.MakePair(u, v)] {
-		k := p.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, p)
+	paths := ps.paths[demand.MakePair(u, v)]
+	if len(paths) == 0 {
+		return nil
+	}
+	out := make([]graph.Path, 0, len(paths))
+next:
+	for _, p := range paths {
+		for _, q := range out {
+			if sameRoute(p.EdgeIDs, q.EdgeIDs) {
+				continue next
+			}
 		}
+		out = append(out, p)
 	}
 	return out
+}
+
+// sameRoute reports whether a and b are the same edge sequence read in
+// either direction.
+func sameRoute(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	fwd, rev := true, true
+	for i, id := range a {
+		fwd = fwd && id == b[i]
+		rev = rev && id == b[len(b)-1-i]
+		if !fwd && !rev {
+			return false
+		}
+	}
+	return true
 }
 
 // UniqueAll returns the deduplicated candidate map for all pairs, the form
@@ -89,18 +115,21 @@ func (ps *PathSystem) UniqueAll() map[demand.Pair][]graph.Path {
 	return out
 }
 
+// comparePairs orders pairs by (U, V), the order demand.Support uses.
+func comparePairs(a, b demand.Pair) int {
+	if c := cmp.Compare(a.U, b.U); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.V, b.V)
+}
+
 // Pairs returns the pairs with at least one candidate, sorted.
 func (ps *PathSystem) Pairs() []demand.Pair {
 	out := make([]demand.Pair, 0, len(ps.paths))
 	for p := range ps.paths {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
+	slices.SortFunc(out, comparePairs)
 	return out
 }
 
@@ -239,12 +268,7 @@ func (ps *PathSystem) UncoveredPairs(pairs []demand.Pair) []demand.Pair {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
+	slices.SortFunc(out, comparePairs)
 	return out
 }
 

@@ -7,10 +7,11 @@
 package demand
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 )
 
 // Pair is an unordered vertex pair, stored canonically with U < V.
@@ -77,11 +78,11 @@ func (d *Demand) Support() []Pair {
 	for p := range d.m {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
+	slices.SortFunc(out, func(a, b Pair) int {
+		if c := cmp.Compare(a.U, b.U); c != 0 {
+			return c
 		}
-		return out[i].V < out[j].V
+		return cmp.Compare(a.V, b.V)
 	})
 	return out
 }

@@ -3,6 +3,7 @@ package demand
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -61,6 +62,18 @@ func TestSizeSupportMax(t *testing.T) {
 	sup := d.Support()
 	if len(sup) != 2 || sup[0] != (Pair{0, 1}) || sup[1] != (Pair{2, 3}) {
 		t.Fatalf("support=%v", sup)
+	}
+}
+
+// TestSupportOrder pins Support's (U, V) order, ties on U included.
+func TestSupportOrder(t *testing.T) {
+	d := New()
+	for _, uv := range [][2]int{{2, 3}, {5, 0}, {0, 1}, {4, 1}, {0, 3}} {
+		d.Set(uv[0], uv[1], 1)
+	}
+	want := []Pair{{0, 1}, {0, 3}, {0, 5}, {1, 4}, {2, 3}}
+	if got := d.Support(); !slices.Equal(got, want) {
+		t.Fatalf("Support() = %v, want %v", got, want)
 	}
 }
 

@@ -132,57 +132,93 @@ func MinCongestionOnPaths(g *graph.Graph, cand map[demand.Pair][]graph.Path, d *
 func MinCongestionOnPathsCtx(ctx context.Context, g *graph.Graph, cand map[demand.Pair][]graph.Path, d *demand.Demand, opt *Options) (flow.Routing, error) {
 	o := opt.withDefaults()
 	support := d.Support()
+	nPaths, nRefs := 0, 0
 	for _, p := range support {
-		if len(cand[p]) == 0 {
+		paths := cand[p]
+		if len(paths) == 0 {
 			return nil, fmt.Errorf("%w: %v", ErrNoCandidates, p)
 		}
+		nPaths += len(paths)
+		for _, path := range paths {
+			nRefs += len(path.EdgeIDs)
+		}
 	}
-	if o.BaseLoads != nil && len(o.BaseLoads) != g.NumEdges() {
-		return nil, fmt.Errorf("mcf: %d base loads for %d edges", len(o.BaseLoads), g.NumEdges())
+	base := o.BaseLoads
+	if base != nil && len(base) != g.NumEdges() {
+		return nil, fmt.Errorf("mcf: %d base loads for %d edges", len(base), g.NumEdges())
 	}
-	cum := make([]float64, g.NumEdges()) // cumulative relative load
-	chosen := make(map[demand.Pair][]float64, len(support))
-	// seeded[p] is the virtual rounds pair p was warm-seeded with (its final
-	// weight denominator is Iterations + seeded[p]); warmAny is the prior's
+
+	// Compile the instance into flat arrays for this call only: pair i owns
+	// paths pairOff[i]..pairOff[i+1], path k owns edgeRef[pathOff[k]:
+	// pathOff[k+1]], both in support x candidate x stored-edge order, so the
+	// round loop below touches no map, no graph.Path and no graph.Edge.
+	pairOff := make([]int32, 1, len(support)+1)
+	pathOff := make([]int32, 1, nPaths+1)
+	edgeRef := make([]int32, 0, nRefs)
+	amts := make([]float64, len(support))
+	for i, p := range support {
+		amts[i] = d.Get(p.U, p.V)
+		for _, path := range cand[p] {
+			for _, id := range path.EdgeIDs {
+				edgeRef = append(edgeRef, int32(id))
+			}
+			pathOff = append(pathOff, int32(len(edgeRef)))
+		}
+		pairOff = append(pairOff, int32(len(pathOff)-1))
+	}
+	caps := make([]float64, g.NumEdges())
+	for id := range caps {
+		caps[id] = g.Edge(id).Capacity
+	}
+	cum := make([]float64, len(caps))    // cumulative relative load per edge
+	length := make([]float64, len(caps)) // this round's MWU length per edge
+	chosen := make([]float64, nPaths)    // rounds (fresh or virtual) each path was played
+	// seeded[i] is the virtual rounds pair i was warm-seeded with (its final
+	// weight denominator is Iterations + seeded[i]); warmAny is the prior's
 	// round count when at least one pair was seeded, the global round offset
 	// the averaged state represents.
-	seeded := make(map[demand.Pair]float64)
+	seeded := make([]float64, len(support))
 	warmAny := 0.0
-	for _, p := range support {
-		chosen[p] = make([]float64, len(cand[p]))
-		if o.Warm == nil {
-			continue
-		}
-		prior := o.Warm.Weights[p]
-		if len(prior) == 0 {
-			continue
-		}
-		var tot float64
-		w := make([]float64, len(cand[p]))
-		for j, path := range cand[p] {
-			if pw := prior[path.Key()]; pw > 0 {
-				w[j] = pw
-				tot += pw
-			}
-		}
-		if tot <= 0 {
-			continue // prior paths are no longer candidates: cold start
-		}
-		rounds := o.warmRounds()
-		amt := d.Get(p.U, p.V)
-		for j, pw := range w {
-			if pw <= 0 {
+	if o.Warm != nil {
+		for i, p := range support {
+			prior := o.Warm.Weights[p]
+			if len(prior) == 0 {
 				continue
 			}
-			cnt := rounds * pw / tot
-			chosen[p][j] += cnt
-			for _, id := range cand[p][j].EdgeIDs {
-				cum[id] += cnt * amt / g.Edge(id).Capacity
+			w := chosen[pairOff[i]:pairOff[i+1]]
+			var tot float64
+			for j, path := range cand[p] {
+				if pw := prior[path.Key()]; pw > 0 {
+					w[j] = pw
+					tot += pw
+				}
 			}
+			if tot <= 0 {
+				continue // prior paths are no longer candidates: cold start
+			}
+			rounds := o.warmRounds()
+			for j, pw := range w {
+				if pw <= 0 {
+					continue
+				}
+				cnt := rounds * pw / tot
+				w[j] = cnt
+				k := pairOff[i] + int32(j)
+				for _, id := range edgeRef[pathOff[k]:pathOff[k+1]] {
+					cum[id] += cnt * amts[i] / caps[id]
+				}
+			}
+			seeded[i] = rounds
+			warmAny = rounds
 		}
-		seeded[p] = rounds
-		warmAny = rounds
 	}
+
+	// Arithmetic-order guarantee: every float below comes from the same
+	// expression, evaluated in the same order, as in
+	// referenceMinCongestionOnPaths (mcf_test.go) — "/ caps[id]" rather than
+	// a precomputed reciprocal, path sums in stored edge order — so routings
+	// and Progress samples equal the reference's bit for bit. A length is
+	// re-evaluated exactly when the load under it changed.
 	for iter := 0; iter < o.Iterations; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -193,52 +229,66 @@ func MinCongestionOnPathsCtx(ctx context.Context, g *graph.Graph, cand map[deman
 		rounds := float64(iter) + warmAny
 		maxCum := 0.0
 		for id, c := range cum {
-			if o.BaseLoads != nil {
-				c += (rounds + 1) * o.BaseLoads[id]
+			if base != nil {
+				c += (rounds + 1) * base[id]
 			}
+			length[id] = c
 			if c > maxCum {
 				maxCum = c
 			}
 		}
 		if o.Progress != nil && iter > 0 && iter%o.ProgressEvery == 0 && rounds > 0 {
-			o.Progress(iter, congestionEstimate(cum, o.BaseLoads, rounds))
+			o.Progress(iter, congestionEstimate(cum, base, rounds))
 		}
-		for _, p := range support {
-			// Lightest candidate under lengths exp(eta*(cum-max))/cap.
-			best, bestLen := 0, math.Inf(1)
-			for j, path := range cand[p] {
+		// Lengths exp(eta*(load-max))/cap, once per edge rather than once per
+		// edge occurrence.
+		for id, c := range length {
+			length[id] = math.Exp(o.Eta*(c-maxCum)) / caps[id]
+		}
+		for i, amt := range amts {
+			// Lightest candidate; the first strict minimum wins.
+			best, bestLen := pairOff[i], math.Inf(1)
+			for k := pairOff[i]; k < pairOff[i+1]; k++ {
 				var l float64
-				for _, id := range path.EdgeIDs {
-					c := cum[id]
-					if o.BaseLoads != nil {
-						c += (rounds + 1) * o.BaseLoads[id]
-					}
-					l += math.Exp(o.Eta*(c-maxCum)) / g.Edge(id).Capacity
+				for _, id := range edgeRef[pathOff[k]:pathOff[k+1]] {
+					l += length[id]
 				}
 				if l < bestLen {
-					best, bestLen = j, l
+					best, bestLen = k, l
 				}
 			}
-			chosen[p][best]++
-			amt := d.Get(p.U, p.V)
-			for _, id := range cand[p][best].EdgeIDs {
-				cum[id] += amt / g.Edge(id).Capacity
+			chosen[best]++
+			for _, id := range edgeRef[pathOff[best]:pathOff[best+1]] {
+				cum[id] += amt / caps[id]
+				c := cum[id]
+				if base != nil {
+					c += (rounds + 1) * base[id]
+				}
+				length[id] = math.Exp(o.Eta*(c-maxCum)) / caps[id]
 			}
 		}
 	}
 	reportFinal(cum, &o, warmAny)
-	out := flow.New()
-	for _, p := range support {
-		amt := d.Get(p.U, p.V)
-		total := float64(o.Iterations) + seeded[p]
-		for j, cnt := range chosen[p] {
+	out := make(flow.Routing, len(support))
+	for i, p := range support {
+		counts := chosen[pairOff[i]:pairOff[i+1]]
+		played := 0
+		for _, cnt := range counts {
 			if cnt > 0 {
-				out[p] = append(out[p], flow.WeightedPath{
+				played++
+			}
+		}
+		total := float64(o.Iterations) + seeded[i]
+		wps := make([]flow.WeightedPath, 0, played)
+		for j, cnt := range counts {
+			if cnt > 0 {
+				wps = append(wps, flow.WeightedPath{
 					Path:   cand[p][j],
-					Weight: amt * cnt / total,
+					Weight: amts[i] * cnt / total,
 				})
 			}
 		}
+		out[p] = wps
 	}
 	return out, nil
 }

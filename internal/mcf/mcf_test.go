@@ -3,8 +3,10 @@ package mcf
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"time"
 
@@ -428,6 +430,299 @@ func TestExactAdaptationRoutesExactly(t *testing.T) {
 		}
 		if want := d.Get(pair.U, pair.V); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("pair %v routes %v, want %v", pair, got, want)
+		}
+	}
+}
+
+// referenceMinCongestionOnPaths is the map-walking MWU loop that
+// MinCongestionOnPathsCtx ran before it was compiled into flat arrays, kept
+// verbatim as the arithmetic reference: it looks every pair up in cand, reads
+// g.Edge(id).Capacity per edge and evaluates one exp per edge occurrence per
+// round. TestKernelBitIdenticalToReference holds the kernel to it float for
+// float.
+func referenceMinCongestionOnPaths(ctx context.Context, g *graph.Graph, cand map[demand.Pair][]graph.Path, d *demand.Demand, opt *Options) (flow.Routing, error) {
+	o := opt.withDefaults()
+	support := d.Support()
+	for _, p := range support {
+		if len(cand[p]) == 0 {
+			return nil, fmt.Errorf("%w: %v", ErrNoCandidates, p)
+		}
+	}
+	if o.BaseLoads != nil && len(o.BaseLoads) != g.NumEdges() {
+		return nil, fmt.Errorf("mcf: %d base loads for %d edges", len(o.BaseLoads), g.NumEdges())
+	}
+	cum := make([]float64, g.NumEdges())
+	chosen := make(map[demand.Pair][]float64, len(support))
+	seeded := make(map[demand.Pair]float64)
+	warmAny := 0.0
+	for _, p := range support {
+		chosen[p] = make([]float64, len(cand[p]))
+		if o.Warm == nil {
+			continue
+		}
+		prior := o.Warm.Weights[p]
+		if len(prior) == 0 {
+			continue
+		}
+		var tot float64
+		w := make([]float64, len(cand[p]))
+		for j, path := range cand[p] {
+			if pw := prior[path.Key()]; pw > 0 {
+				w[j] = pw
+				tot += pw
+			}
+		}
+		if tot <= 0 {
+			continue
+		}
+		rounds := o.warmRounds()
+		amt := d.Get(p.U, p.V)
+		for j, pw := range w {
+			if pw <= 0 {
+				continue
+			}
+			cnt := rounds * pw / tot
+			chosen[p][j] += cnt
+			for _, id := range cand[p][j].EdgeIDs {
+				cum[id] += cnt * amt / g.Edge(id).Capacity
+			}
+		}
+		seeded[p] = rounds
+		warmAny = rounds
+	}
+	for iter := 0; iter < o.Iterations; iter++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		rounds := float64(iter) + warmAny
+		maxCum := 0.0
+		for id, c := range cum {
+			if o.BaseLoads != nil {
+				c += (rounds + 1) * o.BaseLoads[id]
+			}
+			if c > maxCum {
+				maxCum = c
+			}
+		}
+		if o.Progress != nil && iter > 0 && iter%o.ProgressEvery == 0 && rounds > 0 {
+			o.Progress(iter, congestionEstimate(cum, o.BaseLoads, rounds))
+		}
+		for _, p := range support {
+			best, bestLen := 0, math.Inf(1)
+			for j, path := range cand[p] {
+				var l float64
+				for _, id := range path.EdgeIDs {
+					c := cum[id]
+					if o.BaseLoads != nil {
+						c += (rounds + 1) * o.BaseLoads[id]
+					}
+					l += math.Exp(o.Eta*(c-maxCum)) / g.Edge(id).Capacity
+				}
+				if l < bestLen {
+					best, bestLen = j, l
+				}
+			}
+			chosen[p][best]++
+			amt := d.Get(p.U, p.V)
+			for _, id := range cand[p][best].EdgeIDs {
+				cum[id] += amt / g.Edge(id).Capacity
+			}
+		}
+	}
+	reportFinal(cum, &o, warmAny)
+	out := flow.New()
+	for _, p := range support {
+		amt := d.Get(p.U, p.V)
+		total := float64(o.Iterations) + seeded[p]
+		for j, cnt := range chosen[p] {
+			if cnt > 0 {
+				out[p] = append(out[p], flow.WeightedPath{
+					Path:   cand[p][j],
+					Weight: amt * cnt / total,
+				})
+			}
+		}
+	}
+	return out, nil
+}
+
+// kernelInstance draws a seeded instance for the bit-identity test: g with
+// capacities in [0.5, 2.5), a gravity matrix over `pairs` pairs, and 1-6
+// candidates per pair (lightest paths under fresh random lengths, so repeats
+// occur); every third pair also gets its first candidate reversed — the same
+// route under the same Path.Key.
+func kernelInstance(t *testing.T, shape *graph.Graph, pairs int, rng *rand.Rand) (*graph.Graph, map[demand.Pair][]graph.Path, *demand.Demand) {
+	t.Helper()
+	g := graph.New(shape.NumVertices())
+	for _, e := range shape.Edges() {
+		g.AddEdge(e.U, e.V, 0.5+2*rng.Float64())
+	}
+	d := demand.Gravity(g, 10, pairs, rng)
+	cand := make(map[demand.Pair][]graph.Path)
+	lengths := make([]float64, g.NumEdges())
+	for i, p := range d.Support() {
+		for n := 1 + rng.IntN(6); n > 0; n-- {
+			cand[p] = append(cand[p], randomPath(t, g, p, lengths, rng))
+		}
+		if i%3 == 0 {
+			cand[p] = append(cand[p], cand[p][0].Reverse())
+		}
+	}
+	return g, cand, d
+}
+
+// TestKernelBitIdenticalToReference: the flat kernel must return the
+// reference loop's routing and Progress samples exactly (==, not within a
+// tolerance) — same candidates in the same order with the same weights —
+// over cold, warm, background and short runs, and fail the same way.
+func TestKernelBitIdenticalToReference(t *testing.T) {
+	type sample struct {
+		round int
+		cong  float64
+	}
+	type solver func(context.Context, *graph.Graph, map[demand.Pair][]graph.Path, *demand.Demand, *Options) (flow.Routing, error)
+	run := func(solve solver, g *graph.Graph, cand map[demand.Pair][]graph.Path, d *demand.Demand, opt Options) (flow.Routing, []sample, error) {
+		var samples []sample
+		opt.Progress = func(round int, cong float64) { samples = append(samples, sample{round, cong}) }
+		r, err := solve(context.Background(), g, cand, d, &opt)
+		return r, samples, err
+	}
+	rng := rand.New(rand.NewPCG(19, 19))
+	for _, inst := range []struct {
+		name  string
+		shape *graph.Graph
+		pairs int
+	}{
+		{"expander", gen.RandomRegular(48, 4, rng), 120},
+		{"grid", gen.Grid(7, 7), 150},
+	} {
+		g, cand, d := kernelInstance(t, inst.shape, inst.pairs, rng)
+		support := d.Support()
+		cold, err := referenceMinCongestionOnPaths(context.Background(), g, cand, d, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// prior projects the cold routing of the pairs keep admits into
+		// warm-start weights, the way core.CandidateWeights does.
+		prior := func(keep func(i int) bool) *WarmStart {
+			w := make(map[demand.Pair]map[string]float64)
+			for i, p := range support {
+				if !keep(i) {
+					continue
+				}
+				w[p] = make(map[string]float64)
+				for _, wp := range cold[p] {
+					w[p][wp.Path.Key()] += wp.Weight
+				}
+			}
+			return &WarmStart{Weights: w}
+		}
+		full := prior(func(int) bool { return true })
+		partial := prior(func(i int) bool { return i%2 == 0 })
+		// staleKey: every other pair's real keys are swapped for keys no
+		// candidate has (those pairs start cold beside seeded ones), and
+		// every pair carries a dead key next to its live ones.
+		staleKey := prior(func(int) bool { return true })
+		for i, p := range support {
+			if i%2 == 1 {
+				staleKey.Weights[p] = map[string]float64{"gone,": 1}
+			} else {
+				staleKey.Weights[p]["gone,"] = 0.5
+			}
+		}
+		staleKey.Rounds = 100
+		allStale := &WarmStart{Weights: make(map[demand.Pair]map[string]float64)}
+		for _, p := range support {
+			allStale.Weights[p] = map[string]float64{"gone,": 1}
+		}
+		base := make([]float64, g.NumEdges())
+		for id := range base {
+			base[id] = rng.Float64()
+		}
+
+		for _, tc := range []struct {
+			name string
+			opt  Options
+		}{
+			{"cold", Options{}},
+			{"cold eta", Options{Iterations: 90, Eta: 2.5, ProgressEvery: 7}},
+			{"warm full", Options{Iterations: 64, Warm: full}},
+			{"warm partial", Options{Iterations: 64, Warm: partial}},
+			{"warm stale keys", Options{Iterations: 64, Warm: staleKey}},
+			{"warm all stale", Options{Iterations: 64, Warm: allStale}},
+			{"base", Options{Iterations: 64, BaseLoads: base}},
+			{"base warm", Options{Iterations: 64, BaseLoads: base, Warm: partial}},
+			{"short", Options{Iterations: 5}},
+		} {
+			name := inst.name + "/" + tc.name
+			want, wantSamples, err := run(referenceMinCongestionOnPaths, g, cand, d, tc.opt)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", name, err)
+			}
+			got, gotSamples, err := run(MinCongestionOnPathsCtx, g, cand, d, tc.opt)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(wantSamples) == 0 || len(gotSamples) != len(wantSamples) {
+				t.Fatalf("%s: %d progress samples, reference has %d", name, len(gotSamples), len(wantSamples))
+			}
+			for i, s := range gotSamples {
+				if s != wantSamples[i] {
+					t.Fatalf("%s: progress sample %d = %+v, reference %+v", name, i, s, wantSamples[i])
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d routed pairs, reference has %d", name, len(got), len(want))
+			}
+			for _, p := range support {
+				if len(got[p]) != len(want[p]) {
+					t.Fatalf("%s: pair %v uses %d paths, reference %d", name, p, len(got[p]), len(want[p]))
+				}
+				for j, wp := range got[p] {
+					ref := want[p][j]
+					if wp.Weight != ref.Weight {
+						t.Fatalf("%s: pair %v path %d = %+v, reference %+v", name, p, j, wp, ref)
+					}
+					// The caller's graph.Path value itself, not an equal
+					// copy or an equal-keyed duplicate of it.
+					if wp.Path.Src != ref.Path.Src || wp.Path.Dst != ref.Path.Dst || &wp.Path.EdgeIDs[0] != &ref.Path.EdgeIDs[0] {
+						t.Fatalf("%s: pair %v path %d is not the candidate the reference chose", name, p, j)
+					}
+				}
+			}
+		}
+
+		// The failure modes, checked in the reference's order: a pair
+		// without candidates before a bad BaseLoads length, then a context
+		// canceled mid-run (from the round-32 Progress call).
+		p0 := support[0]
+		uncovered := map[demand.Pair][]graph.Path{}
+		for p, paths := range cand {
+			if p != p0 {
+				uncovered[p] = paths
+			}
+		}
+		for _, solve := range []solver{referenceMinCongestionOnPaths, MinCongestionOnPathsCtx} {
+			r, err := solve(context.Background(), g, uncovered, d, &Options{BaseLoads: base[:1]})
+			if r != nil || !errors.Is(err, ErrNoCandidates) || !strings.Contains(err.Error(), fmt.Sprint(p0)) {
+				t.Fatalf("%s: uncovered pair: %v, %v", inst.name, r, err)
+			}
+			r, err = solve(context.Background(), g, cand, d, &Options{BaseLoads: base[:1]})
+			if r != nil || err == nil || !strings.Contains(err.Error(), "1 base loads") {
+				t.Fatalf("%s: short BaseLoads: %v, %v", inst.name, r, err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			last := 0
+			r, err = solve(ctx, g, cand, d, &Options{Progress: func(round int, _ float64) {
+				last = round
+				if round == 32 {
+					cancel()
+				}
+			}})
+			cancel()
+			if r != nil || !errors.Is(err, context.Canceled) || last != 32 {
+				t.Fatalf("%s: cancel at round 32: routing %v, err %v, last progress round %d", inst.name, r, err, last)
+			}
 		}
 	}
 }

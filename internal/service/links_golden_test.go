@@ -1,0 +1,78 @@
+package service
+
+import (
+	"math"
+	"math/rand/v2"
+	"testing"
+
+	"sparseroute/internal/demand"
+	"sparseroute/internal/graph/gen"
+	"sparseroute/internal/oblivious"
+)
+
+// TestLinkEventGoldenHash pins the installed-system hash and the served
+// congestion through fail → fail → restore → restore on the bench's WAN
+// (topology seed 64, sampling seed 7, the 300-pair standing matrix). Edges
+// 20 and 70 are non-bridge and between them exercise every pass of a link
+// event: prune, recovery resample, proactive widening (on a fail and on a
+// restore) and compaction. The hash covers the sorted pair order and every
+// installed path in order; which pairs get widened follows from the unique
+// candidate counts, and the congestion is the cold MWU re-adapt, whose
+// tie-breaks follow candidate order — so a change to how core.PathSystem
+// dedupes, orders or sorts moves one of the two. The values were recorded at
+// commit 06698ad, before PathSystem.Unique stopped building Path.Key strings
+// and before the MWU loop became a flat kernel; congestion is compared to
+// 1e-9 because flow.Routing.EdgeLoads sums in map order.
+func TestLinkEventGoldenHash(t *testing.T) {
+	g := gen.SyntheticWAN(64, 40, rand.New(rand.NewPCG(64, 64)))
+	router, err := oblivious.Build("raecke", g, &oblivious.BuildOptions{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := testEngine(t, Config{Graph: g, Router: router, RouterName: "raecke", R: 4, Seed: 7, Workers: 1})
+	ctx := waitCtx(t)
+
+	check := func(step string, epoch, wantHash uint64, wantCong float64, wantPaths int) {
+		t.Helper()
+		out, err := e.Wait(ctx, epoch)
+		if err != nil || !out.OK {
+			t.Fatalf("%s: epoch %d: %v %+v", step, epoch, err, out)
+		}
+		if got := e.Hash(); got != wantHash {
+			t.Errorf("%s: hash %016x, want %016x", step, got, wantHash)
+		}
+		if math.Abs(out.Congestion-wantCong) > 1e-9*wantCong {
+			t.Errorf("%s: congestion %.17g, want %.17g", step, out.Congestion, wantCong)
+		}
+		if got := e.InstalledSystem().TotalPaths(); got != wantPaths {
+			t.Errorf("%s: %d installed paths, want %d", step, got, wantPaths)
+		}
+	}
+
+	epoch, err := e.SubmitDemand(demand.Gravity(g, 60, 300, rand.New(rand.NewPCG(600, 300))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("start", epoch, 0x064b3909470f40a8, 2.0934332216804612, 8064)
+
+	for _, s := range []struct {
+		name          string
+		fail, restore []int
+		hash          uint64
+		cong          float64
+		paths         int
+	}{
+		{"fail 20", []int{20}, nil, 0x7fe72d2176de1562, 2.2267790322570535, 8091},
+		{"fail 70", []int{70}, nil, 0x9d83fa71dee8c45c, 2.2707829385338285, 8807},
+		{"restore 20", nil, []int{20}, 0x07a7c37b9ba3561e, 2.1937749564419895, 8797},
+		{"restore 70", nil, []int{70}, 0x064b3909470f40a8, 2.0934332216804612, 8064},
+	} {
+		if _, err := e.UpdateLinks(s.fail, s.restore); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		// A link event publishes the renormalized interim epoch, then the
+		// cold re-adapt this test reads.
+		epoch += 2
+		check(s.name, epoch, s.hash, s.cong, s.paths)
+	}
+}
