@@ -1,4 +1,4 @@
-// Benchmark harness: one testing.B target per experiment table (E1..E8, see
+// Benchmark harness: one testing.B target per experiment table (E1..E13, see
 // DESIGN.md's per-experiment index). Each bench runs the experiment in quick
 // mode and reports the competitive-ratio/metric rows via b.Log on the first
 // iteration, so `go test -bench=. -benchmem` both times the pipelines and

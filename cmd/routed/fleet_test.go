@@ -19,7 +19,7 @@ import (
 // graceful drain (every resident shard snapshots on the way down).
 func startFleetDaemon(t *testing.T, o *options) (string, func()) {
 	t.Helper()
-	f, err := buildFleet(o)
+	h, drain, err := openFleet(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,14 +29,14 @@ func startFleetDaemon(t *testing.T, o *options) (string, func()) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- serveFleet(ctx, l, f) }()
+	go func() { done <- serve(ctx, l, h, drain) }()
 	url := "http://" + l.Addr().String()
 	stop := func() {
 		cancel()
 		select {
 		case err := <-done:
 			if err != nil {
-				t.Fatalf("serveFleet: %v", err)
+				t.Fatalf("serve: %v", err)
 			}
 		case <-time.After(30 * time.Second):
 			t.Fatal("fleet daemon did not shut down")

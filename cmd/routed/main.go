@@ -115,48 +115,21 @@ import (
 
 	"sparseroute/internal/fleet"
 	"sparseroute/internal/oblivious"
-	"sparseroute/internal/serial"
 	"sparseroute/internal/service"
-	"sparseroute/internal/wal"
 )
 
+// options are the parsed flags. The engine flags bind straight into engine —
+// the service.Config the single engine runs on as is and fleet mode hands
+// every shard as its template — so a new engine flag is one line in
+// parseFlags and nothing else.
 type options struct {
-	addr     string
-	topo     string
-	router   string
-	r        int
-	seed     uint64
-	dim      int
-	trees    int
-	k        int
-	workers  int
-	queue    int
-	deadline time.Duration
-	snapshot string
-
-	// crash durability
-	wal             string
-	checkpointEvery int
-
-	// observability + retention (long-running daemons size these)
-	debugAddr      string
-	slowSolve      time.Duration
-	headroom       float64
-	outcomeHistory int
-	traceDepth     int
-	journalDepth   int
-
-	// warm-start pipeline
-	noWarm    bool
-	warmIters int
-
-	// overload protection
-	maxBody         int64
-	inflightBytes   int64
-	tenantQPS       float64
-	tenantBurst     int
-	breakerOpens    int
-	breakerCooldown time.Duration
+	addr      string
+	topo      string
+	snapshot  string
+	wal       string
+	debugAddr string
+	engine    service.Config
+	build     oblivious.BuildOptions // Seed stays 0: it defaults to engine.Seed
 
 	// fleet mode
 	fleetDir     string
@@ -169,38 +142,41 @@ func parseFlags(args []string) (*options, error) {
 	fs := flag.NewFlagSet("routed", flag.ContinueOnError)
 	fs.StringVar(&o.addr, "addr", "localhost:8344", "listen address")
 	fs.StringVar(&o.topo, "topo", "topo.json", "topology file (ignored when -snapshot restores)")
-	fs.StringVar(&o.router, "router", "raecke", strings.Join(oblivious.RouterNames(), "|"))
-	fs.IntVar(&o.r, "s", 4, "paths sampled per pair (R)")
-	fs.Uint64Var(&o.seed, "seed", 1, "sampling seed")
-	fs.IntVar(&o.dim, "dim", 0, "hypercube dimension (valiant; 0 = infer)")
-	fs.IntVar(&o.trees, "trees", 12, "raecke tree count")
-	fs.IntVar(&o.k, "k", 4, "ksp path count")
-	fs.IntVar(&o.workers, "workers", 2, "concurrent epoch solves")
-	fs.IntVar(&o.queue, "queue", 16, "pending epochs before load shedding")
-	fs.DurationVar(&o.deadline, "deadline", 0, "per-epoch solve deadline; on expiry the solve is canceled and the last good routing keeps serving (0 = none)")
+	fs.StringVar(&o.engine.RouterName, "router", "raecke", strings.Join(oblivious.RouterNames(), "|"))
+	fs.IntVar(&o.engine.R, "s", 4, "paths sampled per pair (R)")
+	fs.Uint64Var(&o.engine.Seed, "seed", 1, "sampling seed")
+	fs.IntVar(&o.build.Dim, "dim", 0, "hypercube dimension (valiant; 0 = infer)")
+	fs.IntVar(&o.build.Trees, "trees", 12, "raecke tree count")
+	fs.IntVar(&o.build.K, "k", 4, "ksp path count")
+	fs.IntVar(&o.engine.Workers, "workers", 2, "concurrent epoch solves")
+	fs.IntVar(&o.engine.QueueDepth, "queue", 16, "pending epochs before load shedding")
+	fs.DurationVar(&o.engine.SolveDeadline, "deadline", 0, "per-epoch solve deadline; on expiry the solve is canceled and the last good routing keeps serving (0 = none)")
 	fs.StringVar(&o.snapshot, "snapshot", "", "snapshot file: restored at startup when present, written by POST /v1/snapshot and at shutdown")
 	fs.StringVar(&o.wal, "wal", "", "write-ahead log: every accepted mutation is fsynced here before it is applied and replayed over the snapshot at startup, so a hard kill loses nothing (default <snapshot>.wal when -snapshot is set; \"off\" disables; fleet mode logs per shard regardless of the path)")
-	fs.IntVar(&o.checkpointEvery, "checkpoint-every", 0, "snapshot + truncate the write-ahead log automatically after this many logged operations (0 = only on snapshot requests and shutdown)")
+	fs.IntVar(&o.engine.CheckpointEvery, "checkpoint-every", 0, "snapshot + truncate the write-ahead log automatically after this many logged operations (0 = only on snapshot requests and shutdown)")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "separate listen address for the pprof profiling surface (/debug/pprof/...); empty disables it")
-	fs.DurationVar(&o.slowSolve, "slow-solve", 0, "epochs slower than this (queue wait + solve + publish) emit one structured log line and count in slow_solves (0 = disabled)")
-	fs.Float64Var(&o.headroom, "headroom", 0, "capacity headroom threshold in (0,1): pairs whose every candidate crosses an edge degraded below it are proactively widened around the weak links (0 = disabled)")
-	fs.IntVar(&o.outcomeHistory, "outcome-history", 0, "epoch outcomes retained for ?wait/Wait lookups before eviction (0 = default 128)")
-	fs.IntVar(&o.traceDepth, "trace-depth", 0, "epoch lifecycle traces retained on /debug/trace (0 = default 64)")
-	fs.IntVar(&o.journalDepth, "journal-depth", 0, "events retained on /debug/events (0 = default 256)")
-	fs.BoolVar(&o.noWarm, "no-warm", false, "solve every epoch from scratch: disable MWU warm starts and the PATCH delta fast path")
-	fs.IntVar(&o.warmIters, "warm-iters", 0, "fresh MWU rounds for warm-started and delta solves (0 = default 64)")
-	fs.Int64Var(&o.maxBody, "max-body", 0, "per-request body cap in bytes; larger POST/PATCH bodies get 413 (0 = default 8 MiB, negative disables)")
-	fs.Int64Var(&o.inflightBytes, "inflight-bytes", 0, "total request-body bytes decoded concurrently before mutations shed with 429 (0 = unlimited)")
-	fs.Float64Var(&o.tenantQPS, "tenant-qps", 0, "per-tenant demand-mutation quota in ops/sec: excess submits and patches shed with 429 + Retry-After; per shard in fleet mode (0 = unlimited)")
-	fs.IntVar(&o.tenantBurst, "tenant-burst", 0, "token-bucket depth for -tenant-qps (0 = ceil of the rate)")
-	fs.IntVar(&o.breakerOpens, "breaker", 0, "circuit breaker: consecutive failed solves that open it — reads serve last-known-good, mutations get 503 + Retry-After until a cooldown probe succeeds (0 = disabled)")
-	fs.DurationVar(&o.breakerCooldown, "breaker-cooldown", 0, "open-breaker cooldown before the half-open probe (0 = default 5s)")
+	fs.DurationVar(&o.engine.SlowSolveThreshold, "slow-solve", 0, "epochs slower than this (queue wait + solve + publish) emit one structured log line and count in slow_solves (0 = disabled)")
+	fs.Float64Var(&o.engine.AtRiskHeadroom, "headroom", 0, "capacity headroom threshold in (0,1): pairs whose every candidate crosses an edge degraded below it are proactively widened around the weak links (0 = disabled)")
+	fs.IntVar(&o.engine.OutcomeHistory, "outcome-history", 0, "epoch outcomes retained for ?wait/Wait lookups before eviction (0 = default 128)")
+	fs.IntVar(&o.engine.TraceDepth, "trace-depth", 0, "epoch lifecycle traces retained on /debug/trace (0 = default 64)")
+	fs.IntVar(&o.engine.JournalDepth, "journal-depth", 0, "events retained on /debug/events (0 = default 256)")
+	fs.BoolVar(&o.engine.DisableWarmStart, "no-warm", false, "solve every epoch from scratch: disable MWU warm starts and the PATCH delta fast path")
+	fs.IntVar(&o.engine.WarmIterations, "warm-iters", 0, "fresh MWU rounds for warm-started and delta solves (0 = default 64)")
+	fs.Int64Var(&o.engine.MaxBodyBytes, "max-body", 0, "per-request body cap in bytes; larger POST/PATCH bodies get 413 (0 = default 8 MiB, negative disables)")
+	fs.Int64Var(&o.engine.MaxInflightBytes, "inflight-bytes", 0, "total request-body bytes decoded concurrently before mutations shed with 429 (0 = unlimited)")
+	fs.Float64Var(&o.engine.MutationRate, "tenant-qps", 0, "per-tenant demand-mutation quota in ops/sec: excess submits and patches shed with 429 + Retry-After; per shard in fleet mode (0 = unlimited)")
+	fs.IntVar(&o.engine.MutationBurst, "tenant-burst", 0, "token-bucket depth for -tenant-qps (0 = ceil of the rate)")
+	fs.IntVar(&o.engine.BreakerThreshold, "breaker", 0, "circuit breaker: consecutive failed solves that open it — reads serve last-known-good, mutations get 503 + Retry-After until a cooldown probe succeeds (0 = disabled)")
+	fs.DurationVar(&o.engine.BreakerCooldown, "breaker-cooldown", 0, "open-breaker cooldown before the half-open probe (0 = default 5s)")
 	fs.StringVar(&o.fleetDir, "fleet", "", "fleet mode: serve every <id>.topo.json / <id>.snap in this directory as /v1/t/<id>/... (ignores -topo/-snapshot)")
 	fs.IntVar(&o.resident, "resident", 0, "fleet mode: max engines resident at once; LRU shards snapshot to disk and reload on demand (0 = unlimited)")
 	fs.StringVar(&o.defaultShard, "default", "", "fleet mode: topology the legacy /v1/* routes alias to (default: the sole shard when exactly one exists)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
+	// Automatic checkpoints land on the snapshot the daemon restores from
+	// (fleet mode points each shard at its own <id>.snap instead).
+	o.engine.CheckpointPath = o.snapshot
 	return o, nil
 }
 
@@ -220,104 +196,76 @@ func walPath(o *options) string {
 	return ""
 }
 
-// buildEngine restores the engine from o.snapshot when that file exists,
-// otherwise samples a fresh path system from the topology file. When a
-// write-ahead log is configured it is opened first (recovering a torn tail)
-// and replayed over the engine, so the daemon resumes with the exact demand
-// matrix and link state it was killed with. The caller closes the returned
-// log after the engine drains.
-func buildEngine(o *options) (*service.Engine, *wal.Log, bool, error) {
-	cfg := service.Config{
-		R:                  o.r,
-		Seed:               o.seed,
-		Workers:            o.workers,
-		QueueDepth:         o.queue,
-		SolveDeadline:      o.deadline,
-		RouterName:         o.router,
-		SlowSolveThreshold: o.slowSolve,
-		AtRiskHeadroom:     o.headroom,
-		OutcomeHistory:     o.outcomeHistory,
-		TraceDepth:         o.traceDepth,
-		JournalDepth:       o.journalDepth,
-		DisableWarmStart:   o.noWarm,
-		WarmIterations:     o.warmIters,
-		MaxBodyBytes:       o.maxBody,
-		MaxInflightBytes:   o.inflightBytes,
-		MutationRate:       o.tenantQPS,
-		MutationBurst:      o.tenantBurst,
-		BreakerThreshold:   o.breakerOpens,
-		BreakerCooldown:    o.breakerCooldown,
+// openEngine brings the single engine up (service.Open: restored from
+// o.snapshot when that file exists, otherwise sampled from the topology
+// file, the write-ahead log replayed over it either way) and returns its
+// handler plus the drain serve runs on the way out: in-flight solves
+// complete, a final snapshot is written when configured, then the log
+// closes — the shutdown snapshot checkpoints (truncates + re-seeds) the log
+// through that handle.
+func openEngine(o *options) (http.Handler, func() error, error) {
+	opened, err := service.Open(
+		service.Files{Snapshot: o.snapshot, Topo: o.topo, WAL: walPath(o)},
+		o.engine, o.build)
+	if err != nil {
+		return nil, nil, err
 	}
-	var (
-		log *wal.Log
-		rec *wal.Recovery
-	)
-	if path := walPath(o); path != "" {
-		var err error
-		log, rec, err = wal.Open(path, nil)
-		if err != nil {
-			return nil, nil, false, fmt.Errorf("opening wal %s: %w", path, err)
+	e := opened.Engine
+	if rs := opened.Replay; rs.Applied > 0 || rs.Truncated {
+		fmt.Printf("routed: wal replayed %d ops (%d skipped, truncated=%v)\n",
+			rs.Applied, rs.Skipped, rs.Truncated)
+	}
+	st := e.System().Stats()
+	if opened.Restored {
+		fmt.Printf("routed: restored %s: %d pairs, %d paths (hash %016x) — resampling skipped\n",
+			o.snapshot, st.Pairs, st.TotalPaths, e.Hash())
+	} else {
+		fmt.Printf("routed: sampled %d pairs, %d paths via %s R=%d (hash %016x)\n",
+			st.Pairs, st.TotalPaths, o.engine.RouterName, o.engine.R, e.Hash())
+	}
+	drain := func() error {
+		if opened.WAL != nil {
+			defer opened.WAL.Close()
 		}
-		cfg.WAL = log
-		cfg.CheckpointPath = o.snapshot
-		cfg.CheckpointEvery = o.checkpointEvery
-	}
-	fail := func(err error) (*service.Engine, *wal.Log, bool, error) {
-		if log != nil {
-			log.Close()
-		}
-		return nil, nil, false, err
-	}
-	build := func() (*service.Engine, bool, error) {
+		e.Close()
 		if o.snapshot != "" {
-			if f, err := os.Open(o.snapshot); err == nil {
-				defer f.Close()
-				e, err := service.Restore(f, cfg)
-				if err != nil {
-					return nil, false, fmt.Errorf("restoring %s: %w", o.snapshot, err)
-				}
-				return e, true, nil
+			if _, err := e.SnapshotToFile(o.snapshot); err != nil {
+				return fmt.Errorf("final snapshot: %w", err)
 			}
 		}
-		f, err := os.Open(o.topo)
-		if err != nil {
-			return nil, false, err
-		}
-		defer f.Close()
-		g, err := serial.DecodeGraph(f)
-		if err != nil {
-			return nil, false, err
-		}
-		router, err := oblivious.Build(o.router, g, &oblivious.BuildOptions{
-			Dim: o.dim, Trees: o.trees, K: o.k, Seed: o.seed,
-		})
-		if err != nil {
-			return nil, false, err
-		}
-		cfg.Graph = g
-		cfg.Router = router
-		e, err := service.New(cfg)
-		return e, false, err
+		return nil
 	}
-	e, restored, err := build()
-	if err != nil {
-		return fail(err)
-	}
-	if stats, err := e.ReplayWAL(rec); err != nil {
-		e.Close()
-		return fail(err)
-	} else if rec != nil && (stats.Applied > 0 || stats.Truncated) {
-		fmt.Printf("routed: wal replayed %d ops (%d skipped, truncated=%v)\n",
-			stats.Applied, stats.Skipped, stats.Truncated)
-	}
-	return e, log, restored, nil
+	return service.NewServer(e, o.snapshot), drain, nil
 }
 
-// serve runs the HTTP server on l until ctx is canceled, then drains:
-// in-flight solves complete, a final snapshot is written when configured.
-func serve(ctx context.Context, l net.Listener, e *service.Engine, snapshotPath string) error {
+// openFleet opens the fleet over o.fleetDir; its drain snapshots every
+// resident shard to its <id>.snap and closes it.
+func openFleet(o *options) (http.Handler, func() error, error) {
+	f, err := fleet.Open(fleet.Config{
+		Dir:             o.fleetDir,
+		DefaultShard:    o.defaultShard,
+		MaxResident:     o.resident,
+		Workers:         o.engine.Workers,
+		DisableWAL:      o.wal == "off",
+		CheckpointEvery: o.engine.CheckpointEvery,
+		TenantQPS:       o.engine.MutationRate,
+		TenantBurst:     o.engine.MutationBurst,
+		Engine:          o.engine,
+		Build:           o.build,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	fmt.Printf("routed: fleet of %d topologies from %s (default %q)\n",
+		len(f.ShardIDs()), o.fleetDir, f.DefaultShard())
+	return fleet.NewServer(f), f.Close, nil
+}
+
+// serve runs the HTTP server on l until ctx is canceled, then shuts it down
+// and drains what it served.
+func serve(ctx context.Context, l net.Listener, h http.Handler, drain func() error) error {
 	srv := &http.Server{
-		Handler: service.NewServer(e, snapshotPath),
+		Handler: h,
 		// Slow-header and idle-connection bounds, so stalled clients cannot
 		// pin accept slots on a long-running daemon.
 		ReadHeaderTimeout: 10 * time.Second,
@@ -327,7 +275,7 @@ func serve(ctx context.Context, l net.Listener, e *service.Engine, snapshotPath 
 	go func() { errc <- srv.Serve(l) }()
 	select {
 	case err := <-errc:
-		e.Close()
+		drain()
 		return err
 	case <-ctx.Done():
 	}
@@ -336,13 +284,7 @@ func serve(ctx context.Context, l net.Listener, e *service.Engine, snapshotPath 
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		srv.Close()
 	}
-	e.Close()
-	if snapshotPath != "" {
-		if _, err := e.SnapshotToFile(snapshotPath); err != nil {
-			return fmt.Errorf("final snapshot: %w", err)
-		}
-	}
-	return nil
+	return drain()
 }
 
 // debugHandler is the profiling surface served on -debug-addr: the pprof
@@ -359,82 +301,6 @@ func debugHandler() http.Handler {
 	return mux
 }
 
-// serveDebug runs the profiling server on l until ctx is canceled. Errors
-// after shutdown begins are expected and dropped; a startup failure surfaces
-// on stderr but never takes the serving daemon down with it.
-func serveDebug(ctx context.Context, l net.Listener) {
-	srv := &http.Server{
-		Handler:           debugHandler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	go func() {
-		<-ctx.Done()
-		srv.Close()
-	}()
-	if err := srv.Serve(l); err != nil && !errors.Is(err, http.ErrServerClosed) && ctx.Err() == nil {
-		fmt.Fprintln(os.Stderr, "routed: debug server:", err)
-	}
-}
-
-// buildFleet opens the fleet over o.fleetDir, translating the single-engine
-// flags into the per-shard engine template.
-func buildFleet(o *options) (*fleet.Fleet, error) {
-	return fleet.Open(fleet.Config{
-		Dir:             o.fleetDir,
-		DefaultShard:    o.defaultShard,
-		MaxResident:     o.resident,
-		Workers:         o.workers,
-		DisableWAL:      o.wal == "off",
-		CheckpointEvery: o.checkpointEvery,
-		TenantQPS:       o.tenantQPS,
-		TenantBurst:     o.tenantBurst,
-		Engine: service.Config{
-			R:                  o.r,
-			Seed:               o.seed,
-			QueueDepth:         o.queue,
-			SolveDeadline:      o.deadline,
-			RouterName:         o.router,
-			SlowSolveThreshold: o.slowSolve,
-			AtRiskHeadroom:     o.headroom,
-			OutcomeHistory:     o.outcomeHistory,
-			TraceDepth:         o.traceDepth,
-			JournalDepth:       o.journalDepth,
-			DisableWarmStart:   o.noWarm,
-			WarmIterations:     o.warmIters,
-			MaxBodyBytes:       o.maxBody,
-			MaxInflightBytes:   o.inflightBytes,
-			BreakerThreshold:   o.breakerOpens,
-			BreakerCooldown:    o.breakerCooldown,
-		},
-		Build: oblivious.BuildOptions{Dim: o.dim, Trees: o.trees, K: o.k, Seed: o.seed},
-	})
-}
-
-// serveFleet runs the fleet HTTP server on l until ctx is canceled, then
-// drains: every resident shard snapshots to its <id>.snap and closes.
-func serveFleet(ctx context.Context, l net.Listener, f *fleet.Fleet) error {
-	srv := &http.Server{
-		Handler:           fleet.NewServer(f),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(l) }()
-	select {
-	case err := <-errc:
-		f.Close()
-		return err
-	case <-ctx.Done():
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		srv.Close()
-	}
-	return f.Close()
-}
-
 func main() {
 	o, err := parseFlags(os.Args[1:])
 	if err != nil {
@@ -449,46 +315,22 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("routed: pprof on http://%s/debug/pprof/\n", dl.Addr())
-		go serveDebug(ctx, dl)
+		// A failing debug server surfaces on stderr but never takes the
+		// serving daemon down with it.
+		go func() {
+			if err := serve(ctx, dl, debugHandler(), func() error { return nil }); err != nil && !errors.Is(err, http.ErrServerClosed) {
+				fmt.Fprintln(os.Stderr, "routed: debug server:", err)
+			}
+		}()
 	}
+	open := openEngine
 	if o.fleetDir != "" {
-		f, err := buildFleet(o)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "routed:", err)
-			os.Exit(1)
-		}
-		l, err := net.Listen("tcp", o.addr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "routed:", err)
-			os.Exit(1)
-		}
-		ids := f.ShardIDs()
-		fmt.Printf("routed: fleet of %d topologies from %s (default %q)\n",
-			len(ids), o.fleetDir, f.DefaultShard())
-		fmt.Printf("routed: serving on http://%s\n", l.Addr())
-		if err := serveFleet(ctx, l, f); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "routed:", err)
-			os.Exit(1)
-		}
-		return
+		open = openFleet
 	}
-	e, walLog, restored, err := buildEngine(o)
+	h, drain, err := open(o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "routed:", err)
 		os.Exit(1)
-	}
-	if walLog != nil {
-		// Closed after serve drains — the shutdown snapshot checkpoints
-		// (truncates + re-seeds) the log through this handle.
-		defer walLog.Close()
-	}
-	st := e.System().Stats()
-	if restored {
-		fmt.Printf("routed: restored %s: %d pairs, %d paths (hash %016x) — resampling skipped\n",
-			o.snapshot, st.Pairs, st.TotalPaths, e.Hash())
-	} else {
-		fmt.Printf("routed: sampled %d pairs, %d paths via %s R=%d (hash %016x)\n",
-			st.Pairs, st.TotalPaths, o.router, o.r, e.Hash())
 	}
 	l, err := net.Listen("tcp", o.addr)
 	if err != nil {
@@ -496,7 +338,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("routed: serving on http://%s\n", l.Addr())
-	if err := serve(ctx, l, e, o.snapshot); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := serve(ctx, l, h, drain); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "routed:", err)
 		os.Exit(1)
 	}

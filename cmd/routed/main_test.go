@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -17,12 +18,12 @@ import (
 	"sparseroute/internal/serial"
 )
 
-// startDaemon builds the engine from o, serves it on a random port, and
+// startDaemon opens the engine from o, serves it on a random port, and
 // returns the base URL plus a stop function that performs the daemon's
 // graceful shutdown (drain + final snapshot when configured).
 func startDaemon(t *testing.T, o *options) (string, func()) {
 	t.Helper()
-	e, walLog, _, err := buildEngine(o)
+	h, drain, err := openEngine(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,15 +33,12 @@ func startDaemon(t *testing.T, o *options) (string, func()) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- serve(ctx, l, e, o.snapshot) }()
+	go func() { done <- serve(ctx, l, h, drain) }()
 	url := "http://" + l.Addr().String()
 	stop := func() {
 		cancel()
 		select {
 		case err := <-done:
-			if walLog != nil {
-				walLog.Close()
-			}
 			if err != nil {
 				t.Fatalf("serve: %v", err)
 			}
@@ -224,7 +222,7 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.router != "raecke" || o.r != 4 || o.workers != 2 {
+	if o.engine.RouterName != "raecke" || o.engine.R != 4 || o.engine.Workers != 2 {
 		t.Fatalf("defaults drifted: %+v", o)
 	}
 	if _, err := parseFlags([]string{"-deadline", "250ms"}); err != nil {
@@ -245,7 +243,7 @@ func TestBuildEngineUnknownRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, err = buildEngine(o)
+	_, _, err = openEngine(o)
 	if err == nil {
 		t.Fatal("unknown router accepted")
 	}
@@ -311,6 +309,64 @@ func TestDaemonDeadlineCancelsSolve(t *testing.T) {
 	}
 	if _, ok := vars["solve_cpu_saved"]; !ok {
 		t.Fatal("solve_cpu_saved missing from /debug/vars")
+	}
+}
+
+// TestDaemonOverloadFlags pins the flag wiring of the overload protection
+// end to end — parseFlags → openEngine → serve: with a one-token tenant
+// bucket the second back-to-back submit is shed with 429 and a positive
+// Retry-After, a body over -max-body gets 413, and reads keep answering.
+func TestDaemonOverloadFlags(t *testing.T) {
+	dir := t.TempDir()
+	topo := filepath.Join(dir, "topo.json")
+	f, err := os.Create(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := serial.EncodeGraph(f, gen.Hypercube(3)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	o, err := parseFlags([]string{"-topo", topo, "-router", "spf", "-s", "2",
+		"-tenant-qps", "0.01", "-tenant-burst", "1", "-max-body", "256", "-queue", "1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	url, stop := startDaemon(t, o)
+	defer stop()
+
+	post := func(body string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/demand?wait=1", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	const epoch = `{"entries":[{"u":0,"v":7,"amount":1}]}`
+	if resp := post(epoch); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first submit status %d, want 200", resp.StatusCode)
+	}
+	resp := post(epoch)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("second back-to-back submit status %d, want 429", resp.StatusCode)
+	}
+	if after, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || after <= 0 {
+		t.Fatalf("429 Retry-After %q, want a positive number of seconds", resp.Header.Get("Retry-After"))
+	}
+	big := `{"entries":[` + strings.Repeat(`{"u":0,"v":7,"amount":1},`, 20) + `{"u":1,"v":6,"amount":1}]}`
+	if resp := post(big); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte body under -max-body 256: status %d, want 413", len(big), resp.StatusCode)
+	}
+	get, err := http.Get(url + "/v1/routing")
+	if err != nil {
+		t.Fatal(err)
+	}
+	get.Body.Close()
+	if get.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/routing status %d while mutations shed, want 200", get.StatusCode)
 	}
 }
 

@@ -4,8 +4,9 @@
 // serving surface the whole time, optionally interleaves link chaos
 // (fail / brownout / restore cycles), and reports what the daemon actually
 // did about it — achieved versus offered mutation rate, the shed and busy
-// shares with their Retry-After hints, read latency quantiles under
-// concurrent epochs, and a scrape of the server's own overload counters.
+// shares with their Retry-After hints, and read latency quantiles under
+// concurrent epochs. The server's own view of the same run is its /metrics
+// (sparseroute_engine_shed_requests, _rate_limited, _busy_rejects, ...).
 //
 // "Closed loop" means every sender waits for its response before taking the
 // next slot: when the daemon sheds or slows down, the offered rate sags
@@ -15,13 +16,15 @@
 // open fire hose.
 //
 //	routedload -addr http://localhost:8344 -topo topo.json \
-//	    -qps 200 -duration 30s -model adversarial -chaos 2s \
-//	    -bench-out /tmp/bench
+//	    -qps 200 -duration 30s -model adversarial -chaos 2s
 //
-// The run writes BENCH_serving.json into -bench-out — the machine-readable
-// artifact `benchtrend -serving` gates in CI: reads must never see a 5xx,
-// every mutation must be accounted for (ok, shed, busy, or an explicit
-// error class), and shed responses must carry Retry-After.
+// The run prints its summary and gates itself: the exit status is non-zero,
+// with each violated invariant named on stderr, unless reads never saw a 5xx
+// or a transport error, every mutation is accounted for (ok, shed, busy, or
+// an explicit error class), every shed or busy response carried Retry-After,
+// no mutation got a non-503 5xx, and at least one mutation was accepted.
+// Latency under load is measured by the repository benchmark (go run
+// ./bench), not here.
 package main
 
 import (
@@ -33,7 +36,6 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,21 +47,14 @@ import (
 	"sparseroute/internal/temodel"
 )
 
-// servingArtifact is the file -bench-out writes into its directory.
-const servingArtifact = "BENCH_serving.json"
-
-// servingWindow summarizes a latency sample in milliseconds, the same shape
-// BENCH_engine.json uses.
-type servingWindow struct {
-	Count int     `json:"count"`
-	Mean  float64 `json:"mean_ms"`
-	P50   float64 `json:"p50_ms"`
-	P99   float64 `json:"p99_ms"`
-	Max   float64 `json:"max_ms"`
+// window summarizes a latency sample in milliseconds.
+type window struct {
+	Count               int
+	Mean, P50, P99, Max float64
 }
 
-func windowOf(ms []float64) servingWindow {
-	return servingWindow{
+func windowOf(ms []float64) window {
+	return window{
 		Count: len(ms),
 		Mean:  stats.Mean(ms),
 		P50:   stats.Quantile(ms, 0.5),
@@ -71,65 +66,51 @@ func windowOf(ms []float64) servingWindow {
 // mutationStats is the client-side view of the mutating surface. Every sent
 // request lands in exactly one outcome bucket, so
 // Sent == OK + Shed + Busy + TooLarge + ClientErrors + ServerErrors +
-// TransportErrors always holds — the accounting identity benchtrend gates.
+// TransportErrors always holds — the accounting identity gate checks.
 type mutationStats struct {
-	Sent int64 `json:"sent"`
-	OK   int64 `json:"ok"` // 200 / 202
+	Sent int64
+	OK   int64 // 200 / 202
 	// Shed is admission control: 429 (rate limit, inflight budget).
-	Shed int64 `json:"shed"`
+	Shed int64
 	// Busy is 503: full solve queue or an open circuit breaker.
-	Busy     int64 `json:"busy"`
-	TooLarge int64 `json:"too_large"` // 413 from the body cap
+	Busy     int64
+	TooLarge int64 // 413 from the body cap
 	// MissingRetryAfter counts shed/busy responses that failed to carry the
 	// Retry-After hint; the gate requires zero.
-	MissingRetryAfter int64         `json:"missing_retry_after"`
-	ClientErrors      int64         `json:"client_errors"` // other 4xx
-	ServerErrors      int64         `json:"server_errors"` // non-503 5xx
-	TransportErrors   int64         `json:"transport_errors"`
-	Latency           servingWindow `json:"latency"`
+	MissingRetryAfter int64
+	ClientErrors      int64 // other 4xx
+	ServerErrors      int64 // non-503 5xx
+	TransportErrors   int64
+	Latency           window
 }
 
 // readStats is the client-side view of GET /v1/routing under load. The gate
 // requires ServerErrors == TransportErrors == 0: reads are lock-free and
 // must stay clean no matter how hard the mutating surface is being shed.
 type readStats struct {
-	Sent            int64         `json:"sent"`
-	OK              int64         `json:"ok"`
-	NotFound        int64         `json:"not_found"` // only possible before the seed epoch
-	ServerErrors    int64         `json:"server_errors"`
-	TransportErrors int64         `json:"transport_errors"`
-	Latency         servingWindow `json:"latency"`
+	Sent            int64
+	OK              int64
+	NotFound        int64 // only possible before the seed epoch
+	ServerErrors    int64
+	TransportErrors int64
+	Latency         window
 }
 
 // chaosStats counts the link events the chaos loop injected.
 type chaosStats struct {
-	Events    int64 `json:"events"`
-	Fails     int64 `json:"fails"`
-	Brownouts int64 `json:"brownouts"`
-	Restores  int64 `json:"restores"`
-	Errors    int64 `json:"errors"`
+	Events    int64
+	Fails     int64
+	Brownouts int64
+	Restores  int64
+	Errors    int64
 }
 
-// servingReport is the BENCH_serving.json shape.
-type servingReport struct {
-	Name          string  `json:"name"`
-	GeneratedUnix int64   `json:"generated_unix"`
-	Addr          string  `json:"addr"`
-	Model         string  `json:"model"`
-	Seed          uint64  `json:"seed"`
-	TargetQPS     float64 `json:"target_qps"`
-	// OfferedQPS is what the closed loop actually sent; under overload it
-	// sags below TargetQPS because senders block on shed responses.
-	OfferedQPS  float64       `json:"offered_qps"`
-	AchievedQPS float64       `json:"achieved_qps"` // accepted mutations/sec
-	DurationSec float64       `json:"duration_sec"`
-	Mutations   mutationStats `json:"mutations"`
-	Reads       readStats     `json:"reads"`
-	Chaos       chaosStats    `json:"chaos"`
-	// Server is a flattened numeric scrape of the daemon's /debug/vars at
-	// the end of the run: the server-side shed/breaker accounting next to
-	// the client-side view above.
-	Server map[string]float64 `json:"server,omitempty"`
+// report is one finished drill: what summarize prints and gate judges.
+type report struct {
+	Elapsed   time.Duration
+	Mutations mutationStats
+	Reads     readStats
+	Chaos     chaosStats
 }
 
 // sample is a mutex-guarded latency collector (milliseconds).
@@ -144,7 +125,7 @@ func (s *sample) push(d time.Duration) {
 	s.mu.Unlock()
 }
 
-func (s *sample) window() servingWindow {
+func (s *sample) window() window {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return windowOf(s.ms)
@@ -164,7 +145,6 @@ type loadOpts struct {
 	deadline  time.Duration
 	chaos     time.Duration
 	seed      uint64
-	benchOut  string
 	timeout   time.Duration
 }
 
@@ -184,7 +164,6 @@ func parseFlags(args []string) (*loadOpts, error) {
 	fs.DurationVar(&o.deadline, "deadline", 2*time.Second, "?deadline= attached to every mutation: the daemon abandons epochs still queued past it (0 = none)")
 	fs.DurationVar(&o.chaos, "chaos", 0, "interval between link-chaos events (fail -> brownout -> restore cycle); 0 disables")
 	fs.Uint64Var(&o.seed, "seed", 1, "demand and chaos RNG seed")
-	fs.StringVar(&o.benchOut, "bench-out", "", "directory to write "+servingArtifact+" into (empty = stdout summary only)")
 	fs.DurationVar(&o.timeout, "timeout", 10*time.Second, "per-request HTTP timeout")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -227,14 +206,14 @@ type loader struct {
 	readLat    sample
 }
 
-// atomic counter helpers: the stats structs are plain int64 for clean JSON,
-// so all increments go through atomic on their addresses.
+// The stats structs are plain int64 so a finished report is a plain value;
+// during the run all increments go through atomic on their addresses.
 func inc(p *int64) { atomic.AddInt64(p, 1) }
 
 func (l *loader) url(path string) string { return l.o.addr + path }
 
-// post sends body as one JSON request and classifies the response into the
-// mutation buckets.
+// sendMutation sends body as one JSON request and classifies the response
+// into the mutation buckets.
 func (l *loader) sendMutation(method, path string, body []byte) {
 	inc(&l.mutations.Sent)
 	req, err := http.NewRequest(method, l.url(path), bytes.NewReader(body))
@@ -449,43 +428,7 @@ func (l *loader) seedEpoch() error {
 	return nil
 }
 
-// scrapeVars flattens the numeric leaves of /debug/vars (up to two map
-// levels, covering both the engine registry and fleet mode's nesting) into
-// dotted keys.
-func (l *loader) scrapeVars() map[string]float64 {
-	resp, err := l.client.Get(l.url("/debug/vars"))
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	var raw map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
-		return nil
-	}
-	out := make(map[string]float64)
-	flattenVars("", raw, out, 0)
-	return out
-}
-
-func flattenVars(prefix string, v any, out map[string]float64, depth int) {
-	switch x := v.(type) {
-	case float64:
-		out[prefix] = x
-	case map[string]any:
-		if depth >= 3 {
-			return
-		}
-		for k, sub := range x {
-			key := k
-			if prefix != "" {
-				key = prefix + "." + k
-			}
-			flattenVars(key, sub, out, depth+1)
-		}
-	}
-}
-
-func run(o *loadOpts) (*servingReport, error) {
+func run(o *loadOpts) (*report, error) {
 	raw, err := os.ReadFile(o.topoPath)
 	if err != nil {
 		return nil, err
@@ -525,31 +468,26 @@ func run(o *loadOpts) (*servingReport, error) {
 	cancel()
 	readerWG.Wait()
 	chaosWG.Wait()
-	elapsed := time.Since(start)
 
-	rep := &servingReport{
-		Name:          "serving",
-		GeneratedUnix: time.Now().Unix(),
-		Addr:          o.addr,
-		Model:         o.model,
-		Seed:          o.seed,
-		TargetQPS:     o.qps,
-		OfferedQPS:    float64(l.mutations.Sent) / elapsed.Seconds(),
-		AchievedQPS:   float64(l.mutations.OK) / elapsed.Seconds(),
-		DurationSec:   elapsed.Seconds(),
-		Mutations:     l.mutations,
-		Reads:         l.reads,
-		Chaos:         l.chaosStats,
-		Server:        l.scrapeVars(),
+	rep := &report{
+		Elapsed:   time.Since(start),
+		Mutations: l.mutations,
+		Reads:     l.reads,
+		Chaos:     l.chaosStats,
 	}
 	rep.Mutations.Latency = l.mutLat.window()
 	rep.Reads.Latency = l.readLat.window()
 	return rep, nil
 }
 
-func summarize(w *os.File, r *servingReport) {
-	fmt.Fprintf(w, "routedload: %s model=%s %.1fs\n", r.Addr, r.Model, r.DurationSec)
-	fmt.Fprintf(w, "  mutations: target %.0f/s offered %.1f/s achieved %.1f/s\n", r.TargetQPS, r.OfferedQPS, r.AchievedQPS)
+// summarize prints the run. Offered is what the closed loop actually sent;
+// under overload it sags below the target because senders block on shed
+// responses. Achieved is accepted mutations per second.
+func summarize(w *os.File, o *loadOpts, r *report) {
+	secs := r.Elapsed.Seconds()
+	fmt.Fprintf(w, "routedload: %s model=%s %.1fs\n", o.addr, o.model, secs)
+	fmt.Fprintf(w, "  mutations: target %.0f/s offered %.1f/s achieved %.1f/s\n",
+		o.qps, float64(r.Mutations.Sent)/secs, float64(r.Mutations.OK)/secs)
 	fmt.Fprintf(w, "    sent %d ok %d shed %d busy %d too-large %d client-err %d server-err %d transport-err %d\n",
 		r.Mutations.Sent, r.Mutations.OK, r.Mutations.Shed, r.Mutations.Busy,
 		r.Mutations.TooLarge, r.Mutations.ClientErrors, r.Mutations.ServerErrors, r.Mutations.TransportErrors)
@@ -561,11 +499,33 @@ func summarize(w *os.File, r *servingReport) {
 		fmt.Fprintf(w, "  chaos: %d events (%d fails, %d brownouts, %d restores), %d errors\n",
 			r.Chaos.Events, r.Chaos.Fails, r.Chaos.Brownouts, r.Chaos.Restores, r.Chaos.Errors)
 	}
-	for _, k := range []string{"shed_requests", "busy_rejects", "rate_limited", "inflight_rejects", "breaker_opens", "epochs_abandoned"} {
-		if v, ok := r.Server[k]; ok && v > 0 {
-			fmt.Fprintf(w, "  server %s=%.0f\n", k, v)
-		}
+}
+
+// gate checks the overload invariants on a finished drill and returns the
+// violations, each naming the invariant it broke; an empty slice passes.
+func gate(r *report) []string {
+	var bad []string
+	if r.Reads.ServerErrors > 0 {
+		bad = append(bad, fmt.Sprintf("reads saw %d server errors (5xx); the read path must never shed", r.Reads.ServerErrors))
 	}
+	if r.Reads.TransportErrors > 0 {
+		bad = append(bad, fmt.Sprintf("reads saw %d transport errors; the daemon dropped connections under load", r.Reads.TransportErrors))
+	}
+	m := r.Mutations
+	accounted := m.OK + m.Shed + m.Busy + m.TooLarge + m.ClientErrors + m.ServerErrors + m.TransportErrors
+	if m.Sent != accounted {
+		bad = append(bad, fmt.Sprintf("mutation accounting incomplete: sent %d but only %d land in an outcome bucket", m.Sent, accounted))
+	}
+	if m.MissingRetryAfter > 0 {
+		bad = append(bad, fmt.Sprintf("%d shed/busy responses lacked Retry-After", m.MissingRetryAfter))
+	}
+	if m.ServerErrors > 0 {
+		bad = append(bad, fmt.Sprintf("mutations saw %d non-503 server errors; overload must shed, not crash", m.ServerErrors))
+	}
+	if m.Sent > 0 && m.OK == 0 {
+		bad = append(bad, "no mutation was ever accepted: the daemon shed everything, not excess")
+	}
+	return bad
 }
 
 func main() {
@@ -579,22 +539,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "routedload:", err)
 		os.Exit(1)
 	}
-	summarize(os.Stdout, rep)
-	if o.benchOut != "" {
-		if err := os.MkdirAll(o.benchOut, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "routedload:", err)
-			os.Exit(1)
-		}
-		path := filepath.Join(o.benchOut, servingArtifact)
-		raw, err := json.MarshalIndent(rep, "", " ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "routedload:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "routedload:", err)
-			os.Exit(1)
-		}
-		fmt.Println("routedload: wrote", path)
+	summarize(os.Stdout, o, rep)
+	violations := gate(rep)
+	for _, v := range violations {
+		fmt.Fprintln(os.Stderr, "routedload: VIOLATION:", v)
 	}
+	if len(violations) > 0 {
+		os.Exit(1)
+	}
+	fmt.Println("routedload: overload invariants hold")
 }

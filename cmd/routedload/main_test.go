@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,7 +14,7 @@ import (
 )
 
 // TestSendMutationClassification checks that every response class lands in
-// exactly one outcome bucket — the accounting identity benchtrend gates.
+// exactly one outcome bucket — the accounting identity gate checks.
 func TestSendMutationClassification(t *testing.T) {
 	var code int
 	var retryAfter string
@@ -148,25 +149,49 @@ func TestPatchBodyIsValidPatchJSON(t *testing.T) {
 	}
 }
 
-func TestFlattenVars(t *testing.T) {
-	out := map[string]float64{}
-	flattenVars("", map[string]any{
-		"epochs_total": 4.0,
-		"solve_ms":     map[string]any{"p99": 1.5},
-		"fleet":        map[string]any{"shards": map[string]any{"a": map[string]any{"too": 1.0}}},
-		"name":         "string-ignored",
-	}, out, 0)
-	if out["epochs_total"] != 4 {
-		t.Fatalf("epochs_total=%v", out["epochs_total"])
+// TestGate: a clean drill passes, and each overload invariant, when broken,
+// is reported as exactly the violation that names it.
+func TestGate(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(r *report)
+		want   []string // one substring per expected violation, in order
+	}{
+		{"passes", func(r *report) {}, nil},
+		{"read errors", func(r *report) {
+			r.Reads.ServerErrors = 2
+			r.Reads.TransportErrors = 1
+		}, []string{"reads saw 2 server errors", "reads saw 1 transport errors"}},
+		{"accounting gap", func(r *report) {
+			r.Mutations.Sent = 101 // one request unaccounted for
+		}, []string{"accounting incomplete"}},
+		{"missing Retry-After", func(r *report) {
+			r.Mutations.MissingRetryAfter = 3
+		}, []string{"lacked Retry-After"}},
+		{"total shed", func(r *report) {
+			r.Mutations.OK, r.Mutations.Shed, r.Mutations.Busy = 0, 90, 10
+		}, []string{"no mutation was ever accepted"}},
+		{"mutation server errors", func(r *report) {
+			r.Mutations.OK, r.Mutations.ServerErrors = 39, 1
+		}, []string{"non-503 server errors"}},
 	}
-	if out["solve_ms.p99"] != 1.5 {
-		t.Fatalf("solve_ms.p99=%v", out["solve_ms.p99"])
-	}
-	if _, ok := out["fleet.shards.a.too"]; ok {
-		t.Fatal("depth bound not enforced")
-	}
-	if _, ok := out["name"]; ok {
-		t.Fatal("non-numeric leaf kept")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := &report{
+				Mutations: mutationStats{Sent: 100, OK: 40, Shed: 50, Busy: 10},
+				Reads:     readStats{Sent: 500, OK: 500, Latency: window{Count: 500, P99: 4}},
+			}
+			c.mutate(r)
+			got := gate(r)
+			if len(got) != len(c.want) {
+				t.Fatalf("violations %q, want %d matching %q", got, len(c.want), c.want)
+			}
+			for i, w := range c.want {
+				if !strings.Contains(got[i], w) {
+					t.Errorf("violation %d = %q, want it to name %q", i, got[i], w)
+				}
+			}
+		})
 	}
 }
 

@@ -4,13 +4,9 @@
 //
 // Usage:
 //
-//	sparsebench -experiment all            # run E1..E8 at full size
+//	sparsebench -experiment all            # run E1..E13 at full size
 //	sparsebench -experiment E2,E3 -quick   # selected experiments, small sizes
 //	sparsebench -list                      # list experiments
-//	sparsebench -bench-out DIR [-quick]    # write BENCH_engine.json: solve
-//	                                       # latency per topology size, cold
-//	                                       # vs. warm engine construction,
-//	                                       # p99 read latency
 package main
 
 import (
@@ -25,11 +21,10 @@ import (
 
 func main() {
 	var (
-		expFlag  = flag.String("experiment", "all", "comma-separated experiment names (E1..E8) or 'all'")
+		expFlag  = flag.String("experiment", "all", "comma-separated experiment names (E1..E13) or 'all'")
 		seed     = flag.Uint64("seed", 1, "random seed (identical seeds reproduce identical tables)")
 		quick    = flag.Bool("quick", false, "shrink instance sizes (CI/bench mode)")
 		listOnly = flag.Bool("list", false, "list experiments and exit")
-		benchOut = flag.String("bench-out", "", "write the machine-readable engine benchmark (BENCH_engine.json) into this directory and exit")
 	)
 	flag.Parse()
 
@@ -37,23 +32,6 @@ func main() {
 		for _, r := range experiments.All() {
 			fmt.Printf("%-4s %s\n", r.Name, r.Brief)
 		}
-		return
-	}
-
-	if *benchOut != "" {
-		start := time.Now()
-		report, err := runEngineBench(*seed, *quick)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		path, err := writeBenchReport(*benchOut, report)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d topologies, %.1fs, seed=%d, quick=%v)\n",
-			path, len(report.Topologies), time.Since(start).Seconds(), *seed, *quick)
 		return
 	}
 

@@ -43,7 +43,6 @@ import (
 	"sparseroute/internal/oblivious"
 	"sparseroute/internal/obs"
 	"sparseroute/internal/par"
-	"sparseroute/internal/serial"
 	"sparseroute/internal/service"
 	"sparseroute/internal/wal"
 )
@@ -337,22 +336,22 @@ func (f *Fleet) makeResident(sh *shard) error {
 	}
 	f.evictForRoom(sh)
 	start := time.Now()
-	engine, shardWAL, restored, err := f.buildEngine(sh)
+	opened, err := f.buildEngine(sh)
 	if err != nil {
 		return fmt.Errorf("fleet: shard %q: %w", sh.id, err)
 	}
 	buildTime := time.Since(start)
-	f.metrics.observeBuild(buildTime, restored)
+	f.metrics.observeBuild(buildTime, opened.Restored)
 	kind := "cold"
-	if restored {
+	if opened.Restored {
 		kind = "warm"
 	}
 	f.journal.RecordShard(sh.id, obs.EventReload, map[string]any{
 		"start": kind, "build_ms": float64(buildTime) / float64(time.Millisecond),
 	})
-	server := service.NewServer(engine, sh.snapPath)
+	server := service.NewServer(opened.Engine, sh.snapPath)
 	sh.mu.Lock()
-	sh.engine, sh.server, sh.wal = engine, server, shardWAL
+	sh.engine, sh.server, sh.wal = opened.Engine, server, opened.WAL
 	sh.mu.Unlock()
 	return nil
 }
@@ -427,41 +426,21 @@ func (f *Fleet) evict(sh *shard) bool {
 	return true
 }
 
-// buildEngine constructs sh's engine: restored from its snapshot when one
-// exists (warm — no resampling, identical hash), else sampled from its
-// topology spec (cold). Either way the shard's write-ahead log is opened
-// first (recovering a torn tail), threaded into the engine config so every
-// accepted mutation is logged before it is applied, and replayed over the
-// built engine so the shard resumes with its exact pre-crash demand matrix
-// and link state. The engine solves on a fresh FairQueue of the shared pool.
-func (f *Fleet) buildEngine(sh *shard) (e *service.Engine, shardWAL *wal.Log, restored bool, err error) {
+// buildEngine constructs sh's engine through service.Open — restored from
+// its snapshot when one exists (warm — no resampling, identical hash), else
+// sampled from its topology spec (cold), with the shard's write-ahead log
+// replayed over it either way — on a fresh FairQueue of the shared pool.
+func (f *Fleet) buildEngine(sh *shard) (*service.Opened, error) {
 	cfg := f.cfg.Engine
 	depth := cfg.QueueDepth
 	if depth <= 0 {
 		depth = 16
 	}
 	queue := f.pool.Queue(depth)
-	var rec *wal.Recovery
-	if !f.cfg.DisableWAL {
-		shardWAL, rec, err = wal.Open(sh.walPath, nil)
-		if err != nil {
-			queue.Close()
-			return nil, nil, false, fmt.Errorf("opening wal %s: %w", sh.walPath, err)
-		}
-	}
-	defer func() {
-		if err != nil {
-			queue.Close() // unregister the dead queue from the shared pool
-			if shardWAL != nil {
-				shardWAL.Close()
-				shardWAL = nil
-			}
-		}
-	}()
 	cfg.Pool = queue
 	cfg.Graph, cfg.Router, cfg.System = nil, nil, nil
 	cfg.FailedEdges, cfg.CapacityOverrides = nil, nil
-	cfg.WAL, cfg.WALStartSeq = shardWAL, 0
+	cfg.WAL, cfg.WALStartSeq = nil, 0
 	if f.cfg.TenantQPS > 0 {
 		cfg.MutationRate, cfg.MutationBurst = f.cfg.TenantQPS, f.cfg.TenantBurst
 	}
@@ -471,49 +450,15 @@ func (f *Fleet) buildEngine(sh *shard) (e *service.Engine, shardWAL *wal.Log, re
 	cfg.Journal = f.journal
 	cfg.JournalShard = sh.id
 
-	if fh, openErr := os.Open(sh.snapPath); openErr == nil {
-		defer fh.Close()
-		e, err = service.Restore(fh, cfg)
-		if err != nil {
-			return nil, nil, false, fmt.Errorf("restoring %s: %w", sh.snapPath, err)
-		}
-		if _, err = e.ReplayWAL(rec); err != nil {
-			e.Close()
-			return nil, nil, false, err
-		}
-		return e, shardWAL, true, nil
+	files := service.Files{Snapshot: sh.snapPath, Topo: sh.topoPath}
+	if !f.cfg.DisableWAL {
+		files.WAL = sh.walPath
 	}
-	if sh.topoPath == "" {
-		err = fmt.Errorf("no snapshot and no topology spec")
-		return nil, nil, false, err
-	}
-	fh, err := os.Open(sh.topoPath)
+	opened, err := service.Open(files, cfg, f.cfg.Build)
 	if err != nil {
-		return nil, nil, false, err
+		queue.Close() // unregister the dead queue from the shared pool
 	}
-	defer fh.Close()
-	g, err := serial.DecodeGraph(fh)
-	if err != nil {
-		return nil, nil, false, fmt.Errorf("decoding %s: %w", sh.topoPath, err)
-	}
-	opt := f.cfg.Build
-	if opt.Seed == 0 {
-		opt.Seed = cfg.Seed
-	}
-	router, err := oblivious.Build(cfg.RouterName, g, &opt)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	cfg.Graph, cfg.Router = g, router
-	e, err = service.New(cfg)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	if _, err = e.ReplayWAL(rec); err != nil {
-		e.Close()
-		return nil, nil, false, err
-	}
-	return e, shardWAL, false, nil
+	return opened, err
 }
 
 // Health is the fleet rollup: per-shard status plus the aggregate state

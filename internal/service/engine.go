@@ -295,21 +295,11 @@ func New(cfg Config) (*Engine, error) {
 	if version == 0 {
 		version = 1
 	}
-	ls := &linkState{
-		version:   version,
-		capacity:  capacity,
-		installed: system,
-		serving:   system,
-		hash:      serial.PathSystemHash(system),
-	}
-	ls.failed = failedSubset(capacity)
-	if len(ls.failed) > 0 {
-		ls.serving = system.WithoutEdges(ls.failed)
-	}
+	ls := &linkState{version: version, capacity: capacity, failed: failedSubset(capacity)}
+	ls.install(system)
 	if ls.degraded() {
 		e.degradedSince = time.Now()
 	}
-	ls.uncovered = ls.serving.UncoveredPairs(system.Pairs())
 	e.finalizeLinkState(ls)
 	e.links.Store(ls)
 	if ls.degraded() {

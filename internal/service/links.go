@@ -95,6 +95,23 @@ type EdgeCapacity struct {
 	Capacity float64 `json:"capacity"`
 }
 
+// install makes sys the installed path system of the still unpublished ls
+// and re-derives what hangs off it, given ls.failed: serving (sys pruned of
+// the failed edges — sys itself while nothing is failed; path systems are
+// never mutated once installed, so sharing is safe), the uncovered pairs,
+// and the canonical hash. The hash is kept when sys is the system ls already
+// carries: a pure prune never changes it.
+func (ls *linkState) install(sys *core.PathSystem) {
+	if sys != ls.installed {
+		ls.installed, ls.hash = sys, serial.PathSystemHash(sys)
+	}
+	ls.serving = sys
+	if len(ls.failed) > 0 {
+		ls.serving = sys.WithoutEdges(ls.failed)
+	}
+	ls.uncovered = ls.serving.UncoveredPairs(sys.Pairs())
+}
+
 // failedSorted returns the cached sorted failed edge IDs (never nil).
 // Callers must not mutate the returned slice.
 func (ls *linkState) failedSorted() []int { return ls.failedIDs }
@@ -298,8 +315,7 @@ func (e *Engine) applyLinkEvent(fail, restore []int, degrade map[int]float64, re
 		hash:      cur.hash,
 	}
 	next.failed = failedSubset(capacity)
-	next.serving = next.installed.WithoutEdges(next.failed)
-	next.uncovered = next.serving.UncoveredPairs(next.installed.Pairs())
+	next.install(cur.installed)
 
 	update := &LinkUpdate{Version: next.version}
 	if len(next.uncovered) > 0 {
@@ -487,10 +503,7 @@ func (e *Engine) recoverUncovered(next *linkState, update *LinkUpdate) {
 		e.metrics.recoveryFailed.Add(1)
 		return
 	}
-	next.installed = merged
-	next.serving = merged.WithoutEdges(next.failed)
-	next.uncovered = next.serving.UncoveredPairs(merged.Pairs())
-	next.hash = serial.PathSystemHash(merged)
+	next.install(merged)
 
 	update.RecoveredPairs = len(connected)
 	update.RecoveryPaths = fresh.TotalPaths()
@@ -591,10 +604,7 @@ func (e *Engine) widenPairs(next *linkState, update *LinkUpdate, pairs []demand.
 	if added == 0 {
 		return
 	}
-	next.installed = merged
-	next.serving = merged.WithoutEdges(next.failed)
-	next.uncovered = next.serving.UncoveredPairs(merged.Pairs())
-	next.hash = serial.PathSystemHash(merged)
+	next.install(merged)
 
 	update.ProactivePairs += len(pairs)
 	update.ProactivePaths += added
@@ -650,10 +660,7 @@ func (e *Engine) compactInstalled(next *linkState, update *LinkUpdate) {
 	if dropped == 0 {
 		return
 	}
-	next.installed = out
-	next.serving = out.WithoutEdges(next.failed)
-	next.uncovered = next.serving.UncoveredPairs(out.Pairs())
-	next.hash = serial.PathSystemHash(out)
+	next.install(out)
 
 	update.CompactedPaths = dropped
 	e.metrics.compactedPaths.Add(int64(dropped))
