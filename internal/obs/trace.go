@@ -42,8 +42,7 @@ type EpochTrace struct {
 	// between the last two progress samples — a small value means extra
 	// rounds were no longer buying congestion.
 	ConvergenceGap float64 `json:"convergence_gap,omitempty"`
-	// SolveMs is the whole solve chain's wall time (all attempts, backoffs
-	// included).
+	// SolveMs is the whole solve ladder's wall time (all attempts).
 	SolveMs float64 `json:"solve_ms"`
 	// PublishMs covers congestion measurement plus installing the new state
 	// for lock-free readers (or the interim renormalized publish after a

@@ -140,6 +140,10 @@ func (e *Engine) admitMutation() (time.Duration, error) {
 		return wait, ErrBreakerOpen
 	}
 	if ok, wait := e.limiter.allow(); !ok {
+		// Admission is all or nothing: a half-open breaker may just have
+		// taken this mutation as its probe, so the bucket refusing it hands
+		// the slot back.
+		e.breaker.onNeutral()
 		e.metrics.rateLimited.Add(1)
 		e.metrics.shedRequests.Add(1)
 		return wait, ErrRateLimited

@@ -339,3 +339,72 @@ func TestEngineAbandonedEpoch(t *testing.T) {
 		t.Fatalf("active %+v, want epoch %d still serving", st, epoch)
 	}
 }
+
+// TestBreakerProbeReleasedOnRejectedMutation: a half-open breaker admits one
+// probe mutation; if that mutation is then refused before it is enqueued —
+// whatever the refusal — the probe slot must come back, or every later
+// mutation sheds with ErrBreakerOpen until a link event happens to arrive.
+// Each case trips the breaker, waits out the cooldown, burns the probe on a
+// mutation the engine rejects, and then requires a valid submit to be
+// admitted as the next probe and to close the breaker.
+func TestBreakerProbeReleasedOnRejectedMutation(t *testing.T) {
+	cases := []struct {
+		name   string
+		reject func(e *Engine) error
+	}{
+		{"patch clears the whole matrix", func(e *Engine) error {
+			_, err := e.PatchDemand(nil, []PairRef{{U: 0, V: 7}})
+			return err
+		}},
+		{"patch onto a pair with no candidates", func(e *Engine) error {
+			_, err := e.PatchDemand([]PairAmount{{U: 1, V: 6, Amount: 1}}, nil)
+			return err
+		}},
+		{"invalid patch", func(e *Engine) error {
+			_, err := e.PatchDemand([]PairAmount{{U: 0, V: 99, Amount: 1}}, nil)
+			return err
+		}},
+		{"rate limited", func(e *Engine) error {
+			e.limiter = newRateLimiter(1.0/60, 1)
+			e.limiter.allow() // drain the bucket
+			_, err := e.PatchDemand([]PairAmount{{U: 0, V: 7, Amount: 3}}, nil)
+			e.limiter = nil
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Only (0,7) is installed, so a patch onto (1,6) is valid but
+			// uncovered.
+			e := testEngine(t, Config{
+				Seed:             1,
+				Pairs:            []demand.Pair{{U: 0, V: 7}},
+				BreakerThreshold: 1,
+				BreakerCooldown:  20 * time.Millisecond,
+			})
+			if out := solveOne(t, e, 0, 7, 2); !out.OK {
+				t.Fatalf("prime epoch: %+v", out)
+			}
+			e.cfg.SolveDeadline = time.Nanosecond
+			if out := solveOne(t, e, 0, 7, 2); !out.Fallback {
+				t.Fatalf("poisoned epoch did not fall back: %+v", out)
+			}
+			if e.breaker.snapshot() != breakerOpen {
+				t.Fatalf("breaker %s after a failed solve at threshold 1, want open", e.breaker.stateName())
+			}
+			e.cfg.SolveDeadline = 0
+			time.Sleep(30 * time.Millisecond)
+
+			if err := tc.reject(e); err == nil || errors.Is(err, ErrBreakerOpen) {
+				t.Fatalf("probe mutation: err %v, want a rejection other than the breaker's", err)
+			}
+			out := solveOne(t, e, 0, 7, 2)
+			if !out.OK {
+				t.Fatalf("probe epoch: %+v", out)
+			}
+			if e.breaker.snapshot() != breakerClosed {
+				t.Fatalf("breaker %s after a good probe, want closed", e.breaker.stateName())
+			}
+		})
+	}
+}

@@ -12,7 +12,7 @@ import (
 // breaker handles the orthogonal failure where the engine keeps up fine but
 // every solve fails — a poisoned solver (panicking stage, numerically dead
 // LP, a deadline the topology can never meet). Without it each doomed epoch
-// still burns a full retry chain (backoffs included) on a shared worker, so
+// still burns a full solve ladder on a shared worker, so
 // a fleet with one poisoned shard quietly loses solver capacity for every
 // healthy tenant. K consecutive counted failures open the breaker: reads
 // keep serving the last-known-good routing, mutations are rejected with

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"time"
 
 	"sparseroute/internal/core"
 	"sparseroute/internal/demand"
@@ -375,31 +374,5 @@ func TestEngineCapacityEventValidation(t *testing.T) {
 	v = e.Links().Version
 	if u, err := e.SetCapacity(edges[0], 0.5); err != nil || u.Version != v {
 		t.Fatalf("repeated capacity event bumped version: %v %+v", err, u)
-	}
-}
-
-func TestRetryDelayClamp(t *testing.T) {
-	cases := []struct {
-		base  time.Duration
-		stage int
-		want  time.Duration
-	}{
-		{0, 5, 0},
-		{-10 * time.Millisecond, 3, 0},
-		{10 * time.Millisecond, 0, 10 * time.Millisecond},
-		{10 * time.Millisecond, 1, 20 * time.Millisecond},
-		{10 * time.Millisecond, 62, maxRetryBackoff},      // shift clamped, no overflow
-		{10 * time.Millisecond, 1 << 40, maxRetryBackoff}, // absurd stage, still finite
-		{maxRetryBackoff, 1, maxRetryBackoff},             // ceiling
-		{time.Second, 16, maxRetryBackoff},                // clamped shift still over the ceiling
-	}
-	for _, c := range cases {
-		got := retryDelay(c.base, c.stage)
-		if got != c.want {
-			t.Fatalf("retryDelay(%v, %d) = %v, want %v", c.base, c.stage, got, c.want)
-		}
-		if got < 0 {
-			t.Fatalf("retryDelay(%v, %d) went negative: %v", c.base, c.stage, got)
-		}
 	}
 }

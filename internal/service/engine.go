@@ -75,8 +75,8 @@ type Outcome struct {
 	Err        string
 	Congestion float64
 	Latency    time.Duration
-	// Retries counts solve attempts beyond the first (the retry-with-backoff
-	// chain: configured adapt -> forced MWU -> renormalize over survivors).
+	// Retries counts solve attempts beyond the first (the solve ladder:
+	// configured adapt -> forced MWU -> renormalize over survivors).
 	Retries int
 	// Renormalized marks an epoch served by renormalizing the previous
 	// routing over surviving paths instead of a fresh solve — either the
@@ -137,7 +137,7 @@ const (
 
 // adaptFunc is the solver invocation seam: production engines call
 // PathSystem.AdaptCtx; tests substitute deterministically failing stages to
-// exercise the retry chain.
+// exercise the solve ladder.
 type adaptFunc func(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *core.AdaptOptions) (flow.Routing, error)
 
 func defaultAdapt(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *core.AdaptOptions) (flow.Routing, error) {
@@ -195,11 +195,9 @@ type Engine struct {
 	// link paths interleave into one ordered log; the fsync runs outside it
 	// (see commitOp). opSeq is the engine-wide operation sequence number,
 	// monotonic across restarts (resumed from the snapshot watermark plus
-	// replayed records). replaying suppresses re-logging while ReplayWAL
-	// re-applies operations that are already on disk.
+	// replayed records).
 	walMu         sync.Mutex
 	opSeq         atomic.Uint64
-	replaying     atomic.Bool
 	walOpsSince   atomic.Int64 // ops logged since the last checkpoint
 	checkpointing atomic.Bool  // single-flights async checkpoints
 
@@ -433,48 +431,83 @@ func (e *Engine) SubmitDemand(d *demand.Demand) (uint64, error) {
 // instead of burning a solver slot on a result nobody will read. The context
 // does not cancel a solve already running; it only guards the queue.
 func (e *Engine) SubmitDemandCtx(ctx context.Context, d *demand.Demand) (uint64, error) {
-	if len(d.Support()) == 0 {
-		return 0, fmt.Errorf("service: empty demand")
-	}
-	n := e.cfg.Graph.NumVertices()
-	for _, p := range d.Support() {
-		// Check both endpoints explicitly rather than leaning on MakePair
-		// canonicalization (U < V) having held on every decode path.
-		if p.U < 0 || p.U >= n || p.V < 0 || p.V >= n {
-			return 0, fmt.Errorf("service: demand pair %v outside graph with %d vertices", p, n)
+	return e.acceptDemand(ctx, submitOp(d), false)
+}
+
+// acceptDemand is the one accept step every demand mutation takes — submit
+// or patch, from the Go API, the HTTP layer, or (replay set) ReplayWAL's
+// closing re-solve: admit, build the next matrix with the record's
+// interpreter, log before apply, enqueue the solve, and only then make the
+// matrix the base later patches merge into. A replay skips admission and
+// logging: its records are already on disk and recovery is not a client to
+// shed.
+func (e *Engine) acceptDemand(ctx context.Context, op *walOp, replay bool) (epoch uint64, err error) {
+	if !replay {
+		// Admission runs before the WAL commit: a shed mutation must leave no
+		// trace to replay, and no durable work should be spent on it.
+		if wait, shed := e.admitMutation(); shed != nil {
+			return 0, &ShedError{Err: shed, After: wait}
 		}
-	}
-	if !e.links.Load().installed.Covers(d) {
-		return 0, fmt.Errorf("service: demand has pairs with no candidate paths")
-	}
-	// Admission runs before the WAL commit: a shed mutation must leave no
-	// trace to replay, and no durable work should be spent on it.
-	if wait, err := e.admitMutation(); err != nil {
-		return 0, &ShedError{Err: err, After: wait}
+		// The one place past admission that releases the breaker's half-open
+		// probe slot: an admitted mutation that ends up not enqueued, for
+		// whatever reason, hands it back so the next mutation can probe.
+		defer func() {
+			if err != nil {
+				e.breaker.onNeutral()
+			}
+		}()
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		e.breaker.onNeutral()
 		return 0, ErrClosed
 	}
-	// Log before apply: the submission must be durable before the client can
-	// be told it was accepted. A shed epoch (ErrBusy) is compensated with a
-	// revoke record so replay does not resurrect an op the client saw fail.
-	seq, err := e.commitOp(&walOp{Op: walOpSubmit, Entries: demandAmounts(d)})
+	next, touched, err := e.nextDemand(op)
 	if err != nil {
-		e.breaker.onNeutral()
 		return 0, err
 	}
-	epoch, err := e.enqueueLocked(epochRequest{d: d, abandon: abandonCtx(ctx)})
+	// Log before apply: the mutation must be durable before the client can be
+	// told it was accepted. A shed epoch (ErrBusy) is compensated with a
+	// revoke record so replay does not resurrect an op the client saw fail.
+	var seq uint64
+	if !replay {
+		if seq, err = e.commitOp(op); err != nil {
+			return 0, err
+		}
+	}
+	epoch, err = e.enqueueLocked(epochRequest{d: next, touched: touched, abandon: abandonCtx(ctx)})
 	if err != nil {
 		e.revokeOp(seq)
-		e.breaker.onNeutral()
 		return 0, err
 	}
-	e.lastSubmitted = d.Clone()
+	e.lastSubmitted = next
+	if op.Op == walOpPatch {
+		e.metrics.patches.Add(1)
+	}
 	e.maybeCheckpoint()
 	return epoch, nil
+}
+
+// nextDemand interprets a demand record against the current base matrix and
+// link state: applyDemandOp's matrix, provided the installed path system has
+// candidates for every pair the record assigns. That answers for the whole
+// matrix: a patch's base was covered when it was accepted, and the installed
+// system never loses a pair (recovery and compaction add and drop extras, the
+// startup sample stays). Callers hold e.mu.
+func (e *Engine) nextDemand(op *walOp) (*demand.Demand, []demand.Pair, error) {
+	next, touched, err := applyDemandOp(e.lastSubmitted, op, e.cfg.Graph.NumVertices())
+	if err != nil {
+		return nil, nil, err
+	}
+	installed := e.links.Load().installed
+	for _, assigned := range [2][]walAmount{op.Entries, op.Set} {
+		for _, en := range assigned {
+			if installed.NumSampled(demand.MakePair(en.U, en.V)) == 0 {
+				return nil, nil, fmt.Errorf("service: demand has pairs with no candidate paths")
+			}
+		}
+	}
+	return next, touched, nil
 }
 
 // abandonCtx normalizes a submit context for the epoch queue: background (or
@@ -531,13 +564,12 @@ func (e *Engine) Wait(ctx context.Context, epoch uint64) (*Outcome, error) {
 
 // solve runs one epoch inline on its pool worker: adapt under a deadline
 // context derived from the engine root, publish on success, fall back to the
-// last good routing otherwise. The adaptation itself is a bounded
-// retry-with-backoff chain (see adaptWithRetry); a missed deadline (or
-// Close) cancels the context the solvers poll, so the worker is freed
-// promptly with no further retries. queueWait is the time the epoch spent
-// queued behind other work before this worker picked it up; the whole
-// lifecycle — queue wait, per-attempt solve chain, MWU progress, publish —
-// is recorded as one obs.EpochTrace.
+// last good routing otherwise. The adaptation itself is a fixed three-rung
+// ladder (see solveLadder); a missed deadline (or Close) cancels the context
+// the solvers poll, so the worker is freed promptly with no further rungs.
+// queueWait is the time the epoch spent queued behind other work before this
+// worker picked it up; the whole lifecycle — queue wait, per-attempt solve
+// chain, MWU progress, publish — is recorded as one obs.EpochTrace.
 func (e *Engine) solve(epoch uint64, req epochRequest, queueWait time.Duration) {
 	start := time.Now()
 	// Abandonment check at pickup: a client that disconnected or blew its
@@ -561,7 +593,7 @@ func (e *Engine) solve(epoch uint64, req epochRequest, queueWait time.Duration) 
 	tr := &obs.EpochTrace{Epoch: epoch, Start: start, QueueWaitMs: ms(queueWait)}
 	mon := &solveMonitor{epoch: epoch, tracer: e.tracer}
 	defer e.tracer.ClearProgress(epoch)
-	// Worker-level panic backstop: the per-stage barriers in the retry chain
+	// Worker-level panic backstop: the per-stage barriers in the solve ladder
 	// convert solver panics to errors, but a panic in the accounting around
 	// them must not unwind the pool worker either — in a fleet that would
 	// take down every tenant. The epoch falls back (its waiters are woken
@@ -625,26 +657,13 @@ func (e *Engine) solve(epoch uint64, req epochRequest, queueWait time.Duration) 
 		// background of every untouched pair's flow — O(k·paths) instead of
 		// O(pairs·paths). Any mismatch (the previous routing no longer
 		// matches the untouched demand) falls through to a full solve.
-		t0 := time.Now()
 		opts := instrumented(e.cfg.Adapt, mon)
 		opts.MWU.Iterations = e.cfg.WarmIterations
-		res, derr := func() (res *core.DeltaResult, derr error) {
-			defer func() {
-				if p := recover(); p != nil {
-					e.metrics.solvePanics.Add(1)
-					e.record(obs.EventSolveFailure, map[string]any{
-						"epoch": epoch, "stage": "delta", "panic": fmt.Sprint(p),
-					})
-					res, derr = nil, fmt.Errorf("service: solver panic in delta: %v", p)
-				}
-			}()
-			return ls.adaptive.AdaptDeltaCtx(ctx, prev.Routing, prev.EdgeLoads, served, req.touched, opts)
-		}()
-		a := obs.Attempt{Stage: "delta", Ms: msSince(t0), OK: derr == nil}
-		if derr != nil {
-			a.Err = derr.Error()
-		}
-		tr.Attempts = append(tr.Attempts, a)
+		var res *core.DeltaResult
+		derr := e.attempt(tr, "delta", func() (err error) {
+			res, err = ls.adaptive.AdaptDeltaCtx(ctx, prev.Routing, prev.EdgeLoads, served, req.touched, opts)
+			return err
+		})
 		switch {
 		case derr == nil:
 			r, loads, cong = res.Routing, res.EdgeLoads, res.Congestion
@@ -666,7 +685,7 @@ func (e *Engine) solve(epoch uint64, req epochRequest, queueWait time.Duration) 
 			out.Warm = obs.WarmWarm
 			e.metrics.warmSolves.Add(1)
 		}
-		r, err = e.adaptWithRetry(ctx, ls, served, out, tr, mon, opts)
+		r, err = e.solveLadder(ctx, ls, served, out, tr, mon, opts)
 		if err == nil {
 			eff := ls.effectiveGraph(e.cfg.Graph)
 			loads = r.EdgeLoads(eff)
@@ -746,146 +765,102 @@ func (e *Engine) solve(epoch uint64, req epochRequest, queueWait time.Duration) 
 	finished = true
 }
 
-// adaptWithRetry is the bounded retry chain around one epoch's adaptation:
+// solveLadder is one epoch's adaptation, a fixed ladder climbed until a rung
+// holds:
 //
-//  1. the configured adapt pipeline (exact LP preferred, MWU fallback);
-//  2. a forced-MWU solve with default solver options, after a backoff —
-//     different code path, different numerics;
-//  3. the previous routing renormalized over surviving candidates — no
-//     solver at all, always well-defined while coverage holds.
+//  1. adapt — the configured pipeline (exact LP preferred, MWU fallback),
+//     with opts, possibly carrying a warm-start prior;
+//  2. forced-mwu — the MWU solver with default options: a different code
+//     path with different numerics, and deliberately cold (if the first
+//     attempt failed, its seeding is a suspect too);
+//  3. renormalize — the previous routing rescaled over surviving candidates:
+//     no solver at all, always well-defined while coverage holds, available
+//     once any routing has been published.
 //
-// A context cancellation (deadline or Close) stops the chain immediately:
-// retrying a canceled solve would only burn the worker. If every stage
-// fails the caller falls back to last-known-good (the published routing
-// stays serving). Retries beyond the first attempt are counted in
-// out.Retries and the solve_retries metric. Each stage actually run is
-// appended to tr.Attempts with its wall time and outcome; mon threads the
-// solver-identity and MWU-progress callbacks into the solvers.
-//
-// opts is the (already instrumented) option set for the first attempt —
-// possibly carrying a warm-start prior. The forced-MWU retry deliberately
-// runs cold with default options: if the first attempt failed, its seeding
-// is a suspect too.
-func (e *Engine) adaptWithRetry(ctx context.Context, ls *linkState, d *demand.Demand, out *Outcome, tr *obs.EpochTrace, mon *solveMonitor, opts *core.AdaptOptions) (flow.Routing, error) {
-	attempt := func(stage string, f func() (flow.Routing, error)) (flow.Routing, error) {
-		t0 := time.Now()
-		r, err := e.recovered(stage, tr.Epoch, f)
+// The rungs run back to back: the solvers are deterministic and in-process
+// and the worker is held throughout, so nothing a pause could wait for can
+// change between two attempts. A context cancellation (deadline or Close)
+// stops the climb immediately — retrying a canceled solve would only burn
+// the worker. If every rung fails the caller falls back to last-known-good
+// (the published routing stays serving) with the first rung's error. Rungs
+// beyond the first are counted in out.Retries and the solve_retries metric;
+// each rung actually run is appended to tr.Attempts with its wall time and
+// outcome, and the rung that holds sets the outcome's warm tag.
+func (e *Engine) solveLadder(ctx context.Context, ls *linkState, d *demand.Demand, out *Outcome, tr *obs.EpochTrace, mon *solveMonitor, opts *core.AdaptOptions) (flow.Routing, error) {
+	prev := e.active.Load()
+	var r flow.Routing
+	// ls.adaptive is the serving system rebound over the capacity-scaled
+	// topology view when fractional overrides exist: same candidates, reduced
+	// congestion denominators, so a degraded link is routed around softly.
+	ladder := [...]struct {
+		stage string
+		warm  string // the outcome's seeding tag when this rung holds
+		run   func() error
+	}{
+		{"adapt", out.Warm, func() (err error) {
+			r, err = e.adapt(ctx, ls.adaptive, d, opts)
+			return err
+		}},
+		{"forced-mwu", obs.WarmCold, func() (err error) {
+			r, err = e.adapt(ctx, ls.adaptive, d, instrumented(&core.AdaptOptions{ExactThreshold: -1}, mon))
+			return err
+		}},
+		{"renormalize", "", func() error {
+			r = renormalizeOverSurvivors(ls, prev.Routing, d)
+			return nil
+		}},
+	}
+	rungs := ladder[:]
+	if prev == nil {
+		rungs = ladder[:2] // nothing published yet to renormalize
+	}
+	var firstErr error
+	for i, rung := range rungs {
+		if i > 0 {
+			out.Retries++
+			e.metrics.solveRetries.Add(1)
+		}
+		err := e.attempt(tr, rung.stage, rung.run)
+		if err == nil {
+			out.Warm = rung.warm
+			out.Renormalized = rung.stage == "renormalize"
+			return r, nil
+		}
+		if ctx.Err() != nil {
+			return nil, err
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	return nil, firstErr
+}
+
+// attempt runs one solve stage — a ladder rung or the delta fast path — and
+// appends it to tr.Attempts with its wall time and outcome. It is the panic
+// barrier too: a panicking solver callback (a buggy mcf.Options.Progress
+// hook, a pathological numeric state) becomes a stage error that falls
+// through to the next rung instead of unwinding the pool worker and killing
+// the whole (possibly multi-tenant) process. The panic is counted in
+// solve_panics and journaled as a solve_failure event with its stage, so the
+// fleet operator sees it even when a later rung rescues the epoch.
+func (e *Engine) attempt(tr *obs.EpochTrace, stage string, f func() error) (err error) {
+	t0 := time.Now()
+	defer func() {
+		if p := recover(); p != nil {
+			e.metrics.solvePanics.Add(1)
+			e.record(obs.EventSolveFailure, map[string]any{
+				"epoch": tr.Epoch, "stage": stage, "panic": fmt.Sprint(p),
+			})
+			err = fmt.Errorf("service: solver panic in %s: %v", stage, p)
+		}
 		a := obs.Attempt{Stage: stage, Ms: msSince(t0), OK: err == nil}
 		if err != nil {
 			a.Err = err.Error()
 		}
 		tr.Attempts = append(tr.Attempts, a)
-		return r, err
-	}
-
-	// ls.adaptive is the serving system rebound over the capacity-scaled
-	// topology view when fractional overrides exist: same candidates, reduced
-	// congestion denominators, so a degraded link is routed around softly.
-	r, err := attempt("adapt", func() (flow.Routing, error) {
-		return e.adapt(ctx, ls.adaptive, d, opts)
-	})
-	if err == nil || ctx.Err() != nil || e.cfg.SolveRetries < 0 {
-		return r, err
-	}
-	firstErr := err
-
-	retry := func(stage int) bool {
-		if out.Retries >= e.cfg.SolveRetries || !e.backoff(ctx, stage) {
-			return false
-		}
-		out.Retries++
-		e.metrics.solveRetries.Add(1)
-		return true
-	}
-
-	// Stage 2: force the MWU solver with default options. The retry runs
-	// deliberately cold (a failed first attempt makes its seeding a suspect
-	// too), so a success here re-tags the outcome.
-	if retry(0) {
-		mwu := instrumented(&core.AdaptOptions{ExactThreshold: -1}, mon)
-		r, err = attempt("forced-mwu", func() (flow.Routing, error) {
-			return e.adapt(ctx, ls.adaptive, d, mwu)
-		})
-		if err == nil {
-			out.Warm = obs.WarmCold
-		}
-		if err == nil || ctx.Err() != nil {
-			return r, err
-		}
-	}
-	if ctx.Err() != nil {
-		return nil, ctx.Err()
-	}
-
-	// Stage 3: renormalize the previous routing over surviving paths — no
-	// solver, no seeding, so the outcome drops its warm tag.
-	if st := e.active.Load(); st != nil && retry(1) {
-		out.Renormalized = true
-		out.Warm = ""
-		return attempt("renormalize", func() (flow.Routing, error) {
-			return renormalizeOverSurvivors(ls, st.Routing, d), nil
-		})
-	}
-	return nil, firstErr
-}
-
-// recovered runs one solve stage with a panic barrier: a panicking solver
-// callback (a buggy mcf.Options.Progress hook, a pathological numeric state)
-// becomes a stage error that falls through the normal retry chain instead of
-// unwinding the pool worker and killing the whole (possibly multi-tenant)
-// process. The panic is counted in solve_panics and journaled as a
-// solve_failure event with its stage, so the fleet operator sees it even
-// when a later retry stage rescues the epoch.
-func (e *Engine) recovered(stage string, epoch uint64, f func() (flow.Routing, error)) (r flow.Routing, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			e.metrics.solvePanics.Add(1)
-			e.record(obs.EventSolveFailure, map[string]any{
-				"epoch": epoch, "stage": stage, "panic": fmt.Sprint(p),
-			})
-			r, err = nil, fmt.Errorf("service: solver panic in %s: %v", stage, p)
-		}
 	}()
 	return f()
-}
-
-// maxRetryBackoff caps one backoff sleep regardless of the configured base
-// and stage.
-const maxRetryBackoff = 30 * time.Second
-
-// retryDelay computes the stage's share of the exponential backoff schedule:
-// base << stage, with the shift clamped (stage 16) and a hard ceiling, so a
-// large configured SolveRetries cannot shift the duration into overflow —
-// which would read as a negative (no-sleep) backoff — or an absurd wait.
-func retryDelay(base time.Duration, stage int) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	if stage > 16 {
-		stage = 16
-	}
-	d := base << stage
-	if d <= 0 || d > maxRetryBackoff {
-		return maxRetryBackoff
-	}
-	return d
-}
-
-// backoff sleeps the stage's share of the backoff schedule, returning false
-// when ctx fires first.
-func (e *Engine) backoff(ctx context.Context, stage int) bool {
-	d := retryDelay(e.cfg.RetryBackoff, stage)
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // publish installs s as the active state unless a newer epoch already won

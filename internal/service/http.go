@@ -68,8 +68,8 @@ type Server struct {
 // disables POST /v1/snapshot.
 func NewServer(e *Engine, snapshotPath string) *Server {
 	s := &Server{engine: e, snapshotPath: snapshotPath, maxBody: e.cfg.MaxBodyBytes, mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /v1/demand", s.handleDemand)
-	s.mux.HandleFunc("PATCH /v1/demand", s.handlePatchDemand)
+	s.mux.HandleFunc("POST /v1/demand", s.handleDemand(decodeSubmit))
+	s.mux.HandleFunc("PATCH /v1/demand", s.handleDemand(decodePatch))
 	s.mux.HandleFunc("GET /v1/paths", s.handlePaths)
 	s.mux.HandleFunc("GET /v1/routing", s.handleRouting)
 	s.mux.HandleFunc("POST /v1/links", s.handleLinks)
@@ -236,48 +236,76 @@ func outcomeResponse(out *Outcome) demandResponse {
 	}
 }
 
-func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
-	// Parse ?wait before submitting so a malformed value cannot consume an
-	// epoch. Absent means no wait; anything else must be a strconv boolean
-	// ("0"/"false" really means don't wait — previously any non-empty value,
-	// including wait=0, blocked on the solve).
-	wait := false
-	if wp := r.URL.Query().Get("wait"); wp != "" {
-		var err error
-		wait, err = strconv.ParseBool(wp)
+// handleDemand is the one body of POST and PATCH /v1/demand: the two differ
+// only in how the request body decodes into a demand record, which the
+// engine's accept step then interprets.
+func (s *Server) handleDemand(decode func(io.Reader) (*walOp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		// Parse ?wait before submitting so a malformed value cannot consume an
+		// epoch. Absent means no wait; anything else must be a strconv boolean
+		// ("0"/"false" really means don't wait).
+		wait := false
+		if wp := r.URL.Query().Get("wait"); wp != "" {
+			var err error
+			wait, err = strconv.ParseBool(wp)
+			if err != nil {
+				writeError(w, http.StatusBadRequest, "wait must be a boolean, got %q", wp)
+				return
+			}
+		}
+		s.limitBody(w, r)
+		release, ok := s.acquireBody(w, r)
+		if !ok {
+			return
+		}
+		defer release()
+		op, err := decode(r.Body)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "wait must be a boolean, got %q", wp)
+			if s.bodyTooLarge(w, err) {
+				return
+			}
+			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-	}
-	s.limitBody(w, r)
-	release, ok := s.acquireBody(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	d, err := serial.DecodeDemand(r.Body)
-	if err != nil {
-		if s.bodyTooLarge(w, err) {
+		actx, ok := s.submitContext(w, r, wait)
+		if !ok {
 			return
 		}
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		epoch, err := s.engine.acceptDemand(actx, op, false)
+		if err != nil {
+			s.writeSubmitError(w, err)
+			return
+		}
+		if !wait {
+			writeJSON(w, http.StatusAccepted, demandResponse{Epoch: epoch})
+			return
+		}
+		s.waitAndReply(w, r, epoch)
 	}
-	actx, ok := s.submitContext(w, r, wait)
-	if !ok {
-		return
-	}
-	epoch, err := s.engine.SubmitDemandCtx(actx, d)
+}
+
+// decodeSubmit reads a POST /v1/demand body (serial.DemandJSON) into a
+// submit record.
+func decodeSubmit(r io.Reader) (*walOp, error) {
+	d, err := serial.DecodeDemand(r)
 	if err != nil {
-		s.writeSubmitError(w, err)
-		return
+		return nil, err
 	}
-	if !wait {
-		writeJSON(w, http.StatusAccepted, demandResponse{Epoch: epoch})
-		return
+	return submitOp(d), nil
+}
+
+// decodePatch reads a PATCH /v1/demand body — per-pair deltas merged into
+// the last submitted matrix: set assigns d(u,v) = amount for each entry,
+// clear removes the pair — into a patch record.
+func decodePatch(r io.Reader) (*walOp, error) {
+	var req struct {
+		Set   []walAmount `json:"set"`
+		Clear []walPair   `json:"clear"`
 	}
-	s.waitAndReply(w, r, epoch)
+	if err := json.NewDecoder(r).Decode(&req); err != nil {
+		return nil, fmt.Errorf("decoding demand patch: %w", err)
+	}
+	return &walOp{Op: walOpPatch, Set: req.Set, Clear: req.Clear}, nil
 }
 
 // waitAndReply blocks on the epoch's outcome and writes the full reply (the
@@ -295,68 +323,6 @@ func (s *Server) waitAndReply(w http.ResponseWriter, r *http.Request, epoch uint
 		return
 	}
 	writeJSON(w, http.StatusOK, outcomeResponse(out))
-}
-
-// demandPatchRequest is the PATCH /v1/demand body: per-pair deltas merged
-// into the last submitted matrix.
-type demandPatchRequest struct {
-	// Set assigns d(u,v) = amount for each entry.
-	Set []serial.DemandEntryJSON `json:"set"`
-	// Clear removes the pair from the matrix.
-	Clear []demandPairJSON `json:"clear"`
-}
-
-type demandPairJSON struct {
-	U int `json:"u"`
-	V int `json:"v"`
-}
-
-func (s *Server) handlePatchDemand(w http.ResponseWriter, r *http.Request) {
-	wait := false
-	if wp := r.URL.Query().Get("wait"); wp != "" {
-		var err error
-		wait, err = strconv.ParseBool(wp)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "wait must be a boolean, got %q", wp)
-			return
-		}
-	}
-	s.limitBody(w, r)
-	release, ok := s.acquireBody(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	var req demandPatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		if s.bodyTooLarge(w, err) {
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decoding demand patch: %v", err)
-		return
-	}
-	set := make([]PairAmount, 0, len(req.Set))
-	for _, e := range req.Set {
-		set = append(set, PairAmount{U: e.U, V: e.V, Amount: e.Amount})
-	}
-	clear := make([]PairRef, 0, len(req.Clear))
-	for _, c := range req.Clear {
-		clear = append(clear, PairRef{U: c.U, V: c.V})
-	}
-	actx, ok := s.submitContext(w, r, wait)
-	if !ok {
-		return
-	}
-	epoch, err := s.engine.PatchDemandCtx(actx, set, clear)
-	if err != nil {
-		s.writeSubmitError(w, err)
-		return
-	}
-	if !wait {
-		writeJSON(w, http.StatusAccepted, demandResponse{Epoch: epoch})
-		return
-	}
-	s.waitAndReply(w, r, epoch)
 }
 
 // pathsResponse is the GET /v1/paths reply: every candidate of the pair with

@@ -196,7 +196,7 @@ func (e *Engine) Links() *LinkUpdate {
 // that lost every candidate are recovery-resampled on the surviving graph,
 // and the active demand is re-served over the survivors.
 func (e *Engine) FailEdges(ids ...int) (*LinkUpdate, error) {
-	return e.applyLinkEvent(ids, nil, nil, false)
+	return e.applyLinkEvent(&walOp{Op: walOpLinks, Fail: ids}, false)
 }
 
 // RestoreEdges marks the given edges healthy again, clearing failures and
@@ -205,13 +205,13 @@ func (e *Engine) FailEdges(ids ...int) (*LinkUpdate, error) {
 // compaction pass drops recovery paths for pairs whose original candidates
 // are all healthy again.
 func (e *Engine) RestoreEdges(ids ...int) (*LinkUpdate, error) {
-	return e.applyLinkEvent(nil, ids, nil, false)
+	return e.applyLinkEvent(&walOp{Op: walOpLinks, Restore: ids}, false)
 }
 
 // SetLinkState replaces the failed-edge set wholesale (clearing any capacity
 // overrides not re-declared).
 func (e *Engine) SetLinkState(failed []int) (*LinkUpdate, error) {
-	return e.applyLinkEvent(failed, nil, nil, true)
+	return e.applyLinkEvent(&walOp{Op: walOpLinks, Fail: failed, Replace: true}, false)
 }
 
 // SetCapacity applies a partial-capacity event to one edge. A multiplier of
@@ -221,7 +221,7 @@ func (e *Engine) SetLinkState(failed []int) (*LinkUpdate, error) {
 // congestion is re-optimized around the weakened link. A multiplier >= 1
 // restores full capacity. Negative or non-finite values are rejected.
 func (e *Engine) SetCapacity(id int, capacity float64) (*LinkUpdate, error) {
-	return e.applyLinkEvent(nil, nil, map[int]float64{id: capacity}, false)
+	return e.applyLinkEvent(&walOp{Op: walOpLinks, Caps: []walCap{{Edge: id, Capacity: capacity}}}, false)
 }
 
 // UpdateLinks applies one topology event: edges in fail go down, edges in
@@ -229,32 +229,43 @@ func (e *Engine) SetCapacity(id int, capacity float64) (*LinkUpdate, error) {
 // is versioned, the pruned system is recovered where possible, and the
 // active demand is re-adapted — see applyLinkEvent.
 func (e *Engine) UpdateLinks(fail, restore []int) (*LinkUpdate, error) {
-	return e.applyLinkEvent(fail, restore, nil, false)
+	return e.applyLinkEvent(&walOp{Op: walOpLinks, Fail: fail, Restore: restore}, false)
 }
 
-// applyLinkEvent is the single writer of the link state. Under linkMu it
-// computes the new capacity-override map, prunes the installed system to the
-// zero-capacity (failed) survivors via WithoutEdges, runs recovery
-// resampling for pairs that lost all candidates, compacts accumulated
-// recovery paths, proactively resamples at-risk pairs, publishes the new
-// immutable linkState, and finally re-serves the active demand: an immediate
-// renormalization of the previous routing over surviving paths (cheap, no
-// solver — degraded-mode serving) followed by a full re-adapt epoch through
-// the normal solve chain (against the capacity-scaled view when fractional
-// overrides exist).
-func (e *Engine) applyLinkEvent(fail, restore []int, degrade map[int]float64, replace bool) (*LinkUpdate, error) {
+// applyLinkEvent is the single writer of the link state and the interpreter
+// of link records: the public wrappers above build the record, ReplayWAL
+// hands back the logged one (replay set: already on disk, not logged again).
+// Under linkMu it computes the new capacity-override map — Replace starts
+// from empty, Fail zeroes, Caps assign (>= 1 clears), Restore clears and
+// wins — prunes the installed system to the zero-capacity (failed) survivors
+// via WithoutEdges, runs recovery resampling for pairs that lost all
+// candidates, compacts accumulated recovery paths, proactively resamples
+// at-risk pairs, publishes the new immutable linkState, and finally
+// re-serves the active demand: an immediate renormalization of the previous
+// routing over surviving paths (cheap, no solver — degraded-mode serving)
+// followed by a full re-adapt epoch through the normal solve ladder (against
+// the capacity-scaled view when fractional overrides exist).
+func (e *Engine) applyLinkEvent(op *walOp, replay bool) (*LinkUpdate, error) {
 	m := e.cfg.Graph.NumEdges()
-	for _, id := range append(append([]int(nil), fail...), restore...) {
+	known := func(id int) error {
 		if id < 0 || id >= m {
-			return nil, fmt.Errorf("%w: %d (graph has %d edges)", ErrUnknownEdge, id, m)
+			return fmt.Errorf("%w: %d (graph has %d edges)", ErrUnknownEdge, id, m)
+		}
+		return nil
+	}
+	for _, ids := range [2][]int{op.Fail, op.Restore} {
+		for _, id := range ids {
+			if err := known(id); err != nil {
+				return nil, err
+			}
 		}
 	}
-	for id, c := range degrade {
-		if id < 0 || id >= m {
-			return nil, fmt.Errorf("%w: %d (graph has %d edges)", ErrUnknownEdge, id, m)
+	for _, c := range op.Caps {
+		if err := known(c.Edge); err != nil {
+			return nil, err
 		}
-		if c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
-			return nil, fmt.Errorf("%w: edge %d needs a finite value >= 0, got %v", ErrBadCapacity, id, c)
+		if c.Capacity < 0 || math.IsNaN(c.Capacity) || math.IsInf(c.Capacity, 0) {
+			return nil, fmt.Errorf("%w: edge %d needs a finite value >= 0, got %v", ErrBadCapacity, c.Edge, c.Capacity)
 		}
 	}
 
@@ -265,36 +276,28 @@ func (e *Engine) applyLinkEvent(fail, restore []int, degrade map[int]float64, re
 	}
 	cur := e.links.Load()
 
-	capacity := make(map[int]float64, len(cur.capacity)+len(fail)+len(degrade))
-	if !replace {
+	capacity := make(map[int]float64, len(cur.capacity)+len(op.Fail)+len(op.Caps))
+	if !op.Replace {
 		for id, c := range cur.capacity {
 			capacity[id] = c
 		}
 	}
-	for _, id := range fail {
+	for _, id := range op.Fail {
 		capacity[id] = 0
 	}
-	for id, c := range degrade {
-		switch {
-		case c >= 1:
-			delete(capacity, id)
-		default:
-			capacity[id] = c
+	for _, c := range op.Caps {
+		if c.Capacity >= 1 {
+			delete(capacity, c.Edge)
+		} else {
+			capacity[c.Edge] = c.Capacity
 		}
 	}
-	for _, id := range restore {
+	for _, id := range op.Restore {
 		delete(capacity, id)
 	}
 	if sameCapacityMap(capacity, cur.capacity) {
 		// No-op event: report the current state without a version bump.
-		return &LinkUpdate{
-			Version:        cur.version,
-			FailedEdges:    cur.failedSorted(),
-			DegradedEdges:  cur.degradedCaps,
-			UncoveredPairs: len(cur.uncovered),
-			AtRiskPairs:    len(cur.atRisk),
-			Degraded:       cur.degraded(),
-		}, nil
+		return e.Links(), nil
 	}
 
 	// Log before apply: the event is durable before any derived state is
@@ -302,10 +305,10 @@ func (e *Engine) applyLinkEvent(fail, restore []int, degrade map[int]float64, re
 	// exactly the version-bumping events — replayed versions (and the
 	// version-salted recovery seeds hanging off them) then match the
 	// original run one for one.
-	if _, err := e.commitOp(&walOp{
-		Op: walOpLinks, Fail: fail, Restore: restore, Replace: replace, Caps: capsOf(degrade),
-	}); err != nil {
-		return nil, err
+	if !replay {
+		if _, err := e.commitOp(op); err != nil {
+			return nil, err
+		}
 	}
 
 	next := &linkState{
@@ -333,7 +336,7 @@ func (e *Engine) applyLinkEvent(fail, restore []int, degrade map[int]float64, re
 	e.links.Store(next)
 	e.accountDegraded(next.degraded())
 	e.metrics.linkEvents.Add(1)
-	if len(degrade) > 0 {
+	if len(op.Caps) > 0 {
 		e.metrics.capacityEvents.Add(1)
 	}
 
@@ -346,19 +349,19 @@ func (e *Engine) applyLinkEvent(fail, restore []int, degrade map[int]float64, re
 		"degraded":  len(next.degradedCaps),
 		"uncovered": len(next.uncovered),
 	}
-	if len(fail) > 0 {
-		detail["fail"] = append([]int(nil), fail...)
+	if len(op.Fail) > 0 {
+		detail["fail"] = append([]int(nil), op.Fail...)
 	}
-	if len(restore) > 0 {
-		detail["restore"] = append([]int(nil), restore...)
+	if len(op.Restore) > 0 {
+		detail["restore"] = append([]int(nil), op.Restore...)
 	}
-	if replace {
+	if op.Replace {
 		detail["set"] = true
 	}
 	e.record(obs.EventLink, detail)
-	for id, c := range degrade {
+	for _, c := range op.Caps {
 		e.record(obs.EventCapacity, map[string]any{
-			"edge": id, "capacity": c, "version": next.version,
+			"edge": c.Edge, "capacity": c.Capacity, "version": next.version,
 		})
 	}
 	if cur.degraded() != next.degraded() {
@@ -725,7 +728,7 @@ func interimAnchor(prev *State, served *demand.Demand) (*demand.Demand, int) {
 // reRouteActive re-serves the active demand after a topology event: first an
 // immediate publish of the previous routing renormalized over surviving
 // paths (no solver in the loop, so traffic leaves dead edges right away),
-// then a full re-adaptation epoch enqueued through the normal retry chain.
+// then a full re-adaptation epoch enqueued through the normal solve ladder.
 // Demand pairs the pruned system no longer covers are dropped from the
 // re-served demand (they are black-holed until recovery or restore — the
 // uncovered count in /healthz).

@@ -345,7 +345,7 @@ func TestEngineSnapshotWhileDegradedRestoresLinkState(t *testing.T) {
 }
 
 func TestEngineSolveRetryChain(t *testing.T) {
-	e := testEngine(t, Config{Seed: 7, RetryBackoff: time.Millisecond})
+	e := testEngine(t, Config{Seed: 7})
 	ctx := waitCtx(t)
 
 	// Prime an active routing for the renormalization stage.
@@ -412,29 +412,6 @@ func TestEngineSolveRetryChain(t *testing.T) {
 	}
 }
 
-func TestEngineSolveRetriesDisabled(t *testing.T) {
-	e := testEngine(t, Config{Seed: 7, SolveRetries: -1})
-	e.adapt = func(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *core.AdaptOptions) (flow.Routing, error) {
-		return nil, fmt.Errorf("injected solver failure")
-	}
-	d := demand.New()
-	d.Set(0, 7, 1)
-	epoch, err := e.SubmitDemand(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := e.Wait(waitCtx(t), epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Fallback || out.Retries != 0 {
-		t.Fatalf("outcome %+v, want immediate fallback with no retries", out)
-	}
-	if got := e.metrics.failed.Value(); got != 1 {
-		t.Fatalf("epochs_failed=%d, want 1", got)
-	}
-}
-
 // TestEngineFaultInjectionUnderTraffic is the race-focused harness: random
 // edges of a hypercube die and recover while demand epochs stream in and
 // readers hammer the lock-free surfaces. Run with -race. The end-state
@@ -442,7 +419,7 @@ func TestEngineSolveRetriesDisabled(t *testing.T) {
 // fresh epoch, and every published routing stopped using an edge while that
 // edge was failed (checked on the quiesced final state).
 func TestEngineFaultInjectionUnderTraffic(t *testing.T) {
-	e := testEngine(t, Config{Seed: 9, Workers: 2, QueueDepth: 64, RetryBackoff: time.Millisecond})
+	e := testEngine(t, Config{Seed: 9, Workers: 2, QueueDepth: 64})
 	ctx := waitCtx(t)
 	m := e.cfg.Graph.NumEdges()
 

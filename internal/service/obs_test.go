@@ -100,7 +100,7 @@ func TestEpochTraceMWUProgress(t *testing.T) {
 }
 
 func TestEpochTraceRetryChain(t *testing.T) {
-	e := testEngine(t, Config{Seed: 3, RetryBackoff: time.Millisecond})
+	e := testEngine(t, Config{Seed: 3})
 	// Prime a good routing so the renormalize stage has something to scale.
 	if out := solveOne(t, e, 0, 7, 1); !out.OK {
 		t.Fatalf("prime outcome %+v", out)
@@ -135,7 +135,7 @@ func TestEpochTraceRetryChain(t *testing.T) {
 }
 
 func TestSolveFailureJournaledAndTraced(t *testing.T) {
-	e := testEngine(t, Config{Seed: 4, SolveRetries: -1})
+	e := testEngine(t, Config{Seed: 4})
 	e.adapt = func(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *core.AdaptOptions) (flow.Routing, error) {
 		return nil, fmt.Errorf("injected solver failure")
 	}

@@ -1,12 +1,6 @@
 package service
 
-import (
-	"context"
-	"fmt"
-	"math"
-
-	"sparseroute/internal/demand"
-)
+import "context"
 
 // PairAmount is one per-pair mutation of a demand patch: set d(U,V) = Amount.
 type PairAmount struct {
@@ -29,8 +23,9 @@ type PairRef struct {
 // It returns ErrNoBaseDemand before any successful SubmitDemand (a delta
 // needs a base), ErrBusy/ErrClosed/ErrRateLimited/ErrBreakerOpen like
 // SubmitDemand, and a validation error for self-pairs, out-of-range
-// endpoints, or non-finite amounts — validation happens before anything is
-// merged, so a rejected patch changes nothing.
+// endpoints, non-finite amounts, or a patch that would clear the whole
+// matrix — the record is checked whole before anything is merged (see
+// applyDemandOp), so a rejected patch changes nothing.
 func (e *Engine) PatchDemand(set []PairAmount, clear []PairRef) (uint64, error) {
 	return e.PatchDemandCtx(context.Background(), set, clear)
 }
@@ -39,90 +34,12 @@ func (e *Engine) PatchDemand(set []PairAmount, clear []PairRef) (uint64, error) 
 // threaded through to the queued epoch (see SubmitDemandCtx): a patch whose
 // client is gone by worker pickup is abandoned instead of solved.
 func (e *Engine) PatchDemandCtx(ctx context.Context, set []PairAmount, clear []PairRef) (uint64, error) {
-	if len(set) == 0 && len(clear) == 0 {
-		return 0, fmt.Errorf("service: empty patch (need set or clear entries)")
-	}
-	n := e.cfg.Graph.NumVertices()
-	validate := func(u, v int) error {
-		if u == v {
-			return fmt.Errorf("service: patch pair (%d,%d) has equal endpoints", u, v)
-		}
-		if u < 0 || u >= n || v < 0 || v >= n {
-			return fmt.Errorf("service: patch pair (%d,%d) outside graph with %d vertices", u, v, n)
-		}
-		return nil
-	}
-	for _, s := range set {
-		if err := validate(s.U, s.V); err != nil {
-			return 0, err
-		}
-		if s.Amount <= 0 || math.IsNaN(s.Amount) || math.IsInf(s.Amount, 0) {
-			return 0, fmt.Errorf("service: patch pair (%d,%d) needs a positive finite amount, got %v", s.U, s.V, s.Amount)
-		}
-	}
-	for _, c := range clear {
-		if err := validate(c.U, c.V); err != nil {
-			return 0, err
-		}
-	}
-	// Admission before the WAL commit, exactly like SubmitDemandCtx: a shed
-	// patch leaves no trace to replay.
-	if wait, err := e.admitMutation(); err != nil {
-		return 0, &ShedError{Err: err, After: wait}
-	}
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		e.breaker.onNeutral()
-		return 0, ErrClosed
-	}
-	if e.lastSubmitted == nil {
-		e.breaker.onNeutral()
-		return 0, ErrNoBaseDemand
-	}
-	d := e.lastSubmitted.Clone()
-	touchedSet := make(map[demand.Pair]bool, len(set)+len(clear))
-	for _, s := range set {
-		d.Set(s.U, s.V, s.Amount)
-		touchedSet[demand.MakePair(s.U, s.V)] = true
-	}
-	for _, c := range clear {
-		d.Set(c.U, c.V, 0)
-		touchedSet[demand.MakePair(c.U, c.V)] = true
-	}
-	if d.SupportSize() == 0 {
-		return 0, fmt.Errorf("service: patch clears the whole demand")
-	}
-	if !e.links.Load().installed.Covers(d) {
-		return 0, fmt.Errorf("service: patched demand has pairs with no candidate paths")
-	}
-	touched := make([]demand.Pair, 0, len(touchedSet))
-	for p := range touchedSet {
-		touched = append(touched, p)
-	}
-	// Log before apply (see SubmitDemand). The record carries the absolute
-	// amounts, so replaying it over the same base is idempotent.
 	op := &walOp{Op: walOpPatch}
 	for _, s := range set {
-		op.Set = append(op.Set, walAmount{U: s.U, V: s.V, Amount: s.Amount})
+		op.Set = append(op.Set, walAmount(s))
 	}
 	for _, c := range clear {
-		op.Clear = append(op.Clear, walPair{U: c.U, V: c.V})
+		op.Clear = append(op.Clear, walPair(c))
 	}
-	seq, err := e.commitOp(op)
-	if err != nil {
-		e.breaker.onNeutral()
-		return 0, err
-	}
-	epoch, err := e.enqueueLocked(epochRequest{d: d, touched: touched, abandon: abandonCtx(ctx)})
-	if err != nil {
-		e.revokeOp(seq)
-		e.breaker.onNeutral()
-		return 0, err
-	}
-	e.lastSubmitted = d
-	e.metrics.patches.Add(1)
-	e.maybeCheckpoint()
-	return epoch, nil
+	return e.acceptDemand(ctx, op, false)
 }

@@ -70,14 +70,6 @@ type Config struct {
 	// engine keeps the last good routing, counting a fallback. 0 disables
 	// the deadline.
 	SolveDeadline time.Duration
-	// SolveRetries bounds the retry stages a failed (not canceled) solve may
-	// run after the first attempt: forced MWU, then the previous routing
-	// renormalized over surviving candidates. Default 2 (the full chain);
-	// negative disables retries entirely.
-	SolveRetries int
-	// RetryBackoff is the sleep before the first retry stage, doubling per
-	// stage; a canceled context cuts the wait short. Default 10ms.
-	RetryBackoff time.Duration
 	// FailedEdges starts the engine with the given edges already failed —
 	// set by Restore from a snapshot taken while degraded. No recovery
 	// resampling runs at startup: the installed system (which already
@@ -225,12 +217,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LatencyWindow <= 0 {
 		c.LatencyWindow = 256
-	}
-	if c.SolveRetries == 0 {
-		c.SolveRetries = 2
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 10 * time.Millisecond
 	}
 	if c.RecoveryPathCap == 0 {
 		c.RecoveryPathCap = 2 * c.R

@@ -1,10 +1,10 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 
 	"sparseroute/internal/demand"
 	"sparseroute/internal/obs"
@@ -76,42 +76,108 @@ type walOp struct {
 	Ref uint64 `json:"ref,omitempty"`
 }
 
-// demandAmounts flattens a matrix into sorted (pair, amount) entries —
-// deterministic record bytes for identical matrices.
-func demandAmounts(d *demand.Demand) []walAmount {
+// submitOp is the record of a full-matrix submission: d flattened into
+// (pair, amount) entries in Support's sorted order — deterministic record
+// bytes for identical matrices.
+func submitOp(d *demand.Demand) *walOp {
 	support := d.Support()
-	sort.Slice(support, func(i, j int) bool {
-		if support[i].U != support[j].U {
-			return support[i].U < support[j].U
-		}
-		return support[i].V < support[j].V
-	})
-	out := make([]walAmount, 0, len(support))
-	for _, p := range support {
-		out = append(out, walAmount{U: p.U, V: p.V, Amount: d.Get(p.U, p.V)})
+	op := &walOp{Op: walOpSubmit, Entries: make([]walAmount, len(support))}
+	for i, p := range support {
+		op.Entries[i] = walAmount{U: p.U, V: p.V, Amount: d.Get(p.U, p.V)}
 	}
-	return out
+	return op
 }
 
-// capsOf flattens a capacity-override map into sorted entries.
-func capsOf(degrade map[int]float64) []walCap {
-	if len(degrade) == 0 {
+// applyDemandOp is the interpreter of demand records: it turns (base matrix,
+// record) into the next matrix, and is the only code that does. The live
+// accept path and WAL replay both call it, so a record means the same thing
+// the day it is accepted and the day it is replayed. It holds all validation
+// — endpoints distinct and inside the n-vertex graph, amounts positive and
+// finite, a patch needs a base, the result is non-empty — checks the whole
+// record before it builds anything, and never modifies base. touched lists
+// the pairs a patch named (nil for a submit), the delta solve's work list.
+func applyDemandOp(base *demand.Demand, op *walOp, n int) (next *demand.Demand, touched []demand.Pair, err error) {
+	pairOK := func(kind string, u, v int) error {
+		if u == v {
+			return fmt.Errorf("service: %s pair (%d,%d) has equal endpoints", kind, u, v)
+		}
+		if u < 0 || u >= n || v < 0 || v >= n {
+			return fmt.Errorf("service: %s pair (%d,%d) outside graph with %d vertices", kind, u, v, n)
+		}
 		return nil
 	}
-	out := make([]walCap, 0, len(degrade))
-	for id, c := range degrade {
-		out = append(out, walCap{Edge: id, Capacity: c})
+	amountsOK := func(kind string, entries []walAmount) error {
+		for _, en := range entries {
+			if err := pairOK(kind, en.U, en.V); err != nil {
+				return err
+			}
+			if en.Amount <= 0 || math.IsNaN(en.Amount) || math.IsInf(en.Amount, 0) {
+				return fmt.Errorf("service: %s pair (%d,%d) needs a positive finite amount, got %v", kind, en.U, en.V, en.Amount)
+			}
+		}
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Edge < out[j].Edge })
-	return out
+	switch op.Op {
+	case walOpSubmit:
+		if len(op.Entries) == 0 {
+			return nil, nil, fmt.Errorf("service: empty demand")
+		}
+		if err := amountsOK("demand", op.Entries); err != nil {
+			return nil, nil, err
+		}
+		next = demand.New()
+		for _, en := range op.Entries {
+			next.Set(en.U, en.V, en.Amount)
+		}
+		return next, nil, nil
+	case walOpPatch:
+		if len(op.Set) == 0 && len(op.Clear) == 0 {
+			return nil, nil, fmt.Errorf("service: empty patch (need set or clear entries)")
+		}
+		if err := amountsOK("patch", op.Set); err != nil {
+			return nil, nil, err
+		}
+		for _, c := range op.Clear {
+			if err := pairOK("patch", c.U, c.V); err != nil {
+				return nil, nil, err
+			}
+		}
+		if base == nil {
+			return nil, nil, ErrNoBaseDemand
+		}
+		next = base.Clone()
+		seen := make(map[demand.Pair]bool, len(op.Set)+len(op.Clear))
+		touch := func(u, v int) {
+			if p := demand.MakePair(u, v); !seen[p] {
+				seen[p] = true
+				touched = append(touched, p)
+			}
+		}
+		// The record carries absolute amounts, so applying it twice over the
+		// same base is idempotent.
+		for _, s := range op.Set {
+			next.Set(s.U, s.V, s.Amount)
+			touch(s.U, s.V)
+		}
+		for _, c := range op.Clear {
+			next.Set(c.U, c.V, 0)
+			touch(c.U, c.V)
+		}
+		if next.SupportSize() == 0 {
+			return nil, nil, fmt.Errorf("service: patch clears the whole demand")
+		}
+		return next, touched, nil
+	default:
+		return nil, nil, fmt.Errorf("service: unknown op %q", op.Op)
+	}
 }
 
 // commitOp assigns op the next operation sequence number, appends it to the
 // WAL, and fsyncs (group-committed with concurrent writers). It returns the
-// assigned sequence number, or 0 when no WAL is configured or a replay is in
-// progress (replayed operations are already on disk). A commit failure means
-// the operation has no durability — callers reject it rather than apply
-// something a crash would silently forget.
+// assigned sequence number, or 0 when no WAL is configured. A commit failure
+// means the operation has no durability — callers reject it rather than
+// apply something a crash would silently forget. Replay never comes here:
+// its operations are already on disk.
 //
 // Lock order: callers hold e.mu (demand path) or e.linkMu (link path); walMu
 // is a leaf below both and is held only across seq-assign + append so the
@@ -119,7 +185,7 @@ func capsOf(degrade map[int]float64) []walCap {
 // log batch concurrent committers into one flush.
 func (e *Engine) commitOp(op *walOp) (uint64, error) {
 	w := e.cfg.WAL
-	if w == nil || e.replaying.Load() {
+	if w == nil {
 		return 0, nil
 	}
 	e.walMu.Lock()
@@ -196,7 +262,7 @@ func (e *Engine) maybeCheckpoint() {
 // re-seed are one atomic cut of the engine's history.
 func (e *Engine) resetWALLocked() error {
 	w := e.cfg.WAL
-	if w == nil || e.replaying.Load() {
+	if w == nil {
 		return nil
 	}
 	if err := w.Reset(); err != nil {
@@ -205,9 +271,9 @@ func (e *Engine) resetWALLocked() error {
 	e.walOpsSince.Store(0)
 	if e.lastSubmitted != nil {
 		e.walMu.Lock()
-		buf, err := json.Marshal(&walOp{
-			Seq: e.opSeq.Add(1), Op: walOpSubmit, Entries: demandAmounts(e.lastSubmitted),
-		})
+		op := submitOp(e.lastSubmitted)
+		op.Seq = e.opSeq.Add(1)
+		buf, err := json.Marshal(op)
 		if err == nil {
 			err = w.Append(buf)
 		}
@@ -253,23 +319,26 @@ type ReplayStats struct {
 //     engine restored from already covers them (checkpoint watermark);
 //   - records named by a revoke are skipped — the client saw them fail;
 //   - duplicate/out-of-order sequence numbers are skipped (idempotence);
-//   - link events re-run through applyLinkEvent, bumping the link version and
-//     re-drawing recovery paths with the same version-salted seeds as the
-//     original run, so the recovered path-system hash matches an engine that
-//     never crashed;
+//   - every other record runs through the interpreter the live accept path
+//     runs (applyDemandOp, applyLinkEvent), validation included: a record the
+//     engine would refuse today — a log left beside a smaller topology,
+//     corruption that kept its CRC — is skipped and journaled with its
+//     sequence number, and the records around it still apply;
+//   - link events bump the link version and re-draw recovery paths with the
+//     same version-salted seeds as the original run, so the recovered
+//     path-system hash matches an engine that never crashed;
 //   - demand records only update the submitted matrix — one solve at the end
 //     serves the final state instead of replaying every intermediate epoch.
 //
 // A torn tail was already truncated by wal.Open; ReplayWAL journals it as a
 // wal_truncated event and keeps going — recovery degrades to the last good
-// record, never to a refused startup.
+// record, never to a refused startup. The only errors are the engine's own
+// (closed, or a shared solve queue with no room for the final re-solve).
 func (e *Engine) ReplayWAL(rec *wal.Recovery) (*ReplayStats, error) {
 	stats := &ReplayStats{LastSeq: e.cfg.WALStartSeq}
 	if rec == nil {
 		return stats, nil
 	}
-	e.replaying.Store(true)
-	defer e.replaying.Store(false)
 
 	if rec.Truncated {
 		stats.Truncated = true
@@ -311,6 +380,7 @@ func (e *Engine) ReplayWAL(rec *wal.Recovery) (*ReplayStats, error) {
 		if err := e.applyReplayedOp(op); err != nil {
 			stats.Skipped++
 			e.record(obs.EventSolveFailure, map[string]any{
+				"seq": op.Seq,
 				"err": fmt.Sprintf("wal replay: op %d (%s): %v", op.Seq, op.Op, err),
 			})
 			continue
@@ -329,13 +399,10 @@ func (e *Engine) ReplayWAL(rec *wal.Recovery) (*ReplayStats, error) {
 	}
 
 	// One solve serves the final reconstructed matrix (intermediate epochs
-	// are history, not state). Still inside the replaying window so the
-	// submission is not re-logged — its records are already on disk.
-	e.mu.Lock()
-	final := e.lastSubmitted
-	e.mu.Unlock()
-	if final != nil {
-		if _, err := e.SubmitDemand(final); err != nil {
+	// are history, not state): the accept step again, as a replay — its
+	// records are already on disk, and recovery is not a client to shed.
+	if final := e.LastSubmitted(); final != nil {
+		if _, err := e.acceptDemand(context.Background(), submitOp(final), true); err != nil {
 			return stats, fmt.Errorf("service: replay re-solve: %w", err)
 		}
 	}
@@ -350,59 +417,23 @@ func (e *Engine) ReplayWAL(rec *wal.Recovery) (*ReplayStats, error) {
 	return stats, nil
 }
 
-// applyReplayedOp re-applies one logged operation. Demand ops update the
-// submitted matrix only (no per-record solve); link ops run the full
-// applyLinkEvent pipeline. Validation mirrors the original accept path — a
-// record that now fails validation (it cannot, absent corruption surviving
-// the CRC) is skipped by the caller rather than aborting recovery.
+// applyReplayedOp re-applies one logged operation through the accept path's
+// own interpreter — this is the accept path minus admission, logging and the
+// per-record solve: demand ops install nextDemand's matrix, link ops run the
+// full applyLinkEvent pipeline. A record that fails validation is skipped by
+// the caller rather than aborting recovery.
 func (e *Engine) applyReplayedOp(op *walOp) error {
-	switch op.Op {
-	case walOpSubmit:
-		d := demand.New()
-		for _, en := range op.Entries {
-			if en.Amount <= 0 || math.IsNaN(en.Amount) || math.IsInf(en.Amount, 0) {
-				return fmt.Errorf("bad amount %v for pair (%d,%d)", en.Amount, en.U, en.V)
-			}
-			d.Set(en.U, en.V, en.Amount)
-		}
-		if d.SupportSize() == 0 {
-			return fmt.Errorf("empty submit record")
-		}
-		e.mu.Lock()
-		e.lastSubmitted = d
-		e.mu.Unlock()
-		return nil
-	case walOpPatch:
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if e.lastSubmitted == nil {
-			return fmt.Errorf("patch with no base matrix")
-		}
-		d := e.lastSubmitted.Clone()
-		for _, s := range op.Set {
-			d.Set(s.U, s.V, s.Amount)
-		}
-		for _, c := range op.Clear {
-			d.Set(c.U, c.V, 0)
-		}
-		if d.SupportSize() == 0 {
-			return fmt.Errorf("patch clears the whole demand")
-		}
-		e.lastSubmitted = d
-		return nil
-	case walOpLinks:
-		var degrade map[int]float64
-		if len(op.Caps) > 0 {
-			degrade = make(map[int]float64, len(op.Caps))
-			for _, c := range op.Caps {
-				degrade[c.Edge] = c.Capacity
-			}
-		}
-		_, err := e.applyLinkEvent(op.Fail, op.Restore, degrade, op.Replace)
+	if op.Op == walOpLinks {
+		_, err := e.applyLinkEvent(op, true)
 		return err
-	default:
-		return fmt.Errorf("unknown op %q", op.Op)
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	next, _, err := e.nextDemand(op)
+	if err == nil {
+		e.lastSubmitted = next
+	}
+	return err
 }
 
 // LastSubmitted returns a copy of the most recently accepted demand matrix
