@@ -1,7 +1,6 @@
 package sparseroute_test
 
 import (
-	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -303,39 +302,5 @@ func TestAdaptScaleEquivariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFacadeEngineFlow(t *testing.T) {
-	g := sparseroute.Hypercube(3)
-	router, err := sparseroute.NewValiantRouter(g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := sparseroute.NewEngine(sparseroute.EngineConfig{
-		Graph:  g,
-		Router: router,
-		R:      3,
-		Seed:   1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer engine.Close()
-	d := sparseroute.NewDemand()
-	d.Set(0, 7, 2)
-	epoch, err := engine.SubmitDemand(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := engine.Wait(context.Background(), epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.OK || out.Congestion <= 0 {
-		t.Fatalf("outcome %+v", out)
-	}
-	if st := engine.Active(); st == nil || st.Epoch != epoch {
-		t.Fatalf("active %+v", st)
 	}
 }

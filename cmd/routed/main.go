@@ -148,8 +148,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.build.Dim, "dim", 0, "hypercube dimension (valiant; 0 = infer)")
 	fs.IntVar(&o.build.Trees, "trees", 12, "raecke tree count")
 	fs.IntVar(&o.build.K, "k", 4, "ksp path count")
-	fs.IntVar(&o.engine.Workers, "workers", 2, "concurrent epoch solves")
-	fs.IntVar(&o.engine.QueueDepth, "queue", 16, "pending epochs before load shedding")
+	fs.IntVar(&o.engine.Workers, "workers", 2, "solver workers shared by every shard with -fleet; no effect without -fleet (an engine solves one epoch at a time: its latest demand)")
 	fs.DurationVar(&o.engine.SolveDeadline, "deadline", 0, "per-epoch solve deadline; on expiry the solve is canceled and the last good routing keeps serving (0 = none)")
 	fs.StringVar(&o.snapshot, "snapshot", "", "snapshot file: restored at startup when present, written by POST /v1/snapshot and at shutdown")
 	fs.StringVar(&o.wal, "wal", "", "write-ahead log: every accepted mutation is fsynced here before it is applied and replayed over the snapshot at startup, so a hard kill loses nothing (default <snapshot>.wal when -snapshot is set; \"off\" disables; fleet mode logs per shard regardless of the path)")

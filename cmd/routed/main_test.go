@@ -329,7 +329,7 @@ func TestDaemonOverloadFlags(t *testing.T) {
 	f.Close()
 
 	o, err := parseFlags([]string{"-topo", topo, "-router", "spf", "-s", "2",
-		"-tenant-qps", "0.01", "-tenant-burst", "1", "-max-body", "256", "-queue", "1"})
+		"-tenant-qps", "0.01", "-tenant-burst", "1", "-max-body", "256"})
 	if err != nil {
 		t.Fatal(err)
 	}

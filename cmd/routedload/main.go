@@ -6,7 +6,8 @@
 // did about it — achieved versus offered mutation rate, the shed and busy
 // shares with their Retry-After hints, and read latency quantiles under
 // concurrent epochs. The server's own view of the same run is its /metrics
-// (sparseroute_engine_shed_requests, _rate_limited, _busy_rejects, ...).
+// (sparseroute_engine_shed_requests, _rate_limited, _breaker_rejects,
+// _epochs_superseded, ...).
 //
 // "Closed loop" means every sender waits for its response before taking the
 // next slot: when the daemon sheds or slows down, the offered rate sags
@@ -72,7 +73,9 @@ type mutationStats struct {
 	OK   int64 // 200 / 202
 	// Shed is admission control: 429 (rate limit, inflight budget).
 	Shed int64
-	// Busy is 503: full solve queue or an open circuit breaker.
+	// Busy is 503: an open circuit breaker (or a daemon shutting down). An
+	// accepted mutation is never dropped; a burst coalesces in the daemon's
+	// epoch slot (epochs_superseded) instead.
 	Busy     int64
 	TooLarge int64 // 413 from the body cap
 	// MissingRetryAfter counts shed/busy responses that failed to carry the
@@ -161,7 +164,7 @@ func parseFlags(args []string) (*loadOpts, error) {
 	fs.IntVar(&o.workers, "workers", 8, "concurrent closed-loop senders")
 	fs.IntVar(&o.readers, "readers", 4, "concurrent GET /v1/routing loops")
 	fs.Float64Var(&o.patchFrac, "patch-frac", 0.25, "fraction of mutations sent as PATCH deltas instead of full POSTs")
-	fs.DurationVar(&o.deadline, "deadline", 2*time.Second, "?deadline= attached to every mutation: the daemon abandons epochs still queued past it (0 = none)")
+	fs.DurationVar(&o.deadline, "deadline", 2*time.Second, "?deadline= attached to every mutation: the daemon abandons epochs still pending past it (0 = none)")
 	fs.DurationVar(&o.chaos, "chaos", 0, "interval between link-chaos events (fail -> brownout -> restore cycle); 0 disables")
 	fs.Uint64Var(&o.seed, "seed", 1, "demand and chaos RNG seed")
 	fs.DurationVar(&o.timeout, "timeout", 10*time.Second, "per-request HTTP timeout")
@@ -253,7 +256,7 @@ func (l *loader) sendMutation(method, path string, body []byte) {
 }
 
 // mutationPath carries the ?deadline= the daemon uses to abandon epochs a
-// slow queue would otherwise solve for nobody.
+// busy solver would otherwise solve for nobody.
 func (l *loader) mutationPath() string {
 	p := "/v1/demand"
 	if l.o.deadline > 0 {

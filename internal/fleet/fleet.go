@@ -18,8 +18,9 @@
 //   - A shared solver worker pool with per-shard fairness. Every resident
 //     engine submits its epoch solves to its own par.FairQueue on one
 //     par.FairPool; workers drain the queues round-robin, so one hot
-//     tenant flooding demands cannot starve a sibling's epochs, and
-//     back-pressure (ErrBusy) stays per-shard.
+//     tenant flooding demands cannot starve a sibling's epochs. Each engine
+//     keeps at most one task on its queue: it solves only its latest
+//     demand.
 //
 //   - Rolled-up observability. Health aggregates per-shard ok/degraded/
 //     closed into a fleet state machine; the vars payload nests every
@@ -106,7 +107,7 @@ type Config struct {
 	// TenantBurst is each tenant bucket's depth. Default ceil(TenantQPS).
 	TenantBurst int
 	// Engine is the per-shard engine template: RouterName, R, Seed,
-	// QueueDepth, SolveDeadline, retry policy, and so on. Graph, Router,
+	// SolveDeadline, warm-start policy, and so on. Graph, Router,
 	// System, Pool, FailedEdges, CapacityOverrides, and the WAL fields are
 	// managed by the fleet and overwritten per shard. An empty RouterName
 	// means "raecke".
@@ -432,11 +433,7 @@ func (f *Fleet) evict(sh *shard) bool {
 // replayed over it either way — on a fresh FairQueue of the shared pool.
 func (f *Fleet) buildEngine(sh *shard) (*service.Opened, error) {
 	cfg := f.cfg.Engine
-	depth := cfg.QueueDepth
-	if depth <= 0 {
-		depth = 16
-	}
-	queue := f.pool.Queue(depth)
+	queue := f.pool.Queue(1)
 	cfg.Pool = queue
 	cfg.Graph, cfg.Router, cfg.System = nil, nil, nil
 	cfg.FailedEdges, cfg.CapacityOverrides = nil, nil

@@ -36,7 +36,7 @@ func testFleet(t *testing.T, ids []string, mut func(*Config)) *Fleet {
 	}
 	cfg := Config{
 		Dir:    dir,
-		Engine: service.Config{RouterName: "valiant", R: 2, Seed: 11, QueueDepth: 16},
+		Engine: service.Config{RouterName: "valiant", R: 2, Seed: 11},
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -413,8 +413,8 @@ func TestFleetConcurrentCrossShard(t *testing.T) {
 				case 0: // writer: demand epochs
 					d := demand.New()
 					d.Set(0, 7, 1+float64(i))
-					// ErrBusy/ErrClosed are fine mid-churn: the engine may be
-					// evicted between acquire and submit, or shedding load.
+					// ErrClosed is fine mid-churn: the engine may be evicted
+					// between acquire and submit.
 					e.SubmitDemand(d)
 				case 1: // reader: health, links, metrics
 					e.Health()
@@ -476,7 +476,7 @@ func TestFleetWALCrashRecovery(t *testing.T) {
 	cfg := Config{
 		Dir: dir,
 		Engine: service.Config{RouterName: "valiant", R: 2, Seed: 11,
-			QueueDepth: 16, DisableWarmStart: true},
+			DisableWarmStart: true},
 	}
 	f1, err := Open(cfg)
 	if err != nil {

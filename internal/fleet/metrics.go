@@ -59,28 +59,18 @@ func newMetrics(f *Fleet) *Metrics {
 	m.vars.Set("default_shard", expvar.Func(func() any {
 		return f.cfg.DefaultShard
 	}))
-	// The shared pool's cross-shard queue depth: epochs accepted but not yet
-	// picked up by a worker, summed over every resident shard's queue.
+	// The shared pool's cross-shard queue depth: resident shards whose solver
+	// task is waiting for a worker (each shard queues at most one).
 	m.vars.Set("queue_depth", expvar.Func(func() any {
 		return f.pool.Pending()
 	}))
-	// Shed accounting rolled up across resident shards: total shed demand
-	// mutations, the queue-full (503) share, and the admission-control share
-	// (tenant quota + inflight budget + breaker). Per-shard detail lives in
-	// each shard's nested registry; these fleet gauges are what an operator
-	// alerts on. Evicted shards' counts leave the rollup with them — the
-	// gauges track the resident fleet, not all history.
+	// Shed demand mutations (tenant quota + inflight budget + breaker) rolled
+	// up across resident shards. Per-shard detail lives in each shard's
+	// nested registry; this fleet gauge is what an operator alerts on.
+	// Evicted shards' counts leave the rollup with them — the gauge tracks
+	// the resident fleet, not all history.
 	m.vars.Set("shed_requests", expvar.Func(func() any {
-		t, _, _ := m.shedTotals()
-		return t
-	}))
-	m.vars.Set("busy_rejects", expvar.Func(func() any {
-		_, b, _ := m.shedTotals()
-		return b
-	}))
-	m.vars.Set("admission_rejects", expvar.Func(func() any {
-		_, _, a := m.shedTotals()
-		return a
+		return m.shedRequests()
 	}))
 	m.vars.Set("cold_start_ms", expvar.Func(func() any {
 		return m.window(m.cold)
@@ -91,10 +81,10 @@ func newMetrics(f *Fleet) *Metrics {
 	return m
 }
 
-// shedTotals sums shed accounting over every resident shard, holding each
+// shedRequests sums shed mutations over every resident shard, holding each
 // shard's read lock across its engine access (same discipline as Health:
 // eviction must not close an engine mid-read).
-func (m *Metrics) shedTotals() (total, busy, admission int64) {
+func (m *Metrics) shedRequests() (total int64) {
 	f := m.fleet
 	f.mu.Lock()
 	list := make([]*shard, 0, len(f.shards))
@@ -105,14 +95,11 @@ func (m *Metrics) shedTotals() (total, busy, admission int64) {
 	for _, sh := range list {
 		sh.mu.RLock()
 		if sh.engine != nil {
-			t, b, a := sh.engine.Metrics().ShedTotals()
-			total += t
-			busy += b
-			admission += a
+			total += sh.engine.Metrics().ShedRequests()
 		}
 		sh.mu.RUnlock()
 	}
-	return total, busy, admission
+	return total
 }
 
 // observeBuild records one residency build: restored=true is a warm start

@@ -115,8 +115,8 @@ func (p *Pool) Close() {
 
 // Timed wraps fn for submission to a pool, stamping the moment of wrapping
 // (≈ submission) and handing fn the elapsed queue wait when a worker finally
-// runs it. This is how the serving layer measures time spent queued behind
-// other tenants on a shared pool without changing the Submitter interface.
+// runs it: the time spent queued behind other work, measured without
+// changing the Submitter interface.
 func Timed(fn func(queueWait time.Duration)) func() {
 	submitted := time.Now()
 	return func() { fn(time.Since(submitted)) }

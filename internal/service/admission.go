@@ -11,8 +11,8 @@ import (
 //   - a token bucket bounds the sustained mutation rate (demand submits and
 //     patches; link events are exempt — they are the remediation path an
 //     operator needs exactly when the engine is drowning), so a flooding
-//     tenant is shed at the front door instead of filling the epoch queue
-//     and starving interactive submits behind its backlog;
+//     tenant is shed at the front door instead of monopolizing the solver
+//     and the write-ahead log;
 //
 //   - an inflight-bytes budget bounds the request bodies being decoded at
 //     once, so many concurrent medium-sized matrices cannot multiply into
@@ -20,9 +20,11 @@ import (
 //     Config.MaxBodyBytes, enforced with http.MaxBytesReader).
 //
 // Both shed with ErrRateLimited, which the HTTP layer maps to 429 plus a
-// Retry-After hint — deliberately distinct from the 503 ErrBusy of a full
-// solve queue: 429 means "you are over your budget, slow down", 503 means
-// "the engine is busy, anyone may retry soon".
+// Retry-After hint — deliberately distinct from the breaker's 503: 429 means
+// "you are over your budget, slow down", 503 means "the solver is unhealthy,
+// anyone may retry after the cooldown". These are the engine's only load
+// shedding: an accepted mutation is never dropped, only superseded in the
+// epoch slot by a newer one.
 
 // rateLimiter is a token bucket: capacity burst, refill rate tokens/second.
 // The zero value (rate <= 0) admits everything.

@@ -111,7 +111,7 @@ func (b *breaker) allow() (bool, time.Duration) {
 }
 
 // onSuccess records a counted success: the failure streak resets, and a
-// non-closed breaker closes (the probe — or a straggler epoch queued before
+// non-closed breaker closes (the probe — or a straggler epoch accepted before
 // the breaker opened — proved the solver healthy).
 func (b *breaker) onSuccess() {
 	if !b.enabled() {
@@ -132,9 +132,9 @@ func (b *breaker) onSuccess() {
 
 // onFailure records a counted failure: the streak grows toward the threshold
 // while closed, and a half-open breaker re-opens for another cooldown. A
-// failure landing while already open (a straggler epoch queued before the
-// breaker tripped) does not refresh the cooldown — under queue drain that
-// would postpone the probe forever.
+// failure landing while already open (a straggler epoch accepted before the
+// breaker tripped) does not refresh the cooldown — under a stream of link
+// re-adapts that would postpone the probe forever.
 func (b *breaker) onFailure() {
 	if !b.enabled() {
 		return
@@ -161,7 +161,7 @@ func (b *breaker) onFailure() {
 
 // onNeutral records an outcome that says nothing about solver health (engine
 // shutdown, client-abandoned epoch, a probe that was admitted but never
-// enqueued): the half-open probe slot is released so the next mutation can
+// accepted): the half-open probe slot is released so the next mutation can
 // probe instead.
 func (b *breaker) onNeutral() {
 	if !b.enabled() {

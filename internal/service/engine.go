@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,7 +68,9 @@ type State struct {
 }
 
 // Outcome reports how one submitted epoch ended. Fallback epochs leave the
-// previously published routing serving.
+// previously published routing serving. An epoch superseded before it was
+// solved shares the outcome of the epoch that covered it (Epoch names that
+// one).
 type Outcome struct {
 	Epoch      uint64
 	OK         bool
@@ -149,9 +152,10 @@ func defaultAdapt(ctx context.Context, ps *core.PathSystem, d *demand.Demand, op
 type Engine struct {
 	cfg     Config
 	metrics *Metrics
-	// pool is the solve queue: a private par.Pool by default, or the shared
-	// fleet queue handed in via Config.Pool. Close closes it either way —
-	// for a shared par.FairQueue that drains only this engine's solves.
+	// pool runs the engine's one drain task (see putLocked): a private
+	// one-worker par.Pool by default, or the shared fleet queue handed in via
+	// Config.Pool. Close closes it either way — for a shared par.FairQueue
+	// that drains only this engine's task.
 	pool  par.Submitter
 	adapt adaptFunc
 
@@ -212,22 +216,34 @@ type Engine struct {
 	// any accepted patches applied — the base PATCH deltas merge into.
 	lastSubmitted *demand.Demand
 	closed        bool
+	// slot is the epoch mailbox: the latest accepted request not yet picked
+	// up by the solver, nil when none waits. draining is set while the drain
+	// task is queued or running, and is always set while slot is non-nil.
+	slot     *epochRequest
+	draining bool
 }
 
 // epochRequest is one accepted epoch's work item: the full matrix to serve
-// and, for PATCH delta epochs, the pairs that changed since the previous
-// submission (nil for full submissions). abandon, when non-nil, is the
-// submitting client's context: an epoch whose client is gone (disconnected,
-// or past its request deadline) by the time a worker picks it up is
-// abandoned instead of burning a solver slot on a result nobody will read.
+// and, for PATCH delta epochs, the pairs that changed since the matrix the
+// solver last picked up (nil means a full solve). abandon, when non-empty,
+// holds the context of every client whose epoch the request carries: when
+// all of them are gone (disconnected, or past their request deadlines) by the
+// time the solver picks it up, the epoch is abandoned instead of burning a
+// solve on a result nobody will read. Empty means some carried epoch must be
+// solved regardless (a background submit, a link re-adapt, replay).
+// covers lists the earlier epochs this request superseded in the slot; they
+// resolve to its outcome.
 type epochRequest struct {
 	d       *demand.Demand
 	touched []demand.Pair
-	abandon context.Context
+	abandon []context.Context
+	epoch   uint64
+	covers  []uint64
+	queued  time.Time
 }
 
 // New builds an engine: it samples the path system (offline phase) unless
-// cfg.System already carries one, then starts the bounded solver pool. A
+// cfg.System already carries one, then starts the solver worker. A
 // non-empty cfg.FailedEdges or cfg.CapacityOverrides (typically from a
 // snapshot taken while degraded) starts the engine directly in the matching
 // degraded link state — the installed paths are served pruned (failures) or
@@ -327,7 +343,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Pool != nil {
 		e.pool = cfg.Pool
 	} else {
-		e.pool = par.NewPool(cfg.Workers, cfg.QueueDepth)
+		e.pool = par.NewPool(1, 1)
 	}
 	return e, nil
 }
@@ -411,25 +427,27 @@ func (e *Engine) Health() *Health {
 	return h
 }
 
-// SubmitDemand validates d, assigns it the next epoch number, and enqueues
-// its solve. It returns ErrBusy when the queue is full (load shedding),
-// ErrRateLimited/ErrBreakerOpen (wrapped in a *ShedError carrying the retry
-// hint) when admission control sheds the mutation, and ErrClosed after
-// Close. Demands on pairs that were never installed are rejected; demands on
-// installed pairs whose candidates are currently dead are accepted and
-// served degraded (the dead pairs are dropped at solve time and counted in
-// the outcome). The solve itself runs asynchronously; use Wait to observe
-// its outcome.
+// SubmitDemand validates d, assigns it the next epoch number, and hands it to
+// the solver. It returns ErrRateLimited/ErrBreakerOpen (wrapped in a
+// *ShedError carrying the retry hint) when admission control sheds the
+// mutation, and ErrClosed after Close. Demands on pairs that were never
+// installed are rejected; demands on installed pairs whose candidates are
+// currently dead are accepted and served degraded (the dead pairs are dropped
+// at solve time and counted in the outcome). The solve itself runs
+// asynchronously; use Wait to observe its outcome. A later mutation accepted
+// before the solver picks this one up supersedes it: only the latest demand
+// is solved, and Wait on this epoch reports that solve's outcome.
 func (e *Engine) SubmitDemand(d *demand.Demand) (uint64, error) {
 	return e.SubmitDemandCtx(context.Background(), d)
 }
 
 // SubmitDemandCtx is SubmitDemand with the submitting client's context
-// threaded through to the queued epoch: if ctx is done (client disconnected,
-// request deadline expired) before a worker picks the epoch up, the solve is
-// abandoned — counted in epochs_abandoned, outcome recorded as a fallback —
-// instead of burning a solver slot on a result nobody will read. The context
-// does not cancel a solve already running; it only guards the queue.
+// threaded through to the pending epoch: if ctx is done (client
+// disconnected, request deadline expired) before the solver picks the epoch
+// up, the solve is abandoned — counted in epochs_abandoned, outcome recorded
+// as a fallback — instead of burning a solve on a result nobody will read.
+// The context does not cancel a solve already running; it only guards the
+// slot.
 func (e *Engine) SubmitDemandCtx(ctx context.Context, d *demand.Demand) (uint64, error) {
 	return e.acceptDemand(ctx, submitOp(d), false)
 }
@@ -437,10 +455,10 @@ func (e *Engine) SubmitDemandCtx(ctx context.Context, d *demand.Demand) (uint64,
 // acceptDemand is the one accept step every demand mutation takes — submit
 // or patch, from the Go API, the HTTP layer, or (replay set) ReplayWAL's
 // closing re-solve: admit, build the next matrix with the record's
-// interpreter, log before apply, enqueue the solve, and only then make the
-// matrix the base later patches merge into. A replay skips admission and
-// logging: its records are already on disk and recovery is not a client to
-// shed.
+// interpreter, log before apply, put the solve in the slot, and only then
+// make the matrix the base later patches merge into. A replay skips
+// admission and logging: its records are already on disk and recovery is not
+// a client to shed.
 func (e *Engine) acceptDemand(ctx context.Context, op *walOp, replay bool) (epoch uint64, err error) {
 	if !replay {
 		// Admission runs before the WAL commit: a shed mutation must leave no
@@ -449,7 +467,7 @@ func (e *Engine) acceptDemand(ctx context.Context, op *walOp, replay bool) (epoc
 			return 0, &ShedError{Err: shed, After: wait}
 		}
 		// The one place past admission that releases the breaker's half-open
-		// probe slot: an admitted mutation that ends up not enqueued, for
+		// probe slot: an admitted mutation that ends up not accepted, for
 		// whatever reason, hands it back so the next mutation can probe.
 		defer func() {
 			if err != nil {
@@ -467,17 +485,14 @@ func (e *Engine) acceptDemand(ctx context.Context, op *walOp, replay bool) (epoc
 		return 0, err
 	}
 	// Log before apply: the mutation must be durable before the client can be
-	// told it was accepted. A shed epoch (ErrBusy) is compensated with a
-	// revoke record so replay does not resurrect an op the client saw fail.
-	var seq uint64
+	// told it was accepted.
 	if !replay {
-		if seq, err = e.commitOp(op); err != nil {
+		if err = e.commitOp(op); err != nil {
 			return 0, err
 		}
 	}
-	epoch, err = e.enqueueLocked(epochRequest{d: next, touched: touched, abandon: abandonCtx(ctx)})
+	epoch, err = e.putLocked(&epochRequest{d: next, touched: touched, abandon: abandonCtx(ctx)})
 	if err != nil {
-		e.revokeOp(seq)
 		return 0, err
 	}
 	e.lastSubmitted = next
@@ -510,37 +525,98 @@ func (e *Engine) nextDemand(op *walOp) (*demand.Demand, []demand.Pair, error) {
 	return next, touched, nil
 }
 
-// abandonCtx normalizes a submit context for the epoch queue: background (or
+// abandonCtx normalizes a submit context for the epoch slot: background (or
 // nil) means "never abandon" and is stored as nil so the pickup check costs
 // nothing on the common path.
-func abandonCtx(ctx context.Context) context.Context {
+func abandonCtx(ctx context.Context) []context.Context {
 	if ctx == nil || ctx == context.Background() {
 		return nil
 	}
-	return ctx
+	return []context.Context{ctx}
 }
 
-// enqueueLocked assigns the next epoch number to req and submits its solve.
-// Callers hold e.mu and have validated req.
-func (e *Engine) enqueueLocked(req epochRequest) (uint64, error) {
-	e.nextEpoch++
-	epoch := e.nextEpoch
-	if !e.pool.TrySubmit(par.Timed(func(wait time.Duration) { e.solve(epoch, req, wait) })) {
-		e.nextEpoch--
-		e.metrics.shed.Add(1)
-		e.metrics.busyRejects.Add(1)
-		e.metrics.shedRequests.Add(1)
-		return 0, ErrBusy
+// abandoned reports whether every client the request carries is gone.
+func (req *epochRequest) abandoned() bool {
+	for _, ctx := range req.abandon {
+		if ctx.Err() == nil {
+			return false
+		}
 	}
-	e.pending[epoch] = struct{}{}
-	e.metrics.received.Add(1)
-	return epoch, nil
+	return len(req.abandon) > 0
 }
 
-// Wait blocks until the epoch's outcome is known or ctx expires. Waiting on
-// an epoch the engine cannot resolve — never assigned, or already evicted
-// from the bounded outcome history — returns ErrUnknownEpoch immediately
-// instead of blocking until ctx expires.
+// putLocked assigns req the next epoch number and puts it in the engine's
+// one-slot mailbox, the only way work reaches the solver. A request still
+// waiting there is superseded, never solved: req takes over its waiters, and
+// keeps a delta work list only when both are patches (the union of their
+// touched pairs, since neither has been solved). The merged request may be
+// abandoned only if both could be: it keeps every client context, or none
+// when either must be solved regardless. The drain task is submitted
+// only when none is queued or running, so at most one solve is in flight.
+// ErrClosed means the pool refused the task. Callers hold e.mu and have
+// validated req.
+func (e *Engine) putLocked(req *epochRequest) (uint64, error) {
+	if !e.draining {
+		if !e.pool.TrySubmit(e.drain) {
+			return 0, ErrClosed
+		}
+		e.draining = true
+	}
+	e.nextEpoch++
+	req.epoch = e.nextEpoch
+	req.queued = time.Now()
+	if old := e.slot; old != nil {
+		req.covers = append(old.covers, old.epoch)
+		if old.abandon == nil || req.abandon == nil {
+			req.abandon = nil
+		} else {
+			req.abandon = slices.Concat(old.abandon, req.abandon)
+		}
+		if req.touched != nil && old.touched != nil {
+			touched := slices.Clone(old.touched)
+			for _, p := range req.touched {
+				if !slices.Contains(touched, p) {
+					touched = append(touched, p)
+				}
+			}
+			req.touched = touched
+		} else {
+			req.touched = nil
+		}
+		e.metrics.superseded.Add(1)
+	}
+	e.slot = req
+	e.pending[req.epoch] = struct{}{}
+	e.metrics.received.Add(1)
+	return req.epoch, nil
+}
+
+// drain is the engine's solver task: it solves the request in the slot until
+// the slot stays empty. Between solves it yields its worker by resubmitting
+// itself, so on a shared fleet pool a busy shard waits its round-robin turn;
+// if the pool refuses (it is closing) it carries on inline, where the
+// canceled root context makes each solve a prompt fallback.
+func (e *Engine) drain() {
+	e.mu.Lock()
+	for req := e.slot; req != nil; req = e.slot {
+		e.slot = nil
+		e.mu.Unlock()
+		e.solve(req)
+		e.mu.Lock()
+		if e.slot != nil && e.pool.TrySubmit(e.drain) {
+			e.mu.Unlock()
+			return
+		}
+	}
+	e.draining = false
+	e.mu.Unlock()
+}
+
+// Wait blocks until the epoch's outcome is known or ctx expires; a
+// superseded epoch's outcome is its covering epoch's. Waiting on an epoch the
+// engine cannot resolve — never assigned, or already evicted from the bounded
+// outcome history — returns ErrUnknownEpoch immediately instead of blocking
+// until ctx expires.
 func (e *Engine) Wait(ctx context.Context, epoch uint64) (*Outcome, error) {
 	e.mu.Lock()
 	if out, ok := e.outcomes[epoch]; ok {
@@ -562,22 +638,25 @@ func (e *Engine) Wait(ctx context.Context, epoch uint64) (*Outcome, error) {
 	}
 }
 
-// solve runs one epoch inline on its pool worker: adapt under a deadline
-// context derived from the engine root, publish on success, fall back to the
-// last good routing otherwise. The adaptation itself is a fixed three-rung
-// ladder (see solveLadder); a missed deadline (or Close) cancels the context
-// the solvers poll, so the worker is freed promptly with no further rungs.
-// queueWait is the time the epoch spent queued behind other work before this
-// worker picked it up; the whole lifecycle — queue wait, per-attempt solve
+// solve runs one epoch inline on the drain task's worker: adapt under a
+// deadline context derived from the engine root, publish on success, fall
+// back to the last good routing otherwise. The adaptation itself is a fixed
+// three-rung ladder (see solveLadder); a missed deadline (or Close) cancels
+// the context the solvers poll, so the worker is freed promptly with no
+// further rungs. The queue wait is the time the request spent in the slot
+// (behind the solve in flight, and on a shared pool behind other shards)
+// before this pickup; the whole lifecycle — queue wait, per-attempt solve
 // chain, MWU progress, publish — is recorded as one obs.EpochTrace.
-func (e *Engine) solve(epoch uint64, req epochRequest, queueWait time.Duration) {
+func (e *Engine) solve(req *epochRequest) {
 	start := time.Now()
-	// Abandonment check at pickup: a client that disconnected or blew its
-	// request deadline while the epoch sat queued gets no solve — the worker
-	// moves straight to the next epoch. Abandonment is breaker-neutral (it
-	// says nothing about solver health) and leaves the last good routing
-	// serving, so the outcome is recorded as a fallback and any waiters wake.
-	if req.abandon != nil && req.abandon.Err() != nil {
+	epoch, queueWait := req.epoch, start.Sub(req.queued)
+	// Abandonment check at pickup: when every client the request carries
+	// disconnected or blew its request deadline while the epoch sat in the
+	// slot, it gets no solve.
+	// Abandonment is breaker-neutral (it says nothing about solver health)
+	// and leaves the last good routing serving, so the outcome is recorded as
+	// a fallback and any waiters wake.
+	if req.abandoned() {
 		e.metrics.observeQueueWait(queueWait)
 		e.metrics.epochsAbandoned.Add(1)
 		e.metrics.fallbacks.Add(1)
@@ -586,7 +665,7 @@ func (e *Engine) solve(epoch uint64, req epochRequest, queueWait time.Duration) 
 			Epoch: epoch, Fallback: true,
 			Err:     "epoch abandoned: client gone before solve started",
 			Latency: time.Since(start),
-		})
+		}, req.covers)
 		return
 	}
 	d := req.d
@@ -612,7 +691,7 @@ func (e *Engine) solve(epoch uint64, req epochRequest, queueWait time.Duration) 
 					Epoch: epoch, Fallback: true,
 					Err:     fmt.Sprintf("solver panic: %v", p),
 					Latency: time.Since(start),
-				})
+				}, req.covers)
 			}
 		}
 	}()
@@ -761,7 +840,7 @@ func (e *Engine) solve(epoch uint64, req epochRequest, queueWait time.Duration) 
 	if e.tracer.Record(tr) {
 		e.metrics.slowSolves.Add(1)
 	}
-	e.finish(out)
+	e.finish(out, req.covers)
 	finished = true
 }
 
@@ -864,7 +943,8 @@ func (e *Engine) attempt(tr *obs.EpochTrace, stage string, f func() error) (err 
 }
 
 // publish installs s as the active state unless a newer epoch already won
-// the race (workers > 1 can complete out of order).
+// the race (a link event's interim publish can land while an older epoch is
+// still solving, or after its own re-adapt).
 func (e *Engine) publish(s *State) {
 	for {
 		cur := e.active.Load()
@@ -928,20 +1008,23 @@ func maxCongestion(g *graph.Graph, loads []float64) float64 {
 }
 
 // finish records the outcome (bounded history, Config.OutcomeHistory deep)
-// and wakes its waiters.
-func (e *Engine) finish(out *Outcome) {
+// under its epoch and every epoch it covers, and wakes all their waiters.
+func (e *Engine) finish(out *Outcome, covers []uint64) {
 	keep := e.cfg.OutcomeHistory
+	var chs []chan *Outcome
 	e.mu.Lock()
-	delete(e.pending, out.Epoch)
-	e.outcomes[out.Epoch] = out
-	e.order = append(e.order, out.Epoch)
+	for _, epoch := range append(covers[:len(covers):len(covers)], out.Epoch) {
+		delete(e.pending, epoch)
+		e.outcomes[epoch] = out
+		e.order = append(e.order, epoch)
+		chs = append(chs, e.waiters[epoch]...)
+		delete(e.waiters, epoch)
+	}
 	for len(e.order) > keep {
 		delete(e.outcomes, e.order[0])
 		e.order = e.order[1:]
 	}
 	e.lastOutcome = out
-	chs := e.waiters[out.Epoch]
-	delete(e.waiters, out.Epoch)
 	e.mu.Unlock()
 	for _, ch := range chs {
 		ch <- out
@@ -967,11 +1050,11 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 	})
 }
 
-// Close stops accepting demands, cancels the root context so in-flight
-// solves abort at their next poll, drains the pool (already-queued epochs
-// run, observe the canceled context immediately, and record fallback
-// outcomes so their waiters are woken), and returns. Drain is prompt: no
-// solve survives Close.
+// Close stops accepting demands, cancels the root context so an in-flight
+// solve aborts at its next poll, drains the pool (a request still in the
+// slot runs, observes the canceled context immediately, and records a
+// fallback outcome so its waiters are woken), and returns. Drain is prompt:
+// no solve survives Close.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	already := e.closed

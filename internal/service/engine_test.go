@@ -57,7 +57,7 @@ func TestEngineSolvesEpochAndPublishes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.OK || out.Fallback {
+	if !out.OK || out.Fallback || out.Congestion <= 0 {
 		t.Fatalf("outcome %+v", out)
 	}
 	st := e.Active()
@@ -90,7 +90,7 @@ func TestEngineRejectsBadDemands(t *testing.T) {
 }
 
 func TestEngineEpochsAreMonotonic(t *testing.T) {
-	e := testEngine(t, Config{Seed: 1, Workers: 4, QueueDepth: 64})
+	e := testEngine(t, Config{Seed: 1, Workers: 4})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	var last uint64
@@ -137,26 +137,6 @@ func TestEngineDeadlineFallback(t *testing.T) {
 	}
 	if e.Metrics().fallbacks.Value() != 1 || e.Metrics().deadlineMissed.Value() != 1 {
 		t.Fatalf("fallback counters not incremented")
-	}
-}
-
-func TestEngineShedsLoadWhenSaturated(t *testing.T) {
-	// One worker, zero queue, and a deadline that makes the worker linger:
-	// the second concurrent submit must shed with ErrBusy eventually.
-	e := testEngine(t, Config{Seed: 1, Workers: 1, QueueDepth: 1})
-	shed := false
-	for i := 0; i < 200 && !shed; i++ {
-		d := demand.New()
-		d.Set(0, 7, 1)
-		if _, err := e.SubmitDemand(d); err == ErrBusy {
-			shed = true
-		}
-	}
-	if !shed {
-		t.Skip("queue never filled on this machine; load shedding untested")
-	}
-	if e.Metrics().shed.Value() == 0 {
-		t.Fatal("shed counter not incremented")
 	}
 }
 

@@ -14,17 +14,17 @@ import (
 
 // TestEnginesShareFairPoolWithoutStarvation is the fleet-fairness
 // acceptance property at the engine level: two engines share one FairPool
-// worker, engine A floods its queue with slow solves, and engine B's single
-// epoch must still solve promptly — round-robin puts it right behind the
-// solve in flight, never behind A's whole backlog. The execution order is
+// worker, engine A floods it with mutations behind a slow solve, and engine
+// B's single epoch must still solve promptly — round-robin puts it right
+// behind the solve in flight, never behind A's backlog. The execution order is
 // recorded through the adapt seam, so the assertion is deterministic rather
 // than timing-based.
 func TestEnginesShareFairPoolWithoutStarvation(t *testing.T) {
 	pool := par.NewFairPool(1)
 	defer pool.Close()
 
-	ea := testEngine(t, Config{Seed: 3, Pool: pool.Queue(16)})
-	eb := testEngine(t, Config{Seed: 4, Pool: pool.Queue(16)})
+	ea := testEngine(t, Config{Seed: 3, Pool: pool.Queue(1)})
+	eb := testEngine(t, Config{Seed: 4, Pool: pool.Queue(1)})
 
 	var mu sync.Mutex
 	var order []string
@@ -49,7 +49,7 @@ func TestEnginesShareFairPoolWithoutStarvation(t *testing.T) {
 	d := demand.New()
 	d.Set(0, 7, 1)
 
-	// A's first epoch wedges the worker; its next five sit queued.
+	// A's first epoch wedges the worker; its next five coalesce in its slot.
 	if _, err := ea.SubmitDemand(d); err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +100,8 @@ func TestEngineOnSharedPoolCloseDrainsOwnQueueOnly(t *testing.T) {
 	pool := par.NewFairPool(2)
 	defer pool.Close()
 
-	ea := testEngine(t, Config{Seed: 5, Pool: pool.Queue(8)})
-	eb := testEngine(t, Config{Seed: 6, Pool: pool.Queue(8)})
+	ea := testEngine(t, Config{Seed: 5, Pool: pool.Queue(1)})
+	eb := testEngine(t, Config{Seed: 6, Pool: pool.Queue(1)})
 
 	d := demand.New()
 	d.Set(0, 7, 1)

@@ -35,7 +35,7 @@ func fuzzServer(f *testing.F) *httptest.Server {
 		}
 		e, err := New(Config{
 			Graph: g, Router: r, RouterName: "valiant", R: 2, Seed: 1,
-			Workers: 1, QueueDepth: 1, MaxBodyBytes: 1 << 16,
+			Workers: 1, MaxBodyBytes: 1 << 16,
 		})
 		if err != nil {
 			fuzzEnv.err = err

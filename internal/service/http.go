@@ -22,11 +22,16 @@ import (
 //	POST /v1/demand        submit a demand epoch (serial.DemandJSON body);
 //	                       ?wait=1 (any strconv boolean) blocks until the
 //	                       epoch resolves; absent or ?wait=0 returns 202.
-//	                       ?deadline=DURATION abandons the epoch if no solver
-//	                       worker has picked it up by then (202 is still
+//	                       ?deadline=DURATION abandons the epoch if the solver
+//	                       has not picked it up by then (202 is still
 //	                       returned; the outcome records the abandonment);
 //	                       with ?wait=1 the client's own disconnect abandons
-//	                       the queued epoch the same way
+//	                       the pending epoch the same way (an epoch that
+//	                       superseded others is abandoned only when all
+//	                       their clients are gone). An epoch
+//	                       superseded by a newer mutation before it solved
+//	                       resolves (and ?wait=1 answers 200) with the
+//	                       covering epoch's outcome
 //	PATCH /v1/demand       submit per-pair deltas against the last submitted
 //	                       matrix: {"set":[{"u":0,"v":3,"amount":2}],
 //	                       "clear":[{"u":1,"v":2}]}. The merged matrix is the
@@ -55,8 +60,9 @@ import (
 // Overload behavior: every POST/PATCH body is capped at Config.MaxBodyBytes
 // (413 beyond it); demand mutations pass the engine's admission control —
 // token-bucket rate limit and inflight-bytes budget shed with 429 +
-// Retry-After, an open circuit breaker and a full solve queue shed with 503
-// + Retry-After — while GETs and link events are never shed.
+// Retry-After, an open circuit breaker sheds with 503 + Retry-After — while
+// GETs and link events are never shed. An accepted mutation is never
+// dropped; under a burst, pending epochs coalesce into the latest one.
 type Server struct {
 	engine       *Engine
 	snapshotPath string
@@ -149,7 +155,7 @@ func (s *Server) acquireBody(w http.ResponseWriter, r *http.Request) (func(), bo
 
 // writeSubmitError maps a demand-mutation error to its status, attaching the
 // Retry-After hint every shed path carries: 429 for rate-limit and budget
-// sheds, 503 for a full queue or an open breaker, 409 for a patch with no
+// sheds, 503 for an open breaker or a closed engine, 409 for a patch with no
 // base, 400 otherwise.
 func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	var shed *ShedError
@@ -162,9 +168,6 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 			code = http.StatusServiceUnavailable
 		}
 		writeError(w, code, "%v", err)
-	case errors.Is(err, ErrBusy):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, ErrNoBaseDemand):
@@ -175,7 +178,7 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 }
 
 // expiringContext is a context that is Done after d with no cancel
-// obligation: the queued epoch it guards outlives the HTTP request that
+// obligation: the pending epoch it guards outlives the HTTP request that
 // created it, so the usual cancel-on-handler-return contract cannot apply.
 // The timer fires exactly once and frees itself.
 func expiringContext(d time.Duration) context.Context {

@@ -204,7 +204,7 @@ func TestServerSnapshotEndpoint(t *testing.T) {
 // under test is that lock-free reads stay consistent while epochs solve and
 // publish.
 func TestServerConcurrentDemandAndReads(t *testing.T) {
-	_, _, ts := testServer(t, Config{Seed: 5, Workers: 4, QueueDepth: 64}, "")
+	_, _, ts := testServer(t, Config{Seed: 5, Workers: 4}, "")
 	client := ts.Client()
 
 	const writers, readers, iters = 4, 6, 12

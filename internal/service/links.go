@@ -12,7 +12,6 @@ import (
 	"sparseroute/internal/graph"
 	"sparseroute/internal/oblivious"
 	"sparseroute/internal/obs"
-	"sparseroute/internal/par"
 	"sparseroute/internal/serial"
 )
 
@@ -306,7 +305,7 @@ func (e *Engine) applyLinkEvent(op *walOp, replay bool) (*LinkUpdate, error) {
 	// version-salted recovery seeds hanging off them) then match the
 	// original run one for one.
 	if !replay {
-		if _, err := e.commitOp(op); err != nil {
+		if err := e.commitOp(op); err != nil {
 			return nil, err
 		}
 	}
@@ -728,10 +727,13 @@ func interimAnchor(prev *State, served *demand.Demand) (*demand.Demand, int) {
 // reRouteActive re-serves the active demand after a topology event: first an
 // immediate publish of the previous routing renormalized over surviving
 // paths (no solver in the loop, so traffic leaves dead edges right away),
-// then a full re-adaptation epoch enqueued through the normal solve ladder.
-// Demand pairs the pruned system no longer covers are dropped from the
-// re-served demand (they are black-holed until recovery or restore — the
-// uncovered count in /healthz).
+// then a full re-adaptation epoch put in the slot like any other. The
+// interim publish reshapes what is being served, restricted to the pairs the
+// pruned system still covers (the rest are black-holed until recovery or
+// restore — the uncovered count in /healthz). The re-adapt solves the latest
+// accepted matrix, not the published one, so a demand accepted while an
+// earlier epoch was solving is not lost to the link event; solve restricts it
+// to covered pairs as it does every epoch.
 func (e *Engine) reRouteActive(ls *linkState) {
 	st := e.active.Load()
 	if st == nil || st.Demand == nil {
@@ -751,15 +753,11 @@ func (e *Engine) reRouteActive(ls *linkState) {
 	}
 	e.nextEpoch++
 	interim := e.nextEpoch
-	e.pending[interim] = struct{}{}
-	e.nextEpoch++
-	resolve := e.nextEpoch
-	if e.pool.TrySubmit(par.Timed(func(wait time.Duration) { e.solve(resolve, epochRequest{d: served}, wait) })) {
-		e.pending[resolve] = struct{}{}
-	} else {
-		e.nextEpoch--
-		e.metrics.shed.Add(1)
+	if _, err := e.putLocked(&epochRequest{d: e.lastSubmitted}); err != nil {
+		e.mu.Unlock()
+		return
 	}
+	e.pending[interim] = struct{}{}
 	e.mu.Unlock()
 
 	start := time.Now()
@@ -801,7 +799,7 @@ func (e *Engine) reRouteActive(ls *linkState) {
 		Renormalized: true,
 		Congestion:   cong,
 		Latency:      time.Since(start),
-	})
+	}, nil)
 }
 
 // renormalizeOverSurvivors rescales the previous routing onto surviving

@@ -419,7 +419,7 @@ func TestEngineSolveRetryChain(t *testing.T) {
 // fresh epoch, and every published routing stopped using an edge while that
 // edge was failed (checked on the quiesced final state).
 func TestEngineFaultInjectionUnderTraffic(t *testing.T) {
-	e := testEngine(t, Config{Seed: 9, Workers: 2, QueueDepth: 64})
+	e := testEngine(t, Config{Seed: 9, Workers: 2})
 	ctx := waitCtx(t)
 	m := e.cfg.Graph.NumEdges()
 
@@ -437,9 +437,6 @@ func TestEngineFaultInjectionUnderTraffic(t *testing.T) {
 				d.Set(u, v, 1+float64(rng.IntN(3)))
 				epoch, err := e.SubmitDemand(d)
 				if err != nil {
-					if errors.Is(err, ErrBusy) {
-						continue
-					}
 					t.Error(err)
 					return
 				}

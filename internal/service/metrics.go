@@ -19,14 +19,14 @@ import (
 type Metrics struct {
 	vars *expvar.Map
 
-	received       expvar.Int   // epochs accepted into the queue
+	received       expvar.Int   // epochs put in the slot (accepted mutations and link re-adapts)
+	superseded     expvar.Int   // epochs replaced in the slot by a newer one before solving
 	solved         expvar.Int   // epochs solved and published
 	failed         expvar.Int   // epochs whose solve errored
 	deadlineMissed expvar.Int   // epochs whose solve blew the deadline
 	canceled       expvar.Int   // solves stopped mid-flight (deadline or Close)
 	cpuSaved       expvar.Float // estimated solver seconds not burned thanks to cancellation
 	fallbacks      expvar.Int   // total epochs served by the stale routing
-	shed           expvar.Int   // demands rejected by back-pressure
 	lastCongestion expvar.Float
 
 	linkEvents         expvar.Int // applied topology events (fail/restore/set/capacity)
@@ -51,12 +51,11 @@ type Metrics struct {
 	solvePanics    expvar.Int // solver panics recovered in the epoch worker
 
 	// Overload protection (admission control + circuit breaker).
-	shedRequests    expvar.Int // every shed mutation: busy + rate-limited + breaker + inflight budget
-	busyRejects     expvar.Int // mutations shed because the solve queue was full (503)
+	shedRequests    expvar.Int // every shed mutation: rate-limited + breaker + inflight budget
 	rateLimited     expvar.Int // mutations shed by the token-bucket rate limit (429)
 	inflightRejects expvar.Int // requests shed by the inflight-bytes budget (429)
 	bodyTooLarge    expvar.Int // request bodies over MaxBodyBytes (413)
-	epochsAbandoned expvar.Int // queued epochs skipped because their client was gone
+	epochsAbandoned expvar.Int // pending epochs skipped because their client was gone
 	breakerOpens    expvar.Int // closed/half-open -> open transitions
 	breakerRejects  expvar.Int // mutations rejected while the breaker was open
 
@@ -74,13 +73,13 @@ func newMetrics(e *Engine) *Metrics {
 		queue: stats.NewRing(e.cfg.LatencyWindow),
 	}
 	m.vars.Set("epochs_received", &m.received)
+	m.vars.Set("epochs_superseded", &m.superseded)
 	m.vars.Set("epochs_solved", &m.solved)
 	m.vars.Set("epochs_failed", &m.failed)
 	m.vars.Set("solve_deadline_missed", &m.deadlineMissed)
 	m.vars.Set("solves_canceled", &m.canceled)
 	m.vars.Set("solve_cpu_saved", &m.cpuSaved)
 	m.vars.Set("fallbacks", &m.fallbacks)
-	m.vars.Set("demands_shed", &m.shed)
 	m.vars.Set("last_congestion", &m.lastCongestion)
 	m.vars.Set("link_events", &m.linkEvents)
 	m.vars.Set("capacity_events", &m.capacityEvents)
@@ -101,7 +100,6 @@ func newMetrics(e *Engine) *Metrics {
 	m.vars.Set("checkpoints", &m.checkpoints)
 	m.vars.Set("solve_panics", &m.solvePanics)
 	m.vars.Set("shed_requests", &m.shedRequests)
-	m.vars.Set("busy_rejects", &m.busyRejects)
 	m.vars.Set("rate_limited", &m.rateLimited)
 	m.vars.Set("inflight_rejects", &m.inflightRejects)
 	m.vars.Set("body_too_large", &m.bodyTooLarge)
@@ -245,12 +243,6 @@ func (m *Metrics) JSON() string { return m.vars.String() }
 // time; the map itself is safe for concurrent iteration.
 func (m *Metrics) Vars() *expvar.Map { return m.vars }
 
-// ShedTotals reports the engine's shed accounting for fleet-level rollups:
-// total shed mutations, the queue-full (503) share, and the admission-control
-// share (rate limit + inflight budget + breaker rejections).
-func (m *Metrics) ShedTotals() (total, busy, admission int64) {
-	total = m.shedRequests.Value()
-	busy = m.busyRejects.Value()
-	admission = m.rateLimited.Value() + m.inflightRejects.Value() + m.breakerRejects.Value()
-	return total, busy, admission
-}
+// ShedRequests reports the engine's shed mutations — rate limit, inflight
+// budget and breaker rejections — for fleet-level rollups.
+func (m *Metrics) ShedRequests() int64 { return m.shedRequests.Value() }

@@ -14,14 +14,15 @@ type PairRef struct {
 }
 
 // PatchDemand merges per-pair deltas into the last submitted matrix and
-// enqueues the result as the next epoch: entries in set are assigned, pairs
-// in clear are removed, every other pair keeps its last-submitted amount.
+// hands the result to the solver as the next epoch: entries in set are
+// assigned, pairs in clear are removed, every other pair keeps its
+// last-submitted amount.
 // The touched pairs ride along with the epoch so the solver can take the
 // incremental delta path (re-scoring only their paths) when the link state
 // still matches the previous solve.
 //
 // It returns ErrNoBaseDemand before any successful SubmitDemand (a delta
-// needs a base), ErrBusy/ErrClosed/ErrRateLimited/ErrBreakerOpen like
+// needs a base), ErrClosed/ErrRateLimited/ErrBreakerOpen like
 // SubmitDemand, and a validation error for self-pairs, out-of-range
 // endpoints, non-finite amounts, or a patch that would clear the whole
 // matrix — the record is checked whole before anything is merged (see
@@ -31,8 +32,8 @@ func (e *Engine) PatchDemand(set []PairAmount, clear []PairRef) (uint64, error) 
 }
 
 // PatchDemandCtx is PatchDemand with the submitting client's context
-// threaded through to the queued epoch (see SubmitDemandCtx): a patch whose
-// client is gone by worker pickup is abandoned instead of solved.
+// threaded through to the pending epoch (see SubmitDemandCtx): a patch whose
+// client is gone by solver pickup is abandoned instead of solved.
 func (e *Engine) PatchDemandCtx(ctx context.Context, set []PairAmount, clear []PairRef) (uint64, error) {
 	op := &walOp{Op: walOpPatch}
 	for _, s := range set {

@@ -2,9 +2,9 @@
 // form of the paper's protocol. The offline phase (sample a sparse path
 // system from a competitive oblivious routing) runs once at startup — or is
 // skipped entirely by restoring a snapshot — and the online phase becomes an
-// epoch loop: demand matrices arrive over HTTP, each is adapted on a bounded
-// worker pool, and the resulting routing is published behind an atomic
-// pointer so path lookups stay lock-free while the next epoch solves.
+// epoch loop: demand matrices arrive over HTTP, the latest one is adapted on
+// the engine's solver task, and the resulting routing is published behind an
+// atomic pointer so path lookups stay lock-free while the next epoch solves.
 //
 // This is the SMORE/Kulfi semi-oblivious TE loop as a subsystem: paths are
 // installed once (switch state is expensive), sending rates re-optimize per
@@ -49,20 +49,18 @@ type Config struct {
 	R int
 	// Seed drives the sampling.
 	Seed uint64
-	// Workers bounds concurrent epoch solves. Default 1 (epochs solve in
-	// submission order; higher values let a slow epoch overlap the next).
-	// Ignored when Pool is set — worker count then belongs to the shared
-	// pool.
+	// Workers has no effect on an engine: it solves one epoch at a time by
+	// construction (only the latest demand is ever solved). It is kept for
+	// callers that still set it; the fleet's shared pool is sized by
+	// fleet.Config.Workers.
 	Workers int
-	// QueueDepth bounds pending epochs before SubmitDemand sheds load with
-	// ErrBusy. Default 16.
-	QueueDepth int
-	// Pool, when non-nil, is the submission queue the engine solves on —
-	// typically a par.FairQueue drawing on a pool of workers shared across a
-	// fleet of engines, so one hot tenant cannot starve its siblings. The
-	// engine owns the handle: Close closes it (draining this engine's
-	// accepted solves) without touching the shared workers. When nil the
-	// engine starts a private par.Pool of cfg.Workers goroutines.
+	// Pool, when non-nil, is the submission queue the engine's solver task
+	// runs on — typically a par.FairQueue drawing on a pool of workers
+	// shared across a fleet of engines, so one hot tenant cannot starve its
+	// siblings. The engine submits at most one task at a time. It owns the
+	// handle: Close closes it (draining this engine's task) without touching
+	// the shared workers. When nil the engine starts a private one-worker
+	// par.Pool.
 	Pool par.Submitter
 	// SolveDeadline bounds one epoch's solve; on expiry the solve is
 	// canceled (the solvers poll their context, so the worker is freed
@@ -209,12 +207,6 @@ func (c Config) withDefaults() Config {
 	if c.R <= 0 {
 		c.R = 4
 	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 16
-	}
 	if c.LatencyWindow <= 0 {
 		c.LatencyWindow = 256
 	}
@@ -251,10 +243,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ErrBusy is returned by SubmitDemand when the epoch queue is full: the
-// caller should retry later (HTTP 503).
-var ErrBusy = errors.New("service: epoch queue full")
-
 // ErrClosed is returned by SubmitDemand after Close.
 var ErrClosed = errors.New("service: engine closed")
 
@@ -279,8 +267,8 @@ var ErrNoBaseDemand = errors.New("service: no base demand to patch (submit a ful
 // ErrRateLimited is returned by the demand-mutation paths when the
 // token-bucket rate limit (Config.MutationRate) or the inflight-bytes budget
 // sheds the request: the caller is over its budget and should back off (HTTP
-// 429 + Retry-After) — distinct from ErrBusy, which means the solve queue is
-// full and anyone may retry shortly (HTTP 503).
+// 429 + Retry-After) — distinct from ErrBreakerOpen, a server-side fault
+// (HTTP 503).
 var ErrRateLimited = errors.New("service: mutation rate limit exceeded")
 
 // ErrBreakerOpen is returned by the demand-mutation paths while the solver

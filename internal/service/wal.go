@@ -22,10 +22,10 @@ import (
 // Every operation is an idempotent state *setter* (SUBMIT replaces the whole
 // matrix, PATCH assigns absolute amounts, link events set capacities), so
 // log-before-apply needs no undo machinery: replaying a record whose apply
-// never finished just sets the state the client was promised. The one
-// exception is an op logged and then shed by back-pressure (ErrBusy) — the
-// client saw a failure, so a compensating "revoke" record is appended and
-// replay drops the revoked operation.
+// never finished just sets the state the client was promised. Nothing is
+// shed after its record is logged, so the engine never writes the "revoke"
+// record earlier versions appended for an op shed by back-pressure; replay
+// still honours one found in an old log and drops the revoked operation.
 
 // WAL operation kinds.
 const (
@@ -72,7 +72,7 @@ type walOp struct {
 	Restore []int    `json:"restore,omitempty"`
 	Replace bool     `json:"replace,omitempty"`
 	Caps    []walCap `json:"caps,omitempty"`
-	// Ref is the sequence number a REVOKE cancels.
+	// Ref is the sequence number a REVOKE (old logs only) cancels.
 	Ref uint64 `json:"ref,omitempty"`
 }
 
@@ -173,57 +173,35 @@ func applyDemandOp(base *demand.Demand, op *walOp, n int) (next *demand.Demand, 
 }
 
 // commitOp assigns op the next operation sequence number, appends it to the
-// WAL, and fsyncs (group-committed with concurrent writers). It returns the
-// assigned sequence number, or 0 when no WAL is configured. A commit failure
-// means the operation has no durability — callers reject it rather than
-// apply something a crash would silently forget. Replay never comes here:
-// its operations are already on disk.
+// WAL, and fsyncs (group-committed with concurrent writers); without a WAL it
+// does nothing. A commit failure means the operation has no durability —
+// callers reject it rather than apply something a crash would silently
+// forget. Replay never comes here: its operations are already on disk.
 //
 // Lock order: callers hold e.mu (demand path) or e.linkMu (link path); walMu
 // is a leaf below both and is held only across seq-assign + append so the
 // two paths interleave correctly. The fsync runs outside walMu, letting the
 // log batch concurrent committers into one flush.
-func (e *Engine) commitOp(op *walOp) (uint64, error) {
+func (e *Engine) commitOp(op *walOp) error {
 	w := e.cfg.WAL
 	if w == nil {
-		return 0, nil
+		return nil
 	}
 	e.walMu.Lock()
-	seq := e.opSeq.Add(1)
-	op.Seq = seq
+	op.Seq = e.opSeq.Add(1)
 	buf, err := json.Marshal(op)
 	if err == nil {
 		err = w.Append(buf)
 	}
 	e.walMu.Unlock()
 	if err != nil {
-		return 0, fmt.Errorf("service: wal commit: %w", err)
+		return fmt.Errorf("service: wal commit: %w", err)
 	}
 	if err := w.Sync(); err != nil {
-		return 0, fmt.Errorf("service: wal commit: %w", err)
+		return fmt.Errorf("service: wal commit: %w", err)
 	}
 	e.walOpsSince.Add(1)
-	return seq, nil
-}
-
-// revokeOp appends a compensating record for a logged operation the engine
-// then rejected (back-pressure shedding after the log write). Best-effort: if
-// the revoke itself cannot be written, replay applies the shed operation —
-// an idempotent setter the client may retry anyway, never a corruption.
-func (e *Engine) revokeOp(seq uint64) {
-	w := e.cfg.WAL
-	if w == nil || seq == 0 {
-		return
-	}
-	e.walMu.Lock()
-	buf, err := json.Marshal(&walOp{Seq: e.opSeq.Add(1), Op: walOpRevoke, Ref: seq})
-	if err == nil {
-		err = w.Append(buf)
-	}
-	e.walMu.Unlock()
-	if err == nil {
-		w.Sync()
-	}
+	return nil
 }
 
 // maybeCheckpoint triggers an async snapshot + WAL truncation once
@@ -311,13 +289,14 @@ type ReplayStats struct {
 
 // ReplayWAL applies the recovered log records on top of the engine's restored
 // state, reconstructing the exact pre-crash demand matrix and link state, and
-// finishes by enqueueing one solve of the final matrix. Call it once, after
-// New/Restore and before serving traffic.
+// finishes by putting one solve of the final matrix in the slot. Call it
+// once, after New/Restore and before serving traffic.
 //
 // Replay discipline:
 //   - records with Seq <= Config.WALStartSeq are skipped — the snapshot the
 //     engine restored from already covers them (checkpoint watermark);
-//   - records named by a revoke are skipped — the client saw them fail;
+//   - records named by a revoke (written by older versions) are skipped —
+//     the client saw them fail;
 //   - duplicate/out-of-order sequence numbers are skipped (idempotence);
 //   - every other record runs through the interpreter the live accept path
 //     runs (applyDemandOp, applyLinkEvent), validation included: a record the
@@ -332,8 +311,8 @@ type ReplayStats struct {
 //
 // A torn tail was already truncated by wal.Open; ReplayWAL journals it as a
 // wal_truncated event and keeps going — recovery degrades to the last good
-// record, never to a refused startup. The only errors are the engine's own
-// (closed, or a shared solve queue with no room for the final re-solve).
+// record, never to a refused startup. The only error is the engine's own:
+// it was closed.
 func (e *Engine) ReplayWAL(rec *wal.Recovery) (*ReplayStats, error) {
 	stats := &ReplayStats{LastSeq: e.cfg.WALStartSeq}
 	if rec == nil {

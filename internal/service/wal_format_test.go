@@ -46,7 +46,12 @@ func TestWALRecordBytesGolden(t *testing.T) {
 	if _, err := e.RestoreEdges(3); err != nil {
 		t.Fatal(err)
 	}
-	e.revokeOp(2)
+	// The engine no longer writes revoke records, but replay still honours
+	// the ones older versions wrote: pin their encoding.
+	revoke, err := json.Marshal(&walOp{Seq: 8, Op: walOpRevoke, Ref: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// No public call logs fail, restore and caps in one record, but the
 	// format allows it and replay interprets it: pin its encoding too.
 	combined, err := json.Marshal(&walOp{Seq: 9, Op: walOpLinks,
@@ -65,11 +70,11 @@ func TestWALRecordBytesGolden(t *testing.T) {
 	if good != int64(len(raw)) {
 		t.Fatalf("log has a bad frame at %d of %d bytes", good, len(raw))
 	}
-	got := make([]string, 0, len(records)+1)
+	got := make([]string, 0, len(records)+2)
 	for _, r := range records {
 		got = append(got, string(r))
 	}
-	got = append(got, string(combined))
+	got = append(got, string(revoke), string(combined))
 
 	want := []string{
 		`{"seq":1,"op":"submit","entries":[{"u":0,"v":7,"amount":2},{"u":1,"v":6,"amount":1.5}]}`,
@@ -122,7 +127,7 @@ func TestLiveAcceptEqualsReplay(t *testing.T) {
 	}
 	for name, ops := range lists {
 		t.Run(name, func(t *testing.T) {
-			cfg := Config{Seed: 5, QueueDepth: 64}
+			cfg := Config{Seed: 5}
 			live := testEngine(t, cfg)
 			var payloads []string
 			refused := 0
@@ -141,7 +146,7 @@ func TestLiveAcceptEqualsReplay(t *testing.T) {
 					_, err = live.acceptDemand(context.Background(), &op, false)
 				}
 				switch {
-				case errors.Is(err, ErrBusy), err == nil && unframed != nil:
+				case err == nil && unframed != nil:
 					t.Fatalf("op %d: live err %v, framing err %v", op.Seq, err, unframed)
 				case err != nil && unframed == nil:
 					refused++

@@ -27,7 +27,7 @@ func warmPair(t *testing.T) (*Engine, *Engine) {
 	}
 	base := Config{
 		Graph: g, Router: router, RouterName: "raecke",
-		R: 3, Seed: 1, Workers: 1, QueueDepth: 64,
+		R: 3, Seed: 1, Workers: 1,
 		Adapt: &core.AdaptOptions{ExactThreshold: -1},
 	}
 	warm, err := New(base)
@@ -132,7 +132,7 @@ func TestEngineWarmTagsAndStreak(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, err := New(Config{
-		Graph: g, Router: router, R: 3, Seed: 1, Workers: 1, QueueDepth: 64,
+		Graph: g, Router: router, R: 3, Seed: 1, Workers: 1,
 		Adapt:         &core.AdaptOptions{ExactThreshold: -1},
 		WarmMaxStreak: 3,
 	})
@@ -285,7 +285,7 @@ func TestEngineDeltaChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, err := New(Config{
-		Graph: g, Router: router, R: 3, Seed: 1, Workers: 2, QueueDepth: 256,
+		Graph: g, Router: router, R: 3, Seed: 1, Workers: 2,
 		Adapt: &core.AdaptOptions{ExactThreshold: -1},
 	})
 	if err != nil {
@@ -298,7 +298,7 @@ func TestEngineDeltaChurn(t *testing.T) {
 
 	var work, readers sync.WaitGroup
 	stop := make(chan struct{})
-	// Patch writer: gentle nudges, tolerating ErrBusy under the churn.
+	// Patch writer: gentle nudges.
 	work.Add(1)
 	go func() {
 		defer work.Done()
@@ -307,9 +307,6 @@ func TestEngineDeltaChurn(t *testing.T) {
 			p := support[rng.IntN(len(support))]
 			amt := 0.5 + rng.Float64()
 			epoch, err := e.PatchDemand([]PairAmount{{U: p.U, V: p.V, Amount: amt}}, nil)
-			if errors.Is(err, ErrBusy) {
-				continue
-			}
 			if err != nil {
 				t.Errorf("patch: %v", err)
 				return

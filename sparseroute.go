@@ -16,10 +16,12 @@
 //     and integral (randomized rounding + local search), cancelable through
 //     a context (PathSystem.AdaptCtx and friends);
 //   - evaluation against the offline optimum, packet-level makespan
-//     simulation, and a traffic-engineering scenario runner;
-//   - the online serving engine (resident path system, per-epoch rate
-//     adaptation, topology events with recovery resampling and degraded-mode
-//     health — see Engine and cmd/routed).
+//     simulation, and a traffic-engineering scenario runner.
+//
+// The online serving engine (resident path system, per-epoch rate
+// adaptation, topology events with recovery resampling and degraded-mode
+// health) is the cmd/routed daemon over internal/service, not part of this
+// facade.
 //
 // # Quick start
 //
@@ -47,7 +49,6 @@ import (
 	"sparseroute/internal/mcf"
 	"sparseroute/internal/oblivious"
 	"sparseroute/internal/schedule"
-	"sparseroute/internal/service"
 	"sparseroute/internal/temodel"
 )
 
@@ -85,53 +86,6 @@ type (
 	ScheduleResult = schedule.Result
 	// TEMethod is one routing method in the traffic-engineering runner.
 	TEMethod = temodel.Method
-	// Engine is the online routing engine: path system resident, demands
-	// adapted per epoch, reads lock-free (see cmd/routed for the daemon).
-	Engine = service.Engine
-	// EngineConfig parameterizes NewEngine.
-	EngineConfig = service.Config
-	// EngineState is one published epoch of an Engine.
-	EngineState = service.State
-	// EngineOutcome reports how one submitted epoch ended (Engine.Wait).
-	EngineOutcome = service.Outcome
-	// EngineHealth is the engine's liveness/readiness report: ok, degraded
-	// (with failed/capacity-degraded edges and uncovered pairs), or closed
-	// (Engine.Health).
-	EngineHealth = service.Health
-	// LinkUpdate reports one applied topology event (Engine.FailEdges,
-	// RestoreEdges, SetLinkState, SetCapacity, or Links for the current
-	// state).
-	LinkUpdate = service.LinkUpdate
-	// EdgeCapacity reports one degraded-but-alive edge: its ID and effective-
-	// capacity multiplier in (0,1) (Engine.SetCapacity, EngineHealth).
-	EdgeCapacity = service.EdgeCapacity
-)
-
-// Engine health states (EngineHealth.Status).
-const (
-	// EngineHealthOK: serving with the full installed path system.
-	EngineHealthOK = service.HealthOK
-	// EngineHealthDegraded: serving over survivors of a failed-edge set.
-	EngineHealthDegraded = service.HealthDegraded
-	// EngineHealthClosed: the engine no longer accepts work.
-	EngineHealthClosed = service.HealthClosed
-)
-
-// Engine errors, re-exported for errors.Is checks through the facade.
-var (
-	// ErrEngineBusy: the epoch queue is full (load shedding); retry later.
-	ErrEngineBusy = service.ErrBusy
-	// ErrEngineClosed: SubmitDemand after Close.
-	ErrEngineClosed = service.ErrClosed
-	// ErrUnknownEpoch: Wait on an epoch that was never assigned or whose
-	// outcome was already evicted from the bounded history.
-	ErrUnknownEpoch = service.ErrUnknownEpoch
-	// ErrUnknownEdge: a link-state event named an edge ID outside the
-	// topology.
-	ErrUnknownEdge = service.ErrUnknownEdge
-	// ErrBadCapacity: a capacity event carried a negative or non-finite
-	// multiplier.
-	ErrBadCapacity = service.ErrBadCapacity
 )
 
 // --- Topologies -----------------------------------------------------------
@@ -291,14 +245,6 @@ func SimulatePackets(g *Graph, r Routing, maxDelay, trials int, seed uint64) (*S
 func IntegralAdapt(ps *PathSystem, d *Demand, opt *AdaptOptions, seed uint64) (Routing, error) {
 	return ps.AdaptIntegral(d, opt, rand.New(rand.NewPCG(seed, 0x6)))
 }
-
-// --- Serving ----------------------------------------------------------------
-
-// NewEngine builds the online routing engine: it samples the path system at
-// startup (or serves cfg.System as restored from a snapshot) and then adapts
-// sending rates per submitted demand epoch on a bounded worker pool. Close
-// it to drain. The HTTP daemon around it lives in cmd/routed.
-func NewEngine(cfg EngineConfig) (*Engine, error) { return service.New(cfg) }
 
 // WorstDemandSearch hill-climbs for a permutation demand the system routes
 // badly, returning the demand and its competitive ratio. The system must
