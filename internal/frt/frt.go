@@ -42,13 +42,15 @@ type Tree struct {
 	// pathCache[node] is the mapped graph path from the node's center to its
 	// parent's center, computed lazily.
 	pathCache []*graph.Path
-	// distCache caches Dijkstra parents per source center.
-	distCache map[int][]int
+	// distCache[v] caches the Dijkstra parents from source center v (nil
+	// until first needed).
+	distCache [][]int
 }
 
 // Build constructs one random FRT-style decomposition of g under the given
 // edge lengths (all positive). rng drives the permutation and the radius
-// scale.
+// scale. The tree keeps its own copy of lengths for the center-to-center
+// paths it maps lazily, so the caller may reuse the slice.
 func Build(g *graph.Graph, lengths []float64, rng *rand.Rand) (*Tree, error) {
 	n := g.NumVertices()
 	if n == 0 {
@@ -95,7 +97,12 @@ func Build(g *graph.Graph, lengths []float64, rng *rand.Rand) (*Tree, error) {
 	beta := 1 + rng.Float64() // β ∈ [1,2)
 	perm := rng.Perm(n)
 
-	t := &Tree{g: g, lengths: lengths, LeafOf: make([]int, n), distCache: make(map[int][]int)}
+	t := &Tree{
+		g:         g,
+		lengths:   append([]float64(nil), lengths...),
+		LeafOf:    make([]int, n),
+		distCache: make([][]int, n),
+	}
 
 	// Top node: everything, centered at the π-first vertex.
 	root := Node{Parent: -1, Center: perm[0], Level: levels, Members: make([]int, n)}
@@ -104,6 +111,11 @@ func Build(g *graph.Graph, lengths []float64, rng *rand.Rand) (*Tree, error) {
 	}
 	t.Nodes = append(t.Nodes, root)
 	frontier := []int{0}
+	// byCenter[c] collects the members of the cluster being partitioned that
+	// fall to center c; order lists those centers first-seen first and
+	// decides the child order. Emptied after every partition.
+	byCenter := make([][]int, n)
+	var order []int
 
 	for level := levels - 1; level >= 0; level-- {
 		radius := beta * math.Exp2(float64(level-1))
@@ -118,8 +130,7 @@ func Build(g *graph.Graph, lengths []float64, rng *rand.Rand) (*Tree, error) {
 				continue
 			}
 			// Partition members by their first π-center within the radius.
-			byCenter := make(map[int][]int)
-			var order []int
+			order = order[:0]
 			for _, v := range members {
 				c := -1
 				for _, cand := range perm {
@@ -131,7 +142,7 @@ func Build(g *graph.Graph, lengths []float64, rng *rand.Rand) (*Tree, error) {
 				if c < 0 {
 					c = v // radius below min distance: singleton
 				}
-				if _, ok := byCenter[c]; !ok {
+				if byCenter[c] == nil {
 					order = append(order, c)
 				}
 				byCenter[c] = append(byCenter[c], v)
@@ -140,6 +151,7 @@ func Build(g *graph.Graph, lengths []float64, rng *rand.Rand) (*Tree, error) {
 				child := Node{Parent: nodeIdx, Center: c, Level: level, Members: byCenter[c]}
 				t.Nodes = append(t.Nodes, child)
 				next = append(next, len(t.Nodes)-1)
+				byCenter[c] = nil
 			}
 		}
 		frontier = next
@@ -174,8 +186,8 @@ func (t *Tree) edgePath(nodeIdx int) (graph.Path, error) {
 		t.pathCache[nodeIdx] = &p
 		return p, nil
 	}
-	parents, ok := t.distCache[src]
-	if !ok {
+	parents := t.distCache[src]
+	if parents == nil {
 		_, parents = t.g.Dijkstra(src, t.lengths)
 		t.distCache[src] = parents
 	}
@@ -262,7 +274,7 @@ func (t *Tree) ancestors(nodeIdx int) []int {
 // BoundaryCapacity returns the total capacity of edges crossing the cluster
 // boundary of the given node (used by the Räcke load accounting).
 func (t *Tree) BoundaryCapacity(nodeIdx int) float64 {
-	inside := make(map[int]bool, len(t.Nodes[nodeIdx].Members))
+	inside := make([]bool, t.g.NumVertices())
 	for _, v := range t.Nodes[nodeIdx].Members {
 		inside[v] = true
 	}

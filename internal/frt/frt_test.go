@@ -198,6 +198,46 @@ func TestRouteRespectsLengths(t *testing.T) {
 	}
 }
 
+// TestBuildCopiesLengths overwrites the caller's lengths slice after Build
+// and checks that Route, whose center-to-center paths are mapped lazily,
+// still routes every pair under the lengths the tree was built with
+// (oblivious.NewRaecke reuses one slice across all its trees).
+func TestBuildCopiesLengths(t *testing.T) {
+	g := gen.Grid(6, 6)
+	lengths := make([]float64, g.NumEdges())
+	rng := rand.New(rand.NewPCG(19, 20))
+	for i := range lengths {
+		lengths[i] = 1 + rng.Float64()
+	}
+	want, err := Build(g, append([]float64(nil), lengths...), rand.New(rand.NewPCG(21, 22)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Build(g, lengths, rand.New(rand.NewPCG(21, 22)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range lengths {
+		lengths[i] = 1 / lengths[i]
+	}
+	n := g.NumVertices()
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			pw, err := want.Route(u, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pg, err := got.Route(u, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pw.Key() != pg.Key() {
+				t.Fatalf("Route(%d,%d) after overwriting lengths: %v, want %v", u, v, pg.EdgeIDs, pw.EdgeIDs)
+			}
+		}
+	}
+}
+
 func TestTreeDistanceSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 18))
 	g := gen.Hypercube(3)

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // BFS returns hop distances from src to every vertex (-1 for unreachable)
 // and, for each reached vertex, the ID of the edge through which it was first
@@ -64,23 +61,60 @@ type pqItem struct {
 	dist float64
 }
 
-type pq []pqItem
+// DistHeap is a binary min-heap of (vertex, distance) items for Dijkstra-style
+// searches. Push and Pop are container/heap's Push/up and Pop/down on a typed
+// slice — the same index arithmetic, the same strict less, the same swaps —
+// so items pop in exactly the order, ties included, that container/heap
+// would pop them, without boxing each item in an interface. The zero value
+// is an empty heap; len reports its size.
+type DistHeap []pqItem
 
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+// Push adds vertex v at distance dist.
+func (q *DistHeap) Push(v int, dist float64) {
+	h := append(*q, pqItem{v: v, dist: dist})
+	j := len(h) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	*q = h
+}
+
+// Pop removes and returns the item with the smallest distance. The heap
+// must not be empty.
+func (q *DistHeap) Pop() (v int, dist float64) {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].dist < h[j1].dist {
+			j = j2 // right child
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n].v, h[n].dist
 }
 
 // Dijkstra computes single-source lightest-path distances under the given
 // per-edge lengths (indexed by edge ID; all lengths must be >= 0). It returns
-// distances (math.Inf(1) for unreachable) and parent edges.
+// distances (math.Inf(1) for unreachable) and parent edges. Among equal-length
+// paths the parent edge is fixed by the heap's pop order, which matches the
+// container/heap implementation this replaced exactly (see DistHeap).
 func (g *Graph) Dijkstra(src int, length []float64) (dist []float64, parentEdge []int) {
 	dist = make([]float64, g.n)
 	parentEdge = make([]int, g.n)
@@ -89,19 +123,20 @@ func (g *Graph) Dijkstra(src int, length []float64) (dist []float64, parentEdge 
 		parentEdge[i] = -1
 	}
 	dist[src] = 0
-	q := &pq{{v: src, dist: 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
-		if it.dist > dist[it.v] {
+	q := make(DistHeap, 0, g.n)
+	q.Push(src, 0)
+	for len(q) > 0 {
+		v, d := q.Pop()
+		if d > dist[v] {
 			continue
 		}
-		for _, id := range g.adj[it.v] {
-			w := g.edges[id].Other(it.v)
-			nd := it.dist + length[id]
+		for _, id := range g.adj[v] {
+			w := g.edges[id].Other(v)
+			nd := d + length[id]
 			if nd < dist[w] {
 				dist[w] = nd
 				parentEdge[w] = id
-				heap.Push(q, pqItem{v: w, dist: nd})
+				q.Push(w, nd)
 			}
 		}
 	}

@@ -4,16 +4,41 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"sparseroute/internal/graph"
 	"sparseroute/internal/graph/gen"
 )
 
-func BenchmarkRaeckeBuild(b *testing.B) {
-	g := gen.Grid(8, 8)
+// The build rows run at the daemon's sizes: the bench WAN (64 nodes,
+// topology seed 64) and grid-10x10, 12 trees, seed 7 — what the startup
+// sample and every link event's survivor rebuild pay.
+
+func BenchmarkRaeckeBuildWAN64(b *testing.B) {
+	g := benchWAN()
+	benchBuild(b, func() (Router, error) { return Build("raecke", g, &BuildOptions{Seed: 7}) })
+}
+
+func BenchmarkRaeckeBuildGrid100(b *testing.B) {
+	g := gen.Grid(10, 10)
+	benchBuild(b, func() (Router, error) { return Build("raecke", g, &BuildOptions{Seed: 7}) })
+}
+
+// BenchmarkBuildOnSurvivorsWAN64 is one link event's survivor router:
+// non-bridge edge 20 failed.
+func BenchmarkBuildOnSurvivorsWAN64(b *testing.B) {
+	g := benchWAN()
+	failed := map[int]bool{20: true}
+	benchBuild(b, func() (Router, error) { return BuildOnSurvivors("raecke", g, failed, &BuildOptions{Seed: 7}) })
+}
+
+func benchWAN() *graph.Graph {
+	return gen.SyntheticWAN(64, 40, rand.New(rand.NewPCG(64, 64)))
+}
+
+func benchBuild(b *testing.B, build func() (Router, error)) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewPCG(uint64(i+1), 1))
-		if _, err := NewRaecke(g, &RaeckeOptions{NumTrees: 8}, rng); err != nil {
+		if _, err := build(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,6 @@
 package oblivious
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -104,28 +103,29 @@ func maskedDijkstra(g *graph.Graph, src, dst int, lengths []float64, bannedEdge 
 		parent[i] = -1
 	}
 	dist[src] = 0
-	q := &yenPQ{{v: src, d: 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(yenItem)
-		if it.d > dist[it.v] {
+	q := make(graph.DistHeap, 0, n)
+	q.Push(src, 0)
+	for len(q) > 0 {
+		v, d := q.Pop()
+		if d > dist[v] {
 			continue
 		}
-		if it.v == dst {
+		if v == dst {
 			break
 		}
-		for _, id := range g.Incident(it.v) {
+		for _, id := range g.Incident(v) {
 			if bannedEdge[id] {
 				continue
 			}
-			w := g.Edge(id).Other(it.v)
+			w := g.Edge(id).Other(v)
 			if bannedVertex[w] && w != dst {
 				continue
 			}
-			nd := it.d + lengths[id]
+			nd := d + lengths[id]
 			if nd < dist[w] {
 				dist[w] = nd
 				parent[w] = id
-				heap.Push(q, yenItem{v: w, d: nd})
+				q.Push(w, nd)
 			}
 		}
 	}
@@ -143,23 +143,6 @@ func maskedDijkstra(g *graph.Graph, src, dst int, lengths []float64, bannedEdge 
 		ids[i], ids[j] = ids[j], ids[i]
 	}
 	return graph.Path{Src: src, Dst: dst, EdgeIDs: ids}, dist[dst], nil
-}
-
-type yenItem struct {
-	v int
-	d float64
-}
-type yenPQ []yenItem
-
-func (q yenPQ) Len() int            { return len(q) }
-func (q yenPQ) Less(i, j int) bool  { return q[i].d < q[j].d }
-func (q yenPQ) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *yenPQ) Push(x interface{}) { *q = append(*q, x.(yenItem)) }
-func (q *yenPQ) Pop() interface{} {
-	old := *q
-	it := old[len(old)-1]
-	*q = old[:len(old)-1]
-	return it
 }
 
 func pathLength(p graph.Path, lengths []float64) float64 {

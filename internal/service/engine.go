@@ -15,6 +15,7 @@ import (
 	"sparseroute/internal/flow"
 	"sparseroute/internal/graph"
 	"sparseroute/internal/mcf"
+	"sparseroute/internal/oblivious"
 	"sparseroute/internal/obs"
 	"sparseroute/internal/par"
 	"sparseroute/internal/serial"
@@ -178,6 +179,10 @@ type Engine struct {
 	// The compaction pass GCs accumulated recovery paths back toward it once
 	// the failed edges that motivated them are healthy again.
 	original *core.PathSystem
+	// build holds the router options Open sampled the startup system with;
+	// survivor routers reuse them (with cfg.Seed). Zero — the defaults — for
+	// engines made with New directly.
+	build oblivious.BuildOptions
 
 	active atomic.Pointer[State]
 	// links is the current link state: failed-edge set, pruned serving

@@ -320,11 +320,14 @@ func (e *Engine) applyLinkEvent(op *walOp, replay bool) (*LinkUpdate, error) {
 	next.install(cur.installed)
 
 	update := &LinkUpdate{Version: next.version}
+	// Recovery and single-survivor widening both avoid exactly next.failed,
+	// so they share one router (see eventRouter).
+	survivors := &eventRouter{avoid: next.failed}
 	if len(next.uncovered) > 0 {
-		e.recoverUncovered(next, update)
+		e.recoverUncovered(next, update, survivors)
 	}
 	e.compactInstalled(next, update)
-	e.proactiveRecover(next, update)
+	e.proactiveRecover(next, update, survivors)
 	e.finalizeLinkState(next)
 	update.FailedEdges = next.failedSorted()
 	update.DegradedEdges = next.degradedCaps
@@ -464,11 +467,11 @@ func pairHeadroom(ls *linkState, cands []graph.Path) float64 {
 }
 
 // recoverUncovered runs recovery resampling for next.uncovered: draw fresh
-// paths from an oblivious router built on the pruned graph (core.RSample
+// paths from survivors, the event's router on the pruned graph (core.RSample
 // over just the uncovered pairs) so coverage is restored whenever the
 // surviving graph still connects a pair. next.installed/serving/uncovered/
 // hash are updated in place (next is not yet published).
-func (e *Engine) recoverUncovered(next *linkState, update *LinkUpdate) {
+func (e *Engine) recoverUncovered(next *linkState, update *LinkUpdate, survivors *eventRouter) {
 	// Only pairs the surviving graph still connects can be recovered.
 	sub, _ := graph.RemoveEdges(e.cfg.Graph, next.failed)
 	comp := components(sub)
@@ -482,7 +485,7 @@ func (e *Engine) recoverUncovered(next *linkState, update *LinkUpdate) {
 		return
 	}
 
-	router, err := e.survivorRouter(next.failed)
+	router, err := survivors.get(e)
 	if err != nil {
 		e.metrics.recoveryFailed.Add(1)
 		return
@@ -515,15 +518,16 @@ func (e *Engine) recoverUncovered(next *linkState, update *LinkUpdate) {
 
 // proactiveRecover widens the pairs the event left at risk *before* a
 // further failure can disconnect or squeeze them. Single-survivor pairs are
-// resampled on the survivor graph (as before); headroom-triggered pairs —
-// enabled by Config.AtRiskHeadroom — are resampled on the survivor graph
-// with the weak (below-threshold) edges additionally avoided, so the fresh
-// paths route around the brownout rather than through it. Fresh paths are
+// resampled from survivors, the router recovery used; headroom-triggered
+// pairs — enabled by Config.AtRiskHeadroom — are resampled from a router of
+// their own, built with the weak (below-threshold) edges additionally
+// avoided, so the fresh paths route around the brownout rather than through
+// it. Fresh paths are
 // deduplicated against the installed set so a survivor graph offering no
 // alternative route cannot grow the system; a pair that gains no new unique
 // path simply stays in the at-risk report. Every pair that gains paths is
 // journaled as a widening event carrying its trigger.
-func (e *Engine) proactiveRecover(next *linkState, update *LinkUpdate) {
+func (e *Engine) proactiveRecover(next *linkState, update *LinkUpdate, survivors *eventRouter) {
 	var single, weak []demand.Pair
 	for _, ar := range e.atRiskList(next) {
 		if ar.Trigger == TriggerSingleSurvivor {
@@ -532,7 +536,7 @@ func (e *Engine) proactiveRecover(next *linkState, update *LinkUpdate) {
 			weak = append(weak, ar.Pair)
 		}
 	}
-	e.widenPairs(next, update, single, TriggerSingleSurvivor, next.failed, 0x5bf03635)
+	e.widenPairs(next, update, single, TriggerSingleSurvivor, survivors, 0x5bf03635)
 	if len(weak) > 0 {
 		// Treat below-threshold edges as failed for sampling purposes only:
 		// candidates through them keep serving, but replacements avoid them.
@@ -545,19 +549,19 @@ func (e *Engine) proactiveRecover(next *linkState, update *LinkUpdate) {
 				avoid[id] = true
 			}
 		}
-		e.widenPairs(next, update, weak, TriggerHeadroom, avoid, 0x2c1b3c6d)
+		e.widenPairs(next, update, weak, TriggerHeadroom, &eventRouter{avoid: avoid}, 0x2c1b3c6d)
 	}
 }
 
 // widenPairs is one proactive-widening pass: sample fresh candidates for the
-// given at-risk pairs from a router built avoiding the given edge set, merge
-// the genuinely new unique paths into the installed system, and journal one
-// widening event per pair that gained a path.
-func (e *Engine) widenPairs(next *linkState, update *LinkUpdate, pairs []demand.Pair, trigger string, avoid map[int]bool, salt uint64) {
+// given at-risk pairs from survivors, merge the genuinely new unique paths
+// into the installed system, and journal one widening event per pair that
+// gained a path.
+func (e *Engine) widenPairs(next *linkState, update *LinkUpdate, pairs []demand.Pair, trigger string, survivors *eventRouter, salt uint64) {
 	if len(pairs) == 0 {
 		return
 	}
-	router, err := e.survivorRouter(avoid)
+	router, err := survivors.get(e)
 	if err != nil {
 		e.metrics.recoveryFailed.Add(1)
 		return
@@ -699,18 +703,42 @@ func selectExtras(extras []graph.Path, failed map[int]bool, cap int) []graph.Pat
 	return out
 }
 
+// eventRouter is one link event's survivor router for one avoid set, built
+// on first use and shared by every resampling pass that avoids the same
+// edges. applyLinkEvent makes it and drops it when it returns: a survivor
+// router never outlives its event (sampling is seeded per pass, and the
+// router's tree caches are deterministic, so sharing it changes no path).
+type eventRouter struct {
+	avoid  map[int]bool
+	router oblivious.Router
+	err    error
+	built  bool
+}
+
+// get returns the router, building it on the first call.
+func (r *eventRouter) get(e *Engine) (oblivious.Router, error) {
+	if !r.built {
+		r.router, r.err = e.survivorRouter(r.avoid)
+		r.built = true
+	}
+	return r.router, r.err
+}
+
 // survivorRouter builds the recovery router on the surviving subgraph: the
-// configured router first, falling back to SPF (which builds on any graph)
-// when the configured construction does not survive pruning — e.g. valiant
-// on a no-longer-hypercube.
+// configured router first, with the build options Open sampled the startup
+// system with (tree count, k, dimension) and the engine's seed, falling back
+// to SPF (which builds on any graph) when the configured construction does
+// not survive pruning — e.g. valiant on a no-longer-hypercube.
 func (e *Engine) survivorRouter(failed map[int]bool) (oblivious.Router, error) {
-	opt := &oblivious.BuildOptions{Seed: e.cfg.Seed}
+	e.metrics.survivorBuilds.Add(1)
+	opt := e.build
+	opt.Seed = e.cfg.Seed
 	if name := e.cfg.RouterName; name != "" {
-		if r, err := oblivious.BuildOnSurvivors(name, e.cfg.Graph, failed, opt); err == nil {
+		if r, err := oblivious.BuildOnSurvivors(name, e.cfg.Graph, failed, &opt); err == nil {
 			return r, nil
 		}
 	}
-	return oblivious.BuildOnSurvivors("spf", e.cfg.Graph, failed, opt)
+	return oblivious.BuildOnSurvivors("spf", e.cfg.Graph, failed, &opt)
 }
 
 // interimAnchor carries the drift anchor and streak through an interim

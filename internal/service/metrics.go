@@ -34,6 +34,7 @@ type Metrics struct {
 	recoveryResamples  expvar.Int // link events that drew fresh recovery paths
 	recoveryPaths      expvar.Int // total recovery paths installed
 	recoveryFailed     expvar.Int // recovery passes that errored (pairs stay uncovered/at risk)
+	survivorBuilds     expvar.Int // survivor-graph routers built for recovery/widening
 	proactiveResamples expvar.Int // events whose proactive pass widened at-risk pairs
 	proactivePaths     expvar.Int // total unique paths installed proactively
 	compactedPaths     expvar.Int // accumulated recovery paths dropped by compaction
@@ -86,6 +87,7 @@ func newMetrics(e *Engine) *Metrics {
 	m.vars.Set("recovery_resamples", &m.recoveryResamples)
 	m.vars.Set("recovery_paths", &m.recoveryPaths)
 	m.vars.Set("recovery_failed", &m.recoveryFailed)
+	m.vars.Set("survivor_builds", &m.survivorBuilds)
 	m.vars.Set("proactive_resamples", &m.proactiveResamples)
 	m.vars.Set("proactive_paths", &m.proactivePaths)
 	m.vars.Set("compacted_paths", &m.compactedPaths)

@@ -40,8 +40,11 @@ type Opened struct {
 // system, then replay the log over the engine so it resumes with the exact
 // demand matrix and link state it was killed with. cfg.Graph, cfg.Router and
 // cfg.WAL are set here; everything else is the caller's. build.Seed defaults
-// to cfg.Seed. On error whatever Open opened is closed again (an engine that
-// got as far as existing closes cfg.Pool with it).
+// to cfg.Seed; the engine keeps build's other options for the survivor
+// routers its link events resample from, so a failure resamples from the
+// same kind of mixture the startup system came from. On error whatever Open
+// opened is closed again (an engine that got as far as existing closes
+// cfg.Pool with it).
 func Open(files Files, cfg Config, build oblivious.BuildOptions) (*Opened, error) {
 	var (
 		log *wal.Log
@@ -58,6 +61,8 @@ func Open(files Files, cfg Config, build oblivious.BuildOptions) (*Opened, error
 	e, restored, err := restoreOrSample(files, cfg, build)
 	var stats *ReplayStats
 	if err == nil {
+		// Before replay: replayed link events build survivor routers too.
+		e.build = build
 		if stats, err = e.ReplayWAL(rec); err != nil {
 			e.Close()
 		}

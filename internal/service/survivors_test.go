@@ -1,0 +1,130 @@
+package service
+
+import (
+	"math/rand/v2"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"sparseroute/internal/graph/gen"
+	"sparseroute/internal/oblivious"
+	"sparseroute/internal/serial"
+)
+
+// TestLinkEventBuildsOneSurvivorRouter replays TestLinkEventGoldenHash's
+// link events and counts survivor-router builds. Recovery and single-survivor
+// widening avoid the same failed set, so one router serves both: "fail 70"
+// recovers 38 pairs and widens 237 off a single build. The hashes are the
+// golden test's, so sharing the router moved no sampled path.
+func TestLinkEventBuildsOneSurvivorRouter(t *testing.T) {
+	g := gen.SyntheticWAN(64, 40, rand.New(rand.NewPCG(64, 64)))
+	router, err := oblivious.Build("raecke", g, &oblivious.BuildOptions{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := testEngine(t, Config{Graph: g, Router: router, RouterName: "raecke", R: 4, Seed: 7, Workers: 1})
+
+	for _, s := range []struct {
+		name                     string
+		fail, restore            []int
+		hash                     uint64
+		recovered, widened, want int
+	}{
+		{"fail 20", []int{20}, nil, 0x7fe72d2176de1562, 0, 12, 1},
+		{"fail 70", []int{70}, nil, 0x9d83fa71dee8c45c, 38, 237, 1},
+		{"restore 20", nil, []int{20}, 0x07a7c37b9ba3561e, 0, 17, 1},
+		{"restore 70", nil, []int{70}, 0x064b3909470f40a8, 0, 0, 0},
+	} {
+		before := e.metrics.survivorBuilds.Value()
+		update, err := e.UpdateLinks(s.fail, s.restore)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if got := e.Hash(); got != s.hash {
+			t.Errorf("%s: hash %016x, want %016x", s.name, got, s.hash)
+		}
+		if update.RecoveredPairs != s.recovered || update.ProactivePairs != s.widened {
+			t.Errorf("%s: %d pairs recovered, %d widened; want %d, %d",
+				s.name, update.RecoveredPairs, update.ProactivePairs, s.recovered, s.widened)
+		}
+		if got := e.metrics.survivorBuilds.Value() - before; got != int64(s.want) {
+			t.Errorf("%s: %d survivor builds, want %d", s.name, got, s.want)
+		}
+	}
+}
+
+// TestHeadroomWideningBuildsItsOwnRouter: a headroom-triggered pass avoids
+// the weak edges on top of the failed ones, so an event that widens both a
+// single-survivor pair and a headroom pair builds two routers, one per
+// avoid set.
+func TestHeadroomWideningBuildsItsOwnRouter(t *testing.T) {
+	e, ids := headroomEngine(t, Config{AtRiskHeadroom: 0.5})
+	update, err := e.applyLinkEvent(&walOp{
+		Op:   walOpLinks,
+		Fail: []int{ids["13"]},
+		Caps: []walCap{{Edge: ids["04"], Capacity: 0.2}},
+	}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if update.ProactivePairs != 2 {
+		t.Fatalf("update %+v, want (0,3) and (0,4) widened", update)
+	}
+	if got := e.metrics.survivorBuilds.Value(); got != 2 {
+		t.Fatalf("survivor_builds=%d, want 2 (failed set, failed+weak set)", got)
+	}
+}
+
+// TestOpenSurvivorRouterUsesBuildOptions: Open's build options reach the
+// survivor routers, so an engine sampled from a 4-tree mixture also
+// resamples failures from 4 trees — at most 4 distinct paths per pair —
+// while an engine made with New keeps the 12-tree default.
+func TestOpenSurvivorRouterUsesBuildOptions(t *testing.T) {
+	g := gen.Grid(6, 6)
+	topo := filepath.Join(t.TempDir(), "topo.json")
+	f, err := os.Create(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := serial.EncodeGraph(f, g); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	cfg := Config{RouterName: "raecke", R: 2, Seed: 7, Workers: 1}
+	opened, err := Open(Files{Topo: topo}, cfg, oblivious.BuildOptions{Trees: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(opened.Engine.Close)
+
+	maxPaths := func(e *Engine) int {
+		t.Helper()
+		r, err := e.survivorRouter(map[int]bool{0: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		most := 0
+		n := g.NumVertices()
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				dist, err := r.Distribution(u, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				most = max(most, len(dist))
+			}
+		}
+		return most
+	}
+	if got := maxPaths(opened.Engine); got > 4 {
+		t.Errorf("Open with Trees 4: a pair has %d distinct survivor paths, want at most 4", got)
+	}
+	router, err := oblivious.Build("raecke", g, &oblivious.BuildOptions{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Graph, cfg.Router = g, router
+	if got := maxPaths(testEngine(t, cfg)); got <= 4 {
+		t.Errorf("New with default options: at most %d distinct survivor paths per pair, want more than 4 from 12 trees", got)
+	}
+}
