@@ -26,6 +26,12 @@ import (
 // per vertex pair. Sampled paths are stored with multiplicity (the R-sample
 // draws with replacement; the weak-routing process of Section 5.3 needs the
 // multiplicities), while adaptation uses the deduplicated set.
+//
+// A path is validated once, when it enters through AddPath. Derived systems
+// (Clone, WithoutEdges, Rebind) share the per-pair storage of their source;
+// the shared slices are clipped, and Retain never writes into existing
+// storage, so AddPath, Merge or Retain on either system never changes the
+// other.
 type PathSystem struct {
 	g     *graph.Graph
 	paths map[demand.Pair][]graph.Path
@@ -237,23 +243,79 @@ func (ps *PathSystem) RestrictHopsKeepShortest(maxHops int) *PathSystem {
 // This models the robustness property the SMORE deployment relies on:
 // a diverse pre-installed path set keeps working routes under failures
 // without touching any forwarding table.
+// A pair whose candidates all survive shares its storage with ps.
 func (ps *PathSystem) WithoutEdges(failed map[int]bool) *PathSystem {
-	out := NewPathSystem(ps.g)
+	out := &PathSystem{g: ps.g, paths: make(map[demand.Pair][]graph.Path, len(ps.paths))}
 	for pair, paths := range ps.paths {
-		for _, p := range paths {
-			alive := true
-			for _, id := range p.EdgeIDs {
-				if failed[id] {
-					alive = false
-					break
-				}
-			}
-			if alive {
-				out.paths[pair] = append(out.paths[pair], p)
-			}
+		if kept := without(paths, failed); len(kept) > 0 {
+			out.paths[pair] = kept
 		}
 	}
 	return out
+}
+
+// without returns the paths that avoid every failed edge, in order: paths
+// itself, clipped, when they all do.
+func without(paths []graph.Path, failed map[int]bool) []graph.Path {
+	for i, p := range paths {
+		if !avoids(p, failed) {
+			kept := make([]graph.Path, i, len(paths)-1)
+			copy(kept, paths[:i])
+			for _, q := range paths[i+1:] {
+				if avoids(q, failed) {
+					kept = append(kept, q)
+				}
+			}
+			return kept
+		}
+	}
+	return slices.Clip(paths)
+}
+
+// avoids reports whether p uses none of the failed edges.
+func avoids(p graph.Path, failed map[int]bool) bool {
+	for _, id := range p.EdgeIDs {
+		if failed[id] {
+			return false
+		}
+	}
+	return true
+}
+
+// Clone returns a system with the same candidates that shares every pair's
+// storage with ps. Adding to either one never changes the other.
+func (ps *PathSystem) Clone() *PathSystem {
+	out := &PathSystem{g: ps.g, paths: make(map[demand.Pair][]graph.Path, len(ps.paths))}
+	for pair, paths := range ps.paths {
+		out.paths[pair] = slices.Clip(paths)
+	}
+	return out
+}
+
+// Retain keeps the candidates of pair p whose index (into p's current list)
+// keep accepts, in order, and drops the pair when none remain; keep is asked
+// about each index once, in increasing order, so it may carry state (a
+// running dedup set). The kept paths were validated when they entered, so
+// nothing is re-checked. A kept
+// prefix stays shared; anything else is copied, so a system sharing p's
+// storage is unaffected.
+func (ps *PathSystem) Retain(p demand.Pair, keep func(i int) bool) {
+	paths := ps.paths[p]
+	n := 0
+	for n < len(paths) && keep(n) {
+		n++
+	}
+	kept := paths[:n:n]
+	for i := n + 1; i < len(paths); i++ {
+		if keep(i) {
+			kept = append(kept, paths[i])
+		}
+	}
+	if len(kept) == 0 {
+		delete(ps.paths, p)
+		return
+	}
+	ps.paths[p] = kept
 }
 
 // UncoveredPairs returns the pairs among `pairs` with no candidate in ps,
@@ -272,12 +334,12 @@ func (ps *PathSystem) UncoveredPairs(pairs []demand.Pair) []demand.Pair {
 	return out
 }
 
-// Rebind returns a view of ps over g2, sharing path storage. g2 must have the
-// same shape as the system's graph (vertex count, edge count, and per-edge
-// endpoints); only capacities may differ. This is how the adaptation solvers
-// are pointed at a capacity-scaled view of the topology (graph.ScaleCapacities)
-// without copying any paths: the candidates are identical, the congestion
-// denominators are not.
+// Rebind returns a view of ps over g2, sharing path storage as Clone does.
+// g2 must have the same shape as the system's graph (vertex count, edge
+// count, and per-edge endpoints); only capacities may differ. This is how
+// the adaptation solvers are pointed at a capacity-scaled view of the
+// topology (graph.ScaleCapacities) without copying any paths: the candidates
+// are identical, the congestion denominators are not.
 func (ps *PathSystem) Rebind(g2 *graph.Graph) (*PathSystem, error) {
 	if g2.NumVertices() != ps.g.NumVertices() || g2.NumEdges() != ps.g.NumEdges() {
 		return nil, fmt.Errorf("core: rebinding path system across different graph shapes")
@@ -289,7 +351,7 @@ func (ps *PathSystem) Rebind(g2 *graph.Graph) (*PathSystem, error) {
 				e.ID, e.U, e.V, e2.U, e2.V)
 		}
 	}
-	return &PathSystem{g: g2, paths: ps.paths}, nil
+	return &PathSystem{g: g2, paths: ps.Clone().paths}, nil
 }
 
 // Merge adds every candidate of other into ps (multiplicities add). Both

@@ -72,6 +72,10 @@ const (
 	// (closed/open/half-open), with the consecutive-failure count or probe
 	// outcome that drove it.
 	EventBreaker = "breaker"
+	// EventBaseline is a restored degraded engine that could not re-draw its
+	// startup sample, so compaction keeps the restored system, extras
+	// included, as the baseline it returns to.
+	EventBaseline = "baseline"
 )
 
 // Journal is a bounded, concurrency-safe, time-ordered ring of Events. One

@@ -1,14 +1,13 @@
 package serial
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
 
 	"sparseroute/internal/core"
+	"sparseroute/internal/demand"
 	"sparseroute/internal/graph"
 )
 
@@ -184,30 +183,55 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 // candidate sets — e.g. one freshly sampled and one restored from its
 // snapshot — report the same hash.
 func PathSystemHash(ps *core.PathSystem) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	writeInt := func(x int) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(x))
-		h.Write(buf[:])
-	}
+	return PathSystemHashOver(ps, ps.Pairs())
+}
+
+// PathSystemHashOver is PathSystemHash for a caller that already holds
+// ps.Pairs(): pairs must be exactly that sorted list. It streams the same
+// bytes through FNV-1a one integer at a time, without materializing them.
+func PathSystemHashOver(ps *core.PathSystem, pairs []demand.Pair) uint64 {
+	h := fnv64a(fnvOffset64)
 	g := ps.Graph()
-	writeInt(g.NumVertices())
-	writeInt(g.NumEdges())
-	for _, pr := range ps.Pairs() {
-		writeInt(pr.U)
-		writeInt(pr.V)
+	h.writeInt(g.NumVertices())
+	h.writeInt(g.NumEdges())
+	for _, pr := range pairs {
+		h.writeInt(pr.U)
+		h.writeInt(pr.V)
 		paths := ps.Paths(pr.U, pr.V)
-		writeInt(len(paths))
+		h.writeInt(len(paths))
 		for _, p := range paths {
 			ids := p.EdgeIDs
+			h.writeInt(len(ids))
+			// Oriented from pr.U: a path stored the other way round is read
+			// backwards.
 			if p.Src != pr.U {
-				ids = p.Reverse().EdgeIDs
+				for i := len(ids) - 1; i >= 0; i-- {
+					h.writeInt(ids[i])
+				}
+				continue
 			}
-			writeInt(len(ids))
 			for _, id := range ids {
-				writeInt(id)
+				h.writeInt(id)
 			}
 		}
 	}
-	return h.Sum64()
+	return uint64(h)
+}
+
+// FNV-1a, 64-bit: hash/fnv's constants.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+type fnv64a uint64
+
+// writeInt hashes x's eight little-endian bytes.
+func (h *fnv64a) writeInt(x int) {
+	v := uint64(x)
+	for i := 0; i < 8; i++ {
+		*h ^= fnv64a(byte(v))
+		*h *= fnvPrime64
+		v >>= 8
+	}
 }

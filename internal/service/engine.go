@@ -175,10 +175,16 @@ type Engine struct {
 	breaker  *breaker
 	inflight byteBudget
 
-	// original is the startup path system (sampled or restored), immutable.
-	// The compaction pass GCs accumulated recovery paths back toward it once
-	// the failed edges that motivated them are healthy again.
-	original *core.PathSystem
+	// original is the startup path system (sampled, restored, or for a
+	// degraded snapshot re-drawn by Open), immutable, and originalHash its
+	// hash. The compaction pass GCs accumulated recovery paths back toward it
+	// once the failed edges that motivated them are healthy again.
+	original     *core.PathSystem
+	originalHash uint64
+	// pairs is the installed pair set, sorted once: recovery, widening and
+	// compaction add and drop paths of existing pairs only, so it never
+	// changes.
+	pairs []demand.Pair
 	// build holds the router options Open sampled the startup system with;
 	// survivor routers reuse them (with cfg.Seed). Zero — the defaults — for
 	// engines made with New directly.
@@ -314,12 +320,16 @@ func New(cfg Config) (*Engine, error) {
 	if version == 0 {
 		version = 1
 	}
-	ls := &linkState{version: version, capacity: capacity, failed: failedSubset(capacity)}
-	ls.install(system)
+	e.pairs = system.Pairs()
+	e.originalHash = serial.PathSystemHashOver(system, e.pairs)
+	ls := &linkState{version: version, capacity: capacity, failed: failedSubset(capacity),
+		installed: system, hash: e.originalHash}
+	ls.prune(e.pairs)
 	if ls.degraded() {
 		e.degradedSince = time.Now()
 	}
 	e.finalizeLinkState(ls)
+	ls.atRisk = e.atRiskList(ls, e.pairs)
 	e.links.Store(ls)
 	if ls.degraded() {
 		// A snapshot restored straight into a degraded link state: journal the
@@ -713,7 +723,7 @@ func (e *Engine) solve(req *epochRequest) {
 	served := d
 	if len(ls.failed) > 0 && !ls.serving.Covers(d) {
 		served = d.Restrict(func(p demand.Pair) bool {
-			return len(ls.serving.Unique(p.U, p.V)) > 0
+			return ls.serving.NumSampled(p) > 0
 		})
 		out.DroppedPairs = d.SupportSize() - served.SupportSize()
 	}

@@ -94,21 +94,36 @@ type EdgeCapacity struct {
 	Capacity float64 `json:"capacity"`
 }
 
-// install makes sys the installed path system of the still unpublished ls
-// and re-derives what hangs off it, given ls.failed: serving (sys pruned of
-// the failed edges — sys itself while nothing is failed; path systems are
-// never mutated once installed, so sharing is safe), the uncovered pairs,
-// and the canonical hash. The hash is kept when sys is the system ls already
-// carries: a pure prune never changes it.
-func (ls *linkState) install(sys *core.PathSystem) {
-	if sys != ls.installed {
-		ls.installed, ls.hash = sys, serial.PathSystemHash(sys)
-	}
-	ls.serving = sys
+// prune derives serving and the uncovered pairs of the still unpublished ls
+// from its installed system and failed set: the one linear pass a link event
+// makes over the installed paths. Serving is installed itself while nothing
+// is failed, and otherwise shares the storage of every pair the failures do
+// not touch. pairs is the installed pair set, sorted.
+func (ls *linkState) prune(pairs []demand.Pair) {
+	ls.serving, ls.uncovered = ls.installed, nil
 	if len(ls.failed) > 0 {
-		ls.serving = sys.WithoutEdges(ls.failed)
+		ls.serving = ls.installed.WithoutEdges(ls.failed)
+		ls.uncovered = ls.serving.UncoveredPairs(pairs)
 	}
-	ls.uncovered = ls.serving.UncoveredPairs(sys.Pairs())
+}
+
+// add installs extra's paths after the installed ones, pair by pair, and
+// extends serving with those that avoid the failed edges: what a fresh prune
+// of the merged system would give, touching only extra's pairs.
+func (ls *linkState) add(extra *core.PathSystem) error {
+	installed := ls.installed.Clone()
+	if err := installed.Merge(extra); err != nil {
+		return err
+	}
+	serving := installed
+	if len(ls.failed) > 0 {
+		serving = ls.serving.Clone()
+		if err := serving.Merge(extra.WithoutEdges(ls.failed)); err != nil {
+			return err
+		}
+	}
+	ls.installed, ls.serving = installed, serving
+	return nil
 }
 
 // failedSorted returns the cached sorted failed edge IDs (never nil).
@@ -313,11 +328,10 @@ func (e *Engine) applyLinkEvent(op *walOp, replay bool) (*LinkUpdate, error) {
 	next := &linkState{
 		version:   cur.version + 1,
 		capacity:  capacity,
+		failed:    failedSubset(capacity),
 		installed: cur.installed,
-		hash:      cur.hash,
 	}
-	next.failed = failedSubset(capacity)
-	next.install(cur.installed)
+	next.prune(e.pairs)
 
 	update := &LinkUpdate{Version: next.version}
 	// Recovery and single-survivor widening both avoid exactly next.failed,
@@ -328,6 +342,16 @@ func (e *Engine) applyLinkEvent(op *walOp, replay bool) (*LinkUpdate, error) {
 	}
 	e.compactInstalled(next, update)
 	e.proactiveRecover(next, update, survivors)
+	// One hash per event, and none when the passes left the installed system
+	// as it was or compacted it back to the startup system.
+	switch next.installed {
+	case cur.installed:
+		next.hash = cur.hash
+	case e.original:
+		next.hash = e.originalHash
+	default:
+		next.hash = serial.PathSystemHashOver(next.installed, e.pairs)
+	}
 	e.finalizeLinkState(next)
 	update.FailedEdges = next.failedSorted()
 	update.DegradedEdges = next.degradedCaps
@@ -386,8 +410,8 @@ func (e *Engine) applyLinkEvent(op *walOp, replay bool) (*LinkUpdate, error) {
 }
 
 // finalizeLinkState computes the derived read-side caches of next — cached
-// sorted reports, the capacity-scaled solve view, the at-risk pair list —
-// after the recovery/compaction/proactive passes settle installed/serving.
+// sorted reports and the capacity-scaled solve view — after the recovery/
+// compaction/proactive passes settle installed/serving.
 func (e *Engine) finalizeLinkState(next *linkState) {
 	next.failedIDs = make([]int, 0, len(next.failed))
 	for id := range next.failed {
@@ -411,7 +435,6 @@ func (e *Engine) finalizeLinkState(next *linkState) {
 			next.adaptive = rebound
 		}
 	}
-	next.atRisk = e.atRiskList(next)
 }
 
 // atRiskList lists the pairs proactive recovery should widen, with triggers:
@@ -426,20 +449,30 @@ func (e *Engine) finalizeLinkState(next *linkState) {
 //     path squeezes it further.
 //
 // A pair matching both reports the single-survivor trigger (the more urgent
-// condition).
-func (e *Engine) atRiskList(ls *linkState) []atRiskPair {
+// condition). Only the given pairs, sorted, are checked, and only a pair the
+// prune cost a candidate can be a single survivor.
+func (e *Engine) atRiskList(ls *linkState, pairs []demand.Pair) []atRiskPair {
 	if len(ls.capacity) == 0 {
 		return nil
 	}
 	headroom := e.cfg.AtRiskHeadroom
 	var out []atRiskPair
-	for _, p := range ls.installed.Pairs() {
-		surv := ls.serving.Unique(p.U, p.V)
-		if len(ls.failed) > 0 && len(surv) == 1 && len(ls.installed.Unique(p.U, p.V)) > 1 {
-			out = append(out, atRiskPair{Pair: p, Trigger: TriggerSingleSurvivor})
+	for _, p := range pairs {
+		var surv []graph.Path
+		if len(ls.failed) > 0 && ls.serving.NumSampled(p) < ls.installed.NumSampled(p) {
+			surv = ls.serving.Unique(p.U, p.V)
+			if len(surv) == 1 && len(ls.installed.Unique(p.U, p.V)) > 1 {
+				out = append(out, atRiskPair{Pair: p, Trigger: TriggerSingleSurvivor})
+				continue
+			}
+		}
+		if headroom <= 0 {
 			continue
 		}
-		if headroom > 0 && len(surv) > 0 && pairHeadroom(ls, surv) < headroom {
+		if surv == nil {
+			surv = ls.serving.Unique(p.U, p.V)
+		}
+		if len(surv) > 0 && pairHeadroom(ls, surv) < headroom {
 			out = append(out, atRiskPair{Pair: p, Trigger: TriggerHeadroom})
 		}
 	}
@@ -469,8 +502,8 @@ func pairHeadroom(ls *linkState, cands []graph.Path) float64 {
 // recoverUncovered runs recovery resampling for next.uncovered: draw fresh
 // paths from survivors, the event's router on the pruned graph (core.RSample
 // over just the uncovered pairs) so coverage is restored whenever the
-// surviving graph still connects a pair. next.installed/serving/uncovered/
-// hash are updated in place (next is not yet published).
+// surviving graph still connects a pair. next.installed/serving/uncovered
+// are updated in place (next is not yet published).
 func (e *Engine) recoverUncovered(next *linkState, update *LinkUpdate, survivors *eventRouter) {
 	// Only pairs the surviving graph still connects can be recovered.
 	sub, _ := graph.RemoveEdges(e.cfg.Graph, next.failed)
@@ -499,16 +532,11 @@ func (e *Engine) recoverUncovered(next *linkState, update *LinkUpdate, survivors
 		return
 	}
 
-	merged := core.NewPathSystem(e.cfg.Graph)
-	if err := merged.Merge(next.installed); err != nil {
+	if err := next.add(fresh); err != nil {
 		e.metrics.recoveryFailed.Add(1)
 		return
 	}
-	if err := merged.Merge(fresh); err != nil {
-		e.metrics.recoveryFailed.Add(1)
-		return
-	}
-	next.install(merged)
+	next.uncovered = next.serving.UncoveredPairs(next.uncovered)
 
 	update.RecoveredPairs = len(connected)
 	update.RecoveryPaths = fresh.TotalPaths()
@@ -526,10 +554,15 @@ func (e *Engine) recoverUncovered(next *linkState, update *LinkUpdate, survivors
 // deduplicated against the installed set so a survivor graph offering no
 // alternative route cannot grow the system; a pair that gains no new unique
 // path simply stays in the at-risk report. Every pair that gains paths is
-// journaled as a widening event carrying its trigger.
+// journaled as a widening event carrying its trigger. The pass sets
+// next.atRisk: widening adds candidates to at-risk pairs only, so only they
+// are checked again.
 func (e *Engine) proactiveRecover(next *linkState, update *LinkUpdate, survivors *eventRouter) {
+	atRisk := e.atRiskList(next, e.pairs)
+	checked := make([]demand.Pair, len(atRisk))
 	var single, weak []demand.Pair
-	for _, ar := range e.atRiskList(next) {
+	for i, ar := range atRisk {
+		checked[i] = ar.Pair
 		if ar.Trigger == TriggerSingleSurvivor {
 			single = append(single, ar.Pair)
 		} else {
@@ -551,12 +584,13 @@ func (e *Engine) proactiveRecover(next *linkState, update *LinkUpdate, survivors
 		}
 		e.widenPairs(next, update, weak, TriggerHeadroom, &eventRouter{avoid: avoid}, 0x2c1b3c6d)
 	}
+	next.atRisk = e.atRiskList(next, checked)
 }
 
 // widenPairs is one proactive-widening pass: sample fresh candidates for the
-// given at-risk pairs from survivors, merge the genuinely new unique paths
-// into the installed system, and journal one widening event per pair that
-// gained a path.
+// given at-risk pairs from survivors, add the genuinely new unique paths to
+// the installed system, and journal one widening event per pair that gained
+// a path.
 func (e *Engine) widenPairs(next *linkState, update *LinkUpdate, pairs []demand.Pair, trigger string, survivors *eventRouter, salt uint64) {
 	if len(pairs) == 0 {
 		return
@@ -575,28 +609,25 @@ func (e *Engine) widenPairs(next *linkState, update *LinkUpdate, pairs []demand.
 		return
 	}
 
-	merged := core.NewPathSystem(e.cfg.Graph)
-	if err := merged.Merge(next.installed); err != nil {
-		e.metrics.recoveryFailed.Add(1)
-		return
-	}
 	added := 0
 	for _, pr := range pairs {
 		have := make(map[string]bool)
 		for _, p := range next.installed.Paths(pr.U, pr.V) {
 			have[p.Key()] = true
 		}
+		// fresh keeps the pair's new unique paths only; Retain asks about
+		// each sampled path once, in order.
+		sampled := fresh.Paths(pr.U, pr.V)
 		gained := 0
-		for _, p := range fresh.Paths(pr.U, pr.V) {
-			if have[p.Key()] {
-				continue
+		fresh.Retain(pr, func(i int) bool {
+			key := sampled[i].Key()
+			if have[key] {
+				return false
 			}
-			if err := merged.AddPath(p); err != nil {
-				continue
-			}
-			have[p.Key()] = true
+			have[key] = true
 			gained++
-		}
+			return true
+		})
 		if gained > 0 {
 			e.record(obs.EventWidening, map[string]any{
 				"pair":    fmt.Sprintf("%d-%d", pr.U, pr.V),
@@ -610,7 +641,10 @@ func (e *Engine) widenPairs(next *linkState, update *LinkUpdate, pairs []demand.
 	if added == 0 {
 		return
 	}
-	next.install(merged)
+	if err := next.add(fresh); err != nil {
+		e.metrics.recoveryFailed.Add(1)
+		return
+	}
 
 	update.ProactivePairs += len(pairs)
 	update.ProactivePaths += added
@@ -624,83 +658,93 @@ func (e *Engine) widenPairs(next *linkState, update *LinkUpdate, pairs []demand.
 // accumulated extra for pairs whose ORIGINAL candidates all survive the
 // current failed set (the startup sample alone serves them again), and caps
 // retained extras at cfg.RecoveryPathCap per pair otherwise, preferring
-// currently-alive extras. The original sample is never dropped, so a fully
-// restored engine compacts back to exactly the startup system — and its
-// path-system hash.
+// currently-alive extras. The original sample is never dropped, so when no
+// extra is kept the pass installs the startup system itself — and the event
+// reuses its hash. Only pairs that drop extras are rebuilt, from paths
+// already validated; serving is narrowed to match, and no pair loses its
+// last live candidate (the cap is at least 1 and keeps live extras first),
+// so the uncovered pairs stay as they are.
 func (e *Engine) compactInstalled(next *linkState, update *LinkUpdate) {
 	orig := e.original
 	if next.installed == orig {
 		return // nothing ever accumulated
 	}
-	out := core.NewPathSystem(e.cfg.Graph)
-	dropped := 0
-	for _, pr := range next.installed.Pairs() {
-		all := next.installed.Paths(pr.U, pr.V)
+	type cut struct {
+		pair demand.Pair
+		keep []bool // over the pair's extras; nil keeps none
+	}
+	var cuts []cut
+	kept, dropped := 0, 0 // extras over all pairs
+	for _, pr := range e.pairs {
 		// Invariant: the original sample is a per-pair prefix of installed
-		// (every recovery/compaction rebuild appends extras after it).
-		origPaths := orig.Paths(pr.U, pr.V)
-		extras := all[len(origPaths):]
-		keep := extras
-		switch {
-		case len(extras) == 0:
-			// Nothing accumulated.
-		case len(origPaths) > 0 && pathsAvoid(origPaths, next.failed):
-			keep = nil
-		default:
-			if cap := e.cfg.RecoveryPathCap; cap >= 0 && len(extras) > cap {
-				keep = selectExtras(extras, next.failed, cap)
-			}
+		// (recovery and widening append extras after it, compaction keeps it).
+		n := orig.NumSampled(pr)
+		extras := next.installed.Paths(pr.U, pr.V)[n:]
+		if len(extras) == 0 {
+			continue
 		}
-		dropped += len(extras) - len(keep)
-		for _, p := range origPaths {
-			if err := out.AddPath(p); err != nil {
-				return // installed state is corrupt; leave it untouched
+		var keep []bool
+		nkeep := 0
+		if n == 0 || !pathsAvoid(orig.Paths(pr.U, pr.V), next.failed) {
+			cap := e.cfg.RecoveryPathCap
+			if cap < 0 || len(extras) <= cap {
+				kept += len(extras)
+				continue
 			}
+			keep, nkeep = selectExtras(extras, next.failed, cap), cap
 		}
-		for _, p := range keep {
-			if err := out.AddPath(p); err != nil {
-				return
-			}
-		}
+		kept += nkeep
+		dropped += len(extras) - nkeep
+		cuts = append(cuts, cut{pr, keep})
 	}
 	if dropped == 0 {
 		return
 	}
-	next.install(out)
+	installed := orig
+	if kept > 0 {
+		installed = next.installed.Clone()
+	}
+	serving := installed
+	if len(next.failed) > 0 {
+		serving = next.serving.Clone()
+	}
+	for _, c := range cuts {
+		n := orig.NumSampled(c.pair)
+		keepAt := func(i int) bool { return i < n || c.keep != nil && c.keep[i-n] }
+		if kept > 0 {
+			installed.Retain(c.pair, keepAt)
+		}
+		if len(next.failed) > 0 {
+			// serving holds the pair's live paths in installed order.
+			var live []bool
+			for i, p := range next.installed.Paths(c.pair.U, c.pair.V) {
+				if pathAvoids(p, next.failed) {
+					live = append(live, keepAt(i))
+				}
+			}
+			serving.Retain(c.pair, func(j int) bool { return live[j] })
+		}
+	}
+	next.installed, next.serving = installed, serving
 
 	update.CompactedPaths = dropped
 	e.metrics.compactedPaths.Add(int64(dropped))
 }
 
-// selectExtras picks at most cap of the accumulated extras, preferring
+// selectExtras marks cap of the accumulated extras to keep, preferring
 // currently-alive paths and, within each class, the most recently installed;
-// the survivors keep their original relative order (hash determinism).
-func selectExtras(extras []graph.Path, failed map[int]bool, cap int) []graph.Path {
-	type ranked struct {
-		idx int
-		p   graph.Path
-	}
-	var alive, dead []ranked
-	for i, p := range extras {
-		if pathAvoids(p, failed) {
-			alive = append(alive, ranked{i, p})
-		} else {
-			dead = append(dead, ranked{i, p})
+// the kept extras keep their relative order (hash determinism).
+func selectExtras(extras []graph.Path, failed map[int]bool, cap int) []bool {
+	keep := make([]bool, len(extras))
+	for _, alive := range [2]bool{true, false} {
+		for i := len(extras) - 1; i >= 0 && cap > 0; i-- {
+			if pathAvoids(extras[i], failed) == alive {
+				keep[i] = true
+				cap--
+			}
 		}
 	}
-	var chosen []ranked
-	for i := len(alive) - 1; i >= 0 && len(chosen) < cap; i-- {
-		chosen = append(chosen, alive[i])
-	}
-	for i := len(dead) - 1; i >= 0 && len(chosen) < cap; i-- {
-		chosen = append(chosen, dead[i])
-	}
-	sort.Slice(chosen, func(i, j int) bool { return chosen[i].idx < chosen[j].idx })
-	out := make([]graph.Path, len(chosen))
-	for i, r := range chosen {
-		out[i] = r.p
-	}
-	return out
+	return keep
 }
 
 // eventRouter is one link event's survivor router for one avoid set, built
@@ -768,7 +812,7 @@ func (e *Engine) reRouteActive(ls *linkState) {
 		return
 	}
 	served := st.Demand.Restrict(func(p demand.Pair) bool {
-		return len(ls.serving.Unique(p.U, p.V)) > 0
+		return ls.serving.NumSampled(p) > 0
 	})
 	if served.SupportSize() == 0 {
 		return

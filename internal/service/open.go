@@ -3,8 +3,12 @@ package service
 import (
 	"fmt"
 	"os"
+	"slices"
 
+	"sparseroute/internal/core"
+	"sparseroute/internal/graph"
 	"sparseroute/internal/oblivious"
+	"sparseroute/internal/obs"
 	"sparseroute/internal/serial"
 	"sparseroute/internal/wal"
 )
@@ -61,8 +65,14 @@ func Open(files Files, cfg Config, build oblivious.BuildOptions) (*Opened, error
 	e, restored, err := restoreOrSample(files, cfg, build)
 	var stats *ReplayStats
 	if err == nil {
-		// Before replay: replayed link events build survivor routers too.
+		// Before replay: replayed link events build survivor routers and
+		// compact toward the startup sample too.
 		e.build = build
+		if restored && e.links.Load().degraded() {
+			if err := e.redrawOriginal(); err != nil {
+				e.record(obs.EventBaseline, map[string]any{"err": err.Error()})
+			}
+		}
 		if stats, err = e.ReplayWAL(rec); err != nil {
 			e.Close()
 		}
@@ -74,6 +84,55 @@ func Open(files Files, cfg Config, build oblivious.BuildOptions) (*Opened, error
 		return nil, err
 	}
 	return &Opened{Engine: e, WAL: log, Restored: restored, Replay: stats}, nil
+}
+
+// redrawOriginal gives an engine restored from a degraded snapshot its
+// compaction baseline back. Such a snapshot stores the recovery extras beside
+// the startup sample, and New takes the whole restored system for the startup
+// system, so the extras would never be compacted away. The startup sample is
+// re-drawn from the snapshot's router, R and seed with Open's build options,
+// and adopted only if it is a per-pair prefix of the restored system; on an
+// error the restored system stays the baseline. Open calls it before the
+// engine serves anything.
+func (e *Engine) redrawOriginal() error {
+	opt := e.build
+	if opt.Seed == 0 {
+		opt.Seed = e.cfg.Seed
+	}
+	router, err := oblivious.Build(e.cfg.RouterName, e.cfg.Graph, &opt)
+	if err != nil {
+		return err
+	}
+	sample, err := core.RSample(router, e.pairs, e.cfg.R, e.cfg.Seed)
+	if err != nil {
+		return err
+	}
+	installed := e.links.Load().installed
+	for _, pr := range e.pairs {
+		if !pathsPrefix(sample.Paths(pr.U, pr.V), installed.Paths(pr.U, pr.V)) {
+			return fmt.Errorf("re-drawn sample of pair %d-%d is not a prefix of the restored one", pr.U, pr.V)
+		}
+	}
+	e.original, e.originalHash = sample, serial.PathSystemHashOver(sample, e.pairs)
+	return nil
+}
+
+// pathsPrefix reports whether prefix is a non-empty prefix of paths, path
+// for path as edge sequences read from the same endpoint.
+func pathsPrefix(prefix, paths []graph.Path) bool {
+	if len(prefix) == 0 || len(prefix) > len(paths) {
+		return false
+	}
+	for i, p := range prefix {
+		q := paths[i]
+		if q.Src != p.Src {
+			q = q.Reverse()
+		}
+		if q.Src != p.Src || q.Dst != p.Dst || !slices.Equal(q.EdgeIDs, p.EdgeIDs) {
+			return false
+		}
+	}
+	return true
 }
 
 func restoreOrSample(files Files, cfg Config, build oblivious.BuildOptions) (*Engine, bool, error) {
