@@ -7,9 +7,13 @@
 package serial
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
+	"strconv"
 
 	"sparseroute/internal/core"
 	"sparseroute/internal/demand"
@@ -195,37 +199,102 @@ type WeightedPathJSON struct {
 	Weight float64 `json:"weight"`
 }
 
-// RoutingToJSON converts a routing to its wire form with deterministic pair
-// order.
-func RoutingToJSON(g *graph.Graph, r flow.Routing) RoutingJSON {
-	var out RoutingJSON
-	// Deterministic order via a temporary demand built from the routing.
-	d := demand.New()
-	for pr := range r {
-		d.Set(pr.U, pr.V, 1)
+// AppendRouting appends r in its compact wire form (RoutingJSON) to b: pairs
+// in (U, V) order, each path's edge IDs oriented from its pair's U. The
+// bytes are exactly what encoding/json writes for the same RoutingJSON,
+// built without reflection or an intermediate value. A NaN or infinite
+// weight is an error, as it is for json.Marshal.
+func AppendRouting(b []byte, r flow.Routing) ([]byte, error) {
+	if len(r) == 0 {
+		return append(b, `{"pairs":null}`...), nil
 	}
-	for _, pr := range d.Support() {
-		pf := PairFlowsJSON{U: pr.U, V: pr.V}
-		for _, wp := range r[pr] {
-			ids := wp.Path.EdgeIDs
-			if wp.Path.Src != pr.U {
-				ids = wp.Path.Reverse().EdgeIDs
-			}
-			if ids == nil {
-				ids = []int{}
-			}
-			pf.Paths = append(pf.Paths, WeightedPathJSON{Edges: ids, Weight: wp.Weight})
+	// Grow b once, by a bound on what a pair (≤ 32 bytes), a path (≤ 48 plus
+	// ≤ 5 per edge ID below 10,000) adds, instead of doubling toward it.
+	pairs := make([]demand.Pair, 0, len(r))
+	size := 16
+	for pr, wps := range r {
+		pairs = append(pairs, pr)
+		size += 32
+		for _, wp := range wps {
+			size += 48 + 5*len(wp.Path.EdgeIDs)
 		}
-		out.Pairs = append(out.Pairs, pf)
 	}
-	return out
+	b = slices.Grow(b, size)
+	slices.SortFunc(pairs, func(a, b demand.Pair) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+	})
+	b = append(b, `{"pairs":[`...)
+	for i, pr := range pairs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"u":`...)
+		b = strconv.AppendInt(b, int64(pr.U), 10)
+		b = append(b, `,"v":`...)
+		b = strconv.AppendInt(b, int64(pr.V), 10)
+		b = append(b, `,"paths":`...)
+		wps := r[pr]
+		if len(wps) == 0 {
+			b = append(b, "null}"...)
+			continue
+		}
+		for j, wp := range wps {
+			if j == 0 {
+				b = append(b, `[{"edges":[`...)
+			} else {
+				b = append(b, `,{"edges":[`...)
+			}
+			ids, last := wp.Path.EdgeIDs, len(wp.Path.EdgeIDs)-1
+			for k := range ids {
+				if k > 0 {
+					b = append(b, ',')
+				}
+				id := ids[k]
+				if wp.Path.Src != pr.U {
+					id = ids[last-k] // stored from V: read it backwards
+				}
+				b = strconv.AppendInt(b, int64(id), 10)
+			}
+			b = append(b, `],"weight":`...)
+			var err error
+			if b, err = appendFloat(b, wp.Weight); err != nil {
+				return nil, fmt.Errorf("serial: pair (%d,%d) path %d: %w", pr.U, pr.V, j, err)
+			}
+			b = append(b, '}')
+		}
+		b = append(b, "]}"...)
+	}
+	return append(b, "]}"...), nil
 }
 
-// EncodeRouting writes a routing as JSON.
-func EncodeRouting(w io.Writer, g *graph.Graph, r flow.Routing) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(RoutingToJSON(g, r))
+// appendFloat appends f as encoding/json writes a float64: the shortest
+// round-tripping 'f' form, switching to 'e' below 1e-6 and from 1e21 up,
+// with a one-digit negative exponent written without its leading zero.
+func appendFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return nil, fmt.Errorf("unsupported value %v", f)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 -> e-7
+		b = b[:n-1]
+	}
+	return b, nil
+}
+
+// EncodeRouting writes a routing as compact JSON (AppendRouting) and a
+// newline. The graph is not consulted: paths carry their edge IDs.
+func EncodeRouting(w io.Writer, _ *graph.Graph, r flow.Routing) error {
+	b, err := AppendRouting(nil, r)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(b, '\n'))
+	return err
 }
 
 // DecodeRouting reads a routing over g from JSON, validating every path.

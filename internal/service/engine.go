@@ -66,6 +66,16 @@ type State struct {
 	Renormalized bool
 	// SolvedAt is when the solve finished.
 	SolvedAt time.Time
+
+	// reply is this epoch's GET /v1/routing response, encoded by its first
+	// reader (never at publish) and shared by every later one; see
+	// routingReply.
+	reply struct {
+		once sync.Once
+		body []byte
+		etag string
+		err  error
+	}
 }
 
 // Outcome reports how one submitted epoch ended. Fallback epochs leave the

@@ -5,14 +5,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"sparseroute/internal/demand"
+	"sparseroute/internal/flow"
+	"sparseroute/internal/graph"
 	"sparseroute/internal/obs"
 	"sparseroute/internal/serial"
 )
@@ -39,7 +44,10 @@ import (
 //	                       when the link state still matches (409 before any
 //	                       full submission). Same ?wait contract as POST
 //	GET  /v1/paths         candidate paths + live rates for ?src=&dst=
-//	GET  /v1/routing       the full active routing
+//	GET  /v1/routing       the full active routing, encoded once per epoch
+//	                       by its first reader and served to every later
+//	                       one; carries a strong ETag, and an If-None-Match
+//	                       naming it answers 304 with no body
 //	POST /v1/links         apply a topology event: {"fail":[ids]},
 //	                       {"restore":[ids]}, {"set":[ids]} (replace), or
 //	                       {"edge":id,"capacity":c} (effective-capacity
@@ -56,6 +64,8 @@ import (
 //	GET  /healthz          ok / degraded (failed or capacity-degraded edges,
 //	                       uncovered pairs) / 503 closed, plus the last epoch
 //	                       outcome and the circuit-breaker state
+//
+// Every JSON reply is compact.
 //
 // Overload behavior: every POST/PATCH body is capped at Config.MaxBodyBytes
 // (413 beyond it); demand mutations pass the engine's admission control —
@@ -95,9 +105,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -367,53 +375,105 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Rates come from the lock-free active state; zero before any epoch or
-	// for candidates the current adaptation leaves idle.
+	// for candidates the current adaptation leaves idle. Routed paths and
+	// candidates are both oriented from src, so a rate belongs to the
+	// candidate with equal edge IDs.
+	fromSrc := func(p graph.Path) graph.Path {
+		if p.Src != src {
+			return p.Reverse()
+		}
+		return p
+	}
 	resp := pathsResponse{Src: src, Dst: dst}
-	rates := make(map[string]float64)
+	var routed []flow.WeightedPath
 	if st := s.engine.Active(); st != nil {
 		resp.Epoch = st.Epoch
 		for _, wp := range st.Routing[demand.MakePair(src, dst)] {
-			rates[wp.Path.Key()] += wp.Weight
+			wp.Path = fromSrc(wp.Path)
+			routed = append(routed, wp)
 		}
 	}
 	for _, p := range candidates {
-		// Orient from src for a stable presentation.
-		q := p
-		if q.Src != src {
-			q = q.Reverse()
-		}
+		q := fromSrc(p)
 		vs, err := q.Vertices(g)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "corrupt candidate: %v", err)
 			return
 		}
+		var rate float64
+		for _, wp := range routed {
+			if slices.Equal(wp.Path.EdgeIDs, q.EdgeIDs) {
+				rate += wp.Weight
+			}
+		}
 		ids := q.EdgeIDs
 		if ids == nil {
 			ids = []int{}
 		}
-		resp.Paths = append(resp.Paths, pathWithRate{Edges: ids, Vertices: vs, Rate: rates[p.Key()]})
+		resp.Paths = append(resp.Paths, pathWithRate{Edges: ids, Vertices: vs, Rate: rate})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// routingResponse is the GET /v1/routing reply.
-type routingResponse struct {
-	Epoch      uint64             `json:"epoch"`
-	Congestion float64            `json:"congestion"`
-	Routing    serial.RoutingJSON `json:"routing"`
+// routingReply returns the GET /v1/routing body of st —
+// {"epoch":…,"congestion":…,"routing":{"pairs":[…]}} in compact JSON — and
+// its strong ETag, the quoted FNV-64a of the body. The first caller for an
+// epoch encodes both; every later one reads them back.
+func (st *State) routingReply() ([]byte, string, error) {
+	m := &st.reply
+	m.once.Do(func() {
+		cong, err := json.Marshal(st.Congestion)
+		if err != nil {
+			m.err = err
+			return
+		}
+		b := strconv.AppendUint([]byte(`{"epoch":`), st.Epoch, 10)
+		b = append(append(b, `,"congestion":`...), cong...)
+		if b, err = serial.AppendRouting(append(b, `,"routing":`...), st.Routing); err != nil {
+			m.err = err
+			return
+		}
+		m.body = append(b, '}')
+		h := fnv.New64a()
+		h.Write(m.body)
+		m.etag = fmt.Sprintf(`"%016x"`, h.Sum64())
+	})
+	return m.body, m.etag, m.err
 }
 
+// handleRouting writes the active epoch's memoized reply, or a bodiless 304
+// when If-None-Match already names its ETag.
 func (s *Server) handleRouting(w http.ResponseWriter, r *http.Request) {
 	st := s.engine.Active()
 	if st == nil {
 		writeError(w, http.StatusNotFound, "no epoch solved yet")
 		return
 	}
-	writeJSON(w, http.StatusOK, routingResponse{
-		Epoch:      st.Epoch,
-		Congestion: st.Congestion,
-		Routing:    serial.RoutingToJSON(s.engine.System().Graph(), st.Routing),
-	})
+	body, etag, err := st.routingReply()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding epoch %d routing: %v", st.Epoch, err)
+		return
+	}
+	h := w.Header()
+	h.Set("ETag", etag)
+	if inm := r.Header.Get("If-None-Match"); inm != "" && etagListed(inm, etag) {
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	h.Set("Content-Type", "application/json; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
+}
+
+// etagListed reports whether an If-None-Match value is "*" or lists etag.
+// If-None-Match compares weakly, so a W/ prefix on a listed tag is ignored.
+func etagListed(inm, etag string) bool {
+	for _, t := range strings.Split(inm, ",") {
+		if t = strings.TrimPrefix(strings.TrimSpace(t), "W/"); t == etag || t == "*" {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {

@@ -13,6 +13,9 @@ import (
 	"sync"
 	"testing"
 
+	"sparseroute/internal/demand"
+	"sparseroute/internal/flow"
+	"sparseroute/internal/graph"
 	"sparseroute/internal/graph/gen"
 	"sparseroute/internal/oblivious"
 )
@@ -79,7 +82,7 @@ func getJSON(t *testing.T, url string) (int, map[string]any) {
 }
 
 func TestServerDemandPathsRoutingFlow(t *testing.T) {
-	_, _, ts := testServer(t, Config{Seed: 3}, "")
+	_, e, ts := testServer(t, Config{Seed: 3}, "")
 
 	// Before any epoch: paths respond with zero rates, routing is 404.
 	code, paths := getJSON(t, ts.URL+"/v1/paths?src=0&dst=7")
@@ -141,6 +144,40 @@ func TestServerDemandPathsRoutingFlow(t *testing.T) {
 	// Health reports the active epoch.
 	if code, h := getJSON(t, ts.URL+"/healthz"); code != http.StatusOK || h["status"] != "ok" {
 		t.Fatalf("healthz: %d %v", code, h)
+	}
+
+	// Each candidate carries the weight routed over its route, whichever end
+	// the routed path is stored from: republish the epoch with every (0,7)
+	// path reversed and read the pair from both ends.
+	st := e.Active()
+	pair := demand.MakePair(0, 7)
+	want := map[string]float64{}
+	reversed := flow.New()
+	for _, wp := range st.Routing[pair] {
+		want[wp.Path.Key()] += wp.Weight
+		reversed[pair] = append(reversed[pair], flow.WeightedPath{Path: wp.Path.Reverse(), Weight: wp.Weight})
+	}
+	for _, routing := range []flow.Routing{st.Routing, reversed} {
+		e.publish(&State{Epoch: e.Active().Epoch + 1, Routing: routing, Congestion: st.Congestion})
+		for _, src := range []int{0, 7} {
+			_, paths := getJSON(t, fmt.Sprintf("%s/v1/paths?src=%d&dst=%d", ts.URL, src, 7-src))
+			var total float64
+			for _, p := range paths["paths"].([]any) {
+				c := p.(map[string]any)
+				var ids []int
+				for _, id := range c["edges"].([]any) {
+					ids = append(ids, int(id.(float64)))
+				}
+				key := graph.Path{Src: src, Dst: 7 - src, EdgeIDs: ids}.Key()
+				if rate := c["rate"].(float64); rate != want[key] {
+					t.Fatalf("src=%d candidate %v: rate %v, routed %v", src, ids, rate, want[key])
+				}
+				total += c["rate"].(float64)
+			}
+			if total < 1.99 || total > 2.01 {
+				t.Fatalf("src=%d: rates sum to %v, want 2", src, total)
+			}
+		}
 	}
 }
 

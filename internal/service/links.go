@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"sparseroute/internal/core"
@@ -68,6 +69,12 @@ type linkState struct {
 	// Config.AtRiskHeadroom is set — its best surviving candidate still
 	// crosses an edge whose capacity multiplier is below the threshold.
 	atRisk []atRiskPair
+	// sizes holds the path counts the path_system gauge reports, filled by
+	// the first scrape of this version and never on the link-event path.
+	sizes struct {
+		once                              sync.Once
+		total, serving, sparsity, maxHops int
+	}
 }
 
 // At-risk triggers, recorded on each widening journal event.

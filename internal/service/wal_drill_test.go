@@ -536,10 +536,12 @@ func TestSolverPanicDoesNotKillEngine(t *testing.T) {
 		t.Fatalf("baseline epoch: out=%+v err=%v", out, err)
 	}
 
+	// The same link state with no adaptive system: the solver panics on it.
 	good := e.links.Load()
-	bad := *good
-	bad.adaptive = nil
-	e.links.Store(&bad)
+	e.links.Store(&linkState{version: good.version, capacity: good.capacity, failed: good.failed,
+		failedIDs: good.failedIDs, degradedCaps: good.degradedCaps, scaled: good.scaled,
+		installed: good.installed, serving: good.serving, hash: good.hash,
+		uncovered: good.uncovered, atRisk: good.atRisk})
 
 	epoch, err = e.SubmitDemand(d)
 	if err != nil {
