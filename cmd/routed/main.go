@@ -214,14 +214,7 @@ func openEngine(o *options) (http.Handler, func() error, error) {
 		fmt.Printf("routed: wal replayed %d ops (%d skipped, truncated=%v)\n",
 			rs.Applied, rs.Skipped, rs.Truncated)
 	}
-	st := e.System().Stats()
-	if opened.Restored {
-		fmt.Printf("routed: restored %s: %d pairs, %d paths (hash %016x) — resampling skipped\n",
-			o.snapshot, st.Pairs, st.TotalPaths, e.Hash())
-	} else {
-		fmt.Printf("routed: sampled %d pairs, %d paths via %s R=%d (hash %016x)\n",
-			st.Pairs, st.TotalPaths, o.engine.RouterName, o.engine.R, e.Hash())
-	}
+	fmt.Print(startupBanner(o, opened))
 	drain := func() error {
 		if opened.WAL != nil {
 			defer opened.WAL.Close()
@@ -235,6 +228,21 @@ func openEngine(o *options) (http.Handler, func() error, error) {
 		return nil
 	}
 	return service.NewServer(e, o.snapshot), drain, nil
+}
+
+// startupBanner is the line openEngine prints once the engine is up: the
+// serving system's pair and path counts and the installed system's hash. The
+// counts are two plain passes; PathSystem.Stats would add the dedup, hop and
+// disjointness passes the line does not print.
+func startupBanner(o *options, opened *service.Opened) string {
+	e := opened.Engine
+	sys := e.System()
+	if opened.Restored {
+		return fmt.Sprintf("routed: restored %s: %d pairs, %d paths (hash %016x) — resampling skipped\n",
+			o.snapshot, len(sys.Pairs()), sys.TotalPaths(), e.Hash())
+	}
+	return fmt.Sprintf("routed: sampled %d pairs, %d paths via %s R=%d (hash %016x)\n",
+		len(sys.Pairs()), sys.TotalPaths(), o.engine.RouterName, o.engine.R, e.Hash())
 }
 
 // openFleet opens the fleet over o.fleetDir; its drain snapshots every

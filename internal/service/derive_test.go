@@ -260,14 +260,7 @@ func TestOpenDegradedSnapshotKeepsForeignBaseline(t *testing.T) {
 // recovery, widening, compaction, hash), not the re-adapt it would schedule.
 func BenchmarkLinkEventWAN64(b *testing.B) {
 	e := wan64Engine(b, Config{})
-	g := e.cfg.Graph
-	var edges []int
-	for id := 0; id < g.NumEdges(); id++ {
-		sub, _ := graph.RemoveEdges(g, map[int]bool{id: true})
-		if comp := components(sub); !slices.ContainsFunc(comp, func(c int) bool { return c != comp[0] }) {
-			edges = append(edges, id)
-		}
-	}
+	edges := nonBridgeEdges(e.cfg.Graph)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -279,4 +272,16 @@ func BenchmarkLinkEventWAN64(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// nonBridgeEdges lists the edges of g whose failure leaves g connected.
+func nonBridgeEdges(g *graph.Graph) []int {
+	var edges []int
+	for id := 0; id < g.NumEdges(); id++ {
+		sub, _ := graph.RemoveEdges(g, map[int]bool{id: true})
+		if comp := components(sub); !slices.ContainsFunc(comp, func(c int) bool { return c != comp[0] }) {
+			edges = append(edges, id)
+		}
+	}
+	return edges
 }

@@ -187,10 +187,11 @@ type Engine struct {
 
 	// original is the startup path system (sampled, restored, or for a
 	// degraded snapshot re-drawn by Open), immutable, and originalHash its
-	// hash. The compaction pass GCs accumulated recovery paths back toward it
-	// once the failed edges that motivated them are healthy again.
+	// hash memo, shared by every link state that installs it. The compaction
+	// pass GCs accumulated recovery paths back toward it once the failed
+	// edges that motivated them are healthy again.
 	original     *core.PathSystem
-	originalHash uint64
+	originalHash *pathHash
 	// pairs is the installed pair set, sorted once: recovery, widening and
 	// compaction add and drop paths of existing pairs only, so it never
 	// changes.
@@ -331,7 +332,7 @@ func New(cfg Config) (*Engine, error) {
 		version = 1
 	}
 	e.pairs = system.Pairs()
-	e.originalHash = serial.PathSystemHashOver(system, e.pairs)
+	e.originalHash = new(pathHash)
 	ls := &linkState{version: version, capacity: capacity, failed: failedSubset(capacity),
 		installed: system, hash: e.originalHash}
 	ls.prune(e.pairs)
@@ -406,8 +407,9 @@ func (e *Engine) InstalledSystem() *core.PathSystem { return e.links.Load().inst
 // serial.PathSystemHash). It changes only when the installed set changes —
 // recovery/proactive resampling installing fresh paths, or compaction
 // dropping accumulated ones — never on a pure prune, and a fully restored
-// engine compacts back to exactly the startup hash.
-func (e *Engine) Hash() uint64 { return e.links.Load().hash }
+// engine compacts back to exactly the startup hash. The first read of a link
+// state computes it.
+func (e *Engine) Hash() uint64 { return e.links.Load().digest(e.pairs) }
 
 // Metrics returns the engine's metrics registry.
 func (e *Engine) Metrics() *Metrics { return e.metrics }

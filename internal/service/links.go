@@ -56,8 +56,9 @@ type linkState struct {
 	// adaptive is serving rebound over scaled — the system handed to the
 	// solvers. Identical to serving when no fractional overrides exist.
 	adaptive *core.PathSystem
-	// hash is the canonical digest of installed (see serial.PathSystemHash).
-	hash uint64
+	// hash memoizes the canonical digest of installed (see digest), shared
+	// with every link state that installs the same system.
+	hash *pathHash
 	// uncovered lists the installed pairs with zero surviving candidates
 	// after pruning and recovery resampling — under the R-sample's path
 	// diversity this is almost always exactly the pairs the surviving graph
@@ -75,6 +76,21 @@ type linkState struct {
 		once                              sync.Once
 		total, serving, sparsity, maxHops int
 	}
+}
+
+// pathHash is the hash memo of one installed system, filled by its first
+// read like linkState.sizes: a link event never hashes, so a replay hashes
+// only the state it ends in.
+type pathHash struct {
+	once sync.Once
+	sum  uint64
+}
+
+// digest returns the canonical digest of ls.installed (see
+// serial.PathSystemHash); pairs is the installed pair set, sorted.
+func (ls *linkState) digest(pairs []demand.Pair) uint64 {
+	ls.hash.once.Do(func() { ls.hash.sum = serial.PathSystemHashOver(ls.installed, pairs) })
+	return ls.hash.sum
 }
 
 // At-risk triggers, recorded on each widening journal event.
@@ -261,11 +277,13 @@ func (e *Engine) UpdateLinks(fail, restore []int) (*LinkUpdate, error) {
 // wins — prunes the installed system to the zero-capacity (failed) survivors
 // via WithoutEdges, runs recovery resampling for pairs that lost all
 // candidates, compacts accumulated recovery paths, proactively resamples
-// at-risk pairs, publishes the new immutable linkState, and finally
-// re-serves the active demand: an immediate renormalization of the previous
-// routing over surviving paths (cheap, no solver — degraded-mode serving)
-// followed by a full re-adapt epoch through the normal solve ladder (against
-// the capacity-scaled view when fractional overrides exist).
+// at-risk pairs, logs the record with what those sampling passes drew,
+// publishes the new immutable linkState, and finally re-serves the active
+// demand: an immediate renormalization of the previous routing over
+// surviving paths (cheap, no solver — degraded-mode serving) followed by a
+// full re-adapt epoch through the normal solve ladder (against the
+// capacity-scaled view when fractional overrides exist). A replayed record
+// that logged its draws installs them instead of sampling.
 func (e *Engine) applyLinkEvent(op *walOp, replay bool) (*LinkUpdate, error) {
 	m := e.cfg.Graph.NumEdges()
 	known := func(id int) error {
@@ -321,45 +339,55 @@ func (e *Engine) applyLinkEvent(op *walOp, replay bool) (*LinkUpdate, error) {
 		return e.Links(), nil
 	}
 
-	// Log before apply: the event is durable before any derived state is
-	// built or published. Logged after the no-op check so replay sees
-	// exactly the version-bumping events — replayed versions (and the
-	// version-salted recovery seeds hanging off them) then match the
-	// original run one for one.
-	if !replay {
-		if err := e.commitOp(op); err != nil {
-			return nil, err
-		}
-	}
-
+	// Derive, log, publish. The event is derived first, so its record can
+	// carry what the sampling passes drew; it is durable before anything is
+	// published, and nothing the derivation reports (counters, widening
+	// events) is emitted unless it commits, so a refused event leaves no
+	// trace. Logged after the no-op check so replay sees exactly the
+	// version-bumping events — replayed versions (and the version-salted
+	// seeds of a record without draws) then match the original run one for
+	// one.
 	next := &linkState{
 		version:   cur.version + 1,
 		capacity:  capacity,
 		failed:    failedSubset(capacity),
 		installed: cur.installed,
 	}
+	ev := &linkEvent{next: next, update: &LinkUpdate{Version: next.version}}
+	if replay {
+		ev.logged = op.Draws
+	}
 	next.prune(e.pairs)
-
-	update := &LinkUpdate{Version: next.version}
 	// Recovery and single-survivor widening both avoid exactly next.failed,
 	// so they share one router (see eventRouter).
 	survivors := &eventRouter{avoid: next.failed}
 	if len(next.uncovered) > 0 {
-		e.recoverUncovered(next, update, survivors)
+		if err := e.recoverUncovered(ev, survivors); err != nil {
+			return nil, err
+		}
 	}
-	e.compactInstalled(next, update)
-	e.proactiveRecover(next, update, survivors)
-	// One hash per event, and none when the passes left the installed system
-	// as it was or compacted it back to the startup system.
+	e.compactInstalled(next, ev.update)
+	if err := e.proactiveRecover(ev, survivors); err != nil {
+		return nil, err
+	}
+	// The event hashes nothing: a state that keeps the installed system, or
+	// compacts back to the startup one, shares its memo.
 	switch next.installed {
 	case cur.installed:
 		next.hash = cur.hash
 	case e.original:
 		next.hash = e.originalHash
 	default:
-		next.hash = serial.PathSystemHashOver(next.installed, e.pairs)
+		next.hash = new(pathHash)
 	}
 	e.finalizeLinkState(next)
+	if !replay {
+		op.Draws = ev.drawn
+		if err := e.commitOp(op); err != nil {
+			return nil, err
+		}
+	}
+	update := ev.update
 	update.FailedEdges = next.failedSorted()
 	update.DegradedEdges = next.degradedCaps
 	update.UncoveredPairs = len(next.uncovered)
@@ -372,6 +400,7 @@ func (e *Engine) applyLinkEvent(op *walOp, replay bool) (*LinkUpdate, error) {
 	if len(op.Caps) > 0 {
 		e.metrics.capacityEvents.Add(1)
 	}
+	e.emit(ev)
 
 	// Journal the event and any health transition it caused, so a
 	// post-incident read of /debug/events reconstructs the whole
@@ -506,12 +535,128 @@ func pairHeadroom(ls *linkState, cands []graph.Path) float64 {
 	return best
 }
 
+// recoveryPass names the recovery pass among a record's draws (the widening
+// passes go by their triggers).
+const recoveryPass = "recovery"
+
+// linkEvent is one link event's derivation in progress: the unpublished next
+// state and its report, where the sampling passes take their paths from, and
+// what the event reports once its record commits (see emit).
+type linkEvent struct {
+	next   *linkState
+	update *LinkUpdate
+	// logged is the replayed record's draws; when set, every sampling pass
+	// installs its logged paths and no router is built. Otherwise drawn
+	// collects what the passes that sampled installed, for the record; it
+	// stays nil when none sampled.
+	logged, drawn *walDraws
+	// Held back until the record commits: survivor routers built, sampling
+	// passes that failed, widening passes that installed paths, and the
+	// widening journal events in order.
+	builds, failures, widenings int
+	widened                     []map[string]any
+}
+
+// emit reports a committed event's counters and widening journal events.
+func (e *Engine) emit(ev *linkEvent) {
+	m, u := e.metrics, ev.update
+	if u.RecoveryPaths > 0 {
+		m.recoveryResamples.Add(1)
+		m.recoveryPaths.Add(int64(u.RecoveryPaths))
+	}
+	m.recoveryFailed.Add(int64(ev.failures))
+	m.survivorBuilds.Add(int64(ev.builds))
+	m.proactiveResamples.Add(int64(ev.widenings))
+	m.proactivePaths.Add(int64(u.ProactivePaths))
+	m.compactedPaths.Add(int64(u.CompactedPaths))
+	for _, detail := range ev.widened {
+		e.record(obs.EventWidening, detail)
+	}
+}
+
+// fresh returns one sampling pass's new paths for pairs, nil when the pass
+// installs nothing. Replaying a record that logged its draws, they are the
+// record's paths for the pass; a logged path that is not a valid simple path
+// of one of pairs, or that crosses an edge the pass avoids, refuses the
+// record. Otherwise they are sampled from r with seed, and a failed build or
+// sample is counted.
+func (e *Engine) fresh(ev *linkEvent, pass string, r *eventRouter, pairs []demand.Pair, seed uint64) (*core.PathSystem, error) {
+	if ev.logged != nil {
+		logged := *ev.logged.pass(pass)
+		if len(logged) == 0 {
+			return nil, nil
+		}
+		ps, err := loggedPaths(e.cfg.Graph, logged, pairs, r.avoid)
+		if err != nil {
+			return nil, fmt.Errorf("service: logged %s draws: %w", pass, err)
+		}
+		return ps, nil
+	}
+	if ev.drawn == nil {
+		ev.drawn = new(walDraws)
+	}
+	router, err := r.get(e, ev)
+	var ps *core.PathSystem
+	if err == nil {
+		ps, err = core.RSample(router, pairs, e.cfg.R, seed)
+	}
+	if err != nil {
+		ev.failures++
+		return nil, nil
+	}
+	return ps, nil
+}
+
+// loggedPaths builds a system of one pass's logged paths over g. Each must
+// pass PathSystem.AddPath, join one of pairs and avoid every avoided edge.
+func loggedPaths(g *graph.Graph, logged []drawnPath, pairs []demand.Pair, avoid map[int]bool) (*core.PathSystem, error) {
+	ps := core.NewPathSystem(g)
+	drawn := make(map[demand.Pair]bool, len(pairs))
+	for _, pr := range pairs {
+		drawn[pr] = true
+	}
+	for i, dp := range logged {
+		p, err := dp.path(g)
+		if err == nil {
+			err = ps.AddPath(p)
+		}
+		switch {
+		case err != nil:
+		case !drawn[demand.MakePair(p.Src, p.Dst)]:
+			err = fmt.Errorf("joins %d-%d, a pair the pass does not draw for", p.Src, p.Dst)
+		case !pathAvoids(p, avoid):
+			err = fmt.Errorf("crosses an edge the pass avoids")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("path %d: %w", i, err)
+		}
+	}
+	return ps, nil
+}
+
+// log lists what a sampling pass installed for the record: fresh's paths
+// pair by pair, in the order of pairs.
+func (ev *linkEvent) log(pass string, fresh *core.PathSystem, pairs []demand.Pair) {
+	if ev.drawn == nil {
+		return
+	}
+	var out []drawnPath
+	for _, pr := range pairs {
+		for _, p := range fresh.Paths(pr.U, pr.V) {
+			out = append(out, append(drawnPath{p.Src}, p.EdgeIDs...))
+		}
+	}
+	*ev.drawn.pass(pass) = out
+}
+
 // recoverUncovered runs recovery resampling for next.uncovered: draw fresh
 // paths from survivors, the event's router on the pruned graph (core.RSample
 // over just the uncovered pairs) so coverage is restored whenever the
 // surviving graph still connects a pair. next.installed/serving/uncovered
-// are updated in place (next is not yet published).
-func (e *Engine) recoverUncovered(next *linkState, update *LinkUpdate, survivors *eventRouter) {
+// are updated in place (next is not yet published). The only error is a
+// replayed record's invalid draws.
+func (e *Engine) recoverUncovered(ev *linkEvent, survivors *eventRouter) error {
+	next := ev.next
 	// Only pairs the surviving graph still connects can be recovered.
 	sub, _ := graph.RemoveEdges(e.cfg.Graph, next.failed)
 	comp := components(sub)
@@ -522,33 +667,26 @@ func (e *Engine) recoverUncovered(next *linkState, update *LinkUpdate, survivors
 		}
 	}
 	if len(connected) == 0 {
-		return
+		return nil
 	}
 
-	router, err := survivors.get(e)
-	if err != nil {
-		e.metrics.recoveryFailed.Add(1)
-		return
-	}
 	// A version-salted seed keeps recovery deterministic per event while
 	// decorrelating it from the startup sample.
 	seed := e.cfg.Seed ^ (next.version * 0x9e3779b97f4a7c15)
-	fresh, err := core.RSample(router, connected, e.cfg.R, seed)
-	if err != nil {
-		e.metrics.recoveryFailed.Add(1)
-		return
+	fresh, err := e.fresh(ev, recoveryPass, survivors, connected, seed)
+	if fresh == nil {
+		return err
 	}
-
 	if err := next.add(fresh); err != nil {
-		e.metrics.recoveryFailed.Add(1)
-		return
+		ev.failures++
+		return nil
 	}
+	ev.log(recoveryPass, fresh, connected)
 	next.uncovered = next.serving.UncoveredPairs(next.uncovered)
 
-	update.RecoveredPairs = len(connected)
-	update.RecoveryPaths = fresh.TotalPaths()
-	e.metrics.recoveryResamples.Add(1)
-	e.metrics.recoveryPaths.Add(int64(fresh.TotalPaths()))
+	ev.update.RecoveredPairs = len(connected)
+	ev.update.RecoveryPaths = fresh.TotalPaths()
+	return nil
 }
 
 // proactiveRecover widens the pairs the event left at risk *before* a
@@ -563,8 +701,9 @@ func (e *Engine) recoverUncovered(next *linkState, update *LinkUpdate, survivors
 // path simply stays in the at-risk report. Every pair that gains paths is
 // journaled as a widening event carrying its trigger. The pass sets
 // next.atRisk: widening adds candidates to at-risk pairs only, so only they
-// are checked again.
-func (e *Engine) proactiveRecover(next *linkState, update *LinkUpdate, survivors *eventRouter) {
+// are checked again. The only error is a replayed record's invalid draws.
+func (e *Engine) proactiveRecover(ev *linkEvent, survivors *eventRouter) error {
+	next := ev.next
 	atRisk := e.atRiskList(next, e.pairs)
 	checked := make([]demand.Pair, len(atRisk))
 	var single, weak []demand.Pair
@@ -576,7 +715,9 @@ func (e *Engine) proactiveRecover(next *linkState, update *LinkUpdate, survivors
 			weak = append(weak, ar.Pair)
 		}
 	}
-	e.widenPairs(next, update, single, TriggerSingleSurvivor, survivors, 0x5bf03635)
+	if err := e.widenPairs(ev, single, TriggerSingleSurvivor, survivors, 0x5bf03635); err != nil {
+		return err
+	}
 	if len(weak) > 0 {
 		// Treat below-threshold edges as failed for sampling purposes only:
 		// candidates through them keep serving, but replacements avoid them.
@@ -589,74 +730,76 @@ func (e *Engine) proactiveRecover(next *linkState, update *LinkUpdate, survivors
 				avoid[id] = true
 			}
 		}
-		e.widenPairs(next, update, weak, TriggerHeadroom, &eventRouter{avoid: avoid}, 0x2c1b3c6d)
+		if err := e.widenPairs(ev, weak, TriggerHeadroom, &eventRouter{avoid: avoid}, 0x2c1b3c6d); err != nil {
+			return err
+		}
 	}
 	next.atRisk = e.atRiskList(next, checked)
+	return nil
 }
 
 // widenPairs is one proactive-widening pass: sample fresh candidates for the
 // given at-risk pairs from survivors, add the genuinely new unique paths to
 // the installed system, and journal one widening event per pair that gained
-// a path.
-func (e *Engine) widenPairs(next *linkState, update *LinkUpdate, pairs []demand.Pair, trigger string, survivors *eventRouter, salt uint64) {
+// a path. A replayed record's logged paths were deduplicated when they were
+// drawn.
+func (e *Engine) widenPairs(ev *linkEvent, pairs []demand.Pair, trigger string, survivors *eventRouter, salt uint64) error {
 	if len(pairs) == 0 {
-		return
+		return nil
 	}
-	router, err := survivors.get(e)
-	if err != nil {
-		e.metrics.recoveryFailed.Add(1)
-		return
-	}
+	next := ev.next
 	// Salted differently from recoverUncovered (and per trigger) so the
 	// per-event samples are decorrelated.
 	seed := e.cfg.Seed ^ (next.version * 0x9e3779b97f4a7c15) ^ salt
-	fresh, err := core.RSample(router, pairs, e.cfg.R, seed)
-	if err != nil {
-		e.metrics.recoveryFailed.Add(1)
-		return
+	fresh, err := e.fresh(ev, trigger, survivors, pairs, seed)
+	if fresh == nil {
+		return err
+	}
+	if ev.logged == nil {
+		for _, pr := range pairs {
+			have := make(map[string]bool)
+			for _, p := range next.installed.Paths(pr.U, pr.V) {
+				have[p.Key()] = true
+			}
+			// fresh keeps the pair's new unique paths only; Retain asks about
+			// each sampled path once, in order.
+			sampled := fresh.Paths(pr.U, pr.V)
+			fresh.Retain(pr, func(i int) bool {
+				key := sampled[i].Key()
+				if have[key] {
+					return false
+				}
+				have[key] = true
+				return true
+			})
+		}
 	}
 
 	added := 0
 	for _, pr := range pairs {
-		have := make(map[string]bool)
-		for _, p := range next.installed.Paths(pr.U, pr.V) {
-			have[p.Key()] = true
-		}
-		// fresh keeps the pair's new unique paths only; Retain asks about
-		// each sampled path once, in order.
-		sampled := fresh.Paths(pr.U, pr.V)
-		gained := 0
-		fresh.Retain(pr, func(i int) bool {
-			key := sampled[i].Key()
-			if have[key] {
-				return false
-			}
-			have[key] = true
-			gained++
-			return true
-		})
-		if gained > 0 {
-			e.record(obs.EventWidening, map[string]any{
+		if gained := fresh.NumSampled(pr); gained > 0 {
+			ev.widened = append(ev.widened, map[string]any{
 				"pair":    fmt.Sprintf("%d-%d", pr.U, pr.V),
 				"trigger": trigger,
 				"added":   gained,
 				"version": next.version,
 			})
+			added += gained
 		}
-		added += gained
 	}
 	if added == 0 {
-		return
+		return nil
 	}
 	if err := next.add(fresh); err != nil {
-		e.metrics.recoveryFailed.Add(1)
-		return
+		ev.failures++
+		return nil
 	}
+	ev.log(trigger, fresh, pairs)
 
-	update.ProactivePairs += len(pairs)
-	update.ProactivePaths += added
-	e.metrics.proactiveResamples.Add(1)
-	e.metrics.proactivePaths.Add(int64(added))
+	ev.update.ProactivePairs += len(pairs)
+	ev.update.ProactivePaths += added
+	ev.widenings++
+	return nil
 }
 
 // compactInstalled is the installed-system GC pass, run on every event.
@@ -735,7 +878,6 @@ func (e *Engine) compactInstalled(next *linkState, update *LinkUpdate) {
 	next.installed, next.serving = installed, serving
 
 	update.CompactedPaths = dropped
-	e.metrics.compactedPaths.Add(int64(dropped))
 }
 
 // selectExtras marks cap of the accumulated extras to keep, preferring
@@ -766,11 +908,13 @@ type eventRouter struct {
 	built  bool
 }
 
-// get returns the router, building it on the first call.
-func (r *eventRouter) get(e *Engine) (oblivious.Router, error) {
+// get returns the router, building it on the first call and counting the
+// build in ev.
+func (r *eventRouter) get(e *Engine, ev *linkEvent) (oblivious.Router, error) {
 	if !r.built {
 		r.router, r.err = e.survivorRouter(r.avoid)
 		r.built = true
+		ev.builds++
 	}
 	return r.router, r.err
 }
@@ -781,7 +925,6 @@ func (r *eventRouter) get(e *Engine) (oblivious.Router, error) {
 // to SPF (which builds on any graph) when the configured construction does
 // not survive pruning — e.g. valiant on a no-longer-hypercube.
 func (e *Engine) survivorRouter(failed map[int]bool) (oblivious.Router, error) {
-	e.metrics.survivorBuilds.Add(1)
 	opt := e.build
 	opt.Seed = e.cfg.Seed
 	if name := e.cfg.RouterName; name != "" {

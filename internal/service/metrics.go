@@ -176,7 +176,7 @@ func newMetrics(e *Engine) *Metrics {
 			s.sparsity, s.maxHops = ls.installed.Sparsity(), ls.installed.MaxHops()
 		})
 		return map[string]any{
-			"hash":          fmt.Sprintf("%016x", ls.hash),
+			"hash":          fmt.Sprintf("%016x", ls.digest(e.pairs)),
 			"router":        e.cfg.RouterName,
 			"r":             e.cfg.R,
 			"seed":          e.cfg.Seed,

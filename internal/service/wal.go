@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"sparseroute/internal/demand"
+	"sparseroute/internal/graph"
 	"sparseroute/internal/obs"
 	"sparseroute/internal/wal"
 )
@@ -72,8 +73,60 @@ type walOp struct {
 	Restore []int    `json:"restore,omitempty"`
 	Replace bool     `json:"replace,omitempty"`
 	Caps    []walCap `json:"caps,omitempty"`
+	// Draws is what a link event's sampling passes drew, logged with the
+	// event when any pass sampled; replay installs these paths instead of
+	// sampling again. A record without it (no pass sampled, or a log written
+	// before draws were logged) is replayed by sampling.
+	Draws *walDraws `json:"draws,omitempty"`
 	// Ref is the sequence number a REVOKE (old logs only) cancels.
 	Ref uint64 `json:"ref,omitempty"`
+}
+
+// walDraws holds the paths each sampling pass of a link event installed, in
+// installation order: the recovery paths, then the single-survivor and the
+// headroom widening paths left after their dedupe against the installed
+// system. A pass that sampled but installed nothing logs no paths.
+type walDraws struct {
+	Recover  []drawnPath `json:"recover,omitempty"`
+	Single   []drawnPath `json:"single,omitempty"`
+	Headroom []drawnPath `json:"headroom,omitempty"`
+}
+
+// drawnPath is one logged path: its source vertex, then its edge IDs in order.
+type drawnPath []int
+
+// pass returns the path list of the pass named by trigger (recoveryPass or a
+// widening trigger).
+func (d *walDraws) pass(trigger string) *[]drawnPath {
+	switch trigger {
+	case TriggerSingleSurvivor:
+		return &d.Single
+	case TriggerHeadroom:
+		return &d.Headroom
+	}
+	return &d.Recover
+}
+
+// path decodes a logged path over g. It walks the edges only to find the far
+// end, refusing an unknown edge or a break in the walk; the caller validates
+// the result with PathSystem.AddPath.
+func (dp drawnPath) path(g *graph.Graph) (graph.Path, error) {
+	if len(dp) == 0 {
+		return graph.Path{}, fmt.Errorf("empty path")
+	}
+	src, ids := dp[0], []int(dp[1:])
+	cur := src
+	for _, id := range ids {
+		if id < 0 || id >= g.NumEdges() {
+			return graph.Path{}, fmt.Errorf("unknown edge %d (graph has %d edges)", id, g.NumEdges())
+		}
+		e := g.Edge(id)
+		if cur != e.U && cur != e.V {
+			return graph.Path{}, fmt.Errorf("edge %d (%d,%d) does not continue from vertex %d", id, e.U, e.V, cur)
+		}
+		cur = e.Other(cur)
+	}
+	return graph.Path{Src: src, Dst: cur, EdgeIDs: ids}, nil
 }
 
 // submitOp is the record of a full-matrix submission: d flattened into
@@ -303,9 +356,11 @@ type ReplayStats struct {
 //     engine would refuse today — a log left beside a smaller topology,
 //     corruption that kept its CRC — is skipped and journaled with its
 //     sequence number, and the records around it still apply;
-//   - link events bump the link version and re-draw recovery paths with the
-//     same version-salted seeds as the original run, so the recovered
-//     path-system hash matches an engine that never crashed;
+//   - link events bump the link version and install the paths their record
+//     logged, so the recovered path system is the one the engine that never
+//     crashed installed and no survivor router is built; a record without
+//     draws (written before they were logged) re-draws its paths with the
+//     same version-salted seeds as the original run, to the same hash;
 //   - demand records only update the submitted matrix — one solve at the end
 //     serves the final state instead of replaying every intermediate epoch.
 //
@@ -399,8 +454,9 @@ func (e *Engine) ReplayWAL(rec *wal.Recovery) (*ReplayStats, error) {
 // applyReplayedOp re-applies one logged operation through the accept path's
 // own interpreter — this is the accept path minus admission, logging and the
 // per-record solve: demand ops install nextDemand's matrix, link ops run the
-// full applyLinkEvent pipeline. A record that fails validation is skipped by
-// the caller rather than aborting recovery.
+// full applyLinkEvent pipeline, taking their sampling passes' paths from the
+// record when it logged them. A record that fails validation (logged draws
+// included) is skipped by the caller rather than aborting recovery.
 func (e *Engine) applyReplayedOp(op *walOp) error {
 	if op.Op == walOpLinks {
 		_, err := e.applyLinkEvent(op, true)
