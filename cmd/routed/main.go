@@ -165,8 +165,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.Int64Var(&o.engine.MaxInflightBytes, "inflight-bytes", 0, "total request-body bytes decoded concurrently before mutations shed with 429 (0 = unlimited)")
 	fs.Float64Var(&o.engine.MutationRate, "tenant-qps", 0, "per-tenant demand-mutation quota in ops/sec: excess submits and patches shed with 429 + Retry-After; per shard in fleet mode (0 = unlimited)")
 	fs.IntVar(&o.engine.MutationBurst, "tenant-burst", 0, "token-bucket depth for -tenant-qps (0 = ceil of the rate)")
-	fs.IntVar(&o.engine.BreakerThreshold, "breaker", 0, "circuit breaker: consecutive failed solves that open it — reads serve last-known-good, mutations get 503 + Retry-After until a cooldown probe succeeds (0 = disabled)")
-	fs.DurationVar(&o.engine.BreakerCooldown, "breaker-cooldown", 0, "open-breaker cooldown before the half-open probe (0 = default 5s)")
 	fs.StringVar(&o.fleetDir, "fleet", "", "fleet mode: serve every <id>.topo.json / <id>.snap in this directory as /v1/t/<id>/... (ignores -topo/-snapshot)")
 	fs.IntVar(&o.resident, "resident", 0, "fleet mode: max engines resident at once; LRU shards snapshot to disk and reload on demand (0 = unlimited)")
 	fs.StringVar(&o.defaultShard, "default", "", "fleet mode: topology the legacy /v1/* routes alias to (default: the sole shard when exactly one exists)")
@@ -255,8 +253,6 @@ func openFleet(o *options) (http.Handler, func() error, error) {
 		Workers:         o.engine.Workers,
 		DisableWAL:      o.wal == "off",
 		CheckpointEvery: o.engine.CheckpointEvery,
-		TenantQPS:       o.engine.MutationRate,
-		TenantBurst:     o.engine.MutationBurst,
 		Engine:          o.engine,
 		Build:           o.build,
 	})

@@ -96,21 +96,15 @@ type Config struct {
 	// that many logged operations per shard. 0 disables automatic
 	// checkpoints (eviction and drain still checkpoint).
 	CheckpointEvery int
-	// TenantQPS, when positive, is the per-tenant mutation quota: each
-	// shard's engine gets a token bucket admitting at most this many demand
-	// mutations per second (Config.MutationRate), so one flooding tenant is
-	// shed with 429s at its own front door — a second fairness layer above
-	// the shared FairPool's round-robin solve scheduling, which only protects
-	// solver time, not queue slots or WAL bandwidth. Per-shard shed counts
-	// roll up in the fleet vars and /metrics.
-	TenantQPS float64
-	// TenantBurst is each tenant bucket's depth. Default ceil(TenantQPS).
-	TenantBurst int
 	// Engine is the per-shard engine template: RouterName, R, Seed,
-	// SolveDeadline, warm-start policy, and so on. Graph, Router,
-	// System, Pool, FailedEdges, CapacityOverrides, and the WAL fields are
-	// managed by the fleet and overwritten per shard. An empty RouterName
-	// means "raecke".
+	// SolveDeadline, warm-start policy, and so on. Graph, Router, System,
+	// Pool, FailedEdges, CapacityOverrides, and the WAL fields are managed by
+	// the fleet and overwritten per shard. An empty RouterName means
+	// "raecke". Its MutationRate and MutationBurst are the per-tenant quota:
+	// every shard's engine gets its own token bucket, so one flooding tenant
+	// is shed with 429s at its own front door while the shared pool's
+	// round-robin keeps solver time fair. Per-shard shed counts roll up in
+	// the fleet vars and /metrics.
 	Engine service.Config
 	// Build tunes cold-start router construction (trees, k, dim). The
 	// sampling seed defaults to Engine.Seed.
@@ -438,9 +432,6 @@ func (f *Fleet) buildEngine(sh *shard) (*service.Opened, error) {
 	cfg.Graph, cfg.Router, cfg.System = nil, nil, nil
 	cfg.FailedEdges, cfg.CapacityOverrides = nil, nil
 	cfg.WAL, cfg.WALStartSeq = nil, 0
-	if f.cfg.TenantQPS > 0 {
-		cfg.MutationRate, cfg.MutationBurst = f.cfg.TenantQPS, f.cfg.TenantBurst
-	}
 	cfg.CheckpointPath, cfg.CheckpointEvery = sh.snapPath, f.cfg.CheckpointEvery
 	// Engines record into the fleet journal, tagged by topology ID, so the
 	// event stream survives eviction and rolls up at GET /debug/events.

@@ -64,7 +64,7 @@ func newMetrics(f *Fleet) *Metrics {
 	m.vars.Set("queue_depth", expvar.Func(func() any {
 		return f.pool.Pending()
 	}))
-	// Shed demand mutations (tenant quota + inflight budget + breaker) rolled
+	// Shed demand mutations (tenant quota + inflight budget) rolled
 	// up across resident shards. Per-shard detail lives in each shard's
 	// nested registry; this fleet gauge is what an operator alerts on.
 	// Evicted shards' counts leave the rollup with them — the gauge tracks

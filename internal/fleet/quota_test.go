@@ -11,13 +11,14 @@ import (
 )
 
 // TestFleetTenantQuota verifies the per-tenant quota layer: each shard gets
-// its own token bucket (TenantQPS), a flooding tenant sheds with
-// ErrRateLimited while a sibling tenant's bucket is untouched, and the shed
-// counts roll up into the fleet-level gauges an operator alerts on.
+// its own token bucket (the engine template's MutationRate), a flooding
+// tenant sheds with ErrRateLimited while a sibling tenant's bucket is
+// untouched, and the shed counts roll up into the fleet-level gauges an
+// operator alerts on.
 func TestFleetTenantQuota(t *testing.T) {
 	f := testFleet(t, []string{"hot", "cold"}, func(c *Config) {
-		c.TenantQPS = 1.0 / 60 // one mutation a minute: the second submit sheds
-		c.TenantBurst = 1
+		c.Engine.MutationRate = 1.0 / 60 // one mutation a minute: the second submit sheds
+		c.Engine.MutationBurst = 1
 	})
 
 	submit := func(id string) error {

@@ -68,10 +68,6 @@ const (
 	// EventCheckpoint is a durable checkpoint: snapshot written, WAL
 	// truncated.
 	EventCheckpoint = "checkpoint"
-	// EventBreaker is a circuit-breaker state transition
-	// (closed/open/half-open), with the consecutive-failure count or probe
-	// outcome that drove it.
-	EventBreaker = "breaker"
 	// EventBaseline is a restored degraded engine that could not re-draw its
 	// startup sample, so compaction keeps the restored system, extras
 	// included, as the baseline it returns to.

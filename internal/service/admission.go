@@ -5,26 +5,31 @@ import (
 	"time"
 )
 
-// Admission control for the mutating surface. Two independent budgets guard
-// the engine against a client that is fast rather than big:
+// Admission control for the mutating surface. The solver needs no guard of
+// its own: the one-slot epoch mailbox (putLocked) already bounds it to one
+// solve in flight plus one pending, however fast mutations arrive, and on a
+// shared fleet pool each engine waits its round-robin turn. What the mailbox
+// cannot bound is the work every accepted mutation does before it reaches
+// the slot, so two budgets guard that against a client that is fast rather
+// than big:
 //
 //   - a token bucket bounds the sustained mutation rate (demand submits and
 //     patches; link events are exempt — they are the remediation path an
-//     operator needs exactly when the engine is drowning), so a flooding
-//     tenant is shed at the front door instead of monopolizing the solver
-//     and the write-ahead log;
+//     operator needs exactly when the engine is drowning). Each accepted
+//     mutation is fsynced to the write-ahead log before it supersedes
+//     anything, so the bucket is what bounds the fsync rate and the log's
+//     growth between checkpoints;
 //
 //   - an inflight-bytes budget bounds the request bodies being decoded at
 //     once, so many concurrent medium-sized matrices cannot multiply into
 //     the same OOM a single huge body would cause (the per-request cap is
-//     Config.MaxBodyBytes, enforced with http.MaxBytesReader).
+//     Config.MaxBodyBytes, enforced with http.MaxBytesReader). Decoding
+//     happens before the mailbox, so only this budget bounds its memory.
 //
 // Both shed with ErrRateLimited, which the HTTP layer maps to 429 plus a
-// Retry-After hint — deliberately distinct from the breaker's 503: 429 means
-// "you are over your budget, slow down", 503 means "the solver is unhealthy,
-// anyone may retry after the cooldown". These are the engine's only load
-// shedding: an accepted mutation is never dropped, only superseded in the
-// epoch slot by a newer one.
+// Retry-After hint: "you are over your budget, slow down". These are the
+// engine's only load shedding: an accepted mutation is never dropped, only
+// superseded in the epoch slot by a newer one.
 
 // rateLimiter is a token bucket: capacity burst, refill rate tokens/second.
 // The zero value (rate <= 0) admits everything.
@@ -130,22 +135,11 @@ func (b *byteBudget) Inflight() int64 {
 	return b.inflight
 }
 
-// admitMutation runs the engine-level admission checks every demand mutation
-// (submit or patch) passes before any state is touched or logged: the
-// circuit breaker first (a poisoned solver makes rate irrelevant), then the
-// token bucket. On refusal it returns the error the HTTP layer maps to a
-// status and the Retry-After hint.
+// admitMutation is the engine-level admission check every demand mutation
+// (submit or patch) passes before any state is touched or logged: the token
+// bucket. On refusal it returns ErrRateLimited and the Retry-After hint.
 func (e *Engine) admitMutation() (time.Duration, error) {
-	if ok, wait := e.breaker.allow(); !ok {
-		e.metrics.breakerRejects.Add(1)
-		e.metrics.shedRequests.Add(1)
-		return wait, ErrBreakerOpen
-	}
 	if ok, wait := e.limiter.allow(); !ok {
-		// Admission is all or nothing: a half-open breaker may just have
-		// taken this mutation as its probe, so the bucket refusing it hands
-		// the slot back.
-		e.breaker.onNeutral()
 		e.metrics.rateLimited.Add(1)
 		e.metrics.shedRequests.Add(1)
 		return wait, ErrRateLimited

@@ -134,10 +134,6 @@ type Health struct {
 	AtRiskPairs int `json:"at_risk_pairs,omitempty"`
 	// DegradedSeconds is cumulative wall time spent degraded.
 	DegradedSeconds float64 `json:"degraded_seconds"`
-	// Breaker is the solver circuit breaker's state ("closed", "open",
-	// "half-open"), omitted when the breaker is disabled. Open means reads
-	// serve last-known-good while demand mutations are rejected.
-	Breaker string `json:"breaker,omitempty"`
 	// LastOutcome reports the most recently finished epoch, if any —
 	// surfacing fallback status that a bare "ok" used to hide.
 	LastOutcome *Outcome `json:"last_outcome,omitempty"`
@@ -177,12 +173,10 @@ type Engine struct {
 	journal *obs.Journal
 	shard   string
 
-	// Overload protection: the mutation token bucket and the solver circuit
-	// breaker gate every demand mutation before it is logged or applied (see
-	// admission.go / breaker.go); inflight bounds the request-body bytes the
-	// HTTP layer decodes concurrently.
+	// Overload protection (see admission.go): the mutation token bucket gates
+	// every demand mutation before it is logged or applied; inflight bounds
+	// the request-body bytes the HTTP layer decodes concurrently.
 	limiter  *rateLimiter
-	breaker  *breaker
 	inflight byteBudget
 
 	// original is the startup path system (sampled, restored, or for a
@@ -247,18 +241,11 @@ type Engine struct {
 
 // epochRequest is one accepted epoch's work item: the full matrix to serve
 // and, for PATCH delta epochs, the pairs that changed since the matrix the
-// solver last picked up (nil means a full solve). abandon, when non-empty,
-// holds the context of every client whose epoch the request carries: when
-// all of them are gone (disconnected, or past their request deadlines) by the
-// time the solver picks it up, the epoch is abandoned instead of burning a
-// solve on a result nobody will read. Empty means some carried epoch must be
-// solved regardless (a background submit, a link re-adapt, replay).
-// covers lists the earlier epochs this request superseded in the slot; they
-// resolve to its outcome.
+// solver last picked up (nil means a full solve). covers lists the earlier
+// epochs this request superseded in the slot; they resolve to its outcome.
 type epochRequest struct {
 	d       *demand.Demand
 	touched []demand.Pair
-	abandon []context.Context
 	epoch   uint64
 	covers  []uint64
 	queued  time.Time
@@ -353,18 +340,6 @@ func New(cfg Config) (*Engine, error) {
 	e.rootCtx, e.stop = context.WithCancel(context.Background())
 	e.limiter = newRateLimiter(cfg.MutationRate, cfg.MutationBurst)
 	e.inflight = byteBudget{max: cfg.MaxInflightBytes}
-	e.breaker = &breaker{
-		threshold: cfg.BreakerThreshold,
-		cooldown:  cfg.BreakerCooldown,
-		transition: func(from, to, reason string) {
-			if to == "open" {
-				e.metrics.breakerOpens.Add(1)
-			}
-			e.record(obs.EventBreaker, map[string]any{
-				"from": from, "to": to, "reason": reason,
-			})
-		},
-	}
 	e.metrics = newMetrics(e)
 	if cfg.Pool != nil {
 		e.pool = cfg.Pool
@@ -436,7 +411,6 @@ func (e *Engine) Health() *Health {
 		UncoveredPairs:  len(ls.uncovered),
 		AtRiskPairs:     len(ls.atRisk),
 		DegradedSeconds: e.DegradedSeconds(),
-		Breaker:         e.breaker.stateName(),
 	}
 	if st := e.Active(); st != nil {
 		h.Epoch = st.Epoch
@@ -455,12 +429,12 @@ func (e *Engine) Health() *Health {
 }
 
 // SubmitDemand validates d, assigns it the next epoch number, and hands it to
-// the solver. It returns ErrRateLimited/ErrBreakerOpen (wrapped in a
-// *ShedError carrying the retry hint) when admission control sheds the
-// mutation, and ErrClosed after Close. Demands on pairs that were never
-// installed are rejected; demands on installed pairs whose candidates are
-// currently dead are accepted and served degraded (the dead pairs are dropped
-// at solve time and counted in the outcome). The solve itself runs
+// the solver. It returns ErrRateLimited (wrapped in a *ShedError carrying
+// the retry hint) when admission control sheds the mutation, and ErrClosed
+// after Close. Demands on pairs that were never installed are rejected;
+// demands on installed pairs whose candidates are currently dead are
+// accepted and served degraded (the dead pairs are dropped at solve time and
+// counted in the outcome). The solve itself runs
 // asynchronously; use Wait to observe its outcome. A later mutation accepted
 // before the solver picks this one up supersedes it: only the latest demand
 // is solved, and Wait on this epoch reports that solve's outcome.
@@ -468,39 +442,33 @@ func (e *Engine) SubmitDemand(d *demand.Demand) (uint64, error) {
 	return e.SubmitDemandCtx(context.Background(), d)
 }
 
-// SubmitDemandCtx is SubmitDemand with the submitting client's context
-// threaded through to the pending epoch: if ctx is done (client
-// disconnected, request deadline expired) before the solver picks the epoch
-// up, the solve is abandoned — counted in epochs_abandoned, outcome recorded
-// as a fallback — instead of burning a solve on a result nobody will read.
-// The context does not cancel a solve already running; it only guards the
-// slot.
+// SubmitDemandCtx is SubmitDemand for a caller with a context: ctx is checked
+// once, before admission, and a done ctx returns ctx.Err() with nothing
+// logged and no epoch assigned. Once accepted, the mutation is solved, or
+// superseded by a later one, whatever happens to ctx afterwards: the log
+// already holds it, so serving anything else would make the live routing
+// differ from what a replay of the log serves.
 func (e *Engine) SubmitDemandCtx(ctx context.Context, d *demand.Demand) (uint64, error) {
 	return e.acceptDemand(ctx, submitOp(d), false)
 }
 
 // acceptDemand is the one accept step every demand mutation takes — submit
 // or patch, from the Go API, the HTTP layer, or (replay set) ReplayWAL's
-// closing re-solve: admit, build the next matrix with the record's
-// interpreter, log before apply, put the solve in the slot, and only then
-// make the matrix the base later patches merge into. A replay skips
-// admission and logging: its records are already on disk and recovery is not
-// a client to shed.
-func (e *Engine) acceptDemand(ctx context.Context, op *walOp, replay bool) (epoch uint64, err error) {
+// closing re-solve: check the caller is still there, admit, build the next
+// matrix with the record's interpreter, log before apply, put the solve in
+// the slot, and only then make the matrix the base later patches merge into.
+// A replay skips admission and logging: its records are already on disk and
+// recovery is not a client to shed.
+func (e *Engine) acceptDemand(ctx context.Context, op *walOp, replay bool) (uint64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
 	if !replay {
 		// Admission runs before the WAL commit: a shed mutation must leave no
 		// trace to replay, and no durable work should be spent on it.
 		if wait, shed := e.admitMutation(); shed != nil {
 			return 0, &ShedError{Err: shed, After: wait}
 		}
-		// The one place past admission that releases the breaker's half-open
-		// probe slot: an admitted mutation that ends up not accepted, for
-		// whatever reason, hands it back so the next mutation can probe.
-		defer func() {
-			if err != nil {
-				e.breaker.onNeutral()
-			}
-		}()
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -514,11 +482,11 @@ func (e *Engine) acceptDemand(ctx context.Context, op *walOp, replay bool) (epoc
 	// Log before apply: the mutation must be durable before the client can be
 	// told it was accepted.
 	if !replay {
-		if err = e.commitOp(op); err != nil {
+		if err := e.commitOp(op); err != nil {
 			return 0, err
 		}
 	}
-	epoch, err = e.putLocked(&epochRequest{d: next, touched: touched, abandon: abandonCtx(ctx)})
+	epoch, err := e.putLocked(&epochRequest{d: next, touched: touched})
 	if err != nil {
 		return 0, err
 	}
@@ -552,33 +520,11 @@ func (e *Engine) nextDemand(op *walOp) (*demand.Demand, []demand.Pair, error) {
 	return next, touched, nil
 }
 
-// abandonCtx normalizes a submit context for the epoch slot: background (or
-// nil) means "never abandon" and is stored as nil so the pickup check costs
-// nothing on the common path.
-func abandonCtx(ctx context.Context) []context.Context {
-	if ctx == nil || ctx == context.Background() {
-		return nil
-	}
-	return []context.Context{ctx}
-}
-
-// abandoned reports whether every client the request carries is gone.
-func (req *epochRequest) abandoned() bool {
-	for _, ctx := range req.abandon {
-		if ctx.Err() == nil {
-			return false
-		}
-	}
-	return len(req.abandon) > 0
-}
-
 // putLocked assigns req the next epoch number and puts it in the engine's
 // one-slot mailbox, the only way work reaches the solver. A request still
 // waiting there is superseded, never solved: req takes over its waiters, and
 // keeps a delta work list only when both are patches (the union of their
-// touched pairs, since neither has been solved). The merged request may be
-// abandoned only if both could be: it keeps every client context, or none
-// when either must be solved regardless. The drain task is submitted
+// touched pairs, since neither has been solved). The drain task is submitted
 // only when none is queued or running, so at most one solve is in flight.
 // ErrClosed means the pool refused the task. Callers hold e.mu and have
 // validated req.
@@ -594,11 +540,6 @@ func (e *Engine) putLocked(req *epochRequest) (uint64, error) {
 	req.queued = time.Now()
 	if old := e.slot; old != nil {
 		req.covers = append(old.covers, old.epoch)
-		if old.abandon == nil || req.abandon == nil {
-			req.abandon = nil
-		} else {
-			req.abandon = slices.Concat(old.abandon, req.abandon)
-		}
 		if req.touched != nil && old.touched != nil {
 			touched := slices.Clone(old.touched)
 			for _, p := range req.touched {
@@ -677,24 +618,6 @@ func (e *Engine) Wait(ctx context.Context, epoch uint64) (*Outcome, error) {
 func (e *Engine) solve(req *epochRequest) {
 	start := time.Now()
 	epoch, queueWait := req.epoch, start.Sub(req.queued)
-	// Abandonment check at pickup: when every client the request carries
-	// disconnected or blew its request deadline while the epoch sat in the
-	// slot, it gets no solve.
-	// Abandonment is breaker-neutral (it says nothing about solver health)
-	// and leaves the last good routing serving, so the outcome is recorded as
-	// a fallback and any waiters wake.
-	if req.abandoned() {
-		e.metrics.observeQueueWait(queueWait)
-		e.metrics.epochsAbandoned.Add(1)
-		e.metrics.fallbacks.Add(1)
-		e.breaker.onNeutral()
-		e.finish(&Outcome{
-			Epoch: epoch, Fallback: true,
-			Err:     "epoch abandoned: client gone before solve started",
-			Latency: time.Since(start),
-		}, req.covers)
-		return
-	}
 	d := req.d
 	tr := &obs.EpochTrace{Epoch: epoch, Start: start, QueueWaitMs: ms(queueWait)}
 	mon := &solveMonitor{epoch: epoch, tracer: e.tracer}
@@ -713,7 +636,6 @@ func (e *Engine) solve(req *epochRequest) {
 			})
 			if !finished {
 				e.metrics.fallbacks.Add(1)
-				e.breaker.onFailure()
 				e.finish(&Outcome{
 					Epoch: epoch, Fallback: true,
 					Err:     fmt.Sprintf("solver panic: %v", p),
@@ -830,7 +752,6 @@ func (e *Engine) solve(req *epochRequest) {
 		out.OK = true
 		out.Congestion = cong
 		e.metrics.observeSolve(out.Latency, cong)
-		e.breaker.onSuccess()
 	case errors.Is(err, context.DeadlineExceeded):
 		tr.Outcome = obs.OutcomeCanceled
 		out.Fallback = true
@@ -838,24 +759,18 @@ func (e *Engine) solve(req *epochRequest) {
 		e.metrics.deadlineMissed.Add(1)
 		e.metrics.observeCanceled(out.Latency)
 		e.metrics.fallbacks.Add(1)
-		// A missed deadline counts toward the breaker: a solver that can
-		// never finish inside the budget is poisoned for this engine's
-		// purposes even if it would eventually converge.
-		e.breaker.onFailure()
 	case errors.Is(err, context.Canceled):
 		tr.Outcome = obs.OutcomeCanceled
 		out.Fallback = true
 		out.Err = "solve canceled: engine closing"
 		e.metrics.observeCanceled(out.Latency)
 		e.metrics.fallbacks.Add(1)
-		e.breaker.onNeutral()
 	default:
 		tr.Outcome = obs.OutcomeFallback
 		out.Fallback = true
 		out.Err = err.Error()
 		e.metrics.failed.Add(1)
 		e.metrics.fallbacks.Add(1)
-		e.breaker.onFailure()
 		e.record(obs.EventSolveFailure, map[string]any{
 			"epoch": epoch, "err": err.Error(), "retries": out.Retries,
 		})

@@ -27,16 +27,14 @@ import (
 //	POST /v1/demand        submit a demand epoch (serial.DemandJSON body);
 //	                       ?wait=1 (any strconv boolean) blocks until the
 //	                       epoch resolves; absent or ?wait=0 returns 202.
-//	                       ?deadline=DURATION abandons the epoch if the solver
-//	                       has not picked it up by then (202 is still
-//	                       returned; the outcome records the abandonment);
-//	                       with ?wait=1 the client's own disconnect abandons
-//	                       the pending epoch the same way (an epoch that
-//	                       superseded others is abandoned only when all
-//	                       their clients are gone). An epoch
-//	                       superseded by a newer mutation before it solved
-//	                       resolves (and ?wait=1 answers 200) with the
-//	                       covering epoch's outcome
+//	                       ?deadline=DURATION bounds that wait: past it the
+//	                       reply is 504 "still solving" (without ?wait=1 it
+//	                       changes nothing). An accepted epoch is solved
+//	                       whatever the client does — waits past its
+//	                       deadline, or disconnects. An epoch superseded
+//	                       by a newer mutation before it solved resolves
+//	                       (and ?wait=1 answers 200) with the covering
+//	                       epoch's outcome
 //	PATCH /v1/demand       submit per-pair deltas against the last submitted
 //	                       matrix: {"set":[{"u":0,"v":3,"amount":2}],
 //	                       "clear":[{"u":1,"v":2}]}. The merged matrix is the
@@ -63,15 +61,15 @@ import (
 //	GET  /metrics          Prometheus text exposition of the expvar registry
 //	GET  /healthz          ok / degraded (failed or capacity-degraded edges,
 //	                       uncovered pairs) / 503 closed, plus the last epoch
-//	                       outcome and the circuit-breaker state
+//	                       outcome
 //
 // Every JSON reply is compact.
 //
 // Overload behavior: every POST/PATCH body is capped at Config.MaxBodyBytes
 // (413 beyond it); demand mutations pass the engine's admission control —
-// token-bucket rate limit and inflight-bytes budget shed with 429 +
-// Retry-After, an open circuit breaker sheds with 503 + Retry-After — while
-// GETs and link events are never shed. An accepted mutation is never
+// the token-bucket rate limit and the inflight-bytes budget shed with 429 +
+// Retry-After — while GETs and link events are never shed. The only 503 a
+// mutation can get is from a closed engine. An accepted mutation is never
 // dropped; under a burst, pending epochs coalesce into the latest one.
 type Server struct {
 	engine       *Engine
@@ -161,21 +159,15 @@ func (s *Server) acquireBody(w http.ResponseWriter, r *http.Request) (func(), bo
 	return func() { s.engine.inflight.release(n) }, true
 }
 
-// writeSubmitError maps a demand-mutation error to its status, attaching the
-// Retry-After hint every shed path carries: 429 for rate-limit and budget
-// sheds, 503 for an open breaker or a closed engine, 409 for a patch with no
-// base, 400 otherwise.
+// writeSubmitError maps a demand-mutation error to its status: 429 with the
+// Retry-After hint for a shed, 503 for a closed engine, 409 for a patch with
+// no base, 400 otherwise.
 func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	var shed *ShedError
 	switch {
 	case errors.As(err, &shed):
 		w.Header().Set("Retry-After", retryAfterSeconds(shed.After))
-		code := http.StatusTooManyRequests
-		if errors.Is(shed.Err, ErrBreakerOpen) {
-			// The breaker is a server-side fault, not a client over budget.
-			code = http.StatusServiceUnavailable
-		}
-		writeError(w, code, "%v", err)
+		writeError(w, http.StatusTooManyRequests, "%v", err)
 	case errors.Is(err, ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, ErrNoBaseDemand):
@@ -183,35 +175,6 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	default:
 		writeError(w, http.StatusBadRequest, "%v", err)
 	}
-}
-
-// expiringContext is a context that is Done after d with no cancel
-// obligation: the pending epoch it guards outlives the HTTP request that
-// created it, so the usual cancel-on-handler-return contract cannot apply.
-// The timer fires exactly once and frees itself.
-func expiringContext(d time.Duration) context.Context {
-	ctx, cancel := context.WithCancel(context.Background())
-	time.AfterFunc(d, cancel)
-	return ctx
-}
-
-// submitContext resolves the abandon context for a demand mutation: an
-// explicit ?deadline=DURATION wins; otherwise a waiting client's own request
-// context (gone when it disconnects); otherwise none. The error is a
-// malformed deadline (400, already written).
-func (s *Server) submitContext(w http.ResponseWriter, r *http.Request, wait bool) (context.Context, bool) {
-	if dp := r.URL.Query().Get("deadline"); dp != "" {
-		dur, err := time.ParseDuration(dp)
-		if err != nil || dur <= 0 {
-			writeError(w, http.StatusBadRequest, "deadline must be a positive duration, got %q", dp)
-			return nil, false
-		}
-		return expiringContext(dur), true
-	}
-	if wait {
-		return r.Context(), true
-	}
-	return context.Background(), true
 }
 
 // demandResponse is the POST/PATCH /v1/demand reply.
@@ -252,15 +215,24 @@ func outcomeResponse(out *Outcome) demandResponse {
 // engine's accept step then interprets.
 func (s *Server) handleDemand(decode func(io.Reader) (*walOp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		// Parse ?wait before submitting so a malformed value cannot consume an
-		// epoch. Absent means no wait; anything else must be a strconv boolean
-		// ("0"/"false" really means don't wait).
+		// Parse ?wait and ?deadline before submitting so a malformed value
+		// cannot consume an epoch. Absent wait means no wait; anything else
+		// must be a strconv boolean ("0"/"false" really means don't wait).
 		wait := false
 		if wp := r.URL.Query().Get("wait"); wp != "" {
 			var err error
 			wait, err = strconv.ParseBool(wp)
 			if err != nil {
 				writeError(w, http.StatusBadRequest, "wait must be a boolean, got %q", wp)
+				return
+			}
+		}
+		var deadline time.Duration
+		if dp := r.URL.Query().Get("deadline"); dp != "" {
+			var err error
+			deadline, err = time.ParseDuration(dp)
+			if err != nil || deadline <= 0 {
+				writeError(w, http.StatusBadRequest, "deadline must be a positive duration, got %q", dp)
 				return
 			}
 		}
@@ -278,11 +250,7 @@ func (s *Server) handleDemand(decode func(io.Reader) (*walOp, error)) http.Handl
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		actx, ok := s.submitContext(w, r, wait)
-		if !ok {
-			return
-		}
-		epoch, err := s.engine.acceptDemand(actx, op, false)
+		epoch, err := s.engine.acceptDemand(r.Context(), op, false)
 		if err != nil {
 			s.writeSubmitError(w, err)
 			return
@@ -291,7 +259,13 @@ func (s *Server) handleDemand(decode func(io.Reader) (*walOp, error)) http.Handl
 			writeJSON(w, http.StatusAccepted, demandResponse{Epoch: epoch})
 			return
 		}
-		s.waitAndReply(w, r, epoch)
+		ctx := r.Context()
+		if deadline > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, deadline)
+			defer cancel()
+		}
+		s.waitAndReply(ctx, w, epoch)
 	}
 }
 
@@ -319,10 +293,11 @@ func decodePatch(r io.Reader) (*walOp, error) {
 	return &walOp{Op: walOpPatch, Set: req.Set, Clear: req.Clear}, nil
 }
 
-// waitAndReply blocks on the epoch's outcome and writes the full reply (the
-// ?wait=1 tail shared by POST and PATCH /v1/demand).
-func (s *Server) waitAndReply(w http.ResponseWriter, r *http.Request, epoch uint64) {
-	out, err := s.engine.Wait(r.Context(), epoch)
+// waitAndReply blocks on the epoch's outcome until ctx expires and writes
+// the full reply (the ?wait=1 tail shared by POST and PATCH /v1/demand). An
+// expired wait answers 504; the epoch itself still solves.
+func (s *Server) waitAndReply(ctx context.Context, w http.ResponseWriter, epoch uint64) {
+	out, err := s.engine.Wait(ctx, epoch)
 	if errors.Is(err, ErrUnknownEpoch) {
 		// The outcome was evicted before we could wait on it (possible only
 		// under extreme epoch churn).
@@ -544,7 +519,7 @@ func (s *Server) linksJSON(u *LinkUpdate) linksResponse {
 func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request) {
 	// Link events are body-capped like every mutation but never admission-
 	// gated: repairing the topology is how an operator recovers an engine
-	// that shedding and the breaker are protecting.
+	// that is shedding demand mutations.
 	s.limitBody(w, r)
 	var req linksRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {

@@ -51,14 +51,11 @@ type Metrics struct {
 	checkpoints    expvar.Int // snapshot + WAL truncation checkpoints
 	solvePanics    expvar.Int // solver panics recovered in the epoch worker
 
-	// Overload protection (admission control + circuit breaker).
-	shedRequests    expvar.Int // every shed mutation: rate-limited + breaker + inflight budget
+	// Overload protection (admission control).
+	shedRequests    expvar.Int // every shed mutation: rate-limited + inflight budget
 	rateLimited     expvar.Int // mutations shed by the token-bucket rate limit (429)
 	inflightRejects expvar.Int // requests shed by the inflight-bytes budget (429)
 	bodyTooLarge    expvar.Int // request bodies over MaxBodyBytes (413)
-	epochsAbandoned expvar.Int // pending epochs skipped because their client was gone
-	breakerOpens    expvar.Int // closed/half-open -> open transitions
-	breakerRejects  expvar.Int // mutations rejected while the breaker was open
 
 	mu    sync.Mutex
 	lat   *stats.Ring // solve latencies, seconds
@@ -105,12 +102,6 @@ func newMetrics(e *Engine) *Metrics {
 	m.vars.Set("rate_limited", &m.rateLimited)
 	m.vars.Set("inflight_rejects", &m.inflightRejects)
 	m.vars.Set("body_too_large", &m.bodyTooLarge)
-	m.vars.Set("epochs_abandoned", &m.epochsAbandoned)
-	m.vars.Set("breaker_opens", &m.breakerOpens)
-	m.vars.Set("breaker_rejects", &m.breakerRejects)
-	m.vars.Set("breaker_state", expvar.Func(func() any {
-		return e.breaker.snapshot()
-	}))
 	m.vars.Set("inflight_bytes", expvar.Func(func() any {
 		return e.inflight.Inflight()
 	}))
@@ -254,6 +245,6 @@ func (m *Metrics) JSON() string { return m.vars.String() }
 // time; the map itself is safe for concurrent iteration.
 func (m *Metrics) Vars() *expvar.Map { return m.vars }
 
-// ShedRequests reports the engine's shed mutations — rate limit, inflight
-// budget and breaker rejections — for fleet-level rollups.
+// ShedRequests reports the engine's shed mutations — rate limit and inflight
+// budget rejections — for fleet-level rollups.
 func (m *Metrics) ShedRequests() int64 { return m.shedRequests.Value() }

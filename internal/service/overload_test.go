@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -63,7 +64,7 @@ func TestServerRateLimit429CarriesRetryAfter(t *testing.T) {
 	}
 	defer prom.Body.Close()
 	text, _ := io.ReadAll(prom.Body)
-	for _, metric := range []string{"sparseroute_engine_shed_requests", "sparseroute_engine_rate_limited", "sparseroute_engine_breaker_state"} {
+	for _, metric := range []string{"sparseroute_engine_shed_requests", "sparseroute_engine_rate_limited", "sparseroute_engine_inflight_rejects"} {
 		if !strings.Contains(string(text), metric) {
 			t.Fatalf("/metrics missing %s", metric)
 		}
@@ -110,20 +111,45 @@ func TestServerDeadlineQueryValidation(t *testing.T) {
 	}
 }
 
-// TestServerOverloadDrill is the 2x-capacity sustained overload drill, run
-// in CI's race tier: an engine with a tight mutation quota takes twice what
-// it can admit while readers hammer
-// GET /v1/routing and a chaos goroutine cycles link failures, brownouts,
-// and restores. The drill asserts the overload contract:
+// TestServerDeadlineBoundsWait: ?deadline= bounds how long ?wait=1 waits,
+// not whether the epoch solves. A wait that outlives it answers 504 "still
+// solving"; the accepted epoch then solves and serves anyway.
+func TestServerDeadlineBoundsWait(t *testing.T) {
+	_, e, ts := testServer(t, Config{Seed: 1}, "")
+	entered, release := holdSolves(e)
+	defer release()
+	code, body := postJSON(t, ts.URL+"/v1/demand?wait=1&deadline=50ms", `{"entries":[{"u":0,"v":7,"amount":2},{"u":1,"v":6,"amount":1}]}`)
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d body %v, want 504 while the solve is held", code, body)
+	}
+	if msg, _ := body["error"].(string); !strings.Contains(msg, "still solving") {
+		t.Fatalf("504 body %v, want the still-solving reply", body)
+	}
+	<-entered
+	release()
+	if out := quiesce(t, e)[1]; !out.OK {
+		t.Fatalf("epoch 1 past its wait deadline: %+v, want it solved", out)
+	}
+	servesLatest(t, e)
+}
+
+// TestServerOverloadDrill is the sustained overload drill, run in CI's race
+// tier against a real net/http server over TCP: an engine with a tight
+// mutation quota takes several times what it can admit — submits and
+// patches, half of them waiting on their epoch under a ?deadline= — while
+// readers hammer GET /v1/routing and a chaos goroutine cycles link failures,
+// brownouts, and restores. The drill asserts the overload contract:
 //
-//   - reads never see a 5xx and never block behind the mutation storm;
-//   - every mutation is accounted for: accepted, shed (429, with
-//     Retry-After), or busy (503 with Retry-After: the breaker, the only
-//     server-side shed — an admitted mutation is never dropped, at most
-//     superseded in the epoch slot);
-//   - the server's own shed counters agree with the client's view;
+//   - every mutation lands in exactly one bucket: sent = 2xx + 429 + 413 +
+//     other 4xx + 5xx + transport errors;
+//   - overload sheds only with 429 (every one carrying Retry-After), and the
+//     server's rate_limited + inflight_rejects agree with the client's
+//     count; no mutation sees a 5xx — only a closed engine answers 503 — and
+//     at least one is accepted;
+//   - reads never see a 5xx or a transport error;
 //   - link chaos keeps working while mutations shed (the repair path is
-//     never admission-gated).
+//     never admission-gated);
+//   - once the storm ends, one more waited submit is served exactly.
 func TestServerOverloadDrill(t *testing.T) {
 	_, e, ts := testServer(t, Config{
 		Seed:             1,
@@ -132,7 +158,7 @@ func TestServerOverloadDrill(t *testing.T) {
 		MaxInflightBytes: 1 << 20,
 	}, "")
 
-	// Seed one epoch so readers always have a routing.
+	// Seed one epoch so readers always have a routing and patches a base.
 	code, _ := postJSON(t, ts.URL+"/v1/demand?wait=1", `{"entries":[{"u":0,"v":7,"amount":2},{"u":1,"v":6,"amount":1}]}`)
 	if code != http.StatusOK {
 		t.Fatalf("seed epoch status %d", code)
@@ -143,20 +169,25 @@ func TestServerOverloadDrill(t *testing.T) {
 		duration = 1500 * time.Millisecond
 	)
 	var (
-		accepted, shed, busy, other atomic.Int64
-		readErrs, reads             atomic.Int64
-		stop                        = make(chan struct{})
-		wg                          sync.WaitGroup
+		sent, ok2xx, shed, tooLarge, client4xx, server5xx, transport atomic.Int64
+		readErrs, reads                                              atomic.Int64
+		stop                                                         = make(chan struct{})
+		wg                                                           sync.WaitGroup
 	)
 	time.AfterFunc(duration, func() { close(stop) })
 
-	// Senders: ~2x the 50/s quota between them, closed loop.
+	// Senders: several times the 50/s quota between them, closed loop. A
+	// third of the mutations are patches; odd senders wait on their epoch.
 	for s := 0; s < senders; s++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			client := &http.Client{Timeout: 10 * time.Second}
 			rng := rand.New(rand.NewPCG(7, uint64(id)))
+			query := ""
+			if id%2 == 1 {
+				query = "?wait=1&deadline=2s"
+			}
 			for {
 				select {
 				case <-stop:
@@ -164,32 +195,42 @@ func TestServerOverloadDrill(t *testing.T) {
 				default:
 				}
 				u := rng.IntN(4)
-				body := fmt.Sprintf(`{"entries":[{"u":%d,"v":%d,"amount":%d}]}`, u, 7-u, 1+rng.IntN(3))
-				resp, err := client.Post(ts.URL+"/v1/demand?deadline=2s", "application/json", strings.NewReader(body))
+				method, body := http.MethodPost, fmt.Sprintf(`{"entries":[{"u":%d,"v":%d,"amount":%d}]}`, u, 7-u, 1+rng.IntN(3))
+				if rng.IntN(3) == 0 {
+					method, body = http.MethodPatch, fmt.Sprintf(`{"set":[{"u":%d,"v":%d,"amount":%d}]}`, u, 7-u, 1+rng.IntN(3))
+				}
+				req, err := http.NewRequest(method, ts.URL+"/v1/demand"+query, strings.NewReader(body))
 				if err != nil {
-					other.Add(1)
+					t.Error(err)
+					return
+				}
+				sent.Add(1)
+				resp, err := client.Do(req)
+				if err != nil {
+					transport.Add(1)
+					t.Errorf("mutation transport error: %v", err)
 					continue
 				}
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
-				switch resp.StatusCode {
-				case http.StatusAccepted, http.StatusOK:
-					accepted.Add(1)
-				case http.StatusTooManyRequests:
+				switch c := resp.StatusCode; {
+				case c >= 200 && c < 300:
+					ok2xx.Add(1)
+				case c == http.StatusTooManyRequests:
 					if resp.Header.Get("Retry-After") == "" {
 						t.Error("429 without Retry-After")
 					}
 					shed.Add(1)
-				case http.StatusServiceUnavailable:
-					if resp.Header.Get("Retry-After") == "" {
-						t.Error("503 without Retry-After")
-					}
-					busy.Add(1)
+				case c == http.StatusRequestEntityTooLarge:
+					tooLarge.Add(1)
+				case c >= 400 && c < 500:
+					client4xx.Add(1)
+					t.Errorf("%s %s: status %d", method, body, c)
 				default:
-					t.Errorf("unexpected mutation status %d", resp.StatusCode)
-					other.Add(1)
+					server5xx.Add(1)
+					t.Errorf("%s %s: status %d; overload must shed with 429, and only a closed engine answers 503", method, body, c)
 				}
-				time.Sleep(10 * time.Millisecond) // ~100/s offered across 4 senders
+				time.Sleep(10 * time.Millisecond) // at most ~100/s per sender
 			}
 		}(s)
 	}
@@ -265,27 +306,48 @@ func TestServerOverloadDrill(t *testing.T) {
 	}()
 	wg.Wait()
 
+	t.Logf("mutations: sent %d, 2xx %d, 429 %d, 413 %d, 4xx %d, 5xx %d, transport %d; reads %d",
+		sent.Load(), ok2xx.Load(), shed.Load(), tooLarge.Load(), client4xx.Load(), server5xx.Load(), transport.Load(), reads.Load())
+	if accounted := ok2xx.Load() + shed.Load() + tooLarge.Load() + client4xx.Load() + server5xx.Load() + transport.Load(); accounted != sent.Load() {
+		t.Fatalf("sent %d mutations, %d land in an outcome bucket", sent.Load(), accounted)
+	}
 	if reads.Load() == 0 || readErrs.Load() > 0 {
 		t.Fatalf("reads=%d readErrs=%d, want >0 clean reads", reads.Load(), readErrs.Load())
 	}
-	if accepted.Load() == 0 {
+	if ok2xx.Load() == 0 {
 		t.Fatal("overload shed everything: no mutation was ever accepted")
 	}
 	if shed.Load() == 0 {
-		t.Fatal("2x overload produced no 429 shed — admission control missing in action")
-	}
-	if other.Load() > 0 {
-		t.Fatalf("%d mutations landed outside the overload contract", other.Load())
+		t.Fatal("overload produced no 429 shed — admission control missing in action")
 	}
 	// Server-side accounting must agree with the client's view.
 	m := e.Metrics()
 	if got := m.rateLimited.Value() + m.inflightRejects.Value(); got != shed.Load() {
 		t.Fatalf("server rate_limited+inflight_rejects=%d, client saw %d 429s", got, shed.Load())
 	}
-	if got := m.breakerRejects.Value(); got != busy.Load() {
-		t.Fatalf("server breaker_rejects=%d, client saw %d 503s", got, busy.Load())
+	if total := m.ShedRequests(); total != shed.Load() {
+		t.Fatalf("shed_requests=%d, want the client's 429s=%d", total, shed.Load())
 	}
-	if total := m.ShedRequests(); total != shed.Load()+busy.Load() {
-		t.Fatalf("shed_requests=%d, want 429s+503s=%d", total, shed.Load()+busy.Load())
+
+	// The storm is over: one more waited submit, retried past its 429s like
+	// a well-behaved client, must be the routing that serves.
+	final := `{"entries":[{"u":2,"v":5,"amount":3},{"u":0,"v":7,"amount":1}]}`
+	for try := 0; ; try++ {
+		resp, err := http.Post(ts.URL+"/v1/demand?wait=1", "application/json", strings.NewReader(final))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusTooManyRequests && try < 3 {
+			after, _ := strconv.Atoi(resp.Header.Get("Retry-After"))
+			time.Sleep(time.Duration(after) * time.Second)
+			continue
+		}
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(raw), `"solved":true`) {
+			t.Fatalf("final submit: status %d body %s", resp.StatusCode, raw)
+		}
+		break
 	}
+	servesLatest(t, e)
 }

@@ -22,18 +22,19 @@ type PairRef struct {
 // still matches the previous solve.
 //
 // It returns ErrNoBaseDemand before any successful SubmitDemand (a delta
-// needs a base), ErrClosed/ErrRateLimited/ErrBreakerOpen like
-// SubmitDemand, and a validation error for self-pairs, out-of-range
-// endpoints, non-finite amounts, or a patch that would clear the whole
-// matrix — the record is checked whole before anything is merged (see
-// applyDemandOp), so a rejected patch changes nothing.
+// needs a base), ErrClosed/ErrRateLimited like SubmitDemand, and a
+// validation error for self-pairs, out-of-range endpoints, non-finite
+// amounts, or a patch that would clear the whole matrix — the record is
+// checked whole before anything is merged (see applyDemandOp), so a rejected
+// patch changes nothing.
 func (e *Engine) PatchDemand(set []PairAmount, clear []PairRef) (uint64, error) {
 	return e.PatchDemandCtx(context.Background(), set, clear)
 }
 
-// PatchDemandCtx is PatchDemand with the submitting client's context
-// threaded through to the pending epoch (see SubmitDemandCtx): a patch whose
-// client is gone by solver pickup is abandoned instead of solved.
+// PatchDemandCtx is PatchDemand for a caller with a context (see
+// SubmitDemandCtx): a done ctx returns ctx.Err() before admission, with
+// nothing logged; an accepted patch is solved or superseded regardless of
+// what happens to ctx afterwards.
 func (e *Engine) PatchDemandCtx(ctx context.Context, set []PairAmount, clear []PairRef) (uint64, error) {
 	op := &walOp{Op: walOpPatch}
 	for _, s := range set {

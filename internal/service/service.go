@@ -11,6 +11,12 @@
 // epoch (rate updates are cheap), and a solve that fails or blows its
 // deadline falls back to the last good routing instead of blocking reads.
 //
+// Every accepted demand mutation is logged, then solved or superseded by a
+// later one: the engine holds one pending epoch, and only the latest demand
+// is ever solved. Nothing accepted is dropped, so the routing a live engine
+// serves is the one a replay of its snapshot and write-ahead log serves.
+// Overload is shed only before acceptance, by the budgets in admission.go.
+//
 // The package deliberately uses only the standard library: net/http for the
 // surface, expvar conventions for /debug/vars, internal/par for the worker
 // pool, internal/serial for snapshots, internal/stats for latency quantiles.
@@ -163,8 +169,10 @@ type Config struct {
 	// MutationRate, when positive, bounds the sustained rate (ops/second) of
 	// accepted demand mutations — submits and patches — through a token
 	// bucket; excess is shed with ErrRateLimited before anything is logged or
-	// applied (HTTP 429 + Retry-After). Link events are exempt: topology
-	// repair must stay possible while the engine sheds. 0 disables.
+	// applied (HTTP 429 + Retry-After). The epoch mailbox already bounds the
+	// solver; this bounds the WAL fsyncs and log growth every accepted
+	// mutation costs. Link events are exempt: topology repair must stay
+	// possible while the engine sheds. 0 disables.
 	MutationRate float64
 	// MutationBurst is the token-bucket depth: mutations that may land
 	// back-to-back before MutationRate bites. Default ceil(MutationRate),
@@ -173,24 +181,14 @@ type Config struct {
 	// MaxInflightBytes, when positive, bounds the total request-body bytes
 	// the HTTP layer holds in decode concurrently; excess requests are shed
 	// with 429 + Retry-After. Guards against many medium-sized matrices
-	// aggregating into the OOM a single huge body (MaxBodyBytes) would cause.
-	// 0 disables.
+	// aggregating into the OOM a single huge body (MaxBodyBytes) would cause;
+	// bodies are decoded before the epoch mailbox, so nothing else bounds
+	// that memory. 0 disables.
 	MaxInflightBytes int64
 	// MaxBodyBytes caps one HTTP request body (http.MaxBytesReader on every
 	// POST/PATCH); larger bodies get 413. Default 8 MiB; negative disables
 	// the cap.
 	MaxBodyBytes int64
-	// BreakerThreshold, when positive, arms the solver circuit breaker: that
-	// many consecutive counted solve failures (errors, missed deadlines,
-	// panics) open it — reads serve last-known-good, demand mutations are
-	// rejected with ErrBreakerOpen for BreakerCooldown, then a single probe
-	// mutation is admitted half-open (success closes, failure re-opens).
-	// Transitions are journaled and surface in /healthz and breaker_state.
-	// 0 (default) disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker rejects mutations before
-	// half-opening for its probe. Default 5s.
-	BreakerCooldown time.Duration
 	// AtRiskHeadroom, when positive, extends the at-risk pair set beyond
 	// failure-squeezed pairs: a pair whose best surviving candidate still
 	// crosses an edge with capacity multiplier below this threshold is
@@ -234,9 +232,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 8 << 20
 	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
 	if c.MutationRate > 0 && c.MutationBurst <= 0 {
 		c.MutationBurst = int(math.Ceil(c.MutationRate))
 	}
@@ -267,20 +262,12 @@ var ErrNoBaseDemand = errors.New("service: no base demand to patch (submit a ful
 // ErrRateLimited is returned by the demand-mutation paths when the
 // token-bucket rate limit (Config.MutationRate) or the inflight-bytes budget
 // sheds the request: the caller is over its budget and should back off (HTTP
-// 429 + Retry-After) — distinct from ErrBreakerOpen, a server-side fault
-// (HTTP 503).
+// 429 + Retry-After).
 var ErrRateLimited = errors.New("service: mutation rate limit exceeded")
 
-// ErrBreakerOpen is returned by the demand-mutation paths while the solver
-// circuit breaker is open: consecutive solve failures crossed
-// Config.BreakerThreshold, reads serve the last-known-good routing, and
-// mutations are rejected until the cooldown's half-open probe succeeds (HTTP
-// 503 + Retry-After). Link events are exempt — repair stays possible.
-var ErrBreakerOpen = errors.New("service: circuit breaker open, serving last-known-good routing")
-
-// ShedError wraps an admission rejection (ErrRateLimited or ErrBreakerOpen)
-// with the retry hint the HTTP layer serializes as the Retry-After header.
-// errors.Is sees through it to the wrapped sentinel.
+// ShedError wraps an admission rejection (ErrRateLimited) with the retry
+// hint the HTTP layer serializes as the Retry-After header. errors.Is sees
+// through it to the wrapped sentinel.
 type ShedError struct {
 	Err   error
 	After time.Duration

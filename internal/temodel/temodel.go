@@ -185,49 +185,3 @@ func DiurnalSequence(g *graph.Graph, epochs, period int, total float64, pairs in
 	}
 	return out
 }
-
-// AdversarialSequence generates an epoch sequence built to defeat the warm
-// paths the serving engine leans on. Gravity and diurnal matrices keep most
-// of their support from one epoch to the next, so warm starts and touched-
-// pair deltas do most of the work; this sequence rotates the entire support
-// every epoch — epoch t sends between the pairs (v, (v+offset_t) mod n) for
-// a fresh random offset, so no pair from the previous matrix survives — and
-// concentrates half the volume across one random edge's endpoints, the
-// single-bottleneck hotspot an oblivious routing spreads worst. It is the
-// overload generator's nastiest demand model: every epoch is a cold solve
-// with a moving congestion spike.
-func AdversarialSequence(g *graph.Graph, epochs int, total float64, pairs int, rng *rand.Rand) []*demand.Demand {
-	n := g.NumVertices()
-	if pairs < 1 {
-		pairs = 1
-	}
-	if pairs > n {
-		pairs = n
-	}
-	out := make([]*demand.Demand, epochs)
-	prev := 0
-	for e := range out {
-		d := demand.New()
-		// A fresh offset each epoch rotates the whole support. Offsets are
-		// drawn from [1, n-1] so u != v always holds; offsets k and n-k
-		// generate the same unordered pair set (one rotation class), so the
-		// previous epoch's class is excluded — consecutive rotation supports
-		// are then disjoint by construction, not just usually.
-		offset := 1 + rng.IntN(n-1)
-		for n >= 4 && (offset == prev || offset+prev == n) {
-			offset = 1 + rng.IntN(n-1)
-		}
-		prev = offset
-		spread := total / 2 / float64(pairs)
-		for _, u := range rng.Perm(n)[:pairs] {
-			v := (u + offset) % n
-			d.Add(u, v, spread)
-		}
-		// The hotspot: half the epoch's volume across a single random edge,
-		// so the spike lands exactly on one unit of capacity.
-		he := g.Edge(rng.IntN(g.NumEdges()))
-		d.Add(he.U, he.V, total/2)
-		out[e] = d
-	}
-	return out
-}
