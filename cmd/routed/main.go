@@ -22,7 +22,7 @@
 //	POST /v1/snapshot   persist the path system to the --snapshot file
 //	GET  /debug/vars    expvar metrics (epochs, latency quantiles, fallbacks,
 //	                    failed_edges, degraded_edges, recovery_resamples,
-//	                    proactive_resamples, compacted_paths, ...)
+//	                    proactive_resamples, survivor_builds, ...)
 //	GET  /metrics       the same registry as Prometheus text exposition
 //	GET  /debug/trace   recent epoch lifecycle traces — queue wait, solve
 //	                    attempt chain, MWU rounds, publish time (?n= bounds

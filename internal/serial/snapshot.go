@@ -54,8 +54,8 @@ type Snapshot struct {
 	// in the snapshot, so replay skips it (v4; 0 for older snapshots).
 	WALSeq uint64
 	// LinkVersion is the engine's link-state version counter at snapshot
-	// time. Restoring it keeps recovery-resample seeds (salted by version)
-	// identical between a recovered engine and one that never restarted
+	// time. Restoring it lets replayed link events continue the version
+	// sequence of the engine that never restarted; no seed depends on it
 	// (v4; 0 for older snapshots, meaning "start fresh at 1").
 	LinkVersion uint64
 }

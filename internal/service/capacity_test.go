@@ -242,71 +242,16 @@ func TestEngineProactiveRecoveryWidensAtRiskPairs(t *testing.T) {
 		t.Fatalf("proactive_resamples=%d, want 1", got)
 	}
 
-	// Restore: the original candidates are all healthy again, so compaction
-	// drops the proactive extra and the hash returns to the startup sample.
-	update, err = e.RestoreEdges(ids["13"])
-	if err != nil {
+	// Restore: nothing is impaired any more, so the engine installs the
+	// startup sample again and the hash returns to it.
+	if _, err := e.RestoreEdges(ids["13"]); err != nil {
 		t.Fatal(err)
 	}
-	if update.CompactedPaths != 1 {
-		t.Fatalf("update %+v, want the proactive path compacted away", update)
-	}
 	if e.Hash() != hash0 {
-		t.Fatal("full restore must compact back to the startup hash")
+		t.Fatal("full restore must return to the startup hash")
 	}
 	if got := len(e.System().Unique(0, 3)); got != 2 {
 		t.Fatalf("serving candidates for (0,3): %d, want the 2 originals", got)
-	}
-}
-
-// TestEngineRecoveryPathCap bounds accumulation while a pair's original
-// candidates stay impaired: extras beyond the cap are dropped in the same
-// event that drew them.
-func TestEngineRecoveryPathCap(t *testing.T) {
-	g := graph.New(4)
-	a1 := g.AddUnitEdge(0, 1)
-	a2 := g.AddUnitEdge(1, 3)
-	g.AddUnitEdge(0, 2)
-	g.AddUnitEdge(2, 3)
-	ps := core.NewPathSystem(g)
-	if err := ps.AddPath(graph.Path{Src: 0, Dst: 3, EdgeIDs: []int{a1, a2}}); err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(Config{Graph: g, System: ps, R: 2, RecoveryPathCap: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	// Failing 1-3 uncovers (0,3); recovery draws R=2 paths (the SPF survivor
-	// router is a point mass on 0-2-3, so both draws are copies). The cap
-	// keeps one.
-	update, err := e.FailEdges(a2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if update.RecoveryPaths != 2 || update.CompactedPaths != 1 {
-		t.Fatalf("update %+v, want 2 drawn and 1 compacted under cap 1", update)
-	}
-	if got := len(e.InstalledSystem().Paths(0, 3)); got != 2 {
-		t.Fatalf("installed paths for (0,3): %d, want original + 1 capped extra", got)
-	}
-
-	// A negative cap disables the bound entirely.
-	e2, err := New(Config{Graph: g, System: ps, R: 2, RecoveryPathCap: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	update, err = e2.FailEdges(a2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if update.CompactedPaths != 0 {
-		t.Fatalf("update %+v, want nothing compacted with the cap disabled", update)
-	}
-	if got := len(e2.InstalledSystem().Paths(0, 3)); got != 3 {
-		t.Fatalf("installed paths for (0,3): %d, want original + 2 extras", got)
 	}
 }
 

@@ -181,14 +181,12 @@ type Engine struct {
 
 	// original is the startup path system (sampled, restored, or for a
 	// degraded snapshot re-drawn by Open), immutable, and originalHash its
-	// hash memo, shared by every link state that installs it. The compaction
-	// pass GCs accumulated recovery paths back toward it once the failed
-	// edges that motivated them are healthy again.
+	// hash memo, shared by every link state that installs it. Every link
+	// event derives its installed system from it (see deriveLinks).
 	original     *core.PathSystem
 	originalHash *pathHash
-	// pairs is the installed pair set, sorted once: recovery, widening and
-	// compaction add and drop paths of existing pairs only, so it never
-	// changes.
+	// pairs is the installed pair set, sorted once: recovery and widening
+	// add paths to existing pairs only, so it never changes.
 	pairs []demand.Pair
 	// build holds the router options Open sampled the startup system with;
 	// survivor routers reuse them (with cfg.Seed). Zero — the defaults — for

@@ -490,7 +490,6 @@ type linksResponse struct {
 	RecoveryPaths  int            `json:"recovery_paths,omitempty"`
 	ProactivePairs int            `json:"proactive_pairs,omitempty"`
 	ProactivePaths int            `json:"proactive_paths,omitempty"`
-	CompactedPaths int            `json:"compacted_paths,omitempty"`
 	Status         string         `json:"status"`
 	Hash           string         `json:"hash"`
 }
@@ -510,7 +509,6 @@ func (s *Server) linksJSON(u *LinkUpdate) linksResponse {
 		RecoveryPaths:  u.RecoveryPaths,
 		ProactivePairs: u.ProactivePairs,
 		ProactivePaths: u.ProactivePaths,
-		CompactedPaths: u.CompactedPaths,
 		Status:         status,
 		Hash:           fmt.Sprintf("%016x", s.engine.Hash()),
 	}

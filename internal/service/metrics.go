@@ -37,7 +37,6 @@ type Metrics struct {
 	survivorBuilds     expvar.Int // survivor-graph routers built for recovery/widening
 	proactiveResamples expvar.Int // events whose proactive pass widened at-risk pairs
 	proactivePaths     expvar.Int // total unique paths installed proactively
-	compactedPaths     expvar.Int // accumulated recovery paths dropped by compaction
 	solveRetries       expvar.Int // retry stages run beyond first solve attempts
 	renormalizedServes expvar.Int // interim renormalized publishes after link events
 	slowSolves         expvar.Int // epochs over Config.SlowSolveThreshold
@@ -87,7 +86,6 @@ func newMetrics(e *Engine) *Metrics {
 	m.vars.Set("survivor_builds", &m.survivorBuilds)
 	m.vars.Set("proactive_resamples", &m.proactiveResamples)
 	m.vars.Set("proactive_paths", &m.proactivePaths)
-	m.vars.Set("compacted_paths", &m.compactedPaths)
 	m.vars.Set("solve_retries", &m.solveRetries)
 	m.vars.Set("renormalized_serves", &m.renormalizedServes)
 	m.vars.Set("slow_solves", &m.slowSolves)

@@ -345,7 +345,7 @@ func TestHeadroomWideningJournaled(t *testing.T) {
 		t.Fatalf("candidates for (0,3): %d, want the 2 originals", got)
 	}
 
-	// Restoring full capacity compacts the widening away.
+	// Restoring full capacity installs the startup sample: no widening.
 	if _, err := e.SetCapacity(ids["04"], 1); err != nil {
 		t.Fatal(err)
 	}

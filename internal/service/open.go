@@ -65,8 +65,8 @@ func Open(files Files, cfg Config, build oblivious.BuildOptions) (*Opened, error
 	e, restored, err := restoreOrSample(files, cfg, build)
 	var stats *ReplayStats
 	if err == nil {
-		// Before replay: replayed link events build survivor routers and
-		// compact toward the startup sample too.
+		// Before replay: the link state a replayed log ends in is derived
+		// from the startup sample, with survivor routers of these options.
 		e.build = build
 		if restored && e.links.Load().degraded() {
 			if err := e.redrawOriginal(); err != nil {
@@ -87,13 +87,13 @@ func Open(files Files, cfg Config, build oblivious.BuildOptions) (*Opened, error
 }
 
 // redrawOriginal gives an engine restored from a degraded snapshot its
-// compaction baseline back. Such a snapshot stores the recovery extras beside
-// the startup sample, and New takes the whole restored system for the startup
-// system, so the extras would never be compacted away. The startup sample is
-// re-drawn from the snapshot's router, R and seed with Open's build options,
-// and adopted only if it is a per-pair prefix of the restored system; on an
-// error the restored system stays the baseline. Open calls it before the
-// engine serves anything.
+// startup sample back. Such a snapshot stores the recovery extras beside the
+// startup sample, and New takes the whole restored system for the startup
+// system, which every later link state would be derived from. The startup
+// sample is re-drawn from the snapshot's router, R and seed with Open's build
+// options, and adopted only if it is a per-pair prefix of the restored
+// system; on an error the restored system stays the baseline. Open calls it
+// before the engine serves anything.
 func (e *Engine) redrawOriginal() error {
 	opt := e.build
 	if opt.Seed == 0 {

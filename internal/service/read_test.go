@@ -158,9 +158,8 @@ func TestRoutingReadMemoAndETag(t *testing.T) {
 
 // TestPathSystemGaugeMatchesStats: the path_system gauge counts paths in
 // plain passes, once per link-state version, and after every step of a
-// fail / brownout / restore sequence (recovery resampling, pruning,
-// compaction) its counters equal core.PathSystem.Stats of the installed and
-// serving systems.
+// fail / brownout / restore sequence (recovery resampling, pruning) its
+// counters equal core.PathSystem.Stats of the installed and serving systems.
 func TestPathSystemGaugeMatchesStats(t *testing.T) {
 	_, e, _ := testServer(t, Config{Seed: 11}, "")
 	gauge := e.Metrics().Vars().Get("path_system").(expvar.Func)

@@ -77,19 +77,16 @@ type Config struct {
 	// FailedEdges starts the engine with the given edges already failed —
 	// set by Restore from a snapshot taken while degraded. No recovery
 	// resampling runs at startup: the installed system (which already
-	// carries any earlier recovery paths) is served pruned as-is, so the
-	// restored engine reproduces the snapshot's path-system hash.
+	// carries the recovery paths of this failed set) is served pruned
+	// as-is, so the restored engine reproduces the snapshot's path-system
+	// hash. The next link event derives its state from the startup sample
+	// (see Open), not from this system.
 	FailedEdges []int
 	// CapacityOverrides starts the engine with the given effective-capacity
 	// multipliers, strictly inside (0,1), already applied — set by Restore
 	// from a snapshot taken while capacity-degraded. Zero-capacity (failed)
 	// edges belong in FailedEdges instead.
 	CapacityOverrides map[int]float64
-	// RecoveryPathCap bounds the recovery paths the compaction pass retains
-	// per pair while the pair's original candidates are impaired (extras for
-	// fully healthy pairs are always dropped entirely). Default 2*R;
-	// negative disables the cap.
-	RecoveryPathCap int
 	// Adapt tunes the rate-adaptation solvers.
 	Adapt *core.AdaptOptions
 	// OutcomeHistory bounds the retained epoch outcomes Wait can still
@@ -156,9 +153,8 @@ type Config struct {
 	WALStartSeq uint64
 	// LinkVersion seeds the engine's link-state version counter (0 means
 	// start fresh at 1). Set by Restore from the snapshot so replayed link
-	// events continue the original version sequence — recovery-resample
-	// seeds are version-salted, so this is what makes a recovered engine's
-	// path-system hash match one that never crashed.
+	// events continue the original version sequence. It seeds no sampling:
+	// the path system is a function of the capacity map alone.
 	LinkVersion uint64
 	// CheckpointEvery, when positive and CheckpointPath is set, triggers an
 	// automatic checkpoint (snapshot + WAL truncation) after that many
@@ -207,9 +203,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LatencyWindow <= 0 {
 		c.LatencyWindow = 256
-	}
-	if c.RecoveryPathCap == 0 {
-		c.RecoveryPathCap = 2 * c.R
 	}
 	if c.TraceDepth <= 0 {
 		c.TraceDepth = 64

@@ -18,10 +18,9 @@ import (
 // TestWALRecordBytesGolden pins the on-disk format: the exact record bytes
 // the engine logs for each mutation kind. A log written by one version must
 // replay under the next, so a change to these bytes is a format change and
-// needs a migration story, not a quiet edit to this test. A link event whose
-// sampling passes drew logs the paths they installed as "draws" (empty when
-// every draw deduplicated away); the SPF fallback on the broken hypercube
-// draws one path R times.
+// needs a migration story, not a quiet edit to this test. A link record
+// carries the event's inputs only: older versions appended the paths the
+// event's sampling passes drew as "draws", which replay now ignores.
 func TestWALRecordBytesGolden(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "golden.wal")
 	e, log, _ := walEngine(t, walPath, Config{Seed: 1})
@@ -62,14 +61,10 @@ func TestWALRecordBytesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The hypercube events never widen for headroom: pin a record in which
-	// all three sampling passes installed paths.
-	drawn, err := json.Marshal(&walOp{Seq: 10, Op: walOpLinks, Fail: []int{2},
-		Caps: []walCap{{Edge: 7, Capacity: 0.25}}, Draws: &walDraws{
-			Recover:  []drawnPath{{3, 3, 4, 8}},
-			Single:   []drawnPath{{0, 1, 6}, {6, 11}},
-			Headroom: []drawnPath{{1, 4, 9, 11}},
-		}})
+	// A failure and a brownout in one record, as an event that widens for
+	// headroom logs it.
+	widened, err := json.Marshal(&walOp{Seq: 10, Op: walOpLinks, Fail: []int{2},
+		Caps: []walCap{{Edge: 7, Capacity: 0.25}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,19 +83,19 @@ func TestWALRecordBytesGolden(t *testing.T) {
 	for _, r := range records {
 		got = append(got, string(r))
 	}
-	got = append(got, string(revoke), string(combined), string(drawn))
+	got = append(got, string(revoke), string(combined), string(widened))
 
 	want := []string{
 		`{"seq":1,"op":"submit","entries":[{"u":0,"v":7,"amount":2},{"u":1,"v":6,"amount":1.5}]}`,
 		`{"seq":2,"op":"patch","set":[{"u":6,"v":1,"amount":3}],"clear":[{"u":0,"v":7}]}`,
-		`{"seq":3,"op":"links","fail":[2],"draws":{"recover":[[3,3,4,8],[3,3,4,8],[3,3,4,8]],"single":[[0,1,6],[1,4,8],[2,6,9],[6,11]]}}`,
-		`{"seq":4,"op":"links","fail":[5],"restore":[2],"draws":{"recover":[[2,1,0,4],[2,1,0,4],[2,1,0,4]],"single":[[2,1,0,3],[2,6,11],[3,3,0,2]]}}`,
-		`{"seq":5,"op":"links","caps":[{"edge":7,"capacity":0.5}],"draws":{}}`,
-		`{"seq":6,"op":"links","fail":[3],"replace":true,"draws":{"recover":[[1,0,1,5],[1,0,1,5],[1,0,1,5],[3,7,10],[3,7,10],[3,7,10]],"single":[[0,0,4,10],[6,11]]}}`,
+		`{"seq":3,"op":"links","fail":[2]}`,
+		`{"seq":4,"op":"links","fail":[5],"restore":[2]}`,
+		`{"seq":5,"op":"links","caps":[{"edge":7,"capacity":0.5}]}`,
+		`{"seq":6,"op":"links","fail":[3],"replace":true}`,
 		`{"seq":7,"op":"links","restore":[3]}`,
 		`{"seq":8,"op":"revoke","ref":2}`,
 		`{"seq":9,"op":"links","fail":[1],"restore":[2],"caps":[{"edge":3,"capacity":0.25}]}`,
-		`{"seq":10,"op":"links","fail":[2],"caps":[{"edge":7,"capacity":0.25}],"draws":{"recover":[[3,3,4,8]],"single":[[0,1,6],[6,11]],"headroom":[[1,4,9,11]]}}`,
+		`{"seq":10,"op":"links","fail":[2],"caps":[{"edge":7,"capacity":0.25}]}`,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("record bytes changed:\ngot  %s\nwant %s", strings.Join(got, "\n     "), strings.Join(want, "\n     "))
@@ -156,7 +151,7 @@ func TestLiveAcceptEqualsReplay(t *testing.T) {
 				}
 				var err error
 				if op.Op == walOpLinks {
-					_, err = live.applyLinkEvent(&op, false)
+					_, err = live.applyLinkEvent(&op)
 				} else {
 					_, err = live.acceptDemand(context.Background(), &op, false)
 				}

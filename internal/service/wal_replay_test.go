@@ -11,7 +11,6 @@ import (
 // Well-framed records the engine must refuse, given that the hypercube the
 // tests serve has 8 vertices and 12 edges and the base matrix is exactly
 // {(0,7): 2}. They are the replay table's cases and the fuzz seed corpus.
-// The draws doctor drawsFail0, which seed 3's R 3 sample logs for "fail 0".
 var badRecords = []struct{ name, record string }{
 	{"submit self pair", `{"seq":2,"op":"submit","entries":[{"u":3,"v":3,"amount":1}]}`},
 	{"submit vertex out of range", `{"seq":2,"op":"submit","entries":[{"u":0,"v":99,"amount":1}]}`},
@@ -28,15 +27,22 @@ var badRecords = []struct{ name, record string }{
 	{"unknown op", `{"seq":2,"op":"compact","fail":[1]}`},
 	{"links edge out of range", `{"seq":2,"op":"links","fail":[12]}`},
 	{"links negative capacity", `{"seq":2,"op":"links","caps":[{"edge":0,"capacity":-1}]}`},
+}
+
+// drawsFail0 is the record an older version logged for "fail 0" on seed 3's
+// R 3 sample, with the paths its sampling passes drew: recovery draws for
+// (0,5) and (1,4), widening for five single-survivor pairs.
+const drawsFail0 = `{"seq":2,"op":"links","fail":[0],"draws":{"recover":[[0,2,8],[0,2,8],[0,2,8],[1,4,8],[1,4,8],[1,4,8]],"single":[[0,1],[0,1,5],[1,3,5],[1,3,5,6],[2,1,2]]}}`
+
+// ignoredDraws are drawsFail0 and records that doctor its draws. Replay
+// ignores draws, so each applies as the bare "fail 0" it carries.
+var ignoredDraws = []struct{ name, record string }{
+	{"draws as logged", drawsFail0},
 	{"draws edge out of range", `{"seq":2,"op":"links","fail":[0],"draws":{"recover":[[0,2,99]]}}`},
 	{"draws non-simple path", `{"seq":2,"op":"links","fail":[0],"draws":{"recover":[[0,2,9,9,8]]}}`},
 	{"draws wrong endpoints", `{"seq":2,"op":"links","fail":[0],"draws":{"recover":[[0,2]]}}`},
 	{"draws through a failed edge", `{"seq":2,"op":"links","fail":[0],"draws":{"single":[[0,0,3]]}}`},
 }
-
-// drawsFail0 is the record seed 3's R 3 sample logs for "fail 0": recovery
-// draws for (0,5) and (1,4), widening for five single-survivor pairs.
-const drawsFail0 = `{"seq":2,"op":"links","fail":[0],"draws":{"recover":[[0,2,8],[0,2,8],[0,2,8],[1,4,8],[1,4,8],[1,4,8]],"single":[[0,1],[0,1,5],[1,3,5],[1,3,5,6],[2,1,2]]}}`
 
 // replayRecords frames the payloads, scans them back the way wal.Open does,
 // and replays them into a fresh engine.
@@ -70,6 +76,8 @@ func skippedSeqs(e *Engine) []uint64 {
 // path would refuse — a log left beside a smaller topology, corruption inside
 // the payload — must be skipped and journaled with its sequence number, the
 // records before and after it must still apply, and startup must go ahead.
+// A link record's draws, however doctored, are no reason to refuse it: they
+// are ignored, and the record applies.
 func TestReplaySkipsInvalidRecords(t *testing.T) {
 	const (
 		base  = `{"seq":1,"op":"submit","entries":[{"u":0,"v":7,"amount":2}]}`
@@ -107,22 +115,27 @@ func TestReplaySkipsInvalidRecords(t *testing.T) {
 			`{"seq":2,"op":"submit","entries":[{"u":0,"v":7,"amount":2}]}`,
 			after)
 	})
-	// The record the doctored ones come from applies, and installs what the
-	// live event did.
-	t.Run("draws as logged", func(t *testing.T) {
-		live := testEngine(t, Config{Seed: 3})
-		if _, err := live.FailEdges(0); err != nil {
-			t.Fatal(err)
-		}
-		e, stats, err := replayRecords(t, Config{Seed: 3}, base, drawsFail0, after)
-		if err != nil || stats.Applied != 3 {
-			t.Fatalf("replay %+v: %v, want all three records applied", stats, err)
-		}
-		if e.Hash() != live.Hash() || e.metrics.survivorBuilds.Value() != 0 {
-			t.Fatalf("hash %016x after %d survivor builds, want the live %016x after none",
-				e.Hash(), e.metrics.survivorBuilds.Value(), live.Hash())
-		}
-	})
+	live := testEngine(t, Config{Seed: 3})
+	if _, err := live.FailEdges(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range ignoredDraws {
+		t.Run(tc.name, func(t *testing.T) {
+			e, stats, err := replayRecords(t, Config{Seed: 3}, base, tc.record, after)
+			if err != nil || stats.Applied != 3 || stats.Skipped != 0 {
+				t.Fatalf("replay %+v: %v, want all three records applied", stats, err)
+			}
+			if got := skippedSeqs(e); len(got) != 0 {
+				t.Fatalf("journaled skipped seqs %v, want none", got)
+			}
+			if got := e.LastSubmitted(); !demand.Equal(got, want, 0) {
+				t.Fatalf("replayed matrix %v, want %v", got, want)
+			}
+			if got, want := e.Hash(), live.Hash(); got != want {
+				t.Fatalf("hash %016x, want the live %016x of fail 0", got, want)
+			}
+		})
+	}
 }
 
 // FuzzReplayOps feeds arbitrary payloads, well framed, through replay between
@@ -132,9 +145,11 @@ func FuzzReplayOps(f *testing.F) {
 	for _, tc := range badRecords {
 		f.Add([]byte(tc.record))
 	}
+	for _, tc := range ignoredDraws {
+		f.Add([]byte(tc.record))
+	}
 	f.Add([]byte(`{"seq":2,"op":"links","fail":[0,1,2],"restore":[1],"caps":[{"edge":5,"capacity":0.5}]}`))
 	f.Add([]byte(`{"seq":2,"op":"links","replace":true,"fail":[0,1,2,3,4,5,6,7,8,9,10,11]}`))
-	f.Add([]byte(drawsFail0))
 	f.Add([]byte(`{"seq":2,"op":"links","fail":[0],"caps":[{"edge":9,"capacity":0.1}],"draws":{"recover":[[0,2,8]],"single":[[0,1]],"headroom":[[2,6,11]]}}`))
 	f.Add([]byte(`{"seq":2,"op":"revoke","ref":1}`))
 	f.Add([]byte(`{"seq":18446744073709551615,"op":"submit","entries":[{"u":2,"v":5,"amount":1e300}]}`))
