@@ -53,9 +53,10 @@
 // draws fresh recovery paths on the pruned topology (recovery resampling).
 // Pairs a failure leaves with a single surviving candidate are widened
 // proactively on the survivor graph before a second failure can disconnect
-// them, and accumulated recovery paths are garbage-collected once a pair's
-// original candidates are all healthy again (bounded per pair meanwhile), so
-// a long drill sequence cannot grow the resident system without bound.
+// them. Nothing accumulates: every event derives the installed system from
+// the startup sample and the current capacity map alone, so a long drill
+// sequence cannot grow the resident system, and repairing every link
+// installs the startup system again.
 //
 // Fleet mode (--fleet DIR) serves every topology in a directory from one
 // process: each <id>.topo.json (or <id>.snap) becomes a shard reachable
@@ -83,8 +84,9 @@
 // congestion run against a capacity-scaled view of the topology, so traffic
 // shifts away from the weakened link exactly as far as the re-optimization
 // says it should. /healthz reports "degraded" until every edge is restored;
-// snapshots taken while degraded carry the failed-edge set and capacity
-// overrides and restore byte-identically.
+// snapshots taken while degraded carry the startup sample, the failed-edge
+// set and the capacity overrides, and a restart derives the same installed
+// system (same hash) from them, as the live events did.
 //
 // Example:
 //

@@ -98,8 +98,8 @@ type Config struct {
 	CheckpointEvery int
 	// Engine is the per-shard engine template: RouterName, R, Seed,
 	// SolveDeadline, warm-start policy, and so on. Graph, Router, System,
-	// Pool, FailedEdges, CapacityOverrides, and the WAL fields are managed by
-	// the fleet and overwritten per shard. An empty RouterName means
+	// Pool, WAL and the checkpoint fields are managed by the fleet and
+	// overwritten per shard. An empty RouterName means
 	// "raecke". Its MutationRate and MutationBurst are the per-tenant quota:
 	// every shard's engine gets its own token bucket, so one flooding tenant
 	// is shed with 429s at its own front door while the shared pool's
@@ -422,16 +422,16 @@ func (f *Fleet) evict(sh *shard) bool {
 }
 
 // buildEngine constructs sh's engine through service.Open — restored from
-// its snapshot when one exists (warm — no resampling, identical hash), else
-// sampled from its topology spec (cold), with the shard's write-ahead log
-// replayed over it either way — on a fresh FairQueue of the shared pool.
+// its snapshot when one exists (warm: the startup sample is read back, not
+// resampled, and a degraded link state is derived from it, so the hash is
+// the evicted engine's), else sampled from its topology spec (cold), with the
+// shard's write-ahead log replayed over it either way — on a fresh FairQueue
+// of the shared pool.
 func (f *Fleet) buildEngine(sh *shard) (*service.Opened, error) {
 	cfg := f.cfg.Engine
 	queue := f.pool.Queue(1)
 	cfg.Pool = queue
-	cfg.Graph, cfg.Router, cfg.System = nil, nil, nil
-	cfg.FailedEdges, cfg.CapacityOverrides = nil, nil
-	cfg.WAL, cfg.WALStartSeq = nil, 0
+	cfg.Graph, cfg.Router, cfg.System, cfg.WAL = nil, nil, nil, nil
 	cfg.CheckpointPath, cfg.CheckpointEvery = sh.snapPath, f.cfg.CheckpointEvery
 	// Engines record into the fleet journal, tagged by topology ID, so the
 	// event stream survives eviction and rolls up at GET /debug/events.

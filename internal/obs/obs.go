@@ -68,10 +68,6 @@ const (
 	// EventCheckpoint is a durable checkpoint: snapshot written, WAL
 	// truncated.
 	EventCheckpoint = "checkpoint"
-	// EventBaseline is a restored degraded engine that could not re-draw its
-	// startup sample, so compaction keeps the restored system, extras
-	// included, as the baseline it returns to.
-	EventBaseline = "baseline"
 )
 
 // Journal is a bounded, concurrency-safe, time-ordered ring of Events. One

@@ -14,22 +14,25 @@ import (
 // SnapshotVersion is the current snapshot wire-format version. Decoders
 // reject snapshots written by a newer format. Version 2 added the
 // failed-edge set; version 3 added the partial-capacity overrides of the
-// degraded-but-alive edges, so an engine snapshotted mid-drill restores
-// straight into the same capacity-degraded link state; version 4 added the
-// write-ahead-log watermark (WALSeq) and the link-state version counter, so
-// replaying a WAL over the snapshot skips already-checkpointed records and
-// recovery resampling reproduces the exact pre-crash seeds (v1–v3 snapshots
-// still decode, with the new fields zero).
-const SnapshotVersion = 4
+// degraded-but-alive edges; version 4 added the write-ahead-log watermark
+// (WALSeq) and the link-state version counter (v1–v3 snapshots still decode,
+// with the new fields zero). Version 5 keeps the fields of version 4, but
+// System is the startup sample even when the snapshot was taken degraded: a
+// snapshot is the startup sample plus the capacity map, and the installed
+// system is derived from the two on restore. A v1–v4 snapshot taken degraded
+// stored the installed system; DecodeSnapshot cuts it back to the startup
+// sample (see DecodeSnapshot).
+const SnapshotVersion = 5
 
 // Snapshot bundles everything the online routing service needs to restart
-// without redoing the offline phase: the topology, the sampled path system,
-// and the sampling metadata (router name, R, seed) that produced it. A
-// restored engine serves the exact same candidate paths as the one that
-// wrote the snapshot — verifiable via PathSystemHash.
+// without redoing the offline phase: the topology, the startup path system,
+// the link state, and the sampling metadata (router name, R, seed) that
+// produced the system. A restored engine installs the exact same candidate
+// paths as the one that wrote the snapshot — verifiable via PathSystemHash.
 type Snapshot struct {
 	// Router is the name of the oblivious routing the system was sampled
-	// from (metadata only; the router is not rebuilt on restore).
+	// from. A healthy restore never builds it; a degraded one builds its
+	// survivor routers from it, as a live link event does.
 	Router string
 	// R is the per-pair sample count the system was built with.
 	R int
@@ -37,10 +40,10 @@ type Snapshot struct {
 	Seed uint64
 	// Graph is the topology the system routes on.
 	Graph *graph.Graph
-	// System is the installed path system: the sampled candidates plus any
-	// recovery-resampled paths drawn after link failures. Paths through
-	// currently failed edges are stored too — a later restore of the link
-	// brings them back without resampling.
+	// System is the startup path system: the R-sample drawn before any
+	// demand arrived, without the recovery and widening paths a degraded
+	// link state adds to it. Paths through currently failed edges are stored
+	// too.
 	System *core.PathSystem
 	// FailedEdges is the sorted set of edge IDs that were failed (effective
 	// capacity zero) when the snapshot was taken (v2; empty for v1).
@@ -129,7 +132,11 @@ func EncodeSnapshot(w io.Writer, s *Snapshot) error {
 }
 
 // DecodeSnapshot reads a snapshot, rebuilding the graph and validating every
-// stored path against it.
+// stored path against it. A v1–v4 snapshot with failed edges or capacity
+// overrides stored the installed system, recovery and widening paths
+// included; each pair keeps its first R paths, which is the startup sample
+// exactly: core.RSample draws R paths per pair, and every later pass appends
+// after them.
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	var in SnapshotJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -137,6 +144,12 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 	if in.Version <= 0 || in.Version > SnapshotVersion {
 		return nil, fmt.Errorf("serial: unsupported snapshot version %d (have %d)", in.Version, SnapshotVersion)
+	}
+	if in.Version < 5 && in.R > 0 && len(in.Failed)+len(in.Degraded) > 0 {
+		for i := range in.System.Pairs {
+			pp := &in.System.Pairs[i]
+			pp.Paths = pp.Paths[:min(len(pp.Paths), in.R)]
+		}
 	}
 	g, err := GraphFromJSON(in.Graph)
 	if err != nil {

@@ -303,7 +303,8 @@ func TestEngineSnapshotWhileDegradedRestoresLinkState(t *testing.T) {
 	if _, err := e.FailEdges(edges[1]); err != nil {
 		t.Fatal(err)
 	}
-	// The snapshot carries the recovery paths and the failed-edge set.
+	// The snapshot carries the startup system and the failed-edge set;
+	// Restore derives the recovery paths from the two again.
 	var buf bytes.Buffer
 	if err := e.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -327,7 +328,8 @@ func TestEngineSnapshotWhileDegradedRestoresLinkState(t *testing.T) {
 	if h := restored.Health(); h.Status != HealthDegraded {
 		t.Fatalf("restored health %+v, want degraded", h)
 	}
-	// The restored engine serves the recovered pair without any router.
+	// The restored engine serves the pair its own recovery pass re-covered,
+	// on a survivor router built at restore.
 	d := demand.New()
 	d.Set(0, 3, 1)
 	epoch, err := restored.SubmitDemand(d)

@@ -46,8 +46,9 @@ type Config struct {
 	Router oblivious.Router
 	// RouterName is recorded in snapshots and metrics (metadata only).
 	RouterName string
-	// System, when non-nil, is a pre-built path system (typically restored
-	// from a snapshot): startup skips resampling entirely.
+	// System, when non-nil, is a pre-built startup path system (typically
+	// a snapshot's, set by Restore): startup skips resampling entirely, and
+	// every link state is derived from it.
 	System *core.PathSystem
 	// Pairs to sample at startup. Nil means every vertex pair.
 	Pairs []demand.Pair
@@ -74,19 +75,6 @@ type Config struct {
 	// engine keeps the last good routing, counting a fallback. 0 disables
 	// the deadline.
 	SolveDeadline time.Duration
-	// FailedEdges starts the engine with the given edges already failed —
-	// set by Restore from a snapshot taken while degraded. No recovery
-	// resampling runs at startup: the installed system (which already
-	// carries the recovery paths of this failed set) is served pruned
-	// as-is, so the restored engine reproduces the snapshot's path-system
-	// hash. The next link event derives its state from the startup sample
-	// (see Open), not from this system.
-	FailedEdges []int
-	// CapacityOverrides starts the engine with the given effective-capacity
-	// multipliers, strictly inside (0,1), already applied — set by Restore
-	// from a snapshot taken while capacity-degraded. Zero-capacity (failed)
-	// edges belong in FailedEdges instead.
-	CapacityOverrides map[int]float64
 	// Adapt tunes the rate-adaptation solvers.
 	Adapt *core.AdaptOptions
 	// OutcomeHistory bounds the retained epoch outcomes Wait can still
@@ -143,19 +131,9 @@ type Config struct {
 	// accepted mutation (demand submit, patch, link/capacity event) is
 	// appended and fsynced before it is applied, so a crash between
 	// snapshots loses nothing a client was acknowledged for. The caller
-	// owns the log's lifecycle (the engine never closes it); pair with
-	// WALStartSeq when the engine restores from a snapshot the log
-	// predates. See Engine.ReplayWAL for recovery.
+	// owns the log's lifecycle (the engine never closes it). See
+	// Engine.ReplayWAL for recovery.
 	WAL *wal.Log
-	// WALStartSeq is the snapshot's operation watermark (serial.Snapshot
-	// WALSeq): WAL records with Seq <= WALStartSeq are already reflected in
-	// the restored state and replay skips them. Set by Restore.
-	WALStartSeq uint64
-	// LinkVersion seeds the engine's link-state version counter (0 means
-	// start fresh at 1). Set by Restore from the snapshot so replayed link
-	// events continue the original version sequence. It seeds no sampling:
-	// the path system is a function of the capacity map alone.
-	LinkVersion uint64
 	// CheckpointEvery, when positive and CheckpointPath is set, triggers an
 	// automatic checkpoint (snapshot + WAL truncation) after that many
 	// logged operations, bounding both replay time and log growth.
