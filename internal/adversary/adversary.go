@@ -10,6 +10,7 @@
 package adversary
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 
@@ -79,7 +80,7 @@ func ratioOf(ps *core.PathSystem, d *demand.Demand, o *Options) (float64, error)
 	if err != nil {
 		return 0, err
 	}
-	optR, err := mcf.ApproxOptCongestion(ps.Graph(), d, &mcf.Options{Iterations: o.OptIters})
+	optR, err := mcf.ApproxOptCongestionCtx(context.Background(), ps.Graph(), d, &mcf.Options{Iterations: o.OptIters})
 	if err != nil {
 		return 0, err
 	}

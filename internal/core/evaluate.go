@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"sparseroute/internal/demand"
@@ -51,9 +52,9 @@ func Evaluate(ps *PathSystem, base oblivious.Router, d *demand.Demand, opt *Eval
 	}
 	var optCong float64
 	if o.OptExact {
-		optCong, err = mcf.OptimalCongestionExact(ps.g, d)
+		optCong, err = mcf.OptimalCongestionExactCtx(context.Background(), ps.g, d)
 	} else {
-		r, e2 := mcf.ApproxOptCongestion(ps.g, d, &o.OptMWU)
+		r, e2 := mcf.ApproxOptCongestionCtx(context.Background(), ps.g, d, &o.OptMWU)
 		err = e2
 		if e2 == nil {
 			optCong = r.MaxCongestion(ps.g)

@@ -145,9 +145,12 @@ func (ps *PathSystem) AdaptDeltaCtx(ctx context.Context, prev flow.Routing, prev
 	for pair, wps := range fresh {
 		out[pair] = wps
 	}
+	// The fresh flow joins the background in sorted-pair order, the order
+	// flow.Routing.EdgeLoads sums in, so the loads are reproducible bit for
+	// bit.
 	loads := bg
-	for _, wps := range fresh {
-		for _, wp := range wps {
+	for _, p := range dT.Support() {
+		for _, wp := range fresh[p] {
 			for _, id := range wp.Path.EdgeIDs {
 				loads[id] += wp.Weight
 			}

@@ -12,6 +12,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 
@@ -102,7 +103,7 @@ func raeckeInstance(name string, g *graph.Graph, trees int, rng *rand.Rand) (ins
 
 // approxOpt returns the MWU-approximated offline optimal congestion.
 func approxOpt(g *graph.Graph, d *demand.Demand, iters int) (float64, error) {
-	r, err := mcf.ApproxOptCongestion(g, d, &mcf.Options{Iterations: iters})
+	r, err := mcf.ApproxOptCongestionCtx(context.Background(), g, d, &mcf.Options{Iterations: iters})
 	if err != nil {
 		return 0, err
 	}

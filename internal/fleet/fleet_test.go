@@ -2,8 +2,12 @@ package fleet
 
 import (
 	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -58,7 +62,7 @@ func solveOn(t *testing.T, f *Fleet, id string) {
 	}
 	d := demand.New()
 	d.Set(0, 7, 1)
-	epoch, err := e.SubmitDemand(d)
+	epoch, err := e.SubmitDemandCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +71,18 @@ func solveOn(t *testing.T, f *Fleet, id string) {
 	out, err := e.Wait(ctx, epoch)
 	if err != nil || !out.OK {
 		t.Fatalf("shard %s epoch %d: %v %+v", id, epoch, err, out)
+	}
+}
+
+// brownout sets the capacity multiplier of one of a shard's edges through
+// the shard's HTTP surface, as an operator does: POST /v1/t/{id}/links.
+func brownout(t *testing.T, f *Fleet, id string, edge int, capacity float64) {
+	t.Helper()
+	body := fmt.Sprintf(`{"edge":%d,"capacity":%v}`, edge, capacity)
+	rec := httptest.NewRecorder()
+	NewServer(f).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/t/"+id+"/links", strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("brownout of edge %d on %s: %d %s", edge, id, rec.Code, rec.Body)
 	}
 }
 
@@ -159,9 +175,7 @@ func TestFleetEvictReloadRoundTrip(t *testing.T) {
 	if _, err := ea.FailEdges(failID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ea.SetCapacity(brownID, 0.5); err != nil {
-		t.Fatal(err)
-	}
+	brownout(t, f, "a", brownID, 0.5)
 	// Keep solving under the degraded state so the snapshot is taken mid-load.
 	solveOn(t, f, "a")
 
@@ -210,7 +224,7 @@ func TestFleetEvictReloadRoundTrip(t *testing.T) {
 }
 
 // TestFleetCorrelatedFailureDrill fails a shared-risk link group — two edges
-// riding one conduit — in a single UpdateLinks event on one shard, and
+// riding one conduit — in a single FailEdges event on one shard, and
 // checks (a) the surviving group keeps every pair covered, and (b) sibling
 // shards are completely unaffected: same hash, link version still 1, ok.
 func TestFleetCorrelatedFailureDrill(t *testing.T) {
@@ -232,7 +246,7 @@ func TestFleetCorrelatedFailureDrill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	update, err := east.UpdateLinks(group, nil)
+	update, err := east.FailEdges(group...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +282,7 @@ func TestFleetCorrelatedFailureDrill(t *testing.T) {
 	}
 
 	// Restoring the group clears the rollup.
-	if _, err := east.UpdateLinks(nil, group); err != nil {
+	if _, err := east.RestoreEdges(group...); err != nil {
 		t.Fatal(err)
 	}
 	if h := f.Health(); h.Status != service.HealthOK {
@@ -415,7 +429,7 @@ func TestFleetConcurrentCrossShard(t *testing.T) {
 					d.Set(0, 7, 1+float64(i))
 					// ErrClosed is fine mid-churn: the engine may be evicted
 					// between acquire and submit.
-					e.SubmitDemand(d)
+					e.SubmitDemandCtx(context.Background(), d)
 				case 1: // reader: health, links, metrics
 					e.Health()
 					e.Links()
@@ -489,16 +503,14 @@ func TestFleetWALCrashRecovery(t *testing.T) {
 	d := demand.New()
 	d.Set(0, 7, 2)
 	d.Set(1, 6, 1)
-	if _, err := e1.SubmitDemand(d); err != nil {
+	if _, err := e1.SubmitDemandCtx(context.Background(), d); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e1.FailEdges(3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e1.SetCapacity(5, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	epoch, err := e1.SubmitDemand(d)
+	brownout(t, f1, "a", 5, 0.5)
+	epoch, err := e1.SubmitDemandCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +572,7 @@ func TestFleetEvictionCheckpointsWAL(t *testing.T) {
 	}
 	d := demand.New()
 	d.Set(0, 7, 2)
-	if _, err := e.SubmitDemand(d); err != nil {
+	if _, err := e.SubmitDemandCtx(context.Background(), d); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.FailEdges(2); err != nil {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"strings"
@@ -28,7 +29,7 @@ func TestFleetTenantQuota(t *testing.T) {
 		}
 		d := demand.New()
 		d.Set(0, 7, 1)
-		_, err = e.SubmitDemand(d)
+		_, err = e.SubmitDemandCtx(context.Background(), d)
 		return err
 	}
 
@@ -78,7 +79,7 @@ func TestFleetQuotaZeroDisables(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		d := demand.New()
 		d.Set(i%4, 4+i%4, 1)
-		if _, err := e.SubmitDemand(d); err != nil {
+		if _, err := e.SubmitDemandCtx(context.Background(), d); err != nil {
 			t.Fatalf("submit %d with no quota: %v", i, err)
 		}
 	}

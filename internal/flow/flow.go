@@ -5,8 +5,10 @@
 package flow
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"sparseroute/internal/demand"
@@ -36,17 +38,34 @@ func (r Routing) AddFlow(p graph.Path, weight float64) {
 	r[pair] = append(r[pair], WeightedPath{Path: p, Weight: weight})
 }
 
-// EdgeLoads returns the absolute load per edge ID.
+// EdgeLoads returns the absolute load per edge ID. The pairs are summed in
+// sorted order (demand.Support's), so the loads of one routing, and every
+// congestion computed from them, are the same to the last bit on every call.
 func (r Routing) EdgeLoads(g *graph.Graph) []float64 {
 	loads := make([]float64, g.NumEdges())
-	for _, wps := range r {
-		for _, wp := range wps {
+	for _, p := range r.sortedPairs() {
+		for _, wp := range r[p] {
 			for _, id := range wp.Path.EdgeIDs {
 				loads[id] += wp.Weight
 			}
 		}
 	}
 	return loads
+}
+
+// sortedPairs returns r's pairs ordered by U, then V.
+func (r Routing) sortedPairs() []demand.Pair {
+	out := make([]demand.Pair, 0, len(r))
+	for p := range r {
+		out = append(out, p)
+	}
+	slices.SortFunc(out, func(a, b demand.Pair) int {
+		if c := cmp.Compare(a.U, b.U); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.V, b.V)
+	})
+	return out
 }
 
 // MaxCongestion returns the maximum relative edge congestion

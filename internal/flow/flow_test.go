@@ -2,6 +2,7 @@ package flow
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"sparseroute/internal/demand"
@@ -182,5 +183,26 @@ func TestCompact(t *testing.T) {
 	}
 	if math.Abs(c.TotalFlow()-5) > 1e-12 {
 		t.Fatalf("compact total=%v, want 5", c.TotalFlow())
+	}
+}
+
+// TestEdgeLoadsBitIdentical: EdgeLoads sums the pairs in sorted order, so
+// repeated calls over one many-pair routing agree to the last bit. Summed in
+// map order, the loads of one routing differ in the last ULP from call to
+// call, and so does every congestion computed from them.
+func TestEdgeLoadsBitIdentical(t *testing.T) {
+	g := graph.New(301)
+	trunk := g.AddUnitEdge(0, 1)
+	rng := rand.New(rand.NewPCG(12, 12))
+	r := New()
+	for i := 1; i <= 300; i++ {
+		w := rng.Float64() * math.Pow(10, float64(rng.IntN(6)))
+		r[demand.MakePair(0, i)] = []WeightedPath{{Path: graph.Path{Src: 0, Dst: i, EdgeIDs: []int{trunk}}, Weight: w}}
+	}
+	want := r.EdgeLoads(g)[trunk]
+	for i := 0; i < 50; i++ {
+		if got := r.EdgeLoads(g)[trunk]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: trunk load %v, first call %v", i+2, got, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package mcf
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -53,7 +54,7 @@ func BenchmarkAdaptExactLP(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MinCongestionOnPathsExact(g, cand, d); err != nil {
+		if _, err := MinCongestionOnPathsExactCtx(context.Background(), g, cand, d); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -65,7 +66,7 @@ func BenchmarkAdaptMWU(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MinCongestionOnPaths(g, cand, d, opt); err != nil {
+		if _, err := MinCongestionOnPathsCtx(context.Background(), g, cand, d, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,13 +85,13 @@ func BenchmarkMinCongestionGrid100(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := MinCongestionOnPaths(g, cand, d, nil); err != nil {
+			if _, err := MinCongestionOnPathsCtx(context.Background(), g, cand, d, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 
-	background, err := MinCongestionOnPaths(g, cand, d, nil)
+	background, err := MinCongestionOnPathsCtx(context.Background(), g, cand, d, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func BenchmarkMinCongestionGrid100(b *testing.B) {
 		opt := &Options{BaseLoads: base}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := MinCongestionOnPaths(g, cand, d4, opt); err != nil {
+			if _, err := MinCongestionOnPathsCtx(context.Background(), g, cand, d4, opt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -122,7 +123,7 @@ func BenchmarkApproxOpt(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ApproxOptCongestion(g, d, opt); err != nil {
+		if _, err := ApproxOptCongestionCtx(context.Background(), g, d, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

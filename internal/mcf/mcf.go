@@ -43,7 +43,7 @@ type Options struct {
 	Progress func(round int, congestion float64)
 	// ProgressEvery is the round stride between Progress calls (default 16).
 	ProgressEvery int
-	// Warm, when non-nil, seeds MinCongestionOnPaths from a prior routing's
+	// Warm, when non-nil, seeds MinCongestionOnPathsCtx from a prior routing's
 	// per-pair weight distributions instead of the uniform cold start: the
 	// prior is counted as Warm.Rounds virtual MWU rounds already played, so a
 	// near-optimal prior (the previous epoch's solution on a close demand
@@ -60,7 +60,7 @@ type Options struct {
 	BaseLoads []float64
 }
 
-// WarmStart is the warm-start prior for MinCongestionOnPaths: per-pair
+// WarmStart is the warm-start prior for MinCongestionOnPathsCtx: per-pair
 // weight distributions over candidate paths, keyed by graph.Path.Key. Only
 // the ratios matter — weights need not be normalized. Build one from a prior
 // routing with core.CandidateWeights.
@@ -108,18 +108,13 @@ func (o *Options) warmRounds() float64 {
 // ErrNoCandidates is returned when a demand pair has no candidate path.
 var ErrNoCandidates = errors.New("mcf: demand pair has no candidate paths")
 
-// MinCongestionOnPaths approximately minimizes the maximum relative edge
+// MinCongestionOnPathsCtx approximately minimizes the maximum relative edge
 // congestion of routing d using only the candidate paths in cand. This is
 // the semi-oblivious rate-adaptation step. The returned routing routes d
 // exactly; its MaxCongestion approaches the restricted optimum as Iterations
-// grows.
-func MinCongestionOnPaths(g *graph.Graph, cand map[demand.Pair][]graph.Path, d *demand.Demand, opt *Options) (flow.Routing, error) {
-	return MinCongestionOnPathsCtx(context.Background(), g, cand, d, opt)
-}
-
-// MinCongestionOnPathsCtx is MinCongestionOnPaths under a context: the MWU
-// loop polls ctx every round and aborts with ctx.Err() when it is canceled,
-// so a deadline-bound caller stops the solve instead of orphaning it.
+// grows. The MWU loop polls ctx every round and aborts with ctx.Err() when it
+// is canceled, so a deadline-bound caller stops the solve instead of
+// orphaning it.
 //
 // With opt.Warm set, pairs present in the prior start with Warm.Rounds
 // virtual rounds already distributed per the prior (their cumulative loads
@@ -321,31 +316,12 @@ func reportFinal(cum []float64, o *Options, warm float64) {
 	o.Progress(o.Iterations, congestionEstimate(cum, o.BaseLoads, rounds))
 }
 
-// MinCongestionOnPathsExact solves the same restricted problem exactly with
-// the simplex solver. Intended for small instances (≤ a few hundred
-// candidate paths); larger inputs should use MinCongestionOnPaths.
-func MinCongestionOnPathsExact(g *graph.Graph, cand map[demand.Pair][]graph.Path, d *demand.Demand) (flow.Routing, error) {
-	return MinCongestionOnPathsExactCtx(context.Background(), g, cand, d)
-}
-
-// MinCongestionOnPathsExactCtx is MinCongestionOnPathsExact under a context:
-// the underlying simplex pivots poll ctx and abort with ctx.Err() when it is
-// canceled.
+// MinCongestionOnPathsExactCtx solves the restricted problem of
+// MinCongestionOnPathsCtx exactly with the simplex solver. Intended for
+// small instances (≤ a few hundred candidate paths); larger inputs should
+// use MinCongestionOnPathsCtx. The simplex pivots poll ctx and abort with
+// ctx.Err() when it is canceled.
 func MinCongestionOnPathsExactCtx(ctx context.Context, g *graph.Graph, cand map[demand.Pair][]graph.Path, d *demand.Demand) (flow.Routing, error) {
-	return MinCongestionOnPathsExactBaseCtx(ctx, g, cand, d, nil)
-}
-
-// MinCongestionOnPathsExactBaseCtx solves the restricted problem exactly with
-// a fixed background load already occupying the edges: base[id] is the
-// absolute flow (same units as capacity) that sits on edge id regardless of
-// how d is routed, so each capacity row becomes Σ x + base_e ≤ z·cap_e. This
-// is the exact counterpart of Options.BaseLoads (which is relative): the
-// incremental delta step uses it to place a small set of touched pairs
-// optimally against the frozen flow of every untouched pair. A nil base is
-// the plain problem. Edges carrying background but crossed by no candidate
-// only add a constant floor to z, never changing which routing is optimal,
-// so they get no row.
-func MinCongestionOnPathsExactBaseCtx(ctx context.Context, g *graph.Graph, cand map[demand.Pair][]graph.Path, d *demand.Demand, base []float64) (flow.Routing, error) {
 	support := d.Support()
 	// Variable layout: one per (pair, candidate), then z last.
 	type varRef struct {
@@ -393,15 +369,8 @@ func MinCongestionOnPathsExactBaseCtx(ctx context.Context, g *graph.Graph, cand 
 	}
 	for id := 0; id < g.NumEdges(); id++ {
 		if row, ok := edgeRows[id]; ok {
-			rhs := 0.0
-			if base != nil {
-				if base[id] < 0 {
-					return nil, fmt.Errorf("mcf: negative base load %v on edge %d", base[id], id)
-				}
-				rhs = -base[id]
-			}
 			prob.A = append(prob.A, row)
-			prob.B = append(prob.B, rhs)
+			prob.B = append(prob.B, 0)
 			prob.Rel = append(prob.Rel, lp.LE)
 		}
 	}
@@ -450,17 +419,12 @@ func renormalizeToDemand(out flow.Routing, support []demand.Pair, d *demand.Dema
 	return nil
 }
 
-// ApproxOptCongestion approximately computes the unrestricted offline
+// ApproxOptCongestionCtx approximately computes the unrestricted offline
 // optimum: the minimum achievable maximum relative congestion over all
 // (fractional, simple-path) routings of d, returning a routing witnessing it.
 // The oracle is Dijkstra under the MWU lengths, so the result converges to
-// the true fractional optimum.
-func ApproxOptCongestion(g *graph.Graph, d *demand.Demand, opt *Options) (flow.Routing, error) {
-	return ApproxOptCongestionCtx(context.Background(), g, d, opt)
-}
-
-// ApproxOptCongestionCtx is ApproxOptCongestion under a context: the MWU loop
-// polls ctx every round and aborts with ctx.Err() when it is canceled.
+// the true fractional optimum. The MWU loop polls ctx every round and aborts
+// with ctx.Err() when it is canceled.
 func ApproxOptCongestionCtx(ctx context.Context, g *graph.Graph, d *demand.Demand, opt *Options) (flow.Routing, error) {
 	o := opt.withDefaults()
 	support := d.Support()
@@ -530,17 +494,12 @@ func ApproxOptCongestionCtx(ctx context.Context, g *graph.Graph, d *demand.Deman
 	return out, nil
 }
 
-// OptimalCongestionExact returns the exact minimum maximum relative
+// OptimalCongestionExactCtx returns the exact minimum maximum relative
 // congestion for routing d in g, via the edge-based multicommodity-flow LP
 // (directed arc variables per commodity). Exponential in nothing, but the LP
-// has |supp(d)|·2m variables: use only on small instances.
-func OptimalCongestionExact(g *graph.Graph, d *demand.Demand) (float64, error) {
-	return OptimalCongestionExactCtx(context.Background(), g, d)
-}
-
-// OptimalCongestionExactCtx is OptimalCongestionExact under a context: the
-// underlying simplex pivots poll ctx and abort with ctx.Err() when it is
-// canceled, so deadline-bound callers cancel the edge-based LP too.
+// has |supp(d)|·2m variables: use only on small instances. The simplex
+// pivots poll ctx and abort with ctx.Err() when it is canceled, so
+// deadline-bound callers cancel the edge-based LP too.
 func OptimalCongestionExactCtx(ctx context.Context, g *graph.Graph, d *demand.Demand) (float64, error) {
 	support := d.Support()
 	k := len(support)
@@ -671,7 +630,7 @@ func (c *CertifiedOpt) Gap() float64 {
 // solve the LP.
 func ApproxOptWithCertificate(g *graph.Graph, d *demand.Demand, opt *Options) (*CertifiedOpt, error) {
 	o := opt.withDefaults()
-	routing, err := ApproxOptCongestion(g, d, &o)
+	routing, err := ApproxOptCongestionCtx(context.Background(), g, d, &o)
 	if err != nil {
 		return nil, err
 	}

@@ -35,7 +35,7 @@ func twoPathGraph() (*graph.Graph, map[demand.Pair][]graph.Path) {
 func TestExactAdaptationSplitsEvenly(t *testing.T) {
 	g, cand := twoPathGraph()
 	d := demand.SinglePair(0, 3, 2)
-	r, err := MinCongestionOnPathsExact(g, cand, d)
+	r, err := MinCongestionOnPathsExactCtx(context.Background(), g, cand, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestExactAdaptationSplitsEvenly(t *testing.T) {
 func TestMWUAdaptationApproachesExact(t *testing.T) {
 	g, cand := twoPathGraph()
 	d := demand.SinglePair(0, 3, 2)
-	r, err := MinCongestionOnPaths(g, cand, d, &Options{Iterations: 400})
+	r, err := MinCongestionOnPathsCtx(context.Background(), g, cand, d, &Options{Iterations: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +65,10 @@ func TestMWUAdaptationApproachesExact(t *testing.T) {
 func TestAdaptationNoCandidates(t *testing.T) {
 	g, cand := twoPathGraph()
 	d := demand.SinglePair(1, 2, 1)
-	if _, err := MinCongestionOnPaths(g, cand, d, nil); !errors.Is(err, ErrNoCandidates) {
+	if _, err := MinCongestionOnPathsCtx(context.Background(), g, cand, d, nil); !errors.Is(err, ErrNoCandidates) {
 		t.Fatalf("want ErrNoCandidates, got %v", err)
 	}
-	if _, err := MinCongestionOnPathsExact(g, cand, d); !errors.Is(err, ErrNoCandidates) {
+	if _, err := MinCongestionOnPathsExactCtx(context.Background(), g, cand, d); !errors.Is(err, ErrNoCandidates) {
 		t.Fatalf("want ErrNoCandidates, got %v", err)
 	}
 }
@@ -88,7 +88,7 @@ func TestAdaptationRespectsCapacities(t *testing.T) {
 		},
 	}
 	d := demand.SinglePair(0, 3, 4)
-	r, err := MinCongestionOnPathsExact(g, cand, d)
+	r, err := MinCongestionOnPathsExactCtx(context.Background(), g, cand, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestExactOptHypercubePermutation(t *testing.T) {
 	d := demand.New()
 	d.Set(0, 1, 1)
 	d.Set(2, 3, 1)
-	opt, err := OptimalCongestionExact(g, d)
+	opt, err := OptimalCongestionExactCtx(context.Background(), g, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestExactOptHypercubePermutation(t *testing.T) {
 		// is 0.5 + something? Verify against approx solver instead below.
 		t.Logf("note: exact opt=%v", opt)
 	}
-	appr, err := ApproxOptCongestion(g, d, &Options{Iterations: 600})
+	appr, err := ApproxOptCongestionCtx(context.Background(), g, d, &Options{Iterations: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestExactOptMatchesHandComputation(t *testing.T) {
 	g.AddUnitEdge(0, 2)
 	g.AddUnitEdge(2, 3)
 	d := demand.SinglePair(0, 3, 2)
-	opt, err := OptimalCongestionExact(g, d)
+	opt, err := OptimalCongestionExactCtx(context.Background(), g, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestExactOptMatchesHandComputation(t *testing.T) {
 
 func TestExactOptEmptyDemand(t *testing.T) {
 	g := gen.Ring(4)
-	opt, err := OptimalCongestionExact(g, demand.New())
+	opt, err := OptimalCongestionExactCtx(context.Background(), g, demand.New())
 	if err != nil || opt != 0 {
 		t.Fatalf("opt=%v err=%v", opt, err)
 	}
@@ -156,11 +156,11 @@ func TestApproxOptAgainstExactRandom(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		g := gen.ErdosRenyi(8, 0.45, rng)
 		d := demand.UniformPairs(8, 3, 1, rng)
-		exact, err := OptimalCongestionExact(g, d)
+		exact, err := OptimalCongestionExactCtx(context.Background(), g, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		appr, err := ApproxOptCongestion(g, d, &Options{Iterations: 800})
+		appr, err := ApproxOptCongestionCtx(context.Background(), g, d, &Options{Iterations: 800})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,11 +198,11 @@ func TestRestrictedMatchesExactRestricted(t *testing.T) {
 				cand[p] = append(cand[p], path)
 			}
 		}
-		exactR, err := MinCongestionOnPathsExact(g, cand, d)
+		exactR, err := MinCongestionOnPathsExactCtx(context.Background(), g, cand, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mwuR, err := MinCongestionOnPaths(g, cand, d, &Options{Iterations: 600})
+		mwuR, err := MinCongestionOnPathsCtx(context.Background(), g, cand, d, &Options{Iterations: 600})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func TestDualLowerBoundNeverExceedsOpt(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		g := gen.ErdosRenyi(8, 0.45, rng)
 		d := demand.UniformPairs(8, 3, 1+rng.Float64(), rng)
-		exact, err := OptimalCongestionExact(g, d)
+		exact, err := OptimalCongestionExactCtx(context.Background(), g, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +270,7 @@ func TestApproxOptWithCertificate(t *testing.T) {
 		if cert.Lower > cert.Upper+1e-9 {
 			t.Fatalf("inverted interval [%v, %v]", cert.Lower, cert.Upper)
 		}
-		exact, err := OptimalCongestionExact(g, d)
+		exact, err := OptimalCongestionExactCtx(context.Background(), g, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +298,7 @@ func TestShortestPathLowerBound(t *testing.T) {
 	if lb := ShortestPathLowerBound(g, d); math.Abs(lb-0.5) > 1e-12 {
 		t.Fatalf("lb=%v, want 0.5", lb)
 	}
-	opt, err := OptimalCongestionExact(g, d)
+	opt, err := OptimalCongestionExactCtx(context.Background(), g, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestExactAdaptationRoutesExactly(t *testing.T) {
 	}
 
 	// End to end: the exact solver's per-pair totals match the demand.
-	out, err := MinCongestionOnPathsExact(g, cand, d)
+	out, err := MinCongestionOnPathsExactCtx(context.Background(), g, cand, d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package mcf
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestMWUProgressCallback(t *testing.T) {
 		ProgressEvery: 10,
 		Progress:      func(round int, cong float64) { samples = append(samples, sample{round, cong}) },
 	}
-	r, err := MinCongestionOnPaths(g, cand, d, opt)
+	r, err := MinCongestionOnPathsCtx(context.Background(), g, cand, d, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestMWUProgressDefaultStride(t *testing.T) {
 	d := demand.SinglePair(0, 3, 1)
 	calls := 0
 	last := 0
-	_, err := MinCongestionOnPaths(g, cand, d, &Options{
+	_, err := MinCongestionOnPathsCtx(context.Background(), g, cand, d, &Options{
 		Iterations: 48,
 		Progress:   func(round int, _ float64) { calls++; last = round },
 	})
@@ -67,7 +68,7 @@ func TestApproxOptProgressCallback(t *testing.T) {
 	d := demand.SinglePair(0, 3, 2)
 	var rounds []int
 	var finalCong float64
-	r, err := ApproxOptCongestion(g, d, &Options{
+	r, err := ApproxOptCongestionCtx(context.Background(), g, d, &Options{
 		Iterations:    64,
 		ProgressEvery: 32,
 		Progress:      func(round int, cong float64) { rounds = append(rounds, round); finalCong = cong },

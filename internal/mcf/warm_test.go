@@ -2,8 +2,6 @@ package mcf
 
 import (
 	"context"
-	"math"
-	"strings"
 	"testing"
 
 	"sparseroute/internal/demand"
@@ -15,7 +13,7 @@ import (
 func TestWarmStartIdenticalDemandMatchesCold(t *testing.T) {
 	g, cand := twoPathGraph()
 	d := demand.SinglePair(0, 3, 2)
-	cold, err := MinCongestionOnPaths(g, cand, d, &Options{Iterations: 256})
+	cold, err := MinCongestionOnPathsCtx(context.Background(), g, cand, d, &Options{Iterations: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +25,7 @@ func TestWarmStartIdenticalDemandMatchesCold(t *testing.T) {
 		}
 		prior[p] = m
 	}
-	warm, err := MinCongestionOnPaths(g, cand, d, &Options{
+	warm, err := MinCongestionOnPathsCtx(context.Background(), g, cand, d, &Options{
 		Iterations: 64,
 		Warm:       &WarmStart{Weights: prior},
 	})
@@ -51,7 +49,7 @@ func TestWarmStartStaleKeysStartCold(t *testing.T) {
 	prior := map[demand.Pair]map[string]float64{
 		demand.MakePair(0, 3): {"no-such-path": 1.0},
 	}
-	r, err := MinCongestionOnPaths(g, cand, d, &Options{
+	r, err := MinCongestionOnPathsCtx(context.Background(), g, cand, d, &Options{
 		Iterations: 128,
 		Warm:       &WarmStart{Weights: prior},
 	})
@@ -73,7 +71,7 @@ func TestBaseLoadsSteerMWU(t *testing.T) {
 	d := demand.SinglePair(0, 3, 1)
 	base := make([]float64, g.NumEdges())
 	base[cand[demand.MakePair(0, 3)][0].EdgeIDs[0]] = 0.9 // first path's first edge
-	r, err := MinCongestionOnPaths(g, cand, d, &Options{Iterations: 256, BaseLoads: base})
+	r, err := MinCongestionOnPathsCtx(context.Background(), g, cand, d, &Options{Iterations: 256, BaseLoads: base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,54 +88,7 @@ func TestBaseLoadsSteerMWU(t *testing.T) {
 	}
 }
 
-// TestExactBaseRoutesAround: the exact LP with absolute base loads places
-// flow optimally against the background — the exact counterpart of
-// Options.BaseLoads.
-func TestExactBaseRoutesAround(t *testing.T) {
-	g, cand := twoPathGraph()
-	p := demand.MakePair(0, 3)
-	d := demand.SinglePair(0, 3, 1)
-	base := make([]float64, g.NumEdges())
-	base[cand[p][0].EdgeIDs[0]] = 0.9
-	r, err := MinCongestionOnPathsExactBaseCtx(context.Background(), g, cand, d, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.ValidateRoutes(g, d, 1e-7); err != nil {
-		t.Fatal(err)
-	}
-	// Balance point: x on the loaded path, 1-x on the clean one, with
-	// 0.9 + x = 1 - x  =>  x = 0.05, congestion 0.95.
-	var onLoaded float64
-	for _, wp := range r[p] {
-		if wp.Path.EdgeIDs[0] == cand[p][0].EdgeIDs[0] {
-			onLoaded += wp.Weight
-		}
-	}
-	if math.Abs(onLoaded-0.05) > 1e-6 {
-		t.Fatalf("loaded-path flow %v, want 0.05 (exact balance)", onLoaded)
-	}
-}
-
-// TestExactBaseNilMatchesPlain pins that a nil base is the plain problem.
-func TestExactBaseNilMatchesPlain(t *testing.T) {
-	g, cand := twoPathGraph()
-	d := demand.SinglePair(0, 3, 2)
-	plain, err := MinCongestionOnPathsExact(g, cand, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	based, err := MinCongestionOnPathsExactBaseCtx(context.Background(), g, cand, d, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc, bc := plain.MaxCongestion(g), based.MaxCongestion(g)
-	if math.Abs(pc-bc) > 1e-9 {
-		t.Fatalf("nil-base congestion %v != plain %v", bc, pc)
-	}
-}
-
-// TestApproxOptDeterministic pins that ApproxOptCongestion iterates the
+// TestApproxOptDeterministic pins that ApproxOptCongestionCtx iterates the
 // demand in a fixed order: two runs on the same inputs must produce
 // bit-identical routings (map-order iteration here once caused run-to-run
 // wobble in downstream gap computations).
@@ -147,11 +98,11 @@ func TestApproxOptDeterministic(t *testing.T) {
 	d.Set(0, 3, 2)
 	d.Set(1, 2, 1)
 	d.Set(0, 2, 0.5)
-	a, err := ApproxOptCongestion(g, d, &Options{Iterations: 64})
+	a, err := ApproxOptCongestionCtx(context.Background(), g, d, &Options{Iterations: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ApproxOptCongestion(g, d, &Options{Iterations: 64})
+	b, err := ApproxOptCongestionCtx(context.Background(), g, d, &Options{Iterations: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,18 +115,5 @@ func TestApproxOptDeterministic(t *testing.T) {
 				t.Fatalf("pair %v path %d differs between identical runs", p, i)
 			}
 		}
-	}
-}
-
-// TestExactBaseRejectsNegative: a negative background is a caller bug, not a
-// constraint to optimize around.
-func TestExactBaseRejectsNegative(t *testing.T) {
-	g, cand := twoPathGraph()
-	d := demand.SinglePair(0, 3, 1)
-	base := make([]float64, g.NumEdges())
-	base[0] = -0.5
-	_, err := MinCongestionOnPathsExactBaseCtx(context.Background(), g, cand, d, base)
-	if err == nil || !strings.Contains(err.Error(), "negative base load") {
-		t.Fatalf("want negative-base error, got %v", err)
 	}
 }

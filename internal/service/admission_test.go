@@ -91,14 +91,14 @@ func TestEngineRateLimitSheds(t *testing.T) {
 	e := testEngine(t, Config{Seed: 1, MutationRate: 1.0 / 60, MutationBurst: 1})
 	d := demand.New()
 	d.Set(0, 7, 2)
-	epoch, err := e.SubmitDemand(d)
+	epoch, err := e.submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Wait(context.Background(), epoch); err != nil {
 		t.Fatal(err)
 	}
-	_, err = e.SubmitDemand(d)
+	_, err = e.submit(d)
 	var shed *ShedError
 	if !errors.As(err, &shed) || !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("err %v, want ShedError{ErrRateLimited}", err)
@@ -116,7 +116,7 @@ func TestEngineRateLimitSheds(t *testing.T) {
 	d2 := demand.New()
 	d2.Set(1, 6, 1)
 	e.limiter.tokens = 1 // hand the bucket a token rather than waiting a minute
-	next, err := e.SubmitDemand(d2)
+	next, err := e.submit(d2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestEngineAbandonedEpoch(t *testing.T) {
 	defer cancel()
 	good := demand.New()
 	good.Set(0, 7, 2)
-	epoch, err := e.SubmitDemand(good)
+	epoch, err := e.submit(good)
 	if err != nil {
 		t.Fatal(err)
 	}

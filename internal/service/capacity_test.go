@@ -50,7 +50,7 @@ func TestEngineCapacityDegradationReoptimizes(t *testing.T) {
 
 	d := demand.New()
 	d.Set(0, 1, 2)
-	epoch, err := e.SubmitDemand(d)
+	epoch, err := e.submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestEngineCapacityDegradationReoptimizes(t *testing.T) {
 		t.Fatalf("healthy congestion %v, want 1", out.Congestion)
 	}
 
-	update, err := e.SetCapacity(edges[0], 0.5)
+	update, err := e.setCapacity(edges[0], 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestEngineCapacityDegradationReoptimizes(t *testing.T) {
 	}
 
 	// A multiplier >= 1 removes the override: health ok, congestion recovers.
-	update, err = e.SetCapacity(edges[0], 1)
+	update, err = e.setCapacity(edges[0], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestEngineCapacityDegradationReoptimizes(t *testing.T) {
 	if math.Abs(recovered.Congestion-1) > 0.02 {
 		t.Fatalf("recovered congestion %v, want 1", recovered.Congestion)
 	}
-	if e.DegradedSeconds() <= 0 {
+	if e.links.Load().degradedSeconds() <= 0 {
 		t.Fatal("capacity-degraded time was not accounted")
 	}
 }
@@ -137,7 +137,7 @@ func TestEngineSetCapacityZeroEqualsFailEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ub, err := b.SetCapacity(edgesB[1], 0)
+	ub, err := b.setCapacity(edgesB[1], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestEngineSetCapacityZeroEqualsFailEdges(t *testing.T) {
 	if _, err := a.RestoreEdges(edgesA[1]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.SetCapacity(edgesB[1], 1); err != nil {
+	if _, err := b.setCapacity(edgesB[1], 1); err != nil {
 		t.Fatal(err)
 	}
 	if a.Hash() != b.Hash() {
@@ -257,7 +257,7 @@ func TestEngineProactiveRecoveryWidensAtRiskPairs(t *testing.T) {
 
 func TestEngineSnapshotWhileCapacityDegradedRestores(t *testing.T) {
 	e, edges := parallelEngine(t)
-	if _, err := e.SetCapacity(edges[0], 0.25); err != nil {
+	if _, err := e.setCapacity(edges[0], 0.25); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -284,7 +284,7 @@ func TestEngineSnapshotWhileCapacityDegradedRestores(t *testing.T) {
 	// capacities (0.25, 1) optimally splits (0.4, 1.6) for congestion 1.6.
 	d := demand.New()
 	d.Set(0, 1, 2)
-	epoch, err := restored.SubmitDemand(d)
+	epoch, err := restored.submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,24 +300,24 @@ func TestEngineSnapshotWhileCapacityDegradedRestores(t *testing.T) {
 func TestEngineCapacityEventValidation(t *testing.T) {
 	e, edges := parallelEngine(t)
 	for _, bad := range []float64{-0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := e.SetCapacity(edges[0], bad); !errors.Is(err, ErrBadCapacity) {
+		if _, err := e.setCapacity(edges[0], bad); !errors.Is(err, ErrBadCapacity) {
 			t.Fatalf("capacity %v: err=%v, want ErrBadCapacity", bad, err)
 		}
 	}
-	if _, err := e.SetCapacity(99, 0.5); !errors.Is(err, ErrUnknownEdge) {
+	if _, err := e.setCapacity(99, 0.5); !errors.Is(err, ErrUnknownEdge) {
 		t.Fatalf("err=%v, want ErrUnknownEdge", err)
 	}
 	// Degrading at full capacity is a no-op: no version bump.
 	v := e.Links().Version
-	if u, err := e.SetCapacity(edges[0], 1.5); err != nil || u.Version != v {
+	if u, err := e.setCapacity(edges[0], 1.5); err != nil || u.Version != v {
 		t.Fatalf("no-op capacity event: %v %+v", err, u)
 	}
 	// Repeating the same override is a no-op too.
-	if _, err := e.SetCapacity(edges[0], 0.5); err != nil {
+	if _, err := e.setCapacity(edges[0], 0.5); err != nil {
 		t.Fatal(err)
 	}
 	v = e.Links().Version
-	if u, err := e.SetCapacity(edges[0], 0.5); err != nil || u.Version != v {
+	if u, err := e.setCapacity(edges[0], 0.5); err != nil || u.Version != v {
 		t.Fatalf("repeated capacity event bumped version: %v %+v", err, u)
 	}
 }

@@ -91,14 +91,14 @@ func TestLinkEventDerivationEquivalence(t *testing.T) {
 				case 2:
 					id, c := rng.IntN(m), []float64{0.2, 0.45, 0.8, 1}[rng.IntN(4)]
 					name = fmt.Sprintf("capacity %d=%v", id, c)
-					_, err = e.SetCapacity(id, c)
+					_, err = e.setCapacity(id, c)
 				default:
 					set := make([]int, rng.IntN(3))
 					for i := range set {
 						set[i] = rng.IntN(m)
 					}
 					name = fmt.Sprintf("set %v", set)
-					_, err = e.SetLinkState(set)
+					_, err = e.setLinkState(set)
 				}
 				if err != nil {
 					t.Fatalf("step %d %s: %v", step, name, err)
@@ -108,7 +108,7 @@ func TestLinkEventDerivationEquivalence(t *testing.T) {
 				checkPathIndependent(t, e, twin, label)
 			}
 			checkRestoreEqualsLive(t, e, Config{AtRiskHeadroom: tc.headroom})
-			if _, err := e.SetLinkState(nil); err != nil {
+			if _, err := e.setLinkState(nil); err != nil {
 				t.Fatal(err)
 			}
 			checkDerivation(t, e, "restore all")
@@ -162,14 +162,11 @@ func checkRestoreEqualsLive(t *testing.T, e *Engine, cfg Config) {
 // install the same system although they got there by different events.
 func checkPathIndependent(t *testing.T, e, twin *Engine, step string) {
 	t.Helper()
-	if _, err := twin.SetLinkState(nil); err != nil {
+	if _, err := twin.setLinkState(nil); err != nil {
 		t.Fatalf("%s: twin: %v", step, err)
 	}
 	links := e.Links()
-	op := &walOp{Op: walOpLinks, Replace: true, Fail: links.FailedEdges}
-	for _, c := range links.DegradedEdges {
-		op.Caps = append(op.Caps, walCap(c))
-	}
+	op := &walOp{Op: walOpLinks, Replace: true, Fail: links.FailedEdges, Caps: links.DegradedEdges}
 	if _, err := twin.applyLinkEvent(op); err != nil {
 		t.Fatalf("%s: twin: %v", step, err)
 	}

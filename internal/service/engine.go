@@ -50,13 +50,13 @@ type State struct {
 	// state's warm chain. Incremental epochs (delta and warm-seeded) keep
 	// pairs they did not touch frozen at the placements of earlier solves, so
 	// their quality decays with the CUMULATIVE drift since the last fresh
-	// solve, not the per-epoch drift; Config.WarmMaxDrift is enforced against
+	// solve, not the per-epoch drift; warmMaxDrift is enforced against
 	// this anchor, and a cold solve resets it.
 	Anchor *demand.Demand
 	// Streak counts the consecutive incremental (delta or warm-seeded) epochs
 	// since the anchor's cold solve. Each incremental step re-places its
 	// touched pairs greedily against a frozen background, so chain error can
-	// grow with length even when net drift cancels; Config.WarmMaxStreak caps
+	// grow with length even when net drift cancels; warmMaxStreak caps
 	// it.
 	Streak int
 	// Renormalized marks a state published by the no-solver renormalization
@@ -205,9 +205,7 @@ type Engine struct {
 	rootCtx context.Context
 	stop    context.CancelFunc
 
-	linkMu        sync.Mutex // serializes topology events + degraded-time accounting
-	degradedAccum time.Duration
-	degradedSince time.Time
+	linkMu sync.Mutex // serializes topology events
 
 	// WAL state. walMu is a leaf lock (taken under e.mu or linkMu, never
 	// around them) held only across seq-assign + append so the demand and
@@ -266,12 +264,8 @@ func newEngine(cfg Config, linkVersion uint64) (*Engine, error) {
 		if cfg.Router == nil {
 			return nil, fmt.Errorf("service: config needs a router or a restored system")
 		}
-		pairs := cfg.Pairs
-		if pairs == nil {
-			pairs = core.AllPairs(cfg.Graph.NumVertices())
-		}
 		var err error
-		system, err = core.RSample(cfg.Router, pairs, cfg.R, cfg.Seed)
+		system, err = core.RSample(cfg.Router, core.AllPairs(cfg.Graph.NumVertices()), cfg.R, cfg.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("service: sampling path system: %w", err)
 		}
@@ -285,7 +279,7 @@ func newEngine(cfg Config, linkVersion uint64) (*Engine, error) {
 		outcomes: make(map[uint64]*Outcome),
 		pending:  make(map[uint64]struct{}),
 		waiters:  make(map[uint64][]chan *Outcome),
-		tracer:   obs.NewTracer(cfg.TraceDepth, cfg.SlowSolveThreshold, cfg.Logger),
+		tracer:   obs.NewTracer(cfg.TraceDepth, cfg.SlowSolveThreshold, nil),
 		journal:  cfg.Journal,
 		shard:    cfg.JournalShard,
 	}
@@ -385,8 +379,8 @@ func (e *Engine) Metrics() *Metrics { return e.metrics }
 // epoch. Lock-free.
 func (e *Engine) Active() *State { return e.active.Load() }
 
-// Closed reports whether Close has been called.
-func (e *Engine) Closed() bool {
+// isClosed reports whether Close has been called.
+func (e *Engine) isClosed() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.closed
@@ -402,7 +396,7 @@ func (e *Engine) Health() *Health {
 		DegradedEdges:   ls.degradedCaps,
 		UncoveredPairs:  len(ls.uncovered),
 		AtRiskPairs:     len(ls.atRisk),
-		DegradedSeconds: e.DegradedSeconds(),
+		DegradedSeconds: ls.degradedSeconds(),
 	}
 	if st := e.Active(); st != nil {
 		h.Epoch = st.Epoch
@@ -420,26 +414,22 @@ func (e *Engine) Health() *Health {
 	return h
 }
 
-// SubmitDemand validates d, assigns it the next epoch number, and hands it to
-// the solver. It returns ErrRateLimited (wrapped in a *ShedError carrying
-// the retry hint) when admission control sheds the mutation, and ErrClosed
-// after Close. Demands on pairs that were never installed are rejected;
-// demands on installed pairs whose candidates are currently dead are
-// accepted and served degraded (the dead pairs are dropped at solve time and
-// counted in the outcome). The solve itself runs
-// asynchronously; use Wait to observe its outcome. A later mutation accepted
-// before the solver picks this one up supersedes it: only the latest demand
-// is solved, and Wait on this epoch reports that solve's outcome.
-func (e *Engine) SubmitDemand(d *demand.Demand) (uint64, error) {
-	return e.SubmitDemandCtx(context.Background(), d)
-}
-
-// SubmitDemandCtx is SubmitDemand for a caller with a context: ctx is checked
-// once, before admission, and a done ctx returns ctx.Err() with nothing
-// logged and no epoch assigned. Once accepted, the mutation is solved, or
-// superseded by a later one, whatever happens to ctx afterwards: the log
-// already holds it, so serving anything else would make the live routing
-// differ from what a replay of the log serves.
+// SubmitDemandCtx validates d, assigns it the next epoch number, and hands
+// it to the solver. It returns ErrRateLimited (wrapped in a *ShedError
+// carrying the retry hint) when admission control sheds the mutation, and
+// ErrClosed after Close. Demands on pairs that were never installed are
+// rejected; demands on installed pairs whose candidates are currently dead
+// are accepted and served degraded (the dead pairs are dropped at solve time
+// and counted in the outcome). The solve itself runs asynchronously; use
+// Wait to observe its outcome. A later mutation accepted before the solver
+// picks this one up supersedes it: only the latest demand is solved, and
+// Wait on this epoch reports that solve's outcome.
+//
+// ctx is checked once, before admission, and a done ctx returns ctx.Err()
+// with nothing logged and no epoch assigned. Once accepted, the mutation is
+// solved, or superseded by a later one, whatever happens to ctx afterwards:
+// the log already holds it, so serving anything else would make the live
+// routing differ from what a replay of the log serves.
 func (e *Engine) SubmitDemandCtx(ctx context.Context, d *demand.Demand) (uint64, error) {
 	return e.acceptDemand(ctx, submitOp(d), false)
 }
@@ -502,7 +492,7 @@ func (e *Engine) nextDemand(op *walOp) (*demand.Demand, []demand.Pair, error) {
 		return nil, nil, err
 	}
 	installed := e.links.Load().installed
-	for _, assigned := range [2][]walAmount{op.Entries, op.Set} {
+	for _, assigned := range [2][]PairAmount{op.Entries, op.Set} {
 		for _, en := range assigned {
 			if installed.NumSampled(demand.MakePair(en.U, en.V)) == 0 {
 				return nil, nil, fmt.Errorf("service: demand has pairs with no candidate paths")
@@ -662,8 +652,7 @@ func (e *Engine) solve(req *epochRequest) {
 	prev := e.active.Load()
 	warmable := !e.cfg.DisableWarmStart && prev != nil && prev.Routing != nil &&
 		prev.Demand != nil && !prev.Renormalized && prev.LinkVersion == ls.version &&
-		e.withinDrift(served, prev) &&
-		(e.cfg.WarmMaxStreak < 0 || prev.Streak < e.cfg.WarmMaxStreak)
+		withinDrift(served, prev) && prev.Streak < warmMaxStreak
 
 	var r flow.Routing
 	var loads []float64
@@ -677,7 +666,7 @@ func (e *Engine) solve(req *epochRequest) {
 		// background of every untouched pair's flow — O(k·paths) instead of
 		// O(pairs·paths). Any mismatch (the previous routing no longer
 		// matches the untouched demand) falls through to a full solve.
-		opts := instrumented(e.cfg.Adapt, mon)
+		opts := instrumented(mon)
 		opts.MWU.Iterations = e.cfg.WarmIterations
 		var res *core.DeltaResult
 		derr := e.attempt(tr, "delta", func() (err error) {
@@ -697,7 +686,7 @@ func (e *Engine) solve(req *epochRequest) {
 		}
 	}
 	if !solved && err == nil {
-		opts := instrumented(e.cfg.Adapt, mon)
+		opts := instrumented(mon)
 		out.Warm = obs.WarmCold
 		if warmable {
 			opts.MWU.Warm = &mcf.WarmStart{Weights: warmSeed(prev, served)}
@@ -815,7 +804,9 @@ func (e *Engine) solveLadder(ctx context.Context, ls *linkState, d *demand.Deman
 			return err
 		}},
 		{"forced-mwu", obs.WarmCold, func() (err error) {
-			r, err = e.adapt(ctx, ls.adaptive, d, instrumented(&core.AdaptOptions{ExactThreshold: -1}, mon))
+			mwu := instrumented(mon)
+			mwu.ExactThreshold = -1
+			r, err = e.adapt(ctx, ls.adaptive, d, mwu)
 			return err
 		}},
 		{"renormalize", "", func() error {
@@ -894,14 +885,11 @@ func (e *Engine) publish(s *State) {
 // withinDrift reports whether the new matrix is close enough to the previous
 // state's drift anchor — the matrix of the last cold solve in its warm chain
 // — for incremental solving to stay near the fresh optimum (see
-// Config.WarmMaxDrift). The anchor, not the previous epoch, is the baseline:
+// warmMaxDrift). The anchor, not the previous epoch, is the baseline:
 // per-epoch drift is always small under a delta workload, but incremental
 // epochs freeze untouched placements, so error compounds with cumulative
 // drift until a cold solve resets it.
-func (e *Engine) withinDrift(d *demand.Demand, prev *State) bool {
-	if e.cfg.WarmMaxDrift < 0 {
-		return true
-	}
+func withinDrift(d *demand.Demand, prev *State) bool {
 	anchor := prev.Anchor
 	if anchor == nil {
 		anchor = prev.Demand
@@ -910,7 +898,7 @@ func (e *Engine) withinDrift(d *demand.Demand, prev *State) bool {
 	if size <= 0 {
 		return false
 	}
-	return demand.L1(d, anchor) <= e.cfg.WarmMaxDrift*size
+	return demand.L1(d, anchor) <= warmMaxDrift*size
 }
 
 // warmSeed projects the previous routing into the MWU prior, dropping pairs

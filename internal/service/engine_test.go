@@ -9,9 +9,9 @@ import (
 
 	"sparseroute/internal/core"
 	"sparseroute/internal/demand"
+	"sparseroute/internal/flow"
 	"sparseroute/internal/graph"
 	"sparseroute/internal/graph/gen"
-	"sparseroute/internal/mcf"
 	"sparseroute/internal/oblivious"
 )
 
@@ -39,12 +39,45 @@ func testEngine(t *testing.T, cfg Config) *Engine {
 	return e
 }
 
+// The tests drive the engine through the two record interpreters with the
+// records the Go API and the HTTP layer build: a full matrix, a patch, and
+// the link-event bodies of POST /v1/links.
+
+func (e *Engine) submit(d *demand.Demand) (uint64, error) {
+	return e.acceptDemand(context.Background(), submitOp(d), false)
+}
+
+func (e *Engine) patch(set []PairAmount, clear []PairRef) (uint64, error) {
+	return e.acceptDemand(context.Background(), &walOp{Op: walOpPatch, Set: set, Clear: clear}, false)
+}
+
+func (e *Engine) updateLinks(fail, restore []int) (*LinkUpdate, error) {
+	return e.applyLinkEvent(&walOp{Op: walOpLinks, Fail: fail, Restore: restore})
+}
+
+func (e *Engine) setLinkState(failed []int) (*LinkUpdate, error) {
+	return e.applyLinkEvent(&walOp{Op: walOpLinks, Fail: failed, Replace: true})
+}
+
+func (e *Engine) setCapacity(id int, capacity float64) (*LinkUpdate, error) {
+	return e.applyLinkEvent(&walOp{Op: walOpLinks, Caps: []EdgeCapacity{{Edge: id, Capacity: capacity}}})
+}
+
+// tuneAdapt applies tune to the solver options of every adaptation attempt e
+// makes, through the e.adapt seam. Call it before the first submit.
+func tuneAdapt(e *Engine, tune func(*core.AdaptOptions)) {
+	e.adapt = func(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *core.AdaptOptions) (flow.Routing, error) {
+		tune(opt)
+		return defaultAdapt(ctx, ps, d, opt)
+	}
+}
+
 func TestEngineSolvesEpochAndPublishes(t *testing.T) {
 	e := testEngine(t, Config{Seed: 1})
 	d := demand.New()
 	d.Set(0, 7, 2)
 	d.Set(1, 6, 1)
-	epoch, err := e.SubmitDemand(d)
+	epoch, err := e.submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,12 +112,12 @@ func TestEngineSolvesEpochAndPublishes(t *testing.T) {
 
 func TestEngineRejectsBadDemands(t *testing.T) {
 	e := testEngine(t, Config{Seed: 1})
-	if _, err := e.SubmitDemand(demand.New()); err == nil {
+	if _, err := e.submit(demand.New()); err == nil {
 		t.Fatal("empty demand accepted")
 	}
 	d := demand.New()
 	d.Set(0, 99, 1)
-	if _, err := e.SubmitDemand(d); err == nil {
+	if _, err := e.submit(d); err == nil {
 		t.Fatal("out-of-range demand accepted")
 	}
 }
@@ -97,7 +130,7 @@ func TestEngineEpochsAreMonotonic(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		d := demand.New()
 		d.Set(i%4, 4+i%4, 1+float64(i))
-		epoch, err := e.SubmitDemand(d)
+		epoch, err := e.submit(d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +155,7 @@ func TestEngineDeadlineFallback(t *testing.T) {
 	e := testEngine(t, Config{Seed: 1, SolveDeadline: time.Nanosecond})
 	d := demand.New()
 	d.Set(0, 7, 1)
-	epoch, err := e.SubmitDemand(d)
+	epoch, err := e.submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +178,7 @@ func TestEngineCloseRejectsNewDemands(t *testing.T) {
 	e.Close()
 	d := demand.New()
 	d.Set(0, 7, 1)
-	if _, err := e.SubmitDemand(d); err != ErrClosed {
+	if _, err := e.submit(d); err != ErrClosed {
 		t.Fatalf("err=%v, want ErrClosed", err)
 	}
 }
@@ -167,7 +200,7 @@ func TestEngineSnapshotRestoreSameHash(t *testing.T) {
 	// The restored engine serves without any router configured.
 	d := demand.New()
 	d.Set(0, 7, 1)
-	epoch, err := restored.SubmitDemand(d)
+	epoch, err := restored.submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +260,14 @@ func slowSolveEngine(t *testing.T, deadline time.Duration) *Engine {
 		System:        ps,
 		Workers:       1,
 		SolveDeadline: deadline,
-		Adapt:         &core.AdaptOptions{ExactThreshold: 1, MWU: mcf.Options{Iterations: 1 << 30}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tuneAdapt(e, func(o *core.AdaptOptions) {
+		o.ExactThreshold = 1
+		o.MWU.Iterations = 1 << 30
+	})
 	return e
 }
 
@@ -246,7 +282,7 @@ func TestEngineCanceledSolveFreesWorker(t *testing.T) {
 
 	slow := demand.New()
 	slow.Set(0, 3, 2)
-	epoch1, err := e.SubmitDemand(slow)
+	epoch1, err := e.submit(slow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +304,7 @@ func TestEngineCanceledSolveFreesWorker(t *testing.T) {
 	// deadline on the exact LP path.
 	fast := demand.New()
 	fast.Set(0, 1, 1)
-	epoch2, err := e.SubmitDemand(fast)
+	epoch2, err := e.submit(fast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +334,7 @@ func TestEngineCloseCancelsInFlightSolve(t *testing.T) {
 	e := slowSolveEngine(t, 0) // no deadline: only Close can stop the solve
 	slow := demand.New()
 	slow.Set(0, 3, 2)
-	epoch, err := e.SubmitDemand(slow)
+	epoch, err := e.submit(slow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +377,7 @@ func TestEngineWaitUnknownEpoch(t *testing.T) {
 	for i := 0; i < 130; i++ {
 		d := demand.New()
 		d.Set(0, 7, 1)
-		epoch, err := e.SubmitDemand(d)
+		epoch, err := e.submit(d)
 		if err != nil {
 			t.Fatal(err)
 		}

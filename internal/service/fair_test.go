@@ -78,18 +78,18 @@ func TestEnginesShareFairPoolWithoutStarvation(t *testing.T) {
 
 			// A's first epoch wedges the worker; its next five coalesce in
 			// its slot.
-			if _, err := ea.SubmitDemand(d); err != nil {
+			if _, err := ea.submit(d); err != nil {
 				t.Fatal(err)
 			}
 			<-started
 			for i := 0; i < 5; i++ {
-				if _, err := ea.SubmitDemand(d); err != nil {
+				if _, err := ea.submit(d); err != nil {
 					t.Fatal(err)
 				}
 			}
 
 			// B submits one epoch into the flood.
-			bEpoch, err := eb.SubmitDemand(d)
+			bEpoch, err := eb.submit(d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,12 +146,12 @@ func TestEngineOnSharedPoolCloseDrainsOwnQueueOnly(t *testing.T) {
 	d := demand.New()
 	d.Set(0, 7, 1)
 	ea.Close()
-	if _, err := ea.SubmitDemand(d); err == nil {
+	if _, err := ea.submit(d); err == nil {
 		t.Fatal("closed engine accepted a demand")
 	}
 
 	// The sibling still solves on the shared workers.
-	epoch, err := eb.SubmitDemand(d)
+	epoch, err := eb.submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}

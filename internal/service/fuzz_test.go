@@ -45,7 +45,7 @@ func fuzzServer(f *testing.F) *httptest.Server {
 		// of uniformly bouncing off ErrNoBaseDemand.
 		seed := demand.New()
 		seed.Set(0, 7, 2)
-		epoch, err := e.SubmitDemand(seed)
+		epoch, err := e.submit(seed)
 		if err != nil {
 			fuzzEnv.err = err
 			return

@@ -284,8 +284,8 @@ func decodeSubmit(r io.Reader) (*walOp, error) {
 // clear removes the pair — into a patch record.
 func decodePatch(r io.Reader) (*walOp, error) {
 	var req struct {
-		Set   []walAmount `json:"set"`
-		Clear []walPair   `json:"clear"`
+		Set   []PairAmount `json:"set"`
+		Clear []PairRef    `json:"clear"`
 	}
 	if err := json.NewDecoder(r).Decode(&req); err != nil {
 		return nil, fmt.Errorf("decoding demand patch: %w", err)
@@ -550,16 +550,16 @@ func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "link event needs fail, restore, set, or edge+capacity")
 		return
 	}
-	var update *LinkUpdate
-	var err error
+	var op *walOp
 	switch {
 	case capEvent:
-		update, err = s.engine.SetCapacity(*req.Edge, *req.Capacity)
+		op = &walOp{Op: walOpLinks, Caps: []EdgeCapacity{{Edge: *req.Edge, Capacity: *req.Capacity}}}
 	case req.Set != nil:
-		update, err = s.engine.SetLinkState(req.Set)
+		op = &walOp{Op: walOpLinks, Fail: req.Set, Replace: true}
 	default:
-		update, err = s.engine.UpdateLinks(req.Fail, req.Restore)
+		op = &walOp{Op: walOpLinks, Fail: req.Fail, Restore: req.Restore}
 	}
+	update, err := s.engine.applyLinkEvent(op)
 	switch {
 	case errors.Is(err, ErrUnknownEdge), errors.Is(err, ErrBadCapacity):
 		writeError(w, http.StatusBadRequest, "%v", err)

@@ -70,6 +70,12 @@ type linkState struct {
 	// Config.AtRiskHeadroom is set — its best surviving candidate still
 	// crosses an edge whose capacity multiplier is below the threshold.
 	atRisk []atRiskPair
+	// degradedSince is when the current impaired stint began (zero while
+	// healthy), and degradedTotal the wall time of every earlier stint. Both
+	// are set at publish time (see carryDegraded), so health checks and
+	// metric scrapes read them without waiting for linkMu.
+	degradedSince time.Time
+	degradedTotal time.Duration
 	// sizes holds the path counts the path_system gauge reports, filled by
 	// the first scrape of this version and never on the link-event path.
 	sizes struct {
@@ -241,45 +247,21 @@ func (e *Engine) RestoreEdges(ids ...int) (*LinkUpdate, error) {
 	return e.applyLinkEvent(&walOp{Op: walOpLinks, Restore: ids})
 }
 
-// SetLinkState replaces the failed-edge set wholesale (clearing any capacity
-// overrides not re-declared).
-func (e *Engine) SetLinkState(failed []int) (*LinkUpdate, error) {
-	return e.applyLinkEvent(&walOp{Op: walOpLinks, Fail: failed, Replace: true})
-}
-
-// SetCapacity applies a partial-capacity event to one edge. A multiplier of
-// 0 fails the edge outright — behavior identical to FailEdges. A multiplier
-// in (0,1) degrades it: candidates through the edge keep serving (no
-// pruning), and solves run against a capacity-scaled view of the topology so
-// congestion is re-optimized around the weakened link. A multiplier >= 1
-// restores full capacity. Negative or non-finite values are rejected.
-func (e *Engine) SetCapacity(id int, capacity float64) (*LinkUpdate, error) {
-	return e.applyLinkEvent(&walOp{Op: walOpLinks, Caps: []walCap{{Edge: id, Capacity: capacity}}})
-}
-
-// UpdateLinks applies one topology event: edges in fail go down, edges in
-// restore come back (restore wins when an edge appears in both). The event
-// is versioned, the pruned system is recovered where possible, and the
-// active demand is re-adapted — see applyLinkEvent.
-func (e *Engine) UpdateLinks(fail, restore []int) (*LinkUpdate, error) {
-	return e.applyLinkEvent(&walOp{Op: walOpLinks, Fail: fail, Restore: restore})
-}
-
-// applyLinkEvent is the single live writer of the link state: the public
-// wrappers above build the record. Under linkMu it folds the record into the
-// capacity-override map (see nextCapacity), derives the state of the new map
-// from the startup sample (see deriveLinks), logs the record, publishes the
-// new immutable linkState, and finally re-serves the active demand: an
-// immediate renormalization of the previous routing over surviving paths
-// (cheap, no solver — degraded-mode serving) followed by a full re-adapt
-// epoch through the normal solve ladder (against the capacity-scaled view
-// when fractional overrides exist). ReplayWAL folds link records with the
-// same nextCapacity and no-op rule, and derives only the map its log ends
-// in.
+// applyLinkEvent is the single live writer of the link state: FailEdges,
+// RestoreEdges and POST /v1/links build the record. Under linkMu it folds the
+// record into the capacity-override map (see nextCapacity), derives the state
+// of the new map from the startup sample (see deriveLinks), logs the record,
+// publishes the new immutable linkState, and finally re-serves the active
+// demand: an immediate renormalization of the previous routing over surviving
+// paths (cheap, no solver — degraded-mode serving) followed by a full
+// re-adapt epoch through the normal solve ladder (against the
+// capacity-scaled view when fractional overrides exist). ReplayWAL folds link
+// records with the same nextCapacity and no-op rule, and derives only the map
+// its log ends in.
 func (e *Engine) applyLinkEvent(op *walOp) (*LinkUpdate, error) {
 	e.linkMu.Lock()
 	defer e.linkMu.Unlock()
-	if e.Closed() {
+	if e.isClosed() {
 		return nil, ErrClosed
 	}
 	cur := e.links.Load()
@@ -395,15 +377,11 @@ func (e *Engine) deriveLinks(version uint64, capacity map[int]float64) *linkEven
 func (e *Engine) installReplayed(version uint64, capacity map[int]float64) error {
 	e.linkMu.Lock()
 	defer e.linkMu.Unlock()
-	if e.Closed() {
+	if e.isClosed() {
 		return ErrClosed
 	}
 	ev := e.deriveLinks(version, capacity)
-	next := ev.next
-	op := &walOp{Op: walOpLinks, Replace: true, Fail: next.failedIDs}
-	for _, c := range next.degradedCaps {
-		op.Caps = append(op.Caps, walCap(c))
-	}
+	op := &walOp{Op: walOpLinks, Replace: true, Fail: ev.next.failedIDs, Caps: ev.next.degradedCaps}
 	e.publishLinks(e.links.Load(), ev, op)
 	return nil
 }
@@ -419,8 +397,8 @@ func (e *Engine) publishLinks(cur *linkState, ev *linkEvent, op *walOp) *LinkUpd
 	update.AtRiskPairs = len(next.atRisk)
 	update.Degraded = next.degraded()
 
+	next.carryDegraded(cur, time.Now())
 	e.links.Store(next)
-	e.accountDegraded(next.degraded())
 	e.metrics.linkEvents.Add(1)
 	if len(op.Caps) > 0 {
 		e.metrics.capacityEvents.Add(1)
@@ -931,27 +909,26 @@ func pathAvoids(p graph.Path, failed map[int]bool) bool {
 	return true
 }
 
-// accountDegraded tracks cumulative degraded wall time across state
-// transitions. Callers hold linkMu.
-func (e *Engine) accountDegraded(degraded bool) {
-	now := time.Now()
+// carryDegraded carries the degraded-time account of cur into the
+// unpublished ls at now: a stint begins when ls is impaired and cur was not,
+// and ends, added to the total, when ls is healthy again.
+func (ls *linkState) carryDegraded(cur *linkState, now time.Time) {
+	ls.degradedSince, ls.degradedTotal = cur.degradedSince, cur.degradedTotal
 	switch {
-	case degraded && e.degradedSince.IsZero():
-		e.degradedSince = now
-	case !degraded && !e.degradedSince.IsZero():
-		e.degradedAccum += now.Sub(e.degradedSince)
-		e.degradedSince = time.Time{}
+	case ls.degraded() && ls.degradedSince.IsZero():
+		ls.degradedSince = now
+	case !ls.degraded() && !ls.degradedSince.IsZero():
+		ls.degradedTotal += now.Sub(ls.degradedSince)
+		ls.degradedSince = time.Time{}
 	}
 }
 
-// DegradedSeconds returns the cumulative wall time the engine has spent with
+// degradedSeconds returns the cumulative wall time the engine has spent with
 // at least one failed or capacity-degraded edge, including the current stint.
-func (e *Engine) DegradedSeconds() float64 {
-	e.linkMu.Lock()
-	defer e.linkMu.Unlock()
-	total := e.degradedAccum
-	if !e.degradedSince.IsZero() {
-		total += time.Since(e.degradedSince)
+func (ls *linkState) degradedSeconds() float64 {
+	total := ls.degradedTotal
+	if !ls.degradedSince.IsZero() {
+		total += time.Since(ls.degradedSince)
 	}
 	return total.Seconds()
 }

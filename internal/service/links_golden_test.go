@@ -53,7 +53,7 @@ func TestLinkEventGoldenHash(t *testing.T) {
 		}
 	}
 
-	epoch, err := e.SubmitDemand(demand.Gravity(g, 60, 300, rand.New(rand.NewPCG(600, 300))))
+	epoch, err := e.submit(demand.Gravity(g, 60, 300, rand.New(rand.NewPCG(600, 300))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestLinkEventGoldenHash(t *testing.T) {
 		{"restore 20", nil, []int{20}, 0x6ecae27d60c79d18, 2.244801313909313, 8710},
 		{"restore 70", nil, []int{70}, 0x064b3909470f40a8, 2.0934332216804612, 8064},
 	} {
-		if _, err := e.UpdateLinks(s.fail, s.restore); err != nil {
+		if _, err := e.updateLinks(s.fail, s.restore); err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
 		// A link event publishes the renormalized interim epoch, then the

@@ -6,6 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -44,7 +47,7 @@ func TestEngineFailRestoreLifecycle(t *testing.T) {
 
 	d := demand.New()
 	d.Set(0, 7, 2)
-	epoch, err := e.SubmitDemand(d)
+	epoch, err := e.submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +125,7 @@ func TestEngineFailRestoreLifecycle(t *testing.T) {
 	if got := e.InstalledSystem().TotalPaths(); got < installedBefore {
 		t.Fatalf("installed shrank: %d < %d", got, installedBefore)
 	}
-	if e.DegradedSeconds() <= 0 {
+	if e.links.Load().degradedSeconds() <= 0 {
 		t.Fatal("degraded time was not accounted")
 	}
 }
@@ -143,6 +146,46 @@ func TestEngineLinkEventValidation(t *testing.T) {
 	e.Close()
 	if _, err := e.FailEdges(0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err=%v, want ErrClosed after Close", err)
+	}
+}
+
+// TestHealthDoesNotWaitForLinkEvent: a link event holds linkMu across its
+// derivation (a survivor-router build on a real topology), its WAL commit and
+// its publish. A readiness probe and a metric scrape read the published link
+// state instead, so neither may wait for the event.
+func TestHealthDoesNotWaitForLinkEvent(t *testing.T) {
+	e, edges := diamondEngine(t)
+	if _, err := e.FailEdges(edges[1]); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(e, "")
+	e.linkMu.Lock() // an event in flight
+	defer e.linkMu.Unlock()
+
+	health := make(chan *Health, 1)
+	go func() { health <- e.Health() }()
+	scrape := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		scrape <- rec
+	}()
+	timeout := time.After(time.Second)
+	select {
+	case h := <-health:
+		if h.Status != HealthDegraded || h.DegradedSeconds <= 0 {
+			t.Fatalf("health %+v, want degraded with its degraded time", h)
+		}
+	case <-timeout:
+		t.Fatal("Health waited for the link event's lock")
+	}
+	select {
+	case rec := <-scrape:
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "degraded_seconds") {
+			t.Fatalf("/metrics %d %q", rec.Code, rec.Body)
+		}
+	case <-timeout:
+		t.Fatal("/metrics waited for the link event's lock")
 	}
 }
 
@@ -209,7 +252,7 @@ func TestEngineRecoveryResampling(t *testing.T) {
 	// The engine actually serves the recovered pair.
 	d := demand.New()
 	d.Set(0, 3, 1)
-	epoch, err := e.SubmitDemand(d)
+	epoch, err := e.submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +313,7 @@ func TestEngineDisconnectedPairStaysUncovered(t *testing.T) {
 	d := demand.New()
 	d.Set(0, 2, 1)
 	d.Set(1, 2, 1)
-	epoch, err := e.SubmitDemand(d)
+	epoch, err := e.submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +331,7 @@ func TestEngineDisconnectedPairStaysUncovered(t *testing.T) {
 	// A demand only on the dead pair falls back (nothing servable).
 	dead := demand.New()
 	dead.Set(0, 2, 1)
-	epoch, err = e.SubmitDemand(dead)
+	epoch, err = e.submit(dead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +375,7 @@ func TestEngineSnapshotWhileDegradedRestoresLinkState(t *testing.T) {
 	// on a survivor router built at restore.
 	d := demand.New()
 	d.Set(0, 3, 1)
-	epoch, err := restored.SubmitDemand(d)
+	epoch, err := restored.submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +391,7 @@ func TestEngineSolveRetryChain(t *testing.T) {
 	// Prime an active routing for the renormalization stage.
 	d := demand.New()
 	d.Set(0, 7, 2)
-	epoch, err := e.SubmitDemand(d)
+	epoch, err := e.submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +404,7 @@ func TestEngineSolveRetryChain(t *testing.T) {
 	e.adapt = func(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *core.AdaptOptions) (flow.Routing, error) {
 		return nil, fmt.Errorf("injected solver failure")
 	}
-	epoch, err = e.SubmitDemand(d)
+	epoch, err = e.submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +439,7 @@ func TestEngineSolveRetryChain(t *testing.T) {
 		}
 		return ps.AdaptCtx(ctx, d, opt)
 	}
-	epoch, err = e.SubmitDemand(d)
+	epoch, err = e.submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +475,7 @@ func TestEngineFaultInjectionUnderTraffic(t *testing.T) {
 				u := rng.IntN(8)
 				v := (u + 1 + rng.IntN(7)) % 8
 				d.Set(u, v, 1+float64(rng.IntN(3)))
-				epoch, err := e.SubmitDemand(d)
+				epoch, err := e.submit(d)
 				if err != nil {
 					t.Error(err)
 					return
@@ -455,9 +498,9 @@ func TestEngineFaultInjectionUnderTraffic(t *testing.T) {
 			case 1:
 				_, err = e.RestoreEdges(id)
 			case 2:
-				_, err = e.SetCapacity(id, 0.25+0.5*rng.Float64())
+				_, err = e.setCapacity(id, 0.25+0.5*rng.Float64())
 			default:
-				_, err = e.SetCapacity(id, 1)
+				_, err = e.setCapacity(id, 1)
 			}
 			if err != nil {
 				t.Error(err)
@@ -495,7 +538,7 @@ func TestEngineFaultInjectionUnderTraffic(t *testing.T) {
 	}
 	d := demand.New()
 	d.Set(0, 7, 1)
-	epoch, err := e.SubmitDemand(d)
+	epoch, err := e.submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,13 +100,13 @@ func TestLinkEventServesLatestAcceptedDemand(t *testing.T) {
 	defer release()
 	running := d1.Clone()
 	running.Set(0, 7, 3) // far enough from d1 to solve cold, through the seam
-	if _, err := e.SubmitDemand(running); err != nil {
+	if _, err := e.submit(running); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
 	d2 := running.Clone()
 	d2.Set(1, 6, 3)
-	epoch2, err := e.SubmitDemand(d2)
+	epoch2, err := e.submit(d2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +141,13 @@ func TestLinkEventReadaptNeverDropped(t *testing.T) {
 	entered, release := holdSolves(e)
 	defer release()
 	d.Set(0, 7, 3)
-	if _, err := e.SubmitDemand(d); err != nil {
+	if _, err := e.submit(d); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
 	for i := 0; i < 16; i++ {
 		d.Set(1, 6, 1+float64(i))
-		if _, err := e.SubmitDemand(d); err != nil {
+		if _, err := e.submit(d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,7 +176,7 @@ func TestAcceptedDemandIsAlwaysServed(t *testing.T) {
 	defer release()
 	d1 := demand.New()
 	d1.Set(0, 7, 2)
-	if _, err := e.SubmitDemand(d1); err != nil {
+	if _, err := e.submit(d1); err != nil {
 		t.Fatal(err)
 	}
 	<-entered // d1's solve holds the solver, so d2 waits in the slot
@@ -257,12 +257,12 @@ func TestAbandonedSubmitKeepsCoveredWork(t *testing.T) {
 	entered, release := holdSolves(e)
 	defer release()
 	d.Set(0, 7, 3)
-	if _, err := e.SubmitDemand(d); err != nil {
+	if _, err := e.submit(d); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
 	d.Set(1, 6, 1)
-	background, err := e.SubmitDemand(d)
+	background, err := e.submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestAbandonedSubmitKeepsCoveredWork(t *testing.T) {
 	e = testEngine(t, Config{Seed: 1})
 	entered, release = holdSolves(e)
 	defer release()
-	if _, err := e.SubmitDemand(d); err != nil {
+	if _, err := e.submit(d); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
@@ -322,7 +322,7 @@ func TestEngineCoalescesWhenSaturated(t *testing.T) {
 	defer release()
 	d := demand.New()
 	d.Set(0, 7, 1)
-	if _, err := e.SubmitDemand(d); err != nil {
+	if _, err := e.submit(d); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
@@ -330,7 +330,7 @@ func TestEngineCoalescesWhenSaturated(t *testing.T) {
 	var last uint64
 	for i := 0; i < burst; i++ {
 		d.Set(1, 6, 1+float64(i))
-		epoch, err := e.SubmitDemand(d)
+		epoch, err := e.submit(d)
 		if err != nil {
 			t.Fatalf("submit %d under saturation: %v", i, err)
 		}
@@ -469,7 +469,7 @@ func TestEpochCounterModel(t *testing.T) {
 				}
 			case k < 6:
 				u, v := pair()
-				_, err = e.PatchDemand([]PairAmount{{U: u, V: v, Amount: 0.5 + rng.Float64()}}, nil)
+				_, err = e.patch([]PairAmount{{U: u, V: v, Amount: 0.5 + rng.Float64()}}, nil)
 				if errors.Is(err, ErrNoBaseDemand) {
 					err = nil
 				}
@@ -491,7 +491,7 @@ func TestEpochCounterModel(t *testing.T) {
 		// Close the sequence with the latest matrix itself, then let every
 		// solve through.
 		if final := e.LastSubmitted(); final != nil {
-			if _, err := e.SubmitDemand(final); err != nil {
+			if _, err := e.submit(final); err != nil {
 				t.Fatal(err)
 			}
 		}

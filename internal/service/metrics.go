@@ -65,9 +65,9 @@ type Metrics struct {
 func newMetrics(e *Engine) *Metrics {
 	m := &Metrics{
 		vars:  new(expvar.Map).Init(),
-		lat:   stats.NewRing(e.cfg.LatencyWindow),
-		cong:  stats.NewRing(e.cfg.LatencyWindow),
-		queue: stats.NewRing(e.cfg.LatencyWindow),
+		lat:   stats.NewRing(latencyWindow),
+		cong:  stats.NewRing(latencyWindow),
+		queue: stats.NewRing(latencyWindow),
 	}
 	m.vars.Set("epochs_received", &m.received)
 	m.vars.Set("epochs_superseded", &m.superseded)
@@ -131,7 +131,7 @@ func newMetrics(e *Engine) *Metrics {
 		return e.links.Load().version
 	}))
 	m.vars.Set("degraded_seconds", expvar.Func(func() any {
-		return e.DegradedSeconds()
+		return e.links.Load().degradedSeconds()
 	}))
 	m.vars.Set("active_epoch", expvar.Func(func() any {
 		if s := e.Active(); s != nil {

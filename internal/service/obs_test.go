@@ -16,7 +16,6 @@ import (
 	"sparseroute/internal/demand"
 	"sparseroute/internal/flow"
 	"sparseroute/internal/graph"
-	"sparseroute/internal/mcf"
 	"sparseroute/internal/obs"
 
 	"context"
@@ -26,7 +25,7 @@ func solveOne(t *testing.T, e *Engine, u, v int, amount float64) *Outcome {
 	t.Helper()
 	d := demand.New()
 	d.Set(u, v, amount)
-	epoch, err := e.SubmitDemand(d)
+	epoch, err := e.submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +79,11 @@ func TestEpochTraceRecorded(t *testing.T) {
 }
 
 func TestEpochTraceMWUProgress(t *testing.T) {
-	e := testEngine(t, Config{Seed: 2, Adapt: &core.AdaptOptions{
-		ExactThreshold: -1,
-		MWU:            mcf.Options{Iterations: 40, ProgressEvery: 8},
-	}})
+	e := testEngine(t, Config{Seed: 2})
+	tuneAdapt(e, func(o *core.AdaptOptions) {
+		o.ExactThreshold = -1
+		o.MWU.Iterations, o.MWU.ProgressEvery = 40, 8
+	})
 	if out := solveOne(t, e, 0, 7, 1); !out.OK {
 		t.Fatalf("outcome %+v", out)
 	}
@@ -169,7 +169,8 @@ func TestSlowSolveEmitsStructuredLog(t *testing.T) {
 	var mu sync.Mutex
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(syncWriter{mu: &mu, w: &buf}, nil))
-	e := testEngine(t, Config{Seed: 5, SlowSolveThreshold: time.Nanosecond, Logger: logger})
+	e := testEngine(t, Config{Seed: 5})
+	e.tracer = obs.NewTracer(e.cfg.TraceDepth, time.Nanosecond, logger)
 	if out := solveOne(t, e, 0, 7, 1); !out.OK {
 		t.Fatalf("outcome %+v", out)
 	}
@@ -243,7 +244,7 @@ func TestJournalReconstructsFailureDrill(t *testing.T) {
 
 func TestCapacityEventJournaled(t *testing.T) {
 	e, edges := diamondEngine(t)
-	if _, err := e.SetCapacity(edges[0], 0.5); err != nil {
+	if _, err := e.setCapacity(edges[0], 0.5); err != nil {
 		t.Fatal(err)
 	}
 	var caps []obs.Event
@@ -304,7 +305,7 @@ func TestHeadroomWideningJournaled(t *testing.T) {
 	// Browning out 0-4 leaves pair (0,4)'s only candidate under the headroom
 	// threshold; the proactive pass samples a replacement avoiding the weak
 	// edge and journals the decision with its trigger.
-	update, err := e.SetCapacity(ids["04"], 0.2)
+	update, err := e.setCapacity(ids["04"], 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +347,7 @@ func TestHeadroomWideningJournaled(t *testing.T) {
 	}
 
 	// Restoring full capacity installs the startup sample: no widening.
-	if _, err := e.SetCapacity(ids["04"], 1); err != nil {
+	if _, err := e.setCapacity(ids["04"], 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(e.InstalledSystem().Unique(0, 4)); got != 1 {
@@ -356,7 +357,7 @@ func TestHeadroomWideningJournaled(t *testing.T) {
 
 func TestHeadroomWideningDisabledByDefault(t *testing.T) {
 	e, ids := headroomEngine(t, Config{})
-	if _, err := e.SetCapacity(ids["04"], 0.2); err != nil {
+	if _, err := e.setCapacity(ids["04"], 0.2); err != nil {
 		t.Fatal(err)
 	}
 	for _, ev := range e.Events() {

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"sparseroute/internal/core"
 	"sparseroute/internal/demand"
 	"sparseroute/internal/graph/gen"
 	"sparseroute/internal/oblivious"
@@ -57,7 +58,7 @@ func TestRoutingReadMemoAndETag(t *testing.T) {
 			d.Set(u, v, float64(1+(u+v)%3))
 		}
 	}
-	epoch, err := e.SubmitDemand(d)
+	epoch, err := e.submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,10 +182,10 @@ func TestPathSystemGaugeMatchesStats(t *testing.T) {
 		do   func() (*LinkUpdate, error)
 	}{
 		{"fail 0,1", func() (*LinkUpdate, error) { return e.FailEdges(0, 1) }},
-		{"brownout 2", func() (*LinkUpdate, error) { return e.SetCapacity(2, 0.5) }},
+		{"brownout 2", func() (*LinkUpdate, error) { return e.setCapacity(2, 0.5) }},
 		{"fail 5", func() (*LinkUpdate, error) { return e.FailEdges(5) }},
 		{"restore 0", func() (*LinkUpdate, error) { return e.RestoreEdges(0) }},
-		{"recover 2", func() (*LinkUpdate, error) { return e.SetCapacity(2, 1) }},
+		{"recover 2", func() (*LinkUpdate, error) { return e.setCapacity(2, 1) }},
 		{"restore all", func() (*LinkUpdate, error) { return e.RestoreEdges(1, 5) }},
 	}
 	shrank := false
@@ -211,13 +212,16 @@ func grid100Engine(tb testing.TB) *Engine {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e, err := New(Config{Graph: g, Router: router, RouterName: "raecke", R: 4, Seed: 7,
-		Workers: 1, Pairs: d.Support()})
+	ps, err := core.RSample(router, d.Support(), 4, 7)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e, err := New(Config{Graph: g, System: ps, RouterName: "raecke", R: 4, Seed: 7, Workers: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(e.Close)
-	epoch, err := e.SubmitDemand(d)
+	epoch, err := e.submit(d)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -137,7 +137,7 @@ func TestReplayFoldsLinkRecords(t *testing.T) {
 		if _, err := live.FailEdges(70); err != nil {
 			t.Fatal(err)
 		}
-		update, err := live.SetCapacity(weak, 0.2)
+		update, err := live.setCapacity(weak, 0.2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestReplayFoldsLinkRecords(t *testing.T) {
 		}
 		twin := wan64Engine(t, Config{AtRiskHeadroom: headroom})
 		if _, err := twin.applyLinkEvent(&walOp{Op: walOpLinks, Fail: []int{70},
-			Caps: []walCap{{Edge: weak, Capacity: 0.2}}}); err != nil {
+			Caps: []EdgeCapacity{{Edge: weak, Capacity: 0.2}}}); err != nil {
 			t.Fatal(err)
 		}
 

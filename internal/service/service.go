@@ -24,12 +24,10 @@ package service
 
 import (
 	"errors"
-	"log/slog"
 	"math"
 	"time"
 
 	"sparseroute/internal/core"
-	"sparseroute/internal/demand"
 	"sparseroute/internal/graph"
 	"sparseroute/internal/oblivious"
 	"sparseroute/internal/obs"
@@ -48,10 +46,9 @@ type Config struct {
 	RouterName string
 	// System, when non-nil, is a pre-built startup path system (typically
 	// a snapshot's, set by Restore): startup skips resampling entirely, and
-	// every link state is derived from it.
+	// every link state is derived from it. When nil, startup samples every
+	// vertex pair.
 	System *core.PathSystem
-	// Pairs to sample at startup. Nil means every vertex pair.
-	Pairs []demand.Pair
 	// R is the per-pair sample count (Definition 5.2). Default 4.
 	R int
 	// Seed drives the sampling.
@@ -75,8 +72,6 @@ type Config struct {
 	// engine keeps the last good routing, counting a fallback. 0 disables
 	// the deadline.
 	SolveDeadline time.Duration
-	// Adapt tunes the rate-adaptation solvers.
-	Adapt *core.AdaptOptions
 	// OutcomeHistory bounds the retained epoch outcomes Wait can still
 	// resolve (older ones are evicted oldest-first). Default 128; raise it on
 	// long-running daemons whose clients wait on epochs submitted long ago.
@@ -89,26 +84,6 @@ type Config struct {
 	// (the prior supplies the rest of the play). Default 64 — a quarter of
 	// the cold default, which is where warm starts buy their latency.
 	WarmIterations int
-	// WarmMaxDrift guards the whole incremental pipeline (delta fast path and
-	// warm seeding) against CUMULATIVE demand drift: an epoch solves
-	// incrementally only while the L1 distance between its matrix and the
-	// matrix of the last cold solve in the warm chain (the drift anchor) is
-	// at most WarmMaxDrift times the new matrix's total demand. Incremental
-	// epochs keep untouched placements frozen, so their quality decays with
-	// drift since the last fresh solve — crossing the guard forces a cold
-	// re-solve that resets the anchor. Default 0.1; negative disables the
-	// guard (always incremental when the link state allows).
-	WarmMaxDrift float64
-	// WarmMaxStreak caps the consecutive incremental epochs (delta or
-	// warm-seeded) a warm chain may run before a cold re-solve re-anchors it.
-	// Each incremental step re-places its touched pairs against a frozen
-	// background, so chain error can grow with length even when the net L1
-	// drift cancels out under WarmMaxDrift. Default 8; negative disables the
-	// cap.
-	WarmMaxStreak int
-	// LatencyWindow is the number of recent solves the latency/congestion
-	// quantiles cover. Default 256.
-	LatencyWindow int
 	// TraceDepth bounds the per-engine ring of epoch lifecycle traces served
 	// on /debug/trace. Default 64.
 	TraceDepth int
@@ -170,17 +145,33 @@ type Config struct {
 	// paths that avoid the weak links. 0 (default) disables headroom-based
 	// widening.
 	AtRiskHeadroom float64
-	// Logger receives the slow-solve structured log lines. Nil means
-	// slog.Default().
-	Logger *slog.Logger
 }
+
+// Fixed engine parameters.
+const (
+	// warmMaxDrift guards the whole incremental pipeline (delta fast path and
+	// warm seeding) against CUMULATIVE demand drift: an epoch solves
+	// incrementally only while the L1 distance between its matrix and the
+	// matrix of the last cold solve in the warm chain (the drift anchor) is
+	// at most warmMaxDrift times the new matrix's total demand. Incremental
+	// epochs keep untouched placements frozen, so their quality decays with
+	// drift since the last fresh solve — crossing the guard forces a cold
+	// re-solve that resets the anchor.
+	warmMaxDrift = 0.1
+	// warmMaxStreak caps the consecutive incremental epochs (delta or
+	// warm-seeded) a warm chain may run before a cold re-solve re-anchors it.
+	// Each incremental step re-places its touched pairs against a frozen
+	// background, so chain error can grow with length even when the net L1
+	// drift cancels out under warmMaxDrift.
+	warmMaxStreak = 8
+	// latencyWindow is the number of recent solves the latency, congestion
+	// and queue-wait quantiles cover.
+	latencyWindow = 256
+)
 
 func (c Config) withDefaults() Config {
 	if c.R <= 0 {
 		c.R = 4
-	}
-	if c.LatencyWindow <= 0 {
-		c.LatencyWindow = 256
 	}
 	if c.TraceDepth <= 0 {
 		c.TraceDepth = 64
@@ -190,12 +181,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WarmIterations <= 0 {
 		c.WarmIterations = 64
-	}
-	if c.WarmMaxDrift == 0 {
-		c.WarmMaxDrift = 0.1
-	}
-	if c.WarmMaxStreak == 0 {
-		c.WarmMaxStreak = 8
 	}
 	if c.JournalDepth <= 0 {
 		c.JournalDepth = 256
@@ -209,7 +194,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ErrClosed is returned by SubmitDemand after Close.
+// ErrClosed is returned by every mutation — SubmitDemandCtx,
+// PatchDemandCtx, FailEdges, RestoreEdges — after Close.
 var ErrClosed = errors.New("service: engine closed")
 
 // ErrUnknownEpoch is returned by Wait for an epoch the engine cannot resolve:
@@ -218,15 +204,15 @@ var ErrClosed = errors.New("service: engine closed")
 // until the caller's context expired.
 var ErrUnknownEpoch = errors.New("service: unknown epoch")
 
-// ErrUnknownEdge is returned by the link-state API for an edge ID outside
-// the topology.
+// ErrUnknownEdge is returned by a link event (FailEdges, RestoreEdges, POST
+// /v1/links) naming an edge ID outside the topology.
 var ErrUnknownEdge = errors.New("service: unknown edge")
 
-// ErrBadCapacity is returned by the link-state API for a capacity multiplier
-// that is negative or non-finite.
+// ErrBadCapacity is returned by a link event whose capacity multiplier is
+// negative or non-finite.
 var ErrBadCapacity = errors.New("service: bad capacity multiplier")
 
-// ErrNoBaseDemand is returned by PatchDemand when no full demand matrix has
+// ErrNoBaseDemand is returned by PatchDemandCtx when no full demand matrix has
 // been submitted yet: a delta needs a base to apply to (HTTP 409).
 var ErrNoBaseDemand = errors.New("service: no base demand to patch (submit a full matrix first)")
 

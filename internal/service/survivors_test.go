@@ -38,7 +38,7 @@ func TestLinkEventBuildsOneSurvivorRouter(t *testing.T) {
 		{"restore 70", nil, []int{70}, 0x064b3909470f40a8, 0, 0, 0},
 	} {
 		before := e.metrics.survivorBuilds.Value()
-		update, err := e.UpdateLinks(s.fail, s.restore)
+		update, err := e.updateLinks(s.fail, s.restore)
 		if err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
@@ -64,7 +64,7 @@ func TestHeadroomWideningBuildsItsOwnRouter(t *testing.T) {
 	update, err := e.applyLinkEvent(&walOp{
 		Op:   walOpLinks,
 		Fail: []int{ids["13"]},
-		Caps: []walCap{{Edge: ids["04"], Capacity: 0.2}},
+		Caps: []EdgeCapacity{{Edge: ids["04"], Capacity: 0.2}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -60,25 +60,16 @@ func (m *solveMonitor) fill(tr *obs.EpochTrace) {
 	}
 }
 
-// instrumented copies base (nil means defaults) and attaches the monitor's
-// observability callbacks. A copy is required: AdaptOptions may be shared
-// across concurrent solves, and the callbacks are per-epoch.
-func instrumented(base *core.AdaptOptions, mon *solveMonitor) *core.AdaptOptions {
-	var o core.AdaptOptions
-	if base != nil {
-		o = *base
-	}
-	o.OnSolver = mon.onSolver
+// instrumented returns fresh default adaptation options carrying the
+// monitor's per-epoch observability callbacks.
+func instrumented(mon *solveMonitor) *core.AdaptOptions {
+	o := &core.AdaptOptions{OnSolver: mon.onSolver}
 	o.MWU.Progress = mon.onProgress
-	return &o
+	return o
 }
 
 // Tracer returns the engine's epoch-trace ring.
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
-
-// Journal returns the journal the engine records events into — private by
-// default, fleet-shared when Config.Journal was set.
-func (e *Engine) Journal() *obs.Journal { return e.journal }
 
 // Events returns the engine's journal entries, oldest first — restricted to
 // this engine's shard tag when it records into a fleet-shared journal.

@@ -35,25 +35,6 @@ const (
 	walOpRevoke = "revoke"
 )
 
-// walAmount is one (pair, amount) assignment on the wire.
-type walAmount struct {
-	U      int     `json:"u"`
-	V      int     `json:"v"`
-	Amount float64 `json:"amount"`
-}
-
-// walPair names one demand pair (a PATCH clear entry).
-type walPair struct {
-	U int `json:"u"`
-	V int `json:"v"`
-}
-
-// walCap is one capacity override of a link event.
-type walCap struct {
-	Edge     int     `json:"edge"`
-	Capacity float64 `json:"capacity"`
-}
-
 // walOp is one logged state mutation. Seq is the engine-wide operation
 // sequence number — monotonic across the engine's whole history, recorded in
 // snapshots as the checkpoint watermark so replay can skip records the
@@ -62,19 +43,19 @@ type walOp struct {
 	Seq uint64 `json:"seq"`
 	Op  string `json:"op"`
 	// Entries is a SUBMIT's full demand matrix.
-	Entries []walAmount `json:"entries,omitempty"`
+	Entries []PairAmount `json:"entries,omitempty"`
 	// Set/Clear are a PATCH's deltas (absolute amounts, so replay is
 	// idempotent).
-	Set   []walAmount `json:"set,omitempty"`
-	Clear []walPair   `json:"clear,omitempty"`
+	Set   []PairAmount `json:"set,omitempty"`
+	Clear []PairRef    `json:"clear,omitempty"`
 	// Fail/Restore/Replace/Caps mirror applyLinkEvent's inputs. Records
 	// written by older versions may also carry "draws", the paths their
 	// sampling passes drew; the field is ignored, since the path system is
 	// derived from the capacity map alone.
-	Fail    []int    `json:"fail,omitempty"`
-	Restore []int    `json:"restore,omitempty"`
-	Replace bool     `json:"replace,omitempty"`
-	Caps    []walCap `json:"caps,omitempty"`
+	Fail    []int          `json:"fail,omitempty"`
+	Restore []int          `json:"restore,omitempty"`
+	Replace bool           `json:"replace,omitempty"`
+	Caps    []EdgeCapacity `json:"caps,omitempty"`
 	// Ref is the sequence number a REVOKE (old logs only) cancels.
 	Ref uint64 `json:"ref,omitempty"`
 }
@@ -84,9 +65,9 @@ type walOp struct {
 // bytes for identical matrices.
 func submitOp(d *demand.Demand) *walOp {
 	support := d.Support()
-	op := &walOp{Op: walOpSubmit, Entries: make([]walAmount, len(support))}
+	op := &walOp{Op: walOpSubmit, Entries: make([]PairAmount, len(support))}
 	for i, p := range support {
-		op.Entries[i] = walAmount{U: p.U, V: p.V, Amount: d.Get(p.U, p.V)}
+		op.Entries[i] = PairAmount{U: p.U, V: p.V, Amount: d.Get(p.U, p.V)}
 	}
 	return op
 }
@@ -109,7 +90,7 @@ func applyDemandOp(base *demand.Demand, op *walOp, n int) (next *demand.Demand, 
 		}
 		return nil
 	}
-	amountsOK := func(kind string, entries []walAmount) error {
+	amountsOK := func(kind string, entries []PairAmount) error {
 		for _, en := range entries {
 			if err := pairOK(kind, en.U, en.V); err != nil {
 				return err

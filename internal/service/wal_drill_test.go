@@ -60,7 +60,7 @@ func waitActive(t *testing.T, e *Engine) *State {
 // an in-flight solve.
 func submitAndWait(t *testing.T, e *Engine, d *demand.Demand) {
 	t.Helper()
-	epoch, err := e.SubmitDemand(d)
+	epoch, err := e.submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestWALCrashRecoveryDrill(t *testing.T) {
 	base := demand.New()
 	base.Set(0, 7, 2)
 	base.Set(1, 6, 1)
-	if _, err := e.SubmitDemand(base); err != nil {
+	if _, err := e.submit(base); err != nil {
 		t.Fatal(err)
 	}
 
@@ -162,13 +162,13 @@ func TestWALCrashRecoveryDrill(t *testing.T) {
 			d := demand.New()
 			d.Set(0, 7, 1+float64(i%5))
 			d.Set(2, 5, 0.5+float64(i%3))
-			_, _ = e.SubmitDemand(d)
+			_, _ = e.submit(d)
 		}
 	}()
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
-			_, _ = e.PatchDemand([]PairAmount{{U: 1, V: 6, Amount: 1 + float64(i%4)}}, nil)
+			_, _ = e.patch([]PairAmount{{U: 1, V: 6, Amount: 1 + float64(i%4)}}, nil)
 		}
 	}()
 	go func() {
@@ -181,9 +181,9 @@ func TestWALCrashRecoveryDrill(t *testing.T) {
 			case 1:
 				_, _ = e.RestoreEdges(edge)
 			case 2:
-				_, _ = e.SetCapacity(edge, 0.5)
+				_, _ = e.setCapacity(edge, 0.5)
 			default:
-				_, _ = e.SetCapacity(edge, 1)
+				_, _ = e.setCapacity(edge, 1)
 			}
 		}
 	}()
@@ -191,16 +191,16 @@ func TestWALCrashRecoveryDrill(t *testing.T) {
 
 	// A deterministic closing sequence so the final state is interesting:
 	// one failed edge, one brownout, one known matrix, solved to completion.
-	if _, err := e.SetLinkState([]int{3}); err != nil {
+	if _, err := e.setLinkState([]int{3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SetCapacity(8, 0.5); err != nil {
+	if _, err := e.setCapacity(8, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	final := demand.New()
 	final.Set(0, 7, 2)
 	final.Set(1, 6, 1.5)
-	epoch, err := e.SubmitDemand(final)
+	epoch, err := e.submit(final)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestWALReplayDuplicateRecordsIdempotent(t *testing.T) {
 	e, log, _ := walEngine(t, walPath, cfg)
 	d := demand.New()
 	d.Set(0, 7, 2)
-	if _, err := e.SubmitDemand(d); err != nil {
+	if _, err := e.submit(d); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.FailEdges(2); err != nil {
@@ -286,7 +286,7 @@ func TestWALReplaySkipsRecordsBeforeCheckpoint(t *testing.T) {
 	e, log, _ := walEngine(t, walPath, cfg)
 	d1 := demand.New()
 	d1.Set(0, 7, 1)
-	if _, err := e.SubmitDemand(d1); err != nil { // seq 1
+	if _, err := e.submit(d1); err != nil { // seq 1
 		t.Fatal(err)
 	}
 	if _, err := e.FailEdges(4); err != nil { // seq 2
@@ -300,7 +300,7 @@ func TestWALReplaySkipsRecordsBeforeCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two post-watermark mutations.
-	if _, err := e.SetCapacity(7, 0.5); err != nil { // seq 3
+	if _, err := e.setCapacity(7, 0.5); err != nil { // seq 3
 		t.Fatal(err)
 	}
 	d2 := demand.New()
@@ -347,7 +347,7 @@ func TestWALTornTailRecoversAndJournals(t *testing.T) {
 	e, log, _ := walEngine(t, walPath, cfg)
 	d := demand.New()
 	d.Set(0, 7, 2)
-	if _, err := e.SubmitDemand(d); err != nil {
+	if _, err := e.submit(d); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.FailEdges(1); err != nil {
@@ -413,7 +413,7 @@ func TestWALRevokedOpsSkippedOnReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	shed, _ := json.Marshal(&walOp{Seq: 2, Op: walOpSubmit,
-		Entries: []walAmount{{U: 3, V: 4, Amount: 99}}})
+		Entries: []PairAmount{{U: 3, V: 4, Amount: 99}}})
 	revoke, _ := json.Marshal(&walOp{Seq: 3, Op: walOpRevoke, Ref: 2})
 	raw = wal.AppendFrame(raw, shed)
 	raw = wal.AppendFrame(raw, revoke)
@@ -448,7 +448,7 @@ func TestCheckpointEveryTruncatesAndRecovers(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		d := demand.New()
 		d.Set(0, 7, 1+float64(i))
-		if _, err := e.SubmitDemand(d); err != nil {
+		if _, err := e.submit(d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -468,7 +468,7 @@ func TestCheckpointEveryTruncatesAndRecovers(t *testing.T) {
 		t.Fatalf("post-checkpoint log holds %d records, want the re-seeded demand (1, or 2 with one late op)", recs)
 	}
 	// One more op past the checkpoint, then crash.
-	if _, err := e.SetCapacity(2, 0.5); err != nil {
+	if _, err := e.setCapacity(2, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	dLast := demand.New()
@@ -526,7 +526,7 @@ func TestSolverPanicDoesNotKillEngine(t *testing.T) {
 	e := testEngine(t, Config{Seed: 17, DisableWarmStart: true})
 	d := demand.New()
 	d.Set(0, 7, 2)
-	epoch, err := e.SubmitDemand(d)
+	epoch, err := e.submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +543,7 @@ func TestSolverPanicDoesNotKillEngine(t *testing.T) {
 		installed: good.installed, serving: good.serving, hash: good.hash,
 		uncovered: good.uncovered, atRisk: good.atRisk})
 
-	epoch, err = e.SubmitDemand(d)
+	epoch, err = e.submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,7 +573,7 @@ func TestSolverPanicDoesNotKillEngine(t *testing.T) {
 
 	// Heal the link state: the engine serves normally again.
 	e.links.Store(good)
-	epoch, err = e.SubmitDemand(d)
+	epoch, err = e.submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}

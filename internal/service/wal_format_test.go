@@ -30,19 +30,19 @@ func TestWALRecordBytesGolden(t *testing.T) {
 	d.Set(1, 6, 1.5)
 	submitAndWait(t, e, d)
 	// A patch record keeps the caller's endpoint order.
-	if _, err := e.PatchDemand([]PairAmount{{U: 6, V: 1, Amount: 3}}, []PairRef{{U: 0, V: 7}}); err != nil {
+	if _, err := e.patch([]PairAmount{{U: 6, V: 1, Amount: 3}}, []PairRef{{U: 0, V: 7}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.FailEdges(2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.UpdateLinks([]int{5}, []int{2}); err != nil {
+	if _, err := e.updateLinks([]int{5}, []int{2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SetCapacity(7, 0.5); err != nil {
+	if _, err := e.setCapacity(7, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SetLinkState([]int{3}); err != nil {
+	if _, err := e.setLinkState([]int{3}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.RestoreEdges(3); err != nil {
@@ -57,14 +57,14 @@ func TestWALRecordBytesGolden(t *testing.T) {
 	// No public call logs fail, restore and caps in one record, but the
 	// format allows it and replay interprets it: pin its encoding too.
 	combined, err := json.Marshal(&walOp{Seq: 9, Op: walOpLinks,
-		Fail: []int{1}, Restore: []int{2}, Caps: []walCap{{Edge: 3, Capacity: 0.25}}})
+		Fail: []int{1}, Restore: []int{2}, Caps: []EdgeCapacity{{Edge: 3, Capacity: 0.25}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A failure and a brownout in one record, as an event that widens for
 	// headroom logs it.
 	widened, err := json.Marshal(&walOp{Seq: 10, Op: walOpLinks, Fail: []int{2},
-		Caps: []walCap{{Edge: 7, Capacity: 0.25}}})
+		Caps: []EdgeCapacity{{Edge: 7, Capacity: 0.25}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,32 +107,32 @@ func TestWALRecordBytesGolden(t *testing.T) {
 // same demand matrix, link state and path-system hash, and the records the
 // live path refuses must be exactly the records replay skips.
 func TestLiveAcceptEqualsReplay(t *testing.T) {
-	entry := func(u, v int, a float64) walAmount { return walAmount{U: u, V: v, Amount: a} }
+	entry := func(u, v int, a float64) PairAmount { return PairAmount{U: u, V: v, Amount: a} }
 	lists := map[string][]walOp{
 		"demand only": {
-			{Op: walOpSubmit, Entries: []walAmount{entry(0, 7, 2), entry(1, 6, 1)}},
-			{Op: walOpPatch, Set: []walAmount{entry(6, 1, 3), entry(2, 5, 1)}, Clear: []walPair{{U: 7, V: 0}}},
-			{Op: walOpPatch, Set: []walAmount{entry(2, 5, 4)}},
+			{Op: walOpSubmit, Entries: []PairAmount{entry(0, 7, 2), entry(1, 6, 1)}},
+			{Op: walOpPatch, Set: []PairAmount{entry(6, 1, 3), entry(2, 5, 1)}, Clear: []PairRef{{U: 7, V: 0}}},
+			{Op: walOpPatch, Set: []PairAmount{entry(2, 5, 4)}},
 		},
 		"links interleaved": {
-			{Op: walOpSubmit, Entries: []walAmount{entry(0, 7, 2), entry(3, 4, 1)}},
+			{Op: walOpSubmit, Entries: []PairAmount{entry(0, 7, 2), entry(3, 4, 1)}},
 			{Op: walOpLinks, Fail: []int{0, 1, 2}},
-			{Op: walOpPatch, Set: []walAmount{entry(1, 6, 2)}},
-			{Op: walOpLinks, Fail: []int{4}, Restore: []int{1}, Caps: []walCap{{Edge: 9, Capacity: 0.5}, {Edge: 2, Capacity: 1}}},
+			{Op: walOpPatch, Set: []PairAmount{entry(1, 6, 2)}},
+			{Op: walOpLinks, Fail: []int{4}, Restore: []int{1}, Caps: []EdgeCapacity{{Edge: 9, Capacity: 0.5}, {Edge: 2, Capacity: 1}}},
 			{Op: walOpLinks, Fail: []int{4}}, // no-op: no version bump on either side
-			{Op: walOpSubmit, Entries: []walAmount{entry(2, 5, 1)}},
+			{Op: walOpSubmit, Entries: []PairAmount{entry(2, 5, 1)}},
 			{Op: walOpLinks, Fail: []int{6}, Replace: true},
 		},
 		"refused records": {
-			{Op: walOpPatch, Set: []walAmount{entry(0, 7, 1)}}, // no base yet
-			{Op: walOpSubmit, Entries: []walAmount{entry(0, 7, 2)}},
-			{Op: walOpSubmit, Entries: []walAmount{entry(0, 8, 2)}},
-			{Op: walOpSubmit, Entries: []walAmount{entry(4, 4, 2)}},
-			{Op: walOpPatch, Clear: []walPair{{U: 0, V: 7}}},
-			{Op: walOpPatch, Set: []walAmount{entry(1, 6, math.Inf(1))}},
+			{Op: walOpPatch, Set: []PairAmount{entry(0, 7, 1)}}, // no base yet
+			{Op: walOpSubmit, Entries: []PairAmount{entry(0, 7, 2)}},
+			{Op: walOpSubmit, Entries: []PairAmount{entry(0, 8, 2)}},
+			{Op: walOpSubmit, Entries: []PairAmount{entry(4, 4, 2)}},
+			{Op: walOpPatch, Clear: []PairRef{{U: 0, V: 7}}},
+			{Op: walOpPatch, Set: []PairAmount{entry(1, 6, math.Inf(1))}},
 			{Op: walOpLinks, Fail: []int{12}},
-			{Op: walOpLinks, Caps: []walCap{{Edge: 1, Capacity: -0.5}}},
-			{Op: walOpPatch, Set: []walAmount{entry(1, 6, 1)}},
+			{Op: walOpLinks, Caps: []EdgeCapacity{{Edge: 1, Capacity: -0.5}}},
+			{Op: walOpPatch, Set: []PairAmount{entry(1, 6, 1)}},
 		},
 	}
 	for name, ops := range lists {
@@ -191,11 +191,11 @@ func TestApplyDemandOpRefusesWithoutTouchingBase(t *testing.T) {
 	base := demand.New()
 	base.Set(0, 7, 2)
 	for _, op := range []walOp{
-		{Op: walOpSubmit, Entries: []walAmount{{U: 0, V: 7, Amount: math.NaN()}}},
-		{Op: walOpSubmit, Entries: []walAmount{{U: 0, V: 7, Amount: math.Inf(1)}}},
-		{Op: walOpPatch, Set: []walAmount{{U: 1, V: 6, Amount: 1}, {U: 0, V: 7, Amount: math.NaN()}}},
-		{Op: walOpPatch, Set: []walAmount{{U: 1, V: 6, Amount: 1}}, Clear: []walPair{{U: 3, V: 3}}},
-		{Op: walOpPatch, Clear: []walPair{{U: 7, V: 0}}},
+		{Op: walOpSubmit, Entries: []PairAmount{{U: 0, V: 7, Amount: math.NaN()}}},
+		{Op: walOpSubmit, Entries: []PairAmount{{U: 0, V: 7, Amount: math.Inf(1)}}},
+		{Op: walOpPatch, Set: []PairAmount{{U: 1, V: 6, Amount: 1}, {U: 0, V: 7, Amount: math.NaN()}}},
+		{Op: walOpPatch, Set: []PairAmount{{U: 1, V: 6, Amount: 1}}, Clear: []PairRef{{U: 3, V: 3}}},
+		{Op: walOpPatch, Clear: []PairRef{{U: 7, V: 0}}},
 	} {
 		next, touched, err := applyDemandOp(base, &op, 8)
 		if err == nil || next != nil || touched != nil {
@@ -205,11 +205,11 @@ func TestApplyDemandOpRefusesWithoutTouchingBase(t *testing.T) {
 			t.Fatalf("%+v modified its base: %v", op, base)
 		}
 	}
-	if _, _, err := applyDemandOp(nil, &walOp{Op: walOpPatch, Set: []walAmount{{U: 0, V: 7, Amount: 1}}}, 8); !errors.Is(err, ErrNoBaseDemand) {
+	if _, _, err := applyDemandOp(nil, &walOp{Op: walOpPatch, Set: []PairAmount{{U: 0, V: 7, Amount: 1}}}, 8); !errors.Is(err, ErrNoBaseDemand) {
 		t.Fatalf("patch without a base: %v, want ErrNoBaseDemand", err)
 	}
 	next, touched, err := applyDemandOp(base, &walOp{Op: walOpPatch,
-		Set: []walAmount{{U: 6, V: 1, Amount: 1}, {U: 1, V: 6, Amount: 3}}, Clear: []walPair{{U: 7, V: 0}}}, 8)
+		Set: []PairAmount{{U: 6, V: 1, Amount: 1}, {U: 1, V: 6, Amount: 3}}, Clear: []PairRef{{U: 7, V: 0}}}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,7 +168,7 @@ func FuzzReplayOps(f *testing.F) {
 		}
 		d := demand.New()
 		d.Set(2, 5, 1)
-		if _, err := e.SubmitDemand(d); err != nil {
+		if _, err := e.submit(d); err != nil {
 			t.Fatalf("submit after replaying payload %q: %v", payload, err)
 		}
 	})

@@ -28,7 +28,6 @@ func warmPair(t *testing.T) (*Engine, *Engine) {
 	base := Config{
 		Graph: g, Router: router, RouterName: "raecke",
 		R: 3, Seed: 1, Workers: 1,
-		Adapt: &core.AdaptOptions{ExactThreshold: -1},
 	}
 	warm, err := New(base)
 	if err != nil {
@@ -42,12 +41,19 @@ func warmPair(t *testing.T) (*Engine, *Engine) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cold.Close)
+	mwuOnly(warm)
+	mwuOnly(cold)
 	return warm, cold
+}
+
+// mwuOnly forces e's solves onto the MWU solver.
+func mwuOnly(e *Engine) {
+	tuneAdapt(e, func(o *core.AdaptOptions) { o.ExactThreshold = -1 })
 }
 
 func mustSolve(t *testing.T, e *Engine, d *demand.Demand) *Outcome {
 	t.Helper()
-	epoch, err := e.SubmitDemand(d)
+	epoch, err := e.submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +66,7 @@ func mustSolve(t *testing.T, e *Engine, d *demand.Demand) *Outcome {
 
 func mustPatch(t *testing.T, e *Engine, set []PairAmount, clear []PairRef) *Outcome {
 	t.Helper()
-	epoch, err := e.PatchDemand(set, clear)
+	epoch, err := e.patch(set, clear)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,15 +137,12 @@ func TestEngineWarmTagsAndStreak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(Config{
-		Graph: g, Router: router, R: 3, Seed: 1, Workers: 1,
-		Adapt:         &core.AdaptOptions{ExactThreshold: -1},
-		WarmMaxStreak: 3,
-	})
+	e, err := New(Config{Graph: g, Router: router, R: 3, Seed: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	mwuOnly(e)
 	d := gridDemand(16, 5)
 	out := mustSolve(t, e, d)
 	if out.Warm != obs.WarmCold {
@@ -147,7 +150,7 @@ func TestEngineWarmTagsAndStreak(t *testing.T) {
 	}
 	anchor := e.Active().Anchor
 	p := d.Support()[0]
-	for i := 1; i <= 3; i++ {
+	for i := 1; i <= warmMaxStreak; i++ {
 		amt := d.Get(p.U, p.V) * 1.01
 		d.Set(p.U, p.V, amt)
 		out = mustPatch(t, e, []PairAmount{{U: p.U, V: p.V, Amount: amt}}, nil)
@@ -162,7 +165,7 @@ func TestEngineWarmTagsAndStreak(t *testing.T) {
 			t.Fatalf("epoch %d: incremental epoch replaced the drift anchor", i+1)
 		}
 	}
-	// Streak cap (3) reached: the next patch must solve cold and re-anchor.
+	// Streak cap reached: the next patch must solve cold and re-anchor.
 	amt := d.Get(p.U, p.V) * 1.01
 	d.Set(p.U, p.V, amt)
 	out = mustPatch(t, e, []PairAmount{{U: p.U, V: p.V, Amount: amt}}, nil)
@@ -221,7 +224,7 @@ func TestEngineWarmColdFallbackAfterLinkEvent(t *testing.T) {
 }
 
 // TestEngineWarmDriftGuardForcesCold: a patch that swings the matrix past
-// WarmMaxDrift of the anchor must solve cold even though the delta machinery
+// warmMaxDrift of the anchor must solve cold even though the delta machinery
 // could run.
 func TestEngineWarmDriftGuardForcesCold(t *testing.T) {
 	warm, _ := warmPair(t)
@@ -241,7 +244,7 @@ func TestEngineWarmDriftGuardForcesCold(t *testing.T) {
 // merged, and a rejected patch leaves the base matrix untouched.
 func TestPatchDemandValidation(t *testing.T) {
 	warm, _ := warmPair(t)
-	if _, err := warm.PatchDemand([]PairAmount{{U: 0, V: 5, Amount: 1}}, nil); !errors.Is(err, ErrNoBaseDemand) {
+	if _, err := warm.patch([]PairAmount{{U: 0, V: 5, Amount: 1}}, nil); !errors.Is(err, ErrNoBaseDemand) {
 		t.Fatalf("patch before base: %v, want ErrNoBaseDemand", err)
 	}
 	d := gridDemand(16, 11)
@@ -258,18 +261,18 @@ func TestPatchDemandValidation(t *testing.T) {
 		{"Inf amount", []PairAmount{{U: 0, V: 5, Amount: math.Inf(1)}}},
 	}
 	for _, tc := range bad {
-		if _, err := warm.PatchDemand(tc.set, nil); err == nil {
+		if _, err := warm.patch(tc.set, nil); err == nil {
 			t.Fatalf("%s accepted", tc.name)
 		}
 	}
-	if _, err := warm.PatchDemand(nil, nil); err == nil {
+	if _, err := warm.patch(nil, nil); err == nil {
 		t.Fatal("empty patch accepted")
 	}
 	var clears []PairRef
 	for _, p := range d.Support() {
 		clears = append(clears, PairRef{U: p.U, V: p.V})
 	}
-	if _, err := warm.PatchDemand(nil, clears); err == nil {
+	if _, err := warm.patch(nil, clears); err == nil {
 		t.Fatal("patch clearing the whole matrix accepted")
 	}
 }
@@ -284,14 +287,12 @@ func TestEngineDeltaChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(Config{
-		Graph: g, Router: router, R: 3, Seed: 1, Workers: 2,
-		Adapt: &core.AdaptOptions{ExactThreshold: -1},
-	})
+	e, err := New(Config{Graph: g, Router: router, R: 3, Seed: 1, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	mwuOnly(e)
 	d := gridDemand(16, 13)
 	mustSolve(t, e, d)
 	support := d.Support()
@@ -306,7 +307,7 @@ func TestEngineDeltaChurn(t *testing.T) {
 		for i := 0; i < 60; i++ {
 			p := support[rng.IntN(len(support))]
 			amt := 0.5 + rng.Float64()
-			epoch, err := e.PatchDemand([]PairAmount{{U: p.U, V: p.V, Amount: amt}}, nil)
+			epoch, err := e.patch([]PairAmount{{U: p.U, V: p.V, Amount: amt}}, nil)
 			if err != nil {
 				t.Errorf("patch: %v", err)
 				return

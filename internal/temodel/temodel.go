@@ -11,6 +11,7 @@
 package temodel
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -72,7 +73,7 @@ func (m *Optimal) Name() string { return m.Label }
 
 // Route implements Method.
 func (m *Optimal) Route(d *demand.Demand) (flow.Routing, error) {
-	return mcf.ApproxOptCongestion(m.G, d, m.Opts)
+	return mcf.ApproxOptCongestionCtx(context.Background(), m.G, d, m.Opts)
 }
 
 // EpochResult holds per-method congestion for one epoch.

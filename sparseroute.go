@@ -37,6 +37,7 @@
 package sparseroute
 
 import (
+	"context"
 	"math/rand/v2"
 
 	"sparseroute/internal/adversary"
@@ -213,7 +214,7 @@ func Evaluate(ps *PathSystem, base Router, d *Demand, opt *EvalOptions) (*Report
 // OptimalCongestion approximates the offline optimal congestion OPT(d) with
 // the multiplicative-weights solver (iterations 0 uses the default).
 func OptimalCongestion(g *Graph, d *Demand, iterations int) (float64, error) {
-	r, err := mcf.ApproxOptCongestion(g, d, &mcf.Options{Iterations: iterations})
+	r, err := mcf.ApproxOptCongestionCtx(context.Background(), g, d, &mcf.Options{Iterations: iterations})
 	if err != nil {
 		return 0, err
 	}
