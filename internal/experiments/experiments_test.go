@@ -6,14 +6,18 @@ import (
 	"testing"
 )
 
-// runQuick executes an experiment in quick mode and does structural checks.
-func runQuick(t *testing.T, name string) *tableWrap {
+// runQuick executes an experiment in quick mode at seed 12345 and does
+// structural checks.
+func runQuick(t *testing.T, name string) *tableWrap { return runQuickSeed(t, name, 12345) }
+
+// runQuickSeed is runQuick at the given seed.
+func runQuickSeed(t *testing.T, name string, seed uint64) *tableWrap {
 	t.Helper()
 	r, err := Find(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := r.Run(Config{Seed: 12345, Quick: true})
+	tbl, err := r.Run(Config{Seed: seed, Quick: true})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -90,19 +94,21 @@ func TestE1Shape(t *testing.T) {
 	}
 }
 
+// TestE2ShapeMonotoneish pins the paper's shape claim for E2: within each
+// graph block the competitive ratio never rises as s grows, step by step,
+// at the tests' seed and at seeds 1-3 (at each of them, and at seeds 4-10,
+// it fell strictly at every step when this check was written).
 func TestE2ShapeMonotoneish(t *testing.T) {
-	w := runQuick(t, "E2")
-	// Within each graph block, the ratio at the largest s must not exceed
-	// the ratio at s=1 (allowing generous noise).
-	byGraph := map[string][]float64{}
-	gcol := w.col("graph")
-	for i := range w.rows {
-		byGraph[w.rows[i][gcol]] = append(byGraph[w.rows[i][gcol]], w.floatAt(i, "ratio"))
-	}
-	for gname, ratios := range byGraph {
-		first, last := ratios[0], ratios[len(ratios)-1]
-		if last > first*1.25+0.1 {
-			t.Fatalf("E2 %s: ratio rose from %v (s=1) to %v (s max)", gname, first, last)
+	for _, seed := range []uint64{12345, 1, 2, 3} {
+		w := runQuickSeed(t, "E2", seed)
+		gcol, scol := w.col("graph"), w.col("s")
+		prev := map[string]float64{}
+		for i := range w.rows {
+			g, ratio := w.rows[i][gcol], w.floatAt(i, "ratio")
+			if p, ok := prev[g]; ok && ratio > p {
+				t.Errorf("seed %d, E2 %s: ratio rose from %v to %v at s=%s", seed, g, p, ratio, w.rows[i][scol])
+			}
+			prev[g] = ratio
 		}
 	}
 }

@@ -251,23 +251,16 @@ type epochRequest struct {
 // New builds an engine: it samples the path system (offline phase) unless
 // cfg.System already carries one, then starts the solver worker. The engine
 // starts healthy, at link version 1.
-func New(cfg Config) (*Engine, error) { return newEngine(cfg, 1) }
-
-// newEngine is New at the given link version.
-func newEngine(cfg Config, linkVersion uint64) (*Engine, error) {
+func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("service: config needs a graph")
 	}
 	system := cfg.System
 	if system == nil {
-		if cfg.Router == nil {
-			return nil, fmt.Errorf("service: config needs a router or a restored system")
-		}
 		var err error
-		system, err = core.RSample(cfg.Router, core.AllPairs(cfg.Graph.NumVertices()), cfg.R, cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("service: sampling path system: %w", err)
+		if system, err = startupSample(cfg); err != nil {
+			return nil, err
 		}
 	} else if system.Graph() != cfg.Graph {
 		return nil, fmt.Errorf("service: restored system is over a different graph")
@@ -288,10 +281,7 @@ func newEngine(cfg Config, linkVersion uint64) (*Engine, error) {
 	}
 	e.pairs = system.Pairs()
 	e.originalHash = new(pathHash)
-	ls := &linkState{version: linkVersion, capacity: map[int]float64{}, failed: map[int]bool{},
-		installed: system, serving: system, hash: e.originalHash}
-	e.finalizeLinkState(ls)
-	e.links.Store(ls)
+	e.links.Store(e.deriveLinks(1, map[int]float64{}).next)
 	e.rootCtx, e.stop = context.WithCancel(context.Background())
 	e.limiter = newRateLimiter(cfg.MutationRate, cfg.MutationBurst)
 	e.inflight = byteBudget{max: cfg.MaxInflightBytes}
@@ -304,55 +294,66 @@ func newEngine(cfg Config, linkVersion uint64) (*Engine, error) {
 	return e, nil
 }
 
-// Restore builds an engine from a snapshot stream: the offline phase is
-// skipped. Sampling metadata from the snapshot overrides the corresponding
-// cfg fields. The engine starts healthy on the snapshot's startup sample, at
-// its link version and WAL watermark; a snapshot taken degraded then has its
-// capacity map published the way ReplayWAL publishes the map its log ends in
-// (derived from the startup sample, see deriveLinks, and counted as one link
-// event), with survivor routers of the default build options, as an engine
-// made with New uses. A degraded restore therefore reproduces the writer's
-// installed system and hash only when the writer's survivor routers were
-// built with the default options too and cfg.AtRiskHeadroom matches the
-// writer's; a healthy restore reproduces it always.
+// startupSample is the offline phase: cfg.Router's R-sample over every
+// vertex pair of cfg.Graph, cfg already defaulted.
+func startupSample(cfg Config) (*core.PathSystem, error) {
+	if cfg.Router == nil {
+		return nil, fmt.Errorf("service: config needs a router or a restored system")
+	}
+	system, err := core.RSample(cfg.Router, core.AllPairs(cfg.Graph.NumVertices()), cfg.R, cfg.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("service: sampling path system: %w", err)
+	}
+	return system, nil
+}
+
+// Restore builds an engine from a snapshot stream, skipping the offline
+// phase; the snapshot's sampling metadata overrides cfg's. Its state is
+// installed as Open installs the state a log ends in (see install): a
+// degraded snapshot's link state is derived from the startup sample with the
+// default build options, as an engine made with New uses, and published as
+// one link event. So a degraded restore reproduces the writer's installed
+// system and hash only when the writer used the default options and the same
+// cfg.AtRiskHeadroom; a healthy restore reproduces it always.
 func Restore(r io.Reader, cfg Config) (*Engine, error) {
-	e, capacity, err := restore(r, cfg, oblivious.BuildOptions{})
+	s, cfg, err := snapshotState(r, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if len(capacity) > 0 {
-		if err := e.installReplayed(e.links.Load().version, capacity); err != nil {
-			e.Close()
-			return nil, err
-		}
-	}
-	return e, nil
+	return bringUp(cfg, oblivious.BuildOptions{}, fold(s, nil))
 }
 
-// restore decodes a snapshot into a healthy engine on its startup sample, at
-// its link version and WAL watermark, whose survivor routers use build (see
-// Open). It returns the snapshot's capacity map, empty when the snapshot was
-// taken healthy, for the caller to publish: Restore derives it at once, Open
-// hands it to the replay fold so the map the log ends in is derived once.
-func restore(r io.Reader, cfg Config, build oblivious.BuildOptions) (*Engine, map[int]float64, error) {
+// snapshotState decodes a snapshot into the state it holds and cfg completed
+// to build its engine: the snapshot's topology, startup sample and sampling
+// metadata.
+func snapshotState(r io.Reader, cfg Config) (state, Config, error) {
 	snap, err := serial.DecodeSnapshot(r)
 	if err != nil {
-		return nil, nil, err
+		return state{}, cfg, err
 	}
 	cfg.Graph, cfg.System = snap.Graph, snap.System
 	cfg.RouterName, cfg.R, cfg.Seed = snap.Router, snap.R, snap.Seed
-	e, err := newEngine(cfg, max(snap.LinkVersion, 1))
-	if err != nil {
-		return nil, nil, err
-	}
-	e.build = build
-	e.opSeq.Store(snap.WALSeq)
 	capacity := make(map[int]float64, len(snap.FailedEdges)+len(snap.Capacities))
 	for _, id := range snap.FailedEdges {
 		capacity[id] = 0
 	}
 	maps.Copy(capacity, snap.Capacities)
-	return e, capacity, nil
+	return state{system: snap.System, capacity: capacity, version: max(snap.LinkVersion, 1), seq: snap.WALSeq}, cfg, nil
+}
+
+// bringUp builds an engine from cfg and installs the state r ends in (see
+// install). The engine keeps build for its survivor routers (see Open).
+func bringUp(cfg Config, build oblivious.BuildOptions, r *replay) (*Engine, error) {
+	e, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	e.build = build
+	if err := e.install(r); err != nil {
+		e.Close()
+		return nil, err
+	}
+	return e, nil
 }
 
 // System returns the path system the engine currently serves: the installed
@@ -392,7 +393,7 @@ func (e *Engine) Health() *Health {
 	h := &Health{
 		Status:          HealthOK,
 		LinkVersion:     ls.version,
-		FailedEdges:     ls.failedSorted(),
+		FailedEdges:     ls.failedIDs,
 		DegradedEdges:   ls.degradedCaps,
 		UncoveredPairs:  len(ls.uncovered),
 		AtRiskPairs:     len(ls.atRisk),
@@ -431,75 +432,47 @@ func (e *Engine) Health() *Health {
 // the log already holds it, so serving anything else would make the live
 // routing differ from what a replay of the log serves.
 func (e *Engine) SubmitDemandCtx(ctx context.Context, d *demand.Demand) (uint64, error) {
-	return e.acceptDemand(ctx, submitOp(d), false)
+	return e.acceptDemand(ctx, submitOp(d))
 }
 
 // acceptDemand is the one accept step every demand mutation takes — submit
-// or patch, from the Go API, the HTTP layer, or (replay set) ReplayWAL's
-// closing re-solve: check the caller is still there, admit, build the next
-// matrix with the record's interpreter, log before apply, put the solve in
-// the slot, and only then make the matrix the base later patches merge into.
-// A replay skips admission and logging: its records are already on disk and
-// recovery is not a client to shed.
-func (e *Engine) acceptDemand(ctx context.Context, op *walOp, replay bool) (uint64, error) {
+// or patch, from the Go API or the HTTP layer: check the caller is still
+// there, admit, step the demand half of the state with the record, log
+// before apply, put the solve in the slot, and only then make the matrix the
+// base later patches merge into.
+func (e *Engine) acceptDemand(ctx context.Context, op *walOp) (uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	if !replay {
-		// Admission runs before the WAL commit: a shed mutation must leave no
-		// trace to replay, and no durable work should be spent on it.
-		if wait, shed := e.admitMutation(); shed != nil {
-			return 0, &ShedError{Err: shed, After: wait}
-		}
+	// Admission runs before the WAL commit: a shed mutation must leave no
+	// trace to replay, and no durable work should be spent on it.
+	if wait, shed := e.admitMutation(); shed != nil {
+		return 0, &ShedError{Err: shed, After: wait}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return 0, ErrClosed
 	}
-	next, touched, err := e.nextDemand(op)
+	next, touched, err := step(e.at(e.links.Load(), e.lastSubmitted), op)
 	if err != nil {
 		return 0, err
 	}
 	// Log before apply: the mutation must be durable before the client can be
 	// told it was accepted.
-	if !replay {
-		if err := e.commitOp(op); err != nil {
-			return 0, err
-		}
+	if err := e.commitOp(op); err != nil {
+		return 0, err
 	}
-	epoch, err := e.putLocked(&epochRequest{d: next, touched: touched})
+	epoch, err := e.putLocked(&epochRequest{d: next.demand, touched: touched})
 	if err != nil {
 		return 0, err
 	}
-	e.lastSubmitted = next
+	e.lastSubmitted = next.demand
 	if op.Op == walOpPatch {
 		e.metrics.patches.Add(1)
 	}
 	e.maybeCheckpoint()
 	return epoch, nil
-}
-
-// nextDemand interprets a demand record against the current base matrix and
-// link state: applyDemandOp's matrix, provided the installed path system has
-// candidates for every pair the record assigns. That answers for the whole
-// matrix: a patch's base was covered when it was accepted, and the installed
-// system never loses a pair (every link state installs the startup sample,
-// plus whatever recovery and widening add for its map). Callers hold e.mu.
-func (e *Engine) nextDemand(op *walOp) (*demand.Demand, []demand.Pair, error) {
-	next, touched, err := applyDemandOp(e.lastSubmitted, op, e.cfg.Graph.NumVertices())
-	if err != nil {
-		return nil, nil, err
-	}
-	installed := e.links.Load().installed
-	for _, assigned := range [2][]PairAmount{op.Entries, op.Set} {
-		for _, en := range assigned {
-			if installed.NumSampled(demand.MakePair(en.U, en.V)) == 0 {
-				return nil, nil, fmt.Errorf("service: demand has pairs with no candidate paths")
-			}
-		}
-	}
-	return next, touched, nil
 }
 
 // putLocked assigns req the next epoch number and puts it in the engine's
@@ -966,7 +939,7 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 		Seed:        e.cfg.Seed,
 		Graph:       e.cfg.Graph,
 		System:      e.original,
-		FailedEdges: ls.failedSorted(),
+		FailedEdges: ls.failedIDs,
 		Capacities:  ls.fractionalOverrides(),
 		WALSeq:      e.opSeq.Load(),
 		LinkVersion: ls.version,

@@ -44,11 +44,11 @@ func testEngine(t *testing.T, cfg Config) *Engine {
 // the link-event bodies of POST /v1/links.
 
 func (e *Engine) submit(d *demand.Demand) (uint64, error) {
-	return e.acceptDemand(context.Background(), submitOp(d), false)
+	return e.acceptDemand(context.Background(), submitOp(d))
 }
 
 func (e *Engine) patch(set []PairAmount, clear []PairRef) (uint64, error) {
-	return e.acceptDemand(context.Background(), &walOp{Op: walOpPatch, Set: set, Clear: clear}, false)
+	return e.acceptDemand(context.Background(), &walOp{Op: walOpPatch, Set: set, Clear: clear})
 }
 
 func (e *Engine) updateLinks(fail, restore []int) (*LinkUpdate, error) {

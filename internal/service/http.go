@@ -250,7 +250,7 @@ func (s *Server) handleDemand(decode func(io.Reader) (*walOp, error)) http.Handl
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		epoch, err := s.engine.acceptDemand(r.Context(), op, false)
+		epoch, err := s.engine.acceptDemand(r.Context(), op)
 		if err != nil {
 			s.writeSubmitError(w, err)
 			return
@@ -456,7 +456,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "no snapshot path configured (start with --snapshot)")
 		return
 	}
-	n, err := s.engine.SnapshotToFile(s.snapshotPath)
+	n, ls, err := s.engine.checkpoint(s.snapshotPath)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -464,7 +464,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"path":  s.snapshotPath,
 		"bytes": n,
-		"hash":  fmt.Sprintf("%016x", s.engine.Hash()),
+		"hash":  fmt.Sprintf("%016x", ls.digest(s.engine.pairs)),
 	})
 }
 
@@ -494,6 +494,8 @@ type linksResponse struct {
 	Hash           string         `json:"hash"`
 }
 
+// linksJSON renders u with the hash of the link state it reports, read on
+// first use as Hash reads it.
 func (s *Server) linksJSON(u *LinkUpdate) linksResponse {
 	status := HealthOK
 	if u.Degraded {
@@ -510,7 +512,7 @@ func (s *Server) linksJSON(u *LinkUpdate) linksResponse {
 		ProactivePairs: u.ProactivePairs,
 		ProactivePaths: u.ProactivePaths,
 		Status:         status,
-		Hash:           fmt.Sprintf("%016x", s.engine.Hash()),
+		Hash:           fmt.Sprintf("%016x", u.links.digest(s.engine.pairs)),
 	}
 }
 
@@ -575,7 +577,7 @@ func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleLinksGet(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.linksJSON(s.engine.Links()))
+	writeJSON(w, http.StatusOK, s.linksJSON(reportLinks(s.engine.links.Load())))
 }
 
 // traceResponse is the GET /debug/trace reply.
@@ -637,18 +639,23 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // mutation path), so the snapshot's WAL watermark is exact and no operation
 // can land between the snapshot and the truncation and be lost.
 func (e *Engine) SnapshotToFile(path string) (int64, error) {
+	n, _, err := e.checkpoint(path)
+	return n, err
+}
+
+// checkpoint is SnapshotToFile, also returning the link state the snapshot
+// holds.
+func (e *Engine) checkpoint(path string) (int64, *linkState, error) {
 	e.linkMu.Lock()
 	defer e.linkMu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	ls := e.links.Load()
 	n, err := writeFileAtomic(path, e.WriteSnapshot)
 	if err != nil {
-		return 0, err
+		return 0, ls, err
 	}
-	if err := e.resetWALLocked(); err != nil {
-		return n, err
-	}
-	return n, nil
+	return n, ls, e.resetWALLocked()
 }
 
 // fsyncFile is the file-durability seam writeFileAtomic flushes through;

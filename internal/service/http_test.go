@@ -581,3 +581,53 @@ func TestEngineSnapshotToFileFailedEngineWrite(t *testing.T) {
 		t.Fatalf("temp files left: %v", matches)
 	}
 }
+
+// TestLinksReplyHashesItsOwnState: a POST /v1/links reply and a POST
+// /v1/snapshot reply report the hash of the link state they describe, not of
+// whatever state the engine has moved on to by the time the reply is
+// rendered. Event A's reply is rendered after a later event B changed the
+// installed system, as a concurrent event can; it must still carry A's hash.
+func TestLinksReplyHashesItsOwnState(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "sys.snap")
+	srv, e, _ := testServer(t, Config{Seed: 11}, snap)
+	start := e.Hash()
+	updateA, err := e.FailEdges(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashA := e.Hash()
+	if _, err := e.FailEdges(5); err != nil {
+		t.Fatal(err)
+	}
+	if hashA == start || e.Hash() == hashA {
+		t.Fatalf("hashes %016x, %016x, %016x: each event must change the installed system", start, hashA, e.Hash())
+	}
+	if got, want := srv.linksJSON(updateA), fmt.Sprintf("%016x", hashA); got.Hash != want || got.Version != 2 {
+		t.Fatalf("event A's reply: version %d hash %s, want version 2 hash %s", got.Version, got.Hash, want)
+	}
+
+	_, ls, err := e.checkpoint(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashB := e.Hash()
+	if _, err := e.RestoreEdges(0, 5); err != nil {
+		t.Fatal(err)
+	}
+	if ls.version != 3 || ls.digest(e.pairs) != hashB {
+		t.Fatalf("checkpoint reports version %d hash %016x, want the state it wrote: version 3 hash %016x", ls.version, ls.digest(e.pairs), hashB)
+	}
+	f, err := os.Open(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	restored, err := Restore(f, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	if got := restored.Hash(); got != hashB {
+		t.Fatalf("snapshot restores to %016x, its reply would say %016x", got, hashB)
+	}
+}

@@ -155,10 +155,6 @@ func (ls *linkState) add(extra *core.PathSystem) error {
 	return nil
 }
 
-// failedSorted returns the cached sorted failed edge IDs (never nil).
-// Callers must not mutate the returned slice.
-func (ls *linkState) failedSorted() []int { return ls.failedIDs }
-
 // degraded reports whether the link state is impaired at all — failed edges
 // or reduced capacities.
 func (ls *linkState) degraded() bool { return len(ls.capacity) > 0 }
@@ -216,14 +212,25 @@ type LinkUpdate struct {
 	// Degraded reports whether any edge is failed or capacity-reduced after
 	// the event.
 	Degraded bool
+
+	// links is the published link state the update reports, for the HTTP
+	// layer to hash; nil in Links, whose reports compare by value.
+	links *linkState
 }
 
 // Links returns the current link state as an update-shaped report. Lock-free.
 func (e *Engine) Links() *LinkUpdate {
-	ls := e.links.Load()
+	u := reportLinks(e.links.Load())
+	u.links = nil
+	return u
+}
+
+// reportLinks reports ls as an update that carries it.
+func reportLinks(ls *linkState) *LinkUpdate {
 	return &LinkUpdate{
+		links:          ls,
 		Version:        ls.version,
-		FailedEdges:    ls.failedSorted(),
+		FailedEdges:    ls.failedIDs,
 		DegradedEdges:  ls.degradedCaps,
 		UncoveredPairs: len(ls.uncovered),
 		AtRiskPairs:    len(ls.atRisk),
@@ -248,16 +255,15 @@ func (e *Engine) RestoreEdges(ids ...int) (*LinkUpdate, error) {
 }
 
 // applyLinkEvent is the single live writer of the link state: FailEdges,
-// RestoreEdges and POST /v1/links build the record. Under linkMu it folds the
-// record into the capacity-override map (see nextCapacity), derives the state
-// of the new map from the startup sample (see deriveLinks), logs the record,
-// publishes the new immutable linkState, and finally re-serves the active
-// demand: an immediate renormalization of the previous routing over surviving
-// paths (cheap, no solver — degraded-mode serving) followed by a full
-// re-adapt epoch through the normal solve ladder (against the
-// capacity-scaled view when fractional overrides exist). ReplayWAL folds link
-// records with the same nextCapacity and no-op rule, and derives only the map
-// its log ends in.
+// RestoreEdges and POST /v1/links build the record. Under linkMu it steps the
+// link half of the state with the record (see step), derives the link state
+// of the new capacity map from the startup sample (see deriveLinks), logs the
+// record, publishes the new immutable linkState, and finally re-serves the
+// active demand: an immediate renormalization of the previous routing over
+// surviving paths (cheap, no solver — degraded-mode serving) followed by a
+// full re-adapt epoch through the normal solve ladder (against the
+// capacity-scaled view when fractional overrides exist). Replay folds link
+// records with the same step, and derives only the map its log ends in.
 func (e *Engine) applyLinkEvent(op *walOp) (*LinkUpdate, error) {
 	e.linkMu.Lock()
 	defer e.linkMu.Unlock()
@@ -265,13 +271,13 @@ func (e *Engine) applyLinkEvent(op *walOp) (*LinkUpdate, error) {
 		return nil, ErrClosed
 	}
 	cur := e.links.Load()
-	capacity, err := e.nextCapacity(cur.capacity, op)
+	next, _, err := step(e.at(cur, nil), op)
 	if err != nil {
 		return nil, err
 	}
-	if sameCapacityMap(capacity, cur.capacity) {
+	if next.version == cur.version {
 		// No-op event: report the current state without a version bump.
-		return e.Links(), nil
+		return reportLinks(cur), nil
 	}
 
 	// Derive, log, publish. The record is durable before anything is
@@ -280,19 +286,19 @@ func (e *Engine) applyLinkEvent(op *walOp) (*LinkUpdate, error) {
 	// trace. Logged after the no-op check so replay sees exactly the
 	// version-bumping events, and replayed versions match the original run
 	// one for one.
-	ev := e.deriveLinks(cur.version+1, capacity)
+	ev := e.deriveLinks(next.version, next.capacity)
 	if err := e.commitOp(op); err != nil {
 		return nil, err
 	}
 	return e.publishLinks(cur, ev, op), nil
 }
 
-// nextCapacity folds a link record into the override map cur, returning a
-// new map: Replace starts from empty, Fail zeroes, Caps assign (>= 1
-// clears), Restore clears and wins. A record naming an edge the graph does
-// not have, or a capacity that is negative or not finite, is refused whole.
-func (e *Engine) nextCapacity(cur map[int]float64, op *walOp) (map[int]float64, error) {
-	m := e.cfg.Graph.NumEdges()
+// nextCapacity folds a link record into the override map cur of a graph with
+// m edges, returning a new map: Replace starts from empty, Fail zeroes, Caps
+// assign (>= 1 clears), Restore clears and wins. A record naming an edge the
+// graph does not have, or a capacity that is negative or not finite, is
+// refused whole.
+func nextCapacity(m int, cur map[int]float64, op *walOp) (map[int]float64, error) {
 	known := func(id int) error {
 		if id < 0 || id >= m {
 			return fmt.Errorf("%w: %d (graph has %d edges)", ErrUnknownEdge, id, m)
@@ -340,11 +346,12 @@ func (e *Engine) nextCapacity(cur map[int]float64, op *walOp) (map[int]float64, 
 // deriveLinks derives the unpublished link state of the override map
 // capacity, at version, from the startup sample alone: it prunes the sample
 // to the zero-capacity (failed) survivors via WithoutEdges, recovery-
-// resamples the pairs that lost every candidate, and proactively widens the
-// at-risk pairs. Each sampling pass is seeded by the edges it avoids (see
-// passSeed), never by the version, so the installed system is a function of
-// the map and not of the events that led to it; an unimpaired map installs
-// the startup sample itself and shares its hash memo.
+// resamples the pairs that lost every candidate, proactively widens the
+// at-risk pairs, and fills the read-side caches. Each sampling pass is
+// seeded by the edges it avoids (see passSeed), never by the version, so the
+// installed system is a function of the map and not of the events that led
+// to it; an unimpaired map installs the startup sample itself and shares its
+// hash memo.
 func (e *Engine) deriveLinks(version uint64, capacity map[int]float64) *linkEvent {
 	next := &linkState{
 		version:   version,
@@ -366,24 +373,29 @@ func (e *Engine) deriveLinks(version uint64, capacity map[int]float64) *linkEven
 	if next.installed != e.original {
 		next.hash = new(pathHash)
 	}
-	e.finalizeLinkState(next)
-	return ev
-}
 
-// installReplayed publishes the link state a replayed log ends in, at the
-// version its records counted up to: derived once, as a live event derives
-// it, and not logged again. It journals as one replace event of the final
-// map.
-func (e *Engine) installReplayed(version uint64, capacity map[int]float64) error {
-	e.linkMu.Lock()
-	defer e.linkMu.Unlock()
-	if e.isClosed() {
-		return ErrClosed
+	// The read-side caches: sorted reports and the capacity-scaled solve view.
+	next.failedIDs = make([]int, 0, len(next.failed))
+	for id := range next.failed {
+		next.failedIDs = append(next.failedIDs, id)
 	}
-	ev := e.deriveLinks(version, capacity)
-	op := &walOp{Op: walOpLinks, Replace: true, Fail: ev.next.failedIDs, Caps: ev.next.degradedCaps}
-	e.publishLinks(e.links.Load(), ev, op)
-	return nil
+	sort.Ints(next.failedIDs)
+	fractional := next.fractionalOverrides()
+	next.degradedCaps = make([]EdgeCapacity, 0, len(fractional))
+	for id, c := range fractional {
+		next.degradedCaps = append(next.degradedCaps, EdgeCapacity{Edge: id, Capacity: c})
+	}
+	sort.Slice(next.degradedCaps, func(i, j int) bool {
+		return next.degradedCaps[i].Edge < next.degradedCaps[j].Edge
+	})
+	next.adaptive = next.serving
+	if len(fractional) > 0 {
+		next.scaled = graph.ScaleCapacities(e.cfg.Graph, fractional)
+		if rebound, err := next.serving.Rebind(next.scaled); err == nil {
+			next.adaptive = rebound
+		}
+	}
+	return ev
 }
 
 // publishLinks publishes the derived state of ev over cur, reports and
@@ -391,11 +403,12 @@ func (e *Engine) installReplayed(version uint64, capacity map[int]float64) error
 // hold linkMu.
 func (e *Engine) publishLinks(cur *linkState, ev *linkEvent, op *walOp) *LinkUpdate {
 	next, update := ev.next, ev.update
-	update.FailedEdges = next.failedSorted()
+	update.FailedEdges = next.failedIDs
 	update.DegradedEdges = next.degradedCaps
 	update.UncoveredPairs = len(next.uncovered)
 	update.AtRiskPairs = len(next.atRisk)
 	update.Degraded = next.degraded()
+	update.links = next
 
 	next.carryDegraded(cur, time.Now())
 	e.links.Store(next)
@@ -446,34 +459,6 @@ func (e *Engine) publishLinks(cur *linkState, ev *linkEvent, op *walOp) *LinkUpd
 	e.reRouteActive(next)
 	e.maybeCheckpoint()
 	return update
-}
-
-// finalizeLinkState computes the derived read-side caches of next — cached
-// sorted reports and the capacity-scaled solve view — after the recovery and
-// proactive passes settle installed/serving.
-func (e *Engine) finalizeLinkState(next *linkState) {
-	next.failedIDs = make([]int, 0, len(next.failed))
-	for id := range next.failed {
-		next.failedIDs = append(next.failedIDs, id)
-	}
-	sort.Ints(next.failedIDs)
-
-	fractional := next.fractionalOverrides()
-	next.degradedCaps = make([]EdgeCapacity, 0, len(fractional))
-	for id, c := range fractional {
-		next.degradedCaps = append(next.degradedCaps, EdgeCapacity{Edge: id, Capacity: c})
-	}
-	sort.Slice(next.degradedCaps, func(i, j int) bool {
-		return next.degradedCaps[i].Edge < next.degradedCaps[j].Edge
-	})
-
-	next.adaptive = next.serving
-	if len(fractional) > 0 {
-		next.scaled = graph.ScaleCapacities(e.cfg.Graph, fractional)
-		if rebound, err := next.serving.Rebind(next.scaled); err == nil {
-			next.adaptive = rebound
-		}
-	}
 }
 
 // atRiskList lists the pairs proactive recovery should widen, with triggers:
@@ -942,19 +927,6 @@ func failedSubset(capacity map[int]float64) map[int]bool {
 		}
 	}
 	return out
-}
-
-// sameCapacityMap reports whether two override maps are equal.
-func sameCapacityMap(a, b map[int]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for id, c := range a {
-		if bc, ok := b[id]; !ok || bc != c {
-			return false
-		}
-	}
-	return true
 }
 
 // components labels g's connected components, returning one label per

@@ -33,5 +33,5 @@ type PairRef struct {
 // ctx.Err() before admission, with nothing logged; an accepted patch is
 // solved or superseded regardless of what happens to ctx afterwards.
 func (e *Engine) PatchDemandCtx(ctx context.Context, set []PairAmount, clear []PairRef) (uint64, error) {
-	return e.acceptDemand(ctx, &walOp{Op: walOpPatch, Set: set, Clear: clear}, false)
+	return e.acceptDemand(ctx, &walOp{Op: walOpPatch, Set: set, Clear: clear})
 }

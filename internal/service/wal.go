@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -15,9 +14,11 @@ import (
 // SUBMIT, PATCH set/clear deltas, link fail/restore, capacity overrides —
 // durable before it is applied: the operation is framed into Config.WAL and
 // fsynced, and only then acknowledged. A SIGKILL between snapshots therefore
-// loses nothing a client was told succeeded; on restart ReplayWAL applies the
-// logged operations on top of the newest snapshot and the engine re-solves
-// into its exact pre-crash demand matrix and link state.
+// loses nothing a client was told succeeded. The log means one state value
+// (see state.go): on restart Open folds the logged operations over the newest
+// snapshot's state with the live path's own step, installs the state the log
+// ends in once, and the engine re-solves into its exact pre-crash demand
+// matrix and link state.
 //
 // Every operation is an idempotent state *setter* (SUBMIT replaces the whole
 // matrix, PATCH assigns absolute amounts, link events set capacities), so
@@ -73,10 +74,9 @@ func submitOp(d *demand.Demand) *walOp {
 }
 
 // applyDemandOp is the interpreter of demand records: it turns (base matrix,
-// record) into the next matrix, and is the only code that does. The live
-// accept path and WAL replay both call it, so a record means the same thing
-// the day it is accepted and the day it is replayed. It holds all validation
-// — endpoints distinct and inside the n-vertex graph, amounts positive and
+// record) into the next matrix, and is the only code that does; step calls it
+// for every demand record, live or replayed. It holds all validation —
+// endpoints distinct and inside the n-vertex graph, amounts positive and
 // finite, a patch needs a base, the result is non-empty — checks the whole
 // record before it builds anything, and never modifies base. touched lists
 // the pairs a patch named (nil for a submit), the delta solve's work list.
@@ -230,23 +230,12 @@ func (e *Engine) resetWALLocked() error {
 	if err := w.Reset(); err != nil {
 		return fmt.Errorf("service: checkpoint truncating wal: %w", err)
 	}
-	e.walOpsSince.Store(0)
 	if e.lastSubmitted != nil {
-		e.walMu.Lock()
-		op := submitOp(e.lastSubmitted)
-		op.Seq = e.opSeq.Add(1)
-		buf, err := json.Marshal(op)
-		if err == nil {
-			err = w.Append(buf)
-		}
-		e.walMu.Unlock()
-		if err == nil {
-			err = w.Sync()
-		}
-		if err != nil {
+		if err := e.commitOp(submitOp(e.lastSubmitted)); err != nil {
 			return fmt.Errorf("service: checkpoint re-seeding demand: %w", err)
 		}
 	}
+	e.walOpsSince.Store(0)
 	e.metrics.checkpoints.Add(1)
 	e.record(obs.EventCheckpoint, map[string]any{
 		"wal_seq":      e.opSeq.Load(),
@@ -271,165 +260,29 @@ type ReplayStats struct {
 	LastSeq uint64
 }
 
-// ReplayWAL applies the recovered log records on top of the engine's restored
-// state, reconstructing the exact pre-crash demand matrix and link state, and
-// finishes by putting one solve of the final matrix in the slot. Call it
-// once, after New/Restore and before serving traffic.
+// ReplayWAL folds the recovered log over the state the engine is at and
+// installs the state it ends in (see fold and install): the exact pre-crash
+// demand matrix and link state, and one solve of the final matrix. Call it
+// once, after New/Restore and before serving traffic; Open folds the same way
+// before the engine exists.
 //
-// Replay discipline:
-//   - records with Seq up to the restored snapshot's WAL watermark are
-//     skipped — the snapshot already covers them (checkpoint watermark);
-//   - records named by a revoke (written by older versions) are skipped —
-//     the client saw them fail;
-//   - duplicate/out-of-order sequence numbers are skipped (idempotence);
-//   - every other record runs through the validation the live accept path
-//     runs (applyDemandOp, nextCapacity): a record the engine would refuse
-//     today — a log left beside a smaller topology, corruption that kept its
-//     CRC — is skipped and journaled with its sequence number, and the
-//     records around it still apply;
-//   - link records fold into the capacity map with the live path's
-//     validation and no-op rule, each bumping the link version as it did
-//     live; the link state of the final map is derived once, as a live
-//     event derives it, and published without being logged again. The path
-//     system is a function of the map, so the recovered one is the one the
-//     engine that never crashed installed, and a log that ends healthy
-//     builds no survivor router;
-//   - demand records only update the submitted matrix — one solve at the end
-//     serves the final state instead of replaying every intermediate epoch.
+// Records up to the snapshot's WAL watermark, records a revoke names (older
+// logs only) and duplicate or out-of-order sequence numbers are skipped.
+// Every other record runs through step, the accept path's interpreter: one
+// the engine would refuse today — a log left beside a smaller topology,
+// corruption that kept its CRC — is skipped and journaled with its sequence
+// number, and the records around it still apply. Link records only fold into
+// the capacity map, each bumping the version as it did live, and the final
+// map is derived once, so a log that ends healthy builds no survivor router.
+// Demand records only update the standing matrix.
 //
 // A torn tail was already truncated by wal.Open; ReplayWAL journals it as a
 // wal_truncated event and keeps going — recovery degrades to the last good
 // record, never to a refused startup. The only error is the engine's own:
 // it was closed.
 func (e *Engine) ReplayWAL(rec *wal.Recovery) (*ReplayStats, error) {
-	return e.replayWAL(rec, nil)
-}
-
-// replayWAL is ReplayWAL with the link records folded over capacity rather
-// than the published map, when capacity is non-nil: Open passes a restored
-// snapshot's map, which the engine has not derived yet, so the link state is
-// derived once, for the map the log ends in — or for the snapshot's own map
-// when the log changes nothing (or there is no log).
-func (e *Engine) replayWAL(rec *wal.Recovery, capacity map[int]float64) (*ReplayStats, error) {
-	applied := e.opSeq.Load()
-	stats := &ReplayStats{LastSeq: applied}
-	links := e.links.Load()
-	if capacity == nil {
-		capacity = links.capacity
-	}
-	if rec == nil {
-		if !sameCapacityMap(capacity, links.capacity) {
-			if err := e.installReplayed(links.version, capacity); err != nil {
-				return stats, fmt.Errorf("service: restore link state: %w", err)
-			}
-		}
-		return stats, nil
-	}
-
-	if rec.Truncated {
-		stats.Truncated = true
-		e.metrics.walTruncations.Add(1)
-		e.record(obs.EventWALTruncated, map[string]any{
-			"dropped_bytes": rec.DroppedBytes,
-			"good_bytes":    rec.GoodBytes,
-			"records":       len(rec.Records),
-		})
-	}
-
-	ops := make([]*walOp, 0, len(rec.Records))
-	revoked := make(map[uint64]bool)
-	for _, raw := range rec.Records {
-		op := new(walOp)
-		if err := json.Unmarshal(raw, op); err != nil {
-			stats.Skipped++
-			continue
-		}
-		if op.Op == walOpRevoke {
-			revoked[op.Ref] = true
-			if op.Seq > stats.LastSeq {
-				stats.LastSeq = op.Seq
-			}
-			continue
-		}
-		ops = append(ops, op)
-	}
-
-	version := links.version
-	for _, op := range ops {
-		if op.Seq > stats.LastSeq {
-			stats.LastSeq = op.Seq
-		}
-		if op.Seq <= applied || revoked[op.Seq] {
-			stats.Skipped++
-			continue
-		}
-		var err error
-		if op.Op == walOpLinks {
-			var next map[int]float64
-			if next, err = e.nextCapacity(capacity, op); err == nil && !sameCapacityMap(next, capacity) {
-				capacity, version = next, version+1
-			}
-		} else {
-			err = e.replayDemandOp(op)
-		}
-		if err != nil {
-			stats.Skipped++
-			e.record(obs.EventSolveFailure, map[string]any{
-				"seq": op.Seq,
-				"err": fmt.Sprintf("wal replay: op %d (%s): %v", op.Seq, op.Op, err),
-			})
-			continue
-		}
-		applied = op.Seq
-		stats.Applied++
-	}
-
-	if version != links.version || !sameCapacityMap(capacity, links.capacity) {
-		if err := e.installReplayed(version, capacity); err != nil {
-			return stats, fmt.Errorf("service: replay link state: %w", err)
-		}
-	}
-
-	// Resume the operation counter past everything ever logged, so fresh
-	// operations never reuse a replayed sequence number.
-	for {
-		cur := e.opSeq.Load()
-		if cur >= stats.LastSeq || e.opSeq.CompareAndSwap(cur, stats.LastSeq) {
-			break
-		}
-	}
-
-	// One solve serves the final reconstructed matrix (intermediate epochs
-	// are history, not state): the accept step again, as a replay — its
-	// records are already on disk, and recovery is not a client to shed.
-	if final := e.LastSubmitted(); final != nil {
-		if _, err := e.acceptDemand(context.Background(), submitOp(final), true); err != nil {
-			return stats, fmt.Errorf("service: replay re-solve: %w", err)
-		}
-	}
-
-	e.metrics.walReplays.Add(1)
-	e.record(obs.EventWALReplay, map[string]any{
-		"applied":   stats.Applied,
-		"skipped":   stats.Skipped,
-		"last_seq":  stats.LastSeq,
-		"truncated": stats.Truncated,
-	})
-	return stats, nil
-}
-
-// replayDemandOp re-applies one logged demand operation through the accept
-// path's own interpreter — the accept path minus admission, logging and the
-// per-record solve: it installs nextDemand's matrix. A record that fails
-// validation is skipped by the caller rather than aborting recovery.
-func (e *Engine) replayDemandOp(op *walOp) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	next, _, err := e.nextDemand(op)
-	if err == nil {
-		e.lastSubmitted = next
-	}
-	return err
+	r := fold(e.at(e.links.Load(), e.LastSubmitted()), rec)
+	return &r.stats, e.install(r)
 }
 
 // LastSubmitted returns a copy of the most recently accepted demand matrix

@@ -153,7 +153,7 @@ func TestLiveAcceptEqualsReplay(t *testing.T) {
 				if op.Op == walOpLinks {
 					_, err = live.applyLinkEvent(&op)
 				} else {
-					_, err = live.acceptDemand(context.Background(), &op, false)
+					_, err = live.acceptDemand(context.Background(), &op)
 				}
 				switch {
 				case err == nil && unframed != nil:
