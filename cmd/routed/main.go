@@ -160,9 +160,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.Float64Var(&o.engine.AtRiskHeadroom, "headroom", 0, "capacity headroom threshold in (0,1): pairs whose every candidate crosses an edge degraded below it are proactively widened around the weak links (0 = disabled)")
 	fs.IntVar(&o.engine.OutcomeHistory, "outcome-history", 0, "epoch outcomes retained for ?wait/Wait lookups before eviction (0 = default 128)")
 	fs.IntVar(&o.engine.TraceDepth, "trace-depth", 0, "epoch lifecycle traces retained on /debug/trace (0 = default 64)")
-	fs.IntVar(&o.engine.JournalDepth, "journal-depth", 0, "events retained on /debug/events (0 = default 256)")
 	fs.BoolVar(&o.engine.DisableWarmStart, "no-warm", false, "solve every epoch from scratch: disable MWU warm starts and the PATCH delta fast path")
-	fs.IntVar(&o.engine.WarmIterations, "warm-iters", 0, "fresh MWU rounds for warm-started and delta solves (0 = default 64)")
 	fs.Int64Var(&o.engine.MaxBodyBytes, "max-body", 0, "per-request body cap in bytes; larger POST/PATCH bodies get 413 (0 = default 8 MiB, negative disables)")
 	fs.Int64Var(&o.engine.MaxInflightBytes, "inflight-bytes", 0, "total request-body bytes decoded concurrently before mutations shed with 429 (0 = unlimited)")
 	fs.Float64Var(&o.engine.MutationRate, "tenant-qps", 0, "per-tenant demand-mutation quota in ops/sec: excess submits and patches shed with 429 + Retry-After; per shard in fleet mode (0 = unlimited)")

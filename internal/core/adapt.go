@@ -123,13 +123,13 @@ func (ps *PathSystem) AdaptCongestionCtx(ctx context.Context, d *demand.Demand, 
 // adaptation, randomized rounding (Lemma 6.3, best of several trials), then
 // packet-level local search over the candidate paths.
 func (ps *PathSystem) AdaptIntegral(d *demand.Demand, opt *AdaptOptions, rng *rand.Rand) (flow.Routing, error) {
-	return ps.AdaptIntegralCtx(context.Background(), d, opt, rng)
+	return ps.adaptIntegralCtx(context.Background(), d, opt, rng)
 }
 
-// AdaptIntegralCtx is AdaptIntegral under a context. The fractional solve is
+// adaptIntegralCtx is AdaptIntegral under a context. The fractional solve is
 // fully cancelable; the rounding and local-search phases are bounded by their
 // trial/pass budgets and poll ctx between phases.
-func (ps *PathSystem) AdaptIntegralCtx(ctx context.Context, d *demand.Demand, opt *AdaptOptions, rng *rand.Rand) (flow.Routing, error) {
+func (ps *PathSystem) adaptIntegralCtx(ctx context.Context, d *demand.Demand, opt *AdaptOptions, rng *rand.Rand) (flow.Routing, error) {
 	o := opt.withDefaults()
 	if !d.IsIntegral() {
 		return nil, fmt.Errorf("core: integral adaptation needs an integral demand")
@@ -175,7 +175,7 @@ func (ps *PathSystem) AdaptCompletionTime(d *demand.Demand, opt *AdaptOptions) (
 		if bound > maxHops {
 			bound = maxHops
 		}
-		sub := ps.RestrictHopsKeepShortest(bound)
+		sub := ps.restrictHopsKeepShortest(bound)
 		if sub.Covers(d) {
 			r, err := sub.Adapt(d, opt)
 			if err != nil {

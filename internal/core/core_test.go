@@ -341,48 +341,6 @@ func TestEvaluateHypercubeSampleIsCompetitive(t *testing.T) {
 	}
 }
 
-func TestEvaluateMany(t *testing.T) {
-	g := gen.Hypercube(4)
-	router, err := oblivious.NewValiant(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(31, 31))
-	var demands []*demand.Demand
-	pairSet := map[demand.Pair]bool{}
-	for i := 0; i < 3; i++ {
-		d := demand.RandomPermutation(16, 5, rng)
-		demands = append(demands, d)
-		for _, p := range d.Support() {
-			pairSet[p] = true
-		}
-	}
-	var pairs []demand.Pair
-	for p := range pairSet {
-		pairs = append(pairs, p)
-	}
-	ps, err := RSample(router, pairs, 4, 33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := EvaluateMany(ps, router, demands, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.Demands != 3 {
-		t.Fatalf("demands=%d", agg.Demands)
-	}
-	if agg.MaxRatio < agg.MeanRatio-1e-9 {
-		t.Fatalf("max %v below mean %v", agg.MaxRatio, agg.MeanRatio)
-	}
-	if agg.MeanRatio <= 0 || agg.MeanRatioVsOblivious <= 0 {
-		t.Fatalf("degenerate aggregate: %+v", agg)
-	}
-	if _, err := EvaluateMany(ps, nil, nil, nil); err == nil {
-		t.Fatal("empty demand set should error")
-	}
-}
-
 func TestCompletionTimeSampleAndAdapt(t *testing.T) {
 	g := gen.Grid(4, 4)
 	rng := rand.New(rand.NewPCG(7, 7))
@@ -453,7 +411,7 @@ func TestRestrictHopsKeepShortestAlwaysCovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for h := 1; h <= ps.MaxHops(); h *= 2 {
-		sub := ps.RestrictHopsKeepShortest(h)
+		sub := ps.restrictHopsKeepShortest(h)
 		if !sub.Covers(d) {
 			t.Fatalf("class h=%d lost coverage", h)
 		}
@@ -541,24 +499,6 @@ func TestSystemStats(t *testing.T) {
 	empty := NewPathSystem(g).Stats()
 	if empty.Pairs != 0 || empty.MeanHops != 0 {
 		t.Fatalf("empty stats wrong: %+v", empty)
-	}
-}
-
-func TestCoverageOf(t *testing.T) {
-	g := gen.Ring(5)
-	ps := NewPathSystem(g)
-	p, _ := g.ShortestPathHops(0, 2)
-	if err := ps.AddPath(p); err != nil {
-		t.Fatal(err)
-	}
-	d := demand.New()
-	d.Set(0, 2, 1)
-	d.Set(1, 3, 1)
-	if c := ps.CoverageOf(d); math.Abs(c-0.5) > 1e-12 {
-		t.Fatalf("coverage=%v, want 0.5", c)
-	}
-	if c := ps.CoverageOf(demand.New()); c != 1 {
-		t.Fatalf("empty demand coverage=%v, want 1", c)
 	}
 }
 
@@ -706,7 +646,7 @@ func TestAdaptCtxCancellation(t *testing.T) {
 		t.Errorf("AdaptCongestionCtx: err=%v, want context.Canceled", err)
 	}
 	rng := rand.New(rand.NewPCG(1, 2))
-	if _, err := ps.AdaptIntegralCtx(canceled, d, nil, rng); !errors.Is(err, context.Canceled) {
-		t.Errorf("AdaptIntegralCtx: err=%v, want context.Canceled", err)
+	if _, err := ps.adaptIntegralCtx(canceled, d, nil, rng); !errors.Is(err, context.Canceled) {
+		t.Errorf("adaptIntegralCtx: err=%v, want context.Canceled", err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sparseroute/internal/demand"
 	"sparseroute/internal/mcf"
 	"sparseroute/internal/oblivious"
-	"sparseroute/internal/par"
 )
 
 // Report compares a semi-oblivious routing against the offline optimum and
@@ -78,40 +77,4 @@ func Evaluate(ps *PathSystem, base oblivious.Router, d *demand.Demand, opt *Eval
 		}
 	}
 	return rep, nil
-}
-
-// AggregateReport summarizes Evaluate over a set of demands.
-type AggregateReport struct {
-	Demands   int
-	MeanRatio float64
-	MaxRatio  float64
-	// MeanRatioVsOblivious is 0 when no base router was supplied.
-	MeanRatioVsOblivious float64
-}
-
-// EvaluateMany runs Evaluate over every demand (in parallel — each
-// evaluation is independent) and aggregates the ratios — the form in which
-// the theorems speak ("competitive on all demands of a class"): the
-// MaxRatio column is the empirical competitive ratio over the demand set.
-func EvaluateMany(ps *PathSystem, base oblivious.Router, demands []*demand.Demand, opt *EvalOptions) (*AggregateReport, error) {
-	if len(demands) == 0 {
-		return nil, fmt.Errorf("core: EvaluateMany needs at least one demand")
-	}
-	reports := make([]*Report, len(demands))
-	errs := make([]error, len(demands))
-	par.ForEach(len(demands), func(i int) {
-		reports[i], errs[i] = Evaluate(ps, base, demands[i], opt)
-	})
-	agg := &AggregateReport{Demands: len(demands)}
-	for i, rep := range reports {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("core: demand %d: %w", i, errs[i])
-		}
-		agg.MeanRatio += rep.Ratio / float64(len(demands))
-		if rep.Ratio > agg.MaxRatio {
-			agg.MaxRatio = rep.Ratio
-		}
-		agg.MeanRatioVsOblivious += rep.RatioVsOblivious / float64(len(demands))
-	}
-	return agg, nil
 }

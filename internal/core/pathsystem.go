@@ -210,12 +210,12 @@ func (ps *PathSystem) RestrictHops(maxHops int) *PathSystem {
 	return out
 }
 
-// RestrictHopsKeepShortest returns the subsystem with candidates of at most
+// restrictHopsKeepShortest returns the subsystem with candidates of at most
 // maxHops edges, except that every pair always keeps its shortest candidate
 // (so coverage never drops). This is the per-class restriction used by
 // completion-time adaptation: the dilation of class h is bounded by
 // max(h, longest shortest-candidate), not by the union's worst path.
-func (ps *PathSystem) RestrictHopsKeepShortest(maxHops int) *PathSystem {
+func (ps *PathSystem) restrictHopsKeepShortest(maxHops int) *PathSystem {
 	out := NewPathSystem(ps.g)
 	for pair, paths := range ps.paths {
 		minHops := -1

@@ -8,7 +8,7 @@ import (
 	"sparseroute/internal/graph"
 )
 
-// AdaptViaBuckets routes d through the executable special-to-general
+// adaptViaBuckets routes d through the executable special-to-general
 // reduction of Lemma 5.9: split the demand into power-of-two ratio buckets
 // (ratio = demand over sampled path count, the quantity Definition 5.5's
 // special demands pin down), adapt each bucket independently, and merge the
@@ -19,7 +19,7 @@ import (
 // Direct Adapt is at least as good on any single demand; this method exists
 // to make the reduction measurable (its overhead shows up in tests and can
 // be compared against the paper's O(log) prediction).
-func (ps *PathSystem) AdaptViaBuckets(d *demand.Demand, opt *AdaptOptions, maxBuckets int) (flow.Routing, int, error) {
+func (ps *PathSystem) adaptViaBuckets(d *demand.Demand, opt *AdaptOptions, maxBuckets int) (flow.Routing, int, error) {
 	if maxBuckets < 1 {
 		maxBuckets = 2 * 32 // plenty for float ratios in practice
 	}
@@ -38,12 +38,12 @@ func (ps *PathSystem) AdaptViaBuckets(d *demand.Demand, opt *AdaptOptions, maxBu
 	return merged.Compact(), len(buckets), nil
 }
 
-// AuxiliaryGraph is the Corollary 6.2 construction: for every requested
+// auxiliaryGraph is the Corollary 6.2 construction: for every requested
 // pair (u, v), two fresh vertices a and b joined to u and v by unit edges.
 // The min cut between a and b is exactly 1, so an (R+λ)-statement on the
 // auxiliary graph specializes to an (R+1)-statement, which the corollary
 // maps back to the original graph by stripping the two bridge edges.
-type AuxiliaryGraph struct {
+type auxiliaryGraph struct {
 	// G is the augmented graph: the original vertices 0..n-1 plus two
 	// auxiliary vertices per pair.
 	G *graph.Graph
@@ -56,14 +56,14 @@ type AuxiliaryGraph struct {
 	orig   map[int]int // auxVertex -> original endpoint
 }
 
-// BuildAuxiliaryGraph augments g for the given pairs.
-func BuildAuxiliaryGraph(g *graph.Graph, pairs []demand.Pair) (*AuxiliaryGraph, error) {
+// buildAuxiliaryGraph augments g for the given pairs.
+func buildAuxiliaryGraph(g *graph.Graph, pairs []demand.Pair) (*auxiliaryGraph, error) {
 	n := g.NumVertices()
 	aug := graph.New(n + 2*len(pairs))
 	for _, e := range g.Edges() {
 		aug.AddEdge(e.U, e.V, e.Capacity)
 	}
-	ax := &AuxiliaryGraph{G: aug, bridge: make(map[int]int), orig: make(map[int]int)}
+	ax := &auxiliaryGraph{G: aug, bridge: make(map[int]int), orig: make(map[int]int)}
 	for i, p := range pairs {
 		a := n + 2*i
 		b := n + 2*i + 1
@@ -79,10 +79,10 @@ func BuildAuxiliaryGraph(g *graph.Graph, pairs []demand.Pair) (*AuxiliaryGraph, 
 	return ax, nil
 }
 
-// ProjectPath maps a path between two auxiliary vertices back to the
+// projectPath maps a path between two auxiliary vertices back to the
 // original graph by stripping the two bridge edges (the Corollary 6.2
 // back-mapping).
-func (ax *AuxiliaryGraph) ProjectPath(p graph.Path) (graph.Path, error) {
+func (ax *auxiliaryGraph) projectPath(p graph.Path) (graph.Path, error) {
 	ua, ok1 := ax.orig[p.Src]
 	vb, ok2 := ax.orig[p.Dst]
 	if !ok1 || !ok2 {
@@ -100,9 +100,9 @@ func (ax *AuxiliaryGraph) ProjectPath(p graph.Path) (graph.Path, error) {
 	return graph.Path{Src: ua, Dst: vb, EdgeIDs: inner}, nil
 }
 
-// ProjectSystem maps a path system over the auxiliary pairs back to a path
+// projectSystem maps a path system over the auxiliary pairs back to a path
 // system over the original pairs on the original graph.
-func (ax *AuxiliaryGraph) ProjectSystem(aux *PathSystem, original *graph.Graph) (*PathSystem, error) {
+func (ax *auxiliaryGraph) projectSystem(aux *PathSystem, original *graph.Graph) (*PathSystem, error) {
 	out := NewPathSystem(original)
 	for i, ap := range ax.AuxPair {
 		for _, p := range aux.Paths(ap.U, ap.V) {
@@ -112,7 +112,7 @@ func (ax *AuxiliaryGraph) ProjectSystem(aux *PathSystem, original *graph.Graph) 
 			if oriented.Src != ap.U && oriented.Dst == ap.U {
 				oriented = oriented.Reverse()
 			}
-			proj, err := ax.ProjectPath(oriented)
+			proj, err := ax.projectPath(oriented)
 			if err != nil {
 				return nil, fmt.Errorf("core: pair %v: %w", ax.Pairs[i], err)
 			}

@@ -28,7 +28,7 @@ func TestAdaptViaBucketsRoutesFully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, nBuckets, err := ps.AdaptViaBuckets(d, nil, 0)
+	r, nBuckets, err := ps.adaptViaBuckets(d, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestAdaptViaBucketsRoutesFully(t *testing.T) {
 func TestAdaptViaBucketsNeedsCoverage(t *testing.T) {
 	g := gen.Ring(6)
 	ps := NewPathSystem(g)
-	if _, _, err := ps.AdaptViaBuckets(demand.SinglePair(0, 3, 1), nil, 0); err == nil {
+	if _, _, err := ps.adaptViaBuckets(demand.SinglePair(0, 3, 1), nil, 0); err == nil {
 		t.Fatal("uncovered demand should fail")
 	}
 }
@@ -67,7 +67,7 @@ func TestAuxiliaryGraphCutsAreOne(t *testing.T) {
 	// the two auxiliary vertices of every pair is exactly 1.
 	g := gen.Hypercube(3)
 	pairs := []demand.Pair{{U: 0, V: 7}, {U: 1, V: 6}}
-	ax, err := BuildAuxiliaryGraph(g, pairs)
+	ax, err := buildAuxiliaryGraph(g, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestAuxiliaryGraphCutsAreOne(t *testing.T) {
 func TestAuxiliaryProjectRoundTrip(t *testing.T) {
 	g := gen.Grid(3, 3)
 	pairs := []demand.Pair{{U: 0, V: 8}, {U: 2, V: 6}}
-	ax, err := BuildAuxiliaryGraph(g, pairs)
+	ax, err := buildAuxiliaryGraph(g, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestAuxiliaryProjectRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proj, err := ax.ProjectSystem(auxSys, g)
+	proj, err := ax.projectSystem(auxSys, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestAuxiliaryProjectRoundTrip(t *testing.T) {
 
 func TestProjectPathValidation(t *testing.T) {
 	g := gen.Ring(5)
-	ax, err := BuildAuxiliaryGraph(g, []demand.Pair{{U: 0, V: 2}})
+	ax, err := buildAuxiliaryGraph(g, []demand.Pair{{U: 0, V: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestProjectPathValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ax.ProjectPath(p); err == nil {
+	if _, err := ax.projectPath(p); err == nil {
 		t.Fatal("non-auxiliary endpoints should be rejected")
 	}
 }

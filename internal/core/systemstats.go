@@ -2,8 +2,6 @@ package core
 
 import (
 	"math"
-
-	"sparseroute/internal/demand"
 )
 
 // SystemStats summarizes the structural properties of a path system — the
@@ -96,20 +94,4 @@ func (ps *PathSystem) Stats() SystemStats {
 		st.DisjointFraction = float64(disjoint) / float64(comparisons)
 	}
 	return st
-}
-
-// CoverageOf returns the fraction of d's support pairs with at least one
-// candidate.
-func (ps *PathSystem) CoverageOf(d *demand.Demand) float64 {
-	sup := d.Support()
-	if len(sup) == 0 {
-		return 1
-	}
-	covered := 0
-	for _, p := range sup {
-		if len(ps.paths[p]) > 0 {
-			covered++
-		}
-	}
-	return float64(covered) / float64(len(sup))
 }

@@ -120,8 +120,8 @@ func (d *Demand) IsIntegral() bool {
 	return true
 }
 
-// IsADemand reports whether every entry is at most a (an "A-demand").
-func (d *Demand) IsADemand(a float64) bool {
+// isADemand reports whether every entry is at most a (an "A-demand").
+func (d *Demand) isADemand(a float64) bool {
 	for _, v := range d.m {
 		if v > a+1e-12 {
 			return false
@@ -167,15 +167,6 @@ func (d *Demand) Scale(factor float64) *Demand {
 	}
 	for p, v := range d.m {
 		out.m[p] = v * factor
-	}
-	return out
-}
-
-// Sum returns the pairwise sum of two demands (Lemma 5.15's d1 + d2).
-func Sum(a, b *Demand) *Demand {
-	out := a.Clone()
-	for p, v := range b.m {
-		out.m[p] += v
 	}
 	return out
 }
@@ -240,10 +231,10 @@ func (d *Demand) String() string {
 	return fmt.Sprintf("demand{pairs=%d size=%.3g max=%.3g}", len(d.m), d.Size(), d.MaxEntry())
 }
 
-// IsSpecial reports whether d is θ-special w.r.t. the per-pair path counts
+// isSpecial reports whether d is θ-special w.r.t. the per-pair path counts
 // returned by numPaths (Definition 5.5): for every pair, d(u,v)/numPaths(u,v)
 // is either 0 or exactly θ (within tol).
-func (d *Demand) IsSpecial(theta float64, numPaths func(Pair) int, tol float64) bool {
+func (d *Demand) isSpecial(theta float64, numPaths func(Pair) int, tol float64) bool {
 	for p, v := range d.m {
 		k := numPaths(p)
 		if k <= 0 {
@@ -256,11 +247,11 @@ func (d *Demand) IsSpecial(theta float64, numPaths func(Pair) int, tol float64) 
 	return true
 }
 
-// RoundIntegral randomly rounds each entry to one of its neighboring
+// roundIntegral randomly rounds each entry to one of its neighboring
 // integers, preserving the expectation (⌊x⌋ with probability ⌈x⌉-x, else
 // ⌈x⌉). Zero results drop the pair. Useful when a fractional traffic matrix
 // must be fed to integral (packet-level) routing.
-func (d *Demand) RoundIntegral(rng *rand.Rand) *Demand {
+func (d *Demand) roundIntegral(rng *rand.Rand) *Demand {
 	out := New()
 	for p, v := range d.m {
 		lo := math.Floor(v)

@@ -21,11 +21,11 @@ func RandomPermutation(n, pairs int, rng *rand.Rand) *Demand {
 	return d
 }
 
-// FullPermutation returns a perfect-matching permutation demand on all n
+// fullPermutation returns a perfect-matching permutation demand on all n
 // vertices (n must be even).
-func FullPermutation(n int, rng *rand.Rand) *Demand {
+func fullPermutation(n int, rng *rand.Rand) *Demand {
 	if n%2 != 0 {
-		panic("demand: FullPermutation needs even n")
+		panic("demand: fullPermutation needs even n")
 	}
 	return RandomPermutation(n, n/2, rng)
 }
@@ -169,9 +169,9 @@ func SinglePair(u, v int, amount float64) *Demand {
 	return d
 }
 
-// Special builds a θ-special demand (Definition 5.5) over the given pairs:
+// special builds a θ-special demand (Definition 5.5) over the given pairs:
 // each pair p gets demand θ * numPaths(p).
-func Special(pairs []Pair, theta float64, numPaths func(Pair) int) *Demand {
+func special(pairs []Pair, theta float64, numPaths func(Pair) int) *Demand {
 	d := New()
 	for _, p := range pairs {
 		d.m[p] = theta * float64(numPaths(p))

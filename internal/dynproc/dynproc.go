@@ -129,22 +129,22 @@ func Run(ps *core.PathSystem, d *demand.Demand, threshold float64) (*Result, err
 	return res, nil
 }
 
-// PatternEntry is one coordinate of an extracted bad pattern: the weight
+// patternEntry is one coordinate of an extracted bad pattern: the weight
 // deleted while processing one edge.
-type PatternEntry struct {
+type patternEntry struct {
 	EdgeID  int
 	Deleted float64
 }
 
-// ExtractBadPattern realizes Lemma 5.12 on a concrete run: when weak routing
+// extractBadPattern realizes Lemma 5.12 on a concrete run: when weak routing
 // failed (RoutedFraction < 1/2), the per-edge deletion vector IS a bad
 // pattern — nonnegative entries, each zero or at least the congestion
 // threshold (an edge only triggers when its load exceeds the threshold, and
 // deleting its paths removes at least that much weight), summing to more
 // than half the demand. It returns the nonzero entries in edge order and
 // whether the run certifies a bad pattern.
-func ExtractBadPattern(res *Result, totalDemand float64) ([]PatternEntry, bool) {
-	var entries []PatternEntry
+func extractBadPattern(res *Result, totalDemand float64) ([]patternEntry, bool) {
+	var entries []patternEntry
 	var ids []int
 	for id := range res.DeletedAt {
 		ids = append(ids, id)
@@ -153,24 +153,24 @@ func ExtractBadPattern(res *Result, totalDemand float64) ([]PatternEntry, bool) 
 	var sum float64
 	for _, id := range ids {
 		w := res.DeletedAt[id]
-		entries = append(entries, PatternEntry{EdgeID: id, Deleted: w})
+		entries = append(entries, patternEntry{EdgeID: id, Deleted: w})
 		sum += w
 	}
 	return entries, sum >= totalDemand/2
 }
 
-// BadPatternStats summarizes the deletions of a run against Definition 5.11:
+// badPatternStats summarizes the deletions of a run against Definition 5.11:
 // the number of overcongested edges and the total deleted weight (a run with
 // RoutedFraction < 1/2 certifies that at least one bad pattern occurred).
-type BadPatternStats struct {
+type badPatternStats struct {
 	NonzeroEntries int
 	TotalDeleted   float64
 	MaxSingleEdge  float64
 }
 
-// Stats extracts the bad-pattern summary from a run.
-func Stats(r *Result) BadPatternStats {
-	var s BadPatternStats
+// patternStats extracts the bad-pattern summary from a run.
+func patternStats(r *Result) badPatternStats {
+	var s badPatternStats
 	for _, w := range r.DeletedAt {
 		s.NonzeroEntries++
 		s.TotalDeleted += w
@@ -181,14 +181,14 @@ func Stats(r *Result) BadPatternStats {
 	return s
 }
 
-// RouteByHalving is the executable weak-to-strong reduction (Lemma 5.8):
+// routeByHalving is the executable weak-to-strong reduction (Lemma 5.8):
 // repeatedly run the deletion process, commit the surviving routing, and
 // recurse on the unrouted remainder, for at most maxRounds rounds. Whatever
 // remains after the last round is routed on each pair's first sampled path
 // (the reduction's "route the negligible tail arbitrarily" step). The
 // returned routing routes d fully; its congestion is at most
 // threshold · rounds + (tail congestion).
-func RouteByHalving(ps *core.PathSystem, d *demand.Demand, threshold float64, maxRounds int) (flow.Routing, int, error) {
+func routeByHalving(ps *core.PathSystem, d *demand.Demand, threshold float64, maxRounds int) (flow.Routing, int, error) {
 	if maxRounds < 1 {
 		return nil, 0, fmt.Errorf("dynproc: maxRounds must be >= 1")
 	}

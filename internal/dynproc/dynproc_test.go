@@ -78,7 +78,7 @@ func TestRunTinyThresholdDeletesEverything(t *testing.T) {
 	if res.RoutedFraction > 1e-9 {
 		t.Fatalf("fraction=%v, want 0", res.RoutedFraction)
 	}
-	stats := Stats(res)
+	stats := patternStats(res)
 	if stats.TotalDeleted < d.Size()-1e-9 {
 		t.Fatalf("deleted %v, want %v", stats.TotalDeleted, d.Size())
 	}
@@ -141,7 +141,7 @@ func TestSparsityImprovesSurvival(t *testing.T) {
 
 func TestRouteByHalvingRoutesFullDemand(t *testing.T) {
 	ps, d := buildSample(t, 5, 12, 6, 7)
-	routing, rounds, err := RouteByHalving(ps, d, 1.5, 10)
+	routing, rounds, err := routeByHalving(ps, d, 1.5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestExtractBadPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, certifies := ExtractBadPattern(res, d.Size())
+	entries, certifies := extractBadPattern(res, d.Size())
 	var sum float64
 	prev := -1
 	for _, e := range entries {
@@ -192,7 +192,7 @@ func TestExtractBadPatternNoDeletions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, certifies := ExtractBadPattern(res, d.Size())
+	entries, certifies := extractBadPattern(res, d.Size())
 	if len(entries) != 0 || certifies {
 		t.Fatalf("clean run should yield empty non-certifying pattern: %v %v", entries, certifies)
 	}
@@ -200,7 +200,7 @@ func TestExtractBadPatternNoDeletions(t *testing.T) {
 
 func TestRouteByHalvingValidatesInput(t *testing.T) {
 	ps, d := buildSample(t, 3, 2, 2, 8)
-	if _, _, err := RouteByHalving(ps, d, 1, 0); err == nil {
+	if _, _, err := routeByHalving(ps, d, 1, 0); err == nil {
 		t.Fatal("maxRounds=0 should be rejected")
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"sparseroute/internal/stats"
 )
 
-// E11Robustness reproduces the robustness argument of the SMORE deployment
+// e11Robustness reproduces the robustness argument of the SMORE deployment
 // ([22], Section 1): a semi-oblivious system with diverse pre-installed
 // candidates keeps serving traffic under link failures by shifting rates to
 // the surviving candidates — no forwarding state changes — while
@@ -23,7 +23,7 @@ import (
 // re-optimized OPT on the damaged network. Expected shape: coverage stays
 // near 100% for s=4 at moderate f, and the semi-oblivious ratio degrades
 // gracefully.
-func E11Robustness(cfg Config) (*stats.Table, error) {
+func e11Robustness(cfg Config) (*stats.Table, error) {
 	n, extra := 24, 40
 	pairs := 16
 	s := 4

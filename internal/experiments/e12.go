@@ -11,14 +11,14 @@ import (
 	"sparseroute/internal/stats"
 )
 
-// E12TopologySweep runs the log-sparsity construction across the full
+// e12TopologySweep runs the log-sparsity construction across the full
 // topology zoo — including the interconnect topologies (torus, fat-tree)
 // and the classical mesh disciplines as baselines on the grid — confirming
 // the paper's "works on any graph" claim beyond the three E1 topologies.
 // Expected shape: the sampled system's ratio vs OPT stays single-digit on
 // every topology; on the grid, the deterministic XY baseline is the worst
 // and ROMM/O1TURN sit between XY and the adapted sample.
-func E12TopologySweep(cfg Config) (*stats.Table, error) {
+func e12TopologySweep(cfg Config) (*stats.Table, error) {
 	trials := 3
 	optIters := 300
 	gridSide := 6

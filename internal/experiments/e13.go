@@ -8,14 +8,14 @@ import (
 	"sparseroute/internal/stats"
 )
 
-// E13Adversary stress-tests the "competitive on ALL demands" claim of
+// e13Adversary stress-tests the "competitive on ALL demands" claim of
 // Theorem 5.3 with an adaptive adversary: a hill-climbing search over
 // permutation demands maximizing the competitive ratio of a fixed sampled
 // system. Expected shape: at very low sparsity the adversary gains real
 // ground over random demands (the system has exploitable gaps), while at
 // s >= log n the gain shrinks and the worst found ratio stays small — the
 // union-bound-over-all-demands guarantee becoming visible empirically.
-func E13Adversary(cfg Config) (*stats.Table, error) {
+func e13Adversary(cfg Config) (*stats.Table, error) {
 	dim := 5
 	steps, restarts := 30, 3
 	optIters := 200

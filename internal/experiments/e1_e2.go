@@ -8,13 +8,13 @@ import (
 	"sparseroute/internal/stats"
 )
 
-// E1LogSparsity reproduces Theorem 2.3: on every benchmark graph, sampling
+// e1LogSparsity reproduces Theorem 2.3: on every benchmark graph, sampling
 // R = ceil(log2 n) paths per pair from a competitive oblivious routing gives
 // a semi-oblivious routing whose congestion on permutation (A-)demands stays
 // within small factors of both the offline optimum and the base oblivious
 // routing. Rows: one per topology; expected shape: ratio column O(polylog),
 // ratio-vs-oblivious close to (or below) 1.
-func E1LogSparsity(cfg Config) (*stats.Table, error) {
+func e1LogSparsity(cfg Config) (*stats.Table, error) {
 	dim := 6
 	gridSide := 6
 	expN, expDeg := 64, 4
@@ -63,12 +63,12 @@ func E1LogSparsity(cfg Config) (*stats.Table, error) {
 	return tbl, nil
 }
 
-// E2Tradeoff reproduces Theorem 2.5's sparsity-competitiveness trade-off
+// e2Tradeoff reproduces Theorem 2.5's sparsity-competitiveness trade-off
 // ("each additional path yields a polynomial improvement"): competitiveness
 // versus s on a fixed expander and hypercube. Expected shape: the ratio
 // column falls steeply from s=1 and flattens near 1 — consistent with
 // n^Θ(1/s) — and log2(ratio) decays roughly geometrically.
-func E2Tradeoff(cfg Config) (*stats.Table, error) {
+func e2Tradeoff(cfg Config) (*stats.Table, error) {
 	dim := 6
 	expN := 64
 	trials := 3

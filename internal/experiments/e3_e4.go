@@ -10,7 +10,7 @@ import (
 	"sparseroute/internal/stats"
 )
 
-// E3Hypercube reproduces the paper's motivating hypercube story (Section
+// e3Hypercube reproduces the paper's motivating hypercube story (Section
 // 1.1 / [19]): deterministic single-path greedy bit-fixing suffers
 // polynomial congestion on the transpose and bit-reversal permutations,
 // while a handful of paths sampled from Valiant's oblivious routing —
@@ -18,7 +18,7 @@ import (
 // near-optimally after rate adaptation. Expected shape: the bit-fix row has
 // congestion ~sqrt(N); the s>=2 sampled rows collapse to within a small
 // factor of OPT.
-func E3Hypercube(cfg Config) (*stats.Table, error) {
+func e3Hypercube(cfg Config) (*stats.Table, error) {
 	dim := 6
 	optIters := 300
 	if cfg.Quick {
@@ -72,13 +72,13 @@ func E3Hypercube(cfg Config) (*stats.Table, error) {
 	return tbl, nil
 }
 
-// E4GeneralDemands reproduces Lemma 2.7 and the Section 2.1 counterexample:
+// e4GeneralDemands reproduces Lemma 2.7 and the Section 2.1 counterexample:
 // on two cliques joined by lambda bridges, a single cross-clique demand of
 // size lambda needs lambda distinct bridge paths — plain R-sampling with
 // small R collides on bridges while (R+lambda)-sampling finds all of them.
 // Expected shape: the (R+lambda) row's ratio is ~1; the plain-R row degrades
 // as the demand amount grows past the sampled bridge diversity.
-func E4GeneralDemands(cfg Config) (*stats.Table, error) {
+func e4GeneralDemands(cfg Config) (*stats.Table, error) {
 	cliqueSize := 10
 	bridges := 4
 	if cfg.Quick {

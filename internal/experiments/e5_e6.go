@@ -11,13 +11,13 @@ import (
 	"sparseroute/internal/stats"
 )
 
-// E5CompletionTime reproduces Lemmas 2.8/2.9: sampling from hop-constrained
+// e5CompletionTime reproduces Lemmas 2.8/2.9: sampling from hop-constrained
 // oblivious routings at geometric hop scales yields a path system that can
 // be adapted for the completion-time objective (congestion + dilation)
 // rather than congestion alone. Expected shape: completion-time adaptation
 // achieves smaller cong+dil (and smaller simulated makespan) than
 // congestion-only adaptation whenever the latter picks long detours.
-func E5CompletionTime(cfg Config) (*stats.Table, error) {
+func e5CompletionTime(cfg Config) (*stats.Table, error) {
 	side := 6
 	pairs := 10
 	R := 3
@@ -82,12 +82,12 @@ func E5CompletionTime(cfg Config) (*stats.Table, error) {
 	return tbl, nil
 }
 
-// E6LowerBound reproduces the Section 8 lower bound: on B_{k,p}, every
+// e6LowerBound reproduces the Section 8 lower bound: on B_{k,p}, every
 // s-sparse sampled system admits an adversarial permutation demand forcing
 // ratio >= |M|/(s·ceil(|M|/k)). Expected shape: the certified ratio grows
 // with p at fixed (k, s) until it saturates near k/s, and the adapted
 // congestion confirms the bound (measured >= certified).
-func E6LowerBound(cfg Config) (*stats.Table, error) {
+func e6LowerBound(cfg Config) (*stats.Table, error) {
 	type cell struct{ k, p, s int }
 	var cells []cell
 	if cfg.Quick {

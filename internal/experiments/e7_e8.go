@@ -12,14 +12,14 @@ import (
 	"sparseroute/internal/temodel"
 )
 
-// E7DynamicProcess runs the proof's deletion process (Section 5.3)
+// e7DynamicProcess runs the proof's deletion process (Section 5.3)
 // empirically: for each sparsity s, sample s Valiant paths per pair of a
 // random hypercube permutation, route everything at once, delete through
 // overcongested edges in fixed order, and record the surviving fraction.
 // Expected shape: the surviving fraction (and the weak-routing success rate,
 // fraction >= 1/2) increases sharply with s — the concentration the Main
 // Lemma proves.
-func E7DynamicProcess(cfg Config) (*stats.Table, error) {
+func e7DynamicProcess(cfg Config) (*stats.Table, error) {
 	dim := 6
 	pairs := 24
 	trials := 8
@@ -66,13 +66,13 @@ func E7DynamicProcess(cfg Config) (*stats.Table, error) {
 	return tbl, nil
 }
 
-// E8Traffic reproduces the SMORE-style comparison ([22], Section 1.1): on a
+// e8Traffic reproduces the SMORE-style comparison ([22], Section 1.1): on a
 // synthetic WAN with a gravity demand sequence, semi-oblivious routing with
 // s=4 paths sampled from Räcke tracks the per-epoch optimum and beats the
 // static baselines; the ablation rows show that sampling from a worse base
 // distribution (KSP, uniform detour) costs real congestion. Expected shape:
 // semiobl-raecke-4 mean ratio ~1 and smallest among non-OPT methods.
-func E8Traffic(cfg Config) (*stats.Table, error) {
+func e8Traffic(cfg Config) (*stats.Table, error) {
 	n, extra := 24, 36
 	epochs := 5
 	pairs := 20

@@ -12,14 +12,14 @@ import (
 	"sparseroute/internal/stats"
 )
 
-// E9Ablation measures the design choices DESIGN.md calls out:
+// e9Ablation measures the design choices DESIGN.md calls out:
 // (a) the Räcke mixture size (number of FRT trees) — more trees improve the
 // base oblivious routing and hence the sample, with diminishing returns;
 // (b) the base distribution the candidates are sampled from — Räcke vs
 // electrical flow vs KSP vs uniform detour — at fixed sparsity s=4.
 // Expected shape: ratios fall with tree count then flatten; Räcke and
 // electrical samplers beat KSP/detour.
-func E9Ablation(cfg Config) (*stats.Table, error) {
+func e9Ablation(cfg Config) (*stats.Table, error) {
 	side := 6
 	pairs := 12
 	trials := 3
@@ -103,14 +103,14 @@ func E9Ablation(cfg Config) (*stats.Table, error) {
 	return tbl, nil
 }
 
-// E10Concentration quantifies the Main Lemma's concentration: for fixed
+// e10Concentration quantifies the Main Lemma's concentration: for fixed
 // sparsity and threshold, the empirical probability that the deletion
 // process fails weak routing (routes < 1/2 of the demand) should decay as
 // the demand grows — the exponential-in-|d| failure bound that powers the
 // union bound — and the per-edge overcongestion rate should sit below the
 // negative-association Chernoff bound (Lemma B.5). The bad-pattern count
 // bound (Lemma 5.13) is printed alongside.
-func E10Concentration(cfg Config) (*stats.Table, error) {
+func e10Concentration(cfg Config) (*stats.Table, error) {
 	dim := 6
 	trials := 30
 	s := 6

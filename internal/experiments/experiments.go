@@ -48,19 +48,19 @@ type Runner struct {
 // All lists every experiment in the DESIGN.md index order.
 func All() []Runner {
 	return []Runner{
-		{"E1", "Theorem 2.3: log-sparsity samples are near-optimal", E1LogSparsity},
-		{"E2", "Theorem 2.5: sparsity-competitiveness trade-off", E2Tradeoff},
-		{"E3", "Hypercube: deterministic vs few sampled paths", E3Hypercube},
-		{"E4", "Lemma 2.7: (R+lambda)-sampling for non-unit demands", E4GeneralDemands},
-		{"E5", "Lemmas 2.8/2.9: completion-time-competitive sampling", E5CompletionTime},
-		{"E6", "Section 8: lower-bound adversary on B_{k,p}", E6LowerBound},
-		{"E7", "Section 5.3: dynamic deletion process concentration", E7DynamicProcess},
-		{"E8", "SMORE-style traffic engineering and sampler ablation", E8Traffic},
-		{"E9", "Design ablations: Raecke tree count, sampler source", E9Ablation},
-		{"E10", "Main Lemma concentration vs Chernoff/bad-pattern bounds", E10Concentration},
-		{"E11", "SMORE robustness: rate-shifting under link failures", E11Robustness},
-		{"E12", "Topology sweep: torus/fat-tree + mesh baselines", E12TopologySweep},
-		{"E13", "Adaptive adversary vs sampled systems", E13Adversary},
+		{"E1", "Theorem 2.3: log-sparsity samples are near-optimal", e1LogSparsity},
+		{"E2", "Theorem 2.5: sparsity-competitiveness trade-off", e2Tradeoff},
+		{"E3", "Hypercube: deterministic vs few sampled paths", e3Hypercube},
+		{"E4", "Lemma 2.7: (R+lambda)-sampling for non-unit demands", e4GeneralDemands},
+		{"E5", "Lemmas 2.8/2.9: completion-time-competitive sampling", e5CompletionTime},
+		{"E6", "Section 8: lower-bound adversary on B_{k,p}", e6LowerBound},
+		{"E7", "Section 5.3: dynamic deletion process concentration", e7DynamicProcess},
+		{"E8", "SMORE-style traffic engineering and sampler ablation", e8Traffic},
+		{"E9", "Design ablations: Raecke tree count, sampler source", e9Ablation},
+		{"E10", "Main Lemma concentration vs Chernoff/bad-pattern bounds", e10Concentration},
+		{"E11", "SMORE robustness: rate-shifting under link failures", e11Robustness},
+		{"E12", "Topology sweep: torus/fat-tree + mesh baselines", e12TopologySweep},
+		{"E13", "Adaptive adversary vs sampled systems", e13Adversary},
 	}
 }
 

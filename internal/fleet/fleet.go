@@ -22,7 +22,7 @@
 //     keeps at most one task on its queue: it solves only its latest
 //     demand.
 //
-//   - Rolled-up observability. Health aggregates per-shard ok/degraded/
+//   - Rolled-up observability. The health rollup aggregates per-shard ok/degraded/
 //     closed into a fleet state machine; the vars payload nests every
 //     resident shard's expvar registry under fleet-level counters
 //     (resident shards, evictions, cold/warm start latency, cross-shard
@@ -54,20 +54,24 @@ import (
 // drain.
 const (
 	TopoSuffix     = ".topo.json"
-	SnapshotSuffix = ".snap"
-	// WALSuffix names the per-shard write-ahead log, sited next to the
+	snapshotSuffix = ".snap"
+	// walSuffix names the per-shard write-ahead log, sited next to the
 	// snapshot it extends: `<id>.snap` is the checkpoint, `<id>.wal` the
 	// operations accepted since. Replaying the log over the snapshot on
 	// reload reconstructs the exact pre-crash demand matrix and link state.
-	WALSuffix = ".wal"
+	walSuffix = ".wal"
 )
 
-// ErrUnknownShard is returned for a topology ID the fleet does not serve.
-// The HTTP layer maps it to 404.
-var ErrUnknownShard = errors.New("fleet: unknown topology")
+// journalDepth bounds the fleet-wide event journal, which every shard
+// records into.
+const journalDepth = 1024
 
-// ErrClosed is returned once Close has begun. The HTTP layer maps it to 503.
-var ErrClosed = errors.New("fleet: closed")
+// errUnknownShard is returned for a topology ID the fleet does not serve.
+// The HTTP layer maps it to 404.
+var errUnknownShard = errors.New("fleet: unknown topology")
+
+// errClosed is returned once Close has begun. The HTTP layer maps it to 503.
+var errClosed = errors.New("fleet: closed")
 
 // Config parameterizes a Fleet.
 type Config struct {
@@ -172,8 +176,8 @@ func Open(cfg Config) (*Fleet, error) {
 		if sh == nil {
 			sh = &shard{
 				id:       id,
-				snapPath: filepath.Join(cfg.Dir, id+SnapshotSuffix),
-				walPath:  filepath.Join(cfg.Dir, id+WALSuffix),
+				snapPath: filepath.Join(cfg.Dir, id+snapshotSuffix),
+				walPath:  filepath.Join(cfg.Dir, id+walSuffix),
 			}
 			shards[id] = sh
 		}
@@ -191,8 +195,8 @@ func Open(cfg Config) (*Fleet, error) {
 				continue
 			}
 			ensure(id).topoPath = filepath.Join(cfg.Dir, name)
-		case strings.HasSuffix(name, SnapshotSuffix):
-			id := strings.TrimSuffix(name, SnapshotSuffix)
+		case strings.HasSuffix(name, snapshotSuffix):
+			id := strings.TrimSuffix(name, snapshotSuffix)
 			if id == "" {
 				continue
 			}
@@ -200,7 +204,7 @@ func Open(cfg Config) (*Fleet, error) {
 		}
 	}
 	if len(shards) == 0 {
-		return nil, fmt.Errorf("fleet: no *%s or *%s files in %s", TopoSuffix, SnapshotSuffix, cfg.Dir)
+		return nil, fmt.Errorf("fleet: no *%s or *%s files in %s", TopoSuffix, snapshotSuffix, cfg.Dir)
 	}
 	if cfg.DefaultShard == "" && len(shards) == 1 {
 		for id := range shards {
@@ -216,11 +220,7 @@ func Open(cfg Config) (*Fleet, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	depth := cfg.Engine.JournalDepth
-	if depth <= 0 {
-		depth = 1024
-	}
-	f := &Fleet{cfg: cfg, shards: shards, pool: par.NewFairPool(workers), journal: obs.NewJournal(depth)}
+	f := &Fleet{cfg: cfg, shards: shards, pool: par.NewFairPool(workers), journal: obs.NewJournal(journalDepth)}
 	f.metrics = newMetrics(f)
 	return f, nil
 }
@@ -249,8 +249,8 @@ func (f *Fleet) ShardIDs() []string {
 // the alias is disabled.
 func (f *Fleet) DefaultShard() string { return f.cfg.DefaultShard }
 
-// Resident returns how many shards currently hold a live engine.
-func (f *Fleet) Resident() int {
+// resident returns how many shards currently hold a live engine.
+func (f *Fleet) resident() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.residentLocked()
@@ -276,12 +276,12 @@ func (f *Fleet) acquire(id string) (sh *shard, release func(), err error) {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
-		return nil, nil, ErrClosed
+		return nil, nil, errClosed
 	}
 	sh = f.shards[id]
 	f.mu.Unlock()
 	if sh == nil {
-		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownShard, id)
+		return nil, nil, fmt.Errorf("%w: %q", errUnknownShard, id)
 	}
 	sh.lastUsed.Store(f.clock.Add(1))
 	for {
@@ -321,7 +321,7 @@ func (f *Fleet) makeResident(sh *shard) error {
 	closed := f.closed
 	f.mu.Unlock()
 	if closed {
-		return ErrClosed
+		return errClosed
 	}
 	sh.mu.RLock()
 	resident := sh.engine != nil
@@ -449,18 +449,18 @@ func (f *Fleet) buildEngine(sh *shard) (*service.Opened, error) {
 	return opened, err
 }
 
-// Health is the fleet rollup: per-shard status plus the aggregate state
+// fleetHealth is the fleet rollup: per-shard status plus the aggregate state
 // machine — "closed" once Close begins, "degraded" while any resident shard
 // is degraded or closed, "ok" otherwise. Cold (non-resident) shards are
 // listed but do not affect the aggregate.
-type Health struct {
+type fleetHealth struct {
 	Status   string        `json:"status"`
 	Resident int           `json:"resident"`
-	Shards   []ShardHealth `json:"shards"`
+	Shards   []shardHealth `json:"shards"`
 }
 
-// ShardHealth is one shard's row in the fleet health rollup.
-type ShardHealth struct {
+// shardHealth is one shard's row in the fleet health rollup.
+type shardHealth struct {
 	ID       string `json:"id"`
 	Resident bool   `json:"resident"`
 	// Status is the engine's ok/degraded/closed, or "cold" when the shard
@@ -469,11 +469,11 @@ type ShardHealth struct {
 	Engine *service.Health `json:"engine,omitempty"`
 }
 
-// ShardCold is the status of a discovered shard with no resident engine.
-const ShardCold = "cold"
+// shardCold is the status of a discovered shard with no resident engine.
+const shardCold = "cold"
 
-// Health reports the fleet state machine.
-func (f *Fleet) Health() *Health {
+// health reports the fleet state machine.
+func (f *Fleet) health() *fleetHealth {
 	f.mu.Lock()
 	closed := f.closed
 	list := make([]*shard, 0, len(f.shards))
@@ -483,14 +483,14 @@ func (f *Fleet) Health() *Health {
 	f.mu.Unlock()
 	sort.Slice(list, func(i, j int) bool { return list[i].id < list[j].id })
 
-	out := &Health{Status: service.HealthOK}
+	out := &fleetHealth{Status: service.HealthOK}
 	for _, sh := range list {
-		// The read lock is held across the Health call itself: releasing it
+		// The read lock is held across the health call itself: releasing it
 		// after loading the engine pointer would let eviction close the engine
 		// mid-render and report a spurious "closed" row (or worse, tear the
 		// snapshot the engine is writing out from under the scrape).
 		sh.mu.RLock()
-		row := ShardHealth{ID: sh.id, Status: ShardCold}
+		row := shardHealth{ID: sh.id, Status: shardCold}
 		if sh.engine != nil {
 			h := sh.engine.Health()
 			row.Resident = true

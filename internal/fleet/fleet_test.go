@@ -92,8 +92,8 @@ func TestFleetOpenDiscoversShards(t *testing.T) {
 	if len(ids) != 3 || ids[0] != "a" || ids[1] != "b" || ids[2] != "c" {
 		t.Fatalf("shard ids %v", ids)
 	}
-	if f.Resident() != 0 {
-		t.Fatalf("engines built eagerly: %d resident", f.Resident())
+	if f.resident() != 0 {
+		t.Fatalf("engines built eagerly: %d resident", f.resident())
 	}
 	// Multiple shards and no explicit default: the legacy alias is off.
 	if f.DefaultShard() != "" {
@@ -120,13 +120,13 @@ func TestFleetLazyResidencyAndLRUEviction(t *testing.T) {
 
 	solveOn(t, f, "a")
 	solveOn(t, f, "b")
-	if n := f.Resident(); n != 2 {
+	if n := f.resident(); n != 2 {
 		t.Fatalf("resident %d, want 2", n)
 	}
 
 	// Touching c must evict a (least recently used), snapshotting it first.
 	solveOn(t, f, "c")
-	if n := f.Resident(); n != 2 {
+	if n := f.resident(); n != 2 {
 		t.Fatalf("resident %d after third shard, want 2", n)
 	}
 	f.mu.Lock()
@@ -179,9 +179,9 @@ func TestFleetEvictReloadRoundTrip(t *testing.T) {
 	// Keep solving under the degraded state so the snapshot is taken mid-load.
 	solveOn(t, f, "a")
 
-	before := ea.Links()
+	before := ea.Health()
 	hashBefore := ea.Hash()
-	if !before.Degraded {
+	if before.Status != service.HealthDegraded {
 		t.Fatalf("link state %+v not degraded", before)
 	}
 
@@ -205,7 +205,7 @@ func TestFleetEvictReloadRoundTrip(t *testing.T) {
 	if got := ea2.Hash(); got != hashBefore {
 		t.Fatalf("reloaded hash %016x, want pre-eviction %016x", got, hashBefore)
 	}
-	after := ea2.Links()
+	after := ea2.Health()
 	if len(after.FailedEdges) != 1 || after.FailedEdges[0] != failID {
 		t.Fatalf("reloaded failed edges %v, want [%d]", after.FailedEdges, failID)
 	}
@@ -269,7 +269,7 @@ func TestFleetCorrelatedFailureDrill(t *testing.T) {
 	if got := west.Hash(); got != westHash {
 		t.Fatalf("west hash moved %016x -> %016x on east's failure", westHash, got)
 	}
-	if l := west.Links(); l.Version != 1 || len(l.FailedEdges) != 0 {
+	if l := west.Health(); l.LinkVersion != 1 || len(l.FailedEdges) != 0 {
 		t.Fatalf("west link state %+v leaked east's event", l)
 	}
 	if h := west.Health(); h.Status != service.HealthOK {
@@ -277,7 +277,7 @@ func TestFleetCorrelatedFailureDrill(t *testing.T) {
 	}
 
 	// Fleet rollup degrades while east is impaired.
-	if h := f.Health(); h.Status != service.HealthDegraded {
+	if h := f.health(); h.Status != service.HealthDegraded {
 		t.Fatalf("fleet health %q, want degraded", h.Status)
 	}
 
@@ -285,7 +285,7 @@ func TestFleetCorrelatedFailureDrill(t *testing.T) {
 	if _, err := east.RestoreEdges(group...); err != nil {
 		t.Fatal(err)
 	}
-	if h := f.Health(); h.Status != service.HealthOK {
+	if h := f.health(); h.Status != service.HealthOK {
 		t.Fatalf("fleet health %q after restore, want ok", h.Status)
 	}
 }
@@ -303,16 +303,16 @@ func TestFleetHealthRollup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h := f.Health()
+	h := f.health()
 	if h.Status != service.HealthDegraded || h.Resident != 2 {
 		t.Fatalf("rollup %+v", h)
 	}
-	want := map[string]string{"a": service.HealthDegraded, "b": service.HealthOK, "c": ShardCold}
+	want := map[string]string{"a": service.HealthDegraded, "b": service.HealthOK, "c": shardCold}
 	for _, row := range h.Shards {
 		if row.Status != want[row.ID] {
 			t.Fatalf("shard %s status %q, want %q", row.ID, row.Status, want[row.ID])
 		}
-		if (row.Status == ShardCold) == row.Resident {
+		if (row.Status == shardCold) == row.Resident {
 			t.Fatalf("shard %s residency %v inconsistent with status %q", row.ID, row.Resident, row.Status)
 		}
 	}
@@ -343,7 +343,7 @@ func TestFleetCloseDrainsAllResident(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if h := f.Health(); h.Status != service.HealthClosed {
+	if h := f.health(); h.Status != service.HealthClosed {
 		t.Fatalf("health %q after close", h.Status)
 	}
 	if _, err := f.Engine("a"); err == nil {
@@ -356,7 +356,7 @@ func TestFleetCloseDrainsAllResident(t *testing.T) {
 	}
 	defer f2.Close()
 	for id, want := range hashes {
-		if _, err := os.Stat(filepath.Join(dir, id+SnapshotSuffix)); err != nil {
+		if _, err := os.Stat(filepath.Join(dir, id+snapshotSuffix)); err != nil {
 			t.Fatalf("drain left no snapshot for %s: %v", id, err)
 		}
 		e, err := f2.Engine(id)
@@ -427,20 +427,19 @@ func TestFleetConcurrentCrossShard(t *testing.T) {
 				case 0: // writer: demand epochs
 					d := demand.New()
 					d.Set(0, 7, 1+float64(i))
-					// ErrClosed is fine mid-churn: the engine may be evicted
+					// errClosed is fine mid-churn: the engine may be evicted
 					// between acquire and submit.
 					e.SubmitDemandCtx(context.Background(), d)
-				case 1: // reader: health, links, metrics
+				case 1: // reader: health (with its link fields) and metrics
 					e.Health()
-					e.Links()
-					f.Health()
-					f.Metrics().JSON()
+					f.health()
+					f.Metrics().json()
 				case 2: // link events on one shard only
 					if id == "a" {
 						e.FailEdges(0)
 						e.RestoreEdges(0)
 					} else {
-						e.Links()
+						e.Health()
 					}
 				}
 			}
@@ -451,7 +450,7 @@ func TestFleetConcurrentCrossShard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := f.Resident(); n > 2 {
+	if n := f.resident(); n > 2 {
 		t.Fatalf("resident %d breached MaxResident 2", n)
 	}
 	// The fleet still serves after the churn.
@@ -521,8 +520,8 @@ func TestFleetWALCrashRecovery(t *testing.T) {
 	}
 	wantHash := e1.Hash()
 	wantDemand := e1.LastSubmitted()
-	wantLinks := e1.Links()
-	if fi, err := os.Stat(filepath.Join(dir, "a"+WALSuffix)); err != nil || fi.Size() == 0 {
+	wantLinks := e1.Health()
+	if fi, err := os.Stat(filepath.Join(dir, "a"+walSuffix)); err != nil || fi.Size() == 0 {
 		t.Fatalf("no per-shard wal written: %v", err)
 	}
 
@@ -541,9 +540,9 @@ func TestFleetWALCrashRecovery(t *testing.T) {
 	if !demand.Equal(e2.LastSubmitted(), wantDemand, 1e-12) {
 		t.Fatalf("recovered demand %v != control %v", e2.LastSubmitted(), wantDemand)
 	}
-	gotLinks := e2.Links()
-	if gotLinks.Version != wantLinks.Version {
-		t.Fatalf("recovered link version %d != control %d", gotLinks.Version, wantLinks.Version)
+	gotLinks := e2.Health()
+	if gotLinks.LinkVersion != wantLinks.LinkVersion {
+		t.Fatalf("recovered link version %d != control %d", gotLinks.LinkVersion, wantLinks.LinkVersion)
 	}
 	if len(gotLinks.FailedEdges) != 1 || gotLinks.FailedEdges[0] != 3 {
 		t.Fatalf("recovered failed edges %v, want [3]", gotLinks.FailedEdges)
@@ -597,7 +596,7 @@ func TestFleetEvictionCheckpointsWAL(t *testing.T) {
 	if !demand.Equal(e2.LastSubmitted(), d, 1e-12) {
 		t.Fatalf("reloaded demand %v, want %v", e2.LastSubmitted(), d)
 	}
-	if got := e2.Links(); len(got.FailedEdges) != 1 || got.FailedEdges[0] != 2 {
+	if got := e2.Health(); len(got.FailedEdges) != 1 || got.FailedEdges[0] != 2 {
 		t.Fatalf("reloaded failed edges %v, want [2]", got.FailedEdges)
 	}
 	solveOn(t, f, "a")

@@ -88,9 +88,9 @@ func (s *Server) delegate(w http.ResponseWriter, r *http.Request, id, rest strin
 	sh, release, err := s.fleet.acquire(id)
 	if err != nil {
 		switch {
-		case errors.Is(err, ErrUnknownShard):
+		case errors.Is(err, errUnknownShard):
 			writeError(w, http.StatusNotFound, "%v", err)
-		case errors.Is(err, ErrClosed):
+		case errors.Is(err, errClosed):
 			writeError(w, http.StatusServiceUnavailable, "%v", err)
 		default:
 			writeError(w, http.StatusInternalServerError, "%v", err)
@@ -135,7 +135,7 @@ func (s *Server) handleTopologies(w http.ResponseWriter, _ *http.Request) {
 // handleProm serves the fleet metrics rollup as Prometheus text exposition.
 func (s *Server) handleProm(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", obs.PromContentType)
-	s.fleet.Metrics().Prom().WriteTo(w)
+	s.fleet.Metrics().prom().WriteTo(w)
 }
 
 // handleEvents serves the fleet-wide event journal, oldest first.
@@ -146,7 +146,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, _ *http.Request) {
 // handleHealth serves the fleet rollup: 200 while serving (ok or degraded),
 // 503 once Close has begun.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	h := s.fleet.Health()
+	h := s.fleet.health()
 	code := http.StatusOK
 	if h.Status == service.HealthClosed {
 		code = http.StatusServiceUnavailable

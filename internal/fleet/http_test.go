@@ -84,7 +84,7 @@ func TestFleetHTTPNamespacedRoutes(t *testing.T) {
 	if code != http.StatusOK || snap["bytes"].(float64) <= 0 {
 		t.Fatalf("east snapshot: %d %v", code, snap)
 	}
-	if !strings.HasSuffix(snap["path"].(string), "east"+SnapshotSuffix) {
+	if !strings.HasSuffix(snap["path"].(string), "east"+snapshotSuffix) {
 		t.Fatalf("snapshot path %v", snap["path"])
 	}
 }

@@ -51,7 +51,7 @@ func newMetrics(f *Fleet) *Metrics {
 		return len(f.shards)
 	}))
 	m.vars.Set("resident_shards", expvar.Func(func() any {
-		return f.Resident()
+		return f.resident()
 	}))
 	m.vars.Set("max_resident", expvar.Func(func() any {
 		return f.cfg.MaxResident
@@ -82,7 +82,7 @@ func newMetrics(f *Fleet) *Metrics {
 }
 
 // shedRequests sums shed mutations over every resident shard, holding each
-// shard's read lock across its engine access (same discipline as Health:
+// shard's read lock across its engine access (same discipline as health:
 // eviction must not close an engine mid-read).
 func (m *Metrics) shedRequests() (total int64) {
 	f := m.fleet
@@ -133,10 +133,10 @@ func (m *Metrics) window(r *stats.Ring) map[string]float64 {
 	}
 }
 
-// JSON renders the rolled-up registry. Shard registries are embedded as the
-// raw JSON their own /debug/vars would serve; non-resident shards render as
+// json renders the rolled-up registry. Shard registries are embedded as the
+// raw json their own /debug/vars would serve; non-resident shards render as
 // {"resident": false} so the key set is stable across evictions.
-func (m *Metrics) JSON() string {
+func (m *Metrics) json() string {
 	f := m.fleet
 	f.mu.Lock()
 	list := make([]*shard, 0, len(f.shards))
@@ -172,19 +172,19 @@ func (m *Metrics) JSON() string {
 	return b.String()
 }
 
-// ServeHTTP serves the rollup in the conventional /debug/vars JSON shape.
+// ServeHTTP serves the rollup in the conventional /debug/vars json shape.
 func (m *Metrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprint(w, m.JSON())
+	fmt.Fprint(w, m.json())
 }
 
-// Prom renders the fleet rollup in the Prometheus text exposition format:
+// prom renders the fleet rollup in the Prometheus text exposition format:
 // fleet counters under sparseroute_fleet_*, every resident shard's engine
 // registry under sparseroute_engine_* with a topo label, and a
 // sparseroute_shard_resident gauge covering every discovered shard. Each
 // shard renders under its read lock so a concurrent eviction cannot close
 // the engine while its gauges are being evaluated.
-func (m *Metrics) Prom() *obs.Prom {
+func (m *Metrics) prom() *obs.Prom {
 	f := m.fleet
 	f.mu.Lock()
 	list := make([]*shard, 0, len(f.shards))

@@ -40,8 +40,8 @@ func TestFleetJournalSurvivesEviction(t *testing.T) {
 	if _, err := f.Engine("b"); err != nil { // evicts a
 		t.Fatal(err)
 	}
-	if f.Resident() != 1 {
-		t.Fatalf("resident=%d, want 1", f.Resident())
+	if f.resident() != 1 {
+		t.Fatalf("resident=%d, want 1", f.resident())
 	}
 
 	events := f.Events()
@@ -180,7 +180,7 @@ func TestFleetShardEventsDelegated(t *testing.T) {
 }
 
 // TestFleetScrapeDuringChurn hammers every observability surface — vars
-// JSON, Prometheus rollup, health, events — while shards churn through
+// json, Prometheus rollup, health, events — while shards churn through
 // residency under MaxResident 1. The race detector and the absence of 500s
 // are the assertions: a scrape must never observe a half-evicted shard.
 func TestFleetScrapeDuringChurn(t *testing.T) {

@@ -54,7 +54,7 @@ func TestFleetTenantQuota(t *testing.T) {
 	var vars struct {
 		Fleet map[string]any `json:"fleet"`
 	}
-	if err := json.Unmarshal([]byte(f.Metrics().JSON()), &vars); err != nil {
+	if err := json.Unmarshal([]byte(f.Metrics().json()), &vars); err != nil {
 		t.Fatalf("fleet vars JSON: %v", err)
 	}
 	if got, ok := vars.Fleet["shed_requests"].(float64); !ok || got != 1 {
@@ -63,7 +63,7 @@ func TestFleetTenantQuota(t *testing.T) {
 
 	// And through the Prometheus path.
 	var b strings.Builder
-	f.Metrics().Prom().WriteTo(&b)
+	f.Metrics().prom().WriteTo(&b)
 	if !strings.Contains(b.String(), "sparseroute_fleet_shed_requests 1") {
 		t.Fatalf("prom rollup missing shed_requests:\n%s", b.String())
 	}

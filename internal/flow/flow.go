@@ -105,8 +105,8 @@ func (r Routing) TotalFlow() float64 {
 	return s
 }
 
-// FlowFor returns the total weight routed for pair (u,v).
-func (r Routing) FlowFor(u, v int) float64 {
+// flowFor returns the total weight routed for pair (u,v).
+func (r Routing) flowFor(u, v int) float64 {
 	var s float64
 	for _, wp := range r[demand.MakePair(u, v)] {
 		s += wp.Weight
@@ -141,13 +141,13 @@ func (r Routing) ValidateRoutes(g *graph.Graph, d *demand.Demand, tol float64) e
 	}
 	for _, pair := range d.Support() {
 		want := d.Get(pair.U, pair.V)
-		got := r.FlowFor(pair.U, pair.V)
+		got := r.flowFor(pair.U, pair.V)
 		if math.Abs(got-want) > tol {
 			return fmt.Errorf("flow: pair %v routes %v, demand is %v", pair, got, want)
 		}
 	}
 	for pair := range r {
-		if d.Get(pair.U, pair.V) == 0 && r.FlowFor(pair.U, pair.V) > tol {
+		if d.Get(pair.U, pair.V) == 0 && r.flowFor(pair.U, pair.V) > tol {
 			return fmt.Errorf("flow: pair %v routes flow without demand", pair)
 		}
 	}
@@ -166,8 +166,8 @@ func (r Routing) IsIntegral(tol float64) bool {
 	return true
 }
 
-// Scale returns a copy of r with all weights multiplied by f >= 0.
-func (r Routing) Scale(f float64) Routing {
+// scale returns a copy of r with all weights multiplied by f >= 0.
+func (r Routing) scale(f float64) Routing {
 	if f < 0 {
 		panic("flow: negative scale")
 	}

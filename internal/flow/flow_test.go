@@ -38,8 +38,8 @@ func TestAddFlowAndLoads(t *testing.T) {
 	if r.TotalFlow() != 4 {
 		t.Fatalf("total=%v", r.TotalFlow())
 	}
-	if r.FlowFor(3, 0) != 4 {
-		t.Fatalf("FlowFor=%v (should be endpoint-order independent)", r.FlowFor(3, 0))
+	if r.flowFor(3, 0) != 4 {
+		t.Fatalf("flowFor=%v (should be endpoint-order independent)", r.flowFor(3, 0))
 	}
 }
 
@@ -135,11 +135,11 @@ func TestScaleAndMergeCongestionSubadditive(t *testing.T) {
 	if got := m.TotalFlow(); got != 4 {
 		t.Fatalf("merged total=%v", got)
 	}
-	half := m.Scale(0.5)
+	half := m.scale(0.5)
 	if math.Abs(half.MaxCongestion(g)-m.MaxCongestion(g)/2) > 1e-12 {
 		t.Fatal("congestion not linear under Scale")
 	}
-	if zero := m.Scale(0); zero.TotalFlow() != 0 {
+	if zero := m.scale(0); zero.TotalFlow() != 0 {
 		t.Fatal("zero scale should drop all flow")
 	}
 }

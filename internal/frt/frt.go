@@ -287,10 +287,10 @@ func (t *Tree) BoundaryCapacity(nodeIdx int) float64 {
 	return s
 }
 
-// TreeDistance returns the tree-metric distance between u and v: the sum of
+// treeDistance returns the tree-metric distance between u and v: the sum of
 // 2^level terms along the leaf-to-leaf tree path. By construction it
 // dominates the (normalized) graph distance.
-func (t *Tree) TreeDistance(u, v int) float64 {
+func (t *Tree) treeDistance(u, v int) float64 {
 	if u == v {
 		return 0
 	}

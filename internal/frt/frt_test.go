@@ -94,7 +94,7 @@ func TestTreeDistanceDominatesGraphDistance(t *testing.T) {
 	for u := 0; u < g.NumVertices(); u += 3 {
 		dist, _ := g.BFS(u)
 		for v := 0; v < g.NumVertices(); v += 4 {
-			td := tree.TreeDistance(u, v)
+			td := tree.treeDistance(u, v)
 			if td < float64(dist[v])-1e-9 {
 				t.Fatalf("tree distance %v below graph distance %d for (%d,%d)", td, dist[v], u, v)
 			}
@@ -120,7 +120,7 @@ func TestExpectedStretchIsModest(t *testing.T) {
 				if u == v {
 					continue
 				}
-				totalStretch += tree.TreeDistance(u, v) / float64(dist[v])
+				totalStretch += tree.treeDistance(u, v) / float64(dist[v])
 				count++
 			}
 		}
@@ -247,7 +247,7 @@ func TestTreeDistanceSymmetric(t *testing.T) {
 	}
 	for u := 0; u < 8; u++ {
 		for v := 0; v < 8; v++ {
-			if math.Abs(tree.TreeDistance(u, v)-tree.TreeDistance(v, u)) > 1e-12 {
+			if math.Abs(tree.treeDistance(u, v)-tree.treeDistance(v, u)) > 1e-12 {
 				t.Fatalf("tree distance asymmetric for (%d,%d)", u, v)
 			}
 		}

@@ -52,7 +52,7 @@ func BenchmarkHopBoundedLightestPath(b *testing.B) {
 		if src == dst {
 			dst = (dst + 1) % g.NumVertices()
 		}
-		if _, err := g.HopBoundedLightestPath(src, dst, 12, lengths); err != nil && err != ErrNoPath {
+		if _, err := g.hopBoundedLightestPath(src, dst, 12, lengths); err != nil && err != ErrNoPath {
 			b.Fatal(err)
 		}
 	}

@@ -82,18 +82,6 @@ func Ring(n int) *graph.Graph {
 	return g
 }
 
-// Star returns a star with center 0 and n-1 leaves, unit capacities.
-func Star(n int) *graph.Graph {
-	if n < 2 {
-		panic("gen: star needs n >= 2")
-	}
-	g := graph.New(n)
-	for v := 1; v < n; v++ {
-		g.AddUnitEdge(0, v)
-	}
-	return g
-}
-
 // Complete returns the complete graph K_n with unit capacities.
 func Complete(n int) *graph.Graph {
 	g := graph.New(n)

@@ -64,10 +64,6 @@ func TestRingStarComplete(t *testing.T) {
 	if r.NumEdges() != 5 || !r.Connected() {
 		t.Fatalf("ring: m=%d connected=%v", r.NumEdges(), r.Connected())
 	}
-	s := Star(6)
-	if s.NumEdges() != 5 || s.Degree(0) != 5 {
-		t.Fatalf("star: m=%d deg0=%d", s.NumEdges(), s.Degree(0))
-	}
 	k := Complete(5)
 	if k.NumEdges() != 10 {
 		t.Fatalf("K5 m=%d", k.NumEdges())
@@ -237,7 +233,6 @@ func TestGeneratorPanics(t *testing.T) {
 		func() { Grid(0, 3) },
 		func() { Torus(2, 5) },
 		func() { Ring(2) },
-		func() { Star(1) },
 		func() { TwoCliques(3, 4) },
 		func() { NewDoubleStar(0, 5) },
 		func() { GluedLowerBound(0, 3) },

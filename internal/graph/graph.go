@@ -123,8 +123,8 @@ func (g *Graph) FindEdge(u, v int) int {
 	return -1
 }
 
-// Neighbors returns the sorted set of distinct neighbors of v.
-func (g *Graph) Neighbors(v int) []int {
+// neighbors returns the sorted set of distinct neighbors of v.
+func (g *Graph) neighbors(v int) []int {
 	seen := make(map[int]bool, len(g.adj[v]))
 	var out []int
 	for _, id := range g.adj[v] {

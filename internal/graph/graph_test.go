@@ -84,8 +84,8 @@ func TestParallelEdges(t *testing.T) {
 	if d := g.Degree(0); d != 2 {
 		t.Fatalf("Degree(0)=%d, want 2", d)
 	}
-	if nb := g.Neighbors(0); len(nb) != 1 || nb[0] != 1 {
-		t.Fatalf("Neighbors(0)=%v, want [1]", nb)
+	if nb := g.neighbors(0); len(nb) != 1 || nb[0] != 1 {
+		t.Fatalf("neighbors(0)=%v, want [1]", nb)
 	}
 }
 

@@ -153,14 +153,14 @@ func (g *Graph) LightestPath(src, dst int, length []float64) (Path, error) {
 	return extractPath(g, src, dst, parent)
 }
 
-// HopBoundedLightestPath returns a minimum-total-length path from src to dst
+// hopBoundedLightestPath returns a minimum-total-length path from src to dst
 // among paths with at most maxHops edges, via layered Bellman-Ford.
 // It returns ErrNoPath when no such path exists.
 //
 // This is the oracle underlying the hop-constrained oblivious routing
 // substitute: dilation control comes from the hop budget, congestion control
 // from the lengths.
-func (g *Graph) HopBoundedLightestPath(src, dst, maxHops int, length []float64) (Path, error) {
+func (g *Graph) hopBoundedLightestPath(src, dst, maxHops int, length []float64) (Path, error) {
 	if maxHops < 0 {
 		return Path{}, ErrNoPath
 	}
@@ -242,8 +242,8 @@ func (g *Graph) HopBoundedLightestPath(src, dst, maxHops int, length []float64) 
 	return sp, nil
 }
 
-// Eccentricity returns the maximum hop distance from v to any other vertex.
-func (g *Graph) Eccentricity(v int) int {
+// eccentricity returns the maximum hop distance from v to any other vertex.
+func (g *Graph) eccentricity(v int) int {
 	dist, _ := g.BFS(v)
 	ecc := 0
 	for _, d := range dist {
@@ -259,7 +259,7 @@ func (g *Graph) Eccentricity(v int) int {
 func (g *Graph) HopDiameter() int {
 	d := 0
 	for v := 0; v < g.n; v++ {
-		if e := g.Eccentricity(v); e > d {
+		if e := g.eccentricity(v); e > d {
 			d = e
 		}
 	}

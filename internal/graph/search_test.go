@@ -132,24 +132,24 @@ func TestHopBoundedLightestPath(t *testing.T) {
 	}
 	length[ids[4]] = 100
 
-	loose, err := g.HopBoundedLightestPath(0, 4, 10, length)
+	loose, err := g.hopBoundedLightestPath(0, 4, 10, length)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loose.Hops() != 4 {
 		t.Fatalf("loose bound should take light path, hops=%d", loose.Hops())
 	}
-	tight, err := g.HopBoundedLightestPath(0, 4, 1, length)
+	tight, err := g.hopBoundedLightestPath(0, 4, 1, length)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tight.Hops() != 1 {
 		t.Fatalf("tight bound should take direct edge, hops=%d", tight.Hops())
 	}
-	if _, err := g.HopBoundedLightestPath(0, 4, 0, length); err != ErrNoPath {
+	if _, err := g.hopBoundedLightestPath(0, 4, 0, length); err != ErrNoPath {
 		t.Fatalf("0-hop budget to a distinct vertex should fail, got %v", err)
 	}
-	self, err := g.HopBoundedLightestPath(2, 2, 0, length)
+	self, err := g.hopBoundedLightestPath(2, 2, 0, length)
 	if err != nil || self.Hops() != 0 {
 		t.Fatalf("self path: %v %v", self, err)
 	}
@@ -174,7 +174,7 @@ func TestHopBoundedMatchesDijkstraWhenLoose(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		s, d := rng.IntN(20), rng.IntN(20)
 		dd, _ := g.Dijkstra(s, length)
-		p, err := g.HopBoundedLightestPath(s, d, g.NumVertices(), length)
+		p, err := g.hopBoundedLightestPath(s, d, g.NumVertices(), length)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestHopBoundedRespectsBudgetProperty(t *testing.T) {
 		src := int(srcRaw) % 16
 		dst := int(dstRaw) % 16
 		hops := int(hopRaw)%10 + 1
-		p, err := g.HopBoundedLightestPath(src, dst, hops, length)
+		p, err := g.hopBoundedLightestPath(src, dst, hops, length)
 		if err == ErrNoPath {
 			// Must genuinely be unreachable within the budget.
 			bfs, _ := g.BFS(src)
@@ -226,10 +226,10 @@ func TestHopBoundedRespectsBudgetProperty(t *testing.T) {
 
 func TestEccentricityAndDiameter(t *testing.T) {
 	g := line(t, 5)
-	if e := g.Eccentricity(0); e != 4 {
+	if e := g.eccentricity(0); e != 4 {
 		t.Fatalf("ecc(0)=%d, want 4", e)
 	}
-	if e := g.Eccentricity(2); e != 2 {
+	if e := g.eccentricity(2); e != 2 {
 		t.Fatalf("ecc(2)=%d, want 2", e)
 	}
 	if d := g.HopDiameter(); d != 4 {

@@ -40,8 +40,8 @@ func NewSystem(g *graph.Graph) (*System, error) {
 	return &System{g: g, diag: diag}, nil
 }
 
-// Apply computes y = L·x.
-func (s *System) Apply(x, y []float64) {
+// apply computes y = L·x.
+func (s *System) apply(x, y []float64) {
 	for i := range y {
 		y[i] = s.diag[i] * x[i]
 	}
@@ -110,7 +110,7 @@ func (s *System) Solve(b []float64, tol float64, maxIter int) ([]float64, error)
 	ap := make([]float64, n)
 	rz := dot(r, z)
 	for iter := 0; iter < maxIter; iter++ {
-		s.Apply(p, ap)
+		s.apply(p, ap)
 		pap := dot(p, ap)
 		if pap <= 0 {
 			break // numerical breakdown; return the current iterate
@@ -170,8 +170,8 @@ func (s *System) UnitFlow(src, dst int) ([]float64, error) {
 	return flow, nil
 }
 
-// EffectiveResistance returns the effective resistance between u and v.
-func (s *System) EffectiveResistance(u, v int) (float64, error) {
+// effectiveResistance returns the effective resistance between u and v.
+func (s *System) effectiveResistance(u, v int) (float64, error) {
 	if u == v {
 		return 0, nil
 	}

@@ -33,7 +33,7 @@ func TestSolveResidual(t *testing.T) {
 		t.Fatal(err)
 	}
 	y := make([]float64, len(x))
-	s.Apply(x, y)
+	s.apply(x, y)
 	for i := range y {
 		if math.Abs(y[i]-b[i]) > 1e-6 {
 			t.Fatalf("residual at %d: %v", i, y[i]-b[i])
@@ -71,14 +71,14 @@ func TestEffectiveResistanceSeries(t *testing.T) {
 	g.AddUnitEdge(1, 2)
 	g.AddUnitEdge(2, 3)
 	s, _ := NewSystem(g)
-	r, err := s.EffectiveResistance(0, 3)
+	r, err := s.effectiveResistance(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(r-3) > 1e-6 {
 		t.Fatalf("series resistance=%v, want 3", r)
 	}
-	if r0, _ := s.EffectiveResistance(2, 2); r0 != 0 {
+	if r0, _ := s.effectiveResistance(2, 2); r0 != 0 {
 		t.Fatalf("self resistance=%v", r0)
 	}
 }
@@ -89,7 +89,7 @@ func TestEffectiveResistanceParallel(t *testing.T) {
 	g.AddUnitEdge(0, 1)
 	g.AddUnitEdge(0, 1)
 	s, _ := NewSystem(g)
-	r, err := s.EffectiveResistance(0, 1)
+	r, err := s.effectiveResistance(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestEffectiveResistanceCapacityWeighting(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, 1, 4)
 	s, _ := NewSystem(g)
-	r, err := s.EffectiveResistance(0, 1)
+	r, err := s.effectiveResistance(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,14 +173,14 @@ func TestRayleighMonotonicity(t *testing.T) {
 	// Adding an edge can only decrease effective resistance.
 	g := gen.Ring(6)
 	s1, _ := NewSystem(g)
-	r1, err := s1.EffectiveResistance(0, 3)
+	r1, err := s1.effectiveResistance(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g2 := g.Clone()
 	g2.AddUnitEdge(0, 3)
 	s2, _ := NewSystem(g2)
-	r2, err := s2.EffectiveResistance(0, 3)
+	r2, err := s2.effectiveResistance(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

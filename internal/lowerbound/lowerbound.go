@@ -122,7 +122,7 @@ func FindAdversary(ds gen.DoubleStar, ps *core.PathSystem, subsetSize int) (*Adv
 		if !any {
 			continue
 		}
-		matchL := BipartiteMatch(p, p, adj)
+		matchL := bipartiteMatch(p, p, adj)
 		size := 0
 		for _, r := range matchL {
 			if r >= 0 {
@@ -173,10 +173,10 @@ func popcount(x uint64) int {
 	return c
 }
 
-// OptimalRouting constructs the offline routing certifying Adversary.
+// optimalRouting constructs the offline routing certifying Adversary.
 // OptCongestion: matched pairs are assigned middle vertices round-robin over
 // all k, giving congestion ceil(|M|/k) on the center-middle edges.
-func OptimalRouting(ds gen.DoubleStar, adv *Adversary) (*core.PathSystem, *demand.Demand, error) {
+func optimalRouting(ds gen.DoubleStar, adv *Adversary) (*core.PathSystem, *demand.Demand, error) {
 	g := ds.G
 	ps := core.NewPathSystem(g)
 	i := 0

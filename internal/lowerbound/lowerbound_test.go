@@ -12,7 +12,7 @@ import (
 func TestBipartiteMatchPerfect(t *testing.T) {
 	// K_{3,3}: perfect matching of size 3.
 	adj := [][]int{{0, 1, 2}, {0, 1, 2}, {0, 1, 2}}
-	m := BipartiteMatch(3, 3, adj)
+	m := bipartiteMatch(3, 3, adj)
 	used := map[int]bool{}
 	for l, r := range m {
 		if r < 0 {
@@ -28,7 +28,7 @@ func TestBipartiteMatchPerfect(t *testing.T) {
 func TestBipartiteMatchConstrained(t *testing.T) {
 	// Left 0 and 1 both only like right 0: matching size 1 (+ left 2 -> 1).
 	adj := [][]int{{0}, {0}, {1}}
-	m := BipartiteMatch(3, 2, adj)
+	m := bipartiteMatch(3, 2, adj)
 	size := 0
 	for _, r := range m {
 		if r >= 0 {
@@ -41,7 +41,7 @@ func TestBipartiteMatchConstrained(t *testing.T) {
 }
 
 func TestBipartiteMatchEmpty(t *testing.T) {
-	m := BipartiteMatch(2, 2, [][]int{nil, nil})
+	m := bipartiteMatch(2, 2, [][]int{nil, nil})
 	for _, r := range m {
 		if r != -1 {
 			t.Fatal("empty graph should have empty matching")
@@ -116,7 +116,7 @@ func TestOptimalRoutingAchievesOptBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	optPS, d, err := OptimalRouting(ds, adv)
+	optPS, d, err := optimalRouting(ds, adv)
 	if err != nil {
 		t.Fatal(err)
 	}

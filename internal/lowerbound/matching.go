@@ -3,11 +3,11 @@ package lowerbound
 // Hopcroft–Karp maximum bipartite matching, used to extract the adversarial
 // permutation demand of Lemma 8.1 (the Hall-criterion step of the proof).
 
-// BipartiteMatch computes a maximum matching in the bipartite graph with
+// bipartiteMatch computes a maximum matching in the bipartite graph with
 // left vertices 0..nLeft-1 and adjacency adj[l] = right neighbors
 // (0..nRight-1). It returns matchL where matchL[l] is the matched right
 // vertex or -1.
-func BipartiteMatch(nLeft, nRight int, adj [][]int) []int {
+func bipartiteMatch(nLeft, nRight int, adj [][]int) []int {
 	const inf = int(^uint(0) >> 1)
 	matchL := make([]int, nLeft)
 	matchR := make([]int, nRight)

@@ -37,12 +37,12 @@ type Problem struct {
 
 // Errors returned by Solve.
 var (
-	ErrInfeasible = errors.New("lp: infeasible")
-	ErrUnbounded  = errors.New("lp: unbounded")
-	// ErrNumerical is returned when the final basis fails verification
+	errInfeasible = errors.New("lp: infeasible")
+	errUnbounded  = errors.New("lp: unbounded")
+	// errNumerical is returned when the final basis fails verification
 	// against the original constraints — callers should fall back to an
 	// iterative solver.
-	ErrNumerical = errors.New("lp: numerical instability detected")
+	errNumerical = errors.New("lp: numerical instability detected")
 )
 
 const (
@@ -174,7 +174,7 @@ func (p *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 			return nil, err
 		}
 		if -obj[total] > 1e-7 {
-			return nil, ErrInfeasible
+			return nil, errInfeasible
 		}
 		// Drive remaining artificials out of the basis.
 		for i := 0; i < m; i++ {
@@ -238,21 +238,21 @@ func (p *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 		switch p.Rel[i] {
 		case LE:
 			if dot > p.B[i]+tol {
-				return nil, ErrNumerical
+				return nil, errNumerical
 			}
 		case GE:
 			if dot < p.B[i]-tol {
-				return nil, ErrNumerical
+				return nil, errNumerical
 			}
 		case EQ:
 			if math.Abs(dot-p.B[i]) > tol {
-				return nil, ErrNumerical
+				return nil, errNumerical
 			}
 		}
 	}
 	for j := range x {
 		if x[j] < -1e-6 {
-			return nil, ErrNumerical
+			return nil, errNumerical
 		}
 		if x[j] < 0 {
 			x[j] = 0
@@ -309,7 +309,7 @@ func runSimplexLimited(ctx context.Context, tab [][]float64, basis []int, obj []
 			}
 		}
 		if row < 0 {
-			return ErrUnbounded
+			return errUnbounded
 		}
 		pivot(tab, basis, obj, row, col, total)
 	}

@@ -91,8 +91,8 @@ func TestInfeasible(t *testing.T) {
 		B:   []float64{1, 2},
 		Rel: []Relation{LE, GE},
 	}
-	if _, err := p.Solve(); err != ErrInfeasible {
-		t.Fatalf("want ErrInfeasible, got %v", err)
+	if _, err := p.Solve(); err != errInfeasible {
+		t.Fatalf("want errInfeasible, got %v", err)
 	}
 }
 
@@ -104,8 +104,8 @@ func TestUnbounded(t *testing.T) {
 		B:   []float64{0},
 		Rel: []Relation{GE},
 	}
-	if _, err := p.Solve(); err != ErrUnbounded {
-		t.Fatalf("want ErrUnbounded, got %v", err)
+	if _, err := p.Solve(); err != errUnbounded {
+		t.Fatalf("want errUnbounded, got %v", err)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 func BenchmarkDinicExpander(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	g := gen.RandomRegular(256, 6, rng)
-	nw := NewNetwork(g)
+	nw := newNetwork(g)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -19,7 +19,7 @@ func BenchmarkDinicExpander(b *testing.B) {
 		if s == t {
 			t = (t + 1) % g.NumVertices()
 		}
-		nw.MaxFlow(s, t)
+		nw.maxFlow(s, t)
 	}
 }
 
@@ -36,6 +36,9 @@ func BenchmarkDinicWAN(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		LambdaAll(g, pairs)
+		nw := newNetwork(g)
+		for _, p := range pairs {
+			nw.maxFlow(p[0], p[1])
+		}
 	}
 }

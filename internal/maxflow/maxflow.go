@@ -20,37 +20,37 @@ type arc struct {
 	edge int // originating undirected edge ID, -1 for reverse bookkeeping
 }
 
-// Network is a residual network built from an undirected graph. Each
+// network is a residual network built from an undirected graph. Each
 // undirected edge becomes a pair of arcs, each with the full edge capacity
 // (the standard undirected max-flow reduction).
-type Network struct {
+type network struct {
 	n   int
 	net [][]arc
 }
 
-// NewNetwork builds a residual network from g.
-func NewNetwork(g *graph.Graph) *Network {
-	nw := &Network{n: g.NumVertices(), net: make([][]arc, g.NumVertices())}
+// newNetwork builds a residual network from g.
+func newNetwork(g *graph.Graph) *network {
+	nw := &network{n: g.NumVertices(), net: make([][]arc, g.NumVertices())}
 	for _, e := range g.Edges() {
 		nw.addUndirected(e.U, e.V, e.Capacity, e.ID)
 	}
 	return nw
 }
 
-func (nw *Network) addUndirected(u, v int, c float64, edgeID int) {
+func (nw *network) addUndirected(u, v int, c float64, edgeID int) {
 	nw.net[u] = append(nw.net[u], arc{to: v, rev: len(nw.net[v]), cap: c, edge: edgeID})
 	nw.net[v] = append(nw.net[v], arc{to: u, rev: len(nw.net[u]) - 1, cap: c, edge: edgeID})
 }
 
-func (nw *Network) clone() *Network {
-	cp := &Network{n: nw.n, net: make([][]arc, nw.n)}
+func (nw *network) clone() *network {
+	cp := &network{n: nw.n, net: make([][]arc, nw.n)}
 	for v := range nw.net {
 		cp.net[v] = append([]arc(nil), nw.net[v]...)
 	}
 	return cp
 }
 
-func (nw *Network) bfsLevels(s, t int) []int {
+func (nw *network) bfsLevels(s, t int) []int {
 	level := make([]int, nw.n)
 	for i := range level {
 		level[i] = -1
@@ -70,7 +70,7 @@ func (nw *Network) bfsLevels(s, t int) []int {
 	return level
 }
 
-func (nw *Network) dfsBlocking(v, t int, f float64, level []int, it []int) float64 {
+func (nw *network) dfsBlocking(v, t int, f float64, level []int, it []int) float64 {
 	if v == t {
 		return f
 	}
@@ -89,8 +89,8 @@ func (nw *Network) dfsBlocking(v, t int, f float64, level []int, it []int) float
 	return 0
 }
 
-// MaxFlow computes the maximum s-t flow value. The receiver is not mutated.
-func (nw *Network) MaxFlow(s, t int) float64 {
+// maxFlow computes the maximum s-t flow value. The receiver is not mutated.
+func (nw *network) maxFlow(s, t int) float64 {
 	if s == t {
 		return math.Inf(1)
 	}
@@ -112,10 +112,10 @@ func (nw *Network) MaxFlow(s, t int) float64 {
 	}
 }
 
-// MinCut returns the value of the minimum s-t cut and the IDs of the
+// minCut returns the value of the minimum s-t cut and the IDs of the
 // undirected edges crossing it (edges with one endpoint reachable from s in
 // the final residual network).
-func (nw *Network) MinCut(s, t int) (float64, []int) {
+func (nw *network) minCut(s, t int) (float64, []int) {
 	if s == t {
 		return math.Inf(1), nil
 	}
@@ -157,15 +157,5 @@ func (nw *Network) MinCut(s, t int) (float64, []int) {
 // Lambda returns the u-v min-cut value λ(u,v) in g (Definition 2.1's
 // λ-sparsity parameter). λ(u,u) is +Inf by convention.
 func Lambda(g *graph.Graph, u, v int) float64 {
-	return NewNetwork(g).MaxFlow(u, v)
-}
-
-// LambdaAll computes λ(u,v) for every listed pair, reusing one network.
-func LambdaAll(g *graph.Graph, pairs [][2]int) []float64 {
-	nw := NewNetwork(g)
-	out := make([]float64, len(pairs))
-	for i, p := range pairs {
-		out[i] = nw.MaxFlow(p[0], p[1])
-	}
-	return out
+	return newNetwork(g).maxFlow(u, v)
 }

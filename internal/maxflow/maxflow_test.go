@@ -98,7 +98,7 @@ func TestDoubleStarLambda(t *testing.T) {
 
 func TestMinCutEdges(t *testing.T) {
 	g := gen.TwoCliques(4, 2)
-	val, edges := NewNetwork(g).MinCut(0, 7)
+	val, edges := newNetwork(g).minCut(0, 7)
 	if val != 2 {
 		t.Fatalf("cut value=%v, want 2", val)
 	}
@@ -115,22 +115,11 @@ func TestMinCutEdges(t *testing.T) {
 
 func TestMaxFlowDoesNotMutate(t *testing.T) {
 	g := gen.Hypercube(3)
-	nw := NewNetwork(g)
-	f1 := nw.MaxFlow(0, 7)
-	f2 := nw.MaxFlow(0, 7)
+	nw := newNetwork(g)
+	f1 := nw.maxFlow(0, 7)
+	f2 := nw.maxFlow(0, 7)
 	if f1 != f2 {
 		t.Fatalf("repeated calls disagree: %v vs %v", f1, f2)
-	}
-}
-
-func TestLambdaAllMatchesIndividual(t *testing.T) {
-	g := gen.Hypercube(3)
-	pairs := [][2]int{{0, 7}, {1, 6}, {0, 1}}
-	all := LambdaAll(g, pairs)
-	for i, p := range pairs {
-		if want := Lambda(g, p[0], p[1]); all[i] != want {
-			t.Fatalf("pair %v: %v vs %v", p, all[i], want)
-		}
 	}
 }
 
@@ -155,9 +144,9 @@ func TestMaxFlowMinCutProperty(t *testing.T) {
 		if s == t2 {
 			t2 = (s + 1) % n
 		}
-		nw := NewNetwork(g)
-		flow := nw.MaxFlow(s, t2)
-		cutVal, cutEdges := nw.MinCut(s, t2)
+		nw := newNetwork(g)
+		flow := nw.maxFlow(s, t2)
+		cutVal, cutEdges := nw.minCut(s, t2)
 		if math.Abs(flow-cutVal) > 1e-9 {
 			return false
 		}
@@ -170,7 +159,7 @@ func TestMaxFlowMinCutProperty(t *testing.T) {
 			return false
 		}
 		// Symmetry.
-		return math.Abs(nw.MaxFlow(t2, s)-flow) < 1e-9
+		return math.Abs(nw.maxFlow(t2, s)-flow) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

@@ -654,7 +654,7 @@ func ApproxOptWithCertificate(g *graph.Graph, d *demand.Demand, opt *Options) (*
 		return nil, err
 	}
 	// The trivial distance bound can be stronger on light instances.
-	if alt := ShortestPathLowerBound(g, d); alt > lower {
+	if alt := shortestPathLowerBound(g, d); alt > lower {
 		lower = alt
 	}
 	if lower > upper { // numerically impossible interval: clamp
@@ -663,11 +663,11 @@ func ApproxOptWithCertificate(g *graph.Graph, d *demand.Demand, opt *Options) (*
 	return &CertifiedOpt{Routing: routing, Upper: upper, Lower: lower}, nil
 }
 
-// ShortestPathLowerBound returns the universal congestion lower bound
+// shortestPathLowerBound returns the universal congestion lower bound
 // Σ_p d(p)·hopdist(p) / Σ_e cap(e): every routing must place at least
 // d(p)·dist(p) units of load, spread over the total capacity (cf. the
 // bounded-congestion Lemma 5.16).
-func ShortestPathLowerBound(g *graph.Graph, d *demand.Demand) float64 {
+func shortestPathLowerBound(g *graph.Graph, d *demand.Demand) float64 {
 	totalCap := g.TotalCapacity()
 	if totalCap == 0 {
 		return 0

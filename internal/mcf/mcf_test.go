@@ -295,14 +295,14 @@ func TestShortestPathLowerBound(t *testing.T) {
 	g := gen.Ring(6) // 6 unit edges
 	d := demand.SinglePair(0, 3, 1)
 	// dist(0,3)=3, total cap 6 => bound 0.5.
-	if lb := ShortestPathLowerBound(g, d); math.Abs(lb-0.5) > 1e-12 {
+	if lb := shortestPathLowerBound(g, d); math.Abs(lb-0.5) > 1e-12 {
 		t.Fatalf("lb=%v, want 0.5", lb)
 	}
 	opt, err := OptimalCongestionExactCtx(context.Background(), g, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lb := ShortestPathLowerBound(g, d); lb > opt+1e-9 {
+	if lb := shortestPathLowerBound(g, d); lb > opt+1e-9 {
 		t.Fatalf("lower bound %v exceeds OPT %v", lb, opt)
 	}
 }

@@ -57,9 +57,6 @@ func NewHopConstrained(g *graph.Graph, budget int) (*HopConstrained, error) {
 // Graph implements Router.
 func (r *HopConstrained) Graph() *graph.Graph { return r.g }
 
-// Budget returns the hop budget h.
-func (r *HopConstrained) Budget() int { return r.budget }
-
 // intermediates returns the feasible intermediate vertices for (u,v).
 func (r *HopConstrained) intermediates(u, v int) ([]int, error) {
 	u, v, _ = normalizePair(u, v)
@@ -105,9 +102,9 @@ func (r *HopConstrained) bfsPath(src, dst int) (graph.Path, error) {
 	return graph.Path{Src: src, Dst: dst, EdgeIDs: ids}, nil
 }
 
-// ViaIntermediate routes u -> w -> v along hop-shortest paths, simplified.
+// viaIntermediate routes u -> w -> v along hop-shortest paths, simplified.
 // The deterministic variant (used by Distribution) follows BFS parent trees.
-func (r *HopConstrained) ViaIntermediate(u, v, w int) (graph.Path, error) {
+func (r *HopConstrained) viaIntermediate(u, v, w int) (graph.Path, error) {
 	first, err := r.bfsPath(u, w)
 	if err != nil {
 		return graph.Path{}, err
@@ -201,7 +198,7 @@ func (r *HopConstrained) Distribution(u, v int) ([]flow.WeightedPath, error) {
 	var out []flow.WeightedPath
 	wgt := 1.0 / float64(len(ws))
 	for _, w := range ws {
-		p, err := r.ViaIntermediate(u, v, w)
+		p, err := r.viaIntermediate(u, v, w)
 		if err != nil {
 			return nil, err
 		}

@@ -28,7 +28,7 @@ const (
 
 // Mesh is dimension-ordered routing on a rows x cols grid as produced by
 // gen.Grid (vertex (r, c) has index r*cols + c), or on the torus produced by
-// gen.Torus when built with NewMeshTorus. It provides the classical
+// gen.Torus when built with newMeshTorus. It provides the classical
 // interconnect baselines for the grid experiments: XY (deterministic),
 // O1TURN (two paths), ROMM (randomized minimal).
 type Mesh struct {
@@ -43,9 +43,9 @@ func NewMesh(g *graph.Graph, rows, cols int, mode MeshMode) (*Mesh, error) {
 	return newMesh(g, rows, cols, mode, false)
 }
 
-// NewMeshTorus is NewMesh for the rows x cols torus: dimension-ordered
+// newMeshTorus is NewMesh for the rows x cols torus: dimension-ordered
 // movement takes the shorter wrap direction in each dimension.
-func NewMeshTorus(g *graph.Graph, rows, cols int, mode MeshMode) (*Mesh, error) {
+func newMeshTorus(g *graph.Graph, rows, cols int, mode MeshMode) (*Mesh, error) {
 	return newMesh(g, rows, cols, mode, true)
 }
 

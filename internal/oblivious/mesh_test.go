@@ -116,7 +116,7 @@ func TestMeshSelfPair(t *testing.T) {
 
 func TestMeshTorusShortestWrap(t *testing.T) {
 	g := gen.Torus(5, 5)
-	m, err := NewMeshTorus(g, 5, 5, XY)
+	m, err := newMeshTorus(g, 5, 5, XY)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestMeshTorusShortestWrap(t *testing.T) {
 
 func TestMeshTorusROMMMinimal(t *testing.T) {
 	g := gen.Torus(5, 5)
-	m, err := NewMeshTorus(g, 5, 5, ROMM)
+	m, err := newMeshTorus(g, 5, 5, ROMM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestMeshTorusROMMMinimal(t *testing.T) {
 
 func TestMeshTorusRejectsGrid(t *testing.T) {
 	g := gen.Grid(4, 4)
-	if _, err := NewMeshTorus(g, 4, 4, XY); err == nil {
+	if _, err := newMeshTorus(g, 4, 4, XY); err == nil {
 		t.Fatal("grid lacks wrap edges; torus router should reject it")
 	}
 }

@@ -212,8 +212,8 @@ func TestRaeckeBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NumTrees() != 6 {
-		t.Fatalf("trees=%d", r.NumTrees())
+	if r.numTrees() != 6 {
+		t.Fatalf("trees=%d", r.numTrees())
 	}
 	checkRouterBasics(t, r, [][2]int{{0, 15}, {2, 13}, {4, 11}}, rng)
 }

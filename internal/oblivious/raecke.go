@@ -139,8 +139,8 @@ func NewRaecke(g *graph.Graph, opt *RaeckeOptions, rng *rand.Rand) (*Raecke, err
 // Graph implements Router.
 func (r *Raecke) Graph() *graph.Graph { return r.g }
 
-// NumTrees returns the mixture size.
-func (r *Raecke) NumTrees() int { return len(r.trees) }
+// numTrees returns the mixture size.
+func (r *Raecke) numTrees() int { return len(r.trees) }
 
 // Sample implements Router: route through a tree drawn from the mixture.
 func (r *Raecke) Sample(u, v int, rng *rand.Rand) (graph.Path, error) {

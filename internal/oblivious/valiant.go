@@ -74,9 +74,9 @@ func (r *Valiant) bitFix(u, v int) graph.Path {
 	return p
 }
 
-// ViaIntermediate returns the Valiant path through intermediate w,
+// viaIntermediate returns the Valiant path through intermediate w,
 // simplified to a simple path.
-func (r *Valiant) ViaIntermediate(u, v, w int) (graph.Path, error) {
+func (r *Valiant) viaIntermediate(u, v, w int) (graph.Path, error) {
 	first := r.bitFix(u, w)
 	second := r.bitFix(w, v)
 	joined, err := graph.Concat(first, second)
@@ -89,7 +89,7 @@ func (r *Valiant) ViaIntermediate(u, v, w int) (graph.Path, error) {
 // Sample implements Router: a uniformly random intermediate.
 func (r *Valiant) Sample(u, v int, rng *rand.Rand) (graph.Path, error) {
 	w := rng.IntN(1 << r.dim)
-	return r.ViaIntermediate(u, v, w)
+	return r.viaIntermediate(u, v, w)
 }
 
 // Distribution implements Router. The support is the full set of n
@@ -100,7 +100,7 @@ func (r *Valiant) Distribution(u, v int) ([]flow.WeightedPath, error) {
 	var out []flow.WeightedPath
 	w := 1.0 / float64(n)
 	for mid := 0; mid < n; mid++ {
-		p, err := r.ViaIntermediate(u, v, mid)
+		p, err := r.viaIntermediate(u, v, mid)
 		if err != nil {
 			return nil, err
 		}

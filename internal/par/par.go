@@ -14,11 +14,11 @@ import (
 // goroutines and returns when all calls complete. fn must be safe to call
 // concurrently for distinct indices; writes should go to per-index slots.
 func ForEach(n int, fn func(i int)) {
-	ForEachWorkers(n, runtime.GOMAXPROCS(0), fn)
+	forEachWorkers(n, runtime.GOMAXPROCS(0), fn)
 }
 
-// ForEachWorkers is ForEach with an explicit worker count.
-func ForEachWorkers(n, workers int, fn func(i int)) {
+// forEachWorkers is ForEach with an explicit worker count.
+func forEachWorkers(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
@@ -122,9 +122,9 @@ func Timed(fn func(queueWait time.Duration)) func() {
 	return func() { fn(time.Since(submitted)) }
 }
 
-// MapReduce runs mapFn over [0, n) in parallel and folds the results with
+// mapReduce runs mapFn over [0, n) in parallel and folds the results with
 // reduceFn sequentially in index order (deterministic reduction).
-func MapReduce[T any, R any](n int, mapFn func(i int) T, init R, reduceFn func(acc R, v T) R) R {
+func mapReduce[T any, R any](n int, mapFn func(i int) T, init R, reduceFn func(acc R, v T) R) R {
 	results := make([]T, n)
 	ForEach(n, func(i int) { results[i] = mapFn(i) })
 	acc := init

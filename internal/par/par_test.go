@@ -29,7 +29,7 @@ func TestForEachZeroAndNegative(t *testing.T) {
 
 func TestForEachWorkersSingle(t *testing.T) {
 	order := make([]int, 0, 5)
-	ForEachWorkers(5, 1, func(i int) { order = append(order, i) })
+	forEachWorkers(5, 1, func(i int) { order = append(order, i) })
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("single-worker execution out of order: %v", order)
@@ -39,7 +39,7 @@ func TestForEachWorkersSingle(t *testing.T) {
 
 func TestForEachWorkersMoreWorkersThanItems(t *testing.T) {
 	var count int64
-	ForEachWorkers(3, 100, func(int) { atomic.AddInt64(&count, 1) })
+	forEachWorkers(3, 100, func(int) { atomic.AddInt64(&count, 1) })
 	if count != 3 {
 		t.Fatalf("count=%d", count)
 	}
@@ -47,7 +47,7 @@ func TestForEachWorkersMoreWorkersThanItems(t *testing.T) {
 
 func TestMapReduceDeterministicOrder(t *testing.T) {
 	// Reduction must happen in index order: build a string-like sequence.
-	got := MapReduce(5, func(i int) int { return i }, []int{}, func(acc []int, v int) []int {
+	got := mapReduce(5, func(i int) int { return i }, []int{}, func(acc []int, v int) []int {
 		return append(acc, v)
 	})
 	for i, v := range got {
@@ -58,7 +58,7 @@ func TestMapReduceDeterministicOrder(t *testing.T) {
 }
 
 func TestMapReduceSum(t *testing.T) {
-	sum := MapReduce(100, func(i int) int { return i }, 0, func(a, v int) int { return a + v })
+	sum := mapReduce(100, func(i int) int { return i }, 0, func(a, v int) int { return a + v })
 	if sum != 4950 {
 		t.Fatalf("sum=%d", sum)
 	}

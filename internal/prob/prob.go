@@ -15,10 +15,10 @@ import (
 	"math/rand/v2"
 )
 
-// ChernoffUpperTail bounds P[X >= (1+delta)·mu] for a sum X of independent
+// chernoffUpperTail bounds P[X >= (1+delta)·mu] for a sum X of independent
 // (or negatively associated, Lemma B.5) 0/1 variables with mean mu:
 // exp(-mu·((1+delta)·ln(1+delta) - delta)), valid for all delta > 0.
-func ChernoffUpperTail(mu, delta float64) float64 {
+func chernoffUpperTail(mu, delta float64) float64 {
 	if mu <= 0 || delta <= 0 {
 		return 1
 	}
@@ -31,12 +31,12 @@ func ChernoffAtLeast(mu, t float64) float64 {
 	if t <= mu {
 		return 1
 	}
-	return ChernoffUpperTail(mu, t/mu-1)
+	return chernoffUpperTail(mu, t/mu-1)
 }
 
-// ChernoffLowerTail bounds P[X <= (1-delta)·mu], 0 < delta < 1 (Lemma B.6):
+// chernoffLowerTail bounds P[X <= (1-delta)·mu], 0 < delta < 1 (Lemma B.6):
 // exp(-mu·delta²/2).
-func ChernoffLowerTail(mu, delta float64) float64 {
+func chernoffLowerTail(mu, delta float64) float64 {
 	if mu <= 0 || delta <= 0 {
 		return 1
 	}
@@ -72,9 +72,9 @@ func LogBadPatternCount(m int, total, minEntry float64) (float64, error) {
 	return math.Log(k) + logC(float64(m), k) + logC(total+k, k), nil
 }
 
-// UnionBoundFailure multiplies a per-event failure bound by the (log-domain)
+// unionBoundFailure multiplies a per-event failure bound by the (log-domain)
 // event count, returning min(1, count·p) computed stably in logs.
-func UnionBoundFailure(logCount, perEvent float64) float64 {
+func unionBoundFailure(logCount, perEvent float64) float64 {
 	if perEvent <= 0 {
 		return 0
 	}
@@ -85,13 +85,13 @@ func UnionBoundFailure(logCount, perEvent float64) float64 {
 	return math.Exp(logTotal)
 }
 
-// MultinomialCovariance Monte-Carlo-estimates Cov(f, g) where f and g are
+// multinomialCovariance Monte-Carlo-estimates Cov(f, g) where f and g are
 // monotone functions of DISJOINT index subsets of multinomial indicator
 // counts: trials of `draws` samples over `cells` equally likely cells;
 // f = count in cellsF, g = count in cellsG. Negative association
 // (Lemmas B.2/B.3) predicts a nonpositive covariance; the tests verify this
 // empirically for the path-sampling variables of Section 5.3.
-func MultinomialCovariance(cells, draws, trials int, cellsF, cellsG []int, rng *rand.Rand) (float64, error) {
+func multinomialCovariance(cells, draws, trials int, cellsF, cellsG []int, rng *rand.Rand) (float64, error) {
 	if cells < 2 || draws < 1 || trials < 2 {
 		return 0, fmt.Errorf("prob: need cells>=2, draws>=1, trials>=2")
 	}
@@ -131,8 +131,8 @@ func MultinomialCovariance(cells, draws, trials int, cellsF, cellsG []int, rng *
 	return sumFG/n - (sumF/n)*(sumG/n), nil
 }
 
-// EmpiricalTail returns the fraction of samples >= t.
-func EmpiricalTail(samples []float64, t float64) float64 {
+// empiricalTail returns the fraction of samples >= t.
+func empiricalTail(samples []float64, t float64) float64 {
 	if len(samples) == 0 {
 		return 0
 	}

@@ -8,20 +8,20 @@ import (
 
 func TestChernoffUpperTailBasics(t *testing.T) {
 	// Degenerate inputs give the trivial bound.
-	if ChernoffUpperTail(0, 1) != 1 || ChernoffUpperTail(5, 0) != 1 {
+	if chernoffUpperTail(0, 1) != 1 || chernoffUpperTail(5, 0) != 1 {
 		t.Fatal("degenerate inputs should give 1")
 	}
 	// Monotone: larger delta, smaller bound.
-	if ChernoffUpperTail(10, 1) <= ChernoffUpperTail(10, 2) {
+	if chernoffUpperTail(10, 1) <= chernoffUpperTail(10, 2) {
 		t.Fatal("bound should decrease in delta")
 	}
 	// Larger mean, smaller bound at fixed delta.
-	if ChernoffUpperTail(5, 1) <= ChernoffUpperTail(50, 1) {
+	if chernoffUpperTail(5, 1) <= chernoffUpperTail(50, 1) {
 		t.Fatal("bound should decrease in mu")
 	}
 	// Known value: mu=10, delta=1 -> exp(-10(2ln2 - 1)) ~ exp(-3.863).
 	want := math.Exp(-10 * (2*math.Ln2 - 1))
-	if got := ChernoffUpperTail(10, 1); math.Abs(got-want) > 1e-12 {
+	if got := chernoffUpperTail(10, 1); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("got %v, want %v", got, want)
 	}
 }
@@ -30,20 +30,20 @@ func TestChernoffAtLeast(t *testing.T) {
 	if ChernoffAtLeast(10, 5) != 1 {
 		t.Fatal("threshold below mean should give trivial bound")
 	}
-	if b := ChernoffAtLeast(10, 20); b != ChernoffUpperTail(10, 1) {
+	if b := ChernoffAtLeast(10, 20); b != chernoffUpperTail(10, 1) {
 		t.Fatalf("AtLeast inconsistent with UpperTail: %v", b)
 	}
 }
 
 func TestChernoffLowerTail(t *testing.T) {
-	if ChernoffLowerTail(10, 0) != 1 {
+	if chernoffLowerTail(10, 0) != 1 {
 		t.Fatal("delta=0 should give 1")
 	}
-	if b := ChernoffLowerTail(10, 0.5); math.Abs(b-math.Exp(-10*0.25/2)) > 1e-12 {
+	if b := chernoffLowerTail(10, 0.5); math.Abs(b-math.Exp(-10*0.25/2)) > 1e-12 {
 		t.Fatalf("got %v", b)
 	}
 	// Clamped at delta=1.
-	if ChernoffLowerTail(10, 2) != ChernoffLowerTail(10, 1) {
+	if chernoffLowerTail(10, 2) != chernoffLowerTail(10, 1) {
 		t.Fatal("delta should clamp at 1")
 	}
 }
@@ -63,7 +63,7 @@ func TestChernoffValidAgainstSimulation(t *testing.T) {
 		samples[i] = float64(c)
 	}
 	for _, thresh := range []float64{20, 25, 30} {
-		emp := EmpiricalTail(samples, thresh)
+		emp := empiricalTail(samples, thresh)
 		bound := ChernoffAtLeast(15, thresh)
 		if emp > bound+0.02 {
 			t.Fatalf("empirical tail %v at %v exceeds Chernoff bound %v", emp, thresh, bound)
@@ -94,13 +94,13 @@ func TestLogBadPatternCount(t *testing.T) {
 }
 
 func TestUnionBoundFailure(t *testing.T) {
-	if UnionBoundFailure(10, 0) != 0 {
+	if unionBoundFailure(10, 0) != 0 {
 		t.Fatal("zero per-event probability should give 0")
 	}
-	if UnionBoundFailure(100, 0.5) != 1 {
+	if unionBoundFailure(100, 0.5) != 1 {
 		t.Fatal("overwhelming count should clamp at 1")
 	}
-	got := UnionBoundFailure(math.Log(10), 1e-6)
+	got := unionBoundFailure(math.Log(10), 1e-6)
 	if math.Abs(got-1e-5) > 1e-12 {
 		t.Fatalf("got %v, want 1e-5", got)
 	}
@@ -111,7 +111,7 @@ func TestMultinomialCovarianceNonpositive(t *testing.T) {
 	// sets are negatively correlated. With enough trials the estimate must
 	// be <= small positive noise.
 	rng := rand.New(rand.NewPCG(2, 2))
-	cov, err := MultinomialCovariance(8, 16, 20000, []int{0, 1}, []int{2, 3}, rng)
+	cov, err := multinomialCovariance(8, 16, 20000, []int{0, 1}, []int{2, 3}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,23 +125,23 @@ func TestMultinomialCovarianceNonpositive(t *testing.T) {
 
 func TestMultinomialCovarianceValidation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 3))
-	if _, err := MultinomialCovariance(1, 4, 10, nil, nil, rng); err == nil {
+	if _, err := multinomialCovariance(1, 4, 10, nil, nil, rng); err == nil {
 		t.Fatal("cells<2 should error")
 	}
-	if _, err := MultinomialCovariance(4, 4, 10, []int{0}, []int{0}, rng); err == nil {
+	if _, err := multinomialCovariance(4, 4, 10, []int{0}, []int{0}, rng); err == nil {
 		t.Fatal("overlapping subsets should error")
 	}
-	if _, err := MultinomialCovariance(4, 4, 10, []int{9}, nil, rng); err == nil {
+	if _, err := multinomialCovariance(4, 4, 10, []int{9}, nil, rng); err == nil {
 		t.Fatal("out-of-range cell should error")
 	}
 }
 
 func TestEmpiricalTail(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
-	if EmpiricalTail(xs, 3) != 0.5 {
-		t.Fatalf("tail=%v", EmpiricalTail(xs, 3))
+	if empiricalTail(xs, 3) != 0.5 {
+		t.Fatalf("tail=%v", empiricalTail(xs, 3))
 	}
-	if EmpiricalTail(nil, 1) != 0 {
+	if empiricalTail(nil, 1) != 0 {
 		t.Fatal("empty tail should be 0")
 	}
 }

@@ -17,10 +17,10 @@ import (
 	"sparseroute/internal/graph"
 )
 
-// Round randomly rounds the fractional routing r of the integral demand d:
+// round randomly rounds the fractional routing r of the integral demand d:
 // each of the d(u,v) unit packets independently picks one of the pair's
 // paths with probability proportional to its fractional weight (Lemma 6.3).
-func Round(g *graph.Graph, r flow.Routing, d *demand.Demand, rng *rand.Rand) (flow.Routing, error) {
+func round(g *graph.Graph, r flow.Routing, d *demand.Demand, rng *rand.Rand) (flow.Routing, error) {
 	if !d.IsIntegral() {
 		return nil, fmt.Errorf("rounding: demand is not integral")
 	}
@@ -70,7 +70,7 @@ func RoundBest(g *graph.Graph, r flow.Routing, d *demand.Demand, trials int, rng
 	var best flow.Routing
 	bestCong := 0.0
 	for i := 0; i < trials; i++ {
-		cand, err := Round(g, r, d, rng)
+		cand, err := round(g, r, d, rng)
 		if err != nil {
 			return nil, err
 		}

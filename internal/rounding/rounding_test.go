@@ -31,7 +31,7 @@ func TestRoundProducesIntegralRouting(t *testing.T) {
 		frac.AddFlow(p, 2)
 	}
 	rng := rand.New(rand.NewPCG(1, 1))
-	r, err := Round(g, frac, d, rng)
+	r, err := round(g, frac, d, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestRoundRejectsFractionalDemand(t *testing.T) {
 	frac := flow.New()
 	frac.AddFlow(paths[0], 0.5)
 	d := demand.SinglePair(0, 1, 0.5)
-	if _, err := Round(g, frac, d, rand.New(rand.NewPCG(2, 2))); err == nil {
+	if _, err := round(g, frac, d, rand.New(rand.NewPCG(2, 2))); err == nil {
 		t.Fatal("fractional demand should be rejected")
 	}
 }
@@ -56,7 +56,7 @@ func TestRoundRejectsFractionalDemand(t *testing.T) {
 func TestRoundRejectsMissingFlow(t *testing.T) {
 	g, _ := parallelPaths(2)
 	d := demand.SinglePair(0, 1, 1)
-	if _, err := Round(g, flow.New(), d, rand.New(rand.NewPCG(3, 3))); err == nil {
+	if _, err := round(g, flow.New(), d, rand.New(rand.NewPCG(3, 3))); err == nil {
 		t.Fatal("missing fractional flow should be rejected")
 	}
 }
@@ -69,7 +69,7 @@ func TestRoundBestNotWorseOnAverage(t *testing.T) {
 		frac.AddFlow(p, 2)
 	}
 	rng := rand.New(rand.NewPCG(4, 4))
-	single, err := Round(g, frac, d, rng)
+	single, err := round(g, frac, d, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

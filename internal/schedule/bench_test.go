@@ -30,7 +30,7 @@ func BenchmarkSimulateHypercube(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(g, routing, 3, rng); err != nil {
+		if _, err := simulate(g, routing, 3, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

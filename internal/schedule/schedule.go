@@ -6,7 +6,7 @@
 // length O(C + D) where C is the maximum edge congestion and D the maximum
 // path length; the simulator here implements the standard practical variant:
 // every packet starts after a random initial delay and then moves greedily,
-// with each edge transmitting up to its capacity per time step (FIFO, ties
+// with each edge transmitting up to its capacity per time step (fifo, ties
 // by packet ID). The measured makespan is reported next to the C + D bound.
 package schedule
 
@@ -20,19 +20,19 @@ import (
 	"sparseroute/internal/graph"
 )
 
-// Policy selects which waiting packet an edge serves first when contended.
-type Policy int
+// policy selects which waiting packet an edge serves first when contended.
+type policy int
 
 const (
-	// FarthestFirst serves the packet furthest along its path (default):
+	// farthestFirst serves the packet furthest along its path (default):
 	// it empties the network fastest in practice.
-	FarthestFirst Policy = iota
-	// LongestRemaining serves the packet with the most hops still to go —
+	farthestFirst policy = iota
+	// longestRemaining serves the packet with the most hops still to go —
 	// the priority rule behind O(C+D) schedule constructions (long jobs
 	// first).
-	LongestRemaining
-	// FIFO serves packets in packet-ID order (arrival order proxy).
-	FIFO
+	longestRemaining
+	// fifo serves packets in packet-ID order (arrival order proxy).
+	fifo
 )
 
 // Result reports one simulation.
@@ -66,17 +66,17 @@ type packet struct {
 	done  bool
 }
 
-// Simulate runs the store-and-forward schedule for an integral routing with
-// the default FarthestFirst policy. maxDelay is the bound on random initial
+// simulate runs the store-and-forward schedule for an integral routing with
+// the default farthestFirst policy. maxDelay is the bound on random initial
 // delays (0 disables them; a value around C/2 is the classical choice). The
 // step limit guards against bugs; it errors if packets remain after
 // 10·(C+D+maxDelay)+100 steps.
-func Simulate(g *graph.Graph, r flow.Routing, maxDelay int, rng *rand.Rand) (*Result, error) {
-	return SimulateWithPolicy(g, r, maxDelay, FarthestFirst, rng)
+func simulate(g *graph.Graph, r flow.Routing, maxDelay int, rng *rand.Rand) (*Result, error) {
+	return simulateWithPolicy(g, r, maxDelay, farthestFirst, rng)
 }
 
-// SimulateWithPolicy is Simulate with an explicit contention policy.
-func SimulateWithPolicy(g *graph.Graph, r flow.Routing, maxDelay int, policy Policy, rng *rand.Rand) (*Result, error) {
+// simulateWithPolicy is simulate with an explicit contention policy.
+func simulateWithPolicy(g *graph.Graph, r flow.Routing, maxDelay int, policy policy, rng *rand.Rand) (*Result, error) {
 	if !r.IsIntegral(1e-9) {
 		return nil, fmt.Errorf("schedule: routing must be integral")
 	}
@@ -146,15 +146,15 @@ func SimulateWithPolicy(g *graph.Graph, r flow.Routing, maxDelay int, policy Pol
 			// determinism.
 			sort.Slice(ps, func(i, j int) bool {
 				switch policy {
-				case LongestRemaining:
+				case longestRemaining:
 					ri := ps[i].path.Hops() - ps[i].pos
 					rj := ps[j].path.Hops() - ps[j].pos
 					if ri != rj {
 						return ri > rj
 					}
-				case FIFO:
+				case fifo:
 					// fall through to the ID tie-break
-				default: // FarthestFirst
+				default: // farthestFirst
 					if ps[i].pos != ps[j].pos {
 						return ps[i].pos > ps[j].pos
 					}
@@ -186,7 +186,7 @@ func SimulateBest(g *graph.Graph, r flow.Routing, maxDelay, trials int, rng *ran
 	}
 	var best *Result
 	for i := 0; i < trials; i++ {
-		res, err := Simulate(g, r, maxDelay, rng)
+		res, err := simulate(g, r, maxDelay, rng)
 		if err != nil {
 			return nil, err
 		}

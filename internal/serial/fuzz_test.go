@@ -64,7 +64,7 @@ func FuzzDecodeGraph(f *testing.F) {
 		// Bound the allocation a hostile vertex count would force: the
 		// decoder is fed operator-owned files in production, not network
 		// input, so the fuzz interest is parser robustness, not OOM.
-		var probe GraphJSON
+		var probe graphJSON
 		if json.Unmarshal(data, &probe) == nil && probe.Vertices > 1<<16 {
 			t.Skip("vertex count past the fuzz allocation bound")
 		}

@@ -21,31 +21,31 @@ import (
 	"sparseroute/internal/graph"
 )
 
-// GraphJSON is the graph wire format.
-type GraphJSON struct {
+// graphJSON is the graph wire format.
+type graphJSON struct {
 	Vertices int        `json:"vertices"`
-	Edges    []EdgeJSON `json:"edges"`
+	Edges    []edgeJSON `json:"edges"`
 }
 
-// EdgeJSON is one edge. Edge IDs are implicit: the i-th entry has ID i.
-type EdgeJSON struct {
+// edgeJSON is one edge. Edge IDs are implicit: the i-th entry has ID i.
+type edgeJSON struct {
 	U        int     `json:"u"`
 	V        int     `json:"v"`
 	Capacity float64 `json:"capacity"`
 }
 
-// GraphToJSON converts g to its wire form.
-func GraphToJSON(g *graph.Graph) GraphJSON {
-	out := GraphJSON{Vertices: g.NumVertices()}
+// graphToJSON converts g to its wire form.
+func graphToJSON(g *graph.Graph) graphJSON {
+	out := graphJSON{Vertices: g.NumVertices()}
 	for _, e := range g.Edges() {
-		out.Edges = append(out.Edges, EdgeJSON{U: e.U, V: e.V, Capacity: e.Capacity})
+		out.Edges = append(out.Edges, edgeJSON{U: e.U, V: e.V, Capacity: e.Capacity})
 	}
 	return out
 }
 
-// GraphFromJSON validates the wire form and rebuilds the graph. Edge IDs are
+// graphFromJSON validates the wire form and rebuilds the graph. Edge IDs are
 // assigned in wire order, so paths serialized against this graph stay valid.
-func GraphFromJSON(in GraphJSON) (*graph.Graph, error) {
+func graphFromJSON(in graphJSON) (*graph.Graph, error) {
 	if in.Vertices < 0 {
 		return nil, fmt.Errorf("serial: negative vertex count")
 	}
@@ -63,25 +63,25 @@ func GraphFromJSON(in GraphJSON) (*graph.Graph, error) {
 func EncodeGraph(w io.Writer, g *graph.Graph) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(GraphToJSON(g))
+	return enc.Encode(graphToJSON(g))
 }
 
 // DecodeGraph reads a graph from JSON.
 func DecodeGraph(r io.Reader) (*graph.Graph, error) {
-	var in GraphJSON
+	var in graphJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("serial: decoding graph: %w", err)
 	}
-	return GraphFromJSON(in)
+	return graphFromJSON(in)
 }
 
-// DemandJSON is the demand wire format.
-type DemandJSON struct {
-	Entries []DemandEntryJSON `json:"entries"`
+// demandJSON is the demand wire format.
+type demandJSON struct {
+	Entries []demandEntryJSON `json:"entries"`
 }
 
-// DemandEntryJSON is one demand pair.
-type DemandEntryJSON struct {
+// demandEntryJSON is one demand pair.
+type demandEntryJSON struct {
 	U      int     `json:"u"`
 	V      int     `json:"v"`
 	Amount float64 `json:"amount"`
@@ -89,9 +89,9 @@ type DemandEntryJSON struct {
 
 // EncodeDemand writes d as JSON (sorted pairs, deterministic output).
 func EncodeDemand(w io.Writer, d *demand.Demand) error {
-	var out DemandJSON
+	var out demandJSON
 	for _, p := range d.Support() {
-		out.Entries = append(out.Entries, DemandEntryJSON{U: p.U, V: p.V, Amount: d.Get(p.U, p.V)})
+		out.Entries = append(out.Entries, demandEntryJSON{U: p.U, V: p.V, Amount: d.Get(p.U, p.V)})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
@@ -100,7 +100,7 @@ func EncodeDemand(w io.Writer, d *demand.Demand) error {
 
 // DecodeDemand reads a demand from JSON.
 func DecodeDemand(r io.Reader) (*demand.Demand, error) {
-	var in DemandJSON
+	var in demandJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("serial: decoding demand: %w", err)
 	}
@@ -114,25 +114,25 @@ func DecodeDemand(r io.Reader) (*demand.Demand, error) {
 	return d, nil
 }
 
-// PathSystemJSON is the path-system wire format. Paths reference edge IDs of
+// pathSystemJSON is the path-system wire format. Paths reference edge IDs of
 // the accompanying graph file.
-type PathSystemJSON struct {
-	Pairs []PairPathsJSON `json:"pairs"`
+type pathSystemJSON struct {
+	Pairs []pairPathsJSON `json:"pairs"`
 }
 
-// PairPathsJSON holds the candidate paths of one pair.
-type PairPathsJSON struct {
+// pairPathsJSON holds the candidate paths of one pair.
+type pairPathsJSON struct {
 	U     int     `json:"u"`
 	V     int     `json:"v"`
 	Paths [][]int `json:"paths"`
 }
 
-// PathSystemToJSON converts ps to its wire form, each path oriented from the
+// pathSystemToJSON converts ps to its wire form, each path oriented from the
 // pair's smaller endpoint for a canonical encoding.
-func PathSystemToJSON(ps *core.PathSystem) PathSystemJSON {
-	var out PathSystemJSON
+func pathSystemToJSON(ps *core.PathSystem) pathSystemJSON {
+	var out pathSystemJSON
 	for _, pr := range ps.Pairs() {
-		pp := PairPathsJSON{U: pr.U, V: pr.V}
+		pp := pairPathsJSON{U: pr.U, V: pr.V}
 		for _, p := range ps.Paths(pr.U, pr.V) {
 			ids := p.EdgeIDs
 			if ids == nil {
@@ -149,9 +149,9 @@ func PathSystemToJSON(ps *core.PathSystem) PathSystemJSON {
 	return out
 }
 
-// PathSystemFromJSON validates the wire form against g and rebuilds the
+// pathSystemFromJSON validates the wire form against g and rebuilds the
 // system.
-func PathSystemFromJSON(in PathSystemJSON, g *graph.Graph) (*core.PathSystem, error) {
+func pathSystemFromJSON(in pathSystemJSON, g *graph.Graph) (*core.PathSystem, error) {
 	ps := core.NewPathSystem(g)
 	for _, pp := range in.Pairs {
 		for i, ids := range pp.Paths {
@@ -168,40 +168,40 @@ func PathSystemFromJSON(in PathSystemJSON, g *graph.Graph) (*core.PathSystem, er
 func EncodePathSystem(w io.Writer, ps *core.PathSystem) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(PathSystemToJSON(ps))
+	return enc.Encode(pathSystemToJSON(ps))
 }
 
 // DecodePathSystem reads a path system over g from JSON. Every path is
 // validated against g.
 func DecodePathSystem(r io.Reader, g *graph.Graph) (*core.PathSystem, error) {
-	var in PathSystemJSON
+	var in pathSystemJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("serial: decoding path system: %w", err)
 	}
-	return PathSystemFromJSON(in, g)
+	return pathSystemFromJSON(in, g)
 }
 
-// RoutingJSON is the routing wire format.
-type RoutingJSON struct {
-	Pairs []PairFlowsJSON `json:"pairs"`
+// routingJSON is the routing wire format.
+type routingJSON struct {
+	Pairs []pairFlowsJSON `json:"pairs"`
 }
 
-// PairFlowsJSON holds the weighted paths of one pair.
-type PairFlowsJSON struct {
+// pairFlowsJSON holds the weighted paths of one pair.
+type pairFlowsJSON struct {
 	U     int                `json:"u"`
 	V     int                `json:"v"`
-	Paths []WeightedPathJSON `json:"paths"`
+	Paths []weightedPathJSON `json:"paths"`
 }
 
-// WeightedPathJSON is one weighted path.
-type WeightedPathJSON struct {
+// weightedPathJSON is one weighted path.
+type weightedPathJSON struct {
 	Edges  []int   `json:"edges"`
 	Weight float64 `json:"weight"`
 }
 
-// AppendRouting appends r in its compact wire form (RoutingJSON) to b: pairs
+// AppendRouting appends r in its compact wire form (routingJSON) to b: pairs
 // in (U, V) order, each path's edge IDs oriented from its pair's U. The
-// bytes are exactly what encoding/json writes for the same RoutingJSON,
+// bytes are exactly what encoding/json writes for the same routingJSON,
 // built without reflection or an intermediate value. A NaN or infinite
 // weight is an error, as it is for json.Marshal.
 func AppendRouting(b []byte, r flow.Routing) ([]byte, error) {
@@ -299,7 +299,7 @@ func EncodeRouting(w io.Writer, _ *graph.Graph, r flow.Routing) error {
 
 // DecodeRouting reads a routing over g from JSON, validating every path.
 func DecodeRouting(r io.Reader, g *graph.Graph) (flow.Routing, error) {
-	var in RoutingJSON
+	var in routingJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("serial: decoding routing: %w", err)
 	}

@@ -152,14 +152,14 @@ func TestRoutingRoundTrip(t *testing.T) {
 // referenceRoutingJSON is the struct-plus-encoding/json path AppendRouting
 // replaced, kept as its reference: pair order from a throwaway demand, and a
 // Reverse copy for every path stored from the pair's V.
-func referenceRoutingJSON(r flow.Routing) RoutingJSON {
-	var out RoutingJSON
+func referenceRoutingJSON(r flow.Routing) routingJSON {
+	var out routingJSON
 	d := demand.New()
 	for pr := range r {
 		d.Set(pr.U, pr.V, 1)
 	}
 	for _, pr := range d.Support() {
-		pf := PairFlowsJSON{U: pr.U, V: pr.V}
+		pf := pairFlowsJSON{U: pr.U, V: pr.V}
 		for _, wp := range r[pr] {
 			ids := wp.Path.EdgeIDs
 			if wp.Path.Src != pr.U {
@@ -168,7 +168,7 @@ func referenceRoutingJSON(r flow.Routing) RoutingJSON {
 			if ids == nil {
 				ids = []int{}
 			}
-			pf.Paths = append(pf.Paths, WeightedPathJSON{Edges: ids, Weight: wp.Weight})
+			pf.Paths = append(pf.Paths, weightedPathJSON{Edges: ids, Weight: wp.Weight})
 		}
 		out.Pairs = append(out.Pairs, pf)
 	}

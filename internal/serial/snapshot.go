@@ -11,7 +11,7 @@ import (
 	"sparseroute/internal/graph"
 )
 
-// SnapshotVersion is the current snapshot wire-format version. Decoders
+// snapshotVersion is the current snapshot wire-format version. Decoders
 // reject snapshots written by a newer format. Version 2 added the
 // failed-edge set; version 3 added the partial-capacity overrides of the
 // degraded-but-alive edges; version 4 added the write-ahead-log watermark
@@ -22,7 +22,7 @@ import (
 // system is derived from the two on restore. A v1–v4 snapshot taken degraded
 // stored the installed system; DecodeSnapshot cuts it back to the startup
 // sample (see DecodeSnapshot).
-const SnapshotVersion = 5
+const snapshotVersion = 5
 
 // Snapshot bundles everything the online routing service needs to restart
 // without redoing the offline phase: the topology, the startup path system,
@@ -63,22 +63,22 @@ type Snapshot struct {
 	LinkVersion uint64
 }
 
-// EdgeCapacityJSON is one degraded edge on the wire.
-type EdgeCapacityJSON struct {
+// edgeCapacityJSON is one degraded edge on the wire.
+type edgeCapacityJSON struct {
 	Edge     int     `json:"edge"`
 	Capacity float64 `json:"capacity"`
 }
 
-// SnapshotJSON is the snapshot wire format.
-type SnapshotJSON struct {
+// snapshotJSON is the snapshot wire format.
+type snapshotJSON struct {
 	Version  int                `json:"version"`
 	Router   string             `json:"router"`
 	R        int                `json:"r"`
 	Seed     uint64             `json:"seed"`
-	Graph    GraphJSON          `json:"graph"`
-	System   PathSystemJSON     `json:"system"`
+	Graph    graphJSON          `json:"graph"`
+	System   pathSystemJSON     `json:"system"`
 	Failed   []int              `json:"failed_edges,omitempty"`
-	Degraded []EdgeCapacityJSON `json:"degraded_edges,omitempty"`
+	Degraded []edgeCapacityJSON `json:"degraded_edges,omitempty"`
 	WALSeq   uint64             `json:"wal_seq,omitempty"`
 	LinkVer  uint64             `json:"link_version,omitempty"`
 }
@@ -100,7 +100,7 @@ func EncodeSnapshot(w io.Writer, s *Snapshot) error {
 		}
 		failedSet[id] = true
 	}
-	degraded := make([]EdgeCapacityJSON, 0, len(s.Capacities))
+	degraded := make([]edgeCapacityJSON, 0, len(s.Capacities))
 	for id, c := range s.Capacities {
 		if id < 0 || id >= s.Graph.NumEdges() {
 			return fmt.Errorf("serial: snapshot degraded edge %d outside graph with %d edges", id, s.Graph.NumEdges())
@@ -111,16 +111,16 @@ func EncodeSnapshot(w io.Writer, s *Snapshot) error {
 		if c <= 0 || c >= 1 {
 			return fmt.Errorf("serial: snapshot degraded edge %d has capacity multiplier %v outside (0,1)", id, c)
 		}
-		degraded = append(degraded, EdgeCapacityJSON{Edge: id, Capacity: c})
+		degraded = append(degraded, edgeCapacityJSON{Edge: id, Capacity: c})
 	}
 	sort.Slice(degraded, func(i, j int) bool { return degraded[i].Edge < degraded[j].Edge })
-	out := SnapshotJSON{
-		Version:  SnapshotVersion,
+	out := snapshotJSON{
+		Version:  snapshotVersion,
 		Router:   s.Router,
 		R:        s.R,
 		Seed:     s.Seed,
-		Graph:    GraphToJSON(s.Graph),
-		System:   PathSystemToJSON(s.System),
+		Graph:    graphToJSON(s.Graph),
+		System:   pathSystemToJSON(s.System),
 		Failed:   failed,
 		Degraded: degraded,
 		WALSeq:   s.WALSeq,
@@ -138,12 +138,12 @@ func EncodeSnapshot(w io.Writer, s *Snapshot) error {
 // exactly: core.RSample draws R paths per pair, and every later pass appends
 // after them.
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
-	var in SnapshotJSON
+	var in snapshotJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("serial: decoding snapshot: %w", err)
 	}
-	if in.Version <= 0 || in.Version > SnapshotVersion {
-		return nil, fmt.Errorf("serial: unsupported snapshot version %d (have %d)", in.Version, SnapshotVersion)
+	if in.Version <= 0 || in.Version > snapshotVersion {
+		return nil, fmt.Errorf("serial: unsupported snapshot version %d (have %d)", in.Version, snapshotVersion)
 	}
 	if in.Version < 5 && in.R > 0 && len(in.Failed)+len(in.Degraded) > 0 {
 		for i := range in.System.Pairs {
@@ -151,11 +151,11 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 			pp.Paths = pp.Paths[:min(len(pp.Paths), in.R)]
 		}
 	}
-	g, err := GraphFromJSON(in.Graph)
+	g, err := graphFromJSON(in.Graph)
 	if err != nil {
 		return nil, fmt.Errorf("serial: snapshot graph: %w", err)
 	}
-	ps, err := PathSystemFromJSON(in.System, g)
+	ps, err := pathSystemFromJSON(in.System, g)
 	if err != nil {
 		return nil, fmt.Errorf("serial: snapshot system: %w", err)
 	}

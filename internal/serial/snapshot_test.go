@@ -160,7 +160,7 @@ func TestSnapshotFailedEdgesRoundTrip(t *testing.T) {
 	}
 
 	// A v1 document (version field 1, no failed_edges) still decodes.
-	v1 := strings.Replace(clean.String(), fmt.Sprintf(`"version": %d`, SnapshotVersion), `"version": 1`, 1)
+	v1 := strings.Replace(clean.String(), fmt.Sprintf(`"version": %d`, snapshotVersion), `"version": 1`, 1)
 	if v1 == clean.String() {
 		t.Fatal("version field not found for v1 rewrite")
 	}
@@ -319,13 +319,13 @@ func TestSnapshotCrossVersionDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, wantInstalled := PathSystemHash(ps), PathSystemHash(installed)
-	degraded := []EdgeCapacityJSON{{Edge: 7, Capacity: 0.5}}
+	degraded := []edgeCapacityJSON{{Edge: 7, Capacity: 0.5}}
 	for _, tc := range []struct {
 		name     string
 		version  int
 		system   *core.PathSystem
 		failed   []int
-		degraded []EdgeCapacityJSON
+		degraded []edgeCapacityJSON
 		wantHash uint64
 	}{
 		{"v1", 1, ps, nil, nil, want},
@@ -334,8 +334,8 @@ func TestSnapshotCrossVersionDecode(t *testing.T) {
 		{"v4-healthy", 4, installed, nil, nil, wantInstalled},
 		{"v5-degraded", 5, installed, []int{4}, degraded, wantInstalled},
 	} {
-		raw, err := json.Marshal(SnapshotJSON{Version: tc.version, Router: "spf", R: 2, Seed: 3,
-			Graph: GraphToJSON(g), System: PathSystemToJSON(tc.system), Failed: tc.failed, Degraded: tc.degraded})
+		raw, err := json.Marshal(snapshotJSON{Version: tc.version, Router: "spf", R: 2, Seed: 3,
+			Graph: graphToJSON(g), System: pathSystemToJSON(tc.system), Failed: tc.failed, Degraded: tc.degraded})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,7 +407,7 @@ func TestSnapshotWALWatermarkRoundTrip(t *testing.T) {
 		t.Fatal("zero WAL watermark should be omitted from the document")
 	}
 	old, err := DecodeSnapshot(strings.NewReader(
-		strings.Replace(clean.String(), fmt.Sprintf(`"version": %d`, SnapshotVersion), `"version": 3`, 1)))
+		strings.Replace(clean.String(), fmt.Sprintf(`"version": %d`, snapshotVersion), `"version": 3`, 1)))
 	if err != nil {
 		t.Fatalf("v3 decode: %v", err)
 	}

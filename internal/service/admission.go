@@ -125,8 +125,8 @@ func (b *byteBudget) release(n int64) {
 	b.mu.Unlock()
 }
 
-// Inflight returns the bytes currently admitted against the budget.
-func (b *byteBudget) Inflight() int64 {
+// admitted returns the bytes currently admitted against the budget.
+func (b *byteBudget) admitted() int64 {
 	if b == nil {
 		return 0
 	}

@@ -62,7 +62,7 @@ func TestByteBudgetAcquireRelease(t *testing.T) {
 	if !b.acquire(60) {
 		t.Fatal("60 refused after release")
 	}
-	if got := b.Inflight(); got != 60 {
+	if got := b.admitted(); got != 60 {
 		t.Fatalf("inflight=%d, want 60", got)
 	}
 }
@@ -154,8 +154,8 @@ func TestEngineAbandonedEpoch(t *testing.T) {
 	if got := e.Metrics().received.Value(); got != received {
 		t.Fatalf("epochs_received=%d after the refusal, want %d", got, received)
 	}
-	if _, err := e.Wait(ctx, epoch+1); !errors.Is(err, ErrUnknownEpoch) {
-		t.Fatalf("epoch %d after the refusal: %v, want ErrUnknownEpoch", epoch+1, err)
+	if _, err := e.Wait(ctx, epoch+1); !errors.Is(err, errUnknownEpoch) {
+		t.Fatalf("epoch %d after the refusal: %v, want errUnknownEpoch", epoch+1, err)
 	}
 	if st := e.Active(); st == nil || st.Epoch != epoch || st.Demand.Get(0, 7) != 2 {
 		t.Fatalf("active %+v, want epoch %d still serving", st, epoch)

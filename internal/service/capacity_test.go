@@ -232,7 +232,7 @@ func TestEngineProactiveRecoveryWidensAtRiskPairs(t *testing.T) {
 		t.Fatalf("serving candidates for (0,3): %d, want 2 after proactive widening", got)
 	}
 	// The sparse-by-construction pair (0,4) was left alone.
-	if got := len(e.InstalledSystem().Unique(0, 4)); got != 1 {
+	if got := len(e.installedSystem().Unique(0, 4)); got != 1 {
 		t.Fatalf("installed candidates for (0,4): %d, want 1 (not at risk)", got)
 	}
 	if e.Hash() == hash0 {
@@ -261,7 +261,7 @@ func TestEngineSnapshotWhileCapacityDegradedRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := e.WriteSnapshot(&buf); err != nil {
+	if err := e.writeSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := Restore(bytes.NewReader(buf.Bytes()), Config{})
@@ -300,15 +300,15 @@ func TestEngineSnapshotWhileCapacityDegradedRestores(t *testing.T) {
 func TestEngineCapacityEventValidation(t *testing.T) {
 	e, edges := parallelEngine(t)
 	for _, bad := range []float64{-0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := e.setCapacity(edges[0], bad); !errors.Is(err, ErrBadCapacity) {
-			t.Fatalf("capacity %v: err=%v, want ErrBadCapacity", bad, err)
+		if _, err := e.setCapacity(edges[0], bad); !errors.Is(err, errBadCapacity) {
+			t.Fatalf("capacity %v: err=%v, want errBadCapacity", bad, err)
 		}
 	}
-	if _, err := e.setCapacity(99, 0.5); !errors.Is(err, ErrUnknownEdge) {
-		t.Fatalf("err=%v, want ErrUnknownEdge", err)
+	if _, err := e.setCapacity(99, 0.5); !errors.Is(err, errUnknownEdge) {
+		t.Fatalf("err=%v, want errUnknownEdge", err)
 	}
 	// Degrading at full capacity is a no-op: no version bump.
-	v := e.Links().Version
+	v := linksOf(e).Version
 	if u, err := e.setCapacity(edges[0], 1.5); err != nil || u.Version != v {
 		t.Fatalf("no-op capacity event: %v %+v", err, u)
 	}
@@ -316,7 +316,7 @@ func TestEngineCapacityEventValidation(t *testing.T) {
 	if _, err := e.setCapacity(edges[0], 0.5); err != nil {
 		t.Fatal(err)
 	}
-	v = e.Links().Version
+	v = linksOf(e).Version
 	if u, err := e.setCapacity(edges[0], 0.5); err != nil || u.Version != v {
 		t.Fatalf("repeated capacity event bumped version: %v %+v", err, u)
 	}

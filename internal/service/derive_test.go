@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -81,7 +80,7 @@ func TestLinkEventDerivationEquivalence(t *testing.T) {
 					name = fmt.Sprintf("fail %d", id)
 					_, err = e.FailEdges(id)
 				case 1:
-					failed := e.Links().FailedEdges
+					failed := linksOf(e).FailedEdges
 					id := rng.IntN(m)
 					if len(failed) > 0 {
 						id = failed[rng.IntN(len(failed))]
@@ -115,23 +114,23 @@ func TestLinkEventDerivationEquivalence(t *testing.T) {
 			if got := e.Hash(); got != goldenStartHash {
 				t.Errorf("restored everything: hash %016x, want the startup %016x", got, uint64(goldenStartHash))
 			}
-			if got := e.InstalledSystem().TotalPaths(); got != goldenStartPaths {
+			if got := e.installedSystem().TotalPaths(); got != goldenStartPaths {
 				t.Errorf("restored everything: %d installed paths, want %d", got, goldenStartPaths)
 			}
-			if e.InstalledSystem() != e.original {
+			if e.installedSystem() != e.original {
 				t.Error("restored everything: the engine must install the startup system itself")
 			}
 		})
 	}
 }
 
-// checkRestoreEqualsLive round-trips e through WriteSnapshot and Restore
+// checkRestoreEqualsLive round-trips e through writeSnapshot and Restore
 // with cfg, and requires the restored engine to install e's system at e's
 // link state, from a snapshot that stores the startup sample alone.
 func checkRestoreEqualsLive(t *testing.T, e *Engine, cfg Config) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := e.WriteSnapshot(&buf); err != nil {
+	if err := e.writeSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := serial.DecodeSnapshot(bytes.NewReader(buf.Bytes()))
@@ -149,10 +148,10 @@ func checkRestoreEqualsLive(t *testing.T, e *Engine, cfg Config) {
 	if got, want := r.Hash(), e.Hash(); got != want {
 		t.Errorf("restored hash %016x, live %016x", got, want)
 	}
-	if !sameSystems(r.InstalledSystem(), e.InstalledSystem()) {
+	if !sameSystems(r.installedSystem(), e.installedSystem()) {
 		t.Error("restored installed system differs from the live one")
 	}
-	if got, want := r.Links(), e.Links(); !reflect.DeepEqual(got, want) {
+	if got, want := linksOf(r), linksOf(e); !reflect.DeepEqual(got, want) {
 		t.Errorf("restored link state %+v, live %+v", got, want)
 	}
 }
@@ -165,7 +164,7 @@ func checkPathIndependent(t *testing.T, e, twin *Engine, step string) {
 	if _, err := twin.setLinkState(nil); err != nil {
 		t.Fatalf("%s: twin: %v", step, err)
 	}
-	links := e.Links()
+	links := linksOf(e)
 	op := &walOp{Op: walOpLinks, Replace: true, Fail: links.FailedEdges, Caps: links.DegradedEdges}
 	if _, err := twin.applyLinkEvent(op); err != nil {
 		t.Fatalf("%s: twin: %v", step, err)
@@ -173,7 +172,7 @@ func checkPathIndependent(t *testing.T, e, twin *Engine, step string) {
 	if got, want := twin.Hash(), e.Hash(); got != want {
 		t.Fatalf("%s: twin driven to the same map in one event hashes %016x, want %016x", step, got, want)
 	}
-	if !sameSystems(twin.InstalledSystem(), e.InstalledSystem()) {
+	if !sameSystems(twin.installedSystem(), e.installedSystem()) {
 		t.Fatalf("%s: twin driven to the same map in one event installs a different system", step)
 	}
 }
@@ -183,7 +182,7 @@ func checkPathIndependent(t *testing.T, e, twin *Engine, step string) {
 func checkDerivation(t *testing.T, e *Engine, step string) {
 	t.Helper()
 	ls := e.links.Load()
-	installed := e.InstalledSystem()
+	installed := e.installedSystem()
 	if err := installed.Validate(); err != nil {
 		t.Fatalf("%s: installed system invalid: %v", step, err)
 	}
@@ -213,11 +212,11 @@ func referenceAtRisk(ls *linkState, headroom float64) []atRiskPair {
 	for _, p := range ls.installed.Pairs() {
 		surv := ls.serving.Unique(p.U, p.V)
 		if len(ls.failed) > 0 && len(surv) == 1 && len(ls.installed.Unique(p.U, p.V)) > 1 {
-			out = append(out, atRiskPair{Pair: p, Trigger: TriggerSingleSurvivor})
+			out = append(out, atRiskPair{Pair: p, Trigger: triggerSingleSurvivor})
 			continue
 		}
 		if headroom > 0 && len(surv) > 0 && pairHeadroom(ls, surv) < headroom {
-			out = append(out, atRiskPair{Pair: p, Trigger: TriggerHeadroom})
+			out = append(out, atRiskPair{Pair: p, Trigger: triggerHeadroom})
 		}
 	}
 	return out
@@ -256,15 +255,19 @@ func TestOpenDegradedSnapshotCompactsToStartup(t *testing.T) {
 		{"wan64", snapshotFile},
 		{"wan64-v4-file", func(t *testing.T, e *Engine, path string) {
 			// The v4 writer stored the installed system, extras included.
-			raw, err := json.Marshal(serial.SnapshotJSON{
-				Version: 4, Router: e.cfg.RouterName, R: e.cfg.R, Seed: e.cfg.Seed,
-				Graph:   serial.GraphToJSON(e.cfg.Graph),
-				System:  serial.PathSystemToJSON(e.InstalledSystem()),
-				Failed:  e.Links().FailedEdges,
-				LinkVer: e.Links().Version,
-			})
-			if err != nil {
+			var buf bytes.Buffer
+			if err := serial.EncodeSnapshot(&buf, &serial.Snapshot{
+				Router: e.cfg.RouterName, R: e.cfg.R, Seed: e.cfg.Seed,
+				Graph:       e.cfg.Graph,
+				System:      e.installedSystem(),
+				FailedEdges: linksOf(e).FailedEdges,
+				LinkVersion: linksOf(e).Version,
+			}); err != nil {
 				t.Fatal(err)
+			}
+			raw := bytes.Replace(buf.Bytes(), []byte(`"version": 5`), []byte(`"version": 4`), 1)
+			if bytes.Equal(raw, buf.Bytes()) {
+				t.Fatal("snapshot has no version 5 field to rewrite")
 			}
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				t.Fatal(err)
@@ -336,7 +339,7 @@ func checkDegradedOpen(t *testing.T, e *Engine, fail int, write func(*testing.T,
 		if got := eng.Hash(); got != start {
 			t.Errorf("%s engine after restore %d: hash %016x, want the startup %016x", name, fail, got, start)
 		}
-		if eng.InstalledSystem() != eng.original {
+		if eng.installedSystem() != eng.original {
 			t.Errorf("%s engine after restore %d must install its startup system", name, fail)
 		}
 	}
@@ -388,7 +391,7 @@ func TestOpenDegradedSnapshotDerivesOnce(t *testing.T) {
 	if got, want := r.Hash(), live.Hash(); got != want {
 		t.Errorf("restored hash %016x, live %016x", got, want)
 	}
-	if got, want := r.Links(), live.Links(); !reflect.DeepEqual(got, want) {
+	if got, want := linksOf(r), linksOf(live); !reflect.DeepEqual(got, want) {
 		t.Errorf("restored link state %+v, live %+v", got, want)
 	}
 	if got := r.metrics.survivorBuilds.Value(); got != builds {

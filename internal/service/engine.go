@@ -218,17 +218,21 @@ type Engine struct {
 	walOpsSince   atomic.Int64 // ops logged since the last checkpoint
 	checkpointing atomic.Bool  // single-flights async checkpoints
 
-	mu          sync.Mutex
-	nextEpoch   uint64
-	outcomes    map[uint64]*Outcome
-	order       []uint64            // outcome eviction, oldest first
-	pending     map[uint64]struct{} // accepted epochs whose outcome is not in yet
-	waiters     map[uint64][]chan *Outcome
-	lastOutcome *Outcome
+	mu        sync.Mutex
+	nextEpoch uint64
+	outcomes  map[uint64]*Outcome
+	order     []uint64            // outcome eviction, oldest first
+	pending   map[uint64]struct{} // accepted epochs whose outcome is not in yet
+	waiters   map[uint64][]chan *Outcome
+	// lastOutcome is published by finish and read lock-free by Health, so
+	// /healthz never waits out a demand accept's WAL sync under mu.
+	lastOutcome atomic.Pointer[Outcome]
 	// lastSubmitted is the most recently accepted full demand matrix with
 	// any accepted patches applied — the base PATCH deltas merge into.
 	lastSubmitted *demand.Demand
-	closed        bool
+	// closed is written under mu, so a mutation holding mu sees it stable,
+	// and read lock-free by Health.
+	closed atomic.Bool
 	// slot is the epoch mailbox: the latest accepted request not yet picked
 	// up by the solver, nil when none waits. draining is set while the drain
 	// task is queued or running, and is always set while slot is non-nil.
@@ -277,7 +281,7 @@ func New(cfg Config) (*Engine, error) {
 		shard:    cfg.JournalShard,
 	}
 	if e.journal == nil {
-		e.journal = obs.NewJournal(cfg.JournalDepth)
+		e.journal = obs.NewJournal(journalDepth)
 	}
 	e.pairs = system.Pairs()
 	e.originalHash = new(pathHash)
@@ -360,10 +364,10 @@ func bringUp(cfg Config, build oblivious.BuildOptions, r *replay) (*Engine, erro
 // candidates pruned to those avoiding every failed edge. Lock-free.
 func (e *Engine) System() *core.PathSystem { return e.links.Load().serving }
 
-// InstalledSystem returns the full installed path system — startup sample
+// installedSystem returns the full installed path system — startup sample
 // plus the recovery and widening paths of the current capacity map,
 // unpruned. Lock-free.
-func (e *Engine) InstalledSystem() *core.PathSystem { return e.links.Load().installed }
+func (e *Engine) installedSystem() *core.PathSystem { return e.links.Load().installed }
 
 // Hash returns the canonical digest of the installed path system (see
 // serial.PathSystemHash). The installed system is a function of the capacity
@@ -380,13 +384,6 @@ func (e *Engine) Metrics() *Metrics { return e.metrics }
 // epoch. Lock-free.
 func (e *Engine) Active() *State { return e.active.Load() }
 
-// isClosed reports whether Close has been called.
-func (e *Engine) isClosed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.closed
-}
-
 // Health reports the engine's state machine: closed beats degraded beats ok.
 func (e *Engine) Health() *Health {
 	ls := e.links.Load()
@@ -402,12 +399,9 @@ func (e *Engine) Health() *Health {
 	if st := e.Active(); st != nil {
 		h.Epoch = st.Epoch
 	}
-	e.mu.Lock()
-	h.LastOutcome = e.lastOutcome
-	closed := e.closed
-	e.mu.Unlock()
+	h.LastOutcome = e.lastOutcome.Load()
 	switch {
-	case closed:
+	case e.closed.Load():
 		h.Status = HealthClosed
 	case ls.degraded():
 		h.Status = HealthDegraded
@@ -418,7 +412,7 @@ func (e *Engine) Health() *Health {
 // SubmitDemandCtx validates d, assigns it the next epoch number, and hands
 // it to the solver. It returns ErrRateLimited (wrapped in a *ShedError
 // carrying the retry hint) when admission control sheds the mutation, and
-// ErrClosed after Close. Demands on pairs that were never installed are
+// errClosed after Close. Demands on pairs that were never installed are
 // rejected; demands on installed pairs whose candidates are currently dead
 // are accepted and served degraded (the dead pairs are dropped at solve time
 // and counted in the outcome). The solve itself runs asynchronously; use
@@ -451,8 +445,8 @@ func (e *Engine) acceptDemand(ctx context.Context, op *walOp) (uint64, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		return 0, ErrClosed
+	if e.closed.Load() {
+		return 0, errClosed
 	}
 	next, touched, err := step(e.at(e.links.Load(), e.lastSubmitted), op)
 	if err != nil {
@@ -481,12 +475,12 @@ func (e *Engine) acceptDemand(ctx context.Context, op *walOp) (uint64, error) {
 // keeps a delta work list only when both are patches (the union of their
 // touched pairs, since neither has been solved). The drain task is submitted
 // only when none is queued or running, so at most one solve is in flight.
-// ErrClosed means the pool refused the task. Callers hold e.mu and have
+// errClosed means the pool refused the task. Callers hold e.mu and have
 // validated req.
 func (e *Engine) putLocked(req *epochRequest) (uint64, error) {
 	if !e.draining {
 		if !e.pool.TrySubmit(e.drain) {
-			return 0, ErrClosed
+			return 0, errClosed
 		}
 		e.draining = true
 	}
@@ -538,7 +532,7 @@ func (e *Engine) drain() {
 // Wait blocks until the epoch's outcome is known or ctx expires; a
 // superseded epoch's outcome is its covering epoch's. Waiting on an epoch the
 // engine cannot resolve — never assigned, or already evicted from the bounded
-// outcome history — returns ErrUnknownEpoch immediately instead of blocking
+// outcome history — returns errUnknownEpoch immediately instead of blocking
 // until ctx expires.
 func (e *Engine) Wait(ctx context.Context, epoch uint64) (*Outcome, error) {
 	e.mu.Lock()
@@ -548,7 +542,7 @@ func (e *Engine) Wait(ctx context.Context, epoch uint64) (*Outcome, error) {
 	}
 	if _, ok := e.pending[epoch]; !ok {
 		e.mu.Unlock()
-		return nil, fmt.Errorf("%w: %d", ErrUnknownEpoch, epoch)
+		return nil, fmt.Errorf("%w: %d", errUnknownEpoch, epoch)
 	}
 	ch := make(chan *Outcome, 1)
 	e.waiters[epoch] = append(e.waiters[epoch], ch)
@@ -640,7 +634,7 @@ func (e *Engine) solve(req *epochRequest) {
 		// O(pairs·paths). Any mismatch (the previous routing no longer
 		// matches the untouched demand) falls through to a full solve.
 		opts := instrumented(mon)
-		opts.MWU.Iterations = e.cfg.WarmIterations
+		opts.MWU.Iterations = warmIterations
 		var res *core.DeltaResult
 		derr := e.attempt(tr, "delta", func() (err error) {
 			res, err = ls.adaptive.AdaptDeltaCtx(ctx, prev.Routing, prev.EdgeLoads, served, req.touched, opts)
@@ -663,7 +657,7 @@ func (e *Engine) solve(req *epochRequest) {
 		out.Warm = obs.WarmCold
 		if warmable {
 			opts.MWU.Warm = &mcf.WarmStart{Weights: warmSeed(prev, served)}
-			opts.MWU.Iterations = e.cfg.WarmIterations
+			opts.MWU.Iterations = warmIterations
 			out.Warm = obs.WarmWarm
 			e.metrics.warmSolves.Add(1)
 		}
@@ -919,19 +913,19 @@ func (e *Engine) finish(out *Outcome, covers []uint64) {
 		delete(e.outcomes, e.order[0])
 		e.order = e.order[1:]
 	}
-	e.lastOutcome = out
+	e.lastOutcome.Store(out)
 	e.mu.Unlock()
 	for _, ch := range chs {
 		ch <- out
 	}
 }
 
-// WriteSnapshot encodes the engine's topology, startup path system,
+// writeSnapshot encodes the engine's topology, startup path system,
 // failed-edge set, capacity overrides, WAL watermark, link version and
 // sampling metadata: the inputs its link state is derived from, so a future
 // engine can Restore into the same installed system without resampling the
 // startup one.
-func (e *Engine) WriteSnapshot(w io.Writer) error {
+func (e *Engine) writeSnapshot(w io.Writer) error {
 	ls := e.links.Load()
 	return serial.EncodeSnapshot(w, &serial.Snapshot{
 		Router:      e.cfg.RouterName,
@@ -953,8 +947,7 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 // no solve survives Close.
 func (e *Engine) Close() {
 	e.mu.Lock()
-	already := e.closed
-	e.closed = true
+	already := e.closed.Swap(true)
 	e.mu.Unlock()
 	if !already {
 		e.record(obs.EventHealth, map[string]any{"to": HealthClosed})

@@ -178,15 +178,15 @@ func TestEngineCloseRejectsNewDemands(t *testing.T) {
 	e.Close()
 	d := demand.New()
 	d.Set(0, 7, 1)
-	if _, err := e.submit(d); err != ErrClosed {
-		t.Fatalf("err=%v, want ErrClosed", err)
+	if _, err := e.submit(d); err != errClosed {
+		t.Fatalf("err=%v, want errClosed", err)
 	}
 }
 
 func TestEngineSnapshotRestoreSameHash(t *testing.T) {
 	e := testEngine(t, Config{Seed: 42})
 	var buf bytes.Buffer
-	if err := e.WriteSnapshot(&buf); err != nil {
+	if err := e.writeSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := Restore(bytes.NewReader(buf.Bytes()), Config{})
@@ -358,18 +358,18 @@ func TestEngineCloseCancelsInFlightSolve(t *testing.T) {
 }
 
 // TestEngineWaitUnknownEpoch: epoch 0, never-assigned epochs, and epochs
-// evicted from the bounded outcome history fail fast with ErrUnknownEpoch
+// evicted from the bounded outcome history fail fast with errUnknownEpoch
 // instead of blocking until the caller's context expires.
 func TestEngineWaitUnknownEpoch(t *testing.T) {
 	e := testEngine(t, Config{Seed: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	if _, err := e.Wait(ctx, 0); !errors.Is(err, ErrUnknownEpoch) {
-		t.Fatalf("Wait(0): err=%v, want ErrUnknownEpoch", err)
+	if _, err := e.Wait(ctx, 0); !errors.Is(err, errUnknownEpoch) {
+		t.Fatalf("Wait(0): err=%v, want errUnknownEpoch", err)
 	}
-	if _, err := e.Wait(ctx, 42); !errors.Is(err, ErrUnknownEpoch) {
-		t.Fatalf("Wait(unassigned): err=%v, want ErrUnknownEpoch", err)
+	if _, err := e.Wait(ctx, 42); !errors.Is(err, errUnknownEpoch) {
+		t.Fatalf("Wait(unassigned): err=%v, want errUnknownEpoch", err)
 	}
 
 	// Push the first epoch out of the 128-entry outcome history.
@@ -386,8 +386,8 @@ func TestEngineWaitUnknownEpoch(t *testing.T) {
 		}
 		last = epoch
 	}
-	if _, err := e.Wait(ctx, 1); !errors.Is(err, ErrUnknownEpoch) {
-		t.Fatalf("Wait(evicted): err=%v, want ErrUnknownEpoch", err)
+	if _, err := e.Wait(ctx, 1); !errors.Is(err, errUnknownEpoch) {
+		t.Fatalf("Wait(evicted): err=%v, want errUnknownEpoch", err)
 	}
 	if out, err := e.Wait(ctx, last); err != nil || !out.OK {
 		t.Fatalf("Wait(retained): %v %+v", err, out)

@@ -144,7 +144,7 @@ func TestCrashAtEveryPrefixReplaysLive(t *testing.T) {
 			t.Fatal(err)
 		}
 		ls := live.links.Load()
-		return livePoint{live.LastSubmitted(), ls.capacity, ls.version, live.opSeq.Load(), live.Hash(), live.Links(), info.Size()}
+		return livePoint{live.LastSubmitted(), ls.capacity, ls.version, live.opSeq.Load(), live.Hash(), linksOf(live), info.Size()}
 	}
 
 	points := []livePoint{at()}
@@ -219,7 +219,7 @@ func TestCrashAtEveryPrefixReplaysLive(t *testing.T) {
 		if got := e.Hash(); got != want.hash {
 			t.Fatalf("prefix %d: Open gives hash %016x, live %016x", k, got, want.hash)
 		}
-		if got := e.Links(); !reflect.DeepEqual(got, want.links) {
+		if got := linksOf(e); !reflect.DeepEqual(got, want.links) {
 			t.Fatalf("prefix %d: Open gives links %+v, live %+v", k, got, want.links)
 		}
 		if got := e.LastSubmitted(); !sameDemand(got, want.demand) {
@@ -242,7 +242,7 @@ func TestHealthyRestoreIsNoLinkEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := e.WriteSnapshot(&buf); err != nil {
+	if err := e.writeSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	r, err := Restore(&buf, Config{})
@@ -253,7 +253,7 @@ func TestHealthyRestoreIsNoLinkEvent(t *testing.T) {
 	if _, err := r.ReplayWAL(&wal.Recovery{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Links(); got.Version != 3 || got.Degraded {
+	if got := linksOf(r); got.Version != 3 || got.Degraded {
 		t.Fatalf("restored link state %+v, want healthy at version 3", got)
 	}
 	if got, want := r.Hash(), e.Hash(); got != want {

@@ -42,7 +42,7 @@ func fuzzServer(f *testing.F) *httptest.Server {
 			return
 		}
 		// Seed a base matrix so PATCH bodies exercise the merge path instead
-		// of uniformly bouncing off ErrNoBaseDemand.
+		// of uniformly bouncing off errNoBaseDemand.
 		seed := demand.New()
 		seed.Set(0, 7, 2)
 		epoch, err := e.submit(seed)
@@ -86,7 +86,7 @@ func fuzzMutate(t *testing.T, method, url string, body []byte) {
 		t.Fatalf("%s %s -> undocumented status %d for body %q", method, url, resp.StatusCode, body)
 	}
 	// Every 429 shed must carry the Retry-After hint (503 may come from
-	// ErrClosed, which legitimately has none).
+	// errClosed, which legitimately has none).
 	if resp.StatusCode == http.StatusTooManyRequests && resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("429 without Retry-After for body %q", body)
 	}

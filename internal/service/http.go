@@ -24,7 +24,7 @@ import (
 
 // Server is the HTTP surface over an Engine.
 //
-//	POST /v1/demand        submit a demand epoch (serial.DemandJSON body);
+//	POST /v1/demand        submit a demand epoch (the serial demand body);
 //	                       ?wait=1 (any strconv boolean) blocks until the
 //	                       epoch resolves; absent or ?wait=0 returns 202.
 //	                       ?deadline=DURATION bounds that wait: past it the
@@ -168,9 +168,9 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	case errors.As(err, &shed):
 		w.Header().Set("Retry-After", retryAfterSeconds(shed.After))
 		writeError(w, http.StatusTooManyRequests, "%v", err)
-	case errors.Is(err, ErrClosed):
+	case errors.Is(err, errClosed):
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
-	case errors.Is(err, ErrNoBaseDemand):
+	case errors.Is(err, errNoBaseDemand):
 		writeError(w, http.StatusConflict, "%v", err)
 	default:
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -269,7 +269,7 @@ func (s *Server) handleDemand(decode func(io.Reader) (*walOp, error)) http.Handl
 	}
 }
 
-// decodeSubmit reads a POST /v1/demand body (serial.DemandJSON) into a
+// decodeSubmit reads a POST /v1/demand body (the serial demand format) into a
 // submit record.
 func decodeSubmit(r io.Reader) (*walOp, error) {
 	d, err := serial.DecodeDemand(r)
@@ -298,7 +298,7 @@ func decodePatch(r io.Reader) (*walOp, error) {
 // expired wait answers 504; the epoch itself still solves.
 func (s *Server) waitAndReply(ctx context.Context, w http.ResponseWriter, epoch uint64) {
 	out, err := s.engine.Wait(ctx, epoch)
-	if errors.Is(err, ErrUnknownEpoch) {
+	if errors.Is(err, errUnknownEpoch) {
 		// The outcome was evicted before we could wait on it (possible only
 		// under extreme epoch churn).
 		writeError(w, http.StatusGone, "%v", err)
@@ -341,7 +341,7 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 	}
 	candidates := s.engine.System().Unique(src, dst)
 	if len(candidates) == 0 {
-		if len(s.engine.InstalledSystem().Unique(src, dst)) > 0 {
+		if len(s.engine.installedSystem().Unique(src, dst)) > 0 {
 			writeError(w, http.StatusNotFound,
 				"all candidate paths for pair (%d,%d) are down (failed edges)", src, dst)
 			return
@@ -563,10 +563,10 @@ func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request) {
 	}
 	update, err := s.engine.applyLinkEvent(op)
 	switch {
-	case errors.Is(err, ErrUnknownEdge), errors.Is(err, ErrBadCapacity):
+	case errors.Is(err, errUnknownEdge), errors.Is(err, errBadCapacity):
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
-	case errors.Is(err, ErrClosed):
+	case errors.Is(err, errClosed):
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	case err != nil:
@@ -651,7 +651,7 @@ func (e *Engine) checkpoint(path string) (int64, *linkState, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ls := e.links.Load()
-	n, err := writeFileAtomic(path, e.WriteSnapshot)
+	n, err := writeFileAtomic(path, e.writeSnapshot)
 	if err != nil {
 		return 0, ls, err
 	}

@@ -35,7 +35,8 @@ type linkState struct {
 	// view instead.
 	failed map[int]bool
 	// failedIDs is the sorted failed edge set, cached at publish time so
-	// Links()/healthz/metric scrapes never re-sort. Callers must not mutate.
+	// link reports, healthz and metric scrapes never re-sort. Callers must
+	// not mutate.
 	failedIDs []int
 	// degradedCaps lists the fractional (0,1) overrides sorted by edge ID,
 	// cached at publish time. Callers must not mutate.
@@ -101,13 +102,13 @@ func (ls *linkState) digest(pairs []demand.Pair) uint64 {
 
 // At-risk triggers, recorded on each widening journal event.
 const (
-	// TriggerSingleSurvivor marks a pair pruned down to one surviving unique
+	// triggerSingleSurvivor marks a pair pruned down to one surviving unique
 	// candidate while other installed candidates are dead.
-	TriggerSingleSurvivor = "single-survivor"
-	// TriggerHeadroom marks a pair whose surviving capacity headroom (the
+	triggerSingleSurvivor = "single-survivor"
+	// triggerHeadroom marks a pair whose surviving capacity headroom (the
 	// best candidate's worst edge multiplier) fell below
 	// Config.AtRiskHeadroom.
-	TriggerHeadroom = "headroom"
+	triggerHeadroom = "headroom"
 )
 
 // atRiskPair is one at-risk pair and why it is at risk.
@@ -214,15 +215,8 @@ type LinkUpdate struct {
 	Degraded bool
 
 	// links is the published link state the update reports, for the HTTP
-	// layer to hash; nil in Links, whose reports compare by value.
+	// layer to hash.
 	links *linkState
-}
-
-// Links returns the current link state as an update-shaped report. Lock-free.
-func (e *Engine) Links() *LinkUpdate {
-	u := reportLinks(e.links.Load())
-	u.links = nil
-	return u
 }
 
 // reportLinks reports ls as an update that carries it.
@@ -267,8 +261,8 @@ func (e *Engine) RestoreEdges(ids ...int) (*LinkUpdate, error) {
 func (e *Engine) applyLinkEvent(op *walOp) (*LinkUpdate, error) {
 	e.linkMu.Lock()
 	defer e.linkMu.Unlock()
-	if e.isClosed() {
-		return nil, ErrClosed
+	if e.closed.Load() {
+		return nil, errClosed
 	}
 	cur := e.links.Load()
 	next, _, err := step(e.at(cur, nil), op)
@@ -301,7 +295,7 @@ func (e *Engine) applyLinkEvent(op *walOp) (*LinkUpdate, error) {
 func nextCapacity(m int, cur map[int]float64, op *walOp) (map[int]float64, error) {
 	known := func(id int) error {
 		if id < 0 || id >= m {
-			return fmt.Errorf("%w: %d (graph has %d edges)", ErrUnknownEdge, id, m)
+			return fmt.Errorf("%w: %d (graph has %d edges)", errUnknownEdge, id, m)
 		}
 		return nil
 	}
@@ -317,7 +311,7 @@ func nextCapacity(m int, cur map[int]float64, op *walOp) (map[int]float64, error
 			return nil, err
 		}
 		if c.Capacity < 0 || math.IsNaN(c.Capacity) || math.IsInf(c.Capacity, 0) {
-			return nil, fmt.Errorf("%w: edge %d needs a finite value >= 0, got %v", ErrBadCapacity, c.Edge, c.Capacity)
+			return nil, fmt.Errorf("%w: edge %d needs a finite value >= 0, got %v", errBadCapacity, c.Edge, c.Capacity)
 		}
 	}
 
@@ -486,7 +480,7 @@ func (e *Engine) atRiskList(ls *linkState, pairs []demand.Pair) []atRiskPair {
 		if len(ls.failed) > 0 && ls.serving.NumSampled(p) < ls.installed.NumSampled(p) {
 			surv = ls.serving.Unique(p.U, p.V)
 			if len(surv) == 1 && len(ls.installed.Unique(p.U, p.V)) > 1 {
-				out = append(out, atRiskPair{Pair: p, Trigger: TriggerSingleSurvivor})
+				out = append(out, atRiskPair{Pair: p, Trigger: triggerSingleSurvivor})
 				continue
 			}
 		}
@@ -497,7 +491,7 @@ func (e *Engine) atRiskList(ls *linkState, pairs []demand.Pair) []atRiskPair {
 			surv = ls.serving.Unique(p.U, p.V)
 		}
 		if len(surv) > 0 && pairHeadroom(ls, surv) < headroom {
-			out = append(out, atRiskPair{Pair: p, Trigger: TriggerHeadroom})
+			out = append(out, atRiskPair{Pair: p, Trigger: triggerHeadroom})
 		}
 	}
 	return out
@@ -641,13 +635,13 @@ func (e *Engine) proactiveRecover(ev *linkEvent, survivors *eventRouter) {
 	var single, weak []demand.Pair
 	for i, ar := range atRisk {
 		checked[i] = ar.Pair
-		if ar.Trigger == TriggerSingleSurvivor {
+		if ar.Trigger == triggerSingleSurvivor {
 			single = append(single, ar.Pair)
 		} else {
 			weak = append(weak, ar.Pair)
 		}
 	}
-	e.widenPairs(ev, single, TriggerSingleSurvivor, survivors, 0x5bf03635)
+	e.widenPairs(ev, single, triggerSingleSurvivor, survivors, 0x5bf03635)
 	if len(weak) > 0 {
 		// Treat below-threshold edges as failed for sampling purposes only:
 		// candidates through them keep serving, but replacements avoid them.
@@ -660,7 +654,7 @@ func (e *Engine) proactiveRecover(ev *linkEvent, survivors *eventRouter) {
 				avoid[id] = true
 			}
 		}
-		e.widenPairs(ev, weak, TriggerHeadroom, &eventRouter{avoid: avoid}, 0x2c1b3c6d)
+		e.widenPairs(ev, weak, triggerHeadroom, &eventRouter{avoid: avoid}, 0x2c1b3c6d)
 	}
 	next.atRisk = e.atRiskList(next, checked)
 }
@@ -795,7 +789,7 @@ func (e *Engine) reRouteActive(ls *linkState) {
 	}
 
 	e.mu.Lock()
-	if e.closed {
+	if e.closed.Load() {
 		e.mu.Unlock()
 		return
 	}

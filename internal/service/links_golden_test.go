@@ -48,7 +48,7 @@ func TestLinkEventGoldenHash(t *testing.T) {
 		if math.Abs(out.Congestion-wantCong) > 1e-9*wantCong {
 			t.Errorf("%s: congestion %.17g, want %.17g", step, out.Congestion, wantCong)
 		}
-		if got := e.InstalledSystem().TotalPaths(); got != wantPaths {
+		if got := e.installedSystem().TotalPaths(); got != wantPaths {
 			t.Errorf("%s: %d installed paths, want %d", step, got, wantPaths)
 		}
 	}
@@ -83,7 +83,7 @@ func TestLinkEventGoldenHash(t *testing.T) {
 			if _, err := fresh.FailEdges(70); err != nil {
 				t.Fatal(err)
 			}
-			if fresh.Hash() != e.Hash() || !sameSystems(fresh.InstalledSystem(), e.InstalledSystem()) {
+			if fresh.Hash() != e.Hash() || !sameSystems(fresh.installedSystem(), e.installedSystem()) {
 				t.Errorf("restore 20: hash %016x, a fresh engine after fail 70 %016x", e.Hash(), fresh.Hash())
 			}
 		}

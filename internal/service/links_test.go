@@ -20,6 +20,14 @@ import (
 )
 
 // waitCtx returns a generous context for waiting on epochs.
+// linksOf reports e's current link state as an update without the state
+// pointer, so that two reports compare by value.
+func linksOf(e *Engine) *LinkUpdate {
+	u := reportLinks(e.links.Load())
+	u.links = nil
+	return u
+}
+
 func waitCtx(t *testing.T) context.Context {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -55,7 +63,7 @@ func TestEngineFailRestoreLifecycle(t *testing.T) {
 		t.Fatalf("initial solve: %v %+v", err, out)
 	}
 	hashBefore := e.Hash()
-	installedBefore := e.InstalledSystem().TotalPaths()
+	installedBefore := e.installedSystem().TotalPaths()
 
 	// Fail one edge the active routing uses, so renormalization has real work.
 	st := e.Active()
@@ -119,10 +127,10 @@ func TestEngineFailRestoreLifecycle(t *testing.T) {
 	if h := e.Health(); h.Status != HealthOK {
 		t.Fatalf("health after restore %+v", h)
 	}
-	if got, installed := e.System().TotalPaths(), e.InstalledSystem().TotalPaths(); got != installed {
+	if got, installed := e.System().TotalPaths(), e.installedSystem().TotalPaths(); got != installed {
 		t.Fatalf("serving %d paths after restore, installed has %d", got, installed)
 	}
-	if got := e.InstalledSystem().TotalPaths(); got < installedBefore {
+	if got := e.installedSystem().TotalPaths(); got < installedBefore {
 		t.Fatalf("installed shrank: %d < %d", got, installedBefore)
 	}
 	if e.links.Load().degradedSeconds() <= 0 {
@@ -132,20 +140,20 @@ func TestEngineFailRestoreLifecycle(t *testing.T) {
 
 func TestEngineLinkEventValidation(t *testing.T) {
 	e := testEngine(t, Config{Seed: 7})
-	if _, err := e.FailEdges(-1); !errors.Is(err, ErrUnknownEdge) {
-		t.Fatalf("err=%v, want ErrUnknownEdge", err)
+	if _, err := e.FailEdges(-1); !errors.Is(err, errUnknownEdge) {
+		t.Fatalf("err=%v, want errUnknownEdge", err)
 	}
-	if _, err := e.FailEdges(10_000); !errors.Is(err, ErrUnknownEdge) {
-		t.Fatalf("err=%v, want ErrUnknownEdge", err)
+	if _, err := e.FailEdges(10_000); !errors.Is(err, errUnknownEdge) {
+		t.Fatalf("err=%v, want errUnknownEdge", err)
 	}
 	// A no-op event does not bump the version.
-	v := e.Links().Version
+	v := linksOf(e).Version
 	if u, err := e.RestoreEdges(0); err != nil || u.Version != v {
 		t.Fatalf("no-op restore bumped version: %v %+v", err, u)
 	}
 	e.Close()
-	if _, err := e.FailEdges(0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("err=%v, want ErrClosed after Close", err)
+	if _, err := e.FailEdges(0); !errors.Is(err, errClosed) {
+		t.Fatalf("err=%v, want errClosed after Close", err)
 	}
 }
 
@@ -186,6 +194,45 @@ func TestHealthDoesNotWaitForLinkEvent(t *testing.T) {
 		}
 	case <-timeout:
 		t.Fatal("/metrics waited for the link event's lock")
+	}
+}
+
+// TestHealthDoesNotWaitForDemandAccept: a demand accept holds mu across its
+// WAL sync, so Health and GET /healthz must not take mu. With mu held they
+// still answer, and report the last finished epoch.
+func TestHealthDoesNotWaitForDemandAccept(t *testing.T) {
+	e, _ := diamondEngine(t)
+	d := demand.New()
+	d.Set(0, 3, 1)
+	submitAndWait(t, e, d)
+	srv := NewServer(e, "")
+	e.mu.Lock() // a demand accept in flight
+	defer e.mu.Unlock()
+
+	health := make(chan *Health, 1)
+	go func() { health <- e.Health() }()
+	probe := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		probe <- rec
+	}()
+	timeout := time.After(time.Second)
+	select {
+	case h := <-health:
+		if h.Status != HealthOK || h.LastOutcome == nil || !h.LastOutcome.OK {
+			t.Fatalf("health %+v, want ok with the solved epoch's outcome", h)
+		}
+	case <-timeout:
+		t.Fatal("Health waited for the demand accept's lock")
+	}
+	select {
+	case rec := <-probe:
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"last_outcome"`) {
+			t.Fatalf("/healthz %d %q", rec.Code, rec.Body)
+		}
+	case <-timeout:
+		t.Fatal("/healthz waited for the demand accept's lock")
 	}
 }
 
@@ -349,7 +396,7 @@ func TestEngineSnapshotWhileDegradedRestoresLinkState(t *testing.T) {
 	// The snapshot carries the startup system and the failed-edge set;
 	// Restore derives the recovery paths from the two again.
 	var buf bytes.Buffer
-	if err := e.WriteSnapshot(&buf); err != nil {
+	if err := e.writeSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := Restore(bytes.NewReader(buf.Bytes()), Config{})
@@ -361,7 +408,7 @@ func TestEngineSnapshotWhileDegradedRestoresLinkState(t *testing.T) {
 	if restored.Hash() != e.Hash() {
 		t.Fatalf("restored hash %016x != degraded original %016x", restored.Hash(), e.Hash())
 	}
-	got, want := restored.Links(), e.Links()
+	got, want := linksOf(restored), linksOf(e)
 	if len(got.FailedEdges) != len(want.FailedEdges) || got.FailedEdges[0] != want.FailedEdges[0] {
 		t.Fatalf("restored failed edges %v, want %v", got.FailedEdges, want.FailedEdges)
 	}
@@ -515,7 +562,7 @@ func TestEngineFaultInjectionUnderTraffic(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				e.Health()
-				e.Links()
+				linksOf(e)
 				e.System().TotalPaths()
 				if st := e.Active(); st != nil {
 					st.Routing.MaxCongestion(e.cfg.Graph)

@@ -80,7 +80,7 @@ func servesLatest(t *testing.T, e *Engine) {
 		t.Fatalf("epoch %d routing: %v", st.Epoch, err)
 	}
 	failed := make(map[int]bool)
-	for _, id := range e.Links().FailedEdges {
+	for _, id := range linksOf(e).FailedEdges {
 		failed[id] = true
 	}
 	routingAvoids(t, st.Routing, failed)
@@ -233,8 +233,8 @@ func TestAcceptedDemandIsAlwaysServed(t *testing.T) {
 	if got := e.Metrics().received.Value(); got != received {
 		t.Fatalf("refused mutations took epochs: epochs_received %d, want %d", got, received)
 	}
-	if _, err := e.Wait(waitCtx(t), epoch2+1); !errors.Is(err, ErrUnknownEpoch) {
-		t.Fatalf("epoch %d after the refusals: %v, want ErrUnknownEpoch", epoch2+1, err)
+	if _, err := e.Wait(waitCtx(t), epoch2+1); !errors.Is(err, errUnknownEpoch) {
+		t.Fatalf("epoch %d after the refusals: %v, want errUnknownEpoch", epoch2+1, err)
 	}
 }
 
@@ -470,7 +470,7 @@ func TestEpochCounterModel(t *testing.T) {
 			case k < 6:
 				u, v := pair()
 				_, err = e.patch([]PairAmount{{U: u, V: v, Amount: 0.5 + rng.Float64()}}, nil)
-				if errors.Is(err, ErrNoBaseDemand) {
+				if errors.Is(err, errNoBaseDemand) {
 					err = nil
 				}
 			case k < 7 && len(failed) < 2:
@@ -532,8 +532,8 @@ func TestEpochCounterModel(t *testing.T) {
 		if !demand.Equal(got.demand, control.demand, 1e-12) {
 			t.Fatalf("seed %d: replayed matrix %v, live %v", seed, got.demand, control.demand)
 		}
-		if !reflect.DeepEqual(recovered.Links(), e.Links()) {
-			t.Fatalf("seed %d: replayed links %+v, live %+v", seed, recovered.Links(), e.Links())
+		if !reflect.DeepEqual(linksOf(recovered), linksOf(e)) {
+			t.Fatalf("seed %d: replayed links %+v, live %+v", seed, linksOf(recovered), linksOf(e))
 		}
 		if got.hash != control.hash {
 			t.Fatalf("seed %d: replayed hash %016x, live %016x", seed, got.hash, control.hash)

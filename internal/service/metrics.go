@@ -101,7 +101,7 @@ func newMetrics(e *Engine) *Metrics {
 	m.vars.Set("inflight_rejects", &m.inflightRejects)
 	m.vars.Set("body_too_large", &m.bodyTooLarge)
 	m.vars.Set("inflight_bytes", expvar.Func(func() any {
-		return e.inflight.Inflight()
+		return e.inflight.admitted()
 	}))
 	m.vars.Set("wal_records", expvar.Func(func() any {
 		if w := e.cfg.WAL; w != nil {

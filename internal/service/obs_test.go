@@ -322,7 +322,7 @@ func TestHeadroomWideningJournaled(t *testing.T) {
 		t.Fatalf("widening events: %d, want 1", len(widen))
 	}
 	det := widen[0].Detail
-	if det["pair"] != "0-4" || det["trigger"] != TriggerHeadroom {
+	if det["pair"] != "0-4" || det["trigger"] != triggerHeadroom {
 		t.Fatalf("widening detail %v, want pair 0-4 trigger headroom", det)
 	}
 	// The widened candidates avoid the weak edge.
@@ -342,7 +342,7 @@ func TestHeadroomWideningJournaled(t *testing.T) {
 		t.Fatal("no widened candidate avoids the weak edge")
 	}
 	// Pair (0,3) still has a clean candidate (headroom 1): left alone.
-	if got := len(e.InstalledSystem().Unique(0, 3)); got != 2 {
+	if got := len(e.installedSystem().Unique(0, 3)); got != 2 {
 		t.Fatalf("candidates for (0,3): %d, want the 2 originals", got)
 	}
 
@@ -350,7 +350,7 @@ func TestHeadroomWideningJournaled(t *testing.T) {
 	if _, err := e.setCapacity(ids["04"], 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(e.InstalledSystem().Unique(0, 4)); got != 1 {
+	if got := len(e.installedSystem().Unique(0, 4)); got != 1 {
 		t.Fatalf("candidates for (0,4) after restore: %d, want 1", got)
 	}
 }
@@ -365,7 +365,7 @@ func TestHeadroomWideningDisabledByDefault(t *testing.T) {
 			t.Fatalf("widening event %v with AtRiskHeadroom disabled", ev)
 		}
 	}
-	if n := e.Links().AtRiskPairs; n != 0 {
+	if n := linksOf(e).AtRiskPairs; n != 0 {
 		t.Fatalf("at-risk pairs: %d, want 0 with headroom disabled", n)
 	}
 }

@@ -24,8 +24,8 @@ type PairRef struct {
 // incremental delta path (re-scoring only their paths) when the link state
 // still matches the previous solve.
 //
-// It returns ErrNoBaseDemand before any successful submit (a delta needs a
-// base), ErrClosed/ErrRateLimited like SubmitDemandCtx, and a validation
+// It returns errNoBaseDemand before any successful submit (a delta needs a
+// base), errClosed/ErrRateLimited like SubmitDemandCtx, and a validation
 // error for self-pairs, out-of-range endpoints, non-finite amounts, or a
 // patch that would clear the whole matrix — the record is checked whole
 // before anything is merged (see applyDemandOp), so a rejected patch changes

@@ -167,7 +167,7 @@ func TestPathSystemGaugeMatchesStats(t *testing.T) {
 	check := func(step string) {
 		t.Helper()
 		got := gauge().(map[string]any)
-		st, serving := e.InstalledSystem().Stats(), e.System().Stats()
+		st, serving := e.installedSystem().Stats(), e.System().Stats()
 		want := map[string]int{"pairs": st.Pairs, "total_paths": st.TotalPaths,
 			"serving_paths": serving.TotalPaths, "sparsity": st.Sparsity, "max_hops": st.MaxHops}
 		for k, v := range want {
@@ -194,7 +194,7 @@ func TestPathSystemGaugeMatchesStats(t *testing.T) {
 			t.Fatalf("%s: %v", s.name, err)
 		}
 		check(s.name)
-		shrank = shrank || e.System().TotalPaths() < e.InstalledSystem().TotalPaths()
+		shrank = shrank || e.System().TotalPaths() < e.installedSystem().TotalPaths()
 	}
 	if !shrank {
 		t.Fatal("no step pruned the serving system; the sequence tests nothing")

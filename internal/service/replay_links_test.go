@@ -92,10 +92,10 @@ func TestReplayFoldsLinkRecords(t *testing.T) {
 		if got, want := r.Hash(), live.Hash(); got != want {
 			t.Errorf("replayed hash %016x, live %016x", got, want)
 		}
-		if got, want := r.Links(), live.Links(); !reflect.DeepEqual(got, want) {
+		if got, want := linksOf(r), linksOf(live); !reflect.DeepEqual(got, want) {
 			t.Errorf("replayed link state %+v, live %+v", got, want)
 		}
-		if !sameSystems(r.InstalledSystem(), live.InstalledSystem()) {
+		if !sameSystems(r.installedSystem(), live.installedSystem()) {
 			t.Error("replayed installed system differs from the live one")
 		}
 		if got, want := r.LastSubmitted(), live.LastSubmitted(); !demand.Equal(got, want, 0) {
@@ -110,7 +110,7 @@ func TestReplayFoldsLinkRecords(t *testing.T) {
 		if got := r.metrics.survivorBuilds.Value(); got != 0 {
 			t.Errorf("replay built %d survivor routers, want 0", got)
 		}
-		if got := r.Hash(); got != goldenStartHash || r.InstalledSystem() != r.original {
+		if got := r.Hash(); got != goldenStartHash || r.installedSystem() != r.original {
 			t.Errorf("replayed hash %016x, want the startup system and its hash %016x", got, uint64(goldenStartHash))
 		}
 	})
@@ -122,7 +122,7 @@ func TestReplayFoldsLinkRecords(t *testing.T) {
 		edges := nonBridgeEdges(live.cfg.Graph)
 		weak := -1
 		for _, pr := range live.pairs {
-			cands := live.InstalledSystem().Unique(pr.U, pr.V)
+			cands := live.installedSystem().Unique(pr.U, pr.V)
 			for _, id := range cands[0].EdgeIDs {
 				crossed := !slices.ContainsFunc(cands, func(p graph.Path) bool { return !slices.Contains(p.EdgeIDs, id) })
 				if crossed && id != 70 && slices.Contains(edges, id) {
@@ -193,7 +193,7 @@ func TestReplayLegacyLinkRecord(t *testing.T) {
 			if got, want := r.Hash(), live.Hash(); got != want {
 				t.Errorf("replayed hash %016x, live %016x", got, want)
 			}
-			if !sameSystems(r.InstalledSystem(), live.InstalledSystem()) {
+			if !sameSystems(r.installedSystem(), live.installedSystem()) {
 				t.Error("replayed installed system differs from the live one")
 			}
 		})
@@ -229,15 +229,15 @@ func TestRefusedLinkEventLeavesNoTrace(t *testing.T) {
 		})
 		return out
 	}
-	version, hash, events, before := e.Links().Version, e.Hash(), e.Events(), counters()
+	version, hash, events, before := linksOf(e).Version, e.Hash(), e.Events(), counters()
 
 	if _, err := e.FailEdges(70); !errors.Is(err, wal.ErrInjected) {
 		t.Fatalf("fail 70 on a failing log: %v, want the injected WAL error", err)
 	}
-	if got := e.Links().Version; got != version {
+	if got := linksOf(e).Version; got != version {
 		t.Errorf("link version %d, want %d", got, version)
 	}
-	if got := e.Hash(); got != hash || e.InstalledSystem() != e.original {
+	if got := e.Hash(); got != hash || e.installedSystem() != e.original {
 		t.Errorf("hash %016x, want the startup %016x and system", got, hash)
 	}
 	if got := e.Events(); !reflect.DeepEqual(got, events) {

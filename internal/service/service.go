@@ -80,10 +80,6 @@ type Config struct {
 	// both the MWU warm seed from the previous routing and the incremental
 	// delta fast path. Mostly for benchmarking cold re-solves.
 	DisableWarmStart bool
-	// WarmIterations is the fresh MWU round budget of a warm-started solve
-	// (the prior supplies the rest of the play). Default 64 — a quarter of
-	// the cold default, which is where warm starts buy their latency.
-	WarmIterations int
 	// TraceDepth bounds the per-engine ring of epoch lifecycle traces served
 	// on /debug/trace. Default 64.
 	TraceDepth int
@@ -91,9 +87,6 @@ type Config struct {
 	// crosses it emit one structured log line and count in slow_solves. 0
 	// disables the log.
 	SlowSolveThreshold time.Duration
-	// JournalDepth bounds the engine's private event journal. Default 256.
-	// Ignored when Journal is set.
-	JournalDepth int
 	// Journal, when non-nil, is a shared event journal the engine records
 	// into instead of creating its own — a fleet passes one journal to every
 	// shard so the record survives shard eviction and /debug/events reads a
@@ -164,6 +157,13 @@ const (
 	// background, so chain error can grow with length even when the net L1
 	// drift cancels out under warmMaxDrift.
 	warmMaxStreak = 8
+	// warmIterations is the fresh MWU round budget of a warm-started solve
+	// (the prior supplies the rest of the play): a quarter of the cold
+	// default, which is where warm starts buy their latency.
+	warmIterations = 64
+	// journalDepth bounds an engine's private event journal, the one it
+	// records into when Config.Journal is nil.
+	journalDepth = 256
 	// latencyWindow is the number of recent solves the latency, congestion
 	// and queue-wait quantiles cover.
 	latencyWindow = 256
@@ -179,12 +179,6 @@ func (c Config) withDefaults() Config {
 	if c.OutcomeHistory <= 0 {
 		c.OutcomeHistory = 128
 	}
-	if c.WarmIterations <= 0 {
-		c.WarmIterations = 64
-	}
-	if c.JournalDepth <= 0 {
-		c.JournalDepth = 256
-	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 8 << 20
 	}
@@ -194,27 +188,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ErrClosed is returned by every mutation — SubmitDemandCtx,
+// errClosed is returned by every mutation — SubmitDemandCtx,
 // PatchDemandCtx, FailEdges, RestoreEdges — after Close.
-var ErrClosed = errors.New("service: engine closed")
+var errClosed = errors.New("service: engine closed")
 
-// ErrUnknownEpoch is returned by Wait for an epoch the engine cannot resolve:
+// errUnknownEpoch is returned by Wait for an epoch the engine cannot resolve:
 // never assigned (0, or beyond the last submission) or already evicted from
 // the bounded outcome history. Waiting on such an epoch would otherwise block
 // until the caller's context expired.
-var ErrUnknownEpoch = errors.New("service: unknown epoch")
+var errUnknownEpoch = errors.New("service: unknown epoch")
 
-// ErrUnknownEdge is returned by a link event (FailEdges, RestoreEdges, POST
+// errUnknownEdge is returned by a link event (FailEdges, RestoreEdges, POST
 // /v1/links) naming an edge ID outside the topology.
-var ErrUnknownEdge = errors.New("service: unknown edge")
+var errUnknownEdge = errors.New("service: unknown edge")
 
-// ErrBadCapacity is returned by a link event whose capacity multiplier is
+// errBadCapacity is returned by a link event whose capacity multiplier is
 // negative or non-finite.
-var ErrBadCapacity = errors.New("service: bad capacity multiplier")
+var errBadCapacity = errors.New("service: bad capacity multiplier")
 
-// ErrNoBaseDemand is returned by PatchDemandCtx when no full demand matrix has
+// errNoBaseDemand is returned by PatchDemandCtx when no full demand matrix has
 // been submitted yet: a delta needs a base to apply to (HTTP 409).
-var ErrNoBaseDemand = errors.New("service: no base demand to patch (submit a full matrix first)")
+var errNoBaseDemand = errors.New("service: no base demand to patch (submit a full matrix first)")
 
 // ErrRateLimited is returned by the demand-mutation paths when the
 // token-bucket rate limit (Config.MutationRate) or the inflight-bytes budget

@@ -144,8 +144,8 @@ func fold(s state, rec *wal.Recovery) *replay {
 func (e *Engine) install(r *replay) error {
 	e.linkMu.Lock()
 	defer e.linkMu.Unlock()
-	if e.isClosed() {
-		return ErrClosed
+	if e.closed.Load() {
+		return errClosed
 	}
 	if r.stats.Truncated {
 		e.metrics.walTruncations.Add(1)
@@ -171,8 +171,8 @@ func (e *Engine) install(r *replay) error {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		return ErrClosed
+	if e.closed.Load() {
+		return errClosed
 	}
 	e.opSeq.Store(max(e.opSeq.Load(), r.stats.LastSeq))
 	e.lastSubmitted = s.demand

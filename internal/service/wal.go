@@ -127,7 +127,7 @@ func applyDemandOp(base *demand.Demand, op *walOp, n int) (next *demand.Demand, 
 			}
 		}
 		if base == nil {
-			return nil, nil, ErrNoBaseDemand
+			return nil, nil, errNoBaseDemand
 		}
 		next = base.Clone()
 		seen := make(map[demand.Pair]bool, len(op.Set)+len(op.Clear))

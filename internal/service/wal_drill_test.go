@@ -296,7 +296,7 @@ func TestWALReplaySkipsRecordsBeforeCheckpoint(t *testing.T) {
 	// pre-watermark records, exactly the shape of a crash mid-checkpoint
 	// after the snapshot rename but before the truncate.
 	var snap bytes.Buffer
-	if err := e.WriteSnapshot(&snap); err != nil {
+	if err := e.writeSnapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
 	// Two post-watermark mutations.

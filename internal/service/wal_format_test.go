@@ -174,7 +174,7 @@ func TestLiveAcceptEqualsReplay(t *testing.T) {
 			if got, want := replayed.LastSubmitted(), live.LastSubmitted(); !demand.Equal(got, want, 0) {
 				t.Fatalf("demand matrix: replay %v, live %v", got, want)
 			}
-			if got, want := replayed.Links(), live.Links(); !reflect.DeepEqual(got, want) {
+			if got, want := linksOf(replayed), linksOf(live); !reflect.DeepEqual(got, want) {
 				t.Fatalf("link state: replay %+v, live %+v", got, want)
 			}
 			if got, want := replayed.Hash(), live.Hash(); got != want {
@@ -205,8 +205,8 @@ func TestApplyDemandOpRefusesWithoutTouchingBase(t *testing.T) {
 			t.Fatalf("%+v modified its base: %v", op, base)
 		}
 	}
-	if _, _, err := applyDemandOp(nil, &walOp{Op: walOpPatch, Set: []PairAmount{{U: 0, V: 7, Amount: 1}}}, 8); !errors.Is(err, ErrNoBaseDemand) {
-		t.Fatalf("patch without a base: %v, want ErrNoBaseDemand", err)
+	if _, _, err := applyDemandOp(nil, &walOp{Op: walOpPatch, Set: []PairAmount{{U: 0, V: 7, Amount: 1}}}, 8); !errors.Is(err, errNoBaseDemand) {
+		t.Fatalf("patch without a base: %v, want errNoBaseDemand", err)
 	}
 	next, touched, err := applyDemandOp(base, &walOp{Op: walOpPatch,
 		Set: []PairAmount{{U: 6, V: 1, Amount: 1}, {U: 1, V: 6, Amount: 3}}, Clear: []PairRef{{U: 7, V: 0}}}, 8)

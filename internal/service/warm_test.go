@@ -244,8 +244,8 @@ func TestEngineWarmDriftGuardForcesCold(t *testing.T) {
 // merged, and a rejected patch leaves the base matrix untouched.
 func TestPatchDemandValidation(t *testing.T) {
 	warm, _ := warmPair(t)
-	if _, err := warm.patch([]PairAmount{{U: 0, V: 5, Amount: 1}}, nil); !errors.Is(err, ErrNoBaseDemand) {
-		t.Fatalf("patch before base: %v, want ErrNoBaseDemand", err)
+	if _, err := warm.patch([]PairAmount{{U: 0, V: 5, Amount: 1}}, nil); !errors.Is(err, errNoBaseDemand) {
+		t.Fatalf("patch before base: %v, want errNoBaseDemand", err)
 	}
 	d := gridDemand(16, 11)
 	mustSolve(t, warm, d)

@@ -23,9 +23,9 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean of positive values (0 if any value is
+// geoMean returns the geometric mean of positive values (0 if any value is
 // nonpositive or the input is empty).
-func GeoMean(xs []float64) float64 {
+func geoMean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -83,8 +83,8 @@ func Quantile(xs []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
-// Stddev returns the sample standard deviation (0 for fewer than 2 values).
-func Stddev(xs []float64) float64 {
+// stddev returns the sample standard deviation (0 for fewer than 2 values).
+func stddev(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0
 	}

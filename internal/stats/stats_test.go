@@ -19,13 +19,13 @@ func TestMeanMaxMin(t *testing.T) {
 }
 
 func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
+	if g := geoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
 		t.Fatalf("geomean=%v, want 2", g)
 	}
-	if GeoMean([]float64{1, 0}) != 0 {
+	if geoMean([]float64{1, 0}) != 0 {
 		t.Fatal("nonpositive value should give 0")
 	}
-	if GeoMean(nil) != 0 {
+	if geoMean(nil) != 0 {
 		t.Fatal("empty should give 0")
 	}
 }
@@ -55,10 +55,10 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 }
 
 func TestStddev(t *testing.T) {
-	if Stddev([]float64{1}) != 0 {
+	if stddev([]float64{1}) != 0 {
 		t.Fatal("single sample stddev should be 0")
 	}
-	if s := Stddev([]float64{1, 3}); math.Abs(s-math.Sqrt2) > 1e-12 {
+	if s := stddev([]float64{1, 3}); math.Abs(s-math.Sqrt2) > 1e-12 {
 		t.Fatalf("stddev=%v", s)
 	}
 }

@@ -13,7 +13,6 @@ package temodel
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand/v2"
 
 	"sparseroute/internal/core"
@@ -158,31 +157,6 @@ func GravitySequence(g *graph.Graph, epochs int, total float64, pairs int, rng *
 	for e := range out {
 		scale := 0.5 + rng.Float64() // diurnal-ish variation
 		out[e] = demand.Gravity(g, total*scale, pairs, rng)
-	}
-	return out
-}
-
-// DiurnalSequence generates an epoch sequence following a sinusoidal daily
-// pattern with occasional single-pair bursts: epoch t has total volume
-// total·(0.6 + 0.4·sin(2πt/period)) and, with probability burstProb, one
-// random pair of the epoch is multiplied by 4 — the "elephant flow" events
-// that make purely static routings fall behind.
-func DiurnalSequence(g *graph.Graph, epochs, period int, total float64, pairs int, burstProb float64, rng *rand.Rand) []*demand.Demand {
-	if period < 1 {
-		period = 1
-	}
-	out := make([]*demand.Demand, epochs)
-	for e := range out {
-		scale := 0.6 + 0.4*math.Sin(2*math.Pi*float64(e)/float64(period))
-		d := demand.Gravity(g, total*scale, pairs, rng)
-		if rng.Float64() < burstProb {
-			sup := d.Support()
-			if len(sup) > 0 {
-				p := sup[rng.IntN(len(sup))]
-				d.Set(p.U, p.V, 4*d.Get(p.U, p.V))
-			}
-		}
-		out[e] = d
 	}
 	return out
 }

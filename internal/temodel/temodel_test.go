@@ -93,46 +93,6 @@ func TestRunAndSummarize(t *testing.T) {
 	}
 }
 
-func TestDiurnalSequence(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 7))
-	g := gen.Grid(4, 4)
-	seq := DiurnalSequence(g, 8, 4, 16, 6, 1.0, rng) // burst every epoch
-	if len(seq) != 8 {
-		t.Fatalf("epochs=%d", len(seq))
-	}
-	var sizes []float64
-	for _, d := range seq {
-		if d.SupportSize() != 6 {
-			t.Fatalf("pairs=%d", d.SupportSize())
-		}
-		sizes = append(sizes, d.Size())
-	}
-	// The sinusoid must produce real variation across the period.
-	var mn, mx = sizes[0], sizes[0]
-	for _, s := range sizes {
-		if s < mn {
-			mn = s
-		}
-		if s > mx {
-			mx = s
-		}
-	}
-	if mx < 1.3*mn {
-		t.Fatalf("diurnal variation too flat: [%v, %v]", mn, mx)
-	}
-	// With burstProb=1 every epoch has one pair ~4x heavier than the next
-	// heaviest would suggest; just check max entry dominates mean entry.
-	for _, d := range seq {
-		if d.MaxEntry() < 2*d.Size()/float64(d.SupportSize()) {
-			t.Fatalf("burst missing: max=%v mean=%v", d.MaxEntry(), d.Size()/6)
-		}
-	}
-	// Degenerate period clamps instead of dividing by zero.
-	if got := DiurnalSequence(g, 2, 0, 8, 4, 0, rng); len(got) != 2 {
-		t.Fatal("period clamp failed")
-	}
-}
-
 func TestRunSurfacesMethodErrors(t *testing.T) {
 	g := gen.Grid(3, 3)
 	empty := core.NewPathSystem(g)

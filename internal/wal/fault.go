@@ -31,13 +31,6 @@ func NewFaultWriter(w Writer, failAt int64, failSync bool) *FaultWriter {
 	return &FaultWriter{w: w, failAt: failAt, sync: failSync}
 }
 
-// Written reports the cumulative bytes let through so far.
-func (f *FaultWriter) Written() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.written
-}
-
 func (f *FaultWriter) Write(p []byte) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

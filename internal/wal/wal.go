@@ -48,11 +48,11 @@ const frameHeader = 8
 // multi-gigabyte allocation during recovery.
 const MaxRecord = 16 << 20
 
-// ErrClosed is returned by operations on a closed log.
-var ErrClosed = errors.New("wal: log closed")
+// errClosed is returned by operations on a closed log.
+var errClosed = errors.New("wal: log closed")
 
-// ErrTooLarge is returned by Append for a payload over MaxRecord.
-var ErrTooLarge = errors.New("wal: record too large")
+// errTooLarge is returned by Append for a payload over MaxRecord.
+var errTooLarge = errors.New("wal: record too large")
 
 // Writer is the seam between the log and its backing file. The production
 // implementation is an *os.File opened with O_APPEND (writes always land at
@@ -224,13 +224,13 @@ func (l *Log) Append(payload []byte) error {
 		return fmt.Errorf("wal: empty record")
 	}
 	if len(payload) > MaxRecord {
-		return fmt.Errorf("%w: %d bytes (max %d)", ErrTooLarge, len(payload), MaxRecord)
+		return fmt.Errorf("%w: %d bytes (max %d)", errTooLarge, len(payload), MaxRecord)
 	}
 	frame := AppendFrame(nil, payload)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if l.broken != nil {
 		return l.broken
@@ -271,7 +271,7 @@ func (l *Log) Sync() error {
 	closed := l.closed
 	l.mu.Unlock()
 	if closed {
-		return ErrClosed
+		return errClosed
 	}
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
@@ -284,7 +284,7 @@ func (l *Log) Sync() error {
 	closed = l.closed
 	l.mu.Unlock()
 	if closed {
-		return ErrClosed
+		return errClosed
 	}
 	if err := w.Sync(); err != nil {
 		return fmt.Errorf("wal: sync: %w", err)
@@ -311,7 +311,7 @@ func (l *Log) Reset() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if err := l.w.Truncate(0); err != nil {
 		return fmt.Errorf("wal: reset: %w", err)
@@ -344,7 +344,7 @@ func (l *Log) Bytes() int64 { return l.bytes.Load() }
 // Path returns the log's file path.
 func (l *Log) Path() string { return l.path }
 
-// Close closes the backing file. Further operations return ErrClosed.
+// Close closes the backing file. Further operations return errClosed.
 func (l *Log) Close() error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()

@@ -308,12 +308,12 @@ func TestAppendLimits(t *testing.T) {
 	if err := l.Append(nil); err == nil {
 		t.Fatal("Append(nil) succeeded, want error")
 	}
-	if err := l.Append(make([]byte, MaxRecord+1)); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("oversized Append = %v, want ErrTooLarge", err)
+	if err := l.Append(make([]byte, MaxRecord+1)); !errors.Is(err, errTooLarge) {
+		t.Fatalf("oversized Append = %v, want errTooLarge", err)
 	}
 	l.Close()
-	if err := l.Append([]byte("x")); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Append after Close = %v, want ErrClosed", err)
+	if err := l.Append([]byte("x")); !errors.Is(err, errClosed) {
+		t.Fatalf("Append after Close = %v, want errClosed", err)
 	}
 }
 
