@@ -172,6 +172,30 @@ func TestE5ShapeCompletionNotWorse(t *testing.T) {
 	}
 }
 
+// TestE5Reproducible: a fixed seed gives E5 the same table, byte for byte,
+// every time it runs. Go randomizes each map range, so several runs in one
+// process catch a random draw or a float sum that follows a map's order (the
+// integral rows used to: the rounding's local search and the packet
+// simulation walked a flow.Routing map).
+func TestE5Reproducible(t *testing.T) {
+	r, err := Find("E5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	for run := 0; run < 8; run++ {
+		tbl, err := r.Run(Config{Seed: 12345, Quick: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = tbl.String()
+		} else if got := tbl.String(); got != first {
+			t.Fatalf("run %d renders\n%s\nrun 0 rendered\n%s", run, got, first)
+		}
+	}
+}
+
 func TestE6ShapeCertifiedBounds(t *testing.T) {
 	w := runQuick(t, "E6")
 	mcol := w.col("measured ratio")

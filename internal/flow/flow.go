@@ -43,7 +43,7 @@ func (r Routing) AddFlow(p graph.Path, weight float64) {
 // congestion computed from them, are the same to the last bit on every call.
 func (r Routing) EdgeLoads(g *graph.Graph) []float64 {
 	loads := make([]float64, g.NumEdges())
-	for _, p := range r.sortedPairs() {
+	for _, p := range r.SortedPairs() {
 		for _, wp := range r[p] {
 			for _, id := range wp.Path.EdgeIDs {
 				loads[id] += wp.Weight
@@ -53,8 +53,10 @@ func (r Routing) EdgeLoads(g *graph.Graph) []float64 {
 	return loads
 }
 
-// sortedPairs returns r's pairs ordered by U, then V.
-func (r Routing) sortedPairs() []demand.Pair {
+// SortedPairs returns r's pairs ordered by U, then V (demand.Support's
+// order). A caller whose random draws or float sums follow the pairs ranges
+// over these instead of the map, so its result is a function of its seed.
+func (r Routing) SortedPairs() []demand.Pair {
 	out := make([]demand.Pair, 0, len(r))
 	for p := range r {
 		out = append(out, p)

@@ -147,23 +147,27 @@ func MinCongestionOnPathsCtx(ctx context.Context, g *graph.Graph, cand map[deman
 	// paths pairOff[i]..pairOff[i+1], path k owns edgeRef[pathOff[k]:
 	// pathOff[k+1]], both in support x candidate x stored-edge order, so the
 	// round loop below touches no map, no graph.Path and no graph.Edge.
+	// growth[r] is the factor exp(eta*amt/cap) by which one play of pair i
+	// multiplies the length of the edge under ref r.
+	caps := make([]float64, g.NumEdges())
+	for id := range caps {
+		caps[id] = g.Edge(id).Capacity
+	}
 	pairOff := make([]int32, 1, len(support)+1)
 	pathOff := make([]int32, 1, nPaths+1)
 	edgeRef := make([]int32, 0, nRefs)
+	growth := make([]float64, 0, nRefs)
 	amts := make([]float64, len(support))
 	for i, p := range support {
 		amts[i] = d.Get(p.U, p.V)
 		for _, path := range cand[p] {
 			for _, id := range path.EdgeIDs {
 				edgeRef = append(edgeRef, int32(id))
+				growth = append(growth, math.Exp(o.Eta*amts[i]/caps[id]))
 			}
 			pathOff = append(pathOff, int32(len(edgeRef)))
 		}
 		pairOff = append(pairOff, int32(len(pathOff)-1))
-	}
-	caps := make([]float64, g.NumEdges())
-	for id := range caps {
-		caps[id] = g.Edge(id).Capacity
 	}
 	cum := make([]float64, len(caps))    // cumulative relative load per edge
 	length := make([]float64, len(caps)) // this round's MWU length per edge
@@ -211,9 +215,12 @@ func MinCongestionOnPathsCtx(ctx context.Context, g *graph.Graph, cand map[deman
 	// Arithmetic-order guarantee: every float below comes from the same
 	// expression, evaluated in the same order, as in
 	// referenceMinCongestionOnPaths (mcf_test.go) — "/ caps[id]" rather than
-	// a precomputed reciprocal, path sums in stored edge order — so routings
-	// and Progress samples equal the reference's bit for bit. A length is
-	// re-evaluated exactly when the load under it changed.
+	// a precomputed reciprocal, path sums in stored edge order, an explicit
+	// float64() wherever a multiply-add could be fused — so routings and
+	// Progress samples equal the reference's bit for bit on every GOARCH.
+	// Each round starts from exact lengths exp(eta*(load-max))/cap; within
+	// the round a play multiplies the lengths under its path by growth,
+	// exp(a+b) = exp(a)*exp(b), so rounding drift lives one round at most.
 	for iter := 0; iter < o.Iterations; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -225,7 +232,7 @@ func MinCongestionOnPathsCtx(ctx context.Context, g *graph.Graph, cand map[deman
 		maxCum := 0.0
 		for id, c := range cum {
 			if base != nil {
-				c += (rounds + 1) * base[id]
+				c += float64((rounds + 1) * base[id])
 			}
 			length[id] = c
 			if c > maxCum {
@@ -253,13 +260,10 @@ func MinCongestionOnPathsCtx(ctx context.Context, g *graph.Graph, cand map[deman
 				}
 			}
 			chosen[best]++
-			for _, id := range edgeRef[pathOff[best]:pathOff[best+1]] {
+			for r := pathOff[best]; r < pathOff[best+1]; r++ {
+				id := edgeRef[r]
 				cum[id] += amt / caps[id]
-				c := cum[id]
-				if base != nil {
-					c += (rounds + 1) * base[id]
-				}
-				length[id] = math.Exp(o.Eta*(c-maxCum)) / caps[id]
+				length[id] *= growth[r]
 			}
 		}
 	}
@@ -296,7 +300,7 @@ func congestionEstimate(cum, base []float64, rounds float64) float64 {
 	mx := 0.0
 	for id, c := range cum {
 		if base != nil {
-			c += rounds * base[id]
+			c += float64(rounds * base[id])
 		}
 		if c > mx {
 			mx = c
@@ -585,7 +589,7 @@ func DualLowerBound(g *graph.Graph, d *demand.Demand, lengths []float64) (float6
 		if l < 0 {
 			return 0, fmt.Errorf("mcf: negative length on edge %d", e.ID)
 		}
-		denom += l * e.Capacity
+		denom += float64(l * e.Capacity)
 	}
 	if denom <= 0 {
 		return 0, nil
@@ -602,7 +606,7 @@ func DualLowerBound(g *graph.Graph, d *demand.Demand, lengths []float64) (float6
 		if math.IsInf(dist[p.V], 1) {
 			return 0, fmt.Errorf("mcf: pair %v disconnected", p)
 		}
-		num += d.Get(p.U, p.V) * dist[p.V]
+		num += float64(d.Get(p.U, p.V) * dist[p.V])
 	}
 	return num / denom, nil
 }
@@ -682,7 +686,7 @@ func shortestPathLowerBound(g *graph.Graph, d *demand.Demand) float64 {
 			dists[p.U] = dist
 		}
 		if dist[p.V] > 0 {
-			loadLB += d.Get(p.U, p.V) * float64(dist[p.V])
+			loadLB += float64(d.Get(p.U, p.V) * float64(dist[p.V]))
 		}
 	}
 	return loadLB / totalCap

@@ -436,11 +436,27 @@ func TestExactAdaptationRoutesExactly(t *testing.T) {
 
 // referenceMinCongestionOnPaths is the map-walking MWU loop that
 // MinCongestionOnPathsCtx ran before it was compiled into flat arrays, kept
-// verbatim as the arithmetic reference: it looks every pair up in cand, reads
-// g.Edge(id).Capacity per edge and evaluates one exp per edge occurrence per
-// round. TestKernelBitIdenticalToReference holds the kernel to it float for
-// float.
+// as the arithmetic reference: it looks every pair up in cand and reads
+// g.Edge(id).Capacity per edge. Each round it sets every edge's length to
+// exp(eta*(load-max))/cap, and a play multiplies the lengths under its path
+// by exp(eta*amt/cap). TestKernelBitIdenticalToReference holds the kernel to
+// it float for float.
 func referenceMinCongestionOnPaths(ctx context.Context, g *graph.Graph, cand map[demand.Pair][]graph.Path, d *demand.Demand, opt *Options) (flow.Routing, error) {
+	return referenceMWU(ctx, g, cand, d, opt, false)
+}
+
+// expReferenceMinCongestionOnPaths is the same loop with the length update
+// the kernel ran before it went multiplicative: one exp(eta*(load-max))/cap
+// per edge occurrence, evaluated from the current load when a pair sums its
+// candidates. It is equal to referenceMinCongestionOnPaths in exact
+// arithmetic, and TestKernelMatchesExpReference holds the kernel to it
+// within rounding.
+func expReferenceMinCongestionOnPaths(ctx context.Context, g *graph.Graph, cand map[demand.Pair][]graph.Path, d *demand.Demand, opt *Options) (flow.Routing, error) {
+	return referenceMWU(ctx, g, cand, d, opt, true)
+}
+
+// referenceMWU is the reference loop; expForm picks the length update.
+func referenceMWU(ctx context.Context, g *graph.Graph, cand map[demand.Pair][]graph.Path, d *demand.Demand, opt *Options, expForm bool) (flow.Routing, error) {
 	o := opt.withDefaults()
 	support := d.Support()
 	for _, p := range support {
@@ -452,6 +468,7 @@ func referenceMinCongestionOnPaths(ctx context.Context, g *graph.Graph, cand map
 		return nil, fmt.Errorf("mcf: %d base loads for %d edges", len(o.BaseLoads), g.NumEdges())
 	}
 	cum := make([]float64, g.NumEdges())
+	length := make([]float64, g.NumEdges())
 	chosen := make(map[demand.Pair][]float64, len(support))
 	seeded := make(map[demand.Pair]float64)
 	warmAny := 0.0
@@ -498,7 +515,7 @@ func referenceMinCongestionOnPaths(ctx context.Context, g *graph.Graph, cand map
 		maxCum := 0.0
 		for id, c := range cum {
 			if o.BaseLoads != nil {
-				c += (rounds + 1) * o.BaseLoads[id]
+				c += float64((rounds + 1) * o.BaseLoads[id])
 			}
 			if c > maxCum {
 				maxCum = c
@@ -507,16 +524,26 @@ func referenceMinCongestionOnPaths(ctx context.Context, g *graph.Graph, cand map
 		if o.Progress != nil && iter > 0 && iter%o.ProgressEvery == 0 && rounds > 0 {
 			o.Progress(iter, congestionEstimate(cum, o.BaseLoads, rounds))
 		}
+		expLength := func(id int) float64 {
+			c := cum[id]
+			if o.BaseLoads != nil {
+				c += float64((rounds + 1) * o.BaseLoads[id])
+			}
+			return math.Exp(o.Eta*(c-maxCum)) / g.Edge(id).Capacity
+		}
+		for id := range length {
+			length[id] = expLength(id)
+		}
 		for _, p := range support {
 			best, bestLen := 0, math.Inf(1)
 			for j, path := range cand[p] {
 				var l float64
 				for _, id := range path.EdgeIDs {
-					c := cum[id]
-					if o.BaseLoads != nil {
-						c += (rounds + 1) * o.BaseLoads[id]
+					if expForm {
+						l += expLength(id)
+					} else {
+						l += length[id]
 					}
-					l += math.Exp(o.Eta*(c-maxCum)) / g.Edge(id).Capacity
 				}
 				if l < bestLen {
 					best, bestLen = j, l
@@ -526,6 +553,7 @@ func referenceMinCongestionOnPaths(ctx context.Context, g *graph.Graph, cand map
 			amt := d.Get(p.U, p.V)
 			for _, id := range cand[p][best].EdgeIDs {
 				cum[id] += amt / g.Edge(id).Capacity
+				length[id] *= math.Exp(o.Eta * amt / g.Edge(id).Capacity)
 			}
 		}
 	}
@@ -725,4 +753,56 @@ func TestKernelBitIdenticalToReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestKernelMatchesExpReference: the multiplicative length update is equal
+// to the exp form it replaced in exact arithmetic, and the round-start pass
+// recomputes every length exactly, so over cold, other-eta, background and
+// short runs the kernel's routing has the exp-form loop's congestion to
+// within 1e-12 relative.
+func TestKernelMatchesExpReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 23))
+	worst := 0.0
+	for _, inst := range []struct {
+		name  string
+		shape *graph.Graph
+		pairs int
+	}{
+		{"expander", gen.RandomRegular(48, 4, rng), 120},
+		{"grid", gen.Grid(7, 7), 150},
+	} {
+		for rep := 0; rep < 3; rep++ {
+			g, cand, d := kernelInstance(t, inst.shape, inst.pairs, rng)
+			base := make([]float64, g.NumEdges())
+			for id := range base {
+				base[id] = rng.Float64()
+			}
+			for _, tc := range []struct {
+				name string
+				opt  Options
+			}{
+				{"cold", Options{}},
+				{"eta 2.5", Options{Iterations: 90, Eta: 2.5}},
+				{"base", Options{Iterations: 64, BaseLoads: base}},
+				{"short", Options{Iterations: 5}},
+			} {
+				name := fmt.Sprintf("%s/%d/%s", inst.name, rep, tc.name)
+				want, err := expReferenceMinCongestionOnPaths(context.Background(), g, cand, d, &tc.opt)
+				if err != nil {
+					t.Fatalf("%s: exp reference: %v", name, err)
+				}
+				got, err := MinCongestionOnPathsCtx(context.Background(), g, cand, d, &tc.opt)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				w, c := want.MaxCongestion(g), got.MaxCongestion(g)
+				rel := math.Abs(c-w) / w
+				if rel > 1e-12 {
+					t.Fatalf("%s: congestion %v, exp form %v (relative %.3g)", name, c, w, rel)
+				}
+				worst = math.Max(worst, rel)
+			}
+		}
+	}
+	t.Logf("worst relative congestion difference: %.3g", worst)
 }

@@ -99,7 +99,8 @@ func LocalSearch(g *graph.Graph, r flow.Routing, cand map[demand.Pair][]graph.Pa
 	}
 	var states []state
 	frozen := flow.New()
-	for pair, wps := range r {
+	for _, pair := range r.SortedPairs() {
+		wps := r[pair]
 		cs := cand[pair]
 		keyOf := make(map[string]int, len(cs))
 		for j, p := range cs {
@@ -134,8 +135,13 @@ func LocalSearch(g *graph.Graph, r flow.Routing, cand map[demand.Pair][]graph.Pa
 			}
 			delta += (2*loads[id] + 1) / (caps[id] * caps[id])
 		}
-		for id := range inFrom {
-			delta -= (2*loads[id] - 1) / (caps[id] * caps[id])
+		// A \ B in path order, not map order, so the sum rounds the same way
+		// on every call.
+		for _, id := range from.EdgeIDs {
+			if inFrom[id] {
+				delete(inFrom, id)
+				delta -= (2*loads[id] - 1) / (caps[id] * caps[id])
+			}
 		}
 		return delta
 	}

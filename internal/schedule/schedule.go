@@ -82,8 +82,11 @@ func simulateWithPolicy(g *graph.Graph, r flow.Routing, maxDelay int, policy pol
 	}
 	var packets []*packet
 	dilation := 0
-	for _, wps := range r {
-		for _, wp := range wps {
+	// Packets are numbered, and draw their delays, in sorted pair order: the
+	// numbering breaks contention ties, so a map-order walk would make the
+	// makespan depend on more than the seed.
+	for _, pair := range r.SortedPairs() {
+		for _, wp := range r[pair] {
 			count := int(wp.Weight + 0.5)
 			for c := 0; c < count; c++ {
 				d := 0

@@ -68,14 +68,17 @@ type State struct {
 	// SolvedAt is when the solve finished.
 	SolvedAt time.Time
 
-	// reply is this epoch's GET /v1/routing response, encoded by its first
-	// reader (never at publish) and shared by every later one; see
-	// routingReply.
+	// reply is this epoch's GET /v1/routing response. publish starts its
+	// encoding in a goroutine the moment s is installed, so a reader almost
+	// always finds it ready; a reader that arrives first waits on once, and
+	// every reader shares the one encoding. ready is set once body, etag and
+	// err are final. See routingReply.
 	reply struct {
-		once sync.Once
-		body []byte
-		etag string
-		err  error
+		once  sync.Once
+		ready atomic.Bool
+		body  []byte
+		etag  string
+		err   error
 	}
 }
 
@@ -135,8 +138,10 @@ type Health struct {
 	AtRiskPairs int `json:"at_risk_pairs,omitempty"`
 	// DegradedSeconds is cumulative wall time spent degraded.
 	DegradedSeconds float64 `json:"degraded_seconds"`
-	// LastOutcome reports the most recently finished epoch, if any —
-	// surfacing fallback status that a bare "ok" used to hide.
+	// LastOutcome reports the newest epoch that has finished, if any —
+	// surfacing fallback status that a bare "ok" used to hide. An older
+	// epoch that finishes later (a link event's interim renormalization
+	// can finish after its own re-adapt) does not replace it.
 	LastOutcome *Outcome `json:"last_outcome,omitempty"`
 }
 
@@ -836,7 +841,9 @@ func (e *Engine) attempt(tr *obs.EpochTrace, stage string, f func() error) (err 
 
 // publish installs s as the active state unless a newer epoch already won
 // the race (a link event's interim publish can land while an older epoch is
-// still solving, or after its own re-adapt).
+// still solving, or after its own re-adapt). An installed state's routing
+// reply is encoded off the caller's goroutine right away, so neither the
+// epoch nor its first reader pays for the encoding.
 func (e *Engine) publish(s *State) {
 	for {
 		cur := e.active.Load()
@@ -844,6 +851,7 @@ func (e *Engine) publish(s *State) {
 			return
 		}
 		if e.active.CompareAndSwap(cur, s) {
+			go s.routingReply()
 			return
 		}
 	}
@@ -913,7 +921,9 @@ func (e *Engine) finish(out *Outcome, covers []uint64) {
 		delete(e.outcomes, e.order[0])
 		e.order = e.order[1:]
 	}
-	e.lastOutcome.Store(out)
+	if last := e.lastOutcome.Load(); last == nil || last.Epoch <= out.Epoch {
+		e.lastOutcome.Store(out)
+	}
 	e.mu.Unlock()
 	for _, ch := range chs {
 		ch <- out

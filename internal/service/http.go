@@ -393,10 +393,12 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 // routingReply returns the GET /v1/routing body of st —
 // {"epoch":…,"congestion":…,"routing":{"pairs":[…]}} in compact JSON — and
 // its strong ETag, the quoted FNV-64a of the body. The first caller for an
-// epoch encodes both; every later one reads them back.
+// epoch (publish's render, for a published state) encodes both; every later
+// one reads them back.
 func (st *State) routingReply() ([]byte, string, error) {
 	m := &st.reply
 	m.once.Do(func() {
+		defer m.ready.Store(true)
 		cong, err := json.Marshal(st.Congestion)
 		if err != nil {
 			m.err = err

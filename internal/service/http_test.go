@@ -18,6 +18,7 @@ import (
 	"sparseroute/internal/graph"
 	"sparseroute/internal/graph/gen"
 	"sparseroute/internal/oblivious"
+	"sparseroute/internal/wal"
 )
 
 func testServer(t *testing.T, cfg Config, snapshotPath string) (*Server, *Engine, *httptest.Server) {
@@ -567,18 +568,38 @@ func TestWriteFileAtomicCleansTempOnFailure(t *testing.T) {
 	}
 }
 
+// TestEngineSnapshotToFileFailedEngineWrite: when the engine's snapshot is
+// written in full but cannot be renamed into place (the target is a
+// non-empty directory), SnapshotToFile returns the error, removes its temp
+// file, and neither truncates the log nor counts a checkpoint; a later
+// snapshot to a good path checkpoints.
 func TestEngineSnapshotToFileFailedEngineWrite(t *testing.T) {
-	// The engine-level wrapper cleans up too when the snapshot encoder fails
-	// mid-write because the engine is already closed.
-	_, e, _ := testServer(t, Config{Seed: 11}, "")
 	dir := t.TempDir()
-	e.Close()
-	if _, err := e.SnapshotToFile(filepath.Join(dir, "snap")); err == nil {
-		t.Skip("closed engine still snapshots; cleanup covered by TestWriteFileAtomicCleansTempOnFailure")
+	log, _, err := wal.Open(filepath.Join(dir, "sys.wal"), &wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	matches, _ := filepath.Glob(filepath.Join(dir, ".snapshot-*"))
-	if len(matches) != 0 {
+	t.Cleanup(func() { log.Close() })
+	_, e, _ := testServer(t, Config{Seed: 11, WAL: log}, "")
+	blocked := filepath.Join(dir, "snap")
+	if err := os.MkdirAll(filepath.Join(blocked, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	before := e.metrics.checkpoints.Value()
+	if n, err := e.SnapshotToFile(blocked); err == nil {
+		t.Fatalf("snapshot onto a non-empty directory succeeded (%d bytes)", n)
+	}
+	if matches, _ := filepath.Glob(filepath.Join(dir, ".snapshot-*")); len(matches) != 0 {
 		t.Fatalf("temp files left: %v", matches)
+	}
+	if got := e.metrics.checkpoints.Value(); got != before {
+		t.Fatalf("a failed snapshot counted as a checkpoint: %d -> %d", before, got)
+	}
+	if n, err := e.SnapshotToFile(filepath.Join(dir, "good")); err != nil || n == 0 {
+		t.Fatalf("snapshot after the failure: %d bytes, %v", n, err)
+	}
+	if got := e.metrics.checkpoints.Value(); got != before+1 {
+		t.Fatalf("a good snapshot counted %d checkpoints", got-before)
 	}
 }
 

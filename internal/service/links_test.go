@@ -593,3 +593,20 @@ func TestEngineFaultInjectionUnderTraffic(t *testing.T) {
 		t.Fatalf("post-chaos solve: %v %+v", err, out)
 	}
 }
+
+// TestLastOutcomeNeverGoesBack: a link event's interim renormalization can
+// finish after the re-adapt queued behind it, and /healthz must then still
+// report the re-adapt, the newest epoch, or a client waiting for it (as the
+// bench's link-event loop does) never sees it.
+func TestLastOutcomeNeverGoesBack(t *testing.T) {
+	_, e, _ := testServer(t, Config{Seed: 3}, "")
+	e.finish(&Outcome{Epoch: 8, OK: true, Congestion: 1.5}, nil)
+	e.finish(&Outcome{Epoch: 7, OK: true, Renormalized: true, Congestion: 2}, nil)
+	if lo := e.Health().LastOutcome; lo == nil || lo.Epoch != 8 || lo.Renormalized {
+		t.Fatalf("last outcome %+v, want the re-adapt's (epoch 8)", lo)
+	}
+	e.finish(&Outcome{Epoch: 9, OK: true, Congestion: 1.4}, nil)
+	if lo := e.Health().LastOutcome; lo == nil || lo.Epoch != 9 {
+		t.Fatalf("last outcome %+v, want epoch 9", lo)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"sparseroute/internal/core"
 	"sparseroute/internal/demand"
@@ -35,14 +36,18 @@ func (d *discardResponse) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
-// republish installs a copy of the active state under the next epoch
-// number: the same routing with an empty reply memo, as a fresh solve would
-// publish it. The engine's own epoch counter does not move, so only a test
-// that solves nothing afterwards may call it.
-func republish(e *Engine) *State {
-	st := e.Active()
-	next := &State{Epoch: st.Epoch + 1, Demand: st.Demand, Routing: st.Routing,
+// nextState is a copy of st under the next epoch number: the same routing
+// with an empty reply memo, as a fresh solve would build it.
+func nextState(st *State) *State {
+	return &State{Epoch: st.Epoch + 1, Demand: st.Demand, Routing: st.Routing,
 		Congestion: st.Congestion, EdgeLoads: st.EdgeLoads, LinkVersion: st.LinkVersion}
+}
+
+// republish installs nextState of the active state. The engine's own epoch
+// counter does not move, so only a test that solves nothing afterwards may
+// call it.
+func republish(e *Engine) *State {
+	next := nextState(e.Active())
 	e.publish(next)
 	return next
 }
@@ -111,7 +116,9 @@ func TestRoutingReadMemoAndETag(t *testing.T) {
 		t.Fatalf("new epoch: %d, ETag %q (old %q)", next.Code, next.Header().Get("ETag"), etag)
 	}
 
-	// The memo: a repeat read allocates far less than the read that encodes.
+	// The memo: a repeat read allocates far less than a read that also
+	// encodes. publish encodes in its own goroutine, so the encoding is
+	// counted on a state that was never published.
 	req := httptest.NewRequest(http.MethodGet, "/v1/routing", nil)
 	read := func() {
 		w := &discardResponse{header: http.Header{}}
@@ -121,10 +128,15 @@ func TestRoutingReadMemoAndETag(t *testing.T) {
 		}
 	}
 	warm := testing.AllocsPerRun(20, read)
-	cold := testing.AllocsPerRun(20, func() { republish(e); read() })
-	t.Logf("allocs per read: repeat %v, cold %v", warm, cold)
-	if warm*2 > cold {
-		t.Fatalf("repeat read allocates %v, a cold one %v: the reply is not memoized", warm, cold)
+	encode := testing.AllocsPerRun(20, func() {
+		if _, _, err := nextState(e.Active()).routingReply(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// A read that encodes allocates warm+encode, at least twice a repeat.
+	t.Logf("allocs per read: repeat %v, encode %v", warm, encode)
+	if warm > encode {
+		t.Fatalf("repeat read allocates %v, an encoding %v: the reply is not memoized", warm, encode)
 	}
 
 	// Eight readers race the first read of a fresh epoch: one encoding, and
@@ -154,6 +166,49 @@ func TestRoutingReadMemoAndETag(t *testing.T) {
 		if bodies[i] != string(body) || tags[i] != tag {
 			t.Fatalf("reader %d saw a different reply than the memo holds", i)
 		}
+	}
+}
+
+// TestPublishEncodesRoutingReply: publishing a state fills its reply memo
+// with no reader asking, and the memo holds the reply a reader would encode.
+// A state that lost the publish race to a newer epoch is never encoded.
+func TestPublishEncodesRoutingReply(t *testing.T) {
+	_, e, _ := testServer(t, Config{Seed: 5}, "")
+	d := demand.New()
+	d.Set(0, 5, 2)
+	d.Set(1, 6, 1)
+	epoch, err := e.submit(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := e.Wait(context.Background(), epoch); err != nil || !out.OK {
+		t.Fatalf("epoch %d: %+v %v", epoch, out, err)
+	}
+	stale := e.Active()
+	st := republish(e)
+	deadline := time.Now().Add(10 * time.Second)
+	for !st.reply.ready.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("published state's reply is still not encoded after 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	want, wantTag, err := nextState(stale).routingReply()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(st.reply.body) != string(want) || st.reply.etag != wantTag || st.reply.err != nil {
+		t.Fatalf("memo holds %q %s %v, an encoding gives %q %s", st.reply.body, st.reply.etag, st.reply.err, want, wantTag)
+	}
+
+	lost := &State{Epoch: stale.Epoch, Routing: stale.Routing, Congestion: stale.Congestion}
+	e.publish(lost)
+	if e.Active() != st {
+		t.Fatal("an older epoch replaced the active state")
+	}
+	time.Sleep(20 * time.Millisecond)
+	if lost.reply.ready.Load() {
+		t.Fatal("a state that lost the publish race was encoded")
 	}
 }
 
@@ -231,9 +286,9 @@ func grid100Engine(tb testing.TB) *Engine {
 	return e
 }
 
-// BenchmarkReadRoutingGrid100 times GET /v1/routing through the handler on
-// the 600-pair grid state: "cold" is the first read of a freshly published
-// epoch (the encode), "memo" every read after it.
+// BenchmarkReadRoutingGrid100 times the routing reply on the 600-pair grid
+// state: "cold" is the encoding publish runs for every epoch, on a state that
+// was never published, "memo" a GET /v1/routing through the handler after it.
 func BenchmarkReadRoutingGrid100(b *testing.B) {
 	e := grid100Engine(b)
 	srv := NewServer(e, "")
@@ -249,8 +304,11 @@ func BenchmarkReadRoutingGrid100(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			republish(e)
-			read(b)
+			body, _, err := nextState(e.Active()).routingReply()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(body)))
 		}
 	})
 	b.Run("memo", func(b *testing.B) {
