@@ -34,8 +34,7 @@
 //
 // -debug-addr serves the pprof profiling surface (/debug/pprof/...) on a
 // separate listener, kept off the main port; -slow-solve emits a structured
-// log line for epochs slower than the threshold; -headroom enables
-// capacity-aware proactive widening (see POST /v1/links capacity overrides).
+// log line for epochs slower than the threshold.
 //
 // Reads are lock-free while epochs solve; a solve that fails or misses
 // --deadline leaves the last good routing serving (a fallback counter
@@ -70,9 +69,9 @@
 // SIGTERM drains by snapshotting every resident shard.
 //
 // Crash durability: with -snapshot set (or -wal given explicitly) every
-// accepted mutation — demand submit, patch, link event — is framed, CRC'd,
-// and fsynced to a write-ahead log before it is applied, and acknowledged
-// only after the flush. On startup the log is replayed over the newest
+// accepted mutation — demand submit, patch, link event — is framed, CRC'd
+// and appended to a write-ahead log as it is applied, and acknowledged and
+// served only after the flush. On startup the log is replayed over the newest
 // snapshot, so even a kill -9 resumes with the exact pre-crash demand matrix
 // and link state; a torn tail (power loss mid-write) is truncated at the
 // first bad frame and journaled as wal_truncated instead of refusing to
@@ -153,11 +152,10 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.engine.Workers, "workers", 2, "solver workers shared by every shard with -fleet; no effect without -fleet (an engine solves one epoch at a time: its latest demand)")
 	fs.DurationVar(&o.engine.SolveDeadline, "deadline", 0, "per-epoch solve deadline; on expiry the solve is canceled and the last good routing keeps serving (0 = none)")
 	fs.StringVar(&o.snapshot, "snapshot", "", "snapshot file: restored at startup when present, written by POST /v1/snapshot and at shutdown")
-	fs.StringVar(&o.wal, "wal", "", "write-ahead log: every accepted mutation is fsynced here before it is applied and replayed over the snapshot at startup, so a hard kill loses nothing (default <snapshot>.wal when -snapshot is set; \"off\" disables; fleet mode logs per shard regardless of the path)")
+	fs.StringVar(&o.wal, "wal", "", "write-ahead log: every accepted mutation is fsynced here before it is acknowledged or served and replayed over the snapshot at startup, so a hard kill loses nothing (default <snapshot>.wal when -snapshot is set; \"off\" disables; fleet mode logs per shard regardless of the path)")
 	fs.IntVar(&o.engine.CheckpointEvery, "checkpoint-every", 0, "snapshot + truncate the write-ahead log automatically after this many logged operations (0 = only on snapshot requests and shutdown)")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "separate listen address for the pprof profiling surface (/debug/pprof/...); empty disables it")
 	fs.DurationVar(&o.engine.SlowSolveThreshold, "slow-solve", 0, "epochs slower than this (queue wait + solve + publish) emit one structured log line and count in slow_solves (0 = disabled)")
-	fs.Float64Var(&o.engine.AtRiskHeadroom, "headroom", 0, "capacity headroom threshold in (0,1): pairs whose every candidate crosses an edge degraded below it are proactively widened around the weak links (0 = disabled)")
 	fs.IntVar(&o.engine.OutcomeHistory, "outcome-history", 0, "epoch outcomes retained for ?wait/Wait lookups before eviction (0 = default 128)")
 	fs.IntVar(&o.engine.TraceDepth, "trace-depth", 0, "epoch lifecycle traces retained on /debug/trace (0 = default 64)")
 	fs.BoolVar(&o.engine.DisableWarmStart, "no-warm", false, "solve every epoch from scratch: disable MWU warm starts and the PATCH delta fast path")

@@ -94,7 +94,7 @@ func Build(g *graph.Graph, lengths []float64, rng *rand.Rand) (*Tree, error) {
 	for float64(int64(1)<<levels) <= 2*diam+1 {
 		levels++
 	}
-	beta := 1 + rng.Float64() // β ∈ [1,2)
+	beta := 1 + float64(rng.Float64()) // β ∈ [1,2)
 	perm := rng.Perm(n)
 
 	t := &Tree{

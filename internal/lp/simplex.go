@@ -207,7 +207,7 @@ func (p *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 		if bi < len(p.C) && math.Abs(obj[bi]) > eps {
 			coef := obj[bi]
 			for j := 0; j <= total; j++ {
-				obj[j] -= coef * tab[i][j]
+				obj[j] -= float64(coef * tab[i][j])
 			}
 		}
 	}
@@ -229,12 +229,12 @@ func (p *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 	for i := range p.A {
 		var dot, scale float64
 		for j := range p.A[i] {
-			dot += p.A[i][j] * x[j]
+			dot += float64(p.A[i][j] * x[j])
 			if a := math.Abs(p.A[i][j] * x[j]); a > scale {
 				scale = a
 			}
 		}
-		tol := 1e-6 * (1 + scale + math.Abs(p.B[i]))
+		tol := float64(1e-6 * (1 + scale + math.Abs(p.B[i])))
 		switch p.Rel[i] {
 		case LE:
 			if dot > p.B[i]+tol {
@@ -260,7 +260,7 @@ func (p *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 	}
 	var val float64
 	for j := 0; j < n; j++ {
-		val += p.C[j] * x[j]
+		val += float64(p.C[j] * x[j])
 	}
 	return &Solution{X: x, Value: val}, nil
 }
@@ -333,14 +333,14 @@ func pivot(tab [][]float64, basis []int, obj []float64, row, col, total int) {
 			continue
 		}
 		for j := 0; j <= total; j++ {
-			tab[i][j] -= f * tab[row][j]
+			tab[i][j] -= float64(f * tab[row][j])
 		}
 		tab[i][col] = 0
 	}
 	f := obj[col]
 	if math.Abs(f) > eps {
 		for j := 0; j <= total; j++ {
-			obj[j] -= f * tab[row][j]
+			obj[j] -= float64(f * tab[row][j])
 		}
 		obj[col] = 0
 	}

@@ -48,7 +48,7 @@ const (
 	// EventHealth is a health state transition (ok/degraded/closed).
 	EventHealth = "health"
 	// EventWidening is a proactive-recovery widening decision, with the
-	// per-pair trigger (single-survivor or headroom).
+	// per-pair trigger (single-survivor).
 	EventWidening = "widening"
 	// EventSolveFailure is an epoch whose whole solve chain failed (the
 	// stale routing kept serving).

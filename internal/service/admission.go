@@ -62,7 +62,7 @@ func (l *rateLimiter) allow() (bool, time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.last.IsZero() {
-		l.tokens += now.Sub(l.last).Seconds() * l.rate
+		l.tokens += float64(now.Sub(l.last).Seconds() * l.rate)
 		if l.tokens > l.burst {
 			l.tokens = l.burst
 		}

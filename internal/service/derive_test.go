@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"sparseroute/internal/core"
+	"sparseroute/internal/demand"
 	"sparseroute/internal/graph"
 	"sparseroute/internal/graph/gen"
 	"sparseroute/internal/oblivious"
@@ -46,7 +47,7 @@ func wan64Engine(tb testing.TB, cfg Config) *Engine {
 }
 
 // TestLinkEventDerivationEquivalence drives seeded fail/restore/brownout/set
-// sequences on the bench WAN, with and without headroom widening, and checks
+// sequences on the bench WAN and checks
 // after every event that what the event derived incrementally equals what a
 // from-scratch derivation of its installed system gives: the hash, the
 // serving system pair by pair and in order, the uncovered and at-risk pairs.
@@ -55,20 +56,15 @@ func wan64Engine(tb testing.TB, cfg Config) *Engine {
 // record, installs the same system. Restoring every edge must install the
 // startup system itself.
 func TestLinkEventDerivationEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		headroom float64
-		seed     uint64
-	}{
-		{0, 1}, {0.5, 2}, {0, 3}, {0.5, 4},
-	} {
-		t.Run(fmt.Sprintf("headroom=%v/seed=%d", tc.headroom, tc.seed), func(t *testing.T) {
-			e := wan64Engine(t, Config{AtRiskHeadroom: tc.headroom})
-			twin := wan64Engine(t, Config{AtRiskHeadroom: tc.headroom})
+	for _, seed := range []uint64{1, 2, 3, 4} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			e := wan64Engine(t, Config{})
+			twin := wan64Engine(t, Config{})
 			if e.Hash() != goldenStartHash {
 				t.Fatalf("startup hash %016x, want %016x", e.Hash(), uint64(goldenStartHash))
 			}
 			m := e.cfg.Graph.NumEdges()
-			rng := rand.New(rand.NewPCG(tc.seed, 29))
+			rng := rand.New(rand.NewPCG(seed, 29))
 			for step := 0; step < 14; step++ {
 				var (
 					name string
@@ -106,7 +102,7 @@ func TestLinkEventDerivationEquivalence(t *testing.T) {
 				checkDerivation(t, e, label)
 				checkPathIndependent(t, e, twin, label)
 			}
-			checkRestoreEqualsLive(t, e, Config{AtRiskHeadroom: tc.headroom})
+			checkRestoreEqualsLive(t, e)
 			if _, err := e.setLinkState(nil); err != nil {
 				t.Fatal(err)
 			}
@@ -124,10 +120,10 @@ func TestLinkEventDerivationEquivalence(t *testing.T) {
 	}
 }
 
-// checkRestoreEqualsLive round-trips e through writeSnapshot and Restore
-// with cfg, and requires the restored engine to install e's system at e's
+// checkRestoreEqualsLive round-trips e through writeSnapshot and Restore,
+// and requires the restored engine to install e's system at e's
 // link state, from a snapshot that stores the startup sample alone.
-func checkRestoreEqualsLive(t *testing.T, e *Engine, cfg Config) {
+func checkRestoreEqualsLive(t *testing.T, e *Engine) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := e.writeSnapshot(&buf); err != nil {
@@ -140,7 +136,7 @@ func checkRestoreEqualsLive(t *testing.T, e *Engine, cfg Config) {
 	if got := serial.PathSystemHash(snap.System); got != goldenStartHash {
 		t.Errorf("snapshot system hashes %016x, want the startup %016x", got, uint64(goldenStartHash))
 	}
-	r, err := Restore(&buf, cfg)
+	r, err := Restore(&buf, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,27 +192,19 @@ func checkDerivation(t *testing.T, e *Engine, step string) {
 	if want := serving.UncoveredPairs(installed.Pairs()); !slices.Equal(ls.uncovered, want) {
 		t.Fatalf("%s: uncovered %v, recomputed %v", step, ls.uncovered, want)
 	}
-	if want := referenceAtRisk(ls, e.cfg.AtRiskHeadroom); !slices.Equal(ls.atRisk, want) {
+	if want := referenceAtRisk(ls); !slices.Equal(ls.atRisk, want) {
 		t.Fatalf("%s: %d at-risk pairs, recomputed %d", step, len(ls.atRisk), len(want))
 	}
 }
 
-// referenceAtRisk checks every installed pair for both triggers: the
-// definition atRiskList's shortcuts (unpruned pairs skipped, the second pass
-// over the first pass's pairs only) must agree with.
-func referenceAtRisk(ls *linkState, headroom float64) []atRiskPair {
-	if len(ls.capacity) == 0 {
-		return nil
-	}
-	var out []atRiskPair
+// referenceAtRisk checks every installed pair: the definition atRiskList's
+// shortcuts (unpruned pairs skipped, the second pass over the first pass's
+// pairs only) must agree with.
+func referenceAtRisk(ls *linkState) []demand.Pair {
+	var out []demand.Pair
 	for _, p := range ls.installed.Pairs() {
-		surv := ls.serving.Unique(p.U, p.V)
-		if len(ls.failed) > 0 && len(surv) == 1 && len(ls.installed.Unique(p.U, p.V)) > 1 {
-			out = append(out, atRiskPair{Pair: p, Trigger: triggerSingleSurvivor})
-			continue
-		}
-		if headroom > 0 && len(surv) > 0 && pairHeadroom(ls, surv) < headroom {
-			out = append(out, atRiskPair{Pair: p, Trigger: triggerHeadroom})
+		if len(ls.failed) > 0 && len(ls.serving.Unique(p.U, p.V)) == 1 && len(ls.installed.Unique(p.U, p.V)) > 1 {
+			out = append(out, p)
 		}
 	}
 	return out

@@ -201,8 +201,8 @@ type Engine struct {
 
 	active atomic.Pointer[State]
 	// links is the current link state: failed-edge set, pruned serving
-	// system, recovery paths, hash. Readers are lock-free; writers serialize
-	// on linkMu (see links.go).
+	// system, recovery paths, hash. Readers are lock-free; writers hold mu
+	// (see links.go).
 	links atomic.Pointer[linkState]
 
 	// rootCtx parents every epoch solve; stop cancels it so Close aborts
@@ -210,19 +210,16 @@ type Engine struct {
 	rootCtx context.Context
 	stop    context.CancelFunc
 
-	linkMu sync.Mutex // serializes topology events
-
-	// WAL state. walMu is a leaf lock (taken under e.mu or linkMu, never
-	// around them) held only across seq-assign + append so the demand and
-	// link paths interleave into one ordered log; the fsync runs outside it
-	// (see commitOp). opSeq is the engine-wide operation sequence number,
-	// monotonic across restarts (resumed from the snapshot watermark plus
-	// replayed records).
-	walMu         sync.Mutex
+	// opSeq is the engine-wide operation sequence number, monotonic across
+	// restarts (resumed from the snapshot watermark plus replayed records).
 	opSeq         atomic.Uint64
 	walOpsSince   atomic.Int64 // ops logged since the last checkpoint
 	checkpointing atomic.Bool  // single-flights async checkpoints
 
+	// mu is the engine's one writer lock. Every record — demand or link — is
+	// stepped, sequenced, appended to the WAL and applied under it, so the
+	// log's order is the order the live state took (see logLocked). It also
+	// guards the epoch bookkeeping below.
 	mu        sync.Mutex
 	nextEpoch uint64
 	outcomes  map[uint64]*Outcome
@@ -322,8 +319,8 @@ func startupSample(cfg Config) (*core.PathSystem, error) {
 // degraded snapshot's link state is derived from the startup sample with the
 // default build options, as an engine made with New uses, and published as
 // one link event. So a degraded restore reproduces the writer's installed
-// system and hash only when the writer used the default options and the same
-// cfg.AtRiskHeadroom; a healthy restore reproduces it always.
+// system and hash only when the writer used the default options; a healthy
+// restore reproduces it always.
 func Restore(r io.Reader, cfg Config) (*Engine, error) {
 	s, cfg, err := snapshotState(r, cfg)
 	if err != nil {
@@ -436,18 +433,37 @@ func (e *Engine) SubmitDemandCtx(ctx context.Context, d *demand.Demand) (uint64,
 
 // acceptDemand is the one accept step every demand mutation takes — submit
 // or patch, from the Go API or the HTTP layer: check the caller is still
-// there, admit, step the demand half of the state with the record, log
-// before apply, put the solve in the slot, and only then make the matrix the
-// base later patches merge into.
+// there and admit it, then apply the record (see applyDemand), and only
+// then wait for the fsync that makes it durable. The fsync runs outside
+// e.mu, so concurrent accepts share one (see wal.Log.Sync), and the drain
+// syncs the log before it solves a request it picked up (see solve), so
+// nothing unsynced is ever solved or served.
 func (e *Engine) acceptDemand(ctx context.Context, op *walOp) (uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	// Admission runs before the WAL commit: a shed mutation must leave no
+	// Admission runs before the WAL append: a shed mutation must leave no
 	// trace to replay, and no durable work should be spent on it.
 	if wait, shed := e.admitMutation(); shed != nil {
 		return 0, &ShedError{Err: shed, After: wait}
 	}
+	epoch, err := e.applyDemand(op)
+	if err != nil {
+		return 0, err
+	}
+	if err := e.syncWAL(); err != nil {
+		return 0, err
+	}
+	e.maybeCheckpoint()
+	return epoch, nil
+}
+
+// applyDemand steps the standing demand with op, logs it, puts the solve in
+// the slot and makes the matrix the base later patches merge into, all under
+// e.mu. A record whose fsync then fails stays applied, as it stays in the
+// file: the live demand is what a reopen of the log gives, and the failed
+// fsync breaks the log, so the drain neither solves nor serves it.
+func (e *Engine) applyDemand(op *walOp) (uint64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed.Load() {
@@ -457,9 +473,7 @@ func (e *Engine) acceptDemand(ctx context.Context, op *walOp) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Log before apply: the mutation must be durable before the client can be
-	// told it was accepted.
-	if err := e.commitOp(op); err != nil {
+	if err := e.logLocked(op); err != nil {
 		return 0, err
 	}
 	epoch, err := e.putLocked(&epochRequest{d: next.demand, touched: touched})
@@ -470,7 +484,6 @@ func (e *Engine) acceptDemand(ctx context.Context, op *walOp) (uint64, error) {
 	if op.Op == walOpPatch {
 		e.metrics.patches.Add(1)
 	}
-	e.maybeCheckpoint()
 	return epoch, nil
 }
 
@@ -570,6 +583,10 @@ func (e *Engine) Wait(ctx context.Context, epoch uint64) (*Outcome, error) {
 // before this pickup; the whole lifecycle — queue wait, per-attempt solve
 // chain, MWU progress, publish — is recorded as one obs.EpochTrace.
 func (e *Engine) solve(req *epochRequest) {
+	// Nothing unsynced is solved, so nothing unsynced is served: the accept
+	// that put req in the slot may still be waiting for its fsync, and this
+	// wait shares it. It counts as queue wait.
+	synced := e.syncWAL()
 	start := time.Now()
 	epoch, queueWait := req.epoch, start.Sub(req.queued)
 	d := req.d
@@ -629,11 +646,12 @@ func (e *Engine) solve(req *epochRequest) {
 	var r flow.Routing
 	var loads []float64
 	var cong float64
-	var err error
+	err := synced
 	solved := false
-	if served.SupportSize() == 0 {
+	if err == nil && served.SupportSize() == 0 {
 		err = fmt.Errorf("service: no demand pair has surviving candidate paths")
-	} else if req.touched != nil && warmable && out.DroppedPairs == 0 && prev.EdgeLoads != nil {
+	}
+	if err == nil && req.touched != nil && warmable && out.DroppedPairs == 0 && prev.EdgeLoads != nil {
 		// Delta fast path: re-solve only the touched pairs against the fixed
 		// background of every untouched pair's flow — O(k·paths) instead of
 		// O(pairs·paths). Any mismatch (the previous routing no longer

@@ -15,7 +15,7 @@ import (
 	"sparseroute/internal/oblivious"
 )
 
-func testEngine(t *testing.T, cfg Config) *Engine {
+func testEngine(t testing.TB, cfg Config) *Engine {
 	t.Helper()
 	if cfg.Graph == nil {
 		cfg.Graph = gen.Hypercube(3)

@@ -637,9 +637,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // — the temp file is removed so failed snapshots never litter the directory.
 //
 // When the engine has a WAL, this is the checkpoint operation: the snapshot
-// and the log truncation happen under linkMu and e.mu (blocking every
-// mutation path), so the snapshot's WAL watermark is exact and no operation
-// can land between the snapshot and the truncation and be lost.
+// and the log rewrite happen under e.mu (blocking every mutation), so the
+// snapshot's WAL watermark is exact and no operation can land between the
+// snapshot and the rewrite and be lost.
 func (e *Engine) SnapshotToFile(path string) (int64, error) {
 	n, _, err := e.checkpoint(path)
 	return n, err
@@ -648,8 +648,6 @@ func (e *Engine) SnapshotToFile(path string) (int64, error) {
 // checkpoint is SnapshotToFile, also returning the link state the snapshot
 // holds.
 func (e *Engine) checkpoint(path string) (int64, *linkState, error) {
-	e.linkMu.Lock()
-	defer e.linkMu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ls := e.links.Load()

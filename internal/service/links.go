@@ -20,8 +20,8 @@ import (
 
 // linkState is one published version of the link-capacity state and
 // everything derived from it. Like State it is immutable once published:
-// readers load it through an atomic pointer and never take a lock; writers
-// build a fresh value under linkMu and swap it in.
+// readers load it through an atomic pointer and never take a lock; a link
+// event derives a fresh value and swaps it in under e.mu.
 type linkState struct {
 	// version counts applied topology events, starting at 1.
 	version uint64
@@ -65,16 +65,14 @@ type linkState struct {
 	// diversity this is almost always exactly the pairs the surviving graph
 	// disconnects.
 	uncovered []demand.Pair
-	// atRisk lists the pairs proactive recovery targets, each with the
-	// trigger that put it there: pruning left it a single surviving unique
-	// candidate (one more failure disconnects it), or — when
-	// Config.AtRiskHeadroom is set — its best surviving candidate still
-	// crosses an edge whose capacity multiplier is below the threshold.
-	atRisk []atRiskPair
+	// atRisk lists the pairs proactive recovery targets that it could not
+	// widen: pruning left each a single surviving unique candidate, so one
+	// more failure disconnects it.
+	atRisk []demand.Pair
 	// degradedSince is when the current impaired stint began (zero while
 	// healthy), and degradedTotal the wall time of every earlier stint. Both
 	// are set at publish time (see carryDegraded), so health checks and
-	// metric scrapes read them without waiting for linkMu.
+	// metric scrapes read them without taking a lock.
 	degradedSince time.Time
 	degradedTotal time.Duration
 	// sizes holds the path counts the path_system gauge reports, filled by
@@ -100,22 +98,10 @@ func (ls *linkState) digest(pairs []demand.Pair) uint64 {
 	return ls.hash.sum
 }
 
-// At-risk triggers, recorded on each widening journal event.
-const (
-	// triggerSingleSurvivor marks a pair pruned down to one surviving unique
-	// candidate while other installed candidates are dead.
-	triggerSingleSurvivor = "single-survivor"
-	// triggerHeadroom marks a pair whose surviving capacity headroom (the
-	// best candidate's worst edge multiplier) fell below
-	// Config.AtRiskHeadroom.
-	triggerHeadroom = "headroom"
-)
-
-// atRiskPair is one at-risk pair and why it is at risk.
-type atRiskPair struct {
-	Pair    demand.Pair
-	Trigger string
-}
+// triggerSingleSurvivor is the trigger every widening journal event
+// records: a pair pruned down to one surviving unique candidate while other
+// installed candidates are dead.
+const triggerSingleSurvivor = "single-survivor"
 
 // EdgeCapacity reports one degraded-but-alive edge: its ID and effective-
 // capacity multiplier in (0,1).
@@ -249,42 +235,75 @@ func (e *Engine) RestoreEdges(ids ...int) (*LinkUpdate, error) {
 }
 
 // applyLinkEvent is the single live writer of the link state: FailEdges,
-// RestoreEdges and POST /v1/links build the record. Under linkMu it steps the
-// link half of the state with the record (see step), derives the link state
-// of the new capacity map from the startup sample (see deriveLinks), logs the
-// record, publishes the new immutable linkState, and finally re-serves the
-// active demand: an immediate renormalization of the previous routing over
-// surviving paths (cheap, no solver — degraded-mode serving) followed by a
-// full re-adapt epoch through the normal solve ladder (against the
-// capacity-scaled view when fractional overrides exist). Replay folds link
-// records with the same step, and derives only the map its log ends in.
+// RestoreEdges and POST /v1/links build the record. It steps the link state
+// with the record (see step) and derives the link state of the new capacity
+// map from the startup sample (see deriveLinks) outside any lock,
+// against the link state it read; derivation is pure, so if another event
+// published first it simply derives again. Then, under e.mu, it logs the
+// record, waits for its fsync (link events are rare, so theirs stays inside
+// the lock), publishes the new immutable linkState and puts the re-adapt of
+// the latest accepted demand in the slot (see publishLinksLocked). Once e.mu
+// is released it publishes the interim renormalization of the previous
+// routing over the surviving paths (cheap, no solver — degraded-mode
+// serving). Replay folds link records with the same step, and derives only
+// the map its log ends in.
 func (e *Engine) applyLinkEvent(op *walOp) (*LinkUpdate, error) {
-	e.linkMu.Lock()
-	defer e.linkMu.Unlock()
-	if e.closed.Load() {
-		return nil, errClosed
-	}
 	cur := e.links.Load()
-	next, _, err := step(e.at(cur, nil), op)
-	if err != nil {
-		return nil, err
+	for {
+		if e.closed.Load() {
+			return nil, errClosed
+		}
+		next, _, err := step(e.at(cur, nil), op)
+		if err != nil {
+			return nil, err
+		}
+		if next.version == cur.version {
+			// No-op event: report the current state without a version bump.
+			return reportLinks(cur), nil
+		}
+		ev := e.deriveLinks(next.version, next.capacity)
+		e.mu.Lock()
+		if latest := e.links.Load(); latest != cur {
+			// Another event published first: step and derive against it.
+			e.mu.Unlock()
+			cur = latest
+			continue
+		}
+		update, interim, err := e.commitLinksLocked(cur, ev, op)
+		e.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+		if interim != nil {
+			interim()
+		}
+		e.maybeCheckpoint()
+		return update, nil
 	}
-	if next.version == cur.version {
-		// No-op event: report the current state without a version bump.
-		return reportLinks(cur), nil
-	}
+}
 
-	// Derive, log, publish. The record is durable before anything is
-	// published, and nothing the derivation reports (counters, widening
-	// events) is emitted unless it commits, so a refused event leaves no
-	// trace. Logged after the no-op check so replay sees exactly the
-	// version-bumping events, and replayed versions match the original run
-	// one for one.
-	ev := e.deriveLinks(next.version, next.capacity)
-	if err := e.commitOp(op); err != nil {
-		return nil, err
+// commitLinksLocked logs op, waits for its fsync and publishes ev over cur.
+// The record is durable before anything is published, and nothing the
+// derivation reports (counters, widening events) is emitted unless it
+// commits, so a refused event leaves no trace. (A failed fsync leaves the
+// record in the file unpublished, but it also breaks the log, so nothing
+// lands after it, and the next checkpoint rewrites the log from the live
+// state.) It is logged after the no-op check so replay sees exactly the
+// version-bumping events, and replayed versions match the original run one
+// for one. Callers hold e.mu.
+func (e *Engine) commitLinksLocked(cur *linkState, ev *linkEvent, op *walOp) (*LinkUpdate, func(), error) {
+	if e.closed.Load() {
+		return nil, nil, errClosed
 	}
-	return e.publishLinks(cur, ev, op), nil
+	err := e.logLocked(op)
+	if err == nil {
+		err = e.syncWAL()
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	update, interim := e.publishLinksLocked(cur, ev, op)
+	return update, interim, nil
 }
 
 // nextCapacity folds a link record into the override map cur of a graph with
@@ -392,10 +411,11 @@ func (e *Engine) deriveLinks(version uint64, capacity map[int]float64) *linkEven
 	return ev
 }
 
-// publishLinks publishes the derived state of ev over cur, reports and
-// journals the event op describes, and re-serves the active demand. Callers
-// hold linkMu.
-func (e *Engine) publishLinks(cur *linkState, ev *linkEvent, op *walOp) *LinkUpdate {
+// publishLinksLocked publishes the derived state of ev over cur, reports and
+// journals the event op describes, and queues the re-serve of the active
+// demand (see reRouteLocked), returning the interim publish to run once e.mu
+// is released (nil when there is nothing to re-serve). Callers hold e.mu.
+func (e *Engine) publishLinksLocked(cur *linkState, ev *linkEvent, op *walOp) (*LinkUpdate, func()) {
 	next, update := ev.next, ev.update
 	update.FailedEdges = next.failedIDs
 	update.DegradedEdges = next.degradedCaps
@@ -450,71 +470,27 @@ func (e *Engine) publishLinks(cur *linkState, ev *linkEvent, op *walOp) *LinkUpd
 	// Re-serve the active demand over the survivors. This runs after the
 	// publish so the interim renormalization and the re-adapt epoch both see
 	// the new link state.
-	e.reRouteActive(next)
-	e.maybeCheckpoint()
-	return update
+	return update, e.reRouteLocked(next)
 }
 
-// atRiskList lists the pairs proactive recovery should widen, with triggers:
-//
-//   - single-survivor: pruning left exactly one surviving unique candidate
-//     while at least one installed candidate is dead. Pairs that only ever
-//     had a single unique candidate (a sparse sample, not a failure) are not
-//     at risk in this sense and are left alone.
-//   - headroom (only when Config.AtRiskHeadroom > 0): every surviving
-//     candidate crosses a capacity-degraded edge below the threshold — the
-//     pair has no clean route, and one more brownout or failure on its best
-//     path squeezes it further.
-//
-// A pair matching both reports the single-survivor trigger (the more urgent
-// condition). Only the given pairs, sorted, are checked, and only a pair the
-// prune cost a candidate can be a single survivor.
-func (e *Engine) atRiskList(ls *linkState, pairs []demand.Pair) []atRiskPair {
-	if len(ls.capacity) == 0 {
+// atRiskList lists the pairs proactive recovery should widen: those pruning
+// left exactly one surviving unique candidate while at least one installed
+// candidate is dead. Pairs that only ever had a single unique candidate (a
+// sparse sample, not a failure) are not at risk in this sense and are left
+// alone. Only the given pairs, sorted, are checked, and only a pair the prune
+// cost a candidate can be a single survivor.
+func atRiskList(ls *linkState, pairs []demand.Pair) []demand.Pair {
+	if len(ls.failed) == 0 {
 		return nil
 	}
-	headroom := e.cfg.AtRiskHeadroom
-	var out []atRiskPair
+	var out []demand.Pair
 	for _, p := range pairs {
-		var surv []graph.Path
-		if len(ls.failed) > 0 && ls.serving.NumSampled(p) < ls.installed.NumSampled(p) {
-			surv = ls.serving.Unique(p.U, p.V)
-			if len(surv) == 1 && len(ls.installed.Unique(p.U, p.V)) > 1 {
-				out = append(out, atRiskPair{Pair: p, Trigger: triggerSingleSurvivor})
-				continue
-			}
-		}
-		if headroom <= 0 {
-			continue
-		}
-		if surv == nil {
-			surv = ls.serving.Unique(p.U, p.V)
-		}
-		if len(surv) > 0 && pairHeadroom(ls, surv) < headroom {
-			out = append(out, atRiskPair{Pair: p, Trigger: triggerHeadroom})
+		if ls.serving.NumSampled(p) < ls.installed.NumSampled(p) &&
+			len(ls.serving.Unique(p.U, p.V)) == 1 && len(ls.installed.Unique(p.U, p.V)) > 1 {
+			out = append(out, p)
 		}
 	}
 	return out
-}
-
-// pairHeadroom is the pair's surviving capacity headroom: the maximum over
-// its surviving candidates of the minimum capacity multiplier along the
-// candidate (1 on fully healthy edges). 1 means at least one candidate runs
-// entirely on healthy links; below 1 every route crosses a degraded edge.
-func pairHeadroom(ls *linkState, cands []graph.Path) float64 {
-	best := 0.0
-	for _, p := range cands {
-		worst := 1.0
-		for _, id := range p.EdgeIDs {
-			if c, ok := ls.capacity[id]; ok && c < worst {
-				worst = c
-			}
-		}
-		if worst > best {
-			best = worst
-		}
-	}
-	return best
 }
 
 // linkEvent is one link event's derivation in progress: the unpublished next
@@ -616,55 +592,25 @@ func (e *Engine) recoverUncovered(ev *linkEvent, survivors *eventRouter) {
 }
 
 // proactiveRecover widens the pairs the event left at risk *before* a
-// further failure can disconnect or squeeze them. Single-survivor pairs are
-// resampled from survivors, the router recovery used; headroom-triggered
-// pairs — enabled by Config.AtRiskHeadroom — are resampled from a router of
-// their own, built with the weak (below-threshold) edges additionally
-// avoided, so the fresh paths route around the brownout rather than through
-// it. Fresh paths are
-// deduplicated against the installed set so a survivor graph offering no
-// alternative route cannot grow the system; a pair that gains no new unique
-// path simply stays in the at-risk report. Every pair that gains paths is
-// journaled as a widening event carrying its trigger. The pass sets
-// next.atRisk: widening adds candidates to at-risk pairs only, so only they
-// are checked again.
+// further failure can disconnect them: they are resampled from survivors,
+// the router recovery used. Fresh paths are deduplicated against the
+// installed set so a survivor graph offering no alternative route cannot
+// grow the system; a pair that gains no new unique path simply stays in the
+// at-risk report. Every pair that gains paths is journaled as a widening
+// event. The pass sets next.atRisk: widening adds candidates to at-risk pairs
+// only, so only they are checked again.
 func (e *Engine) proactiveRecover(ev *linkEvent, survivors *eventRouter) {
 	next := ev.next
-	atRisk := e.atRiskList(next, e.pairs)
-	checked := make([]demand.Pair, len(atRisk))
-	var single, weak []demand.Pair
-	for i, ar := range atRisk {
-		checked[i] = ar.Pair
-		if ar.Trigger == triggerSingleSurvivor {
-			single = append(single, ar.Pair)
-		} else {
-			weak = append(weak, ar.Pair)
-		}
-	}
-	e.widenPairs(ev, single, triggerSingleSurvivor, survivors, 0x5bf03635)
-	if len(weak) > 0 {
-		// Treat below-threshold edges as failed for sampling purposes only:
-		// candidates through them keep serving, but replacements avoid them.
-		avoid := make(map[int]bool, len(next.failed)+len(next.capacity))
-		for id := range next.failed {
-			avoid[id] = true
-		}
-		for id, c := range next.capacity {
-			if c < e.cfg.AtRiskHeadroom {
-				avoid[id] = true
-			}
-		}
-		e.widenPairs(ev, weak, triggerHeadroom, &eventRouter{avoid: avoid}, 0x2c1b3c6d)
-	}
-	next.atRisk = e.atRiskList(next, checked)
+	atRisk := atRiskList(next, e.pairs)
+	e.widenPairs(ev, atRisk, survivors, 0x5bf03635)
+	next.atRisk = atRiskList(next, atRisk)
 }
 
 // widenPairs is one proactive-widening pass: sample fresh candidates for the
 // given at-risk pairs from survivors, add the genuinely new unique paths to
 // the installed system, and journal one widening event per pair that gained
-// a path. salt decorrelates the pass from recovery and from the other
-// trigger.
-func (e *Engine) widenPairs(ev *linkEvent, pairs []demand.Pair, trigger string, survivors *eventRouter, salt uint64) {
+// a path. salt decorrelates the pass from recovery.
+func (e *Engine) widenPairs(ev *linkEvent, pairs []demand.Pair, survivors *eventRouter, salt uint64) {
 	if len(pairs) == 0 {
 		return
 	}
@@ -696,7 +642,7 @@ func (e *Engine) widenPairs(ev *linkEvent, pairs []demand.Pair, trigger string, 
 		if gained := fresh.NumSampled(pr); gained > 0 {
 			ev.widened = append(ev.widened, map[string]any{
 				"pair":    fmt.Sprintf("%d-%d", pr.U, pr.V),
-				"trigger": trigger,
+				"trigger": triggerSingleSurvivor,
 				"added":   gained,
 				"version": next.version,
 			})
@@ -766,42 +712,42 @@ func interimAnchor(prev *State, served *demand.Demand) (*demand.Demand, int) {
 	return served, 0
 }
 
-// reRouteActive re-serves the active demand after a topology event: first an
+// reRouteLocked re-serves the active demand after a topology event: an
 // immediate publish of the previous routing renormalized over surviving
 // paths (no solver in the loop, so traffic leaves dead edges right away),
-// then a full re-adaptation epoch put in the slot like any other. The
-// interim publish reshapes what is being served, restricted to the pairs the
-// pruned system still covers (the rest are black-holed until recovery or
+// then a full re-adaptation epoch put in the slot like any other. Under e.mu
+// it assigns the interim its epoch and queues the re-adapt; the interim
+// publish itself, returned for the caller to run once e.mu is released
+// (finish takes e.mu), reshapes what is being served, restricted to the pairs
+// the pruned system still covers (the rest are black-holed until recovery or
 // restore — the uncovered count in /healthz). The re-adapt solves the latest
 // accepted matrix, not the published one, so a demand accepted while an
 // earlier epoch was solving is not lost to the link event; solve restricts it
 // to covered pairs as it does every epoch.
-func (e *Engine) reRouteActive(ls *linkState) {
+func (e *Engine) reRouteLocked(ls *linkState) func() {
 	st := e.active.Load()
 	if st == nil || st.Demand == nil {
-		return
+		return nil
 	}
 	served := st.Demand.Restrict(func(p demand.Pair) bool {
 		return ls.serving.NumSampled(p) > 0
 	})
 	if served.SupportSize() == 0 {
-		return
-	}
-
-	e.mu.Lock()
-	if e.closed.Load() {
-		e.mu.Unlock()
-		return
+		return nil
 	}
 	e.nextEpoch++
 	interim := e.nextEpoch
 	if _, err := e.putLocked(&epochRequest{d: e.lastSubmitted}); err != nil {
-		e.mu.Unlock()
-		return
+		return nil
 	}
 	e.pending[interim] = struct{}{}
-	e.mu.Unlock()
+	return func() { e.serveInterim(ls, st, served, interim) }
+}
 
+// serveInterim publishes the previous routing of st renormalized over the
+// survivors of ls as epoch interim, restricted to the demand served, and
+// resolves the epoch.
+func (e *Engine) serveInterim(ls *linkState, st *State, served *demand.Demand, interim uint64) {
 	start := time.Now()
 	r := renormalizeOverSurvivors(ls, st.Routing, served)
 	eff := ls.effectiveGraph(e.cfg.Graph)

@@ -157,18 +157,17 @@ func TestEngineLinkEventValidation(t *testing.T) {
 	}
 }
 
-// TestHealthDoesNotWaitForLinkEvent: a link event holds linkMu across its
-// derivation (a survivor-router build on a real topology), its WAL commit and
-// its publish. A readiness probe and a metric scrape read the published link
-// state instead, so neither may wait for the event.
+// TestHealthDoesNotWaitForLinkEvent: a link event holds mu across its WAL
+// append, fsync and publish. A readiness probe and a metric scrape read the
+// published link state instead, so neither may wait for the event.
 func TestHealthDoesNotWaitForLinkEvent(t *testing.T) {
 	e, edges := diamondEngine(t)
 	if _, err := e.FailEdges(edges[1]); err != nil {
 		t.Fatal(err)
 	}
 	srv := NewServer(e, "")
-	e.linkMu.Lock() // an event in flight
-	defer e.linkMu.Unlock()
+	e.mu.Lock() // an event committing
+	defer e.mu.Unlock()
 
 	health := make(chan *Health, 1)
 	go func() { health <- e.Health() }()
@@ -198,7 +197,7 @@ func TestHealthDoesNotWaitForLinkEvent(t *testing.T) {
 }
 
 // TestHealthDoesNotWaitForDemandAccept: a demand accept holds mu across its
-// WAL sync, so Health and GET /healthz must not take mu. With mu held they
+// step and WAL append, so Health and GET /healthz must not take mu. With mu held they
 // still answer, and report the last finished epoch.
 func TestHealthDoesNotWaitForDemandAccept(t *testing.T) {
 	e, _ := diamondEngine(t)

@@ -17,8 +17,8 @@ type Files struct {
 	// sample, capacity map, link version, WAL watermark) is where the log's
 	// fold starts, and resampling is skipped. A snapshot taken degraded has
 	// its link state derived again, so its hash is the writer's only under
-	// the writer's build options and Config.AtRiskHeadroom. Any other error
-	// opening it refuses startup.
+	// the writer's build options. Any other error opening it refuses
+	// startup.
 	Snapshot string
 	// Topo is the topology spec the path system is sampled from when there
 	// is no snapshot to restore.

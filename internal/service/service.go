@@ -97,8 +97,9 @@ type Config struct {
 	JournalShard string
 	// WAL, when non-nil, is the engine's write-ahead state log: every
 	// accepted mutation (demand submit, patch, link/capacity event) is
-	// appended and fsynced before it is applied, so a crash between
-	// snapshots loses nothing a client was acknowledged for. The caller
+	// appended as it is applied and fsynced before it is acknowledged or
+	// served, so a crash between snapshots loses nothing a client was
+	// acknowledged for. The caller
 	// owns the log's lifecycle (the engine never closes it). See
 	// Engine.ReplayWAL for recovery.
 	WAL *wal.Log
@@ -131,13 +132,6 @@ type Config struct {
 	// POST/PATCH); larger bodies get 413. Default 8 MiB; negative disables
 	// the cap.
 	MaxBodyBytes int64
-	// AtRiskHeadroom, when positive, extends the at-risk pair set beyond
-	// failure-squeezed pairs: a pair whose best surviving candidate still
-	// crosses an edge with capacity multiplier below this threshold is
-	// treated as at-risk, and proactive widening samples it replacement
-	// paths that avoid the weak links. 0 (default) disables headroom-based
-	// widening.
-	AtRiskHeadroom float64
 }
 
 // Fixed engine parameters.

@@ -12,14 +12,10 @@ import (
 )
 
 // state is what the log means: a value over the immutable startup sample,
-// of which everything the engine serves is a function.
-//
-// The engine holds it as two halves, which commute: a demand record's
-// validity depends only on the installed pair set, which no link event
-// changes (recovery and widening add paths to installed pairs only), and a
-// link record never reads the demand. So a live demand mutation steps the
-// demand half under e.mu, a live link event the link half in the published
-// linkState under linkMu, and no lock guards both; replay folds whole states.
+// of which everything the engine serves is a function. The live engine holds
+// it as its published linkState, its standing demand and its operation
+// counter, and writes all three under e.mu, the one lock every record is
+// stepped, sequenced, logged and applied under; replay folds whole states.
 type state struct {
 	// system is the startup path system; its graph is the topology records
 	// are checked against.
@@ -34,8 +30,9 @@ type state struct {
 	seq uint64
 }
 
-// at returns the state e is at: the link half of ls, the standing demand d
-// and the operation counter. The live paths read only the half they step.
+// at returns the state e is at: the link state ls, the standing demand d and
+// the operation counter. A link event passes a nil d: its record never reads
+// the demand.
 func (e *Engine) at(ls *linkState, d *demand.Demand) state {
 	return state{system: e.original, capacity: ls.capacity, version: ls.version, demand: d, seq: e.opSeq.Load()}
 }
@@ -136,14 +133,21 @@ func fold(s state, rec *wal.Recovery) *replay {
 // install brings e to the state r ends in, once: it derives the link state of
 // the final capacity map, sets the standing demand and resumes the operation
 // counter past everything the log holds, and puts one solve of the demand in
-// the slot. The link state is published as one replace event of the final
-// map when the fold or a degraded snapshot moved it off the startup sample;
-// a healthy snapshot only sets its version. With a log, install reports a
-// torn tail, journals every refused record with its seq, and counts one
-// replay.
+// the slot, all under e.mu. The link state is published as one replace event
+// of the final map when the fold or a degraded snapshot moved it off the
+// startup sample; a healthy snapshot only sets its version. With a log,
+// install reports a torn tail, journals every refused record with its seq,
+// and counts one replay.
 func (e *Engine) install(r *replay) error {
-	e.linkMu.Lock()
-	defer e.linkMu.Unlock()
+	var interim func()
+	defer func() {
+		// Deferred first, so it runs after e.mu is released.
+		if interim != nil {
+			interim()
+		}
+	}()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed.Load() {
 		return errClosed
 	}
@@ -165,15 +169,10 @@ func (e *Engine) install(r *replay) error {
 		if s.version == r.from.version && len(s.capacity) == 0 {
 			e.links.Store(ev.next)
 		} else {
-			e.publishLinks(cur, ev, &walOp{Op: walOpLinks, Replace: true, Fail: ev.next.failedIDs, Caps: ev.next.degradedCaps})
+			_, interim = e.publishLinksLocked(cur, ev, &walOp{Op: walOpLinks, Replace: true, Fail: ev.next.failedIDs, Caps: ev.next.degradedCaps})
 		}
 	}
 
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed.Load() {
-		return errClosed
-	}
 	e.opSeq.Store(max(e.opSeq.Load(), r.stats.LastSeq))
 	e.lastSubmitted = s.demand
 	if s.demand != nil {

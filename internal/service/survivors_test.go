@@ -55,28 +55,6 @@ func TestLinkEventBuildsOneSurvivorRouter(t *testing.T) {
 	}
 }
 
-// TestHeadroomWideningBuildsItsOwnRouter: a headroom-triggered pass avoids
-// the weak edges on top of the failed ones, so an event that widens both a
-// single-survivor pair and a headroom pair builds two routers, one per
-// avoid set.
-func TestHeadroomWideningBuildsItsOwnRouter(t *testing.T) {
-	e, ids := headroomEngine(t, Config{AtRiskHeadroom: 0.5})
-	update, err := e.applyLinkEvent(&walOp{
-		Op:   walOpLinks,
-		Fail: []int{ids["13"]},
-		Caps: []EdgeCapacity{{Edge: ids["04"], Capacity: 0.2}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if update.ProactivePairs != 2 {
-		t.Fatalf("update %+v, want (0,3) and (0,4) widened", update)
-	}
-	if got := e.metrics.survivorBuilds.Value(); got != 2 {
-		t.Fatalf("survivor_builds=%d, want 2 (failed set, failed+weak set)", got)
-	}
-}
-
 // TestOpenSurvivorRouterUsesBuildOptions: Open's build options reach the
 // survivor routers, so an engine sampled from a 4-tree mixture also
 // resamples failures from 4 trees — at most 4 distinct paths per pair —

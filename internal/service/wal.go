@@ -12,8 +12,9 @@ import (
 
 // The engine's write-ahead log makes every accepted state mutation — demand
 // SUBMIT, PATCH set/clear deltas, link fail/restore, capacity overrides —
-// durable before it is applied: the operation is framed into Config.WAL and
-// fsynced, and only then acknowledged. A SIGKILL between snapshots therefore
+// durable before it is acknowledged or served: the operation is framed into
+// Config.WAL as it is applied, and fsynced before the reply and before any
+// routing that depends on it is published. A SIGKILL between snapshots therefore
 // loses nothing a client was told succeeded. The log means one state value
 // (see state.go): on restart Open folds the logged operations over the newest
 // snapshot's state with the live path's own step, installs the state the log
@@ -156,43 +157,47 @@ func applyDemandOp(base *demand.Demand, op *walOp, n int) (next *demand.Demand, 
 	}
 }
 
-// commitOp assigns op the next operation sequence number, appends it to the
-// WAL, and fsyncs (group-committed with concurrent writers); without a WAL it
-// does nothing. A commit failure means the operation has no durability —
-// callers reject it rather than apply something a crash would silently
-// forget. Replay never comes here: its operations are already on disk.
-//
-// Lock order: callers hold e.mu (demand path) or e.linkMu (link path); walMu
-// is a leaf below both and is held only across seq-assign + append so the
-// two paths interleave correctly. The fsync runs outside walMu, letting the
-// log batch concurrent committers into one flush.
-func (e *Engine) commitOp(op *walOp) error {
+// logLocked assigns op the next operation sequence number and appends it to
+// the WAL; without a WAL it does nothing. Callers hold e.mu, the one lock
+// every record is sequenced under, so the log's order is the order the live
+// state took. The record is not durable until syncWAL returns: an append
+// failure refuses the operation before anything is applied, and callers
+// apply it only after this returns. Replay never comes here: its operations
+// are already on disk.
+func (e *Engine) logLocked(op *walOp) error {
 	w := e.cfg.WAL
 	if w == nil {
 		return nil
 	}
-	e.walMu.Lock()
-	op.Seq = e.opSeq.Add(1)
+	op.Seq = e.opSeq.Load() + 1
 	buf, err := json.Marshal(op)
 	if err == nil {
 		err = w.Append(buf)
 	}
-	e.walMu.Unlock()
 	if err != nil {
 		return fmt.Errorf("service: wal commit: %w", err)
 	}
-	if err := w.Sync(); err != nil {
-		return fmt.Errorf("service: wal commit: %w", err)
-	}
+	e.opSeq.Store(op.Seq)
 	e.walOpsSince.Add(1)
+	return nil
+}
+
+// syncWAL waits until every record logged so far is durable, sharing the
+// fsync with concurrent callers (see wal.Log.Sync); without a WAL it does
+// nothing. A failure breaks the log until the next checkpoint resets it.
+func (e *Engine) syncWAL() error {
+	if w := e.cfg.WAL; w != nil {
+		if err := w.Sync(); err != nil {
+			return fmt.Errorf("service: wal commit: %w", err)
+		}
+	}
 	return nil
 }
 
 // maybeCheckpoint triggers an async snapshot + WAL truncation once
 // CheckpointEvery operations have accumulated since the last checkpoint. The
-// snapshot runs on its own goroutine (SnapshotToFile takes linkMu and e.mu;
-// callers of maybeCheckpoint hold one of them), single-flighted by the
-// checkpointing flag.
+// snapshot runs on its own goroutine, so the mutation that crossed the
+// threshold does not wait for it, single-flighted by the checkpointing flag.
 func (e *Engine) maybeCheckpoint() {
 	n := e.cfg.CheckpointEvery
 	if n <= 0 || e.cfg.CheckpointPath == "" || e.cfg.WAL == nil {
@@ -214,26 +219,36 @@ func (e *Engine) maybeCheckpoint() {
 	}()
 }
 
-// resetWALLocked truncates the WAL after a successful snapshot write — the
+// resetWALLocked rewrites the WAL after a successful snapshot write — the
 // checkpoint operation. Snapshots carry the topology, path system, and link
 // state but NOT the demand matrix; the log stays the matrix's durability
-// home, so the freshly truncated log is immediately re-seeded with one
-// submit record of the current matrix (sequence number past the snapshot's
-// watermark, so replay applies it). Callers hold linkMu and e.mu, which
-// blocks every mutation path — the snapshot, the truncation, and the
-// re-seed are one atomic cut of the engine's history.
+// home, so the log is rewritten as one submit record of the current matrix
+// (sequence number past the snapshot's watermark, so replay applies it).
+// wal.Log.Reset writes and fsyncs that seed under its commit barrier, so an
+// accept still waiting for its fsync is acknowledged only once the seed that
+// carries its demand is durable. Callers hold e.mu, which blocks every
+// mutation — the snapshot and the rewrite are one atomic cut of the engine's
+// history.
 func (e *Engine) resetWALLocked() error {
 	w := e.cfg.WAL
 	if w == nil {
 		return nil
 	}
-	if err := w.Reset(); err != nil {
-		return fmt.Errorf("service: checkpoint truncating wal: %w", err)
-	}
+	var seed []byte
+	seq := e.opSeq.Load()
 	if e.lastSubmitted != nil {
-		if err := e.commitOp(submitOp(e.lastSubmitted)); err != nil {
+		op := submitOp(e.lastSubmitted)
+		op.Seq = seq + 1
+		var err error
+		if seed, err = json.Marshal(op); err != nil {
 			return fmt.Errorf("service: checkpoint re-seeding demand: %w", err)
 		}
+	}
+	if err := w.Reset(seed); err != nil {
+		return fmt.Errorf("service: checkpoint resetting wal: %w", err)
+	}
+	if seed != nil {
+		e.opSeq.Store(seq + 1)
 	}
 	e.walOpsSince.Store(0)
 	e.metrics.checkpoints.Add(1)

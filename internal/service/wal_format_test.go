@@ -61,8 +61,7 @@ func TestWALRecordBytesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A failure and a brownout in one record, as an event that widens for
-	// headroom logs it.
+	// A failure and a brownout in one record.
 	widened, err := json.Marshal(&walOp{Seq: 10, Op: walOpLinks, Fail: []int{2},
 		Caps: []EdgeCapacity{{Edge: 7, Capacity: 0.25}}})
 	if err != nil {

@@ -21,7 +21,10 @@
 // commit barrier. Concurrent committers batch: while one Sync is in flight,
 // later appenders queue behind it and the next Sync covers all of them with a
 // single fsync (group commit). A failed Append self-heals by truncating the
-// partial frame so the log stays parseable.
+// partial frame so the log stays parseable. A failed fsync does not: nothing
+// says which frames reached the device, so the log goes sticky-broken — every
+// caller of that cohort and every later Append or Sync gets the error — until
+// a Reset rewrites it from a known state.
 //
 // The backing file sits behind the Writer seam so fault drills can inject
 // write failures, short writes, and sync failures at an exact byte offset
@@ -113,7 +116,10 @@ type Log struct {
 	w      Writer
 	size   int64  // current file size in bytes
 	writes uint64 // write generation, bumped per successful Append
-	broken error  // sticky: set when a failed Append could not be rolled back
+	// broken is sticky: set when a failed Append could not be rolled back,
+	// when an fsync failed, or when a Reset failed past its truncation.
+	// Only a successful Reset clears it.
+	broken error
 	closed bool
 }
 
@@ -220,13 +226,6 @@ func AppendFrame(buf, payload []byte) []byte {
 // the file stays parseable; if even the truncation fails the log goes
 // sticky-broken and every later Append reports it.
 func (l *Log) Append(payload []byte) error {
-	if len(payload) == 0 {
-		return fmt.Errorf("wal: empty record")
-	}
-	if len(payload) > MaxRecord {
-		return fmt.Errorf("%w: %d bytes (max %d)", errTooLarge, len(payload), MaxRecord)
-	}
-	frame := AppendFrame(nil, payload)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -235,6 +234,18 @@ func (l *Log) Append(payload []byte) error {
 	if l.broken != nil {
 		return l.broken
 	}
+	return l.write(payload)
+}
+
+// write frames payload onto the end of the file. Callers hold mu.
+func (l *Log) write(payload []byte) error {
+	if len(payload) == 0 {
+		return fmt.Errorf("wal: empty record")
+	}
+	if len(payload) > MaxRecord {
+		return fmt.Errorf("%w: %d bytes (max %d)", errTooLarge, len(payload), MaxRecord)
+	}
+	frame := AppendFrame(nil, payload)
 	n, err := l.w.Write(frame)
 	if err != nil || n != len(frame) {
 		if err == nil {
@@ -261,7 +272,9 @@ func (l *Log) Append(payload []byte) error {
 // one Sync runs, callers that appended in the meantime queue behind it and
 // the first to enter issues a single fsync covering the whole cohort — the
 // fsync-on-commit batching that keeps a busy engine from paying one disk
-// flush per operation.
+// flush per operation. A failed fsync breaks the log (see Log.broken): the
+// callers queued behind it get the same error instead of a fresh fsync that
+// would succeed without saying whether their frames survived the failure.
 func (l *Log) Sync() error {
 	if l.noSync {
 		return nil
@@ -279,15 +292,20 @@ func (l *Log) Sync() error {
 		return nil // a sibling's fsync already covered our frames
 	}
 	l.mu.Lock()
-	covered := l.writes
-	w := l.w
-	closed = l.closed
+	covered, w, closed, broken := l.writes, l.w, l.closed, l.broken
 	l.mu.Unlock()
 	if closed {
 		return errClosed
 	}
+	if broken != nil {
+		return broken
+	}
 	if err := w.Sync(); err != nil {
-		return fmt.Errorf("wal: sync: %w", err)
+		err = fmt.Errorf("wal: sync: %w", err)
+		l.mu.Lock()
+		l.broken = err
+		l.mu.Unlock()
+		return err
 	}
 	l.syncedAt = covered
 	return nil
@@ -301,11 +319,15 @@ func (l *Log) Commit(payload []byte) error {
 	return l.Sync()
 }
 
-// Reset truncates the log to empty — the checkpoint operation: once a
-// snapshot durably carries every applied record's effect, the records
-// themselves are dead weight. The truncation is itself synced. Lifetime
-// counters (Records/Bytes) keep counting across resets.
-func (l *Log) Reset() error {
+// Reset rewrites the log as seed alone (empty when seed is nil) — the
+// checkpoint operation: once a snapshot durably carries every applied
+// record's effect, the records themselves are dead weight, and seed carries
+// what the snapshot does not. The truncation, the seed and their fsync all
+// happen under the commit barrier, so a Sync waiting on it returns only once
+// the rewritten log is durable. A successful Reset clears a broken log; one
+// that fails after truncating breaks it. Lifetime counters (Records/Bytes)
+// keep counting across resets.
+func (l *Log) Reset(seed []byte) error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
 	l.mu.Lock()
@@ -318,10 +340,16 @@ func (l *Log) Reset() error {
 	}
 	l.size = 0
 	l.broken = nil
-	if !l.noSync {
+	if len(seed) > 0 {
+		l.broken = l.write(seed)
+	}
+	if l.broken == nil && !l.noSync {
 		if err := l.w.Sync(); err != nil {
-			return fmt.Errorf("wal: reset sync: %w", err)
+			l.broken = fmt.Errorf("wal: reset sync: %w", err)
 		}
+	}
+	if l.broken != nil {
+		return l.broken
 	}
 	l.syncedAt = l.writes
 	return nil

@@ -7,7 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func tmpLog(t *testing.T) string {
@@ -190,7 +192,7 @@ func TestReset(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Reset(); err != nil {
+	if err := l.Reset(nil); err != nil {
 		t.Fatalf("Reset: %v", err)
 	}
 	if got := fileSize(t, path); got != 0 {
@@ -298,6 +300,162 @@ func TestFaultSyncError(t *testing.T) {
 		// legitimately succeed without touching the device.
 		if !errors.Is(err, ErrInjected) {
 			t.Fatalf("Sync = %v", err)
+		}
+	}
+}
+
+// hookWriter is the OS-file Writer with hook run before every Sync, given
+// its 1-based call count: a hook error fails that Sync without touching the
+// device, and a blocking hook holds the Sync in flight. After every fsync
+// that succeeds it keeps a copy of the file, what a crash would leave.
+type hookWriter struct {
+	Writer
+	path    string
+	hook    func(call int64) error
+	calls   atomic.Int64
+	mu      sync.Mutex
+	durable []byte
+}
+
+func (w *hookWriter) Sync() error {
+	if err := w.hook(w.calls.Add(1)); err != nil {
+		return err
+	}
+	if err := w.Writer.Sync(); err != nil {
+		return err
+	}
+	data, err := os.ReadFile(w.path)
+	w.mu.Lock()
+	w.durable = data
+	w.mu.Unlock()
+	return err
+}
+
+// durableRecords scans the file as the last successful fsync left it.
+func (w *hookWriter) durableRecords() [][]byte {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	recs, _ := Scan(w.durable)
+	return recs
+}
+
+func openHooked(t *testing.T, path string, hook func(call int64) error) (*Log, *hookWriter) {
+	t.Helper()
+	var hw *hookWriter
+	l, _ := mustOpen(t, path, &Options{OpenWriter: func(p string) (Writer, error) {
+		w, err := openWriterOS(p)
+		if err != nil {
+			return nil, err
+		}
+		hw = &hookWriter{Writer: w, path: p, hook: hook}
+		return hw, nil
+	}})
+	return l, hw
+}
+
+// TestFailedSyncBreaksLog: a failed fsync leaves its frame in the file, and
+// nothing says whether it reached the device. So the log refuses every later
+// Append and Sync — a later fsync that succeeded would make the refused frame
+// durable behind its caller's back — until a Reset rewrites it.
+func TestFailedSyncBreaksLog(t *testing.T) {
+	path := tmpLog(t)
+	l, _ := openHooked(t, path, func(call int64) error {
+		if call == 2 {
+			return ErrInjected
+		}
+		return nil
+	})
+	if err := l.Commit([]byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Commit([]byte("refused")); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Commit over a failing fsync = %v, want ErrInjected", err)
+	}
+	if err := l.Append([]byte("later")); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Append after a failed fsync = %v, want the sticky ErrInjected", err)
+	}
+	if err := l.Sync(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Sync after a failed fsync = %v, want the sticky ErrInjected", err)
+	}
+	if err := l.Reset([]byte("seed")); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	if err := l.Commit([]byte("after")); err != nil {
+		t.Fatalf("Commit after Reset: %v", err)
+	}
+	l.Close()
+	_, rec := mustOpen(t, path, nil)
+	if len(rec.Records) != 2 || string(rec.Records[0]) != "seed" || string(rec.Records[1]) != "after" {
+		t.Fatalf("recovered %q, want [seed after]", rec.Records)
+	}
+}
+
+// TestFailedSyncFailsItsCohort: callers that appended while an fsync was in
+// flight and queued behind it get its failure, not a fresh fsync of their
+// own that would succeed.
+func TestFailedSyncFailsItsCohort(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	l, _ := openHooked(t, tmpLog(t), func(call int64) error {
+		if call == 1 {
+			close(entered)
+			<-release
+			return ErrInjected
+		}
+		return nil
+	})
+	const cohort = 4
+	errs := make(chan error, cohort)
+	go func() { errs <- l.Commit([]byte("first")) }()
+	<-entered
+	for i := 1; i < cohort; i++ {
+		go func() { errs <- l.Commit([]byte(fmt.Sprintf("queued-%d", i))) }()
+	}
+	for l.Records() < cohort {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for i := 0; i < cohort; i++ {
+		if err := <-errs; !errors.Is(err, ErrInjected) {
+			t.Fatalf("a caller of the failed cohort got %v, want ErrInjected", err)
+		}
+	}
+}
+
+// TestResetAcknowledgesOnlyADurableSeed: a Sync queued behind a Reset that
+// dropped its frame returns only once the seed the Reset wrote is durable.
+// The caller's record lives on in the seed (a checkpoint writes one carrying
+// its effect), so either the record or the seed must be on the device when
+// it is acknowledged.
+func TestResetAcknowledgesOnlyADurableSeed(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	l, hw := openHooked(t, tmpLog(t), func(call int64) error {
+		if call == 1 {
+			close(entered)
+			<-release
+		}
+		return nil
+	})
+	first := make(chan error, 1)
+	go func() { first <- l.Commit([]byte("first")) }()
+	<-entered
+	if err := l.Append([]byte("queued")); err != nil {
+		t.Fatal(err)
+	}
+	queued, reset := make(chan error, 1), make(chan error, 1)
+	go func() { queued <- l.Sync() }()
+	go func() { reset <- l.Reset([]byte("seed")) }()
+	time.Sleep(20 * time.Millisecond) // both wait on the commit barrier
+	close(release)
+	if err := <-queued; err != nil {
+		t.Fatal(err)
+	}
+	recs := hw.durableRecords()
+	if len(recs) == 0 || (string(recs[len(recs)-1]) != "queued" && string(recs[len(recs)-1]) != "seed") {
+		t.Fatalf("Sync acknowledged with %q durable, want the queued record or the seed last", recs)
+	}
+	for _, ch := range []chan error{first, reset} {
+		if err := <-ch; err != nil {
+			t.Fatal(err)
 		}
 	}
 }
