@@ -8,9 +8,8 @@
 //	PATCH /v1/demand    push per-pair deltas against the last submitted
 //	                    matrix ({"set":[{"u":..,"v":..,"amount":..}],
 //	                    "clear":[{"u":..,"v":..}]}); only the touched pairs
-//	                    are re-solved when the link state is unchanged, and
-//	                    full solves warm-start from the previous routing
-//	                    (-no-warm disables both)
+//	                    are re-solved when the link state is unchanged
+//	                    (-no-warm solves every epoch from scratch)
 //	GET  /v1/paths      candidate paths + live sending rates for ?src=&dst=
 //	GET  /v1/routing    the full active routing
 //	POST /v1/links      topology event: {"fail":[...]}, {"restore":[...]},
@@ -158,7 +157,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.DurationVar(&o.engine.SlowSolveThreshold, "slow-solve", 0, "epochs slower than this (queue wait + solve + publish) emit one structured log line and count in slow_solves (0 = disabled)")
 	fs.IntVar(&o.engine.OutcomeHistory, "outcome-history", 0, "epoch outcomes retained for ?wait/Wait lookups before eviction (0 = default 128)")
 	fs.IntVar(&o.engine.TraceDepth, "trace-depth", 0, "epoch lifecycle traces retained on /debug/trace (0 = default 64)")
-	fs.BoolVar(&o.engine.DisableWarmStart, "no-warm", false, "solve every epoch from scratch: disable MWU warm starts and the PATCH delta fast path")
+	fs.BoolVar(&o.engine.DisableWarmStart, "no-warm", false, "solve every epoch from scratch: disable the PATCH delta fast path")
 	fs.Int64Var(&o.engine.MaxBodyBytes, "max-body", 0, "per-request body cap in bytes; larger POST/PATCH bodies get 413 (0 = default 8 MiB, negative disables)")
 	fs.Int64Var(&o.engine.MaxInflightBytes, "inflight-bytes", 0, "total request-body bytes decoded concurrently before mutations shed with 429 (0 = unlimited)")
 	fs.Float64Var(&o.engine.MutationRate, "tenant-qps", 0, "per-tenant demand-mutation quota in ops/sec: excess submits and patches shed with 429 + Retry-After; per shard in fleet mode (0 = unlimited)")

@@ -7,10 +7,11 @@ import (
 	"time"
 )
 
-// Attempt is one stage of an epoch's solve chain: the configured adaptation,
-// the forced-MWU retry, or the renormalize-over-survivors last resort.
+// Attempt is one stage of an epoch's solve chain: the incremental delta
+// solve, the cold adaptation, or the renormalization over survivors of a
+// link event's interim publish.
 type Attempt struct {
-	// Stage is "adapt", "forced-mwu", or "renormalize".
+	// Stage is "delta", "adapt", or "renormalize".
 	Stage string `json:"stage"`
 	// Ms is the stage's wall time in milliseconds.
 	Ms float64 `json:"ms"`
@@ -42,7 +43,7 @@ type EpochTrace struct {
 	// between the last two progress samples — a small value means extra
 	// rounds were no longer buying congestion.
 	ConvergenceGap float64 `json:"convergence_gap,omitempty"`
-	// SolveMs is the whole solve ladder's wall time (all attempts).
+	// SolveMs is the solve's wall time (all attempts).
 	SolveMs float64 `json:"solve_ms"`
 	// PublishMs covers congestion measurement plus installing the new state
 	// for lock-free readers (or the interim renormalized publish after a
@@ -61,10 +62,9 @@ type EpochTrace struct {
 	// DroppedPairs counts demand pairs excluded for lack of surviving
 	// candidates.
 	DroppedPairs int `json:"dropped_pairs,omitempty"`
-	// WarmStart tags how the epoch's solve was seeded: "delta" (incremental
-	// touched-pair solve), "warm" (full solve seeded from the previous
-	// routing), or "cold" (from scratch). Empty on epochs predating the
-	// warm-start pipeline (interim renormalized publishes).
+	// WarmStart tags the epoch's solve: "delta" (incremental touched-pair
+	// solve) or "cold" (from scratch). Empty when no solve ran (interim
+	// renormalized publishes).
 	WarmStart string `json:"warm_start,omitempty"`
 	// TouchedPairs counts the pairs a delta epoch re-solved; 0 on full
 	// epochs.
@@ -74,7 +74,6 @@ type EpochTrace struct {
 // WarmStart tags for EpochTrace.WarmStart.
 const (
 	WarmDelta = "delta"
-	WarmWarm  = "warm"
 	WarmCold  = "cold"
 )
 

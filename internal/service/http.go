@@ -161,7 +161,7 @@ func (s *Server) acquireBody(w http.ResponseWriter, r *http.Request) (func(), bo
 
 // writeSubmitError maps a demand-mutation error to its status: 429 with the
 // Retry-After hint for a shed, 503 for a closed engine, 409 for a patch with
-// no base, 400 otherwise.
+// no base, 500 for a WAL append or fsync failure, 400 otherwise.
 func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	var shed *ShedError
 	switch {
@@ -172,6 +172,8 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, errNoBaseDemand):
 		writeError(w, http.StatusConflict, "%v", err)
+	case errors.Is(err, errWALCommit):
+		writeError(w, http.StatusInternalServerError, "%v", err)
 	default:
 		writeError(w, http.StatusBadRequest, "%v", err)
 	}
@@ -188,8 +190,8 @@ type demandResponse struct {
 	Retries      int     `json:"retries,omitempty"`
 	Renormalized bool    `json:"renormalized,omitempty"`
 	DroppedPairs int     `json:"dropped_pairs,omitempty"`
-	// Warm tags how the epoch's solve was seeded: "delta", "warm", or
-	// "cold" (see the warm_start trace field). Only present on ?wait=1.
+	// Warm tags the epoch's solve: "delta" or "cold" (see the warm_start
+	// trace field). Only present on ?wait=1.
 	Warm         string `json:"warm,omitempty"`
 	TouchedPairs int    `json:"touched_pairs,omitempty"`
 }

@@ -701,17 +701,6 @@ func (e *Engine) survivorRouter(failed map[int]bool) (oblivious.Router, error) {
 	return oblivious.BuildOnSurvivors("spf", e.cfg.Graph, failed, &opt)
 }
 
-// interimAnchor carries the drift anchor and streak through an interim
-// renormalized publish: the renormalization reshapes the previous routing
-// rather than solving fresh, so the chain's anchor survives (and the streak
-// extends) until the follow-up full re-adapt decides cold versus warm.
-func interimAnchor(prev *State, served *demand.Demand) (*demand.Demand, int) {
-	if prev != nil && prev.Anchor != nil {
-		return prev.Anchor, prev.Streak + 1
-	}
-	return served, 0
-}
-
 // reRouteLocked re-serves the active demand after a topology event: an
 // immediate publish of the previous routing renormalized over surviving
 // paths (no solver in the loop, so traffic leaves dead edges right away),
@@ -753,7 +742,6 @@ func (e *Engine) serveInterim(ls *linkState, st *State, served *demand.Demand, i
 	eff := ls.effectiveGraph(e.cfg.Graph)
 	loads := r.EdgeLoads(eff)
 	cong := maxCongestion(eff, loads)
-	anchor, streak := interimAnchor(st, served)
 	e.publish(&State{
 		Epoch:        interim,
 		Demand:       served,
@@ -761,8 +749,6 @@ func (e *Engine) serveInterim(ls *linkState, st *State, served *demand.Demand, i
 		Congestion:   cong,
 		EdgeLoads:    loads,
 		LinkVersion:  ls.version,
-		Anchor:       anchor,
-		Streak:       streak,
 		Renormalized: true,
 		SolvedAt:     time.Now(),
 	})

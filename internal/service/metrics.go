@@ -37,13 +37,12 @@ type Metrics struct {
 	survivorBuilds     expvar.Int // survivor-graph routers built for recovery/widening
 	proactiveResamples expvar.Int // events whose proactive pass widened at-risk pairs
 	proactivePaths     expvar.Int // total unique paths installed proactively
-	solveRetries       expvar.Int // retry stages run beyond first solve attempts
+	solveRetries       expvar.Int // delta solves that fell through to a cold solve
 	renormalizedServes expvar.Int // interim renormalized publishes after link events
 	slowSolves         expvar.Int // epochs over Config.SlowSolveThreshold
 
 	patches     expvar.Int // accepted PATCH /v1/demand delta submissions
 	deltaEpochs expvar.Int // epochs solved by the incremental delta fast path
-	warmSolves  expvar.Int // full solves seeded warm from the previous routing
 
 	walReplays     expvar.Int // completed WAL replays (startup recovery)
 	walTruncations expvar.Int // torn WAL tails dropped at startup
@@ -91,7 +90,6 @@ func newMetrics(e *Engine) *Metrics {
 	m.vars.Set("slow_solves", &m.slowSolves)
 	m.vars.Set("demand_patches", &m.patches)
 	m.vars.Set("delta_epochs", &m.deltaEpochs)
-	m.vars.Set("warm_solves", &m.warmSolves)
 	m.vars.Set("wal_replays", &m.walReplays)
 	m.vars.Set("wal_truncations", &m.walTruncations)
 	m.vars.Set("checkpoints", &m.checkpoints)

@@ -77,8 +77,8 @@ type Config struct {
 	// long-running daemons whose clients wait on epochs submitted long ago.
 	OutcomeHistory int
 	// DisableWarmStart forces every epoch to solve from scratch, disabling
-	// both the MWU warm seed from the previous routing and the incremental
-	// delta fast path. Mostly for benchmarking cold re-solves.
+	// the incremental delta fast path. Mostly for benchmarking cold
+	// re-solves.
 	DisableWarmStart bool
 	// TraceDepth bounds the per-engine ring of epoch lifecycle traces served
 	// on /debug/trace. Default 64.
@@ -136,24 +136,22 @@ type Config struct {
 
 // Fixed engine parameters.
 const (
-	// warmMaxDrift guards the whole incremental pipeline (delta fast path and
-	// warm seeding) against CUMULATIVE demand drift: an epoch solves
-	// incrementally only while the L1 distance between its matrix and the
-	// matrix of the last cold solve in the warm chain (the drift anchor) is
-	// at most warmMaxDrift times the new matrix's total demand. Incremental
-	// epochs keep untouched placements frozen, so their quality decays with
-	// drift since the last fresh solve — crossing the guard forces a cold
-	// re-solve that resets the anchor.
+	// warmMaxDrift guards the delta fast path against CUMULATIVE demand
+	// drift: an epoch solves incrementally only while the L1 distance
+	// between its matrix and the matrix of the last cold solve in the delta
+	// chain (the drift anchor) is at most warmMaxDrift times the new
+	// matrix's total demand. Delta epochs keep untouched placements frozen,
+	// so their quality decays with drift since the last fresh solve —
+	// crossing the guard forces a cold re-solve that resets the anchor.
 	warmMaxDrift = 0.1
-	// warmMaxStreak caps the consecutive incremental epochs (delta or
-	// warm-seeded) a warm chain may run before a cold re-solve re-anchors it.
-	// Each incremental step re-places its touched pairs against a frozen
-	// background, so chain error can grow with length even when the net L1
-	// drift cancels out under warmMaxDrift.
+	// warmMaxStreak caps the consecutive delta epochs a chain may run before
+	// a cold re-solve re-anchors it. Each delta step re-places its touched
+	// pairs against a frozen background, so chain error can grow with length
+	// even when the net L1 drift cancels out under warmMaxDrift.
 	warmMaxStreak = 8
-	// warmIterations is the fresh MWU round budget of a warm-started solve
-	// (the prior supplies the rest of the play): a quarter of the cold
-	// default, which is where warm starts buy their latency.
+	// warmIterations is the MWU round budget of a delta solve over its
+	// touched pairs: a quarter of the cold default, which is where delta
+	// epochs buy their latency.
 	warmIterations = 64
 	// journalDepth bounds an engine's private event journal, the one it
 	// records into when Config.Journal is nil.
@@ -199,6 +197,10 @@ var errUnknownEdge = errors.New("service: unknown edge")
 // errBadCapacity is returned by a link event whose capacity multiplier is
 // negative or non-finite.
 var errBadCapacity = errors.New("service: bad capacity multiplier")
+
+// errWALCommit wraps every failure to append a record to the WAL or to make
+// it durable: the server failed, not the request (HTTP 500).
+var errWALCommit = errors.New("service: wal commit")
 
 // errNoBaseDemand is returned by PatchDemandCtx when no full demand matrix has
 // been submitted yet: a delta needs a base to apply to (HTTP 409).

@@ -109,8 +109,16 @@ func fold(s state, rec *wal.Recovery) *replay {
 		}
 		ops = append(ops, op)
 	}
+	// A snapshot holds the capacity map but no demand, so only link records
+	// at or below its watermark are in it; demand records fold whatever the
+	// watermark, or a crash between a checkpoint's snapshot and its log
+	// reset would reopen with no demand. A seq at or below one already seen
+	// is a duplicate.
+	var last uint64
 	for _, op := range ops {
-		if op.Seq <= r.to.seq || revoked[op.Seq] {
+		dup := op.Seq <= last
+		last = max(last, op.Seq)
+		if dup || revoked[op.Seq] || (op.Op == walOpLinks && op.Seq <= r.from.seq) {
 			r.stats.Skipped++
 			continue
 		}
@@ -123,7 +131,7 @@ func fold(s state, rec *wal.Recovery) *replay {
 			})
 			continue
 		}
-		next.seq = op.Seq
+		next.seq = max(next.seq, op.Seq)
 		r.to = next
 		r.stats.Applied++
 	}

@@ -175,7 +175,7 @@ func (e *Engine) logLocked(op *walOp) error {
 		err = w.Append(buf)
 	}
 	if err != nil {
-		return fmt.Errorf("service: wal commit: %w", err)
+		return fmt.Errorf("%w: %w", errWALCommit, err)
 	}
 	e.opSeq.Store(op.Seq)
 	e.walOpsSince.Add(1)
@@ -188,7 +188,7 @@ func (e *Engine) logLocked(op *walOp) error {
 func (e *Engine) syncWAL() error {
 	if w := e.cfg.WAL; w != nil {
 		if err := w.Sync(); err != nil {
-			return fmt.Errorf("service: wal commit: %w", err)
+			return fmt.Errorf("%w: %w", errWALCommit, err)
 		}
 	}
 	return nil
@@ -263,9 +263,9 @@ func (e *Engine) resetWALLocked() error {
 type ReplayStats struct {
 	// Applied counts operations replayed into the engine.
 	Applied int
-	// Skipped counts records dropped: already covered by the snapshot
-	// watermark (Seq <= serial.Snapshot.WALSeq), duplicates, revoked by a
-	// compensating record, or undecodable.
+	// Skipped counts records dropped: link records already covered by the
+	// snapshot watermark (Seq <= serial.Snapshot.WALSeq), duplicates, revoked
+	// by a compensating record, refused by step, or undecodable.
 	Skipped int
 	// Truncated reports whether the log had a torn tail (carried over from
 	// the wal.Recovery).
@@ -281,8 +281,11 @@ type ReplayStats struct {
 // once, after New/Restore and before serving traffic; Open folds the same way
 // before the engine exists.
 //
-// Records up to the snapshot's WAL watermark, records a revoke names (older
-// logs only) and duplicate or out-of-order sequence numbers are skipped.
+// Link records up to the snapshot's WAL watermark (its capacity map holds
+// them), records a revoke names (older logs only) and duplicate or
+// out-of-order sequence numbers are skipped. Demand records fold whatever
+// the watermark, since a snapshot holds no demand: a log a checkpoint did not
+// get to reset still gives the demand it stood at.
 // Every other record runs through step, the accept path's interpreter: one
 // the engine would refuse today — a log left beside a smaller topology,
 // corruption that kept its CRC — is skipped and journaled with its sequence
