@@ -27,29 +27,17 @@ const (
 )
 
 // Mesh is dimension-ordered routing on a rows x cols grid as produced by
-// gen.Grid (vertex (r, c) has index r*cols + c), or on the torus produced by
-// gen.Torus when built with newMeshTorus. It provides the classical
+// gen.Grid (vertex (r, c) has index r*cols + c). It provides the classical
 // interconnect baselines for the grid experiments: XY (deterministic),
 // O1TURN (two paths), ROMM (randomized minimal).
 type Mesh struct {
 	g          *graph.Graph
 	rows, cols int
 	mode       MeshMode
-	wrap       bool
 }
 
 // NewMesh validates that g is the rows x cols grid and returns the router.
 func NewMesh(g *graph.Graph, rows, cols int, mode MeshMode) (*Mesh, error) {
-	return newMesh(g, rows, cols, mode, false)
-}
-
-// newMeshTorus is NewMesh for the rows x cols torus: dimension-ordered
-// movement takes the shorter wrap direction in each dimension.
-func newMeshTorus(g *graph.Graph, rows, cols int, mode MeshMode) (*Mesh, error) {
-	return newMesh(g, rows, cols, mode, true)
-}
-
-func newMesh(g *graph.Graph, rows, cols int, mode MeshMode, wrap bool) (*Mesh, error) {
 	if rows < 1 || cols < 1 || g.NumVertices() != rows*cols {
 		return nil, fmt.Errorf("oblivious: graph has %d vertices, want %d x %d", g.NumVertices(), rows, cols)
 	}
@@ -64,22 +52,10 @@ func newMesh(g *graph.Graph, rows, cols int, mode MeshMode, wrap bool) (*Mesh, e
 			}
 		}
 	}
-	if wrap {
-		for r := 0; r < rows; r++ {
-			if g.FindEdge(r*cols+cols-1, r*cols) < 0 {
-				return nil, fmt.Errorf("oblivious: missing row wrap edge at row %d", r)
-			}
-		}
-		for c := 0; c < cols; c++ {
-			if g.FindEdge((rows-1)*cols+c, c) < 0 {
-				return nil, fmt.Errorf("oblivious: missing column wrap edge at col %d", c)
-			}
-		}
-	}
 	if mode != XY && mode != O1Turn && mode != ROMM {
 		return nil, fmt.Errorf("oblivious: unknown mesh mode %d", mode)
 	}
-	return &Mesh{g: g, rows: rows, cols: cols, mode: mode, wrap: wrap}, nil
+	return &Mesh{g: g, rows: rows, cols: cols, mode: mode}, nil
 }
 
 // Graph implements Router.
@@ -98,35 +74,17 @@ func (m *Mesh) straight(u, w int, colFirst bool) graph.Path {
 	}
 	r0, c0 := m.coords(u)
 	r1, c1 := m.coords(w)
-	// dir returns the per-step increment from a to b over n positions:
-	// straight-line on a mesh, shorter wrap direction on a torus.
-	dir := func(a, b, n int) int {
-		if a == b {
-			return 0
-		}
-		if !m.wrap {
-			if a < b {
-				return 1
-			}
-			return -1
-		}
-		fwd := ((b-a)%n + n) % n
-		if fwd <= n-fwd {
-			return 1
-		}
-		return -1
-	}
 	moveCols := func() {
-		d := dir(c0, c1, m.cols)
+		d := towards(c0, c1)
 		for c0 != c1 {
-			c0 = ((c0+d)%m.cols + m.cols) % m.cols
+			c0 += d
 			step(r0*m.cols + c0)
 		}
 	}
 	moveRows := func() {
-		d := dir(r0, r1, m.rows)
+		d := towards(r0, r1)
 		for r0 != r1 {
-			r0 = ((r0+d)%m.rows + m.rows) % m.rows
+			r0 += d
 			step(r0*m.cols + c0)
 		}
 	}
@@ -153,8 +111,8 @@ func (m *Mesh) Sample(u, v int, rng *rand.Rand) (graph.Path, error) {
 	default: // ROMM
 		r0, c0 := m.coords(u)
 		r1, c1 := m.coords(v)
-		rowArc := m.arcPositions(r0, r1, m.rows)
-		colArc := m.arcPositions(c0, c1, m.cols)
+		rowArc := arcPositions(r0, r1)
+		colArc := arcPositions(c0, c1)
 		w := rowArc[rng.IntN(len(rowArc))]*m.cols + colArc[rng.IntN(len(colArc))]
 		first := m.straight(u, w, true)
 		second := m.straight(w, v, false)
@@ -166,26 +124,22 @@ func (m *Mesh) Sample(u, v int, rng *rand.Rand) (graph.Path, error) {
 	}
 }
 
-// arcPositions lists the coordinate positions between a and b inclusive:
-// the straight segment on a mesh, the shorter wrap arc on a torus.
-func (m *Mesh) arcPositions(a, b, n int) []int {
-	if a == b {
-		return []int{a}
+// towards returns the per-step increment from coordinate a to b.
+func towards(a, b int) int {
+	switch {
+	case a < b:
+		return 1
+	case a > b:
+		return -1
 	}
-	step := 1
-	if !m.wrap {
-		if a > b {
-			step = -1
-		}
-	} else {
-		fwd := ((b-a)%n + n) % n
-		if fwd > n-fwd {
-			step = -1
-		}
-	}
+	return 0
+}
+
+// arcPositions lists the coordinate positions between a and b inclusive.
+func arcPositions(a, b int) []int {
 	out := []int{a}
-	for cur := a; cur != b; {
-		cur = ((cur+step)%n + n) % n
+	for d, cur := towards(a, b), a; cur != b; {
+		cur += d
 		out = append(out, cur)
 	}
 	return out
@@ -209,11 +163,11 @@ func (m *Mesh) Distribution(u, v int) ([]flow.WeightedPath, error) {
 			{Path: xy, Weight: 0.5},
 			{Path: yx, Weight: 0.5},
 		}, nil
-	default: // ROMM: enumerate the minimal rectangle (shorter arcs)
+	default: // ROMM: enumerate the minimal rectangle
 		r0, c0 := m.coords(u)
 		r1, c1 := m.coords(v)
-		rowArc := m.arcPositions(r0, r1, m.rows)
-		colArc := m.arcPositions(c0, c1, m.cols)
+		rowArc := arcPositions(r0, r1)
+		colArc := arcPositions(c0, c1)
 		wgt := 1.0 / float64(len(rowArc)*len(colArc))
 		byKey := make(map[string]int)
 		var out []flow.WeightedPath

@@ -114,58 +114,6 @@ func TestMeshSelfPair(t *testing.T) {
 	}
 }
 
-func TestMeshTorusShortestWrap(t *testing.T) {
-	g := gen.Torus(5, 5)
-	m, err := newMeshTorus(g, 5, 5, XY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(9, 9))
-	checkRouterBasics(t, m, [][2]int{{0, 24}, {0, 12}, {2, 22}}, rng)
-	// (0,0) -> (0,4): wrap is 1 hop, straight is 4.
-	p, err := m.Sample(0, 4, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Hops() != 1 {
-		t.Fatalf("torus XY should take the wrap edge: %d hops", p.Hops())
-	}
-	// (0,0) -> (2,2): 2+2 minimal.
-	p, err = m.Sample(0, 12, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Hops() != 4 {
-		t.Fatalf("torus distance wrong: %d hops", p.Hops())
-	}
-}
-
-func TestMeshTorusROMMMinimal(t *testing.T) {
-	g := gen.Torus(5, 5)
-	m, err := newMeshTorus(g, 5, 5, ROMM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(10, 10))
-	dist, _ := g.BFS(3)
-	for trial := 0; trial < 30; trial++ {
-		p, err := m.Sample(3, 21, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Hops() != dist[21] {
-			t.Fatalf("torus ROMM not minimal: %d vs %d", p.Hops(), dist[21])
-		}
-	}
-}
-
-func TestMeshTorusRejectsGrid(t *testing.T) {
-	g := gen.Grid(4, 4)
-	if _, err := newMeshTorus(g, 4, 4, XY); err == nil {
-		t.Fatal("grid lacks wrap edges; torus router should reject it")
-	}
-}
-
 func TestMeshWorstCaseOrdering(t *testing.T) {
 	// On the transpose-like permutation of a grid, XY concentrates load
 	// while ROMM spreads it: cong(XY) >= cong(O1Turn) >= cong(ROMM) up to

@@ -121,15 +121,3 @@ func Timed(fn func(queueWait time.Duration)) func() {
 	submitted := time.Now()
 	return func() { fn(time.Since(submitted)) }
 }
-
-// mapReduce runs mapFn over [0, n) in parallel and folds the results with
-// reduceFn sequentially in index order (deterministic reduction).
-func mapReduce[T any, R any](n int, mapFn func(i int) T, init R, reduceFn func(acc R, v T) R) R {
-	results := make([]T, n)
-	ForEach(n, func(i int) { results[i] = mapFn(i) })
-	acc := init
-	for i := 0; i < n; i++ {
-		acc = reduceFn(acc, results[i])
-	}
-	return acc
-}

@@ -45,25 +45,6 @@ func TestForEachWorkersMoreWorkersThanItems(t *testing.T) {
 	}
 }
 
-func TestMapReduceDeterministicOrder(t *testing.T) {
-	// Reduction must happen in index order: build a string-like sequence.
-	got := mapReduce(5, func(i int) int { return i }, []int{}, func(acc []int, v int) []int {
-		return append(acc, v)
-	})
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("reduction out of order: %v", got)
-		}
-	}
-}
-
-func TestMapReduceSum(t *testing.T) {
-	sum := mapReduce(100, func(i int) int { return i }, 0, func(a, v int) int { return a + v })
-	if sum != 4950 {
-		t.Fatalf("sum=%d", sum)
-	}
-}
-
 func TestPoolRunsAllAcceptedTasks(t *testing.T) {
 	p := NewPool(4, 16)
 	var count int64

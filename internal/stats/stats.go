@@ -23,22 +23,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// geoMean returns the geometric mean of positive values (0 if any value is
-// nonpositive or the input is empty).
-func geoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
 // Max returns the maximum (0 for empty input).
 func Max(xs []float64) float64 {
 	var m float64
@@ -81,19 +65,6 @@ func Quantile(xs []float64, q float64) float64 {
 		return sorted[len(sorted)-1]
 	}
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// stddev returns the sample standard deviation (0 for fewer than 2 values).
-func stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
 }
 
 // Ring is a fixed-capacity sliding window of observations: once full, each

@@ -18,18 +18,6 @@ func TestMeanMaxMin(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := geoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Fatalf("geomean=%v, want 2", g)
-	}
-	if geoMean([]float64{1, 0}) != 0 {
-		t.Fatal("nonpositive value should give 0")
-	}
-	if geoMean(nil) != 0 {
-		t.Fatal("empty should give 0")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	if q := Quantile(xs, 0); q != 1 {
@@ -51,15 +39,6 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 	Quantile(xs, 0.5)
 	if xs[0] != 3 {
 		t.Fatal("Quantile mutated its input")
-	}
-}
-
-func TestStddev(t *testing.T) {
-	if stddev([]float64{1}) != 0 {
-		t.Fatal("single sample stddev should be 0")
-	}
-	if s := stddev([]float64{1, 3}); math.Abs(s-math.Sqrt2) > 1e-12 {
-		t.Fatalf("stddev=%v", s)
 	}
 }
 
