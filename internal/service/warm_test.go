@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"sync"
 	"testing"
 
@@ -362,5 +363,23 @@ func TestEngineDeltaChurn(t *testing.T) {
 	// view may be degraded mid-flap, so validate against the state's demand).
 	if err := st.Routing.ValidateRoutes(g, st.Demand, 1e-5); err != nil {
 		t.Fatalf("published routing does not route its matrix: %v", err)
+	}
+	// Every solved epoch made at most a delta and one cold attempt, its
+	// retries counting the attempts past the first; only an interim publish
+	// renormalizes.
+	for _, tr := range e.Tracer().Traces(0) {
+		stages := strings.Join(attemptStages(tr), " ")
+		switch tr.Outcome {
+		case obs.OutcomeRenormalized:
+			if stages != "renormalize" {
+				t.Fatalf("interim epoch %d attempts [%s], want [renormalize]", tr.Epoch, stages)
+			}
+		case obs.OutcomeSolved:
+			if (stages != "adapt" && stages != "delta" && stages != "delta adapt") || tr.Retries != len(tr.Attempts)-1 {
+				t.Fatalf("epoch %d attempts [%s] with %d retries", tr.Epoch, stages, tr.Retries)
+			}
+		default:
+			t.Fatalf("epoch %d outcome %q, want solved or renormalized", tr.Epoch, tr.Outcome)
+		}
 	}
 }
