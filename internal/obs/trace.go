@@ -43,11 +43,10 @@ type EpochTrace struct {
 	// between the last two progress samples — a small value means extra
 	// rounds were no longer buying congestion.
 	ConvergenceGap float64 `json:"convergence_gap,omitempty"`
-	// SolveMs is the solve's wall time (all attempts).
+	// SolveMs is the time before the publish: all attempts plus the cold
+	// solve's load and congestion pass, or the interim's renormalization.
 	SolveMs float64 `json:"solve_ms"`
-	// PublishMs covers congestion measurement plus installing the new state
-	// for lock-free readers (or the interim renormalized publish after a
-	// link event).
+	// PublishMs is installing the new state for lock-free readers.
 	PublishMs float64 `json:"publish_ms"`
 	// TotalMs is queue exit to published outcome.
 	TotalMs float64 `json:"total_ms"`

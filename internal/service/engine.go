@@ -572,222 +572,252 @@ func (e *Engine) Wait(ctx context.Context, epoch uint64) (*Outcome, error) {
 	}
 }
 
-// solve runs one epoch inline on the drain task's worker: at most a delta
-// solve and one cold adaptation, under a deadline context derived from the
-// engine root, publishing on success and falling back to the last good
-// routing otherwise. A delta epoch re-solves only its touched pairs (see
-// AdaptDeltaCtx); when it cannot, the epoch solves cold, and that cold solve
-// is its one retry. A cold solve that fails leaves the previous routing
-// serving, with no second try: core.AdaptCtx already falls back from the
-// exact LP to MWU inside the one attempt, and the solvers are deterministic,
-// so a retry would run the same code on the same input. A missed deadline (or Close) cancels the context
-// the solvers poll, so the worker is freed promptly. The queue wait is the
-// time the request spent in the slot (behind the solve in flight, and on a
-// shared pool behind other shards) before this pickup; the whole lifecycle —
-// queue wait, attempts, MWU progress, publish — is recorded as one
-// obs.EpochTrace.
+// solve runs one epoch on the drain task's worker: it syncs the WAL, runs
+// epoch under a deadline context derived from the engine root, and hands the
+// result to conclude, which publishes it and calls finish. The sync comes
+// first so that nothing unsynced is solved or served: the accept that put req
+// in the slot may still wait for its fsync, and this wait shares it and
+// counts as queue wait, the time req spent in the slot (behind the solve in
+// flight, and on a shared pool behind other shards). A missed deadline (or
+// Close) cancels the context the solvers poll, so the worker is freed
+// promptly.
 func (e *Engine) solve(req *epochRequest) {
-	// Nothing unsynced is solved, so nothing unsynced is served: the accept
-	// that put req in the slot may still be waiting for its fsync, and this
-	// wait shares it. It counts as queue wait.
 	synced := e.syncWAL()
 	start := time.Now()
-	epoch, queueWait := req.epoch, start.Sub(req.queued)
-	d := req.d
-	tr := &obs.EpochTrace{Epoch: epoch, Start: start, QueueWaitMs: ms(queueWait)}
-	mon := &solveMonitor{epoch: epoch, tracer: e.tracer}
-	defer e.tracer.ClearProgress(epoch)
-	// Worker-level panic backstop: attempt converts solver panics to errors,
-	// but a panic in the accounting around them must not unwind the pool
-	// worker either — in a fleet that would take down every tenant. The
-	// epoch falls back (its waiters are woken with the failure) and the
-	// stale routing keeps serving.
-	finished := false
+	e.metrics.observeQueueWait(start.Sub(req.queued))
+	mon := &solveMonitor{epoch: req.epoch, tracer: e.tracer}
+	defer e.tracer.ClearProgress(req.epoch)
+	// Worker-level panic backstop: attempt turns solver panics into values,
+	// but a panic in the code around them must not unwind the pool worker
+	// either (in a fleet that would take down every tenant). conclude calls
+	// finish last, so a panic means the epoch is unresolved: it falls back,
+	// its waiters are woken with the failure, and the stale routing keeps
+	// serving.
 	defer func() {
 		if p := recover(); p != nil {
-			e.metrics.solvePanics.Add(1)
-			e.record(obs.EventSolveFailure, map[string]any{
-				"epoch": epoch, "stage": "worker", "panic": fmt.Sprint(p),
-			})
-			if !finished {
-				e.metrics.fallbacks.Add(1)
-				e.finish(&Outcome{
-					Epoch: epoch, Fallback: true,
-					Err:     fmt.Sprintf("solver panic: %v", p),
-					Latency: time.Since(start),
-				}, req.covers)
-			}
+			e.conclude(req, start, &epochResult{
+				err:    fmt.Errorf("solver panic: %v", p),
+				panics: []solverPanic{{"worker", fmt.Sprint(p)}},
+			}, nil)
 		}
 	}()
-	e.metrics.observeQueueWait(queueWait)
-
-	ctx := e.rootCtx
-	if e.cfg.SolveDeadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.cfg.SolveDeadline)
-		defer cancel()
-	}
-	ls := e.links.Load()
-	out := &Outcome{Epoch: epoch}
-	served := d
-	if len(ls.failed) > 0 && !ls.serving.Covers(d) {
-		served = d.Restrict(func(p demand.Pair) bool {
-			return ls.serving.NumSampled(p) > 0
+	res := &epochResult{err: synced}
+	if synced == nil {
+		ctx := e.rootCtx
+		if e.cfg.SolveDeadline > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, e.cfg.SolveDeadline)
+			defer cancel()
+		}
+		res = epoch(ctx, &epochIn{
+			links: e.links.Load(), prev: e.active.Load(), req: req,
+			adapt: e.adapt, delta: !e.cfg.DisableWarmStart, opts: instrumented(mon),
 		})
-		out.DroppedPairs = d.SupportSize() - served.SupportSize()
+	}
+	e.conclude(req, start, res, mon)
+}
+
+// epochIn is everything one epoch is a function of: the link state it solves
+// under, the published state (nil before the first epoch), the request, the
+// cold solve, whether a delta solve may run at all (Config.DisableWarmStart
+// clears delta), and the solves' observability callbacks, which each attempt
+// gets a copy of.
+type epochIn struct {
+	links *linkState
+	prev  *State
+	req   *epochRequest
+	adapt adaptFunc
+	delta bool
+	opts  *core.AdaptOptions
+}
+
+// epochResult is what one epoch comes to: the state to publish, or the error
+// it falls back on, with the demand pairs it dropped for lack of surviving
+// candidates, its solve tag (obs.WarmDelta or obs.WarmCold, empty when no
+// solve ran), the pairs a delta re-solved, its retries and its attempt chain.
+// Solver panics are values too.
+type epochResult struct {
+	state                     *State
+	err                       error
+	dropped, touched, retries int
+	warm                      string
+	attempts                  []obs.Attempt
+	panics                    []solverPanic
+}
+
+// solverPanic is a panic recovered in one solve stage.
+type solverPanic struct{ stage, value string }
+
+// epoch is the adaptation stage of one epoch, a function of in with no
+// engine behind it. It restricts the request's matrix to the pairs the link
+// state covers, then makes at most a delta solve and one cold adaptation. A
+// delta epoch re-solves only its touched pairs (see AdaptDeltaCtx); when it
+// cannot, the epoch solves cold, and that cold solve is its one retry. A cold
+// solve that fails is the epoch's fallback, with no second try:
+// core.AdaptCtx already falls back from the exact LP to MWU inside the one
+// attempt, and the solvers are deterministic, so a retry would run the same
+// code on the same input.
+func epoch(ctx context.Context, in *epochIn) *epochResult {
+	ls, req, prev := in.links, in.req, in.prev
+	res := &epochResult{}
+	served := req.d
+	if len(ls.failed) > 0 && !ls.serving.Covers(served) {
+		served = served.Restrict(func(p demand.Pair) bool { return ls.serving.NumSampled(p) > 0 })
+		res.dropped = req.d.SupportSize() - served.SupportSize()
+	}
+	if served.SupportSize() == 0 {
+		res.err = fmt.Errorf("service: no demand pair has surviving candidate paths")
+		return res
+	}
+	solved := func(r flow.Routing, loads []float64, cong float64, anchor *demand.Demand, streak int) *epochResult {
+		res.state = &State{
+			Epoch: req.epoch, Demand: served, Routing: r, Congestion: cong, EdgeLoads: loads,
+			LinkVersion: ls.version, Anchor: anchor, Streak: streak, SolvedAt: time.Now(),
+		}
+		return res
 	}
 
 	// A delta solve keeps every untouched pair at the previous epoch's
 	// placement, so it runs only while nothing that epoch assumed has
-	// shifted: not disabled by config, no link event since it solved
-	// (candidate sets and capacity denominators both hang off the link
-	// version), no pair dropped, not an emergency renormalized routing, and
-	// within the drift and streak guards of its chain.
-	prev := e.active.Load()
-	delta := req.touched != nil && !e.cfg.DisableWarmStart && prev != nil &&
-		prev.EdgeLoads != nil && !prev.Renormalized && prev.LinkVersion == ls.version &&
-		out.DroppedPairs == 0 && withinDrift(served, prev) && prev.Streak < warmMaxStreak
-
-	var r flow.Routing
-	var loads []float64
-	var cong float64
-	err := synced
-	if err == nil && served.SupportSize() == 0 {
-		err = fmt.Errorf("service: no demand pair has surviving candidate paths")
-	}
-	if err == nil && delta {
-		// Re-solve only the touched pairs against the fixed background of
-		// every untouched pair's flow — O(k·paths) instead of
-		// O(pairs·paths). Any mismatch (the previous routing no longer
-		// matches the untouched demand) falls through to the cold solve.
-		opts := instrumented(mon)
+	// shifted: not disabled, no link event since it solved (candidate sets
+	// and capacity denominators both hang off the link version), no pair
+	// dropped, not an emergency renormalized routing, and within the drift
+	// and streak guards of its chain.
+	if in.delta && req.touched != nil && prev != nil && prev.EdgeLoads != nil && !prev.Renormalized &&
+		prev.LinkVersion == ls.version && res.dropped == 0 && withinDrift(served, prev) && prev.Streak < warmMaxStreak {
+		opts := *in.opts
 		opts.MWU.Iterations = warmIterations
-		var res *core.DeltaResult
-		derr := e.attempt(tr, "delta", func() (err error) {
-			res, err = ls.adaptive.AdaptDeltaCtx(ctx, prev.Routing, prev.EdgeLoads, served, req.touched, opts)
+		var dr *core.DeltaResult
+		err := res.attempt("delta", func() (err error) {
+			dr, err = ls.adaptive.AdaptDeltaCtx(ctx, prev.Routing, prev.EdgeLoads, served, req.touched, &opts)
 			return err
 		})
 		switch {
-		case derr == nil:
-			r, loads, cong = res.Routing, res.EdgeLoads, res.Congestion
-			out.Warm = obs.WarmDelta
-			out.TouchedPairs = len(req.touched)
-			tr.TouchedPairs = len(req.touched)
-			e.metrics.deltaEpochs.Add(1)
+		case err == nil:
+			// A delta epoch inherits the anchor and extends the streak, so
+			// cumulative drift and chain length both keep counting.
+			res.warm, res.touched = obs.WarmDelta, len(req.touched)
+			anchor, streak := served, 0
+			if prev.Anchor != nil {
+				anchor, streak = prev.Anchor, prev.Streak+1
+			}
+			return solved(dr.Routing, dr.EdgeLoads, dr.Congestion, anchor, streak)
 		case ctx.Err() != nil:
-			err = ctx.Err()
-		default:
-			out.Retries = 1
-			e.metrics.solveRetries.Add(1)
+			res.err = ctx.Err()
+			return res
 		}
+		// Any other refusal (the previous routing no longer matches the
+		// untouched demand) falls through to the cold solve.
+		res.retries = 1
 	}
-	if err == nil && out.Warm != obs.WarmDelta {
-		// ls.adaptive is the serving system rebound over the capacity-scaled
-		// topology view when fractional overrides exist: same candidates,
-		// reduced congestion denominators, so a degraded link is routed
-		// around softly.
-		out.Warm = obs.WarmCold
-		err = e.attempt(tr, "adapt", func() (err error) {
-			r, err = e.adapt(ctx, ls.adaptive, served, instrumented(mon))
-			return err
-		})
-		if err == nil {
-			eff := ls.effectiveGraph(e.cfg.Graph)
-			loads = r.EdgeLoads(eff)
-			cong = maxCongestion(eff, loads)
-		}
-	}
-	tr.SolveMs = msSince(start)
-	tr.WarmStart = out.Warm
 
-	out.Latency = time.Since(start)
-	switch {
-	case err == nil:
-		// A cold solve is a fresh optimum: it resets the drift anchor and the
-		// streak. A delta epoch inherits the anchor and extends the streak,
-		// so cumulative drift and chain length both keep counting.
-		anchor, streak := served, 0
-		if out.Warm == obs.WarmDelta && prev.Anchor != nil {
-			anchor, streak = prev.Anchor, prev.Streak+1
-		}
-		pubStart := time.Now()
-		e.publish(&State{
-			Epoch:       epoch,
-			Demand:      served,
-			Routing:     r,
-			Congestion:  cong,
-			EdgeLoads:   loads,
-			LinkVersion: ls.version,
-			Anchor:      anchor,
-			Streak:      streak,
-			SolvedAt:    time.Now(),
-		})
-		tr.PublishMs = msSince(pubStart)
-		tr.Outcome = obs.OutcomeSolved
-		tr.Congestion = cong
-		out.OK = true
-		out.Congestion = cong
-		e.metrics.observeSolve(out.Latency, cong)
-	case errors.Is(err, context.DeadlineExceeded):
-		tr.Outcome = obs.OutcomeCanceled
-		out.Fallback = true
-		out.Err = fmt.Sprintf("solve canceled at deadline %v", e.cfg.SolveDeadline)
-		e.metrics.deadlineMissed.Add(1)
-		e.metrics.observeCanceled(out.Latency)
-		e.metrics.fallbacks.Add(1)
-	case errors.Is(err, context.Canceled):
-		tr.Outcome = obs.OutcomeCanceled
-		out.Fallback = true
-		out.Err = "solve canceled: engine closing"
-		e.metrics.observeCanceled(out.Latency)
-		e.metrics.fallbacks.Add(1)
-	default:
-		tr.Outcome = obs.OutcomeFallback
-		out.Fallback = true
-		out.Err = err.Error()
-		e.metrics.failed.Add(1)
-		e.metrics.fallbacks.Add(1)
-		e.record(obs.EventSolveFailure, map[string]any{
-			"epoch": epoch, "err": err.Error(), "retries": out.Retries,
-		})
+	// ls.adaptive is the serving system rebound over the capacity-scaled
+	// topology view when fractional overrides exist: same candidates, reduced
+	// congestion denominators, so a degraded link is routed around softly. A
+	// cold solve is a fresh optimum: it resets the drift anchor and the streak.
+	res.warm = obs.WarmCold
+	var r flow.Routing
+	opts := *in.opts
+	if res.err = res.attempt("adapt", func() (err error) {
+		r, err = in.adapt(ctx, ls.adaptive, served, &opts)
+		return err
+	}); res.err != nil {
+		return res
 	}
-	tr.TotalMs = msSince(start)
-	tr.Retries = out.Retries
-	tr.DroppedPairs = out.DroppedPairs
-	mon.fill(tr)
-	if e.tracer.Record(tr) {
-		e.metrics.slowSolves.Add(1)
-	}
-	e.finish(out, req.covers)
-	finished = true
+	eff := ls.adaptive.Graph()
+	loads := r.EdgeLoads(eff)
+	return solved(r, loads, maxCongestion(eff, loads), served, 0)
 }
 
 // attempt runs one solve stage — the delta solve or the cold adaptation —
-// and appends it to tr.Attempts with its wall time and outcome. It is the
-// panic barrier too: a panicking solver callback (a buggy
+// and appends it to the attempt chain with its wall time and outcome. It is
+// the panic barrier too: a panicking solver callback (a buggy
 // mcf.Options.Progress hook, a pathological numeric state) becomes a stage
-// error instead of unwinding the pool worker and killing the whole (possibly
-// multi-tenant) process; a panicking delta falls through to the cold solve,
-// a panicking cold solve falls back. The panic is counted in solve_panics and
-// journaled as a solve_failure event with its stage, so the fleet operator
-// sees it even when the cold solve rescues the epoch.
-func (e *Engine) attempt(tr *obs.EpochTrace, stage string, f func() error) (err error) {
+// error and a recorded panic instead of unwinding the pool worker and
+// killing the whole (possibly multi-tenant) process; a panicking delta falls
+// through to the cold solve, a panicking cold solve falls back.
+func (res *epochResult) attempt(stage string, f func() error) (err error) {
 	t0 := time.Now()
 	defer func() {
 		if p := recover(); p != nil {
-			e.metrics.solvePanics.Add(1)
-			e.record(obs.EventSolveFailure, map[string]any{
-				"epoch": tr.Epoch, "stage": stage, "panic": fmt.Sprint(p),
-			})
+			res.panics = append(res.panics, solverPanic{stage, fmt.Sprint(p)})
 			err = fmt.Errorf("service: solver panic in %s: %v", stage, p)
 		}
 		a := obs.Attempt{Stage: stage, Ms: msSince(t0), OK: err == nil}
 		if err != nil {
 			a.Err = err.Error()
 		}
-		tr.Attempts = append(tr.Attempts, a)
+		res.attempts = append(res.attempts, a)
 	}()
 	return f()
+}
+
+// conclude is the one accounting tail of an epoch, solved or interim: it
+// maps res to the epoch's Outcome, obs.EpochTrace, metrics and journal
+// events, publishes res.state when there is one, and resolves the epoch and
+// every epoch it covers through finish, its last call. start is when the
+// epoch began to run: the trace's solve time runs from it to this call and
+// its publish time covers the publish only. A recovered panic counts in
+// solve_panics and is journaled as a solve_failure with its stage, so the
+// operator sees it even when the cold solve rescued the epoch. mon, nil when
+// no solver ran, fills in the solver's signals.
+func (e *Engine) conclude(req *epochRequest, start time.Time, res *epochResult, mon *solveMonitor) {
+	latency := time.Since(start)
+	out := &Outcome{
+		Epoch: req.epoch, Latency: latency, Retries: res.retries,
+		DroppedPairs: res.dropped, Warm: res.warm, TouchedPairs: res.touched,
+	}
+	tr := &obs.EpochTrace{
+		Epoch: req.epoch, Start: start, QueueWaitMs: ms(start.Sub(req.queued)), Attempts: res.attempts,
+		SolveMs: ms(latency), Retries: res.retries, DroppedPairs: res.dropped,
+		WarmStart: res.warm, TouchedPairs: res.touched,
+	}
+	for _, p := range res.panics {
+		e.metrics.solvePanics.Add(1)
+		e.record(obs.EventSolveFailure, map[string]any{"epoch": req.epoch, "stage": p.stage, "panic": p.value})
+	}
+	e.metrics.solveRetries.Add(int64(res.retries))
+	if s := res.state; s != nil {
+		pubStart := time.Now()
+		e.publish(s)
+		tr.PublishMs = msSince(pubStart)
+		out.OK, out.Renormalized, out.Congestion, tr.Congestion = true, s.Renormalized, s.Congestion, s.Congestion
+	} else {
+		out.Fallback, out.Err = true, res.err.Error()
+		e.metrics.fallbacks.Add(1)
+	}
+	switch {
+	case out.Renormalized:
+		tr.Outcome = obs.OutcomeRenormalized
+		e.metrics.renormalizedServes.Add(1)
+	case out.OK:
+		tr.Outcome = obs.OutcomeSolved
+		e.metrics.observeSolve(latency, out.Congestion)
+		if out.Warm == obs.WarmDelta {
+			e.metrics.deltaEpochs.Add(1)
+		}
+	case errors.Is(res.err, context.DeadlineExceeded):
+		tr.Outcome = obs.OutcomeCanceled
+		out.Err = fmt.Sprintf("solve canceled at deadline %v", e.cfg.SolveDeadline)
+		e.metrics.deadlineMissed.Add(1)
+		e.metrics.observeCanceled(latency)
+	case errors.Is(res.err, context.Canceled):
+		tr.Outcome = obs.OutcomeCanceled
+		out.Err = "solve canceled: engine closing"
+		e.metrics.observeCanceled(latency)
+	default:
+		tr.Outcome = obs.OutcomeFallback
+		e.metrics.failed.Add(1)
+		e.record(obs.EventSolveFailure, map[string]any{
+			"epoch": req.epoch, "err": out.Err, "retries": res.retries,
+		})
+	}
+	tr.TotalMs = msSince(start)
+	mon.fill(tr)
+	if e.tracer.Record(tr) {
+		e.metrics.slowSolves.Add(1)
+	}
+	e.finish(out, req.covers)
 }
 
 // publish installs s as the active state unless a newer epoch already won

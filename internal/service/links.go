@@ -41,11 +41,6 @@ type linkState struct {
 	// degradedCaps lists the fractional (0,1) overrides sorted by edge ID,
 	// cached at publish time. Callers must not mutate.
 	degradedCaps []EdgeCapacity
-	// scaled is the capacity-scaled view of the topology (same shape and
-	// edge IDs, reduced capacities), nil when no fractional overrides exist.
-	// Solves and congestion reports run against it so a weakened link is
-	// re-optimized around rather than pruned.
-	scaled *graph.Graph
 	// installed is the full path system: the startup sample plus the
 	// recovery and widening paths this capacity map draws (see deriveLinks).
 	// Paths through currently failed edges stay installed; only serving is
@@ -54,8 +49,11 @@ type linkState struct {
 	// serving is installed.WithoutEdges(failed): the candidates adaptation
 	// and path lookups use.
 	serving *core.PathSystem
-	// adaptive is serving rebound over scaled — the system handed to the
-	// solvers. Identical to serving when no fractional overrides exist.
+	// adaptive is serving rebound over the capacity-scaled view of the
+	// topology (same shape and edge IDs, reduced capacities) — the system
+	// handed to the solvers, and its graph the one congestion is measured
+	// against, so a weakened link is re-optimized around rather than pruned.
+	// Identical to serving when no fractional overrides exist.
 	adaptive *core.PathSystem
 	// hash memoizes the canonical digest of installed (see digest), shared
 	// with every link state that installs the same system.
@@ -145,15 +143,6 @@ func (ls *linkState) add(extra *core.PathSystem) error {
 // degraded reports whether the link state is impaired at all — failed edges
 // or reduced capacities.
 func (ls *linkState) degraded() bool { return len(ls.capacity) > 0 }
-
-// effectiveGraph returns the graph congestion is measured against: the
-// capacity-scaled view while fractional overrides exist, base otherwise.
-func (ls *linkState) effectiveGraph(base *graph.Graph) *graph.Graph {
-	if ls.scaled != nil {
-		return ls.scaled
-	}
-	return base
-}
 
 // fractionalOverrides returns the (0,1) subset of the override map, nil when
 // none exist.
@@ -403,8 +392,7 @@ func (e *Engine) deriveLinks(version uint64, capacity map[int]float64) *linkEven
 	})
 	next.adaptive = next.serving
 	if len(fractional) > 0 {
-		next.scaled = graph.ScaleCapacities(e.cfg.Graph, fractional)
-		if rebound, err := next.serving.Rebind(next.scaled); err == nil {
+		if rebound, err := next.serving.Rebind(graph.ScaleCapacities(e.cfg.Graph, fractional)); err == nil {
 			next.adaptive = rebound
 		}
 	}
@@ -735,44 +723,20 @@ func (e *Engine) reRouteLocked(ls *linkState) func() {
 
 // serveInterim publishes the previous routing of st renormalized over the
 // survivors of ls as epoch interim, restricted to the demand served, and
-// resolves the epoch.
+// accounts for it as conclude does every epoch: the pairs of st's demand
+// that served leaves out are its dropped pairs.
 func (e *Engine) serveInterim(ls *linkState, st *State, served *demand.Demand, interim uint64) {
 	start := time.Now()
 	r := renormalizeOverSurvivors(ls, st.Routing, served)
-	eff := ls.effectiveGraph(e.cfg.Graph)
+	eff := ls.adaptive.Graph()
 	loads := r.EdgeLoads(eff)
-	cong := maxCongestion(eff, loads)
-	e.publish(&State{
-		Epoch:        interim,
-		Demand:       served,
-		Routing:      r,
-		Congestion:   cong,
-		EdgeLoads:    loads,
-		LinkVersion:  ls.version,
-		Renormalized: true,
-		SolvedAt:     time.Now(),
-	})
-	elapsed := msSince(start)
-	e.metrics.renormalizedServes.Add(1)
-	// The interim publish is an epoch too: trace it so /debug/trace shows
-	// the renormalized degraded-mode serve between the link event and the
-	// full re-adapt that follows.
-	e.tracer.Record(&obs.EpochTrace{
-		Epoch:      interim,
-		Start:      start,
-		Attempts:   []obs.Attempt{{Stage: "renormalize", Ms: elapsed, OK: true}},
-		SolveMs:    elapsed,
-		PublishMs:  elapsed,
-		TotalMs:    elapsed,
-		Outcome:    obs.OutcomeRenormalized,
-		Congestion: cong,
-	})
-	e.finish(&Outcome{
-		Epoch:        interim,
-		OK:           true,
-		Renormalized: true,
-		Congestion:   cong,
-		Latency:      time.Since(start),
+	e.conclude(&epochRequest{epoch: interim, queued: start}, start, &epochResult{
+		state: &State{
+			Epoch: interim, Demand: served, Routing: r, Congestion: maxCongestion(eff, loads), EdgeLoads: loads,
+			LinkVersion: ls.version, Renormalized: true, SolvedAt: time.Now(),
+		},
+		dropped:  st.Demand.SupportSize() - served.SupportSize(),
+		attempts: []obs.Attempt{{Stage: "renormalize", Ms: msSince(start), OK: true}},
 	}, nil)
 }
 

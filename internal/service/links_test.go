@@ -386,6 +386,40 @@ func TestEngineDisconnectedPairStaysUncovered(t *testing.T) {
 	if err != nil || !out.Fallback {
 		t.Fatalf("all-dead solve: %v %+v", err, out)
 	}
+
+	// Healthy again, both pairs are served; failing the edge once more drops
+	// the dead pair from the interim renormalized publish as from the
+	// re-adapt after it, in the outcome and the trace alike.
+	if _, err := e.RestoreEdges(e1); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, e)
+	if out = mustSolve(t, e, d); out.DroppedPairs != 0 {
+		t.Fatalf("healthy solve dropped %d pairs", out.DroppedPairs)
+	}
+	if _, err := e.FailEdges(e1); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, e)
+	traces := make(map[uint64]*obs.EpochTrace)
+	for _, tr := range e.Tracer().Traces(0) {
+		traces[tr.Epoch] = tr
+	}
+	for i, renormalized := range []bool{true, false} {
+		epoch := out.Epoch + 1 + uint64(i)
+		got, err := e.Wait(waitCtx(t), epoch)
+		if err != nil || !got.OK || got.Renormalized != renormalized || got.DroppedPairs != 1 {
+			t.Fatalf("epoch %d after the fail: %v %+v, want 1 dropped pair", epoch, err, got)
+		}
+		if tr := traces[epoch]; tr == nil || tr.DroppedPairs != 1 {
+			t.Fatalf("epoch %d trace %+v, want 1 dropped pair", epoch, tr)
+		}
+	}
+	// The interim's trace splits its time like a solved epoch's: solve and
+	// publish are disjoint parts of the total.
+	if tr := traces[out.Epoch+1]; tr.SolveMs+tr.PublishMs > tr.TotalMs {
+		t.Fatalf("interim trace solve %vms + publish %vms > total %vms", tr.SolveMs, tr.PublishMs, tr.TotalMs)
+	}
 }
 
 func TestEngineSnapshotWhileDegradedRestoresLinkState(t *testing.T) {

@@ -45,8 +45,12 @@ func (m *solveMonitor) onProgress(round int, congestion float64) {
 	m.tracer.SetProgress(&obs.SolveProgress{Epoch: m.epoch, Round: round, Congestion: congestion})
 }
 
-// fill copies the collected signals into the finished trace.
+// fill copies the collected signals into the finished trace; a nil monitor
+// (no solver ran) fills nothing.
 func (m *solveMonitor) fill(tr *obs.EpochTrace) {
+	if m == nil {
+		return
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	tr.Solver = m.solver
