@@ -6,6 +6,9 @@
 // The Räcke oblivious routing (internal/oblivious) is a congestion-adaptive
 // mixture of these trees: each tree edge maps to a lightest path between
 // cluster centers, and routing through the tree concatenates those paths.
+// One shortest-path pass per tree serves both: Build runs Dijkstra once from
+// every vertex under the normalized lengths, partitions by the distances and
+// keeps the parent edges, from which the center paths are read.
 // This is the practical construction used by SMORE/Yates and stands in for
 // the hierarchical decompositions of Räcke'08 (see DESIGN.md).
 package frt
@@ -34,23 +37,25 @@ type Tree struct {
 	// LeafOf[v] is the index of the leaf node containing vertex v.
 	LeafOf []int
 
-	g       *graph.Graph
-	lengths []float64
-	// mu guards the lazily built caches below: trees are routed through
-	// concurrently by the parallel samplers.
+	g *graph.Graph
+	// parents is Build's n×n parent-edge slab: parents[s*n+v] is the edge by
+	// which the lightest path from s (under the normalized lengths) reaches
+	// v, -1 at s. Every center path is read from it.
+	parents []int
+	// mu guards pathCache: trees are routed through concurrently by the
+	// parallel samplers.
 	mu sync.Mutex
-	// pathCache[node] is the mapped graph path from the node's center to its
-	// parent's center, computed lazily.
-	pathCache []*graph.Path
-	// distCache[v] caches the Dijkstra parents from source center v (nil
-	// until first needed).
-	distCache [][]int
+	// pathCache[node] is the edge sequence of the mapped graph path from the
+	// node's center to its parent's center, nil until first needed.
+	pathCache [][]int
 }
 
 // Build constructs one random FRT-style decomposition of g under the given
 // edge lengths (all positive). rng drives the permutation and the radius
-// scale. The tree keeps its own copy of lengths for the center-to-center
-// paths it maps lazily, so the caller may reuse the slice.
+// scale. Build computes the lightest paths once, from every vertex under the
+// lengths normalized to a smallest length of 1, and both the partition and
+// the mapped center paths use them; the tree keeps no reference to lengths,
+// so the caller may reuse the slice.
 func Build(g *graph.Graph, lengths []float64, rng *rand.Rand) (*Tree, error) {
 	n := g.NumVertices()
 	if n == 0 {
@@ -73,21 +78,21 @@ func Build(g *graph.Graph, lengths []float64, rng *rand.Rand) (*Tree, error) {
 	for i, l := range lengths {
 		norm[i] = l / minLen
 	}
-	// All-pairs distances via n Dijkstras (benchmark scale).
-	dist := make([][]float64, n)
+	// All-pairs distances and parent edges via n Dijkstras (benchmark
+	// scale): dist[s*n+v] is the distance from s to v.
+	dist := make([]float64, n*n)
+	parents := make([]int, n*n)
+	q := make(graph.DistHeap, 0, n)
 	for v := 0; v < n; v++ {
-		d, _ := g.Dijkstra(v, norm)
-		dist[v] = d
+		g.DijkstraInto(v, norm, dist[v*n:(v+1)*n], parents[v*n:(v+1)*n], &q)
 	}
 	var diam float64
-	for v := 0; v < n; v++ {
-		for w := 0; w < n; w++ {
-			if math.IsInf(dist[v][w], 1) {
-				return nil, fmt.Errorf("frt: graph is disconnected")
-			}
-			if dist[v][w] > diam {
-				diam = dist[v][w]
-			}
+	for _, d := range dist {
+		if math.IsInf(d, 1) {
+			return nil, fmt.Errorf("frt: graph is disconnected")
+		}
+		if d > diam {
+			diam = d
 		}
 	}
 	levels := 1
@@ -97,12 +102,7 @@ func Build(g *graph.Graph, lengths []float64, rng *rand.Rand) (*Tree, error) {
 	beta := 1 + float64(rng.Float64()) // β ∈ [1,2)
 	perm := rng.Perm(n)
 
-	t := &Tree{
-		g:         g,
-		lengths:   append([]float64(nil), lengths...),
-		LeafOf:    make([]int, n),
-		distCache: make([][]int, n),
-	}
+	t := &Tree{g: g, parents: parents, LeafOf: make([]int, n)}
 
 	// Top node: everything, centered at the π-first vertex.
 	root := Node{Parent: -1, Center: perm[0], Level: levels, Members: make([]int, n)}
@@ -134,7 +134,7 @@ func Build(g *graph.Graph, lengths []float64, rng *rand.Rand) (*Tree, error) {
 			for _, v := range members {
 				c := -1
 				for _, cand := range perm {
-					if dist[cand][v] <= radius {
+					if dist[cand*n+v] <= radius {
 						c = cand
 						break
 					}
@@ -163,63 +163,53 @@ func Build(g *graph.Graph, lengths []float64, rng *rand.Rand) (*Tree, error) {
 		}
 		t.LeafOf[nd.Members[0]] = nodeIdx
 	}
-	t.pathCache = make([]*graph.Path, len(t.Nodes))
+	t.pathCache = make([][]int, len(t.Nodes))
 	return t, nil
 }
 
-// edgePath returns the mapped graph path from node's center to its parent's
-// center under the tree's edge lengths.
-func (t *Tree) edgePath(nodeIdx int) (graph.Path, error) {
+// edgeIDs returns the edge sequence of the mapped graph path from a
+// non-root node's center to its parent's center, walked back from the
+// parent's center through the parent edges of the node's center.
+func (t *Tree) edgeIDs(nodeIdx int) []int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if cached := t.pathCache[nodeIdx]; cached != nil {
-		return *cached, nil
+	if ids := t.pathCache[nodeIdx]; ids != nil {
+		return ids
 	}
+	src := t.Nodes[nodeIdx].Center
+	dst := t.Nodes[t.Nodes[nodeIdx].Parent].Center
+	n := t.g.NumVertices()
+	parents := t.parents[src*n : (src+1)*n]
+	// Build rejected disconnected graphs, so every walk reaches src.
+	hops := 0
+	for cur := dst; cur != src; cur = t.g.Edge(parents[cur]).Other(cur) {
+		hops++
+	}
+	ids := make([]int, hops)
+	for cur := dst; cur != src; cur = t.g.Edge(ids[hops]).Other(cur) {
+		hops--
+		ids[hops] = parents[cur]
+	}
+	t.pathCache[nodeIdx] = ids
+	return ids
+}
+
+// ParentPath returns the mapped graph path from the node's center to its
+// parent's center (the image of the tree edge in the graph): a lightest
+// path under the tree's normalized lengths. The Räcke load accounting
+// charges each such path with the node's boundary capacity.
+func (t *Tree) ParentPath(nodeIdx int) (graph.Path, error) {
 	nd := t.Nodes[nodeIdx]
 	if nd.Parent < 0 {
 		return graph.Path{}, fmt.Errorf("frt: root has no parent path")
 	}
-	src := nd.Center
-	dst := t.Nodes[nd.Parent].Center
-	if src == dst {
-		p := graph.Path{Src: src, Dst: dst}
-		t.pathCache[nodeIdx] = &p
-		return p, nil
-	}
-	parents := t.distCache[src]
-	if parents == nil {
-		_, parents = t.g.Dijkstra(src, t.lengths)
-		t.distCache[src] = parents
-	}
-	// Extract src -> dst from the parent array (walk back from dst).
-	var ids []int
-	cur := dst
-	for cur != src {
-		id := parents[cur]
-		if id < 0 {
-			return graph.Path{}, graph.ErrNoPath
-		}
-		ids = append(ids, id)
-		cur = t.g.Edge(id).Other(cur)
-	}
-	for i, j := 0, len(ids)-1; i < j; i, j = i+1, j-1 {
-		ids[i], ids[j] = ids[j], ids[i]
-	}
-	p := graph.Path{Src: src, Dst: dst, EdgeIDs: ids}
-	t.pathCache[nodeIdx] = &p
-	return p, nil
-}
-
-// ParentPath returns the mapped graph path from the node's center to its
-// parent's center (the image of the tree edge in the graph). The Räcke load
-// accounting charges each such path with the node's boundary capacity.
-func (t *Tree) ParentPath(nodeIdx int) (graph.Path, error) {
-	return t.edgePath(nodeIdx)
+	return graph.Path{Src: nd.Center, Dst: t.Nodes[nd.Parent].Center, EdgeIDs: t.edgeIDs(nodeIdx)}, nil
 }
 
 // Route returns the simple graph path obtained by routing u -> v through the
-// tree: climb from both leaves to the lowest common ancestor, concatenating
-// the mapped center paths, then simplify.
+// tree: climb from both leaves to the lowest common ancestor, appending the
+// mapped center paths up from u and, reversed, down to v into one walk,
+// then simplify it.
 func (t *Tree) Route(u, v int) (graph.Path, error) {
 	if u == v {
 		return graph.Path{Src: u, Dst: v}, nil
@@ -233,34 +223,19 @@ func (t *Tree) Route(u, v int) (graph.Path, error) {
 		i--
 		j--
 	}
-	up := chainU[:i+1]   // leaf(u) .. LCA
-	down := chainV[:j+1] // leaf(v) .. LCA
-	walk := graph.Path{Src: u, Dst: u}
-	// Up the tree: center(leaf u) == u; append each node->parent path.
-	for k := 0; k+1 < len(up); k++ {
-		seg, err := t.edgePath(up[k])
-		if err != nil {
-			return graph.Path{}, err
-		}
-		joined, err := graph.Concat(walk, seg)
-		if err != nil {
-			return graph.Path{}, err
-		}
-		walk = joined
+	// Up the tree from leaf(u) (whose center is u) to the LCA, then down
+	// from the LCA to leaf(v) along reversed parent paths.
+	var walk []int
+	for k := 0; k < i; k++ {
+		walk = append(walk, t.edgeIDs(chainU[k])...)
 	}
-	// Down the other side: reversed parent paths.
-	for k := len(down) - 2; k >= 0; k-- {
-		seg, err := t.edgePath(down[k])
-		if err != nil {
-			return graph.Path{}, err
+	for k := j - 1; k >= 0; k-- {
+		seg := t.edgeIDs(chainV[k])
+		for x := len(seg) - 1; x >= 0; x-- {
+			walk = append(walk, seg[x])
 		}
-		joined, err := graph.Concat(walk, seg.Reverse())
-		if err != nil {
-			return graph.Path{}, err
-		}
-		walk = joined
 	}
-	return graph.Simplify(t.g, walk)
+	return graph.Simplify(t.g, graph.Path{Src: u, Dst: v, EdgeIDs: walk})
 }
 
 func (t *Tree) ancestors(nodeIdx int) []int {
@@ -271,17 +246,22 @@ func (t *Tree) ancestors(nodeIdx int) []int {
 	return chain
 }
 
-// BoundaryCapacity returns the total capacity of edges crossing the cluster
-// boundary of the given node (used by the Räcke load accounting).
-func (t *Tree) BoundaryCapacity(nodeIdx int) float64 {
-	inside := make([]bool, t.g.NumVertices())
-	for _, v := range t.Nodes[nodeIdx].Members {
-		inside[v] = true
-	}
-	var s float64
+// BoundaryCapacities returns, for every node, the total capacity of the
+// edges crossing its cluster boundary (used by the Räcke load accounting).
+// An edge crosses exactly the clusters on its endpoints' leaf-to-LCA chains
+// below the LCA; each node sums its crossing edges in Edges() order.
+func (t *Tree) BoundaryCapacities() []float64 {
+	s := make([]float64, len(t.Nodes))
 	for _, e := range t.g.Edges() {
-		if inside[e.U] != inside[e.V] {
-			s += e.Capacity
+		a, b := t.LeafOf[e.U], t.LeafOf[e.V]
+		for a != b {
+			if t.Nodes[a].Level <= t.Nodes[b].Level {
+				s[a] += e.Capacity
+				a = t.Nodes[a].Parent
+			} else {
+				s[b] += e.Capacity
+				b = t.Nodes[b].Parent
+			}
 		}
 	}
 	return s

@@ -3,6 +3,8 @@ package frt
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
+	"sync"
 	"testing"
 
 	"sparseroute/internal/graph"
@@ -142,12 +144,12 @@ func TestBoundaryCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Root boundary is zero (whole graph).
-	if bc := tree.BoundaryCapacity(0); bc != 0 {
+	if bc := tree.BoundaryCapacities()[0]; bc != 0 {
 		t.Fatalf("root boundary=%v, want 0", bc)
 	}
 	// A leaf's boundary equals its vertex degree (unit capacities).
 	leaf := tree.LeafOf[3]
-	if bc := tree.BoundaryCapacity(leaf); bc != 2 {
+	if bc := tree.BoundaryCapacities()[leaf]; bc != 2 {
 		t.Fatalf("leaf boundary=%v, want 2", bc)
 	}
 }
@@ -199,9 +201,10 @@ func TestRouteRespectsLengths(t *testing.T) {
 }
 
 // TestBuildCopiesLengths overwrites the caller's lengths slice after Build
-// and checks that Route, whose center-to-center paths are mapped lazily,
-// still routes every pair under the lengths the tree was built with
-// (oblivious.NewRaecke reuses one slice across all its trees).
+// and checks that Route, whose center-to-center paths are read lazily from
+// Build's parent edges, still routes every pair under the lengths the tree
+// was built with (oblivious.NewRaecke reuses one slice across all its
+// trees).
 func TestBuildCopiesLengths(t *testing.T) {
 	g := gen.Grid(6, 6)
 	lengths := make([]float64, g.NumEdges())
@@ -249,6 +252,161 @@ func TestTreeDistanceSymmetric(t *testing.T) {
 		for v := 0; v < 8; v++ {
 			if math.Abs(tree.treeDistance(u, v)-tree.treeDistance(v, u)) > 1e-12 {
 				t.Fatalf("tree distance asymmetric for (%d,%d)", u, v)
+			}
+		}
+	}
+}
+
+// randomLengths returns lengths in [0.1, 10) for g's edges.
+func randomLengths(g *graph.Graph, rng *rand.Rand) []float64 {
+	l := make([]float64, g.NumEdges())
+	for i := range l {
+		l[i] = 0.1 + 9.9*rng.Float64()
+	}
+	return l
+}
+
+// TestParentPathsUseTheNormalizedMetric pins the one-metric rule: every
+// charged tree edge (a non-root node with a nonzero boundary) maps to a
+// simple path whose normalized length, folded left to right, is bit for bit
+// the distance Build partitioned by, so the center paths and the partition
+// come from one shortest-path pass under one metric.
+func TestParentPathsUseTheNormalizedMetric(t *testing.T) {
+	rng := rand.New(rand.NewPCG(55, 3))
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"grid-6x6", gen.Grid(6, 6)},
+		{"wan48", gen.SyntheticWAN(48, 30, rand.New(rand.NewPCG(48, 48)))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lengths := randomLengths(tc.g, rng)
+			minLen := slices.Min(lengths)
+			norm := make([]float64, len(lengths))
+			for i, l := range lengths {
+				norm[i] = l / minLen
+			}
+			tree, err := Build(tc.g, lengths, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			boundary := tree.BoundaryCapacities()
+			charged := 0
+			for idx, nd := range tree.Nodes {
+				if nd.Parent < 0 || boundary[idx] == 0 {
+					continue
+				}
+				p, err := tree.ParentPath(idx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !p.IsSimple(tc.g) {
+					t.Fatalf("node %d: parent path %v is not simple", idx, p.EdgeIDs)
+				}
+				var folded float64
+				for _, id := range p.EdgeIDs {
+					folded += norm[id]
+				}
+				dist, _ := tc.g.Dijkstra(p.Src, norm)
+				if math.Float64bits(folded) != math.Float64bits(dist[p.Dst]) {
+					t.Fatalf("node %d: parent path %d->%d has normalized length %v, Build's distance %v",
+						idx, p.Src, p.Dst, folded, dist[p.Dst])
+				}
+				if p.Src != p.Dst {
+					charged++
+				}
+			}
+			if charged == 0 {
+				t.Fatal("no charged tree edge with a nonempty path")
+			}
+		})
+	}
+}
+
+// TestConcurrentRouteMatchesSequential routes every pair of a fresh tree
+// from 4 goroutines at once, racing to fill the shared path cache, and
+// checks each path against a sequential pass over a twin tree.
+func TestConcurrentRouteMatchesSequential(t *testing.T) {
+	g := gen.SyntheticWAN(40, 25, rand.New(rand.NewPCG(40, 40)))
+	lengths := randomLengths(g, rand.New(rand.NewPCG(55, 4)))
+	seq, err := Build(g, lengths, rand.New(rand.NewPCG(55, 5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Build(g, lengths, rand.New(rand.NewPCG(55, 5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	want := make([]graph.Path, n*n)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if want[u*n+v], err = seq.Route(u, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const workers = 4
+	got := make([][]graph.Path, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = make([]graph.Path, n*n)
+			// Each worker starts at a different pair so the cache fills
+			// from several places at once.
+			for k := 0; k < n*n; k++ {
+				i := (k + w*n*n/workers) % (n * n)
+				p, err := fresh.Route(i/n, i%n)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[w][i] = p
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		for i, p := range got[w] {
+			if p.Src != want[i].Src || p.Dst != want[i].Dst || !slices.Equal(p.EdgeIDs, want[i].EdgeIDs) {
+				t.Fatalf("worker %d, pair (%d,%d): %v, sequential %v", w, i/n, i%n, p.EdgeIDs, want[i].EdgeIDs)
+			}
+		}
+	}
+}
+
+// TestBoundaryCapacitiesMatchMembership checks the chain-walking boundary
+// sums bit for bit against the membership definition: each node sums, in
+// Edges() order, the capacities of the edges with one endpoint inside it.
+func TestBoundaryCapacitiesMatchMembership(t *testing.T) {
+	rng := rand.New(rand.NewPCG(55, 6))
+	g := gen.SyntheticWAN(48, 30, rand.New(rand.NewPCG(48, 48)))
+	capped := graph.New(g.NumVertices())
+	for _, e := range g.Edges() {
+		capped.AddEdge(e.U, e.V, 0.1+rng.Float64())
+	}
+	for _, gg := range []*graph.Graph{capped, gen.Grid(6, 6)} {
+		tree, err := Build(gg, randomLengths(gg, rng), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := tree.BoundaryCapacities()
+		for idx, nd := range tree.Nodes {
+			inside := make([]bool, gg.NumVertices())
+			for _, v := range nd.Members {
+				inside[v] = true
+			}
+			var want float64
+			for _, e := range gg.Edges() {
+				if inside[e.U] != inside[e.V] {
+					want += e.Capacity
+				}
+			}
+			if math.Float64bits(got[idx]) != math.Float64bits(want) {
+				t.Fatalf("node %d: boundary %v, membership sum %v", idx, got[idx], want)
 			}
 		}
 	}

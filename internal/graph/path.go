@@ -53,7 +53,10 @@ func (p Path) IsSimple(g *Graph) bool {
 	if err != nil {
 		return false
 	}
-	seen := make(map[int]bool, len(vs))
+	if len(vs) == 1 {
+		return true // Src == Dst, which Vertices does not range-check
+	}
+	seen := make([]bool, g.NumVertices())
 	for _, v := range vs {
 		if seen[v] {
 			return false
@@ -139,10 +142,13 @@ func Simplify(g *Graph, p Path) (Path, error) {
 	if err != nil {
 		return Path{}, err
 	}
+	if len(vs) == 1 {
+		return Path{Src: p.Src, Dst: p.Dst}, nil // Src == Dst: nothing to index
+	}
 	// lastIndex[v] = last position of v in the vertex sequence. Walking from
 	// the front and jumping to the last occurrence of each visited vertex
 	// removes every loop in one pass.
-	lastIndex := make(map[int]int, len(vs))
+	lastIndex := make([]int, g.NumVertices())
 	for i, v := range vs {
 		lastIndex[v] = i
 	}

@@ -118,14 +118,25 @@ func (q *DistHeap) Pop() (v int, dist float64) {
 func (g *Graph) Dijkstra(src int, length []float64) (dist []float64, parentEdge []int) {
 	dist = make([]float64, g.n)
 	parentEdge = make([]int, g.n)
+	q := make(DistHeap, 0, g.n)
+	g.DijkstraInto(src, length, dist, parentEdge, &q)
+	return dist, parentEdge
+}
+
+// DijkstraInto is Dijkstra writing into caller-owned buffers: dist and
+// parentEdge (each of length NumVertices, any prior contents) receive the
+// distances and parent edges, and q is the search's heap, emptied first and
+// left grown for the next call. The results, ties included, are Dijkstra's.
+func (g *Graph) DijkstraInto(src int, length, dist []float64, parentEdge []int, q *DistHeap) {
+	dist, parentEdge = dist[:g.n], parentEdge[:g.n]
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		parentEdge[i] = -1
 	}
 	dist[src] = 0
-	q := make(DistHeap, 0, g.n)
+	*q = (*q)[:0]
 	q.Push(src, 0)
-	for len(q) > 0 {
+	for len(*q) > 0 {
 		v, d := q.Pop()
 		if d > dist[v] {
 			continue
@@ -140,7 +151,6 @@ func (g *Graph) Dijkstra(src int, length []float64) (dist []float64, parentEdge 
 			}
 		}
 	}
-	return dist, parentEdge
 }
 
 // LightestPath returns a minimum-total-length path from src to dst under the

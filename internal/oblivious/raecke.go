@@ -84,11 +84,11 @@ func NewRaecke(g *graph.Graph, opt *RaeckeOptions, rng *rand.Rand) (*Raecke, err
 		// Relative load the tree imposes: each tree edge (node -> parent)
 		// carries the node's boundary capacity along its mapped path.
 		load := make([]float64, m)
-		for idx := range tree.Nodes {
+		boundary := tree.BoundaryCapacities()
+		for idx, bc := range boundary {
 			if tree.Nodes[idx].Parent < 0 {
 				continue
 			}
-			bc := tree.BoundaryCapacity(idx)
 			if bc == 0 {
 				continue
 			}

@@ -20,7 +20,8 @@ import (
 // float bits, and Distribution over a fixed set of pairs — so a change to
 // Dijkstra's tie order, the FRT partition order or any float summation order
 // moves it. The values were recorded before graph.Dijkstra dropped
-// container/heap and before frt.Build dropped its per-node maps.
+// container/heap, before frt.Build dropped its per-node maps, and before
+// each tree's center paths came from Build's one shortest-path pass.
 func TestRaeckeBuildGolden(t *testing.T) {
 	wan := gen.SyntheticWAN(64, 40, rand.New(rand.NewPCG(64, 64)))
 	grid := gen.Grid(10, 10)
@@ -72,12 +73,13 @@ func raeckeDigest(t *testing.T, r Router) uint64 {
 	}
 	for _, tree := range rk.trees {
 		put(len(tree.Nodes))
+		boundary := tree.BoundaryCapacities()
 		for idx, nd := range tree.Nodes {
 			put(nd.Parent, nd.Center, nd.Level, len(nd.Members))
 			put(nd.Members...)
 			// Only charged tree edges: NewRaecke computed exactly these
 			// paths under the tree's own lengths.
-			if nd.Parent < 0 || tree.BoundaryCapacity(idx) == 0 {
+			if nd.Parent < 0 || boundary[idx] == 0 {
 				continue
 			}
 			p, err := tree.ParentPath(idx)
