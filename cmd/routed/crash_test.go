@@ -198,14 +198,14 @@ func writeTopoFile(t *testing.T, path string) {
 // shutdown path at all, restart on the same state directory, and require
 // the replayed daemon to serve the exact pre-crash routing state — same
 // path-system hash, same link version, same demand — with the replay
-// visible on /debug/events and /debug/vars.
+// visible on /debug/events and /metrics.
 func TestRoutedKill9Recovery(t *testing.T) {
 	dir := t.TempDir()
 	topo := filepath.Join(dir, "topo.json")
 	snap := filepath.Join(dir, "sys.snap")
 	writeTopoFile(t, topo)
 	args := []string{"-topo", topo, "-snapshot", snap, "-router", "valiant",
-		"-s", "3", "-seed", "7", "-no-warm"}
+		"-s", "3", "-seed", "7"}
 
 	p1 := startRouted(t, args...)
 
@@ -217,10 +217,10 @@ func TestRoutedKill9Recovery(t *testing.T) {
 	p1.postJSON(t, "/v1/links", `{"edge":8,"capacity":0.5}`)
 	p1.postJSON(t, "/v1/demand?wait=1", `{"entries":[{"u":0,"v":7,"amount":2},{"u":1,"v":6,"amount":1.5}]}`)
 
-	vars := p1.getJSON(t, "/debug/vars")
-	wantHash := vars["path_system"].(map[string]any)["hash"].(string)
-	wantVersion := vars["link_version"].(float64)
-	if n := vars["wal_records"].(float64); n < 5 {
+	metrics := scrape(t, p1.url+"/metrics")
+	wantHash := pathSystemHash(t, metrics)
+	wantVersion := metrics["sparseroute_engine_link_version"]
+	if n := metrics["sparseroute_engine_wal_records"]; n < 5 {
 		t.Fatalf("wal_records=%v, want >= 5 (one per accepted mutation)", n)
 	}
 	wantRouting := p1.getJSON(t, "/v1/routing")
@@ -233,14 +233,14 @@ func TestRoutedKill9Recovery(t *testing.T) {
 	}
 
 	p2 := startRouted(t, args...)
-	vars2 := p2.getJSON(t, "/debug/vars")
-	if got := vars2["path_system"].(map[string]any)["hash"].(string); got != wantHash {
+	metrics2 := scrape(t, p2.url+"/metrics")
+	if got := pathSystemHash(t, metrics2); got != wantHash {
 		t.Fatalf("recovered hash %s != pre-crash %s", got, wantHash)
 	}
-	if got := vars2["link_version"].(float64); got != wantVersion {
+	if got := metrics2["sparseroute_engine_link_version"]; got != wantVersion {
 		t.Fatalf("recovered link_version %v != pre-crash %v", got, wantVersion)
 	}
-	if got := vars2["wal_replays"].(float64); got != 1 {
+	if got := metrics2["sparseroute_engine_wal_replays"]; got != 1 {
 		t.Fatalf("wal_replays=%v, want 1", got)
 	}
 	if !p2.eventTypes(t)["wal_replay"] {
@@ -312,7 +312,7 @@ func TestRoutedTornWALTail(t *testing.T) {
 	if !types["wal_truncated"] {
 		t.Fatal("no wal_truncated event after torn-tail recovery")
 	}
-	if got := p2.getJSON(t, "/debug/vars")["wal_truncations"].(float64); got != 1 {
+	if got := scrape(t, p2.url+"/metrics")["sparseroute_engine_wal_truncations"]; got != 1 {
 		t.Fatalf("wal_truncations=%v, want 1", got)
 	}
 	// The last durable demand still serves.

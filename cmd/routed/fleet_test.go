@@ -81,12 +81,7 @@ func TestFleetDaemonEndToEnd(t *testing.T) {
 		if ep["solved"] != true {
 			t.Fatalf("%s epoch not solved: %v", id, ep)
 		}
-		resp, err = http.Get(url + "/v1/t/" + id + "/debug/vars")
-		if err != nil {
-			t.Fatal(err)
-		}
-		vars := decodeBody(t, resp)
-		hashes[id] = vars["path_system"].(map[string]any)["hash"].(string)
+		hashes[id] = pathSystemHash(t, scrape(t, url+"/v1/t/"+id+"/metrics"))
 	}
 
 	// The legacy alias reaches east's engine.
@@ -128,21 +123,11 @@ func TestFleetDaemonEndToEnd(t *testing.T) {
 	url, stop = startFleetDaemon(t, o)
 	defer stop()
 	for _, id := range []string{"east", "west"} {
-		resp, err := http.Get(url + "/v1/t/" + id + "/debug/vars")
-		if err != nil {
-			t.Fatal(err)
-		}
-		vars := decodeBody(t, resp)
-		if got := vars["path_system"].(map[string]any)["hash"].(string); got != hashes[id] {
+		if got := pathSystemHash(t, scrape(t, url+"/v1/t/"+id+"/metrics")); got != hashes[id] {
 			t.Fatalf("%s restored hash %s, want %s", id, got, hashes[id])
 		}
 	}
-	resp, err = http.Get(url + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleetVars := decodeBody(t, resp)
-	if warm := fleetVars["fleet"].(map[string]any)["warm_starts"].(float64); warm != 2 {
+	if warm := scrape(t, url+"/metrics")["sparseroute_fleet_warm_starts"]; warm != 2 {
 		t.Fatalf("restart warm starts %v, want 2", warm)
 	}
 }

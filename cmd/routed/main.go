@@ -9,7 +9,6 @@
 //	                    matrix ({"set":[{"u":..,"v":..,"amount":..}],
 //	                    "clear":[{"u":..,"v":..}]}); only the touched pairs
 //	                    are re-solved when the link state is unchanged
-//	                    (-no-warm solves every epoch from scratch)
 //	GET  /v1/paths      candidate paths + live sending rates for ?src=&dst=
 //	GET  /v1/routing    the full active routing
 //	POST /v1/links      topology event: {"fail":[...]}, {"restore":[...]},
@@ -19,10 +18,12 @@
 //	GET  /v1/links      current link state (version, failed + degraded edges,
 //	                    status)
 //	POST /v1/snapshot   persist the path system to the --snapshot file
-//	GET  /debug/vars    expvar metrics (epochs, latency quantiles, fallbacks,
+//	GET  /metrics       Prometheus text exposition: epochs, fallbacks,
 //	                    failed_edges, degraded_edges, recovery_resamples,
-//	                    proactive_resamples, survivor_builds, ...)
-//	GET  /metrics       the same registry as Prometheus text exposition
+//	                    proactive_resamples, survivor_builds, the
+//	                    path_system hash as an _info label, and latency,
+//	                    congestion and queue-wait quantiles over the epochs
+//	                    /debug/trace retains
 //	GET  /debug/trace   recent epoch lifecycle traces — queue wait, solve
 //	                    attempt chain, MWU rounds, publish time (?n= bounds
 //	                    the count; in-flight MWU progress rides along)
@@ -39,8 +40,8 @@
 // --deadline leaves the last good routing serving (a fallback counter
 // increments). A missed deadline cancels the solve itself — the LP/MWU
 // solvers poll a context — so the worker is freed immediately instead of
-// burning CPU on a result nobody will use (/debug/vars counts
-// solves_canceled and estimates solve_cpu_saved). SIGINT/SIGTERM cancels
+// burning CPU on a result nobody will use (/metrics counts
+// solves_canceled). SIGINT/SIGTERM cancels
 // in-flight solves for a prompt drain, writes a final snapshot when
 // --snapshot is set, and exits.
 //
@@ -63,7 +64,8 @@
 // reload warm with an identical path-system hash). All shards solve on one
 // shared worker pool with round-robin fairness, so a hot tenant cannot
 // starve its siblings; /healthz rolls shard states into a fleet state
-// machine and /debug/vars nests every shard's registry. The legacy
+// machine and /metrics renders every resident shard's registry under a topo
+// label. The legacy
 // un-namespaced /v1/* routes alias to --default (or the sole shard).
 // SIGTERM drains by snapshotting every resident shard.
 //
@@ -156,8 +158,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "separate listen address for the pprof profiling surface (/debug/pprof/...); empty disables it")
 	fs.DurationVar(&o.engine.SlowSolveThreshold, "slow-solve", 0, "epochs slower than this (queue wait + solve + publish) emit one structured log line and count in slow_solves (0 = disabled)")
 	fs.IntVar(&o.engine.OutcomeHistory, "outcome-history", 0, "epoch outcomes retained for ?wait/Wait lookups before eviction (0 = default 128)")
-	fs.IntVar(&o.engine.TraceDepth, "trace-depth", 0, "epoch lifecycle traces retained on /debug/trace (0 = default 64)")
-	fs.BoolVar(&o.engine.DisableWarmStart, "no-warm", false, "solve every epoch from scratch: disable the PATCH delta fast path")
+	fs.IntVar(&o.engine.TraceDepth, "trace-depth", 0, "epoch lifecycle traces retained on /debug/trace, and the epochs the /metrics latency, congestion and queue-wait quantiles cover (0 = default 256)")
 	fs.Int64Var(&o.engine.MaxBodyBytes, "max-body", 0, "per-request body cap in bytes; larger POST/PATCH bodies get 413 (0 = default 8 MiB, negative disables)")
 	fs.Int64Var(&o.engine.MaxInflightBytes, "inflight-bytes", 0, "total request-body bytes decoded concurrently before mutations shed with 429 (0 = unlimited)")
 	fs.Float64Var(&o.engine.MutationRate, "tenant-qps", 0, "per-tenant demand-mutation quota in ops/sec: excess submits and patches shed with 429 + Retry-After; per shard in fleet mode (0 = unlimited)")
@@ -244,14 +245,13 @@ func startupBanner(o *options, opened *service.Opened) string {
 // resident shard to its <id>.snap and closes it.
 func openFleet(o *options) (http.Handler, func() error, error) {
 	f, err := fleet.Open(fleet.Config{
-		Dir:             o.fleetDir,
-		DefaultShard:    o.defaultShard,
-		MaxResident:     o.resident,
-		Workers:         o.engine.Workers,
-		DisableWAL:      o.wal == "off",
-		CheckpointEvery: o.engine.CheckpointEvery,
-		Engine:          o.engine,
-		Build:           o.build,
+		Dir:          o.fleetDir,
+		DefaultShard: o.defaultShard,
+		MaxResident:  o.resident,
+		Workers:      o.engine.Workers,
+		DisableWAL:   o.wal == "off",
+		Engine:       o.engine,
+		Build:        o.build,
 	})
 	if err != nil {
 		return nil, nil, err

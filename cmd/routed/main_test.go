@@ -9,12 +9,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"sparseroute/internal/graph/gen"
+	"sparseroute/internal/obs"
 	"sparseroute/internal/serial"
 )
 
@@ -63,19 +65,66 @@ func decodeBody(t *testing.T, resp *http.Response) map[string]any {
 	return out
 }
 
-func pathSystemHashFromVars(t *testing.T, url string) (string, float64) {
+// scrape GETs a /metrics endpoint, checks that it is valid exposition, and
+// returns its samples keyed by series as rendered, labels included:
+// sparseroute_engine_epochs_solved, or sparseroute_fleet_warm_starts.
+func scrape(t *testing.T, url string) map[string]float64 {
 	t.Helper()
-	resp, err := http.Get(url + "/debug/vars")
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vars := decodeBody(t, resp)
-	sys := vars["path_system"].(map[string]any)
-	return sys["hash"].(string), vars["epochs_solved"].(float64)
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: %d %s", url, resp.StatusCode, raw)
+	}
+	if err := obs.ValidateExposition(raw); err != nil {
+		t.Fatalf("%s: %v\n%s", url, err, raw)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("%s: sample %q: %v", url, line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+var hashLabel = regexp.MustCompile(`^sparseroute_engine_path_system_info\{.*hash="([0-9a-f]{16})"`)
+
+// pathSystemHash returns the hash label of the engine's path_system_info
+// sample in a scrape.
+func pathSystemHash(t *testing.T, metrics map[string]float64) string {
+	t.Helper()
+	for series := range metrics {
+		if m := hashLabel.FindStringSubmatch(series); m != nil {
+			return m[1]
+		}
+	}
+	t.Fatal("no path_system_info sample with a hash label")
+	return ""
+}
+
+// pathSystemHashFromMetrics scrapes the daemon at url and returns the
+// path-system hash and epochs_solved.
+func pathSystemHashFromMetrics(t *testing.T, url string) (string, float64) {
+	t.Helper()
+	metrics := scrape(t, url+"/metrics")
+	return pathSystemHash(t, metrics), metrics["sparseroute_engine_epochs_solved"]
 }
 
 // TestDaemonEndToEnd is the acceptance test: serve → POST a demand epoch →
-// adapted routing visible via GET /v1/paths → /debug/vars shows the epoch
+// adapted routing visible via GET /v1/paths → /metrics shows the epoch
 // solved → kill → restart from snapshot → identical path-system hash with
 // no resampling.
 func TestDaemonEndToEnd(t *testing.T) {
@@ -135,7 +184,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// Metrics show at least one epoch solved; remember the system hash.
-	hash1, solved := pathSystemHashFromVars(t, url)
+	hash1, solved := pathSystemHashFromMetrics(t, url)
 	if solved < 1 {
 		t.Fatalf("epochs_solved=%v, want >= 1", solved)
 	}
@@ -160,7 +209,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	url2, stop2 := startDaemon(t, o)
 	defer stop2()
 
-	hash2, _ := pathSystemHashFromVars(t, url2)
+	hash2, _ := pathSystemHashFromMetrics(t, url2)
 	if hash2 != hash1 {
 		t.Fatalf("restored hash %s != original %s", hash2, hash1)
 	}
@@ -254,7 +303,7 @@ func TestBuildEngineUnknownRouter(t *testing.T) {
 
 // TestDaemonDeadlineCancelsSolve: with an impossible -deadline every solve is
 // canceled rather than orphaned — the epoch reports a fallback, ?wait=0
-// returns 202 immediately, and /debug/vars exposes the cancellation metrics.
+// returns 202 immediately, and /metrics exposes the cancellation counter.
 func TestDaemonDeadlineCancelsSolve(t *testing.T) {
 	dir := t.TempDir()
 	topo := filepath.Join(dir, "topo.json")
@@ -299,16 +348,8 @@ func TestDaemonDeadlineCancelsSolve(t *testing.T) {
 		t.Fatalf("epoch should be a deadline fallback: %v", ep)
 	}
 
-	resp, err = http.Get(url + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vars := decodeBody(t, resp)
-	if vars["solves_canceled"].(float64) < 1 {
-		t.Fatalf("solves_canceled=%v, want >= 1", vars["solves_canceled"])
-	}
-	if _, ok := vars["solve_cpu_saved"]; !ok {
-		t.Fatal("solve_cpu_saved missing from /debug/vars")
+	if n := scrape(t, url+"/metrics")["sparseroute_engine_solves_canceled"]; n < 1 {
+		t.Fatalf("solves_canceled=%v, want >= 1", n)
 	}
 }
 
@@ -429,7 +470,7 @@ func TestDaemonCapacityDrill(t *testing.T) {
 	if baseline > 1.01 {
 		t.Fatalf("baseline congestion %v, want ~1", baseline)
 	}
-	hash0, _ := pathSystemHashFromVars(t, url)
+	hash0, _ := pathSystemHashFromMetrics(t, url)
 
 	// Find the edge 0-1 by endpoints rather than assuming generator ID order.
 	weak := -1
@@ -471,7 +512,7 @@ func TestDaemonCapacityDrill(t *testing.T) {
 	if n := len(decodeBody(t, resp)["paths"].([]any)); n != 2 {
 		t.Fatalf("brownout pruned paths: %d left", n)
 	}
-	if h, _ := pathSystemHashFromVars(t, url); h != hash0 {
+	if h, _ := pathSystemHashFromMetrics(t, url); h != hash0 {
 		t.Fatalf("brownout changed the installed system: %s != %s", h, hash0)
 	}
 
@@ -537,7 +578,7 @@ func TestDaemonCapacityDrill(t *testing.T) {
 	}
 	url2, stop2 := startDaemon(t, o)
 	defer stop2()
-	if h2, _ := pathSystemHashFromVars(t, url2); h2 != hash0 {
+	if h2, _ := pathSystemHashFromMetrics(t, url2); h2 != hash0 {
 		t.Fatalf("restored hash %s != original %s", h2, hash0)
 	}
 	resp, err = http.Get(url2 + "/healthz")
@@ -564,7 +605,7 @@ func TestDaemonCapacityDrill(t *testing.T) {
 	if h := decodeBody(t, resp); h["status"] != "ok" {
 		t.Fatalf("healthz after recovery: %v", h)
 	}
-	if h2, _ := pathSystemHashFromVars(t, url2); h2 != hash0 {
+	if h2, _ := pathSystemHashFromMetrics(t, url2); h2 != hash0 {
 		t.Fatalf("recovery changed the installed system: %s != %s", h2, hash0)
 	}
 	resp, err = http.Post(url2+"/v1/demand?wait=1", "application/json", strings.NewReader(demand))
@@ -677,7 +718,7 @@ func TestDaemonFailureDrill(t *testing.T) {
 	}
 
 	// Snapshot while degraded, remember the hash, kill the daemon.
-	hashDegraded, _ := pathSystemHashFromVars(t, url)
+	hashDegraded, _ := pathSystemHashFromMetrics(t, url)
 	resp, err = http.Post(url+"/v1/snapshot", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -708,7 +749,7 @@ func TestDaemonFailureDrill(t *testing.T) {
 	}
 	url2, stop2 := startDaemon(t, o)
 	defer stop2()
-	hash2, _ := pathSystemHashFromVars(t, url2)
+	hash2, _ := pathSystemHashFromMetrics(t, url2)
 	if hash2 != hashDegraded {
 		t.Fatalf("restored hash %s != degraded original %s", hash2, hashDegraded)
 	}

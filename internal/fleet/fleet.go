@@ -23,10 +23,11 @@
 //     demand.
 //
 //   - Rolled-up observability. The health rollup aggregates per-shard ok/degraded/
-//     closed into a fleet state machine; the vars payload nests every
-//     resident shard's expvar registry under fleet-level counters
-//     (resident shards, evictions, cold/warm start latency, cross-shard
-//     queue depth); Close drains by snapshotting every resident shard.
+//     closed into a fleet state machine; /metrics renders fleet-level
+//     counters (resident shards, evictions, cold/warm start latency,
+//     cross-shard queue depth) next to every resident shard's registry,
+//     each shard's series under a topo label; Close drains by snapshotting
+//     every resident shard.
 package fleet
 
 import (
@@ -96,19 +97,15 @@ type Config struct {
 	// a hard kill between snapshots loses nothing a client was told
 	// succeeded.
 	DisableWAL bool
-	// CheckpointEvery triggers an automatic snapshot + WAL truncation after
-	// that many logged operations per shard. 0 disables automatic
-	// checkpoints (eviction and drain still checkpoint).
-	CheckpointEvery int
 	// Engine is the per-shard engine template: RouterName, R, Seed,
-	// SolveDeadline, warm-start policy, and so on. Graph, Router, System,
-	// Pool, WAL and the checkpoint fields are managed by the fleet and
-	// overwritten per shard. An empty RouterName means
-	// "raecke". Its MutationRate and MutationBurst are the per-tenant quota:
+	// SolveDeadline, CheckpointEvery (eviction and drain checkpoint either
+	// way), and so on. Graph, Router, System, Pool, WAL and CheckpointPath
+	// are managed by the fleet and overwritten per shard. An empty
+	// RouterName means "raecke". Its MutationRate and MutationBurst are the per-tenant quota:
 	// every shard's engine gets its own token bucket, so one flooding tenant
 	// is shed with 429s at its own front door while the shared pool's
 	// round-robin keeps solver time fair. Per-shard shed counts roll up in
-	// the fleet vars and /metrics.
+	// the fleet's /metrics.
 	Engine service.Config
 	// Build tunes cold-start router construction (trees, k, dim). The
 	// sampling seed defaults to Engine.Seed.
@@ -432,7 +429,7 @@ func (f *Fleet) buildEngine(sh *shard) (*service.Opened, error) {
 	queue := f.pool.Queue(1)
 	cfg.Pool = queue
 	cfg.Graph, cfg.Router, cfg.System, cfg.WAL = nil, nil, nil, nil
-	cfg.CheckpointPath, cfg.CheckpointEvery = sh.snapPath, f.cfg.CheckpointEvery
+	cfg.CheckpointPath = sh.snapPath
 	// Engines record into the fleet journal, tagged by topology ID, so the
 	// event stream survives eviction and rolls up at GET /debug/events.
 	cfg.Journal = f.journal

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -433,7 +434,7 @@ func TestFleetConcurrentCrossShard(t *testing.T) {
 				case 1: // reader: health (with its link fields) and metrics
 					e.Health()
 					f.health()
-					f.Metrics().json()
+					f.Metrics().prom().WriteTo(io.Discard)
 				case 2: // link events on one shard only
 					if id == "a" {
 						e.FailEdges(0)
@@ -487,9 +488,8 @@ func TestFleetWALCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	writeTopo(t, dir, "a", gen.Hypercube(3))
 	cfg := Config{
-		Dir: dir,
-		Engine: service.Config{RouterName: "valiant", R: 2, Seed: 11,
-			DisableWarmStart: true},
+		Dir:    dir,
+		Engine: service.Config{RouterName: "valiant", R: 2, Seed: 11},
 	}
 	f1, err := Open(cfg)
 	if err != nil {
@@ -563,7 +563,6 @@ func TestFleetWALCrashRecovery(t *testing.T) {
 func TestFleetEvictionCheckpointsWAL(t *testing.T) {
 	f := testFleet(t, []string{"a", "b"}, func(c *Config) {
 		c.MaxResident = 1
-		c.Engine.DisableWarmStart = true
 	})
 	e, err := f.Engine("a")
 	if err != nil {

@@ -24,8 +24,8 @@ import (
 //	                       default shard; 404 when no default is configured
 //	GET  /v1/topologies    shard inventory: IDs, residency, the default
 //	GET  /healthz          fleet rollup: ok / degraded / 503 closed
-//	GET  /debug/vars       fleet counters plus every shard's registry
-//	GET  /metrics          the same rollup as Prometheus text exposition
+//	GET  /metrics          fleet counters plus every resident shard's
+//	                       registry as Prometheus text exposition
 //	                       (per-shard series carry a topo label)
 //	GET  /debug/events     the fleet-wide event journal: link/health/widening
 //	                       events from every shard plus residency transitions
@@ -43,7 +43,6 @@ func NewServer(f *Fleet) *Server {
 	s.mux.HandleFunc("/v1/t/{topo}/{rest...}", s.handleShard)
 	s.mux.HandleFunc("/v1/{rest...}", s.handleLegacy)
 	s.mux.HandleFunc("GET /v1/topologies", s.handleTopologies)
-	s.mux.Handle("GET /debug/vars", f.Metrics())
 	s.mux.HandleFunc("GET /metrics", s.handleProm)
 	s.mux.HandleFunc("GET /debug/events", s.handleEvents)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -53,7 +52,7 @@ func NewServer(f *Fleet) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Metrics exposes the fleet's rolled-up expvar registry.
+// Metrics exposes the fleet's metrics registry.
 func (f *Fleet) Metrics() *Metrics { return f.metrics }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -5,10 +5,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
 	"sparseroute/internal/graph/gen"
+	"sparseroute/internal/obs"
 	"sparseroute/internal/service"
 )
 
@@ -43,6 +45,47 @@ func do(t *testing.T, method, url, body string) (int, map[string]any) {
 		}
 	}
 	return resp.StatusCode, out
+}
+
+// scrape GETs a /metrics endpoint, checks that it is valid exposition, and
+// returns its samples keyed by series, labels included:
+// `sparseroute_engine_epochs_solved{topo="a"}`.
+func scrape(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	code, raw := get(t, url)
+	if code != http.StatusOK {
+		t.Fatalf("%s: %d %s", url, code, raw)
+	}
+	if err := obs.ValidateExposition(raw); err != nil {
+		t.Fatalf("%s: %v\n%s", url, err, raw)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("%s: sample %q: %v", url, line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+func get(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
 }
 
 func TestFleetHTTPNamespacedRoutes(t *testing.T) {
@@ -180,23 +223,27 @@ func TestFleetHTTPTopologiesAndVars(t *testing.T) {
 		t.Fatalf("shard b row %v should be cold", topos[1])
 	}
 
-	// The rolled-up vars nest fleet counters and every shard's registry.
-	code, vars := do(t, "GET", ts.URL+"/debug/vars", "")
-	if code != http.StatusOK {
-		t.Fatalf("vars: %d", code)
+	// The rollup renders fleet counters and every resident shard's registry.
+	m := scrape(t, ts.URL+"/metrics")
+	if m["sparseroute_fleet_resident_shards"] != 1 || m["sparseroute_fleet_cold_starts"] != 1 {
+		t.Fatalf("fleet resident_shards=%v cold_starts=%v, want 1 and 1",
+			m["sparseroute_fleet_resident_shards"], m["sparseroute_fleet_cold_starts"])
 	}
-	fl := vars["fleet"].(map[string]any)
-	if fl["resident_shards"].(float64) != 1 || fl["cold_starts"].(float64) != 1 {
-		t.Fatalf("fleet vars %v", fl)
+	if got := m[`sparseroute_engine_epochs_solved{topo="a"}`]; got != 1 {
+		t.Fatalf("shard a epochs_solved=%v, want 1", got)
 	}
-	shards := vars["shards"].(map[string]any)
-	a := shards["a"].(map[string]any)
-	if a["epochs_solved"].(float64) != 1 {
-		t.Fatalf("shard a vars %v", a)
+	if got, ok := m[`sparseroute_shard_resident{topo="b"}`]; !ok || got != 0 {
+		t.Fatalf("shard b resident=%v (present %v), want 0", got, ok)
 	}
-	b := shards["b"].(map[string]any)
-	if b["resident"] != false {
-		t.Fatalf("shard b vars %v should report non-resident", b)
+	if _, ok := m[`sparseroute_engine_epochs_solved{topo="b"}`]; ok {
+		t.Fatal("non-resident shard b renders engine series")
+	}
+	// /metrics is the one metrics surface: the JSON rendering is gone from
+	// the fleet, the namespaced shard and the legacy alias.
+	for _, path := range []string{"/debug/vars", "/v1/t/a/debug/vars", "/v1/debug/vars"} {
+		if code, _ := get(t, ts.URL+path); code != http.StatusNotFound {
+			t.Fatalf("GET %s: %d, want 404", path, code)
+		}
 	}
 }
 

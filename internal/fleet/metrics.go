@@ -2,11 +2,7 @@ package fleet
 
 import (
 	"expvar"
-	"fmt"
-	"net/http"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -14,12 +10,10 @@ import (
 	"sparseroute/internal/stats"
 )
 
-// Metrics is the fleet's expvar registry: fleet-level counters plus every
-// shard's own registry nested under its topology ID. Like the engine
-// registry it is private — nothing touches the process-global expvar
-// namespace — and renders on /debug/vars as
-//
-//	{"fleet": {...}, "shards": {"<id>": {...} | {"resident": false}, ...}}
+// Metrics is the fleet's registry: fleet-level counters in an expvar.Map
+// that /metrics renders next to every resident shard's own registry (see
+// prom). Like the engine registry it is private — nothing touches the
+// process-global expvar namespace.
 type Metrics struct {
 	fleet *Fleet
 	vars  *expvar.Map
@@ -55,9 +49,6 @@ func newMetrics(f *Fleet) *Metrics {
 	}))
 	m.vars.Set("max_resident", expvar.Func(func() any {
 		return f.cfg.MaxResident
-	}))
-	m.vars.Set("default_shard", expvar.Func(func() any {
-		return f.cfg.DefaultShard
 	}))
 	// The shared pool's cross-shard queue depth: resident shards whose solver
 	// task is waiting for a worker (each shard queues at most one).
@@ -131,51 +122,6 @@ func (m *Metrics) window(r *stats.Ring) map[string]float64 {
 		"p99":   stats.Quantile(xs, 0.99),
 		"max":   stats.Max(xs),
 	}
-}
-
-// json renders the rolled-up registry. Shard registries are embedded as the
-// raw json their own /debug/vars would serve; non-resident shards render as
-// {"resident": false} so the key set is stable across evictions.
-func (m *Metrics) json() string {
-	f := m.fleet
-	f.mu.Lock()
-	list := make([]*shard, 0, len(f.shards))
-	for _, sh := range f.shards {
-		list = append(list, sh)
-	}
-	f.mu.Unlock()
-	sort.Slice(list, func(i, j int) bool { return list[i].id < list[j].id })
-
-	var b strings.Builder
-	b.WriteString("{\n\"fleet\": ")
-	b.WriteString(m.vars.String())
-	b.WriteString(",\n\"shards\": {")
-	for i, sh := range list {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		b.WriteString("\n")
-		b.WriteString(strconv.Quote(sh.id))
-		b.WriteString(": ")
-		// Render under the shard's read lock: dropping it after loading the
-		// engine pointer would let eviction Close the engine while its expvar
-		// Funcs are still being evaluated mid-scrape.
-		sh.mu.RLock()
-		if sh.engine != nil {
-			b.WriteString(sh.engine.Metrics().JSON())
-		} else {
-			b.WriteString(`{"resident": false}`)
-		}
-		sh.mu.RUnlock()
-	}
-	b.WriteString("\n}\n}\n")
-	return b.String()
-}
-
-// ServeHTTP serves the rollup in the conventional /debug/vars json shape.
-func (m *Metrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprint(w, m.json())
 }
 
 // prom renders the fleet rollup in the Prometheus text exposition format:

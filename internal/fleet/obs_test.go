@@ -179,8 +179,8 @@ func TestFleetShardEventsDelegated(t *testing.T) {
 	}
 }
 
-// TestFleetScrapeDuringChurn hammers every observability surface — vars
-// json, Prometheus rollup, health, events — while shards churn through
+// TestFleetScrapeDuringChurn hammers every observability surface — the
+// Prometheus rollup, health, events — while shards churn through
 // residency under MaxResident 1. The race detector and the absence of 500s
 // are the assertions: a scrape must never observe a half-evicted shard.
 func TestFleetScrapeDuringChurn(t *testing.T) {
@@ -189,7 +189,6 @@ func TestFleetScrapeDuringChurn(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, url := range []string{
-		ts.URL + "/debug/vars",
 		ts.URL + "/metrics",
 		ts.URL + "/healthz",
 		ts.URL + "/debug/events",

@@ -2,8 +2,8 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
+	"expvar"
 	"strings"
 	"testing"
 
@@ -50,15 +50,9 @@ func TestFleetTenantQuota(t *testing.T) {
 		t.Fatalf("rollup total=%d, want 1", total)
 	}
 
-	// The fleet gauges render the rollup on /debug/vars.
-	var vars struct {
-		Fleet map[string]any `json:"fleet"`
-	}
-	if err := json.Unmarshal([]byte(f.Metrics().json()), &vars); err != nil {
-		t.Fatalf("fleet vars JSON: %v", err)
-	}
-	if got, ok := vars.Fleet["shed_requests"].(float64); !ok || got != 1 {
-		t.Fatalf("fleet shed_requests=%v, want 1", vars.Fleet["shed_requests"])
+	// The fleet registry carries the rollup as a gauge.
+	if got := f.Metrics().vars.Get("shed_requests").(expvar.Func)(); got != int64(1) {
+		t.Fatalf("fleet shed_requests=%v, want 1", got)
 	}
 
 	// And through the Prometheus path.

@@ -241,35 +241,6 @@ func TestRaeckeCompetitiveOnGrid(t *testing.T) {
 	}
 }
 
-func TestRaeckeWeightedMixture(t *testing.T) {
-	rng := rand.New(rand.NewPCG(21, 21))
-	g := gen.Grid(4, 4)
-	r, err := NewRaecke(g, &RaeckeOptions{NumTrees: 6, WeightedMixture: true}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkRouterBasics(t, r, [][2]int{{0, 15}, {3, 12}}, rng)
-	// Distribution weights must still sum to 1 and no tree weight may be
-	// negative (checked inside checkRouterBasics); the mixture should not
-	// be catastrophically worse than uniform on a random permutation.
-	d := demand.RandomPermutation(16, 6, rng)
-	cw, err := Congestion(r, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uni, err := NewRaecke(g, &RaeckeOptions{NumTrees: 6}, rand.New(rand.NewPCG(21, 21)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cu, err := Congestion(uni, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cw > 3*cu+1 {
-		t.Fatalf("weighted mixture %v wildly worse than uniform %v", cw, cu)
-	}
-}
-
 func TestRaeckeRejectsDisconnected(t *testing.T) {
 	g := graph.New(4)
 	g.AddUnitEdge(0, 1)

@@ -37,11 +37,6 @@ type RaeckeOptions struct {
 	NumTrees int
 	// Eta is the multiplicative-weights learning rate (default 0.5).
 	Eta float64
-	// WeightedMixture weights each tree inversely to its maximum relative
-	// load instead of mixing uniformly: trees that would overload some edge
-	// carry less probability. A cheap stand-in for the optimal mixture
-	// weights of the exact Räcke construction.
-	WeightedMixture bool
 }
 
 func (o *RaeckeOptions) withDefaults() RaeckeOptions {
@@ -53,7 +48,6 @@ func (o *RaeckeOptions) withDefaults() RaeckeOptions {
 		if o.Eta > 0 {
 			out.Eta = o.Eta
 		}
-		out.WeightedMixture = o.WeightedMixture
 	}
 	return out
 }
@@ -70,7 +64,6 @@ func NewRaecke(g *graph.Graph, opt *RaeckeOptions, rng *rand.Rand) (*Raecke, err
 		weights[i] = 1
 	}
 	r := &Raecke{g: g}
-	var maxLoads []float64
 	lengths := make([]float64, m)
 	for t := 0; t < o.NumTrees; t++ {
 		for id := range lengths {
@@ -107,30 +100,19 @@ func NewRaecke(g *graph.Graph, opt *RaeckeOptions, rng *rand.Rand) (*Raecke, err
 				maxR = load[id]
 			}
 		}
-		maxLoads = append(maxLoads, maxR)
 		if maxR > 0 {
 			for id := 0; id < m; id++ {
 				weights[id] *= math.Exp(o.Eta * load[id] / maxR)
 			}
 		}
 	}
-	// Mixture weights: uniform, or inversely proportional to each tree's
-	// maximum relative load.
+	// The trees mix uniformly.
 	r.weights = make([]float64, len(r.trees))
-	var total float64
-	for i := range r.weights {
-		w := 1.0
-		if o.WeightedMixture && maxLoads[i] > 0 {
-			w = 1 / maxLoads[i]
-		}
-		r.weights[i] = w
-		total += w
-	}
 	r.cumWeights = make([]float64, len(r.weights))
-	cum := 0.0
-	for i, w := range r.weights {
-		r.weights[i] = w / total
-		cum += r.weights[i]
+	w, cum := 1/float64(len(r.trees)), 0.0
+	for i := range r.weights {
+		r.weights[i] = w
+		cum += w
 		r.cumWeights[i] = cum
 	}
 	return r, nil

@@ -1,8 +1,8 @@
 // Package obs is the serving stack's observability substrate: epoch
-// lifecycle traces, a time-ordered event journal, and a Prometheus text
-// translator over the existing expvar registries.
+// lifecycle traces, a time-ordered event journal, and the Prometheus text
+// exposition /metrics renders the engine and fleet registries in.
 //
-// The aggregate counters on /debug/vars answer "how many" but never "where
+// The aggregate counters on /metrics answer "how many" but never "where
 // did epoch 4812 spend its 900 ms" or "what sequence of link events preceded
 // this health transition". This package answers both without adding a
 // dependency: everything is bounded rings behind small mutexes, cheap enough

@@ -52,8 +52,7 @@ func (p *Prom) Gauge(name string, labels map[string]string, v float64) {
 //     map[string]float64 windows as one sample per entry with a "stat"
 //     label (quantile summaries), map[string]any likewise for its numeric
 //     entries, with its string entries rolled into a prefix_key_info gauge
-//     whose labels carry the strings (the expvar "path_system" summary);
-//   - nested Maps recurse with the key joined into the prefix.
+//     whose labels carry the strings (the expvar "path_system" summary).
 //
 // Non-numeric leaves that fit none of these shapes are skipped — an expvar
 // registry addition can never break the exposition.
@@ -69,10 +68,6 @@ func (p *Prom) addVar(name string, labels map[string]string, v expvar.Var) {
 		p.Gauge(name, labels, float64(v.Value()))
 	case *expvar.Float:
 		p.Gauge(name, labels, v.Value())
-	case *expvar.Map:
-		v.Do(func(kv expvar.KeyValue) {
-			p.addVar(name+"_"+kv.Key, labels, kv.Value)
-		})
 	case expvar.Func:
 		p.addValue(name, labels, v.Value())
 	}

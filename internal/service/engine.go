@@ -170,6 +170,9 @@ type Engine struct {
 	// that drains only this engine's task.
 	pool  par.Submitter
 	adapt adaptFunc
+	// coldOnly makes every epoch solve cold, never as a delta: a test seam
+	// for twin engines that compare delta epochs with cold ones.
+	coldOnly bool
 
 	// tracer retains recent epoch lifecycle traces; journal records the
 	// engine's state-changing events (link/capacity/health/widening/solve
@@ -584,7 +587,6 @@ func (e *Engine) Wait(ctx context.Context, epoch uint64) (*Outcome, error) {
 func (e *Engine) solve(req *epochRequest) {
 	synced := e.syncWAL()
 	start := time.Now()
-	e.metrics.observeQueueWait(start.Sub(req.queued))
 	mon := &solveMonitor{epoch: req.epoch, tracer: e.tracer}
 	defer e.tracer.ClearProgress(req.epoch)
 	// Worker-level panic backstop: attempt turns solver panics into values,
@@ -611,7 +613,7 @@ func (e *Engine) solve(req *epochRequest) {
 		}
 		res = epoch(ctx, &epochIn{
 			links: e.links.Load(), prev: e.active.Load(), req: req,
-			adapt: e.adapt, delta: !e.cfg.DisableWarmStart, opts: instrumented(mon),
+			adapt: e.adapt, delta: !e.coldOnly, opts: instrumented(mon),
 		})
 	}
 	e.conclude(req, start, res, mon)
@@ -619,8 +621,8 @@ func (e *Engine) solve(req *epochRequest) {
 
 // epochIn is everything one epoch is a function of: the link state it solves
 // under, the published state (nil before the first epoch), the request, the
-// cold solve, whether a delta solve may run at all (Config.DisableWarmStart
-// clears delta), and the solves' observability callbacks, which each attempt
+// cold solve, whether a delta solve may run at all (Engine.coldOnly clears
+// delta), and the solves' observability callbacks, which each attempt
 // gets a copy of.
 type epochIn struct {
 	links *linkState
@@ -792,7 +794,8 @@ func (e *Engine) conclude(req *epochRequest, start time.Time, res *epochResult, 
 		e.metrics.renormalizedServes.Add(1)
 	case out.OK:
 		tr.Outcome = obs.OutcomeSolved
-		e.metrics.observeSolve(latency, out.Congestion)
+		e.metrics.solved.Add(1)
+		e.metrics.lastCongestion.Set(out.Congestion)
 		if out.Warm == obs.WarmDelta {
 			e.metrics.deltaEpochs.Add(1)
 		}
@@ -800,11 +803,11 @@ func (e *Engine) conclude(req *epochRequest, start time.Time, res *epochResult, 
 		tr.Outcome = obs.OutcomeCanceled
 		out.Err = fmt.Sprintf("solve canceled at deadline %v", e.cfg.SolveDeadline)
 		e.metrics.deadlineMissed.Add(1)
-		e.metrics.observeCanceled(latency)
+		e.metrics.canceled.Add(1)
 	case errors.Is(res.err, context.Canceled):
 		tr.Outcome = obs.OutcomeCanceled
 		out.Err = "solve canceled: engine closing"
-		e.metrics.observeCanceled(latency)
+		e.metrics.canceled.Add(1)
 	default:
 		tr.Outcome = obs.OutcomeFallback
 		e.metrics.failed.Add(1)

@@ -53,12 +53,15 @@ import (
 //	                       >=1 restores full capacity)
 //	GET  /v1/links         the current link state
 //	POST /v1/snapshot      persist the path system to the snapshot file
-//	GET  /debug/vars       expvar metrics
 //	GET  /debug/trace      recent epoch lifecycle traces, newest first
 //	                       (?n= bounds the count), plus the in-flight MWU
 //	                       progress when a solve is reporting
 //	GET  /debug/events     the engine's event journal, oldest first
-//	GET  /metrics          Prometheus text exposition of the expvar registry
+//	GET  /metrics          the engine's metrics as Prometheus text exposition:
+//	                       counters, gauges, the path_system summary (its
+//	                       hash and router as _info labels) and the
+//	                       latency, congestion and queue-wait quantiles
+//	                       over the epochs /debug/trace retains
 //	GET  /healthz          ok / degraded (failed or capacity-degraded edges,
 //	                       uncovered pairs) / 503 closed, plus the last epoch
 //	                       outcome
@@ -89,7 +92,6 @@ func NewServer(e *Engine, snapshotPath string) *Server {
 	s.mux.HandleFunc("POST /v1/links", s.handleLinks)
 	s.mux.HandleFunc("GET /v1/links", s.handleLinksGet)
 	s.mux.HandleFunc("POST /v1/snapshot", s.handleSnapshot)
-	s.mux.Handle("GET /debug/vars", e.Metrics())
 	s.mux.HandleFunc("GET /debug/trace", s.handleTrace)
 	s.mux.HandleFunc("GET /debug/events", s.handleEvents)
 	s.mux.HandleFunc("GET /metrics", s.handleProm)
@@ -611,7 +613,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"events": s.engine.Events()})
 }
 
-// handleProm serves the expvar registry as Prometheus text exposition.
+// handleProm serves the engine's registry as Prometheus text exposition.
 func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	p := obs.NewProm()
 	p.FromVars("sparseroute_engine", nil, s.engine.Metrics().Vars())

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"sparseroute/internal/graph"
 	"sparseroute/internal/graph/gen"
 	"sparseroute/internal/oblivious"
+	"sparseroute/internal/obs"
 	"sparseroute/internal/wal"
 )
 
@@ -74,12 +76,46 @@ func getJSON(t *testing.T, url string) (int, map[string]any) {
 	defer resp.Body.Close()
 	var out map[string]any
 	raw, _ := io.ReadAll(resp.Body)
-	if len(raw) > 0 {
+	// The mux answers an unknown route in plain text.
+	if len(raw) > 0 && resp.Header.Get("Content-Type") != "text/plain; charset=utf-8" {
 		if err := json.Unmarshal(raw, &out); err != nil {
 			t.Fatalf("bad JSON %q: %v", raw, err)
 		}
 	}
 	return resp.StatusCode, out
+}
+
+// getMetrics scrapes a /metrics endpoint, checks that it is valid
+// exposition, and returns its samples keyed by series without the
+// sparseroute_engine_ prefix, labels included: "epochs_solved",
+// `congestion{stat="p50"}`.
+func getMetrics(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: %d %s", url, resp.StatusCode, raw)
+	}
+	if err := obs.ValidateExposition(raw); err != nil {
+		t.Fatalf("%s: %v\n%s", url, err, raw)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("%s: sample %q: %v", url, line, err)
+		}
+		out[strings.TrimPrefix(line[:i], "sparseroute_engine_")] = v
+	}
+	return out
 }
 
 func TestServerDemandPathsRoutingFlow(t *testing.T) {
@@ -130,16 +166,12 @@ func TestServerDemandPathsRoutingFlow(t *testing.T) {
 	}
 
 	// Metrics show the solved epoch.
-	code, vars := getJSON(t, ts.URL+"/debug/vars")
-	if code != http.StatusOK {
-		t.Fatalf("vars: %d", code)
+	metrics := getMetrics(t, ts.URL+"/metrics")
+	if metrics["epochs_solved"] < 1 {
+		t.Fatalf("epochs_solved %v", metrics["epochs_solved"])
 	}
-	if vars["epochs_solved"].(float64) < 1 {
-		t.Fatalf("epochs_solved %v", vars["epochs_solved"])
-	}
-	lat := vars["solve_latency_seconds"].(map[string]any)
-	if lat["count"].(float64) < 1 {
-		t.Fatalf("latency window empty: %v", lat)
+	if n := metrics[`solve_latency_seconds{stat="count"}`]; n < 1 {
+		t.Fatalf("latency window count %v, want at least 1", n)
 	}
 
 	// Health reports the active epoch.
@@ -195,6 +227,7 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 		{"GET", "/v1/paths?src=1&dst=1", "", http.StatusBadRequest},
 		{"GET", "/v1/paths?src=0&dst=400", "", http.StatusBadRequest},
 		{"POST", "/v1/snapshot", "", http.StatusBadRequest}, // no path configured
+		{"GET", "/debug/vars", "", http.StatusNotFound},     // /metrics is the one metrics surface
 	}
 	for _, c := range cases {
 		var code int
@@ -237,7 +270,7 @@ func TestServerSnapshotEndpoint(t *testing.T) {
 }
 
 // TestServerConcurrentDemandAndReads is the race-focused test: it hammers
-// POST /v1/demand and GET /v1/paths / /v1/routing / /debug/vars
+// POST /v1/demand and GET /v1/paths / /v1/routing / /metrics
 // concurrently on a small hypercube engine. Run with -race; the invariant
 // under test is that lock-free reads stay consistent while epochs solve and
 // publish.
@@ -274,7 +307,7 @@ func TestServerConcurrentDemandAndReads(t *testing.T) {
 			}
 		}(w)
 	}
-	urls := []string{"/v1/paths?src=0&dst=7", "/v1/paths?src=2&dst=5", "/v1/routing", "/debug/vars", "/healthz"}
+	urls := []string{"/v1/paths?src=0&dst=7", "/v1/paths?src=2&dst=5", "/v1/routing", "/metrics", "/healthz"}
 	for rdr := 0; rdr < readers; rdr++ {
 		wg.Add(1)
 		go func(rdr int) {
@@ -297,13 +330,10 @@ func TestServerConcurrentDemandAndReads(t *testing.T) {
 	wg.Wait()
 
 	// After the dust settles every accepted epoch must be accounted for.
-	code, vars := getJSON(t, ts.URL+"/debug/vars")
-	if code != http.StatusOK {
-		t.Fatalf("vars: %d", code)
-	}
-	received := vars["epochs_received"].(float64)
-	solved := vars["epochs_solved"].(float64)
-	fallbacks := vars["fallbacks"].(float64)
+	metrics := getMetrics(t, ts.URL+"/metrics")
+	received := metrics["epochs_received"]
+	solved := metrics["epochs_solved"]
+	fallbacks := metrics["fallbacks"]
 	if solved+fallbacks < received {
 		// Some epochs may legitimately still be in flight here, so drain.
 		t.Logf("received=%v solved=%v fallbacks=%v (some in flight)", received, solved, fallbacks)
@@ -446,12 +476,9 @@ func TestServerCapacityEvents(t *testing.T) {
 	}
 
 	// Metrics expose the gauge and the counter.
-	code, vars := getJSON(t, ts.URL+"/debug/vars")
-	if code != http.StatusOK {
-		t.Fatalf("vars: %d", code)
-	}
-	if vars["degraded_edges"].(float64) != 1 || vars["capacity_events"].(float64) != 1 {
-		t.Fatalf("vars degraded_edges=%v capacity_events=%v", vars["degraded_edges"], vars["capacity_events"])
+	metrics := getMetrics(t, ts.URL+"/metrics")
+	if metrics["degraded_edges"] != 1 || metrics["capacity_events"] != 1 {
+		t.Fatalf("metrics degraded_edges=%v capacity_events=%v", metrics["degraded_edges"], metrics["capacity_events"])
 	}
 
 	// Recover: back to ok, override gone.

@@ -3,30 +3,29 @@ package service
 import (
 	"expvar"
 	"fmt"
-	"net/http"
-	"sync"
-	"time"
 
+	"sparseroute/internal/obs"
 	"sparseroute/internal/stats"
 )
 
-// Metrics is the engine's expvar-based registry. Counters are expvar types
-// (atomic, JSON-rendering); quantile gauges are expvar.Func closures
-// computed at scrape time over sliding windows. The registry is private to
-// its engine — nothing is published to the process-global expvar namespace,
-// so tests and multi-engine processes never collide — and is served on
-// /debug/vars in the conventional expvar JSON shape.
+// Metrics is the engine's registry, kept in an expvar.Map that /metrics
+// flattens into Prometheus text exposition. Counters are expvar types
+// (atomic); gauges are expvar.Func closures computed at scrape time, and the
+// latency, congestion and queue-wait windows among them summarize the
+// epoch traces the engine's tracer retains for /debug/trace, so both
+// surfaces describe the same epochs. The registry is private to its engine —
+// nothing is published to the process-global expvar namespace, so tests and
+// multi-engine processes never collide.
 type Metrics struct {
 	vars *expvar.Map
 
-	received       expvar.Int   // epochs put in the slot (accepted mutations and link re-adapts)
-	superseded     expvar.Int   // epochs replaced in the slot by a newer one before solving
-	solved         expvar.Int   // epochs solved and published
-	failed         expvar.Int   // epochs whose solve errored
-	deadlineMissed expvar.Int   // epochs whose solve blew the deadline
-	canceled       expvar.Int   // solves stopped mid-flight (deadline or Close)
-	cpuSaved       expvar.Float // estimated solver seconds not burned thanks to cancellation
-	fallbacks      expvar.Int   // total epochs served by the stale routing
+	received       expvar.Int // epochs put in the slot (accepted mutations and link re-adapts)
+	superseded     expvar.Int // epochs replaced in the slot by a newer one before solving
+	solved         expvar.Int // epochs solved and published
+	failed         expvar.Int // epochs whose solve errored
+	deadlineMissed expvar.Int // epochs whose solve blew the deadline
+	canceled       expvar.Int // solves stopped mid-flight (deadline or Close)
+	fallbacks      expvar.Int // total epochs served by the stale routing
 	lastCongestion expvar.Float
 
 	linkEvents         expvar.Int // applied topology events (fail/restore/set/capacity)
@@ -54,27 +53,16 @@ type Metrics struct {
 	rateLimited     expvar.Int // mutations shed by the token-bucket rate limit (429)
 	inflightRejects expvar.Int // requests shed by the inflight-bytes budget (429)
 	bodyTooLarge    expvar.Int // request bodies over MaxBodyBytes (413)
-
-	mu    sync.Mutex
-	lat   *stats.Ring // solve latencies, seconds
-	cong  *stats.Ring // per-epoch congestion
-	queue *stats.Ring // queue waits, seconds
 }
 
 func newMetrics(e *Engine) *Metrics {
-	m := &Metrics{
-		vars:  new(expvar.Map).Init(),
-		lat:   stats.NewRing(latencyWindow),
-		cong:  stats.NewRing(latencyWindow),
-		queue: stats.NewRing(latencyWindow),
-	}
+	m := &Metrics{vars: new(expvar.Map).Init()}
 	m.vars.Set("epochs_received", &m.received)
 	m.vars.Set("epochs_superseded", &m.superseded)
 	m.vars.Set("epochs_solved", &m.solved)
 	m.vars.Set("epochs_failed", &m.failed)
 	m.vars.Set("solve_deadline_missed", &m.deadlineMissed)
 	m.vars.Set("solves_canceled", &m.canceled)
-	m.vars.Set("solve_cpu_saved", &m.cpuSaved)
 	m.vars.Set("fallbacks", &m.fallbacks)
 	m.vars.Set("last_congestion", &m.lastCongestion)
 	m.vars.Set("link_events", &m.linkEvents)
@@ -137,14 +125,24 @@ func newMetrics(e *Engine) *Metrics {
 		}
 		return 0
 	}))
+	// The windows cover the epochs the tracer retains (Config.TraceDepth):
+	// solve latency and congestion over the solved ones, queue wait over
+	// every epoch that queued, which is all but the interim renormalized
+	// publishes of link events.
 	m.vars.Set("solve_latency_seconds", expvar.Func(func() any {
-		return m.window(m.lat)
+		return window(e.tracer.Traces(0), func(t *obs.EpochTrace) (float64, bool) {
+			return t.SolveMs / 1000, t.Outcome == obs.OutcomeSolved
+		})
 	}))
 	m.vars.Set("congestion", expvar.Func(func() any {
-		return m.window(m.cong)
+		return window(e.tracer.Traces(0), func(t *obs.EpochTrace) (float64, bool) {
+			return t.Congestion, t.Outcome == obs.OutcomeSolved
+		})
 	}))
 	m.vars.Set("queue_wait_seconds", expvar.Func(func() any {
-		return m.window(m.queue)
+		return window(e.tracer.Traces(0), func(t *obs.EpochTrace) (float64, bool) {
+			return t.QueueWaitMs / 1000, t.Outcome != obs.OutcomeRenormalized
+		})
 	}))
 	// The path system is no longer fixed for the engine's lifetime: recovery
 	// resampling installs fresh paths and pruning shrinks the serving set,
@@ -177,44 +175,15 @@ func newMetrics(e *Engine) *Metrics {
 	return m
 }
 
-// observeSolve records one successful epoch solve.
-func (m *Metrics) observeSolve(latency time.Duration, congestion float64) {
-	m.solved.Add(1)
-	m.lastCongestion.Set(congestion)
-	m.mu.Lock()
-	m.lat.Push(latency.Seconds())
-	m.cong.Push(congestion)
-	m.mu.Unlock()
-}
-
-// observeQueueWait records one epoch's fair-pool queue wait.
-func (m *Metrics) observeQueueWait(wait time.Duration) {
-	m.mu.Lock()
-	m.queue.Push(wait.Seconds())
-	m.mu.Unlock()
-}
-
-// observeCanceled records one solve stopped mid-flight by its context.
-// solve_cpu_saved accumulates a conservative estimate of the solver seconds
-// the cancellation avoided burning: the mean recent successful-solve latency
-// minus the time the canceled solve already spent (before cancelable solves,
-// an orphaned solve ran to completion on average that much longer). With no
-// latency history yet the estimate is zero.
-func (m *Metrics) observeCanceled(elapsed time.Duration) {
-	m.canceled.Add(1)
-	m.mu.Lock()
-	mean := stats.Mean(m.lat.Values())
-	m.mu.Unlock()
-	if saved := mean - elapsed.Seconds(); saved > 0 {
-		m.cpuSaved.Add(saved)
+// window summarizes the values pick selects from traces as scrape-time
+// quantiles.
+func window(traces []*obs.EpochTrace, pick func(*obs.EpochTrace) (float64, bool)) map[string]float64 {
+	xs := make([]float64, 0, len(traces))
+	for _, t := range traces {
+		if x, ok := pick(t); ok {
+			xs = append(xs, x)
+		}
 	}
-}
-
-// window summarizes a sliding window as scrape-time quantiles.
-func (m *Metrics) window(r *stats.Ring) map[string]float64 {
-	m.mu.Lock()
-	xs := r.Values()
-	m.mu.Unlock()
 	return map[string]float64{
 		"count": float64(len(xs)),
 		"mean":  stats.Mean(xs),
@@ -224,17 +193,6 @@ func (m *Metrics) window(r *stats.Ring) map[string]float64 {
 		"max":   stats.Max(xs),
 	}
 }
-
-// ServeHTTP renders the registry as the conventional /debug/vars JSON
-// object.
-func (m *Metrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprint(w, m.vars.String())
-}
-
-// JSON returns the registry rendered as its /debug/vars JSON object — the
-// per-shard payload a fleet embeds in its rolled-up vars.
-func (m *Metrics) JSON() string { return m.vars.String() }
 
 // Vars exposes the underlying registry for structured walkers (the /metrics
 // Prometheus translation). Gauges are expvar.Func closures computed at call

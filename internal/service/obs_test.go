@@ -18,6 +18,7 @@ import (
 	"sparseroute/internal/flow"
 	"sparseroute/internal/graph"
 	"sparseroute/internal/obs"
+	"sparseroute/internal/stats"
 
 	"context"
 )
@@ -391,6 +392,73 @@ func TestHTTPTraceEventsAndMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(string(raw), want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, raw)
+		}
+	}
+}
+
+// TestMetricsWindowsReadTraces: the latency, congestion and queue-wait
+// windows on /metrics summarize the epochs /debug/trace shows — latency and
+// congestion over the solved ones, queue wait over all but the interim
+// renormalized publishes — and the default trace depth keeps more than 64
+// epochs. The run mixes solved epochs, a fallback and a link event with its
+// interim publish, so each window has traces to leave out.
+func TestMetricsWindowsReadTraces(t *testing.T) {
+	_, e, ts := testServer(t, Config{Seed: 9}, "")
+	const solves = 70
+	for i := 0; i < solves; i++ {
+		if out := solveOne(t, e, i%4, 7-i%4, 1+float64(i%3)); !out.OK {
+			t.Fatalf("epoch %d: %+v", i, out)
+		}
+	}
+	e.adapt = func(context.Context, *core.PathSystem, *demand.Demand, *core.AdaptOptions) (flow.Routing, error) {
+		return nil, fmt.Errorf("injected solver failure")
+	}
+	if out := solveOne(t, e, 0, 7, 1); !out.Fallback {
+		t.Fatalf("failing solve: %+v", out)
+	}
+	e.adapt = defaultAdapt
+	if _, err := e.FailEdges(0); err != nil {
+		t.Fatal(err)
+	}
+	waitIdle(t, e)
+
+	code, body := getJSON(t, ts.URL+"/debug/trace")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/trace status %d", code)
+	}
+	var latency, congestion, queue []float64
+	outcomes := map[string]int{}
+	for _, x := range body["traces"].([]any) {
+		tr := x.(map[string]any)
+		outcome := tr["outcome"].(string)
+		outcomes[outcome]++
+		if outcome == obs.OutcomeSolved {
+			latency = append(latency, tr["solve_ms"].(float64)/1000)
+			congestion = append(congestion, tr["congestion"].(float64))
+		}
+		if outcome != obs.OutcomeRenormalized {
+			queue = append(queue, tr["queue_wait_ms"].(float64)/1000)
+		}
+	}
+	if outcomes[obs.OutcomeSolved] <= solves || outcomes[obs.OutcomeFallback] != 1 || outcomes[obs.OutcomeRenormalized] != 1 {
+		t.Fatalf("trace outcomes %v, want over %d solved (the re-adapt too), 1 fallback, 1 renormalized", outcomes, solves)
+	}
+
+	metrics := getMetrics(t, ts.URL+"/metrics")
+	for _, w := range []struct {
+		name string
+		xs   []float64
+	}{
+		{"solve_latency_seconds", latency},
+		{"congestion", congestion},
+		{"queue_wait_seconds", queue},
+	} {
+		want := map[string]float64{"count": float64(len(w.xs)), "p50": stats.Quantile(w.xs, 0.5), "max": stats.Max(w.xs)}
+		for stat, v := range want {
+			key := fmt.Sprintf("%s{stat=%q}", w.name, stat)
+			if got, ok := metrics[key]; !ok || got != v {
+				t.Errorf("%s = %v (present %v), recomputed from /debug/trace %v", key, got, ok, v)
+			}
 		}
 	}
 }

@@ -18,8 +18,9 @@
 // Overload is shed only before acceptance, by the budgets in admission.go.
 //
 // The package deliberately uses only the standard library: net/http for the
-// surface, expvar conventions for /debug/vars, internal/par for the worker
-// pool, internal/serial for snapshots, internal/stats for latency quantiles.
+// surface, an expvar.Map as the metrics store that /metrics renders,
+// internal/par for the worker pool, internal/serial for snapshots,
+// internal/stats for latency quantiles.
 package service
 
 import (
@@ -76,12 +77,9 @@ type Config struct {
 	// resolve (older ones are evicted oldest-first). Default 128; raise it on
 	// long-running daemons whose clients wait on epochs submitted long ago.
 	OutcomeHistory int
-	// DisableWarmStart forces every epoch to solve from scratch, disabling
-	// the incremental delta fast path. Mostly for benchmarking cold
-	// re-solves.
-	DisableWarmStart bool
 	// TraceDepth bounds the per-engine ring of epoch lifecycle traces served
-	// on /debug/trace. Default 64.
+	// on /debug/trace, which is also the window the latency, congestion and
+	// queue-wait quantiles on /metrics cover. Default 256.
 	TraceDepth int
 	// SlowSolveThreshold makes epochs whose total (solve + publish) time
 	// crosses it emit one structured log line and count in slow_solves. 0
@@ -156,9 +154,6 @@ const (
 	// journalDepth bounds an engine's private event journal, the one it
 	// records into when Config.Journal is nil.
 	journalDepth = 256
-	// latencyWindow is the number of recent solves the latency, congestion
-	// and queue-wait quantiles cover.
-	latencyWindow = 256
 )
 
 func (c Config) withDefaults() Config {
@@ -166,7 +161,7 @@ func (c Config) withDefaults() Config {
 		c.R = 4
 	}
 	if c.TraceDepth <= 0 {
-		c.TraceDepth = 64
+		c.TraceDepth = 256
 	}
 	if c.OutcomeHistory <= 0 {
 		c.OutcomeHistory = 128

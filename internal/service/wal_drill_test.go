@@ -29,12 +29,25 @@ import (
 // test cleanup (after the engine, which never closes an injected log).
 func walEngine(t *testing.T, path string, cfg Config) (*Engine, *wal.Log, *ReplayStats) {
 	t.Helper()
+	return openWALEngine(t, path, cfg, false)
+}
+
+// coldWALEngine is walEngine with every epoch solved cold, never as a delta,
+// so that two solves of one matrix run the same deterministic path.
+func coldWALEngine(t *testing.T, path string, cfg Config) (*Engine, *wal.Log, *ReplayStats) {
+	t.Helper()
+	return openWALEngine(t, path, cfg, true)
+}
+
+func openWALEngine(t *testing.T, path string, cfg Config, coldOnly bool) (*Engine, *wal.Log, *ReplayStats) {
+	t.Helper()
 	log, rec, err := wal.Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.WAL = log
 	e := testEngine(t, cfg)
+	e.coldOnly = coldOnly
 	t.Cleanup(func() { log.Close() })
 	stats, err := e.ReplayWAL(rec)
 	if err != nil {
@@ -143,9 +156,9 @@ func TestWALCrashRecoveryDrill(t *testing.T) {
 	// same deterministic cold path — congestion must match to the bit, not
 	// just approximately.
 	cfg := Config{Graph: g, Router: router, RouterName: "valiant", R: 3, Seed: 11,
-		Workers: 2, DisableWarmStart: true}
+		Workers: 2}
 
-	e, log, _ := walEngine(t, walPath, cfg)
+	e, log, _ := coldWALEngine(t, walPath, cfg)
 
 	// A base matrix, so patches always have something to merge into.
 	base := demand.New()
@@ -219,7 +232,7 @@ func TestWALCrashRecoveryDrill(t *testing.T) {
 	e.Close()
 	log.Close()
 
-	recovered, _, stats := walEngine(t, walPath, cfg)
+	recovered, _, stats := coldWALEngine(t, walPath, cfg)
 	if stats.Applied == 0 {
 		t.Fatalf("replay applied nothing: %+v", stats)
 	}
@@ -236,9 +249,9 @@ func TestWALCrashRecoveryDrill(t *testing.T) {
 func TestWALReplayDuplicateRecordsIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "dup.wal")
-	cfg := Config{Seed: 3, DisableWarmStart: true}
+	cfg := Config{Seed: 3}
 
-	e, log, _ := walEngine(t, walPath, cfg)
+	e, log, _ := coldWALEngine(t, walPath, cfg)
 	d := demand.New()
 	d.Set(0, 7, 2)
 	if _, err := e.submit(d); err != nil {
@@ -271,7 +284,7 @@ func TestWALReplayDuplicateRecordsIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recovered, _, stats := walEngine(t, walPath, cfg)
+	recovered, _, stats := coldWALEngine(t, walPath, cfg)
 	if stats.Applied != len(records) || stats.Skipped != len(records) {
 		t.Fatalf("applied=%d skipped=%d, want %d each", stats.Applied, stats.Skipped, len(records))
 	}
@@ -286,9 +299,9 @@ func TestWALReplayDuplicateRecordsIdempotent(t *testing.T) {
 func TestWALReplaySkipsRecordsBeforeCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "wm.wal")
-	cfg := Config{Seed: 9, DisableWarmStart: true}
+	cfg := Config{Seed: 9}
 
-	e, log, _ := walEngine(t, walPath, cfg)
+	e, log, _ := coldWALEngine(t, walPath, cfg)
 	d1 := demand.New()
 	d1.Set(0, 7, 1)
 	if _, err := e.submit(d1); err != nil { // seq 1
@@ -329,6 +342,7 @@ func TestWALReplaySkipsRecordsBeforeCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	recovered.coldOnly = true
 	t.Cleanup(recovered.Close)
 	stats, err := recovered.ReplayWAL(rec)
 	if err != nil {
@@ -347,9 +361,9 @@ func TestWALReplaySkipsRecordsBeforeCheckpoint(t *testing.T) {
 func TestWALTornTailRecoversAndJournals(t *testing.T) {
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "torn.wal")
-	cfg := Config{Seed: 5, DisableWarmStart: true}
+	cfg := Config{Seed: 5}
 
-	e, log, _ := walEngine(t, walPath, cfg)
+	e, log, _ := coldWALEngine(t, walPath, cfg)
 	d := demand.New()
 	d.Set(0, 7, 2)
 	if _, err := e.submit(d); err != nil {
@@ -375,7 +389,7 @@ func TestWALTornTailRecoversAndJournals(t *testing.T) {
 	}
 	f.Close()
 
-	recovered, _, stats := walEngine(t, walPath, cfg)
+	recovered, _, stats := coldWALEngine(t, walPath, cfg)
 	if !stats.Truncated {
 		t.Fatalf("replay stats should report the torn tail: %+v", stats)
 	}
@@ -401,9 +415,9 @@ func TestWALTornTailRecoversAndJournals(t *testing.T) {
 func TestWALRevokedOpsSkippedOnReplay(t *testing.T) {
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "revoke.wal")
-	cfg := Config{Seed: 13, DisableWarmStart: true}
+	cfg := Config{Seed: 13}
 
-	e, log, _ := walEngine(t, walPath, cfg)
+	e, log, _ := coldWALEngine(t, walPath, cfg)
 	d := demand.New()
 	d.Set(0, 7, 2)
 	submitAndWait(t, e, d)
@@ -426,7 +440,7 @@ func TestWALRevokedOpsSkippedOnReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recovered, _, stats := walEngine(t, walPath, cfg)
+	recovered, _, stats := coldWALEngine(t, walPath, cfg)
 	if stats.LastSeq != 3 {
 		t.Fatalf("last seq %d, want 3", stats.LastSeq)
 	}
@@ -446,10 +460,10 @@ func TestCheckpointEveryTruncatesAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "ckpt.wal")
 	snapPath := filepath.Join(dir, "ckpt.snap")
-	cfg := Config{Seed: 21, DisableWarmStart: true,
+	cfg := Config{Seed: 21,
 		CheckpointEvery: 3, CheckpointPath: snapPath}
 
-	e, log, _ := walEngine(t, walPath, cfg)
+	e, log, _ := coldWALEngine(t, walPath, cfg)
 	for i := 0; i < 4; i++ {
 		d := demand.New()
 		d.Set(0, 7, 1+float64(i))
@@ -499,6 +513,7 @@ func TestCheckpointEveryTruncatesAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	recovered.coldOnly = true
 	t.Cleanup(recovered.Close)
 	if _, err := recovered.ReplayWAL(rec); err != nil {
 		t.Fatal(err)
@@ -528,7 +543,8 @@ func countRecords(t *testing.T, path string, log *wal.Log) int {
 // — the adapt stage then dereferences it and panics exactly where a buggy
 // solver callback would.
 func TestSolverPanicDoesNotKillEngine(t *testing.T) {
-	e := testEngine(t, Config{Seed: 17, DisableWarmStart: true})
+	e := testEngine(t, Config{Seed: 17})
+	e.coldOnly = true
 	d := demand.New()
 	d.Set(0, 7, 2)
 	epoch, err := e.submit(d)
@@ -666,7 +682,7 @@ func TestSnapshotFsyncFailureLeavesOldSnapshot(t *testing.T) {
 func TestCheckpointTornBeforeResetKeepsDemand(t *testing.T) {
 	dir := t.TempDir()
 	walPath, snapPath := filepath.Join(dir, "sys.wal"), filepath.Join(dir, "sys.snap")
-	e, log, _ := walEngine(t, walPath, Config{Seed: 9, DisableWarmStart: true})
+	e, log, _ := coldWALEngine(t, walPath, Config{Seed: 9})
 	submitAndWait(t, e, pairDemand(PairAmount{U: 0, V: 7, Amount: 2}, PairAmount{U: 3, V: 4, Amount: 1}))
 	if _, err := e.FailEdges(4); err != nil {
 		t.Fatal(err)

@@ -35,13 +35,12 @@ func warmPair(t *testing.T) (*Engine, *Engine) {
 		t.Fatal(err)
 	}
 	t.Cleanup(warm.Close)
-	coldCfg := base
-	coldCfg.DisableWarmStart = true
-	cold, err := New(coldCfg)
+	cold, err := New(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cold.Close)
+	cold.coldOnly = true
 	mwuOnly(warm)
 	mwuOnly(cold)
 	return warm, cold

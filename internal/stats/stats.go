@@ -68,11 +68,11 @@ func Quantile(xs []float64, q float64) float64 {
 }
 
 // Ring is a fixed-capacity sliding window of observations: once full, each
-// Push evicts the oldest value. The serving-side metrics registries use it to
-// report latency/congestion quantiles over the recent past instead of the
-// whole process lifetime. Safe for concurrent use: observations land from
-// solver workers while /debug/vars and /metrics scrapes read the window, so
-// the ring synchronizes internally rather than trusting every caller to.
+// Push evicts the oldest value. The fleet's metrics registry uses it to
+// report cold- and warm-start latency quantiles over the recent past instead
+// of the whole process lifetime. Safe for concurrent use: observations land
+// from residency builds while /metrics scrapes read the window, so the ring
+// synchronizes internally rather than trusting every caller to.
 type Ring struct {
 	mu   sync.Mutex
 	buf  []float64
